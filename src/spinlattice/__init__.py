@@ -37,7 +37,6 @@ from .evolution import (
     zero_curvature_residual,
 )
 from .inverse import (
-    Realization,
     RiccatiSolution,
     check_minimal,
     invert,
@@ -73,8 +72,8 @@ from .triples import (
 from .verify import CheckResult, check_names, run_checks
 from .weyl import (
     BlockDecomposition,
+    Realization,
     SummabilityReport,
-    WeylFunction,
     block_decomposition,
     lambda_grid,
     summability_diagnostic,
@@ -88,4 +87,4 @@ from .worked_example import (
     spin_closed_form,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -6,6 +6,7 @@ failure.
 """
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -89,19 +90,20 @@ def _parse_time_grid(text):
     return list(np.linspace(a, b, count))
 
 
-def _open_output(args):
+def _check_nmax(args):
+    low = 1 if args.command == "verify" else 0
+    if getattr(args, "nmax", low) < low:
+        raise InputError(f"--nmax must be >= {low}, got {args.nmax}")
+
+
+@contextlib.contextmanager
+def _output(args):
+    """The --output file, closed on exit, or stdout when none is given."""
     if getattr(args, "output", None):
-        return open(args.output, "w")
-    return sys.stdout
-
-
-def _emit(args, text):
-    stream = _open_output(args)
-    try:
-        stream.write(text)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+        with open(args.output, "w") as stream:
+            yield stream
+    else:
+        yield sys.stdout
 
 
 def _load_triple(path):
@@ -121,23 +123,20 @@ def _cmd_validate(args, tol):
                      for z in report.spectrum.eigenvalues],
         "min_imag_part": report.spectrum.min_imag_part,
     }
-    _emit(args, serialize.dumps(obj))
+    with _output(args) as out:
+        out.write(serialize.dumps(obj))
     return 0
 
 
 def _cmd_spins(args, tol):
     triple = _load_triple(args.triple)
     state = generate(triple, n_max=args.nmax, tol=tol)
-    if args.format == "csv":
-        stream = _open_output(args)
-        try:
-            serialize.write_csv(stream, ["n", "i", "j", "re", "im"],
+    with _output(args) as out:
+        if args.format == "csv":
+            serialize.write_csv(out, ["n", "i", "j", "re", "im"],
                                 serialize.spin_csv_rows(state))
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
-    else:
-        _emit(args, serialize.dumps(serialize.state_to_obj(state)))
+        else:
+            out.write(serialize.dumps(serialize.state_to_obj(state)))
     return 0
 
 
@@ -157,19 +156,16 @@ def _cmd_fundamental(args, tol):
                 for j in range(w.shape[1]):
                     rows.append((n, i, j, float(w[i, j].real),
                                  float(w[i, j].imag)))
-        stream = _open_output(args)
-        try:
-            serialize.write_csv(stream, ["n", "i", "j", "re", "im"], rows)
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
+        with _output(args) as out:
+            serialize.write_csv(out, ["n", "i", "j", "re", "im"], rows)
     else:
         obj = [{"n": n,
                 "w": serialize.matrix_to_obj(transfer.fundamental(n, lam))}
                for n in range(args.nmax + 1)]
-        _emit(args, serialize.dumps(
-            {"lambda": serialize.complex_to_obj(lam), "table": obj}
-        ))
+        with _output(args) as out:
+            out.write(serialize.dumps(
+                {"lambda": serialize.complex_to_obj(lam), "table": obj}
+            ))
     return 0
 
 
@@ -182,7 +178,8 @@ def _cmd_weyl(args, tol):
          "phi": serialize.matrix_to_obj(phi(lam, tol))}
         for lam in grid
     ]
-    _emit(args, serialize.dumps(samples))
+    with _output(args) as out:
+        out.write(serialize.dumps(samples))
     return 0
 
 
@@ -191,7 +188,8 @@ def _cmd_invert(args, tol):
         serialize.load_json(args.realization), args.realization
     )
     triple = invert(realization, tol)
-    _emit(args, serialize.dumps(serialize.triple_to_obj(triple)))
+    with _output(args) as out:
+        out.write(serialize.dumps(serialize.triple_to_obj(triple)))
     return 0
 
 
@@ -218,19 +216,15 @@ def _cmd_evolve(args, tol):
                     "spin": serialize.matrix_to_obj(state.spins[n]),
                     "sigma0": serialize.matrix_to_obj(state.sigmas[0]),
                 })
-    if args.format == "json":
-        _emit(args, serialize.dumps(json_rows))
-    else:
-        stream = _open_output(args)
-        try:
+    with _output(args) as out:
+        if args.format == "json":
+            out.write(serialize.dumps(json_rows))
+        else:
             serialize.write_csv(
-                stream,
+                out,
                 ["t", "n", "s1", "s2", "s3", "zc_residual", "ihm_residual"],
                 rows,
             )
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
     return 0
 
 
@@ -248,7 +242,8 @@ def _cmd_verify(args, tol):
         lines.append(line)
         all_passed &= r.passed
     lines.append("all checks passed" if all_passed else "some checks FAILED")
-    _emit(args, "\n".join(lines) + "\n")
+    with _output(args) as out:
+        out.write("\n".join(lines) + "\n")
     return 0 if all_passed else 1
 
 
@@ -263,7 +258,8 @@ def _cmd_example(args, tol):
     passed = worst <= 1e-12
     lines.append(f"max diff {worst:.3e} "
                  + ("<= 1e-12: PASS" if passed else "> 1e-12: FAIL"))
-    _emit(args, "\n".join(lines) + "\n")
+    with _output(args) as out:
+        out.write("\n".join(lines) + "\n")
     return 0 if passed else 1
 
 
@@ -327,8 +323,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the named invariant suite")
     common(p, nmax=15)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sampling (reserved)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("example",
@@ -347,6 +341,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         tol = _parse_tolerances(args.tol)
+        _check_nmax(args)
         return args.func(args, tol)
     except (InputError, DimensionError, AdmissibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,10 @@ import scipy.linalg
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError, DimensionError, NumericError, SpectrumError
-from .lattice import generate
+from .lattice import _lattice_powers, generate
 from .transfer import Transfer
 from .triples import ParameterTriple, projectors, signature_matrix
-from .weyl import WeylFunction
+from .weyl import _realization
 
 __all__ = [
     "evolve_lambda0",
@@ -71,15 +71,7 @@ def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
 def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     """Closed-form Lambda_n(t): lattice powers applied to Lambda_0(t)."""
     _check_spectrum(triple, tol)
-    a_inv = linalg.inv(triple.alpha, "alpha")
-    i_n = np.eye(triple.order, dtype=complex)
-    e_minus, e_plus = _exp_factors(triple.alpha, t)
-    plus = np.linalg.matrix_power(i_n + 1j * a_inv, n)
-    minus = np.linalg.matrix_power(i_n - 1j * a_inv, n)
-    return np.hstack([
-        plus @ e_minus @ triple.theta1,
-        minus @ e_plus @ triple.theta2,
-    ])
+    return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), n)
 
 
 def _sigma_rhs(alpha, sigma, lam, j):
@@ -341,21 +333,17 @@ def ihm_residual(triple: ParameterTriple, n, t, h_t=1e-4, method="sylvester",
 
 def weyl_evolution(triple: ParameterTriple, t, method="sylvester",
                    tol: Tolerances = DEFAULT):
-    """Weyl function at time t from the explicit evolution formula.
+    """Weyl function at time t from the explicit evolution formula, as a
+    Realization.
 
     phi(t, lam) = i theta1* E_-* Sigma_0(t)^{-1} (lam I - beta(t))^{-1} E_+ theta2
     with E_-* = (e^{-2t(a - iI)^{-1}})*, E_+ = e^{-2t(a + iI)^{-1}} and
     beta(t) = a - i E_+ theta2 theta2* E_+* Sigma_0(t)^{-1}.
     """
-    _check_spectrum(triple, tol, need_zero=False)
+    lam_t = evolve_lambda0(triple, t, tol)
     sigma_t = evolve_sigma0(triple, t, method=method, tol=tol)
-    e_minus, e_plus = _exp_factors(triple.alpha, t)
-    theta1_t = e_minus @ triple.theta1
-    theta2_t = e_plus @ triple.theta2
-    beta_t = triple.alpha - 1j * theta2_t @ theta2_t.conj().T @ linalg.inv(sigma_t)
-    return WeylFunction(
-        beta=beta_t, theta1=theta1_t, theta2=theta2_t, sigma0=sigma_t
-    )
+    m = triple.m
+    return _realization(triple.alpha, lam_t[:, :m], lam_t[:, m:], sigma_t)
 
 
 def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,

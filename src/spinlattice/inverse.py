@@ -1,6 +1,6 @@
 """Inverse Weyl problem: from a strictly proper rational matrix function,
-given as a state-space realization, recover the admissible triple via the
-algebraic Riccati equation.
+given as a state-space ``Realization``, recover the admissible triple via
+the algebraic Riccati equation.
 """
 
 from dataclasses import dataclass
@@ -10,17 +10,11 @@ import scipy.linalg
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import (
-    AdmissibilityError,
-    DimensionError,
-    NotPositiveDefiniteError,
-    NumericError,
-    PoleError,
-)
+from .errors import AdmissibilityError, NotPositiveDefiniteError, NumericError
 from .triples import ParameterTriple
+from .weyl import Realization
 
 __all__ = [
-    "Realization",
     "check_minimal",
     "reduce_to_minimal",
     "RiccatiSolution",
@@ -28,64 +22,6 @@ __all__ = [
     "invert",
     "random_minimal_realization",
 ]
-
-
-@dataclass(frozen=True)
-class Realization:
-    """phi(lambda) = i vartheta1* (lambda I - gamma)^{-1} vartheta2."""
-
-    gamma: np.ndarray
-    vartheta1: np.ndarray
-    vartheta2: np.ndarray
-
-    def __post_init__(self):
-        gamma = linalg.as_matrix(self.gamma, "gamma")
-        v1 = linalg.as_matrix(self.vartheta1, "vartheta1")
-        v2 = linalg.as_matrix(self.vartheta2, "vartheta2")
-        n = gamma.shape[0]
-        if gamma.shape != (n, n):
-            raise DimensionError(f"gamma must be square, got {gamma.shape}")
-        if v1.shape[0] != n or v2.shape[0] != n or v1.shape[1] != v2.shape[1]:
-            raise DimensionError(
-                f"vartheta blocks must be {n} x m, got {v1.shape} and {v2.shape}"
-            )
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "vartheta1", v1)
-        object.__setattr__(self, "vartheta2", v2)
-
-    @property
-    def order(self):
-        return self.gamma.shape[0]
-
-    @property
-    def m(self):
-        return self.vartheta1.shape[1]
-
-    def __call__(self, lam, tol: Tolerances = DEFAULT):
-        lam = complex(lam)
-        if self.order == 0:
-            return np.zeros((self.m, self.m), dtype=complex)
-        eigs = np.linalg.eigvals(self.gamma)
-        scale = max(1.0, float(np.linalg.norm(self.gamma, 2)))
-        if np.min(np.abs(eigs - lam)) <= tol.pole_tol * scale:
-            raise PoleError(f"lambda = {lam} is a pole of the realization")
-        resolvent = linalg.solve(
-            lam * np.eye(self.order, dtype=complex) - self.gamma, self.vartheta2
-        )
-        return 1j * self.vartheta1.conj().T @ resolvent
-
-    def similarity(self, t):
-        """State-space similarity (gamma, v1, v2) -> (T g T^{-1}, T^{-*} v1, T v2).
-
-        Leaves phi unchanged: the output pair transforms contragrediently.
-        """
-        t = linalg.as_matrix(t, "T")
-        t_inv = linalg.inv(t, "T")
-        return Realization(
-            gamma=t @ self.gamma @ t_inv,
-            vartheta1=t_inv.conj().T @ self.vartheta1,
-            vartheta2=t @ self.vartheta2,
-        )
 
 
 def check_minimal(r: Realization, tol: Tolerances = DEFAULT):

@@ -47,6 +47,17 @@ def advance(alpha, lam, sigma, alpha_inv=None):
     return lam_next, sym, linalg.frob(sigma_next - sym)
 
 
+def _lattice_powers(alpha, lam0, n):
+    """[(I + i a^{-1})^n lam0_1, (I - i a^{-1})^n lam0_2] for the column
+    blocks lam0 = [lam0_1, lam0_2]."""
+    a_inv = linalg.inv(alpha, "alpha")
+    i_n = np.eye(alpha.shape[0], dtype=complex)
+    m = lam0.shape[1] // 2
+    plus = np.linalg.matrix_power(i_n + 1j * a_inv, n)
+    minus = np.linalg.matrix_power(i_n - 1j * a_inv, n)
+    return np.hstack([plus @ lam0[:, :m], minus @ lam0[:, m:]])
+
+
 def lambda_closed_form(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
     """Lambda_n = [(I + i a^{-1})^n theta1, (I - i a^{-1})^n theta2].
 
@@ -54,11 +65,7 @@ def lambda_closed_form(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
     """
     if not triple.sigma0_is_identity(tol):
         raise NumericError("closed form requires sigma0 = I (normalize first)")
-    a_inv = linalg.inv(triple.alpha, "alpha")
-    i_n = np.eye(triple.order, dtype=complex)
-    plus = np.linalg.matrix_power(i_n + 1j * a_inv, n)
-    minus = np.linalg.matrix_power(i_n - 1j * a_inv, n)
-    return np.hstack([plus @ triple.theta1, minus @ triple.theta2])
+    return _lattice_powers(triple.alpha, triple.lambda0, n)
 
 
 @dataclass(frozen=True)

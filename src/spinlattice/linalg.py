@@ -16,6 +16,7 @@ from .errors import (
     DimensionError,
     NotPositiveDefiniteError,
     NumericError,
+    PoleError,
     SingularEquationError,
     SingularMatrixError,
 )
@@ -40,6 +41,8 @@ __all__ = [
     "cond",
     "solve",
     "inv",
+    "poles",
+    "check_pole",
 ]
 
 
@@ -229,3 +232,24 @@ def solve(m, rhs, name="matrix"):
 
 def inv(m, name="matrix"):
     return solve(as_matrix(m, name), eye(m.shape[0]), name)
+
+
+def poles(m):
+    """Eigenvalues of M and its pole scale max(1, ||M||_2), for check_pole."""
+    return np.linalg.eigvals(m), max(1.0, float(np.linalg.norm(m, 2)))
+
+
+def check_pole(lam, eigs, scale, tol: Tolerances = DEFAULT, name="matrix"):
+    """Raise PoleError if lam lies within pole_tol * scale of an eigenvalue.
+
+    ``eigs`` and ``scale`` come from ``poles(M)`` for the matrix M whose
+    resolvent (lam I - M)^{-1} is about to be formed.
+    """
+    if eigs.size:
+        nearest = eigs[int(np.argmin(np.abs(eigs - lam)))]
+        if abs(nearest - lam) <= tol.pole_tol * scale:
+            raise PoleError(
+                f"lambda = {lam} too close to the spectrum of {name} "
+                f"(nearest eigenvalue {nearest})",
+                nearest=nearest,
+            )

@@ -11,8 +11,8 @@ import json
 import numpy as np
 
 from .errors import InputError
-from .inverse import Realization
 from .triples import ParameterTriple
+from .weyl import Realization
 
 __all__ = [
     "complex_to_obj",
@@ -40,9 +40,12 @@ def complex_from_obj(obj, where="value"):
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise InputError(f"{where}: expected an object with 're' and 'im' keys")
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
+        z = complex(float(obj["re"]), float(obj["im"]))
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: non-numeric re/im entry") from exc
+    if not np.isfinite(z):
+        raise InputError(f"{where}: non-finite re/im entry")
+    return z
 
 
 def matrix_to_obj(matrix):
@@ -93,12 +96,16 @@ def triple_from_obj(obj, where="triple"):
         theta2=matrix_from_obj(obj["theta2"], f"{where}.theta2"),
         sigma0=sigma0,
     )
-    if "N" in obj and int(obj["N"]) != triple.order:
+    try:
+        order, m = int(obj.get("N", triple.order)), int(obj.get("m", triple.m))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{where}: N and m must be integers") from exc
+    if order != triple.order:
         raise InputError(
             f"{where}: declared N = {obj['N']} but alpha is {triple.order} x "
             f"{triple.order}"
         )
-    if "m" in obj and int(obj["m"]) != triple.m:
+    if m != triple.m:
         raise InputError(
             f"{where}: declared m = {obj['m']} but theta blocks have "
             f"{triple.m} columns"

@@ -36,26 +36,15 @@ class Transfer:
         self.alpha = state.triple.alpha
         self.order = state.triple.order
         self.m = state.m
-        self._eigs = np.linalg.eigvals(self.alpha)
-        self._alpha_norm = max(1.0, float(np.linalg.norm(self.alpha, 2)))
+        self.poles = linalg.poles(self.alpha)
         self._cache = {}
-
-    def _check_pole(self, lam):
-        dist = float(np.min(np.abs(self._eigs - lam)))
-        if dist <= self.tol.pole_tol * self._alpha_norm:
-            nearest = self._eigs[int(np.argmin(np.abs(self._eigs - lam)))]
-            raise PoleError(
-                f"lambda = {lam} too close to the spectrum of alpha "
-                f"(nearest eigenvalue {nearest})",
-                nearest=nearest,
-            )
 
     def w(self, n, lam):
         """W(n, lambda), cached per (n, lambda)."""
         lam = complex(lam)
         key = (n, lam)
         if key not in self._cache:
-            self._check_pole(lam)
+            linalg.check_pole(lam, *self.poles, self.tol, "alpha")
             lam_n = self.state.lambdas[n]
             resolvent = linalg.solve(
                 lam * np.eye(self.order, dtype=complex) - self.alpha, lam_n

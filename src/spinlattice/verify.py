@@ -11,7 +11,7 @@ import numpy as np
 
 from . import evolution, linalg
 from .config import DEFAULT, Tolerances
-from .errors import AdmissibilityError, SpinLatticeError
+from .errors import AdmissibilityError, PoleError, SpinLatticeError
 from .lattice import generate, k_residual, lambda_closed_form, monotone_diagnostics
 from .transfer import Transfer
 from .triples import ParameterTriple, TripleClass, normalize_sigma0, validate
@@ -201,9 +201,22 @@ def _weyl_normalized(ctx):
     return worst, 1e-10
 
 
+def _summability_point(ctx):
+    """-2i, unless its conjugate is a pole: W_n(lam) inverts W(0, conj(lam)),
+    which is singular on conj(spec alpha).  Then the first of 1 - 2i, -1 - 2i
+    that clears it."""
+    for lam in (-2j, 1 - 2j):
+        try:
+            linalg.check_pole(np.conj(lam), *ctx.transfer.poles, ctx.tol, "alpha")
+            return lam
+        except PoleError:
+            pass
+    return -1 - 2j
+
+
 def _summability(ctx):
     # the Cauchy heuristic needs a longer horizon than the other checks
-    lam = -2j
+    lam = _summability_point(ctx)
     report = summability_diagnostic(ctx.triple, lam, n_terms=30, tol=ctx.tol)
     perturbed = summability_diagnostic(
         ctx.triple, lam, n_terms=30, tol=ctx.tol,

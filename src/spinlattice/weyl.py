@@ -1,21 +1,22 @@
-"""Direct Weyl function of a class-FG system, block decomposition of
+"""Weyl functions as state-space realizations, block decomposition of
 W(0, lambda), and the summability diagnostic that defines the Weyl
 function.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import AdmissibilityError, PoleError
+from .errors import AdmissibilityError, DimensionError, PoleError
 from .lattice import LatticeState, generate
-from .transfer import Transfer, j_power_factor
+from .transfer import Transfer
 from .triples import ParameterTriple, TripleClass, validate
 
 __all__ = [
-    "WeylFunction",
+    "Realization",
     "weyl",
     "BlockDecomposition",
     "block_decomposition",
@@ -26,44 +27,73 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class WeylFunction:
-    """phi(lambda) = i theta1* sigma0^{-1} (lambda I - beta)^{-1} theta2.
+class Realization:
+    """phi(lambda) = i vartheta1* (lambda I - gamma)^{-1} vartheta2.
 
-    For sigma0 = I this is the admissible-triple formula with
-    beta = alpha - i theta2 theta2*; the general-sigma0 variant uses
-    beta = alpha - i theta2 theta2* sigma0^{-1}.
+    Both the input of the inverse problem and the Weyl function of a triple
+    take this form; see ``weyl`` for the latter.
     """
 
-    beta: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    sigma0: np.ndarray
+    gamma: np.ndarray
+    vartheta1: np.ndarray
+    vartheta2: np.ndarray
+
+    def __post_init__(self):
+        gamma = linalg.as_matrix(self.gamma, "gamma")
+        v1 = linalg.as_matrix(self.vartheta1, "vartheta1")
+        v2 = linalg.as_matrix(self.vartheta2, "vartheta2")
+        n = gamma.shape[0]
+        if gamma.shape != (n, n):
+            raise DimensionError(f"gamma must be square, got {gamma.shape}")
+        if v1.shape[0] != n or v2.shape[0] != n or v1.shape[1] != v2.shape[1]:
+            raise DimensionError(
+                f"vartheta blocks must be {n} x m, got {v1.shape} and {v2.shape}"
+            )
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "vartheta1", v1)
+        object.__setattr__(self, "vartheta2", v2)
 
     @property
     def order(self):
-        return self.beta.shape[0]
+        return self.gamma.shape[0]
 
     @property
     def m(self):
-        return self.theta1.shape[1]
+        return self.vartheta1.shape[1]
+
+    @cached_property
+    def _poles(self):
+        return linalg.poles(self.gamma)
 
     def __call__(self, lam, tol: Tolerances = DEFAULT):
         lam = complex(lam)
-        eigs = np.linalg.eigvals(self.beta)
-        dist = float(np.min(np.abs(eigs - lam))) if eigs.size else np.inf
-        scale = max(1.0, float(np.linalg.norm(self.beta, 2)))
-        if dist <= tol.pole_tol * scale:
-            raise PoleError(f"lambda = {lam} is a pole of the Weyl function")
-        # theta1* sigma0^{-1} via a Hermitian solve
-        left = linalg.solve(self.sigma0, self.theta1, "sigma0").conj().T
+        if self.order == 0:
+            return np.zeros((self.m, self.m), dtype=complex)
+        linalg.check_pole(lam, *self._poles, tol, "gamma")
         resolvent = linalg.solve(
-            lam * np.eye(self.order, dtype=complex) - self.beta, self.theta2
+            lam * np.eye(self.order, dtype=complex) - self.gamma, self.vartheta2
         )
-        return 1j * left @ resolvent
+        return 1j * self.vartheta1.conj().T @ resolvent
+
+    def similarity(self, t):
+        """State-space similarity (gamma, v1, v2) -> (T g T^{-1}, T^{-*} v1, T v2).
+
+        Leaves phi unchanged: the output pair transforms contragrediently.
+        """
+        t = linalg.as_matrix(t, "T")
+        t_inv = linalg.inv(t, "T")
+        return Realization(
+            gamma=t @ self.gamma @ t_inv,
+            vartheta1=t_inv.conj().T @ self.vartheta1,
+            vartheta2=t @ self.vartheta2,
+        )
 
 
 def weyl(triple: ParameterTriple, tol: Tolerances = DEFAULT):
-    """Weyl function of the system generated by a triple.
+    """Weyl function phi(lambda) = i theta1* sigma0^{-1} (lambda I - beta)^{-1}
+    theta2 of the system generated by a triple, as the realization
+    gamma = beta = alpha - i theta2 theta2* sigma0^{-1},
+    vartheta1 = sigma0^{-1} theta1, vartheta2 = theta2.
 
     Accepts class FG triples (and FG-tilde, through the general-sigma0
     formula, which reduces to the FG formula when sigma0 = I).
@@ -73,13 +103,17 @@ def weyl(triple: ParameterTriple, tol: Tolerances = DEFAULT):
         raise AdmissibilityError(
             f"triple of class {report.triple_class.value} has no Weyl function"
         )
-    sigma_inv_t2 = linalg.solve(triple.sigma0, triple.theta2, "sigma0")
-    beta = triple.alpha - 1j * triple.theta2 @ sigma_inv_t2.conj().T
-    return WeylFunction(
-        beta=beta,
-        theta1=triple.theta1,
-        theta2=triple.theta2,
-        sigma0=triple.sigma0,
+    return _realization(triple.alpha, triple.theta1, triple.theta2, triple.sigma0)
+
+
+def _realization(alpha, theta1, theta2, sigma0):
+    """gamma = beta = alpha - i theta2 theta2* sigma0^{-1},
+    vartheta1 = sigma0^{-1} theta1, vartheta2 = theta2."""
+    sigma_inv_t2 = linalg.solve(sigma0, theta2, "sigma0")
+    return Realization(
+        gamma=alpha - 1j * theta2 @ sigma_inv_t2.conj().T,
+        vartheta1=linalg.solve(sigma0, theta1, "sigma0"),
+        vartheta2=theta2,
     )
 
 
@@ -125,8 +159,8 @@ def summability_diagnostic(triple: ParameterTriple, lam, n_terms=40,
     a truncation heuristic: the increment over the last quarter of terms must
     stay below ``cauchy_factor`` times the first term.
 
-    Also verifies the column identity
-    W_n [phi; I] = ((lam + i)/lam)^n W(n, lam) [0; d(lam)^{-1}].
+    When ``phi`` is None (the true Weyl function), also verifies the column
+    identity W_n [phi; I] = ((lam + i)/lam)^n W(n, lam) [0; d(lam)^{-1}].
     """
     lam = complex(lam)
     if lam.imag >= -0.5:
@@ -138,13 +172,13 @@ def summability_diagnostic(triple: ParameterTriple, lam, n_terms=40,
                          overflow_limit=overflow_limit)
     transfer = Transfer(state, tol)
     m = triple.m
-    true_phi = weyl(triple, tol)(lam, tol)
-    if phi is None:
-        phi = true_phi
+    is_true_phi = phi is None
+    if is_true_phi:
+        phi = weyl(triple, tol)(lam, tol)
     stack = np.vstack([phi, np.eye(m, dtype=complex)])
 
     column_residual = 0.0
-    if np.allclose(phi, true_phi):
+    if is_true_phi:
         blocks = block_decomposition(triple, lam, tol)
         d_inv = linalg.inv(blocks.d, "d(lambda)")
         rhs_stack = np.vstack([np.zeros((m, m), dtype=complex), d_inv])
@@ -183,12 +217,13 @@ def lambda_grid(alpha, count=20, radius=None, center=0.0,
     alpha = np.asarray(alpha, dtype=complex)
     if radius is None:
         radius = 2.0 * (1.0 + float(np.linalg.norm(alpha, 2)))
-    eigs = np.linalg.eigvals(alpha)
-    scale = max(1.0, float(np.linalg.norm(alpha, 2)))
+    eigs, scale = linalg.poles(alpha)
     pts = []
     for k in range(count):
         lam = complex(center) + radius * np.exp(2j * np.pi * (k + 0.37) / count)
-        if eigs.size and np.min(np.abs(eigs - lam)) <= 10 * tol.pole_tol * scale:
+        try:
+            linalg.check_pole(lam, eigs, 10 * scale, tol, "alpha")
+        except PoleError:
             continue
         pts.append(lam)
     return pts

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -114,3 +115,37 @@ def test_bad_tolerance_flag(triple_file):
 
 def test_bad_lambda_grid(triple_file):
     assert main(["weyl", triple_file, "--lambda-grid", "1,2,3"]) == 2
+
+
+def test_verify_example_passes(example_file, capsys):
+    assert main(["verify", example_file]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_spins_negative_nmax(triple_file, capsys):
+    assert main(["spins", triple_file, "--nmax", "-1"]) == 2
+    assert "--nmax" in capsys.readouterr().err
+
+
+def test_verify_zero_nmax(triple_file, capsys):
+    assert main(["verify", triple_file, "--nmax", "0"]) == 2
+    assert "--nmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_is_input_error(triple_file, tmp_path, token, capsys):
+    obj = json.loads(pathlib.Path(triple_file).read_text())
+    obj["alpha"][0][0]["re"] = float(token)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), "three"])
+def test_non_integer_declared_size_is_input_error(triple_file, tmp_path, value):
+    obj = json.loads(pathlib.Path(triple_file).read_text())
+    obj["N"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlattice import (
     Realization,
@@ -8,11 +10,15 @@ from spinlattice import (
     generate,
     invert,
     lambda_grid,
+    random_admissible_triple,
+    random_general_sigma_triple,
     random_minimal_realization,
     reduce_to_minimal,
     solve_riccati,
+    triple_at,
     validate,
     weyl,
+    weyl_evolution,
 )
 from spinlattice.errors import AdmissibilityError
 
@@ -115,3 +121,25 @@ def test_zero_function_rejected():
     )
     with pytest.raises(AdmissibilityError):
         invert(r)
+
+
+def _spins_error(a, b):
+    return max(np.linalg.norm(x - y) for x, y in zip(generate(a, 8).spins,
+                                                     generate(b, 8).spins))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(order=st.integers(1, 6), m=st.integers(1, 3), general=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_invert_weyl_round_trip(order, m, general, seed):
+    rng = np.random.default_rng(seed)
+    draw = random_general_sigma_triple if general else random_admissible_triple
+    t = draw(rng, order, m)
+    assert _spins_error(invert(weyl(t)), t) <= 1e-9
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(order=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_invert_weyl_evolution_round_trip(order, seed):
+    t = random_admissible_triple(np.random.default_rng(seed), order, 1)
+    assert _spins_error(invert(weyl_evolution(t, 0.2)), triple_at(t, 0.2)) <= 1e-9

@@ -59,7 +59,7 @@ def test_rejects_invalid_triple():
 
 def test_pole_detection(small_triple):
     phi = weyl(small_triple)
-    pole = np.linalg.eigvals(phi.beta)[0]
+    pole = np.linalg.eigvals(phi.gamma)[0]
     with pytest.raises(PoleError):
         phi(pole)
 
