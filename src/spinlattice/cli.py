@@ -21,12 +21,7 @@ from .errors import (
     InputError,
     SpinLatticeError,
 )
-from .evolution import (
-    ihm_residual,
-    spin_vector,
-    state_at,
-    zero_curvature_residual,
-)
+from .evolution import TimeSlice
 from .inverse import invert
 from .lattice import generate
 from .transfer import Transfer
@@ -198,33 +193,25 @@ def _cmd_evolve(args, tol):
     times = _parse_time_grid(args.time_grid)
     n_max = max(args.nmax, 3)
     lam_probe = 2.0 + 0.5j
+    columns = ["t", "n", "s1", "s2", "s3", "zc_residual", "ihm_residual"]
     rows = []
-    json_rows = []
     for t in times:
-        state = state_at(triple, t, n_max=n_max, method=args.method, tol=tol)
+        lattice = TimeSlice(triple, t, n_max, method=args.method, tol=tol)
+        state = lattice.state
         for n in range(1, n_max - 1):
-            vec = spin_vector(state.spins[n], tol)
-            zc = zero_curvature_residual(triple, n, t, lam_probe,
-                                         method=args.method, tol=tol)
-            ihm = ihm_residual(triple, n, t, method=args.method, tol=tol)
-            rows.append((float(t), n, vec.s1, vec.s2, vec.s3, zc, ihm))
+            vec = lattice.vectors[n]
+            rows.append(dict(zip(columns, (
+                float(t), n, vec.s1, vec.s2, vec.s3,
+                lattice.zero_curvature(n, lam_probe), lattice.ihm(n)))))
             if args.format == "json":
-                json_rows.append({
-                    "t": float(t), "n": n,
-                    "s1": vec.s1, "s2": vec.s2, "s3": vec.s3,
-                    "zc_residual": zc, "ihm_residual": ihm,
-                    "spin": serialize.matrix_to_obj(state.spins[n]),
-                    "sigma0": serialize.matrix_to_obj(state.sigmas[0]),
-                })
+                rows[-1]["spin"] = serialize.matrix_to_obj(state.spins[n])
+                rows[-1]["sigma0"] = serialize.matrix_to_obj(state.sigmas[0])
     with _output(args) as out:
         if args.format == "json":
-            out.write(serialize.dumps(json_rows))
+            out.write(serialize.dumps(rows))
         else:
-            serialize.write_csv(
-                out,
-                ["t", "n", "s1", "s2", "s3", "zc_residual", "ihm_residual"],
-                rows,
-            )
+            serialize.write_csv(out, columns,
+                                ([row[c] for c in columns] for row in rows))
     return 0
 
 

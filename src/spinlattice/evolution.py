@@ -14,9 +14,10 @@ import scipy.linalg
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import DegeneracyError, DimensionError, NumericError, SpectrumError
+from .errors import (DegeneracyError, DimensionError, NumericError,
+                     SpectrumError, SpinLatticeError)
 from .lattice import _lattice_powers, generate
-from .transfer import Transfer
+from .transfer import Transfer, _g
 from .triples import ParameterTriple, projectors, signature_matrix
 from .weyl import _realization
 
@@ -26,6 +27,7 @@ __all__ = [
     "evolve_sigma0",
     "triple_at",
     "state_at",
+    "TimeSlice",
     "SpinVector",
     "spin_vector",
     "spin_evolution",
@@ -149,9 +151,8 @@ def triple_at(triple: ParameterTriple, t, method="sylvester",
 
 
 def state_at(triple: ParameterTriple, t, n_max, method="sylvester",
-             tol: Tolerances = DEFAULT, overflow_limit=None):
-    return generate(triple_at(triple, t, method, tol), n_max=n_max, tol=tol,
-                    overflow_limit=overflow_limit)
+             tol: Tolerances = DEFAULT):
+    return generate(triple_at(triple, t, method, tol), n_max=n_max, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -224,17 +225,35 @@ class LaxPair:
     trace_v_minus: complex
 
 
-def _v_pair(vectors, spins, n, tol: Tolerances):
-    dot = float(np.dot(vectors[n - 1].as_array(), vectors[n].as_array()))
-    denom = 1.0 + dot
+def _bond(vectors, n, tol: Tolerances):
+    """1 + s_{n-1}.s_n, the denominator of V_n and of the IHM equation."""
+    if n < 1:
+        raise ValueError(f"site n = {n} has no S_{{n-1}}: needs n >= 1")
+    denom = 1.0 + float(np.dot(vectors[n - 1].as_array(), vectors[n].as_array()))
     if abs(denom) < tol.degeneracy_tol:
-        raise DegeneracyError(
-            f"1 + s_{n - 1}.s_{n} = {denom:.3e} vanishes; V_n undefined"
-        )
+        raise DegeneracyError(f"1 + s_{n - 1}.s_{n} = {denom:.3e} vanishes")
+    return denom
+
+
+def _v_pair(vectors, spins, n, tol: Tolerances):
+    denom = _bond(vectors, n, tol)
     i2 = np.eye(2, dtype=complex)
     v_plus = (i2 + spins[n]) @ (i2 + spins[n - 1]) / denom
     v_minus = (i2 - spins[n]) @ (i2 - spins[n - 1]) / denom
     return v_plus, v_minus
+
+
+def _lax_parameter(lam, tol: Tolerances):
+    """complex(lambda), kept off {0, i, -i}, the poles of G_n and F_n."""
+    lam = complex(lam)
+    if min(abs(lam), abs(lam - 1j), abs(lam + 1j)) < tol.degeneracy_tol:
+        raise SpectrumError("lambda must avoid {0, i, -i}")
+    return lam
+
+
+def _lax_f(v_plus, v_minus, lam):
+    """F_n(lambda) = V_n^+ / (lambda - i) + V_n^- / (lambda + i)."""
+    return v_plus / (lam - 1j) + v_minus / (lam + 1j)
 
 
 def lax_pair(triple: ParameterTriple, n, t, lam, method="sylvester",
@@ -245,9 +264,7 @@ def lax_pair(triple: ParameterTriple, n, t, lam, method="sylvester",
     Requires n >= 1 (V_n involves S_{n-1}).
     """
     _require_ihm(triple)
-    if n < 1:
-        raise ValueError("lax_pair needs n >= 1 (V_n involves S_{n-1})")
-    lam = complex(lam)
+    lam = _lax_parameter(lam, tol)
     state = state_at(triple, t, n_max=n + 1, method=method, tol=tol)
     vectors = _spin_vectors(state, tol)
     v_plus, v_minus = _v_pair(vectors, state.spins, n, tol)
@@ -255,11 +272,9 @@ def lax_pair(triple: ParameterTriple, n, t, lam, method="sylvester",
     p_plus, p_minus = projectors(1)
     h_plus = 2.0 * transfer.w(n, 1j) @ p_plus @ transfer.w(n, -1j).conj().T
     h_minus = 2.0 * transfer.w(n, -1j) @ p_minus @ transfer.w(n, 1j).conj().T
-    g = np.eye(2, dtype=complex) - (1j / lam) * state.spins[n]
-    f = v_plus / (lam - 1j) + v_minus / (lam + 1j)
     return LaxPair(
-        g=g,
-        f=f,
+        g=_g(state.spins[n], lam),
+        f=_lax_f(v_plus, v_minus, lam),
         v_plus=v_plus,
         v_minus=v_minus,
         h_plus=h_plus,
@@ -271,64 +286,64 @@ def lax_pair(triple: ParameterTriple, n, t, lam, method="sylvester",
     )
 
 
-def _g_matrix(spins, n, lam):
-    return np.eye(2, dtype=complex) - (1j / lam) * spins[n]
+class TimeSlice:
+    """The lattice around one time t, read by the residuals of every site:
+    the state at t to horizon N with its spin vectors, and the states at
+    t +/- h_t to horizon N - 1 for the central differences in t.  Sites
+    1 <= n <= N - 2 can be evaluated."""
 
+    def __init__(self, triple: ParameterTriple, t, n_max, h_t=1e-4,
+                 method="sylvester", tol: Tolerances = DEFAULT):
+        _require_ihm(triple)
+        self.state = state_at(triple, t, n_max=n_max, method=method, tol=tol)
+        self.vectors = _spin_vectors(self.state, tol)
+        self.plus, self.minus = (
+            state_at(triple, t + dt, n_max=n_max - 1, method=method, tol=tol)
+            for dt in (h_t, -h_t))
+        self.h_t = h_t
+        self.tol = tol
 
-def _f_matrix(vectors, spins, n, lam, tol):
-    v_plus, v_minus = _v_pair(vectors, spins, n, tol)
-    return v_plus / (lam - 1j) + v_minus / (lam + 1j)
+    def _d_dt(self, f, n):
+        """Central difference in t of f(S_n)."""
+        return (f(self.plus.spins[n]) - f(self.minus.spins[n])) / (2 * self.h_t)
+
+    def zero_curvature(self, n, lam):
+        """|| dG_n/dt - (F_{n+1} G_n - G_n F_n) || with a central difference.
+
+        Exact zero curvature makes this O(h_t^2).
+        """
+        lam = _lax_parameter(lam, self.tol)
+        spins = self.state.spins
+        f_n, f_n1 = (_lax_f(*_v_pair(self.vectors, spins, k, self.tol), lam)
+                     for k in (n, n + 1))
+        g_mid = _g(spins[n], lam)
+        dg = self._d_dt(lambda s: _g(s, lam), n)
+        return linalg.frob(dg - (f_n1 @ g_mid - g_mid @ f_n))
+
+    def ihm(self, n):
+        """Residual of the IHM lattice equation at site n, central difference
+        in t:
+
+        ds_n/dt = 2 s_n x ( s_{n+1} / (1 + s_n.s_{n+1})
+                            + s_{n-1} / (1 + s_{n-1}.s_n) ).
+        """
+        d_prev, d_next = (_bond(self.vectors, k, self.tol) for k in (n, n + 1))
+        s_prev, s_mid, s_next = (v.as_array() for v in self.vectors[n - 1:n + 2])
+        rhs = 2.0 * np.cross(s_mid, s_next / d_next + s_prev / d_prev)
+        dvec = self._d_dt(lambda s: spin_vector(s, self.tol).as_array(), n)
+        return float(np.linalg.norm(dvec - rhs))
 
 
 def zero_curvature_residual(triple: ParameterTriple, n, t, lam, h_t=1e-4,
                             method="sylvester", tol: Tolerances = DEFAULT):
-    """|| dG_n/dt - (F_{n+1} G_n - G_n F_n) || with a central difference.
-
-    Exact zero curvature makes this O(h_t^2).  Needs n >= 1 and sites up to
-    n + 1.
-    """
-    _require_ihm(triple)
-    if n < 1:
-        raise ValueError("zero-curvature check needs n >= 1")
-    lam = complex(lam)
-    if lam == 0 or abs(lam - 1j) < tol.degeneracy_tol or abs(lam + 1j) < tol.degeneracy_tol:
-        raise SpectrumError("lambda must avoid {0, i, -i}")
-    state = state_at(triple, t, n_max=n + 2, method=method, tol=tol)
-    vectors = _spin_vectors(state, tol)
-    g_mid = _g_matrix(state.spins, n, lam)
-    f_n = _f_matrix(vectors, state.spins, n, lam, tol)
-    f_n1 = _f_matrix(vectors, state.spins, n + 1, lam, tol)
-    plus = state_at(triple, t + h_t, n_max=n + 1, method=method, tol=tol)
-    minus = state_at(triple, t - h_t, n_max=n + 1, method=method, tol=tol)
-    dg = (_g_matrix(plus.spins, n, lam) - _g_matrix(minus.spins, n, lam)) / (2 * h_t)
-    return linalg.frob(dg - (f_n1 @ g_mid - g_mid @ f_n))
+    """TimeSlice.zero_curvature at site n >= 1, from the sites up to n + 1."""
+    return TimeSlice(triple, t, n + 2, h_t, method, tol).zero_curvature(n, lam)
 
 
 def ihm_residual(triple: ParameterTriple, n, t, h_t=1e-4, method="sylvester",
                  tol: Tolerances = DEFAULT):
-    """Residual of the IHM lattice equation at site n, central difference in t:
-
-    ds_n/dt = 2 s_n x ( s_{n+1} / (1 + s_n.s_{n+1})
-                        + s_{n-1} / (1 + s_{n-1}.s_n) ).
-    """
-    _require_ihm(triple)
-    if n < 1:
-        raise ValueError("the IHM site equation needs n >= 1 (boundary has no S_{n-1})")
-    state = state_at(triple, t, n_max=n + 2, method=method, tol=tol)
-    vectors = [v.as_array() for v in _spin_vectors(state, tol)]
-    s_prev, s_mid, s_next = vectors[n - 1], vectors[n], vectors[n + 1]
-    d_next = 1.0 + float(np.dot(s_mid, s_next))
-    d_prev = 1.0 + float(np.dot(s_prev, s_mid))
-    if min(abs(d_next), abs(d_prev)) < tol.degeneracy_tol:
-        raise DegeneracyError("vanishing 1 + s.s denominator in the IHM equation")
-    rhs = 2.0 * np.cross(s_mid, s_next / d_next + s_prev / d_prev)
-    plus = state_at(triple, t + h_t, n_max=n + 1, method=method, tol=tol)
-    minus = state_at(triple, t - h_t, n_max=n + 1, method=method, tol=tol)
-    dvec = (
-        spin_vector(plus.spins[n], tol).as_array()
-        - spin_vector(minus.spins[n], tol).as_array()
-    ) / (2 * h_t)
-    return float(np.linalg.norm(dvec - rhs))
+    """TimeSlice.ihm at site n >= 1, from the sites up to n + 1."""
+    return TimeSlice(triple, t, n + 2, h_t, method, tol).ihm(n)
 
 
 def weyl_evolution(triple: ParameterTriple, t, method="sylvester",
@@ -365,7 +380,7 @@ def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,
                 sigma = evolve_sigma0(triple, t, method=method, tol=tol)
                 if np.linalg.eigvalsh(sigma)[0] < min_eig:
                     break
-            except Exception:
+            except (SpinLatticeError, np.linalg.LinAlgError):
                 break
             good = t
         edges.append(good)
@@ -382,9 +397,7 @@ def monodromy_residual(triple: ParameterTriple, n, t, lam,
 
     returns ||What_{n+1} - G_n What_n||_F.
     """
-    lam = complex(lam)
-    if lam == 0 or lam == 1j or lam == -1j:
-        raise SpectrumError("lambda must avoid {0, i, -i}")
+    lam = _lax_parameter(lam, tol)
     state = state_at(triple, t, n_max=n + 1, method=method, tol=tol)
     transfer = Transfer(state, tol)
     m = triple.m
@@ -395,5 +408,4 @@ def monodromy_residual(triple: ParameterTriple, n, t, lam,
         d[m:, m:] = (lam + 1j) ** k * np.exp(2 * t / (lam + 1j)) * np.eye(m)
         return lam ** (-k) * transfer.w(k, lam) @ d
 
-    g = np.eye(2 * m, dtype=complex) - (1j / lam) * state.spins[n]
-    return linalg.frob(what(n + 1) - g @ what(n))
+    return linalg.frob(what(n + 1) - _g(state.spins[n], lam) @ what(n))

@@ -109,7 +109,7 @@ def solve_riccati(r: Realization, tol: Tolerances = DEFAULT, max_newton=25,
     m_eye = np.eye(r.m, dtype=complex)
     try:
         x = scipy.linalg.solve_continuous_are(a, b, linalg.herm(q), m_eye)
-    except Exception as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"Riccati subspace solver failed: {exc}") from exc
     x = linalg.herm(np.asarray(x, dtype=complex))
 

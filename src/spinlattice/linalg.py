@@ -94,9 +94,6 @@ class SpectrumReport:
     contains_minus_i: bool
     contains_zero: bool
 
-    def distance_to(self, point):
-        return float(np.min(np.abs(self.eigenvalues - point)))
-
 
 def spectrum(m, tol: Tolerances = DEFAULT):
     """Eigenvalues of a square complex matrix with point flags at 0 and +/-i."""

@@ -26,6 +26,12 @@ def j_power_factor(lam, n, m):
     return out
 
 
+def _g(s, lam):
+    """G_n(lambda) = I - (i/lambda) S_n, the one-step factor of W(n, lambda)
+    and the Lax matrix of the IHM lattice."""
+    return np.eye(s.shape[0], dtype=complex) - (1j / lam) * s
+
+
 class Transfer:
     """Evaluator for W(n, lambda) = I + i Lam_n* Sig_n^{-1} (lam I - a)^{-1} Lam_n
     over one lattice state, with a per-instance evaluation cache."""
@@ -74,9 +80,7 @@ class Transfer:
         """
         lam = complex(lam)
         lhs = self.w(n + 1, lam) @ j_power_factor(lam, 1, self.m)
-        i2m = np.eye(2 * self.m, dtype=complex)
-        rhs = (i2m - (1j / lam) * self.state.spins[n]) @ self.w(n, lam)
-        return linalg.frob(lhs - rhs)
+        return linalg.frob(lhs - _g(self.state.spins[n], lam) @ self.w(n, lam))
 
     def recursion_residual(self, n, lam):
         """Residual of W_{n+1} - W_n = -(i/lam) S_n W_n for the fundamental

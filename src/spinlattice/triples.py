@@ -16,6 +16,7 @@ from .errors import (
     DimensionError,
     NotPositiveDefiniteError,
     NumericError,
+    SingularMatrixError,
     SpectrumError,
 )
 
@@ -257,7 +258,7 @@ def random_admissible_triple(
             continue
         try:
             a_inv = linalg.inv(alpha)
-        except Exception:
+        except SingularMatrixError:
             continue
         if np.linalg.norm(a_inv, 2) > inv_norm_max:
             continue

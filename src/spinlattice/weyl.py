@@ -149,8 +149,7 @@ class SummabilityReport:
 
 def summability_diagnostic(triple: ParameterTriple, lam, n_terms=40,
                            phi=None, tol: Tolerances = DEFAULT,
-                           cauchy_factor=1e-8, state: LatticeState = None,
-                           overflow_limit=None):
+                           cauchy_factor=1e-8, state: LatticeState = None):
     """Partial sums of sum_n ||W_n(lam) [phi; I]||_F^2.
 
     For the true Weyl function on Im(lam) < -1/2 the series converges; any
@@ -168,8 +167,7 @@ def summability_diagnostic(triple: ParameterTriple, lam, n_terms=40,
             f"summability is defined on Im(lambda) < -1/2, got {lam}"
         )
     if state is None:
-        state = generate(triple, n_max=n_terms, tol=tol,
-                         overflow_limit=overflow_limit)
+        state = generate(triple, n_max=n_terms, tol=tol)
     transfer = Transfer(state, tol)
     m = triple.m
     is_true_phi = phi is None

@@ -149,3 +149,49 @@ def test_non_integer_declared_size_is_input_error(triple_file, tmp_path, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("n_max, grid, built_states", (
+    (12, [], 33),                                   # default grid: 11 times
+    (8, ["--time-grid", "0,1,6"], 18),
+))
+def test_evolve_builds_three_states_per_time(triple_file, monkeypatch, n_max,
+                                             grid, built_states):
+    """One TimeSlice per time: the state at t to horizon N and the two at
+    t +/- h_t to horizon N - 1."""
+    import spinlattice.evolution as evolution
+
+    generate = evolution.generate
+    horizons = []
+
+    def counting_generate(*args, **kwargs):
+        horizons.append(kwargs["n_max"])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "generate", counting_generate)
+    assert main(["evolve", triple_file, "--nmax", str(n_max), *grid]) == 0
+    assert len(horizons) == built_states
+    assert horizons[:3] == [n_max, n_max - 1, n_max - 1]
+
+
+def test_evolve_rows_match_the_residual_functions(triple_file, capsys):
+    from spinlattice.evolution import ihm_residual, zero_curvature_residual
+
+    assert main(["evolve", triple_file, "--nmax", "5", "--time-grid",
+                 "0,0.4,3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["t"], r["n"]) for r in rows] == [
+        (t, n) for t in (0.0, 0.2, 0.4) for n in (1, 2, 3)]
+    triple = serialize.triple_from_obj(serialize.load_json(triple_file))
+    for r in rows:
+        assert r["zc_residual"] == zero_curvature_residual(
+            triple, r["n"], r["t"], 2.0 + 0.5j)
+        assert r["ihm_residual"] == ihm_residual(triple, r["n"], r["t"])
+
+
+def test_evolve_needs_m_equal_one(tmp_path, capsys):
+    t = random_admissible_triple(np.random.default_rng(3), 4, 2)
+    path = tmp_path / "wide.json"
+    path.write_text(serialize.dumps(serialize.triple_to_obj(t)))
+    assert main(["evolve", str(path), "--nmax", "4"]) == 2
+    assert "(m = 1), got m = 2" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from spinlattice import (
     weyl_evolution,
     zero_curvature_residual,
 )
-from spinlattice.errors import DegeneracyError, DimensionError
+from spinlattice.errors import DegeneracyError, DimensionError, SpectrumError
 from spinlattice.worked_example import (
     example_triple,
     lambda_closed_form_t,
@@ -106,6 +106,18 @@ def test_monodromy(ihm_triple):
     for n in (0, 1, 2):
         for lam in (2.0 + 0.5j, -1.0 + 2j):
             assert monodromy_residual(ihm_triple, n, 0.3, lam) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", (1j + 1e-12, -1j + 1e-12, 1e-12))
+def test_lax_parameter_near_a_pole_is_a_spectrum_error(ihm_triple, lam):
+    """G_n has a pole at 0 and F_n at +/-i: lambda within degeneracy_tol of
+    one is rejected, not evaluated to NaN or a huge residual."""
+    with pytest.raises(SpectrumError):
+        zero_curvature_residual(ihm_triple, 1, 0.2, lam)
+    with pytest.raises(SpectrumError):
+        monodromy_residual(ihm_triple, 1, 0.2, lam)
+    with pytest.raises(SpectrumError):
+        lax_pair(ihm_triple, 1, 0.2, lam)
 
 
 def test_weyl_evolution_formula(ihm_triple):
