@@ -82,6 +82,8 @@ def _parse_time_grid(text):
         raise InputError(f"bad --time-grid value: {exc}") from exc
     if count < 1:
         raise InputError("--time-grid needs k >= 1")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise InputError("--time-grid needs finite endpoints a and b")
     return list(np.linspace(a, b, count))
 
 

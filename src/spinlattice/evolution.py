@@ -14,8 +14,8 @@ import scipy.linalg
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import (DegeneracyError, DimensionError, NumericError,
-                     SpectrumError, SpinLatticeError)
+from .errors import (DegeneracyError, DimensionError, InputError,
+                     NumericError, SpectrumError, SpinLatticeError)
 from .lattice import _lattice_powers, generate
 from .transfer import Transfer, _g
 from .triples import ParameterTriple, projectors, signature_matrix
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-def _check_spectrum(triple, tol, need_zero=True):
+def _check_spectrum(triple, tol, need_zero=True, need_upper=False):
     spec = linalg.spectrum(triple.alpha, tol)
     if spec.contains_plus_i or spec.contains_minus_i:
         raise SpectrumError(
@@ -52,7 +52,11 @@ def _check_spectrum(triple, tol, need_zero=True):
         raise SpectrumError(
             "time evolution requires alpha invertible", eigenvalue=0.0
         )
-    return spec
+    if need_upper and spec.min_imag_part <= tol.spec_tol:
+        raise SpectrumError(
+            "sylvester route needs the spectrum of alpha strictly in the "
+            "open upper half plane"
+        )
 
 
 def _exp_factors(alpha, t):
@@ -63,11 +67,23 @@ def _exp_factors(alpha, t):
     return e_minus, e_plus
 
 
-def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
-    """Lambda_0(t) = [e^{-2t(a - iI)^{-1}} theta1, e^{-2t(a + iI)^{-1}} theta2]."""
-    _check_spectrum(triple, tol, need_zero=False)
+def _check_time(t):
+    if not np.isfinite(t):
+        raise InputError(f"time t must be finite, got {t!r}")
+
+
+def _lambda0(triple, t, tol, need_upper=False):
+    """Lambda_0(t); ``need_upper`` adds the spectrum condition of the
+    Sylvester route to the checks."""
+    _check_time(t)
+    _check_spectrum(triple, tol, need_zero=False, need_upper=need_upper)
     e_minus, e_plus = _exp_factors(triple.alpha, t)
     return np.hstack([e_minus @ triple.theta1, e_plus @ triple.theta2])
+
+
+def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
+    """Lambda_0(t) = [e^{-2t(a - iI)^{-1}} theta1, e^{-2t(a + iI)^{-1}} theta2]."""
+    return _lambda0(triple, t, tol)
 
 
 def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
@@ -76,21 +92,57 @@ def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), n)
 
 
-def _sigma_rhs(alpha, sigma, lam, j):
-    """Right-hand side of the Sigma_0 evolution equation."""
+def _sigma_rk4(triple, t, rk_step):
+    """Classical RK4 on the Sigma_0 flow from Sigma_0(0), ceil(|t| / rk_step)
+    steps:
+
+    dSigma/dt = -(R Sigma + Sigma R* + 2 Q (alpha C + C alpha*) Q*),
+
+    R = (alpha - iI)^{-1} + (alpha + iI)^{-1}, Q = (alpha^2 + I)^{-1},
+    C = Lambda_0 J Lambda_0*.  Lambda_0 is advanced from one stage time to
+    the next by the exact half-step propagators e^{-h(alpha -/+ iI)^{-1}}.
+    """
+    alpha, m = triple.alpha, triple.m
+    steps = max(1, int(np.ceil(abs(t) / rk_step)))
+    h = t / steps
     i_n = np.eye(alpha.shape[0], dtype=complex)
-    r_minus = linalg.inv(alpha - 1j * i_n)
-    r_plus = linalg.inv(alpha + 1j * i_n)
-    sq = linalg.inv(alpha @ alpha + i_n)
-    core = lam @ j @ lam.conj().T
-    term = sq @ (alpha @ core + core @ alpha.conj().T) @ sq.conj().T
-    return -(
-        r_minus @ sigma
-        + r_plus @ sigma
-        + sigma @ r_plus.conj().T
-        + sigma @ r_minus.conj().T
-        + 2.0 * term
-    )
+    r = linalg.inv(alpha - 1j * i_n) + linalg.inv(alpha + 1j * i_n)
+    r_adj = r.conj().T
+    q = linalg.inv(alpha @ alpha + i_n)
+    q_alpha = q @ alpha
+    j = signature_matrix(m)
+    p_minus, p_plus = _exp_factors(alpha, h / 2)
+
+    def rhs(sigma, lam):
+        # Q alpha C Q* = (Q alpha Lam) J (Q Lam)*, and Q C alpha* Q* is its
+        # adjoint.
+        term = (q_alpha @ lam) @ j @ (q @ lam).conj().T
+        return -(r @ sigma + sigma @ r_adj + 2.0 * (term + term.conj().T))
+
+    def half_step(lam):
+        return np.hstack([p_minus @ lam[:, :m], p_plus @ lam[:, m:]])
+
+    sigma = triple.sigma0.copy()
+    lam = np.hstack([triple.theta1, triple.theta2])
+    for _ in range(steps):
+        lam_mid = half_step(lam)
+        lam_end = half_step(lam_mid)
+        k1 = rhs(sigma, lam)
+        k2 = rhs(sigma + h / 2 * k1, lam_mid)
+        k3 = rhs(sigma + h / 2 * k2, lam_mid)
+        k4 = rhs(sigma + h * k3, lam_end)
+        sigma = sigma + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        lam = lam_end
+    return sigma
+
+
+def _lambda_sigma(triple, t, method, tol):
+    """(Lambda_0(t), Sigma_0(t)); the Sylvester route reuses Lambda_0(t)."""
+    if method == "sylvester":
+        lam_t = _lambda0(triple, t, tol, need_upper=True)
+        return lam_t, linalg.sigma_from_identity(triple.alpha, lam_t, tol)[0]
+    return (evolve_lambda0(triple, t, tol),
+            evolve_sigma0(triple, t, method, tol=tol))
 
 
 def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
@@ -103,35 +155,14 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
     Both results are symmetrized.
     """
     if method == "sylvester":
-        spec = _check_spectrum(triple, tol, need_zero=False)
-        if spec.min_imag_part <= tol.spec_tol:
-            raise SpectrumError(
-                "sylvester route needs the spectrum of alpha strictly in the "
-                "open upper half plane"
-            )
-        lam_t = evolve_lambda0(triple, t, tol)
-        sigma, _ = linalg.sigma_from_identity(triple.alpha, lam_t, tol)
-        return sigma
+        return _lambda_sigma(triple, t, method, tol)[1]
     if method != "ode":
         raise ValueError(f"unknown method {method!r}")
+    _check_time(t)
+    if not (np.isfinite(rk_step) and rk_step > 0):
+        raise InputError(f"rk_step must be finite and positive, got {rk_step!r}")
     _check_spectrum(triple, tol, need_zero=False)
-    j = signature_matrix(triple.m)
-    alpha = triple.alpha
-    steps = max(1, int(np.ceil(abs(t) / rk_step)))
-    h = t / steps
-    sigma = triple.sigma0.copy()
-    s = 0.0
-    for _ in range(steps):
-        k1 = _sigma_rhs(alpha, sigma, evolve_lambda0(triple, s, tol), j)
-        k2 = _sigma_rhs(alpha, sigma + h / 2 * k1,
-                        evolve_lambda0(triple, s + h / 2, tol), j)
-        k3 = _sigma_rhs(alpha, sigma + h / 2 * k2,
-                        evolve_lambda0(triple, s + h / 2, tol), j)
-        k4 = _sigma_rhs(alpha, sigma + h * k3,
-                        evolve_lambda0(triple, s + h, tol), j)
-        sigma = sigma + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        s += h
-    return linalg.herm(sigma)
+    return linalg.herm(_sigma_rk4(triple, t, rk_step))
 
 
 def triple_at(triple: ParameterTriple, t, method="sylvester",
@@ -139,9 +170,8 @@ def triple_at(triple: ParameterTriple, t, method="sylvester",
     """The parameter triple carrying Lambda_0(t) and Sigma_0(t)."""
     if t == 0:
         return triple
-    lam_t = evolve_lambda0(triple, t, tol)
+    lam_t, sigma_t = _lambda_sigma(triple, t, method, tol)
     m = triple.m
-    sigma_t = evolve_sigma0(triple, t, method=method, tol=tol)
     return ParameterTriple(
         alpha=triple.alpha,
         theta1=lam_t[:, :m],
@@ -355,8 +385,7 @@ def weyl_evolution(triple: ParameterTriple, t, method="sylvester",
     with E_-* = (e^{-2t(a - iI)^{-1}})*, E_+ = e^{-2t(a + iI)^{-1}} and
     beta(t) = a - i E_+ theta2 theta2* E_+* Sigma_0(t)^{-1}.
     """
-    lam_t = evolve_lambda0(triple, t, tol)
-    sigma_t = evolve_sigma0(triple, t, method=method, tol=tol)
+    lam_t, sigma_t = _lambda_sigma(triple, t, method, tol)
     m = triple.m
     return _realization(triple.alpha, lam_t[:, :m], lam_t[:, m:], sigma_t)
 

@@ -96,6 +96,15 @@ def test_evolve_csv(example_file, capsys):
     assert float(first[5]) <= 1e-6 and float(first[6]) <= 1e-6
 
 
+@pytest.mark.parametrize("method", ("sylvester", "ode"))
+@pytest.mark.parametrize("grid", ("0,nan,3", "0,inf,2", "-inf,1,2"))
+def test_non_finite_time_grid_is_input_error(example_file, capsys, method,
+                                              grid):
+    assert main(["evolve", example_file, "--method", method,
+                 f"--time-grid={grid}", "--nmax", "3"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_verify_passes(triple_file, capsys):
     assert main(["verify", triple_file, "--nmax", "12"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinlattice import evolution
 from spinlattice import (
     evolve_lambda0,
     evolve_sigma0,
@@ -17,7 +20,8 @@ from spinlattice import (
     weyl_evolution,
     zero_curvature_residual,
 )
-from spinlattice.errors import DegeneracyError, DimensionError, SpectrumError
+from spinlattice.errors import (DegeneracyError, DimensionError,
+                                SpectrumError, SpinLatticeError)
 from spinlattice.worked_example import (
     example_triple,
     lambda_closed_form_t,
@@ -56,6 +60,67 @@ def test_sigma_methods_agree(ihm_triple):
         a = evolve_sigma0(ihm_triple, tt, "sylvester")
         b = evolve_sigma0(ihm_triple, tt, "ode")
         assert np.linalg.norm(a - b) <= 1e-7
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Counts the scipy.linalg.expm calls made through evolution."""
+    calls = []
+    expm = evolution.scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(evolution.scipy.linalg, "expm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tt", (0.1, 0.35))
+def test_ode_route_makes_two_expm_calls(ihm_triple, expm_calls, tt):
+    """The half-step propagators are the only matrix exponentials of the
+    RK4 route, whatever its step count."""
+    evolve_sigma0(ihm_triple, tt, "ode")
+    assert len(expm_calls) == 2
+
+
+def test_triple_at_makes_two_expm_calls(ihm_triple, expm_calls):
+    """Lambda_0(t) is computed once and reused by the Sylvester route."""
+    triple_at(ihm_triple, 0.2)
+    assert len(expm_calls) == 2
+
+
+def test_ode_route_converges_at_fourth_order(ihm_triple):
+    """Coarse steps keep the RK4 error far above round-off."""
+    for tt in (0.4, -0.4):
+        exact = evolve_sigma0(ihm_triple, tt, "sylvester")
+        coarse, fine = (
+            np.linalg.norm(evolve_sigma0(ihm_triple, tt, "ode", rk_step=h) - exact)
+            for h in (0.05, 0.025))
+        assert np.log2(coarse / fine) >= 3.8
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(order=st.integers(1, 6), m=st.integers(1, 3),
+       tt=st.floats(-0.4, 0.4), seed=st.integers(0, 2**32 - 1))
+def test_sigma_methods_agree_on_random_triples(order, m, tt, seed):
+    triple = random_admissible_triple(np.random.default_rng(seed), order, m)
+    a = evolve_sigma0(triple, tt, "sylvester")
+    b = evolve_sigma0(triple, tt, "ode")
+    assert np.linalg.norm(a - b) <= 1e-7
+
+
+@pytest.mark.parametrize("method", ("sylvester", "ode"))
+@pytest.mark.parametrize("tt", (float("nan"), float("inf"), -float("inf")))
+def test_non_finite_time_is_an_error(ihm_triple, method, tt):
+    with pytest.raises(SpinLatticeError):
+        evolve_sigma0(ihm_triple, tt, method)
+
+
+@pytest.mark.parametrize("rk_step", (0.0, -1e-3, float("nan"), float("inf")))
+def test_bad_rk_step_is_an_error(ihm_triple, rk_step):
+    with pytest.raises(SpinLatticeError):
+        evolve_sigma0(ihm_triple, 0.1, "ode", rk_step=rk_step)
 
 
 def test_spin_closed_form_in_time():
