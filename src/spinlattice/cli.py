@@ -7,6 +7,7 @@ failure.
 
 import argparse
 import contextlib
+import functools
 import logging
 import os
 import sys
@@ -116,8 +117,7 @@ def _cmd_validate(args, tol):
         "identity_residual": report.identity_residual,
         "theta1_full_range": report.theta1_full_range,
         "theta2_full_range": report.theta2_full_range,
-        "spectrum": [serialize.complex_to_obj(z)
-                     for z in report.spectrum.eigenvalues],
+        "spectrum": list(report.spectrum.eigenvalues),
         "min_imag_part": report.spectrum.min_imag_part,
     }
     with _output(args) as out:
@@ -133,7 +133,7 @@ def _cmd_spins(args, tol):
             serialize.write_csv(out, ["n", "i", "j", "re", "im"],
                                 serialize.spin_csv_rows(state))
         else:
-            out.write(serialize.dumps(serialize.state_to_obj(state)))
+            out.write(serialize.dumps(serialize._state_doc(state)))
     return 0
 
 
@@ -156,13 +156,10 @@ def _cmd_fundamental(args, tol):
         with _output(args) as out:
             serialize.write_csv(out, ["n", "i", "j", "re", "im"], rows)
     else:
-        obj = [{"n": n,
-                "w": serialize.matrix_to_obj(transfer.fundamental(n, lam))}
-               for n in range(args.nmax + 1)]
+        table = [{"n": n, "w": transfer.fundamental(n, lam)}
+                 for n in range(args.nmax + 1)]
         with _output(args) as out:
-            out.write(serialize.dumps(
-                {"lambda": serialize.complex_to_obj(lam), "table": obj}
-            ))
+            out.write(serialize.dumps({"lambda": lam, "table": table}))
     return 0
 
 
@@ -170,11 +167,7 @@ def _cmd_weyl(args, tol):
     triple = _load_triple(args.triple)
     phi = weyl(triple, tol)
     grid = _parse_lambda_grid(args.lambda_grid)
-    samples = [
-        {"lambda": serialize.complex_to_obj(lam),
-         "phi": serialize.matrix_to_obj(phi(lam, tol))}
-        for lam in grid
-    ]
+    samples = [{"lambda": lam, "phi": phi(lam, tol)} for lam in grid]
     with _output(args) as out:
         out.write(serialize.dumps(samples))
     return 0
@@ -186,7 +179,7 @@ def _cmd_invert(args, tol):
     )
     triple = invert(realization, tol)
     with _output(args) as out:
-        out.write(serialize.dumps(serialize.triple_to_obj(triple)))
+        out.write(serialize.dumps(serialize._triple_doc(triple)))
     return 0
 
 
@@ -206,8 +199,8 @@ def _cmd_evolve(args, tol):
                 float(t), n, vec.s1, vec.s2, vec.s3,
                 lattice.zero_curvature(n, lam_probe), lattice.ihm(n)))))
             if args.format == "json":
-                rows[-1]["spin"] = serialize.matrix_to_obj(state.spins[n])
-                rows[-1]["sigma0"] = serialize.matrix_to_obj(state.sigmas[0])
+                rows[-1]["spin"] = state.spins[n]
+                rows[-1]["sigma0"] = state.sigmas[0]
     with _output(args) as out:
         if args.format == "json":
             out.write(serialize.dumps(rows))
@@ -321,11 +314,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parse_args leaves it unchanged
+    and returns a fresh Namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None):
     level = os.environ.get("SPINLATTICE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = _parse_tolerances(args.tol)
         _check_nmax(args)

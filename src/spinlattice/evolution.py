@@ -403,21 +403,23 @@ def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,
 
     Marches outward in both directions until the minimal eigenvalue drops
     below 1e-10 (or ``t_max`` is reached); returns the last good
-    bracketing times ``(t_minus, t_plus)``.
+    bracketing times ``(t_minus, t_plus)``.  Each point evolves the triple
+    of the previous one by ``step``, so the march costs time linear in
+    ``t_max / step`` on either route of Sigma_0(t).
     """
     edges = []
     for sign in (-1.0, 1.0):
         good = 0.0
+        current = triple
         steps = int(np.floor(t_max / step))
         for k in range(1, steps + 1):
-            t = sign * k * step
             try:
-                sigma = _lambda_sigma(triple, t, tol)[1]
-                if np.linalg.eigvalsh(sigma)[0] < 1e-10:
+                current = triple_at(current, sign * step, tol)
+                if np.linalg.eigvalsh(current.sigma0)[0] < 1e-10:
                     break
             except (SpinLatticeError, np.linalg.LinAlgError):
                 break
-            good = t
+            good = sign * k * step
         edges.append(good)
     return edges[0], edges[1]
 

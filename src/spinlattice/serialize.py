@@ -2,11 +2,21 @@
 objects, triple and realization JSON, lattice-state JSON, and the CSV
 exports used by the command line tools.
 
-JSON emission is deterministic: keys sorted, floats through Python's
-shortest round-trip repr, so identical inputs give identical bytes.
+``dumps`` writes a document: a nest of dicts with str keys, lists and JSON
+scalars whose leaves may also be complex numbers and complex matrices
+(``ndarray``).  Its
+bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)`` for the
+plain object in which each complex leaf is a ``complex_to_obj`` dict and
+each matrix a ``matrix_to_obj`` nest, but matrices are written straight
+from their arrays, so no per-entry dicts are built.  Keys are sorted and
+floats go through Python's shortest round-trip repr, so identical inputs
+give identical bytes.
 """
 
+import functools
 import json
+import math
+import re
 
 import numpy as np
 
@@ -68,17 +78,35 @@ def matrix_from_obj(obj, where="matrix"):
     return np.array(rows, dtype=complex)
 
 
-def triple_to_obj(triple: ParameterTriple):
-    obj = {
+def _plain(doc):
+    """The plain JSON object of a document: complex leaves become
+    ``complex_to_obj`` dicts and arrays ``matrix_to_obj`` nests."""
+    if isinstance(doc, dict):
+        return {key: _plain(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(value) for value in doc]
+    if isinstance(doc, complex):
+        return complex_to_obj(doc)
+    if isinstance(doc, np.ndarray):
+        return matrix_to_obj(doc)
+    return doc
+
+
+def _triple_doc(triple: ParameterTriple):
+    doc = {
         "N": triple.order,
         "m": triple.m,
-        "alpha": matrix_to_obj(triple.alpha),
-        "theta1": matrix_to_obj(triple.theta1),
-        "theta2": matrix_to_obj(triple.theta2),
+        "alpha": triple.alpha,
+        "theta1": triple.theta1,
+        "theta2": triple.theta2,
     }
     if not triple.sigma0_is_identity():
-        obj["sigma0"] = matrix_to_obj(triple.sigma0)
-    return obj
+        doc["sigma0"] = triple.sigma0
+    return doc
+
+
+def triple_to_obj(triple: ParameterTriple):
+    return _plain(_triple_doc(triple))
 
 
 def triple_from_obj(obj, where="triple"):
@@ -113,14 +141,18 @@ def triple_from_obj(obj, where="triple"):
     return triple
 
 
-def realization_to_obj(r: Realization):
+def _realization_doc(r: Realization):
     return {
         "N": r.order,
         "m": r.m,
-        "gamma": matrix_to_obj(r.gamma),
-        "vartheta1": matrix_to_obj(r.vartheta1),
-        "vartheta2": matrix_to_obj(r.vartheta2),
+        "gamma": r.gamma,
+        "vartheta1": r.vartheta1,
+        "vartheta2": r.vartheta2,
     }
+
+
+def realization_to_obj(r: Realization):
+    return _plain(_realization_doc(r))
 
 
 def realization_from_obj(obj, where="realization"):
@@ -136,21 +168,128 @@ def realization_from_obj(obj, where="realization"):
     )
 
 
-def state_to_obj(state):
+def _state_doc(state):
     return {
-        "triple": triple_to_obj(state.triple),
+        "triple": _triple_doc(state.triple),
         "n_max": state.n_max,
-        "lambdas": [matrix_to_obj(x) for x in state.lambdas],
-        "sigmas": [matrix_to_obj(x) for x in state.sigmas],
-        "spins": [matrix_to_obj(x) for x in state.spins],
+        "lambdas": state.lambdas,
+        "sigmas": state.sigmas,
+        "spins": state.spins,
         "conditioning": [float(c) for c in state.conditioning],
         "spin_residuals": [float(r) for r in state.spin_residuals],
     }
 
 
-def dumps(obj):
-    """Deterministic JSON text (sorted keys, trailing newline)."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def state_to_obj(state):
+    return _plain(_state_doc(state))
+
+
+_ESCAPED = re.compile(r'[\\"]|[^ -~]')
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f",
+            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(match):
+    """JSON escape of a quote, a backslash or a character outside printable
+    ASCII, as a UTF-16 surrogate pair above U+FFFF (json's ensure_ascii)."""
+    char = match.group(0)
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    code = ord(char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000
+    return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
+
+
+def _string(text):
+    return '"' + _ESCAPED.sub(_escape, text) + '"'
+
+
+def _float(x):
+    """JSON text of a float; float.__repr__ also writes numpy floats as
+    plain numbers."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _newline(depth):
+    return "\n" + "  " * depth
+
+
+def _block(opening, items, closing, depth):
+    """``items`` one per line at ``depth + 1`` between the brackets, or the
+    bare brackets when there are none."""
+    if not items:
+        return opening + closing
+    inner = _newline(depth + 1)
+    return (opening + inner + ("," + inner).join(items) + _newline(depth)
+            + closing)
+
+
+def _complex_template(depth):
+    return _block("{", ['"im": %s', '"re": %s'], "}", depth)
+
+
+@functools.lru_cache(maxsize=256)
+def _matrix_template(rows, cols, depth):
+    """%-format text of a rows x cols matrix at ``depth``, one %s per float
+    in (im, re) order, entry by entry, row by row."""
+    row = _block("[", [_complex_template(depth + 2)] * cols, "]", depth + 1)
+    return _block("[", [row] * rows, "]", depth)
+
+
+def _matrix(matrix, depth):
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    if matrix.ndim != 2:
+        raise TypeError(f"cannot write a {matrix.ndim}-D array as a matrix")
+    values = np.stack((matrix.imag, matrix.real), axis=-1).ravel().tolist()
+    # float.__repr__ runs in C; only a non-finite entry needs _float's tokens
+    text = (map(float.__repr__, values) if np.isfinite(matrix).all()
+            else map(_float, values))
+    return _matrix_template(*matrix.shape, depth) % tuple(text)
+
+
+def _text(value, depth):
+    """JSON text of ``value`` at nesting ``depth``."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, complex):
+        return _complex_template(depth) % (_float(value.imag),
+                                           _float(value.real))
+    if isinstance(value, np.ndarray):
+        return _matrix(value, depth)
+    if isinstance(value, dict):
+        return _block("{", [f"{_string(key)}: {_text(item, depth + 1)}"
+                            for key, item in sorted(value.items())],
+                      "}", depth)
+    if isinstance(value, (list, tuple)):
+        return _block("[", [_text(item, depth + 1) for item in value],
+                      "]", depth)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def dumps(doc):
+    """Deterministic JSON text of a document (sorted keys, two-space indent,
+    trailing newline): ``json.dumps(_plain(doc), sort_keys=True, indent=2)``
+    plus a newline, byte for byte."""
+    return _text(doc, 0) + "\n"
 
 
 def load_json(path):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlattice import (random_admissible_triple,
+from spinlattice import (Transfer, generate, invert,
+                         random_admissible_triple,
                          random_general_sigma_triple,
-                         random_minimal_realization)
-from spinlattice import serialize
+                         random_minimal_realization, validate, weyl)
+from spinlattice import cli, serialize
 from spinlattice.cli import main
+from spinlattice.evolution import TimeSlice
 from spinlattice.worked_example import example_triple, spin_closed_form
 
 
@@ -293,3 +295,107 @@ def test_cli_exit_codes_on_random_triples(order, m, log_scale, kind, sigma0,
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2, 3), argv
+
+
+def _stdlib_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _fixture_triples(real_mode_triple):
+    """Triples with m = 1, 2, 3, identity and general sigma0, and both
+    routes of Sigma_0(t)."""
+    rng = np.random.default_rng(606)
+    return [example_triple(2), real_mode_triple,
+            random_admissible_triple(rng, 3, 1),
+            random_general_sigma_triple(rng, 4, 2),
+            random_admissible_triple(rng, 5, 3)]
+
+
+def test_json_commands_write_the_stdlib_bytes_of_the_plain_objects(
+        tmp_path, capsys, real_mode_triple):
+    """validate, spins, fundamental, weyl and evolve --format json write
+    exactly json.dumps(sort_keys=True, indent=2) of the *_to_obj objects."""
+    lam = 2 + 0.5j
+    grid = cli._parse_lambda_grid(None)
+    for index, triple in enumerate(_fixture_triples(real_mode_triple)):
+        path = str(tmp_path / f"triple{index}.json")
+        pathlib.Path(path).write_text(
+            _stdlib_json(serialize.triple_to_obj(triple)))
+        state = generate(triple, n_max=6)
+        transfer = Transfer(state)
+        report = validate(triple)
+        phi = weyl(triple)
+        expected = {
+            ("validate", path): {
+                "class": report.triple_class.value,
+                "identity_ok": report.identity_ok,
+                "identity_residual": report.identity_residual,
+                "theta1_full_range": report.theta1_full_range,
+                "theta2_full_range": report.theta2_full_range,
+                "spectrum": [serialize.complex_to_obj(z)
+                             for z in report.spectrum.eigenvalues],
+                "min_imag_part": report.spectrum.min_imag_part,
+            },
+            ("spins", path, "--nmax", "6"): serialize.state_to_obj(state),
+            ("fundamental", path, "--nmax", "6", "--lambda", "2+0.5i"): {
+                "lambda": serialize.complex_to_obj(lam),
+                "table": [{"n": n, "w": serialize.matrix_to_obj(
+                    transfer.fundamental(n, lam))} for n in range(7)],
+            },
+            ("weyl", path): [{"lambda": serialize.complex_to_obj(z),
+                              "phi": serialize.matrix_to_obj(phi(z))}
+                             for z in grid],
+        }
+        if triple.m == 1:
+            rows = []
+            for t in (-0.2, 0.1):
+                lattice = TimeSlice(triple, t, 4)
+                for n in (1, 2):
+                    vec = lattice.vectors[n]
+                    rows.append({
+                        "t": t, "n": n, "s1": vec.s1, "s2": vec.s2,
+                        "s3": vec.s3,
+                        "zc_residual": lattice.zero_curvature(n, lam),
+                        "ihm_residual": lattice.ihm(n),
+                        "spin": serialize.matrix_to_obj(lattice.state.spins[n]),
+                        "sigma0": serialize.matrix_to_obj(
+                            lattice.state.sigmas[0]),
+                    })
+            expected[("evolve", path, "--nmax", "4", "--time-grid=-0.2,0.1,2",
+                      "--format", "json")] = rows
+        for argv, obj in expected.items():
+            assert main(list(argv)) == 0, argv
+            assert capsys.readouterr().out == _stdlib_json(obj), argv
+
+
+@pytest.mark.parametrize("order, m", ((2, 1), (3, 2), (4, 3)))
+def test_invert_writes_the_stdlib_bytes_of_triple_to_obj(tmp_path, capsys,
+                                                         order, m):
+    r = random_minimal_realization(np.random.default_rng(order), order, m)
+    path = tmp_path / "realization.json"
+    path.write_text(_stdlib_json(serialize.realization_to_obj(r)))
+    assert main(["invert", str(path)]) == 0
+    assert capsys.readouterr().out == _stdlib_json(
+        serialize.triple_to_obj(invert(r)))
+
+
+def test_main_reuses_its_parser_across_subcommands(triple_file, capsys):
+    """Commands run in one process answer as each does on a fresh parser:
+    no option value or default carries over from one call to the next."""
+    commands = (["spins", triple_file, "--nmax", "2", "--format", "csv"],
+                ["fundamental", triple_file, "--lambda", "2+0.5i",
+                 "--nmax", "2"],
+                ["verify", triple_file])
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    cli._parser.cache_clear()
+    together = [run(argv) for argv in commands]
+    assert cli._parser.cache_info().misses == 1
+    separate = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        separate.append(run(argv))
+    assert together == separate

@@ -211,6 +211,30 @@ def test_positivity_interval(ihm_triple):
     assert lo <= 0.0 <= hi
 
 
+def test_positivity_interval_marches_from_the_previous_point(
+        real_mode_triple, expm_calls, monkeypatch):
+    """On the RK4 route each point integrates one step on from the last:
+    4 expm calls per point (Lambda_0 and the RK4 half-step propagators),
+    and the time integrated is the length of the march, not the sum of
+    |t| over its points."""
+    integrated = []
+    sigma_rk4 = evolution._sigma_rk4
+
+    def recorded(triple, t, *args):
+        integrated.append(abs(t))
+        return sigma_rk4(triple, t, *args)
+
+    monkeypatch.setattr(evolution, "_sigma_rk4", recorded)
+    for t_max, points in ((0.5, 20), (1.0, 40)):
+        expm_calls.clear()
+        integrated.clear()
+        assert positivity_interval(real_mode_triple, t_max=t_max) == (
+            -t_max, t_max)
+        assert len(expm_calls) == 4 * points
+        assert len(integrated) == points
+        assert sum(integrated) == pytest.approx(2 * t_max)
+
+
 def test_real_spectrum_takes_the_rk4_route(real_mode_triple):
     r2 = np.sqrt(2.0)
     for tt in (0.3, -0.5, 1.0):

@@ -1,7 +1,12 @@
 import io
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinlattice import generate, random_admissible_triple, random_minimal_realization
 from spinlattice import serialize
@@ -79,3 +84,65 @@ def test_csv_writer_round_trips_floats():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "a,b"
     assert float(lines[1].split(",")[1]) == 0.1 + 0.2
+
+
+def _plain(doc):
+    """Reference plain object: complex leaves as {"re", "im"} dicts and
+    arrays as row-major nests of them."""
+    if isinstance(doc, dict):
+        return {key: _plain(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(value) for value in doc]
+    if isinstance(doc, np.ndarray):
+        return [[_plain(z) for z in row] for row in np.atleast_2d(doc)]
+    if isinstance(doc, complex):
+        return {"re": float(doc.real), "im": float(doc.imag)}
+    return doc
+
+
+def _reference(doc):
+    return json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n"
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16,
+                     1e-5]),
+)
+_complexes = st.builds(complex, _floats, _floats)
+_matrices = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
+    lambda shape: hnp.arrays(complex, shape, elements=_complexes))
+_strings = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", 'quote " and \\ backslash',
+                     "\b\f\n\r\t", "café   \ud800 \U0001f600"]),
+)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10**40, 10**40), _floats, _strings, _complexes, _matrices,
+)
+_docs = st.recursive(
+    _leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_strings, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(doc=_docs)
+def test_dumps_matches_the_stdlib_encoder(doc):
+    assert serialize.dumps(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize("doc", [{}, [], {"a": [], "b": {}}, [[], [{}]],
+                                 np.zeros((0, 3), complex),
+                                 np.zeros((2, 0), complex), (1, ("x",))])
+def test_dumps_empty_and_tuple_nests(doc):
+    assert serialize.dumps(doc) == _reference(doc)
+
+
+def test_dumps_rejects_what_it_cannot_write():
+    for doc in ([object()], {"a": {1, 2}}, np.zeros((2, 2, 2))):
+        with pytest.raises(TypeError):
+            serialize.dumps(doc)
