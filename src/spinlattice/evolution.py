@@ -64,11 +64,21 @@ def _check_spectrum(triple, tol, need_zero=True, need_upper=False):
     return spec
 
 
+def _expm(a, t):
+    """e^a for a time-t quantity; an overflow is a NumericError naming t,
+    not a numpy warning followed by NaN downstream."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm(a)
+    if not np.isfinite(e).all():
+        raise NumericError(f"matrix exponential overflows at t = {t:g}")
+    return e
+
+
 def _exp_factors(alpha, t):
     """e^{-2t(alpha - iI)^{-1}} and e^{-2t(alpha + iI)^{-1}}."""
     i_n = np.eye(alpha.shape[0], dtype=complex)
-    e_minus = scipy.linalg.expm(-2.0 * t * linalg.inv(alpha - 1j * i_n))
-    e_plus = scipy.linalg.expm(-2.0 * t * linalg.inv(alpha + 1j * i_n))
+    e_minus = _expm(-2.0 * t * linalg.inv(alpha - 1j * i_n), t)
+    e_plus = _expm(-2.0 * t * linalg.inv(alpha + 1j * i_n), t)
     return e_minus, e_plus
 
 
@@ -147,33 +157,76 @@ def _sigma_rk4(triple, t, rk_step=1e-3):
     return linalg.herm(sigma)
 
 
+def _gramian(a, b, t):
+    """int_0^t e^{sA} b b* e^{sA*} ds from one expm of the Van Loan block
+    t [[-A, b b*], [0, A*]] (Van Loan, IEEE TAC 23, 1978): its top-right
+    block, premultiplied by the adjoint of its bottom-right block e^{tA*}."""
+    n = a.shape[0]
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = -a
+    block[:n, n:] = b @ b.conj().T
+    block[n:, n:] = a.conj().T
+    f = _expm(t * block, t)
+    return f[n:, n:].conj().T @ f[:n, n:]
+
+
+def _sigma_flow(triple, t):
+    """Exact solution at t of the Sigma_0 flow that ``_sigma_rk4``
+    integrates, from three expm calls whatever t is.  R, Q and the
+    propagators are functions of alpha and commute, so
+
+    Sigma_0(t) = E [Sigma_0 - 2(Q alpha W Q* + Q W alpha* Q*)] E*,
+
+    E = e^{-tR}, W = G(L, theta1) - G(-L, theta2) with the Gramians
+    G(A, b) = int_0^t e^{sA} b b* e^{sA*} ds and
+    L = (alpha + iI)^{-1} - (alpha - iI)^{-1}.
+    """
+    alpha = triple.alpha
+    i_n = np.eye(alpha.shape[0], dtype=complex)
+    minus, plus = linalg.inv(alpha - 1j * i_n), linalg.inv(alpha + 1j * i_n)
+    q = minus @ plus
+    e = _expm(-t * (minus + plus), t)
+    w = (_gramian(plus - minus, triple.theta1, t)
+         - _gramian(minus - plus, triple.theta2, t))
+    term = q @ alpha @ linalg.herm(w) @ q.conj().T
+    y = triple.sigma0 - 2.0 * (term + term.conj().T)
+    return linalg.herm(e @ y @ e.conj().T)
+
+
 def _lambda_sigma(triple, t, tol, need_upper=False):
     """(Lambda_0(t), Sigma_0(t)).  a Sig - Sig a* = i Lam0(t) Lam0(t)* fixes
     Sigma_0(t) only for spec(alpha) in the open upper half plane: a Sylvester
-    solve there, else RK4 on its flow (which ``need_upper`` refuses)."""
+    solve there, else the exact solution of its flow (which ``need_upper``
+    refuses)."""
     lam_t, spec = _lambda0(triple, t, tol, need_upper)
     if spec.min_imag_part > tol.spec_tol:
         return lam_t, linalg.sigma_from_identity(triple.alpha, lam_t, tol)[0]
-    return lam_t, _sigma_rk4(triple, t)
+    return lam_t, _sigma_flow(triple, t)
 
 
 def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
                   rk_step=1e-3, tol: Tolerances = DEFAULT):
-    """Sigma_0(t) by one named route, for comparing the two.
+    """Sigma_0(t) by one named route, for comparing them.
 
     ``sylvester``: unique solution of a Sig - Sig a* = i Lam0(t) Lam0(t)*
     (requires the spectrum of alpha strictly inside the upper half plane).
-    ``ode``: fixed-step RK4 on the Sigma_0 flow from Sigma_0(0).
-    Both results are symmetrized.  ``triple_at`` chooses the route itself.
+    ``gramian``: exact solution of the Sigma_0 flow from Sigma_0(0), three
+    expm calls for any t (Van Loan Gramians, see ``_sigma_flow``).
+    ``ode``: fixed-step RK4 on the same flow, the reference for
+    ``gramian``; ``rk_step`` applies to it alone.
+    All results are symmetrized.  ``triple_at`` takes ``sylvester`` on
+    the open upper half plane and ``gramian`` elsewhere.
     """
     if method == "sylvester":
         return _lambda_sigma(triple, t, tol, need_upper=True)[1]
-    if method != "ode":
+    if method not in ("gramian", "ode"):
         raise ValueError(f"unknown method {method!r}")
     _check_time(t)
-    if not (np.isfinite(rk_step) and rk_step > 0):
+    if method == "ode" and not (np.isfinite(rk_step) and rk_step > 0):
         raise InputError(f"rk_step must be finite and positive, got {rk_step!r}")
     _check_spectrum(triple, tol, need_zero=False)
+    if method == "gramian":
+        return _sigma_flow(triple, t)
     return _sigma_rk4(triple, t, rk_step)
 
 
@@ -402,10 +455,12 @@ def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,
     """Empirical positivity interval of Sigma_0(t) around t = 0.
 
     Marches outward in both directions until the minimal eigenvalue drops
-    below 1e-10 (or ``t_max`` is reached); returns the last good
-    bracketing times ``(t_minus, t_plus)``.  Each point evolves the triple
-    of the previous one by ``step``, so the march costs time linear in
-    ``t_max / step`` on either route of Sigma_0(t).
+    below 1e-10 max(1, maximal eigenvalue), a test relative to the size of
+    Sigma_0(t) that round-off cannot decide (or until ``t_max`` is
+    reached); returns the last good bracketing times
+    ``(t_minus, t_plus)``.  Each point evolves the triple of the previous
+    one by ``step``, so the march costs time linear in ``t_max / step``
+    on either route of Sigma_0(t).
     """
     edges = []
     for sign in (-1.0, 1.0):
@@ -415,7 +470,8 @@ def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,
         for k in range(1, steps + 1):
             try:
                 current = triple_at(current, sign * step, tol)
-                if np.linalg.eigvalsh(current.sigma0)[0] < 1e-10:
+                eigs = np.linalg.eigvalsh(current.sigma0)
+                if eigs[0] < 1e-10 * max(1.0, eigs[-1]):
                     break
             except (SpinLatticeError, np.linalg.LinAlgError):
                 break

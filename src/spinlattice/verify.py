@@ -246,7 +246,7 @@ def _evolution_methods(ctx):
     worst = 0.0
     for t in (0.1, 0.35):
         a = evolution.evolve_sigma0(ctx.triple, t, "sylvester", tol=ctx.tol)
-        b = evolution.evolve_sigma0(ctx.triple, t, "ode", tol=ctx.tol)
+        b = evolution.evolve_sigma0(ctx.triple, t, "gramian", tol=ctx.tol)
         worst = max(worst, linalg.frob(a - b))
     return worst, 1e-7
 

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -234,10 +235,23 @@ def test_evolve_takes_the_rk4_route_on_a_real_spectrum(real_mode_file, capsys):
         assert np.linalg.norm(got - want) <= 1e-12
 
 
-def test_evolve_far_time_on_the_rk4_route_fails_at_once(real_mode_file, capsys):
+def test_evolve_far_time_on_the_flow_route_fails_at_once(real_mode_file, capsys):
+    """The real mode of Sigma_0(t) decays like e^{-1.2 t}: at t = 1e6 the
+    lattice guard refuses the singular Sigma_0(t)."""
     assert main(["evolve", real_mode_file, "--time-grid", "0,1e6,2",
                  "--nmax", "3"]) == 3
-    assert "steps" in capsys.readouterr().err
+    assert "cond(Sigma_0)" in capsys.readouterr().err
+
+
+def test_evolve_overflow_on_the_flow_route_is_one_error_line(real_mode_file,
+                                                             capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", real_mode_file, "--time-grid=0,-1e6,2",
+                     "--nmax", "3"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numeric failure: matrix exponential overflows at "
+                   "t = -1e+06"]
 
 
 def test_evolve_has_no_method_flag(capsys):

@@ -112,7 +112,53 @@ def test_sigma_methods_agree_on_random_triples(order, m, tt, seed):
     assert np.linalg.norm(a - b) <= 1e-7
 
 
-@pytest.mark.parametrize("method", ("sylvester", "ode"))
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(order=st.integers(1, 8), m=st.integers(1, 3),
+       tt=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_gramian_matches_sylvester_on_random_triples(order, m, tt, seed):
+    triple = random_admissible_triple(np.random.default_rng(seed), order, m)
+    assert _relative_gap(evolve_sigma0(triple, tt, "gramian"),
+                         evolve_sigma0(triple, tt, "sylvester")) <= 1e-12
+
+
+def _pad_real_mode(triple, real, rng):
+    """The triple with an uncontrollable real eigenvalue ``real`` appended
+    and mixed in by a random unitary: FG-tilde, with the same spins."""
+    order, m = triple.alpha.shape[0], triple.m
+    alpha = np.zeros((order + 1, order + 1), dtype=complex)
+    alpha[:order, :order] = triple.alpha
+    alpha[order, order] = real
+    zeros = np.zeros((1, m))
+    u, _ = np.linalg.qr(rng.standard_normal((order + 1, order + 1))
+                        + 1j * rng.standard_normal((order + 1, order + 1)))
+    return ParameterTriple(alpha=u @ alpha @ u.conj().T,
+                           theta1=u @ np.vstack([triple.theta1, zeros]),
+                           theta2=u @ np.vstack([triple.theta2, zeros]))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(order=st.integers(1, 5), m=st.integers(1, 3),
+       real=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_gramian_matches_rk4_on_real_mode_padded_triples(order, m, real, seed):
+    rng = np.random.default_rng(seed)
+    triple = _pad_real_mode(random_admissible_triple(rng, order, m), real, rng)
+    for tt in (0.3, -0.7, 1.5):
+        assert _relative_gap(evolve_sigma0(triple, tt, "gramian"),
+                             evolve_sigma0(triple, tt, "ode")) <= 1e-9
+
+
+@pytest.mark.parametrize("tt", (0.1, 50.0))
+def test_gramian_route_makes_three_expm_calls(real_mode_triple, expm_calls, tt):
+    """E = e^{-tR} and one Van Loan block per Gramian, whatever t is."""
+    evolve_sigma0(real_mode_triple, tt, "gramian")
+    assert len(expm_calls) == 3
+
+
+@pytest.mark.parametrize("method", ("sylvester", "ode", "gramian"))
 @pytest.mark.parametrize("tt", (float("nan"), float("inf"), -float("inf")))
 def test_non_finite_time_is_an_error(ihm_triple, method, tt):
     with pytest.raises(SpinLatticeError):
@@ -213,26 +259,54 @@ def test_positivity_interval(ihm_triple):
 
 def test_positivity_interval_marches_from_the_previous_point(
         real_mode_triple, expm_calls, monkeypatch):
-    """On the RK4 route each point integrates one step on from the last:
-    4 expm calls per point (Lambda_0 and the RK4 half-step propagators),
-    and the time integrated is the length of the march, not the sum of
-    |t| over its points."""
-    integrated = []
-    sigma_rk4 = evolution._sigma_rk4
+    """On the flow route each point evolves the last one by one step:
+    5 expm calls per point (2 for Lambda_0, 3 for the Gramian solution of
+    the flow), and every call covers one ``step`` of the march."""
+    evolved = []
+    sigma_flow = evolution._sigma_flow
 
-    def recorded(triple, t, *args):
-        integrated.append(abs(t))
-        return sigma_rk4(triple, t, *args)
+    def recorded(triple, t):
+        evolved.append(abs(t))
+        return sigma_flow(triple, t)
 
-    monkeypatch.setattr(evolution, "_sigma_rk4", recorded)
+    monkeypatch.setattr(evolution, "_sigma_flow", recorded)
     for t_max, points in ((0.5, 20), (1.0, 40)):
         expm_calls.clear()
-        integrated.clear()
+        evolved.clear()
         assert positivity_interval(real_mode_triple, t_max=t_max) == (
             -t_max, t_max)
-        assert len(expm_calls) == 4 * points
-        assert len(integrated) == points
-        assert sum(integrated) == pytest.approx(2 * t_max)
+        assert len(expm_calls) == 5 * points
+        assert evolved == [0.05] * points
+
+
+def _restarted_interval(triple, t_max, step):
+    """positivity_interval with every point evolved from t = 0."""
+    edges = []
+    for sign in (-1.0, 1.0):
+        good = 0.0
+        for k in range(1, int(np.floor(t_max / step)) + 1):
+            try:
+                eigs = np.linalg.eigvalsh(triple_at(triple, sign * k * step).sigma0)
+            except (SpinLatticeError, np.linalg.LinAlgError):
+                break
+            if eigs[0] < 1e-10 * max(1.0, eigs[-1]):
+                break
+            good = sign * k * step
+        edges.append(good)
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("seed, edges", (
+    (14, (-8.0, 1.2)), (23, (-2.2, 7.6)), (25, (-8.0, 4.2)), (34, (-3.8, 8.0))))
+def test_positivity_interval_does_not_depend_on_the_march(seed, edges):
+    """The stop is relative to the size of Sigma_0(t), so marching from the
+    previous point and restarting from t = 0 find the same edges where
+    cond(Sigma_0(t)) nears 1e16."""
+    triple = random_admissible_triple(np.random.default_rng(seed),
+                                      1 + seed % 4, 1)
+    marched = positivity_interval(triple, t_max=8, step=0.2)
+    assert marched == _restarted_interval(triple, 8, 0.2)
+    assert marched == pytest.approx(edges)
 
 
 def test_real_spectrum_takes_the_rk4_route(real_mode_triple):
@@ -251,9 +325,14 @@ def test_rk4_step_count_is_bounded(tt, rk_step):
         evolve_sigma0(example_triple(2.0), tt, "ode", rk_step=rk_step)
 
 
-def test_rk4_route_of_triple_at_is_bounded(real_mode_triple):
-    with pytest.raises(NumericError, match="steps"):
-        triple_at(real_mode_triple, 1e6)
+def test_flow_route_of_triple_at_is_bounded(real_mode_triple, expm_calls):
+    """Far times cost the same fixed expm count as near ones, and the
+    result is finite and satisfies the identity."""
+    far = triple_at(real_mode_triple, 1e6)
+    assert len(expm_calls) == 5
+    assert all(np.isfinite(x).all()
+               for x in (far.theta1, far.theta2, far.sigma0))
+    assert far.identity_residual() <= 1e-9 * max(1.0, far.identity_scale())
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -262,17 +341,9 @@ def test_rk4_route_of_triple_at_is_bounded(real_mode_triple):
        tt=st.floats(-0.5, 0.5), seed=st.integers(0, 2**32 - 1))
 def test_real_mode_padding_keeps_the_spins(order, m, real, negative, tt, seed):
     """An uncontrollable real eigenvalue, mixed in by a unitary, leaves the
-    spins unchanged; the padded triple goes through the RK4 route."""
+    spins unchanged; the padded triple goes through the flow route."""
     rng = np.random.default_rng(seed)
     triple = random_admissible_triple(rng, order, m)
-    alpha = np.zeros((order + 1, order + 1), dtype=complex)
-    alpha[:order, :order] = triple.alpha
-    alpha[order, order] = -real if negative else real
-    zeros = np.zeros((1, m))
-    u, _ = np.linalg.qr(rng.standard_normal((order + 1, order + 1))
-                        + 1j * rng.standard_normal((order + 1, order + 1)))
-    padded = ParameterTriple(alpha=u @ alpha @ u.conj().T,
-                             theta1=u @ np.vstack([triple.theta1, zeros]),
-                             theta2=u @ np.vstack([triple.theta2, zeros]))
+    padded = _pad_real_mode(triple, -real if negative else real, rng)
     got, want = (state_at(x, tt, 4).spins for x in (padded, triple))
     assert max(np.linalg.norm(a - b) for a, b in zip(got, want)) <= 1e-9
