@@ -8,6 +8,7 @@ Lambda_0 and Sigma_0 is implemented for general m.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -349,50 +350,38 @@ def _lax_f(v_plus, v_minus, lam):
 
 
 def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
-    """Lax pair at site n and time t, with the V = H equality report.
-
-    H_n^+ = 2 W(n, i) P_+ W(n, -i)*, H_n^- = 2 W(n, -i) P_- W(n, i)*.
-    Requires n >= 1 (V_n involves S_{n-1}).
-    """
-    _require_ihm(triple)
-    lam = _lax_parameter(lam, tol)
-    state = state_at(triple, t, n_max=n + 1, tol=tol)
-    vectors = _spin_vectors(state, tol)
-    v_plus, v_minus = _v_pair(vectors, state.spins, n, tol)
-    transfer = Transfer(state, tol)
-    p_plus, p_minus = projectors(1)
-    h_plus = 2.0 * transfer.w(n, 1j) @ p_plus @ transfer.w(n, -1j).conj().T
-    h_minus = 2.0 * transfer.w(n, -1j) @ p_minus @ transfer.w(n, 1j).conj().T
-    return LaxPair(
-        g=_g(state.spins[n], lam),
-        f=_lax_f(v_plus, v_minus, lam),
-        v_plus=v_plus,
-        v_minus=v_minus,
-        h_plus=h_plus,
-        h_minus=h_minus,
-        equality_plus=linalg.frob(v_plus - h_plus),
-        equality_minus=linalg.frob(v_minus - h_minus),
-        trace_v_plus=complex(np.trace(v_plus)),
-        trace_v_minus=complex(np.trace(v_minus)),
-    )
+    """TimeSlice.lax at site n >= 1, from the sites up to n."""
+    return TimeSlice(triple, t, n + 1, tol=tol).lax(n, lam)
 
 
 class TimeSlice:
     """The lattice around one time t, read by the residuals of every site:
-    the state at t to horizon N with its spin vectors, and the states at
-    t +/- h_t to horizon N - 1 for the central differences in t.  Sites
-    1 <= n <= N - 2 can be evaluated."""
+    the state at t to horizon N with its spin vectors and its Transfer, and
+    the states at t +/- h_t to horizon N - 1 for the central differences in
+    t.  The Transfer and the t +/- h_t states are built on first use, so a
+    slice read only by ``lax`` or ``monodromy`` builds one state.  The
+    differences can be evaluated at sites 1 <= n <= N - 2."""
 
     def __init__(self, triple: ParameterTriple, t, n_max, h_t=1e-4,
                  tol: Tolerances = DEFAULT):
         _require_ihm(triple)
         self.state = state_at(triple, t, n_max=n_max, tol=tol)
         self.vectors = _spin_vectors(self.state, tol)
-        self.plus, self.minus = (
-            state_at(triple, t + dt, n_max=n_max - 1, tol=tol)
-            for dt in (h_t, -h_t))
-        self.h_t = h_t
-        self.tol = tol
+        self.triple, self.t, self.h_t, self.tol = triple, t, h_t, tol
+
+    @cached_property
+    def plus(self):
+        return state_at(self.triple, self.t + self.h_t,
+                        n_max=self.state.n_max - 1, tol=self.tol)
+
+    @cached_property
+    def minus(self):
+        return state_at(self.triple, self.t - self.h_t,
+                        n_max=self.state.n_max - 1, tol=self.tol)
+
+    @cached_property
+    def transfer(self):
+        return Transfer(self.state, self.tol)
 
     def _d_dt(self, f, n):
         """Central difference in t of f(S_n)."""
@@ -423,6 +412,34 @@ class TimeSlice:
         rhs = 2.0 * np.cross(s_mid, s_next / d_next + s_prev / d_prev)
         dvec = self._d_dt(lambda s: spin_vector(s, self.tol).as_array(), n)
         return float(np.linalg.norm(dvec - rhs))
+
+    def lax(self, n, lam):
+        """Lax pair at site n >= 1, with the V = H equality report.
+
+        H_n^+ = 2 W(n, i) P_+ W(n, -i)*, H_n^- = 2 W(n, -i) P_- W(n, i)*.
+        """
+        lam = _lax_parameter(lam, self.tol)
+        v_plus, v_minus = _v_pair(self.vectors, self.state.spins, n, self.tol)
+        w = self.transfer.w
+        p_plus, p_minus = projectors(1)
+        h_plus = 2.0 * w(n, 1j) @ p_plus @ w(n, -1j).conj().T
+        h_minus = 2.0 * w(n, -1j) @ p_minus @ w(n, 1j).conj().T
+        return LaxPair(
+            g=_g(self.state.spins[n], lam),
+            f=_lax_f(v_plus, v_minus, lam),
+            v_plus=v_plus,
+            v_minus=v_minus,
+            h_plus=h_plus,
+            h_minus=h_minus,
+            equality_plus=linalg.frob(v_plus - h_plus),
+            equality_minus=linalg.frob(v_minus - h_minus),
+            trace_v_plus=complex(np.trace(v_plus)),
+            trace_v_minus=complex(np.trace(v_minus)),
+        )
+
+    def monodromy(self, n, lam):
+        """``monodromy_residual`` at site n <= N - 1 and this slice's time."""
+        return _monodromy(self.transfer, self.t, n, lam)
 
 
 def zero_curvature_residual(triple: ParameterTriple, n, t, lam, h_t=1e-4,
@@ -490,10 +507,14 @@ def monodromy_residual(triple: ParameterTriple, n, t, lam,
 
     returns ||What_{n+1} - G_n What_n||_F.
     """
-    lam = _lax_parameter(lam, tol)
-    state = state_at(triple, t, n_max=n + 1, tol=tol)
-    transfer = Transfer(state, tol)
-    m = triple.m
+    return _monodromy(Transfer(state_at(triple, t, n_max=n + 1, tol=tol), tol),
+                      t, n, lam)
+
+
+def _monodromy(transfer, t, n, lam):
+    """``monodromy_residual`` over the Transfer of the state at time t."""
+    lam = _lax_parameter(lam, transfer.tol)
+    m = transfer.m
 
     def what(k):
         d = np.zeros((2 * m, 2 * m), dtype=complex)
@@ -501,4 +522,4 @@ def monodromy_residual(triple: ParameterTriple, n, t, lam,
         d[m:, m:] = (lam + 1j) ** k * np.exp(2 * t / (lam + 1j)) * np.eye(m)
         return lam ** (-k) * transfer.w(k, lam) @ d
 
-    return linalg.frob(what(n + 1) - _g(state.spins[n], lam) @ what(n))
+    return linalg.frob(what(n + 1) - _g(transfer.state.spins[n], lam) @ what(n))

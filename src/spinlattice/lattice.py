@@ -81,6 +81,7 @@ class LatticeState:
     conditioning: list          # cond(Sigma_n), n = 0..n_max
     spin_residuals: list        # ||S_n^2 - I||_F, n = 0..n_max-1
     sigma_asymmetries: list
+    sigma_inv_lambdas: list     # Sigma_n^{-1} Lambda_n, n = 0..n_max
 
     @property
     def m(self):
@@ -92,8 +93,7 @@ class LatticeState:
 
     def xi(self, n):
         """Lambda_n* Sigma_n^{-1} Lambda_n (solved, never inverted)."""
-        lam = self.lambdas[n]
-        return lam.conj().T @ linalg.solve(self.sigmas[n], lam, f"Sigma_{n}")
+        return self.lambdas[n].conj().T @ self.sigma_inv_lambdas[n]
 
     def sigma_solve(self, n, rhs):
         return linalg.solve(self.sigmas[n], rhs, f"Sigma_{n}")
@@ -141,10 +141,8 @@ def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT,
     j = signature_matrix(m)
     spins = []
     spin_residuals = []
-    xi = [
-        lam.conj().T @ linalg.solve(sig, lam, "Sigma")
-        for lam, sig in zip(lambdas, sigmas)
-    ]
+    solved = [linalg.solve(sig, lam, "Sigma") for lam, sig in zip(lambdas, sigmas)]
+    xi = [lam.conj().T @ x for lam, x in zip(lambdas, solved)]
     i2m = np.eye(2 * m, dtype=complex)
     for n in range(n_max):
         s = linalg.herm(j + xi[n] - xi[n + 1])
@@ -159,6 +157,7 @@ def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT,
         conditioning=conditioning,
         spin_residuals=spin_residuals,
         sigma_asymmetries=asymmetries,
+        sigma_inv_lambdas=solved,
     )
 
 
@@ -179,8 +178,8 @@ def k_residual(state: LatticeState, n):
     """
     a = state.triple.alpha
     i_n = np.eye(state.triple.order, dtype=complex)
-    y_next = state.sigma_solve(n + 1, state.lambdas[n + 1]).conj().T
-    y = state.sigma_solve(n, state.lambdas[n]).conj().T
+    y_next = state.sigma_inv_lambdas[n + 1].conj().T
+    y = state.sigma_inv_lambdas[n].conj().T
     k = (
         y_next @ (a @ a + i_n)
         - y @ a @ a

@@ -34,7 +34,8 @@ def _g(s, lam):
 
 class Transfer:
     """Evaluator for W(n, lambda) = I + i Lam_n* Sig_n^{-1} (lam I - a)^{-1} Lam_n
-    over one lattice state, with a per-instance evaluation cache."""
+    over one lattice state, with per-instance caches of W(n, lambda) and the
+    fundamental solution W_n(lambda)."""
 
     def __init__(self, state: LatticeState, tol: Tolerances = DEFAULT):
         self.state = state
@@ -44,6 +45,7 @@ class Transfer:
         self.m = state.m
         self.poles = linalg.poles(self.alpha)
         self._cache = {}
+        self._fundamentals = {}
 
     def w(self, n, lam):
         """W(n, lambda), cached per (n, lambda)."""
@@ -55,7 +57,7 @@ class Transfer:
             resolvent = linalg.solve(
                 lam * np.eye(self.order, dtype=complex) - self.alpha, lam_n
             )
-            y = self.state.sigma_solve(n, lam_n).conj().T
+            y = self.state.sigma_inv_lambdas[n].conj().T
             self._cache[key] = np.eye(2 * self.m, dtype=complex) + 1j * y @ resolvent
         return self._cache[key]
 
@@ -64,14 +66,20 @@ class Transfer:
         return self.w(n, np.conj(complex(lam))).conj().T
 
     def fundamental(self, n, lam):
-        """Fundamental solution W_n(lambda), normalized to I at n = 0:
+        """Fundamental solution W_n(lambda), normalized to I at n = 0 and
+        cached per (n, lambda):
 
         W_n = W(n, lam) (I - (i/lam)J)^n W(0, lam)^{-1}.
         """
         lam = complex(lam)
         if lam == 0:
             raise PoleError("fundamental solution undefined at lambda = 0")
-        return self.w(n, lam) @ j_power_factor(lam, n, self.m) @ self.w_inverse(0, lam)
+        key = (n, lam)
+        if key not in self._fundamentals:
+            self._fundamentals[key] = (
+                self.w(n, lam) @ j_power_factor(lam, n, self.m)
+                @ self.w_inverse(0, lam))
+        return self._fundamentals[key]
 
     def identity_residual(self, n, lam):
         """Residual of the one-step transfer identity
@@ -128,7 +136,7 @@ class Transfer:
         a = self.alpha
         core = linalg.inv(a @ a + np.eye(self.order, dtype=complex))
         lam_n = self.state.lambdas[n]
-        y = self.state.sigma_solve(n, lam_n).conj().T   # Lam_n* Sig_n^{-1}
+        y = self.state.sigma_inv_lambdas[n].conj().T    # Lam_n* Sig_n^{-1}
 
         w_n_pi_1 = self.column_block(n, 1j, 0)
         w_n1_mi_1 = self.column_block(n + 1, -1j, 0)

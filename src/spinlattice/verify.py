@@ -6,6 +6,7 @@ stable list.  Check names are stable API; output is sorted by name.
 """
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .errors import AdmissibilityError, PoleError, SpinLatticeError
 from .lattice import generate, k_residual, lambda_closed_form, monotone_diagnostics
 from .transfer import Transfer
 from .triples import ParameterTriple, TripleClass, normalize_sigma0, validate
-from .weyl import lambda_grid, summability_diagnostic, weyl
+from .weyl import _summability, lambda_grid, weyl
 
 __all__ = ["CheckResult", "check_names", "run_checks"]
 
@@ -30,9 +31,15 @@ class CheckResult:
 
 
 _LAMBDA_COUNT = 8
+_SUMMABILITY_TERMS = 30     # the Cauchy heuristic needs a longer horizon
 
 
 class _Context:
+    """What the checks read, each built once: the state and Transfer to
+    horizon n_max, and on first use the Weyl realization, the summability
+    Transfer and, per time t, the time-t triple and the horizon-3 TimeSlice
+    that the public residual functions build for site 1."""
+
     def __init__(self, triple, n_max, tol):
         self.triple = triple
         self.tol = tol
@@ -47,6 +54,19 @@ class _Context:
             for k in range(_LAMBDA_COUNT)
         ]
         self.sites = range(min(n_max - 1, 10) + 1)
+        self.triple_at = cache(lambda t: evolution.triple_at(triple, t, tol))
+        self.slice = cache(lambda t: evolution.TimeSlice(triple, t, 3, tol=tol))
+
+    @cached_property
+    def weyl(self):
+        return weyl(self.triple, self.tol)
+
+    @cached_property
+    def summability_transfer(self):
+        if self.n_max >= _SUMMABILITY_TERMS:
+            return self.transfer
+        state = generate(self.triple, n_max=_SUMMABILITY_TERMS, tol=self.tol)
+        return Transfer(state, self.tol)
 
 
 def _identity_propagation(ctx):
@@ -184,7 +204,7 @@ def _monotone(ctx):
 
 
 def _weyl_ratio(ctx):
-    phi = weyl(ctx.triple, ctx.tol)
+    phi = ctx.weyl
     worst = 0.0
     for lam in ctx.grid:
         w0 = ctx.transfer.w(0, lam)
@@ -195,10 +215,9 @@ def _weyl_ratio(ctx):
 
 
 def _weyl_normalized(ctx):
-    phi = weyl(ctx.triple, ctx.tol)
     phi_norm = weyl(normalize_sigma0(ctx.triple, ctx.tol), ctx.tol)
     worst = max(
-        linalg.frob(phi(lam, ctx.tol) - phi_norm(lam, ctx.tol))
+        linalg.frob(ctx.weyl(lam, ctx.tol) - phi_norm(lam, ctx.tol))
         for lam in ctx.grid
     )
     return worst, 1e-10
@@ -217,15 +236,13 @@ def _summability_point(ctx):
     return -1 - 2j
 
 
-def _summability(ctx):
-    # the Cauchy heuristic needs a longer horizon than the other checks
+def _summability_dichotomy(ctx):
     lam = _summability_point(ctx)
-    report = summability_diagnostic(ctx.triple, lam, n_terms=30, tol=ctx.tol)
-    perturbed = summability_diagnostic(
-        ctx.triple, lam, n_terms=30, tol=ctx.tol,
-        phi=weyl(ctx.triple, ctx.tol)(lam, ctx.tol)
-        + 0.1 * np.eye(ctx.triple.m),
-    )
+    transfer = ctx.summability_transfer
+    phi = ctx.weyl(lam, ctx.tol)
+    report = _summability(transfer, lam, _SUMMABILITY_TERMS, phi, True)
+    perturbed = _summability(transfer, lam, _SUMMABILITY_TERMS,
+                             phi + 0.1 * np.eye(ctx.triple.m), False)
     ok = report.is_cauchy and not perturbed.is_cauchy
     return (0.0 if ok else 1.0), 0.5, (
         f"cauchy={report.is_cauchy}, perturbed_cauchy={perturbed.is_cauchy}, "
@@ -236,17 +253,22 @@ def _summability(ctx):
 def _evolution_identity(ctx):
     worst = 0.0
     for t in (0.1, 0.35):
-        triple_t = evolution.triple_at(ctx.triple, t, tol=ctx.tol)
+        triple_t = ctx.triple_at(t)
         worst = max(worst, triple_t.identity_residual()
                     / max(1.0, triple_t.identity_scale()))
     return worst, 1e-9
 
 
 def _evolution_methods(ctx):
+    """Sigma_0(t) of the time-t triple against the other exact route: the
+    Gramian flow where that triple took the Sylvester solve (spectrum in the
+    open upper half plane), RK4 where it took the flow."""
+    spec = linalg.spectrum(ctx.triple.alpha, ctx.tol)
+    other = "gramian" if spec.min_imag_part > ctx.tol.spec_tol else "ode"
     worst = 0.0
     for t in (0.1, 0.35):
-        a = evolution.evolve_sigma0(ctx.triple, t, "sylvester", tol=ctx.tol)
-        b = evolution.evolve_sigma0(ctx.triple, t, "gramian", tol=ctx.tol)
+        a = ctx.triple_at(t).sigma0
+        b = evolution.evolve_sigma0(ctx.triple, t, other, tol=ctx.tol)
         worst = max(worst, linalg.frob(a - b))
     return worst, 1e-7
 
@@ -255,7 +277,7 @@ def _lax_equality(ctx):
     worst = 0.0
     trace_dev = 0.0
     for t in (0.0, 0.2):
-        pair = evolution.lax_pair(ctx.triple, 1, t, 2.0 + 0.5j, tol=ctx.tol)
+        pair = ctx.slice(t).lax(1, 2.0 + 0.5j)
         worst = max(worst, pair.equality_plus, pair.equality_minus)
         trace_dev = max(trace_dev, abs(pair.trace_v_plus - 2.0),
                         abs(pair.trace_v_minus - 2.0))
@@ -263,28 +285,17 @@ def _lax_equality(ctx):
 
 
 def _zero_curvature(ctx):
-    worst = max(
-        evolution.zero_curvature_residual(ctx.triple, 1, t, 2.0 + 0.5j,
-                                          tol=ctx.tol)
-        for t in (0.0, 0.2)
-    )
+    worst = max(ctx.slice(t).zero_curvature(1, 2.0 + 0.5j) for t in (0.0, 0.2))
     return worst, 1e-6
 
 
 def _ihm_vector(ctx):
-    worst = max(
-        evolution.ihm_residual(ctx.triple, 1, t, tol=ctx.tol)
-        for t in (0.0, 0.2)
-    )
+    worst = max(ctx.slice(t).ihm(1) for t in (0.0, 0.2))
     return worst, 1e-6
 
 
 def _monodromy(ctx):
-    worst = max(
-        evolution.monodromy_residual(ctx.triple, n, 0.2, 2.0 + 0.5j,
-                                     tol=ctx.tol)
-        for n in (0, 1, 2)
-    )
+    worst = max(ctx.slice(0.2).monodromy(n, 2.0 + 0.5j) for n in (0, 1, 2))
     return worst, 1e-9
 
 
@@ -301,7 +312,7 @@ _GENERAL_CHECKS = {
     "sigma-positivity": _sigma_positivity,
     "spin-hermitian": _spin_hermitian,
     "spin-involution": _spin_involution,
-    "summability-dichotomy": _summability,
+    "summability-dichotomy": _summability_dichotomy,
     "transfer-identity": _transfer_identity,
     "two-point-identity": _two_point,
     "weyl-block-ratio": _weyl_ratio,

@@ -163,10 +163,17 @@ def summability_diagnostic(triple: ParameterTriple, lam, n_terms=40,
             f"summability is defined on Im(lambda) < -1/2, got {lam}"
         )
     transfer = Transfer(generate(triple, n_max=n_terms, tol=tol), tol)
-    m = triple.m
     is_true_phi = phi is None
     if is_true_phi:
         phi = weyl(triple, tol)(lam, tol)
+    return _summability(transfer, lam, n_terms, phi, is_true_phi)
+
+
+def _summability(transfer, lam, n_terms, phi, is_true_phi):
+    """``summability_diagnostic`` over a Transfer of horizon >= n_terms, for
+    the m x m value ``phi`` at ``lam``; ``is_true_phi`` adds the column
+    identity check."""
+    m = transfer.m
     stack = np.vstack([phi, np.eye(m, dtype=complex)])
 
     column_residual = 0.0

@@ -223,7 +223,7 @@ def test_evolve_needs_m_equal_one(tmp_path, capsys):
     assert "(m = 1), got m = 2" in capsys.readouterr().err
 
 
-def test_evolve_takes_the_rk4_route_on_a_real_spectrum(real_mode_file, capsys):
+def test_evolve_takes_the_flow_route_on_a_real_spectrum(real_mode_file, capsys):
     assert main(["evolve", real_mode_file, "--time-grid=-0.5,1,4",
                  "--nmax", "5", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -233,6 +233,17 @@ def test_evolve_takes_the_rk4_route_on_a_real_spectrum(real_mode_file, capsys):
         want = spin_closed_form(row["n"], row["t"], 2.0, r2, r2)
         got = serialize.matrix_from_obj(row["spin"])
         assert np.linalg.norm(got - want) <= 1e-12
+
+
+def test_verify_passes_every_check_on_a_real_spectrum(real_mode_file, capsys):
+    """evolution-method-agreement compares the flow of the time-t triple
+    with RK4 where the Sylvester solve does not apply."""
+    assert main(["verify", real_mode_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all checks passed"
+    assert len(lines) == 24 and all(": PASS " in line for line in lines[:-1])
+    assert any(line.startswith("evolution-method-agreement: PASS")
+               for line in lines)
 
 
 def test_evolve_far_time_on_the_flow_route_fails_at_once(real_mode_file, capsys):

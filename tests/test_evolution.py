@@ -309,7 +309,7 @@ def test_positivity_interval_does_not_depend_on_the_march(seed, edges):
     assert marched == pytest.approx(edges)
 
 
-def test_real_spectrum_takes_the_rk4_route(real_mode_triple):
+def test_real_spectrum_takes_the_flow_route(real_mode_triple):
     r2 = np.sqrt(2.0)
     for tt in (0.3, -0.5, 1.0):
         for n in (0, 1, 2):

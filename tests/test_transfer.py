@@ -45,6 +45,27 @@ def test_fundamental_normalized_at_zero(small_triple, transfer):
     assert np.allclose(transfer.fundamental(0, lam), np.eye(2 * small_triple.m))
 
 
+def test_w_makes_one_solve_per_distinct_point(transfer, monkeypatch):
+    """The resolvent is the only solve of W(n, lambda): Sigma_n^{-1} Lambda_n
+    comes with the state, and repeated points come from the cache."""
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    points = [(n, lam) for n in range(13) for lam in (2.0 - 1.5j, 3j)]
+    for n, lam in points + points:
+        transfer.w(n, lam)
+    assert len(solves) == len(points)
+
+
+def test_fundamental_is_cached(transfer):
+    assert transfer.fundamental(4, 2.0 - 1.5j) is transfer.fundamental(4, 2.0 - 1.5j)
+
+
 def test_fundamental_recursion(small_triple, transfer):
     for lam in grid(small_triple):
         for n in range(10):

@@ -1,0 +1,118 @@
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from spinlattice import (evolution, ihm_residual, lax_pair, lattice, linalg,
+                         monodromy_residual, random_admissible_triple,
+                         random_general_sigma_triple, summability_diagnostic,
+                         weyl, zero_curvature_residual)
+from spinlattice.errors import PoleError, SpinLatticeError
+from spinlattice.verify import run_checks
+
+LAM = 2.0 + 0.5j
+
+
+def _public(fn):
+    """(value, detail) of one public call, as run_checks reports a raise."""
+    try:
+        return fn(), ""
+    except SpinLatticeError as exc:
+        return np.inf, f"{type(exc).__name__}: {exc}"
+
+
+def _worst(*outcomes):
+    """The residual and detail run_checks gives for a check that takes the
+    max of these outcomes: the first raise ends the check."""
+    worst = 0.0
+    for value, detail in outcomes:
+        if detail:
+            return value, detail
+        worst = max(worst, value)
+    return worst, ""
+
+
+def _lax(triple, t):
+    pair = lax_pair(triple, 1, t, LAM)
+    return max(pair.equality_plus, pair.equality_minus,
+               abs(pair.trace_v_plus - 2.0), abs(pair.trace_v_minus - 2.0))
+
+
+def _summability(triple):
+    lam = -2j   # the summability point of run_checks when 2i is no pole
+    phi = weyl(triple)(lam)
+    report = summability_diagnostic(triple, lam, n_terms=30)
+    perturbed = summability_diagnostic(triple, lam, n_terms=30,
+                                       phi=phi + 0.1 * np.eye(1))
+    return 0.0 if report.is_cauchy and not perturbed.is_cauchy else 1.0
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(order=st.integers(1, 6), general=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_context_changes_no_residual(order, general, seed):
+    """The checks read one TimeSlice per time, one Weyl realization and one
+    horizon-30 Transfer; each residual equals the max of the public
+    functions called one by one."""
+    rng = np.random.default_rng(seed)
+    make = random_general_sigma_triple if general else random_admissible_triple
+    triple = make(rng, order, 1)
+    try:
+        linalg.check_pole(2j, *linalg.poles(triple.alpha))
+    except PoleError:
+        assume(False)
+    results = {r.name: r for r in run_checks(triple, n_max=15)}
+    times = (0.0, 0.2)
+    expected = {
+        "zero-curvature": _worst(*(_public(
+            lambda t=t: zero_curvature_residual(triple, 1, t, LAM))
+            for t in times)),
+        "ihm-vector-equation": _worst(*(_public(
+            lambda t=t: ihm_residual(triple, 1, t)) for t in times)),
+        "lax-equality": _worst(*(_public(lambda t=t: _lax(triple, t))
+                                 for t in times)),
+        "monodromy": _worst(*(_public(
+            lambda n=n: monodromy_residual(triple, n, 0.2, LAM))
+            for n in (0, 1, 2))),
+        "summability-dichotomy": _public(lambda: _summability(triple)),
+    }
+    for name, (residual, detail) in expected.items():
+        assert results[name].residual == residual, name
+        if detail:
+            assert results[name].detail == detail, name
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts the lattice states and the expm calls made through the
+    package modules."""
+    calls = {"states": 0, "expm": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    generate = counted("states", lattice.generate)
+    for module in ("lattice", "evolution", "verify", "weyl"):
+        monkeypatch.setattr(importlib.import_module(f"spinlattice.{module}"),
+                            "generate", generate)
+    monkeypatch.setattr(evolution.scipy.linalg, "expm",
+                        counted("expm", evolution.scipy.linalg.expm))
+    return calls
+
+
+@pytest.mark.parametrize("n_max, states", ((15, 8), (30, 7)))
+def test_verify_builds_each_shared_quantity_once(counts, n_max, states):
+    """States: the one to n_max, 3 per TimeSlice at t = 0 and 0.2, and the
+    horizon-30 one unless n_max >= 30.  expm: 2 per time-t triple at
+    t = 0.1, 0.35, +/-h_t, 0.2 and 0.2 +/- h_t, and 3 per Gramian flow at
+    t = 0.1 and 0.35."""
+    triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
+    results = run_checks(triple, n_max=n_max)
+    assert all(np.isfinite(r.residual) for r in results)     # none raised
+    assert counts["states"] == states
+    assert counts["expm"] == 2 * 7 + 3 * 2
