@@ -144,11 +144,10 @@ def _cmd_fundamental(args, tol):
     except ValueError as exc:
         raise InputError(f"bad --lambda value {args.lam!r}") from exc
     state = generate(triple, n_max=args.nmax, tol=tol)
-    transfer = Transfer(state, tol)
+    table = Transfer(state, tol).fundamental_grid([lam])[:, 0]
     if args.format == "csv":
         rows = []
-        for n in range(args.nmax + 1):
-            w = transfer.fundamental(n, lam)
+        for n, w in enumerate(table):
             for i in range(w.shape[0]):
                 for j in range(w.shape[1]):
                     rows.append((n, i, j, float(w[i, j].real),
@@ -156,10 +155,9 @@ def _cmd_fundamental(args, tol):
         with _output(args) as out:
             serialize.write_csv(out, ["n", "i", "j", "re", "im"], rows)
     else:
-        table = [{"n": n, "w": transfer.fundamental(n, lam)}
-                 for n in range(args.nmax + 1)]
         with _output(args) as out:
-            out.write(serialize.dumps({"lambda": lam, "table": table}))
+            out.write(serialize.dumps({"lambda": lam, "table": [
+                {"n": n, "w": w} for n, w in enumerate(table)]}))
     return 0
 
 

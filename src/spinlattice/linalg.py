@@ -24,6 +24,7 @@ from .errors import (
 __all__ = [
     "as_matrix",
     "frob",
+    "frob_norms",
     "eye",
     "herm",
     "hermitian_deviation",
@@ -256,3 +257,12 @@ def check_pole(lam, eigs, scale, tol: Tolerances = DEFAULT, name="matrix"):
                 f"(nearest eigenvalue {nearest})",
                 nearest=nearest,
             )
+
+
+def frob_norms(a):
+    """Frobenius norms of a stack of matrices, over the last two axes.  Each
+    equals ``frob`` of the C-ordered matrix bit for bit: both take
+    sqrt(re.re + im.im) over the flattened entries."""
+    flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    return np.sqrt(np.vecdot(flat.real, flat.real)
+                   + np.vecdot(flat.imag, flat.imag))

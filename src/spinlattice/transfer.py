@@ -1,7 +1,13 @@
 """Transfer matrix function W(n, lambda) and the fundamental solution of the
 discrete system, with the identity residuals used by the verification
 suites.
+
+W is evaluated one batch of lambdas at a time, at every site of the state
+at once: one broadcast solve per batch.  Each identity is written once,
+over arrays of sites x lambdas; the scalar residuals index those arrays.
 """
+
+import operator
 
 import numpy as np
 
@@ -9,21 +15,30 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import PoleError
 from .lattice import LatticeState
-from .triples import signature_matrix
 
 __all__ = ["Transfer", "j_power_factor"]
 
 
 def j_power_factor(lam, n, m):
     """(I - (i/lambda) J)^n in closed form: diag((1 - i/lam)^n, (1 + i/lam)^n)."""
+    return _j_powers(lam, [n], m)[0]
+
+
+def _j_powers(lam, powers, m):
+    """j_power_factor(lam, n, m) for each n in ``powers``, stacked."""
     if lam == 0:
         raise PoleError("the factor (I - (i/lambda)J)^n has a pole at lambda = 0")
-    top = (1 - 1j / lam) ** n
-    bot = (1 + 1j / lam) ** n
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    out[:m, :m] = top * np.eye(m)
-    out[m:, m:] = bot * np.eye(m)
+    out = np.zeros((len(powers), 2 * m, 2 * m), dtype=complex)
+    out[:, :m, :m] = _scaled([(1 - 1j / lam) ** n for n in powers], np.eye(m))
+    out[:, m:, m:] = _scaled([(1 + 1j / lam) ** n for n in powers], np.eye(m))
     return out
+
+
+def _scaled(factors, a):
+    """The matrices a[..., k, :, :] times factors[k].  The factors are
+    computed with Python complex arithmetic, and each product has the bits
+    of factor * matrix."""
+    return np.array(factors, dtype=complex)[:, None, None] * a
 
 
 def _g(s, lam):
@@ -32,10 +47,22 @@ def _g(s, lam):
     return np.eye(s.shape[0], dtype=complex) - (1j / lam) * s
 
 
+def _h(a):
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _with_conjugates(lams):
+    """lam_0, conj(lam_0), lam_1, conj(lam_1), ...: the order in which the
+    values W(n, lam) W(n, conj(lam))* check their poles."""
+    return [z for lam in lams for z in (lam, lam.conjugate())]
+
+
 class Transfer:
     """Evaluator for W(n, lambda) = I + i Lam_n* Sig_n^{-1} (lam I - a)^{-1} Lam_n
     over one lattice state, with per-instance caches of W(n, lambda) and the
-    fundamental solution W_n(lambda)."""
+    fundamental solution W_n(lambda), one row of sites n = 0..n_max per
+    lambda."""
 
     def __init__(self, state: LatticeState, tol: Tolerances = DEFAULT):
         self.state = state
@@ -44,116 +71,184 @@ class Transfer:
         self.order = state.triple.order
         self.m = state.m
         self.poles = linalg.poles(self.alpha)
-        self._cache = {}
-        self._fundamentals = {}
+        self._lambdas = np.stack(state.lambdas)
+        self._spins = np.array(state.spins, dtype=complex).reshape(
+            -1, 2 * self.m, 2 * self.m)
+        self._y = _h(np.stack(state.sigma_inv_lambdas))    # Lam_n* Sig_n^{-1}
+        # lam -> (the row over n stacked, its per-n views): repeated reads of
+        # one point return the same object
+        self._cache = {}            # W(n, lam)
+        self._fundamentals = {}     # W_n(lam)
+
+    def _sites(self, sites, top):
+        """``sites`` as an index array, each checked to lie in 0..top."""
+        sites = np.array([operator.index(n) for n in sites], dtype=int)
+        bad = sites[(sites < 0) | (sites > top)]
+        if bad.size:
+            raise ValueError(
+                f"site {bad[0]} outside 0..{top} (horizon {self.state.n_max})")
+        return sites
+
+    def _grid(self, cache, build, lams):
+        """The rows of ``cache`` at ``lams``, indexed [n, k] for lams[k];
+        ``build`` makes the rows of the lambdas not yet cached, in one
+        batch."""
+        lams = [complex(lam) for lam in lams]
+        new = [lam for lam in dict.fromkeys(lams) if lam not in cache]
+        if new:
+            for lam, row in zip(new, build(new)):
+                cache[lam] = row, tuple(row)
+        return np.stack([cache[lam][0] for lam in lams], axis=1)
+
+    def _build_w(self, lams):
+        for lam in lams:
+            linalg.check_pole(lam, *self.poles, self.tol, "alpha")
+        shifted = np.array([lam * np.eye(self.order, dtype=complex) - self.alpha
+                            for lam in lams])
+        resolvents = linalg.solve(shifted[:, None], self._lambdas[None])
+        return np.eye(2 * self.m, dtype=complex) + 1j * self._y @ resolvents
+
+    def _build_fundamental(self, lams):
+        # W_n = W(n, lam) (I - (i/lam)J)^n W(0, conj(lam))^*
+        for lam in lams:
+            if lam == 0:
+                raise PoleError("fundamental solution undefined at lambda = 0")
+        w = self.w_grid(_with_conjugates(lams))
+        powers = range(self.state.n_max + 1)
+        steps = np.stack([_j_powers(lam, powers, self.m) for lam in lams], axis=1)
+        return (w[:, ::2] @ steps @ _h(w[0, 1::2])).swapaxes(0, 1)
+
+    def w_grid(self, lams):
+        """W(n, lambda) at n = 0..n_max for each lambda, indexed [n, k] for
+        lams[k]."""
+        return self._grid(self._cache, self._build_w, lams)
+
+    def fundamental_grid(self, lams):
+        """W_n(lambda) at n = 0..n_max for each lambda, indexed [n, k]."""
+        return self._grid(self._fundamentals, self._build_fundamental, lams)
 
     def w(self, n, lam):
-        """W(n, lambda), cached per (n, lambda)."""
-        lam = complex(lam)
-        key = (n, lam)
-        if key not in self._cache:
-            linalg.check_pole(lam, *self.poles, self.tol, "alpha")
-            lam_n = self.state.lambdas[n]
-            resolvent = linalg.solve(
-                lam * np.eye(self.order, dtype=complex) - self.alpha, lam_n
-            )
-            y = self.state.sigma_inv_lambdas[n].conj().T
-            self._cache[key] = np.eye(2 * self.m, dtype=complex) + 1j * y @ resolvent
-        return self._cache[key]
-
-    def w_inverse(self, n, lam):
-        """W(n, lambda)^{-1} = W(n, conj(lambda))* (structural identity)."""
-        return self.w(n, np.conj(complex(lam))).conj().T
+        """W(n, lambda), cached per lambda for every n."""
+        n = self._sites([n], self.state.n_max)[0]
+        self.w_grid([lam])
+        return self._cache[complex(lam)][1][n]
 
     def fundamental(self, n, lam):
         """Fundamental solution W_n(lambda), normalized to I at n = 0 and
-        cached per (n, lambda):
+        cached per lambda for every n:
 
         W_n = W(n, lam) (I - (i/lam)J)^n W(0, lam)^{-1}.
         """
-        lam = complex(lam)
-        if lam == 0:
-            raise PoleError("fundamental solution undefined at lambda = 0")
-        key = (n, lam)
-        if key not in self._fundamentals:
-            self._fundamentals[key] = (
-                self.w(n, lam) @ j_power_factor(lam, n, self.m)
-                @ self.w_inverse(0, lam))
-        return self._fundamentals[key]
+        n = self._sites([n], self.state.n_max)[0]
+        self.fundamental_grid([lam])
+        return self._fundamentals[complex(lam)][1][n]
 
-    def identity_residual(self, n, lam):
-        """Residual of the one-step transfer identity
+    def identity_residuals(self, sites, lams):
+        """Residuals of the one-step transfer identity
 
-        W(n+1, lam)(I - (i/lam)J) = (I - (i/lam)S_n) W(n, lam).
+        W(n+1, lam)(I - (i/lam)J) = (I - (i/lam)S_n) W(n, lam),
+
+        indexed [i, k] for sites[i] and lams[k].
         """
-        lam = complex(lam)
-        lhs = self.w(n + 1, lam) @ j_power_factor(lam, 1, self.m)
-        return linalg.frob(lhs - _g(self.state.spins[n], lam) @ self.w(n, lam))
+        n = self._sites(sites, self.state.n_max - 1)
+        lams = [complex(lam) for lam in lams]
+        w = self.w_grid(lams)
+        step = np.stack([j_power_factor(lam, 1, self.m) for lam in lams])
+        g = np.eye(2 * self.m, dtype=complex) - _scaled(
+            [1j / lam for lam in lams], self._spins[n][:, None])
+        return linalg.frob_norms(w[n + 1] @ step - g @ w[n])
 
-    def recursion_residual(self, n, lam):
-        """Residual of W_{n+1} - W_n = -(i/lam) S_n W_n for the fundamental
-        solution."""
-        lam = complex(lam)
-        wn = self.fundamental(n, lam)
-        wn1 = self.fundamental(n + 1, lam)
-        return linalg.frob(wn1 - wn + (1j / lam) * self.state.spins[n] @ wn)
+    def unitarity_residuals(self, sites, lams):
+        """Residuals of W(n, lam) W(n, conj(lam))* = I, indexed [i, k]."""
+        n = self._sites(sites, self.state.n_max)
+        w = self.w_grid(_with_conjugates([complex(lam) for lam in lams]))[n]
+        return linalg.frob_norms(w[:, ::2] @ _h(w[:, 1::2]) - np.eye(2 * self.m))
 
-    def unitarity_residual(self, n, lam):
-        """Residual of W(n, lam) W(n, conj(lam))* = I."""
-        prod = self.w(n, complex(lam)) @ self.w_inverse(n, lam)
-        return linalg.frob(prod - np.eye(2 * self.m))
-
-    def gram_identity_residual(self, n, lam):
-        """Residual of the two-point identity
+    def gram_identity_residuals(self, sites, lams):
+        """Residuals of the two-point identity
 
         W(n,lam)* W(n,lam) = I - i(lam - conj(lam)) Lam_n* (conj(lam) I - a*)^{-1}
-                                Sig_n^{-1} (lam I - a)^{-1} Lam_n.
+                                Sig_n^{-1} (lam I - a)^{-1} Lam_n,
+
+        indexed [i, k].
         """
-        lam = complex(lam)
-        w = self.w(n, lam)
-        lam_n = self.state.lambdas[n]
+        n = self._sites(sites, self.state.n_max)
+        lams = [complex(lam) for lam in lams]
+        w = self.w_grid(lams)[n]
         i_n = np.eye(self.order, dtype=complex)
-        inner = self.state.sigma_solve(n, linalg.solve(lam * i_n - self.alpha, lam_n))
-        inner = linalg.solve(np.conj(lam) * i_n - self.alpha.conj().T, inner)
-        rhs = np.eye(2 * self.m, dtype=complex) - 1j * (lam - np.conj(lam)) * (
-            lam_n.conj().T @ inner
-        )
-        return linalg.frob(w.conj().T @ w - rhs)
+        lam_n = self._lambdas[n][:, None]
+        inner = linalg.solve(
+            np.array([lam * i_n - self.alpha for lam in lams]), lam_n)
+        inner = linalg.solve(np.array(self.state.sigmas)[n][:, None], inner,
+                             "Sigma_n")
+        inner = linalg.solve(np.array(
+            [np.conj(lam) * i_n - self.alpha.conj().T for lam in lams]), inner)
+        rhs = np.eye(2 * self.m, dtype=complex) - _scaled(
+            [1j * (lam - np.conj(lam)) for lam in lams], _h(lam_n) @ inner)
+        return linalg.frob_norms(_h(w) @ w - rhs)
 
-    def column_block(self, n, lam, block):
-        """First (block=0) or second (block=1) m-column block of W(n, lam)."""
-        return self.w(n, lam)[:, block * self.m:(block + 1) * self.m]
+    def contractivity_gram(self, sites, lams):
+        """W(n, lam)* W(n, lam) - I, negative semidefinite on the lower half
+        plane, indexed [i, k]."""
+        w = self.w_grid(lams)[self._sites(sites, self.state.n_max)]
+        return _h(w) @ w - np.eye(2 * self.m)
 
-    def factorization_residuals(self, n):
+    def recursion_residuals(self, sites, lams):
+        """Residuals of W_{n+1} - W_n = -(i/lam) S_n W_n for the fundamental
+        solution, indexed [i, k]."""
+        n = self._sites(sites, self.state.n_max - 1)
+        lams = [complex(lam) for lam in lams]
+        f = self.fundamental_grid(lams)
+        step = _scaled([1j / lam for lam in lams], self._spins[n][:, None])
+        return linalg.frob_norms(f[n + 1] - f[n] + step @ f[n])
+
+    def factorization_residual_arrays(self, sites):
         """Residuals of the +/-i relations tying consecutive W columns and
-        the rank-m factorizations of I +/- S_n.
+        the rank-m factorizations of I +/- S_n, over the sites.
 
-        Returns a dict with keys 'first', 'second', 'plus', 'minus'.
+        Returns a dict of arrays with keys 'first', 'second', 'plus', 'minus'.
         """
+        n = self._sites(sites, self.state.n_max - 1)
         m = self.m
         i_m = np.eye(m, dtype=complex)
         i2m = np.eye(2 * m, dtype=complex)
         a = self.alpha
         core = linalg.inv(a @ a + np.eye(self.order, dtype=complex))
-        lam_n = self.state.lambdas[n]
-        y = self.state.sigma_inv_lambdas[n].conj().T    # Lam_n* Sig_n^{-1}
+        lam_n, y = self._lambdas[n], self._y[n]
+        w = self.w_grid([1j, -1j])
 
-        w_n_pi_1 = self.column_block(n, 1j, 0)
-        w_n1_mi_1 = self.column_block(n + 1, -1j, 0)
-        first = linalg.frob(w_n_pi_1 - w_n1_mi_1 @ (
-            i_m + 2 * w_n_pi_1.conj().T @ y @ core @ lam_n[:, :m]
+        w_n_pi_1, w_n1_mi_1 = w[n, 0, :, :m], w[n + 1, 1, :, :m]
+        first = linalg.frob_norms(w_n_pi_1 - w_n1_mi_1 @ (
+            i_m + 2 * _h(w_n_pi_1) @ y @ core @ lam_n[..., :m]
         ))
 
-        w_n_mi_2 = self.column_block(n, -1j, 1)
-        w_n1_pi_2 = self.column_block(n + 1, 1j, 1)
-        second = linalg.frob(w_n_mi_2 - w_n1_pi_2 @ (
-            i_m - 2 * w_n_mi_2.conj().T @ y @ core @ lam_n[:, m:]
+        w_n_mi_2, w_n1_pi_2 = w[n, 1, :, m:], w[n + 1, 0, :, m:]
+        second = linalg.frob_norms(w_n_mi_2 - w_n1_pi_2 @ (
+            i_m - 2 * _h(w_n_mi_2) @ y @ core @ lam_n[..., m:]
         ))
 
-        s = self.state.spins[n]
-        plus = linalg.frob(i2m + s - 2 * w_n1_mi_1 @ w_n_pi_1.conj().T)
-        minus = linalg.frob(i2m - s - 2 * w_n1_pi_2 @ w_n_mi_2.conj().T)
+        s = self._spins[n]
+        plus = linalg.frob_norms(i2m + s - 2 * w_n1_mi_1 @ _h(w_n_pi_1))
+        minus = linalg.frob_norms(i2m - s - 2 * w_n1_pi_2 @ _h(w_n_mi_2))
         return {"first": first, "second": second, "plus": plus, "minus": minus}
+
+    # the residuals at one site and one lambda
+
+    def identity_residual(self, n, lam):
+        return float(self.identity_residuals([n], [lam])[0, 0])
+
+    def unitarity_residual(self, n, lam):
+        return float(self.unitarity_residuals([n], [lam])[0, 0])
+
+    def gram_identity_residual(self, n, lam):
+        return float(self.gram_identity_residuals([n], [lam])[0, 0])
+
+    def recursion_residual(self, n, lam):
+        return float(self.recursion_residuals([n], [lam])[0, 0])
+
+    def factorization_residuals(self, n):
+        return {key: float(value[0]) for key, value
+                in self.factorization_residual_arrays([n]).items()}
 
     def properness_deviation(self, n, radius=1e8):
         """||W(n, lam) - I|| at |lam| = radius (decays like 1/|lam|)."""

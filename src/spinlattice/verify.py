@@ -115,11 +115,7 @@ def _closed_form(ctx):
 
 
 def _transfer_identity(ctx):
-    worst = max(
-        ctx.transfer.identity_residual(n, lam)
-        for n in ctx.sites for lam in ctx.grid
-    )
-    return worst, 1e-9
+    return ctx.transfer.identity_residuals(ctx.sites, ctx.grid).max(), 1e-9
 
 
 def _k_residual(ctx):
@@ -132,37 +128,20 @@ def _k_residual(ctx):
 
 
 def _inverse_product(ctx):
-    worst = max(
-        ctx.transfer.unitarity_residual(n, lam)
-        for n in ctx.sites for lam in ctx.grid
-    )
-    return worst, 1e-9
+    return ctx.transfer.unitarity_residuals(ctx.sites, ctx.grid).max(), 1e-9
 
 
 def _two_point(ctx):
-    worst = max(
-        ctx.transfer.gram_identity_residual(n, lam)
-        for n in ctx.sites for lam in ctx.grid
-    )
-    return worst, 1e-9
+    return ctx.transfer.gram_identity_residuals(ctx.sites, ctx.grid).max(), 1e-9
 
 
 def _contractivity(ctx):
-    worst = -np.inf
-    for n in ctx.sites:
-        for lam in ctx.lower_grid:
-            w = ctx.transfer.w(n, lam)
-            gram = w.conj().T @ w - np.eye(w.shape[0])
-            worst = max(worst, float(np.linalg.eigvalsh(gram)[-1]))
-    return max(0.0, worst), 1e-9
+    gram = ctx.transfer.contractivity_gram(ctx.sites, ctx.lower_grid)
+    return max(0.0, np.linalg.eigvalsh(gram)[..., -1].max()), 1e-9
 
 
 def _fundamental_recursion(ctx):
-    worst = max(
-        ctx.transfer.recursion_residual(n, lam)
-        for n in ctx.sites for lam in ctx.grid
-    )
-    return worst, 1e-9
+    return ctx.transfer.recursion_residuals(ctx.sites, ctx.grid).max(), 1e-9
 
 
 def _rank_structure(ctx):
@@ -178,11 +157,8 @@ def _rank_structure(ctx):
 
 
 def _factorizations(ctx):
-    worst = 0.0
-    for n in ctx.sites:
-        res = ctx.transfer.factorization_residuals(n)
-        worst = max(worst, max(res.values()))
-    return worst, 1e-9
+    res = ctx.transfer.factorization_residual_arrays(ctx.sites)
+    return max(r.max() for r in res.values()), 1e-9
 
 
 def _monotone(ctx):
@@ -204,14 +180,11 @@ def _monotone(ctx):
 
 
 def _weyl_ratio(ctx):
-    phi = ctx.weyl
-    worst = 0.0
-    for lam in ctx.grid:
-        w0 = ctx.transfer.w(0, lam)
-        m = ctx.triple.m
-        b, d = w0[:m, m:], w0[m:, m:]
-        worst = max(worst, linalg.frob(phi(lam, ctx.tol) - b @ linalg.inv(d)))
-    return worst, 1e-10
+    m = ctx.triple.m
+    w0 = ctx.transfer.w_grid(ctx.grid)[0]
+    phi = np.array([ctx.weyl(lam, ctx.tol) for lam in ctx.grid])
+    d_inv = linalg.solve(w0[:, m:, m:], np.broadcast_to(linalg.eye(m), phi.shape))
+    return linalg.frob_norms(phi - w0[:, :m, m:] @ d_inv).max(), 1e-10
 
 
 def _weyl_normalized(ctx):
@@ -339,9 +312,11 @@ def check_names(m=1):
 def run_checks(triple: ParameterTriple, n_max=15, tol: Tolerances = DEFAULT):
     """Run the named invariant checks and return results sorted by name.
 
-    Requires a class FG triple (the identities under test assume it).  The
-    evolution checks run only for 2x2 spin matrices (m = 1).
+    Requires a class FG triple (the identities under test assume it) and
+    n_max >= 1.  The evolution checks run only for 2x2 spin matrices (m = 1).
     """
+    if n_max < 1:
+        raise ValueError(f"run_checks needs n_max >= 1, got {n_max}")
     report = validate(triple, tol)
     if report.triple_class not in (TripleClass.FG, TripleClass.FG_TILDE):
         raise AdmissibilityError(

@@ -12,7 +12,7 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import AdmissibilityError, DimensionError, PoleError
 from .lattice import generate
-from .transfer import Transfer
+from .transfer import Transfer, _scaled
 from .triples import ParameterTriple, TripleClass, validate
 
 __all__ = [
@@ -175,30 +175,26 @@ def _summability(transfer, lam, n_terms, phi, is_true_phi):
     identity check."""
     m = transfer.m
     stack = np.vstack([phi, np.eye(m, dtype=complex)])
+    w = transfer.w_grid([lam])[:, 0]
+    wn = transfer.fundamental_grid([lam])[:, 0]
 
     column_residual = 0.0
     if is_true_phi:
-        d_inv = linalg.inv(transfer.w(0, lam)[m:, m:], "d(lambda)")
+        d_inv = linalg.inv(w[0][m:, m:], "d(lambda)")
         rhs_stack = np.vstack([np.zeros((m, m), dtype=complex), d_inv])
-        for n in range(min(n_terms, 5) + 1):
-            wn = transfer.fundamental(n, lam)
-            rhs = ((lam + 1j) / lam) ** n * transfer.w(n, lam) @ rhs_stack
-            column_residual = max(column_residual, linalg.frob(wn @ stack - rhs))
+        sites = min(n_terms, 5) + 1
+        rhs = _scaled([((lam + 1j) / lam) ** n for n in range(sites)],
+                      w[:sites]) @ rhs_stack
+        column_residual = linalg.frob_norms(wn[:sites] @ stack - rhs).max()
 
-    partial = []
-    total = 0.0
-    first = None
-    for n in range(n_terms):
-        term = linalg.frob(transfer.fundamental(n, lam) @ stack) ** 2
-        if first is None:
-            first = term
-        total += term
-        partial.append(total)
+    # squares of Python floats summed in sequence: the bits of a running sum
+    terms = linalg.frob_norms(wn[:n_terms] @ stack).tolist()
+    partial = np.cumsum([t ** 2 for t in terms])
     quarter = max(1, (3 * n_terms) // 4)
     tail = partial[-1] - partial[quarter - 1]
-    is_cauchy = tail < 1e-8 * max(first, np.finfo(float).tiny)
+    is_cauchy = tail < 1e-8 * max(partial[0], np.finfo(float).tiny)
     return SummabilityReport(
-        partial_sums=partial,
+        partial_sums=partial.tolist(),
         is_cauchy=bool(is_cauchy),
         tail_increment=float(tail),
         column_identity_residual=float(column_residual),

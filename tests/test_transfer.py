@@ -1,8 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from spinlattice import Transfer, generate, j_power_factor, lambda_grid
-from spinlattice.errors import PoleError
+from spinlattice import (Transfer, generate, j_power_factor, lambda_grid,
+                         random_admissible_triple, random_general_sigma_triple)
+from spinlattice.errors import PoleError, SpinLatticeError
+from spinlattice.verify import run_checks
 
 
 @pytest.fixture
@@ -45,9 +51,10 @@ def test_fundamental_normalized_at_zero(small_triple, transfer):
     assert np.allclose(transfer.fundamental(0, lam), np.eye(2 * small_triple.m))
 
 
-def test_w_makes_one_solve_per_distinct_point(transfer, monkeypatch):
-    """The resolvent is the only solve of W(n, lambda): Sigma_n^{-1} Lambda_n
-    comes with the state, and repeated points come from the cache."""
+def test_w_makes_one_solve_per_distinct_lambda(transfer, monkeypatch):
+    """The resolvent is the only solve of W(n, lambda), one per lambda for
+    every n: Sigma_n^{-1} Lambda_n comes with the state, and repeated points
+    come from the cache."""
     solves = []
     solve = np.linalg.solve
 
@@ -59,7 +66,7 @@ def test_w_makes_one_solve_per_distinct_point(transfer, monkeypatch):
     points = [(n, lam) for n in range(13) for lam in (2.0 - 1.5j, 3j)]
     for n, lam in points + points:
         transfer.w(n, lam)
-    assert len(solves) == len(points)
+    assert len(solves) == 2
 
 
 def test_fundamental_is_cached(transfer):
@@ -105,3 +112,146 @@ def test_rank_of_i_plus_minus_s(wide_triple):
 
 def test_properness(small_triple, transfer):
     assert transfer.properness_deviation(4, radius=1e8) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [-1, -6, 6])
+def test_site_outside_the_horizon_is_rejected(small_triple, n):
+    transfer = Transfer(generate(small_triple, n_max=5))
+    with pytest.raises(ValueError, match=f"site {n} outside 0..5"):
+        transfer.w(n, 2.0 - 1.5j)
+    with pytest.raises(ValueError, match=f"site {n} outside 0..5"):
+        transfer.fundamental(n, 2.0 - 1.5j)
+    with pytest.raises(ValueError, match="outside 0..4"):
+        transfer.identity_residual(5, 2.0 - 1.5j)
+
+
+# The per-point formulas W(n, lambda) and its residuals were evaluated with
+# before they were stacked over sites x lambdas; the stacked kernel must
+# reproduce them bit for bit.
+
+def _w(state, n, lam):
+    lam = complex(lam)
+    alpha = state.triple.alpha
+    resolvent = np.linalg.solve(
+        lam * np.eye(alpha.shape[0], dtype=complex) - alpha, state.lambdas[n])
+    y = state.sigma_inv_lambdas[n].conj().T
+    return np.eye(2 * state.m, dtype=complex) + 1j * y @ resolvent
+
+
+def _j_power(lam, n, m):
+    out = np.zeros((2 * m, 2 * m), dtype=complex)
+    out[:m, :m] = (1 - 1j / lam) ** n * np.eye(m)
+    out[m:, m:] = (1 + 1j / lam) ** n * np.eye(m)
+    return out
+
+
+def _fundamental(state, n, lam):
+    return (_w(state, n, lam) @ _j_power(lam, n, state.m)
+            @ _w(state, 0, np.conj(lam)).conj().T)
+
+
+def _frob(a):
+    return float(np.linalg.norm(a, "fro"))
+
+
+def _point_residuals(state, n, lam):
+    m, alpha, s = state.m, state.triple.alpha, state.spins[n]
+    i_n = np.eye(alpha.shape[0], dtype=complex)
+    w, w1 = _w(state, n, lam), _w(state, n + 1, lam)
+    g = np.eye(2 * m, dtype=complex) - (1j / lam) * s
+    lam_n = state.lambdas[n]
+    inner = np.linalg.solve(state.sigmas[n],
+                            np.linalg.solve(lam * i_n - alpha, lam_n))
+    inner = np.linalg.solve(np.conj(lam) * i_n - alpha.conj().T, inner)
+    rhs = np.eye(2 * m, dtype=complex) - 1j * (lam - np.conj(lam)) * (
+        lam_n.conj().T @ inner)
+    f, f1 = _fundamental(state, n, lam), _fundamental(state, n + 1, lam)
+    return {
+        "identity": _frob(w1 @ _j_power(lam, 1, m) - g @ w),
+        "unitarity": _frob(w @ _w(state, n, np.conj(lam)).conj().T
+                           - np.eye(2 * m)),
+        "gram": _frob(w.conj().T @ w - rhs),
+        "recursion": _frob(f1 - f + (1j / lam) * s @ f),
+    }
+
+
+def _point_factorizations(state, n):
+    m, a, s = state.m, state.triple.alpha, state.spins[n]
+    i_m, i2m = np.eye(m, dtype=complex), np.eye(2 * m, dtype=complex)
+    core = np.linalg.solve(a @ a + np.eye(a.shape[0], dtype=complex),
+                           np.eye(a.shape[0], dtype=complex))
+    lam_n = state.lambdas[n]
+    y = state.sigma_inv_lambdas[n].conj().T
+    w_n_pi_1 = _w(state, n, 1j)[:, :m]
+    w_n1_mi_1 = _w(state, n + 1, -1j)[:, :m]
+    w_n_mi_2 = _w(state, n, -1j)[:, m:]
+    w_n1_pi_2 = _w(state, n + 1, 1j)[:, m:]
+    return {
+        "first": _frob(w_n_pi_1 - w_n1_mi_1 @ (
+            i_m + 2 * w_n_pi_1.conj().T @ y @ core @ lam_n[:, :m])),
+        "second": _frob(w_n_mi_2 - w_n1_pi_2 @ (
+            i_m - 2 * w_n_mi_2.conj().T @ y @ core @ lam_n[:, m:])),
+        "plus": _frob(i2m + s - 2 * w_n1_mi_1 @ w_n_pi_1.conj().T),
+        "minus": _frob(i2m - s - 2 * w_n1_pi_2 @ w_n_mi_2.conj().T),
+    }
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(order=st.integers(1, 8), m=st.integers(1, 3), general=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernel_matches_the_per_point_formulas(order, m, general, seed):
+    rng = np.random.default_rng(seed)
+    make = random_general_sigma_triple if general else random_admissible_triple
+    try:
+        state = generate(make(rng, order, m), n_max=6)
+    except SpinLatticeError:
+        assume(False)
+    transfer = Transfer(state)
+    scale = 1.0 + float(np.linalg.norm(state.triple.alpha, 2))
+    lams = [complex(lam) for lam in lambda_grid(state.triple.alpha, count=3)]
+    lams.append(scale * (0.6 - 0.8j))
+    sites = range(state.n_max)
+
+    w = transfer.w_grid(lams)
+    f = transfer.fundamental_grid(lams)
+    gram = transfer.contractivity_gram(sites, lams)
+    arrays = {
+        "identity": transfer.identity_residuals(sites, lams),
+        "unitarity": transfer.unitarity_residuals(sites, lams),
+        "gram": transfer.gram_identity_residuals(sites, lams),
+        "recursion": transfer.recursion_residuals(sites, lams),
+    }
+    for k, lam in enumerate(lams):
+        for n in range(state.n_max + 1):
+            assert np.array_equal(w[n, k], _w(state, n, lam))
+            assert np.array_equal(f[n, k], _fundamental(state, n, lam))
+        for n in sites:
+            point = _w(state, n, lam)
+            assert np.array_equal(gram[n, k],
+                                  point.conj().T @ point - np.eye(2 * m))
+            for name, value in _point_residuals(state, n, lam).items():
+                assert arrays[name][n, k] == value, (name, n, lam)
+    factorizations = transfer.factorization_residual_arrays(sites)
+    for n in sites:
+        for name, value in _point_factorizations(state, n).items():
+            assert factorizations[name][n] == value, (name, n)
+
+
+def test_run_checks_solves_once_per_lambda_batch(monkeypatch):
+    """One run_checks of an order-3, m = 1 triple at n_max = 15 makes a few
+    broadcast solves in transfer, where one solve per (n, lambda) point made
+    522."""
+    triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
+    solve = np.linalg.solve
+    callers = []
+
+    def counted(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__") == "spinlattice.linalg":
+            frame = frame.f_back
+        callers.append(frame.f_globals.get("__name__"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    run_checks(triple, n_max=15)
+    assert 0 < callers.count("spinlattice.transfer") <= 20

@@ -116,3 +116,9 @@ def test_verify_builds_each_shared_quantity_once(counts, n_max, states):
     assert all(np.isfinite(r.residual) for r in results)     # none raised
     assert counts["states"] == states
     assert counts["expm"] == 2 * 7 + 3 * 2
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_run_checks_rejects_a_horizon_below_one(small_triple, n_max):
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        run_checks(small_triple, n_max=n_max)
