@@ -22,7 +22,7 @@ from .errors import (
     InputError,
     SpinLatticeError,
 )
-from .evolution import TimeSlice
+from .evolution import trajectory
 from .inverse import invert
 from .lattice import generate
 from .transfer import Transfer
@@ -89,7 +89,7 @@ def _parse_time_grid(text):
 
 
 def _check_nmax(args):
-    low = 1 if args.command == "verify" else 0
+    low = {"verify": 1, "evolve": 3}.get(args.command, 0)
     if getattr(args, "nmax", low) < low:
         raise InputError(f"--nmax must be >= {low}, got {args.nmax}")
 
@@ -165,7 +165,8 @@ def _cmd_weyl(args, tol):
     triple = _load_triple(args.triple)
     phi = weyl(triple, tol)
     grid = _parse_lambda_grid(args.lambda_grid)
-    samples = [{"lambda": lam, "phi": phi(lam, tol)} for lam in grid]
+    samples = [{"lambda": lam, "phi": value}
+               for lam, value in zip(grid, phi.grid(grid, tol))]
     with _output(args) as out:
         out.write(serialize.dumps(samples))
     return 0
@@ -184,27 +185,29 @@ def _cmd_invert(args, tol):
 def _cmd_evolve(args, tol):
     triple = _load_triple(args.triple)
     times = _parse_time_grid(args.time_grid)
-    n_max = max(args.nmax, 3)
     lam_probe = 2.0 + 0.5j
     columns = ["t", "n", "s1", "s2", "s3", "zc_residual", "ihm_residual"]
+    sites = range(1, args.nmax - 1)
+    as_json = args.format == "json"
     rows = []
-    for t in times:
-        lattice = TimeSlice(triple, t, n_max, tol=tol)
-        state = lattice.state
-        for n in range(1, n_max - 1):
-            vec = lattice.vectors[n]
-            rows.append(dict(zip(columns, (
-                float(t), n, vec.s1, vec.s2, vec.s3,
-                lattice.zero_curvature(n, lam_probe), lattice.ihm(n)))))
-            if args.format == "json":
-                rows[-1]["spin"] = state.spins[n]
-                rows[-1]["sigma0"] = state.sigmas[0]
+    for grid, zc, ihm in trajectory(triple, times, args.nmax, lam_probe,
+                                    tol=tol):
+        vectors = grid.vectors[:, 1:-1].tolist()
+        zc, ihm = zc.tolist(), ihm.tolist()
+        if as_json:
+            spins, sigma0 = grid.spins[:, 1:-1].copy(), grid.sigma0.copy()
+        for k, t in enumerate(grid.times.tolist()):
+            for i, n in enumerate(sites):
+                row = (t, n, *vectors[k][i], zc[k][i], ihm[k][i])
+                if as_json:
+                    row = dict(zip(columns, row), spin=spins[k, i],
+                               sigma0=sigma0[k])
+                rows.append(row)
     with _output(args) as out:
-        if args.format == "json":
+        if as_json:
             out.write(serialize.dumps(rows))
         else:
-            serialize.write_csv(out, columns,
-                                ([row[c] for c in columns] for row in rows))
+            serialize.write_csv(out, columns, rows)
     return 0
 
 

@@ -17,8 +17,8 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneracyError, DimensionError, InputError,
                      NumericError, SpectrumError, SpinLatticeError)
-from .lattice import _lattice_powers, generate
-from .transfer import Transfer, _g
+from .lattice import _Faults, _lattice_powers, generate, generate_stack
+from .transfer import Transfer, _g, _h
 from .triples import ParameterTriple, projectors, signature_matrix
 from .weyl import _realization
 
@@ -28,7 +28,9 @@ __all__ = [
     "evolve_sigma0",
     "triple_at",
     "state_at",
+    "TimeGrid",
     "TimeSlice",
+    "trajectory",
     "SpinVector",
     "spin_vector",
     "spin_evolution",
@@ -65,22 +67,42 @@ def _check_spectrum(triple, tol, need_zero=True, need_upper=False):
     return spec
 
 
-def _expm(a, t):
-    """e^a for a time-t quantity; an overflow is a NumericError naming t,
-    not a numpy warning followed by NaN downstream."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm(a)
-    if not np.isfinite(e).all():
-        raise NumericError(f"matrix exponential overflows at t = {t:g}")
+def _overflow(t):
+    return NumericError(f"matrix exponential overflows at t = {t:g}")
+
+
+def _finite(a):
+    """Whether each matrix of a stack has finite entries only."""
+    return np.isfinite(a).all(axis=(-2, -1))
+
+
+def _expm(a, times, faults):
+    """e^{a[p, k]} for the time-times[k] quantities a[p, k] of each entry k
+    that has no error yet, in one expm call.  A non-finite exponent or
+    exponential is a NumericError naming t, not numpy warnings and NaN
+    downstream; the entries with an error get the identity."""
+    faults.put(~_finite(a).all(axis=0), lambda k: _overflow(times[k]))
+    live = faults.live()
+    e = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+    if live.size:
+        e[:, live] = scipy.linalg.expm(a[:, live])
+    faults.put(~_finite(e).all(axis=0), lambda k: _overflow(times[k]))
     return e
 
 
-def _exp_factors(alpha, t):
-    """e^{-2t(alpha - iI)^{-1}} and e^{-2t(alpha + iI)^{-1}}."""
+def _resolvents(alpha):
+    """(alpha - iI)^{-1} and (alpha + iI)^{-1}."""
     i_n = np.eye(alpha.shape[0], dtype=complex)
-    e_minus = _expm(-2.0 * t * linalg.inv(alpha - 1j * i_n), t)
-    e_plus = _expm(-2.0 * t * linalg.inv(alpha + 1j * i_n), t)
-    return e_minus, e_plus
+    return linalg.inv(alpha - 1j * i_n), linalg.inv(alpha + 1j * i_n)
+
+
+def _exp_factors(alpha, times):
+    """(e^{-2t(alpha - iI)^{-1}} and e^{-2t(alpha + iI)^{-1}} at each time,
+    indexed [0 or 1, time]; faults)."""
+    faults = _Faults(times.size)
+    scale = (-2.0 * times)[:, None, None]
+    return _expm(np.stack([scale * r for r in _resolvents(alpha)]), times,
+                 faults), faults
 
 
 def _check_time(t):
@@ -88,18 +110,42 @@ def _check_time(t):
         raise InputError(f"time t must be finite, got {t!r}")
 
 
-def _lambda0(triple, t, tol, need_upper=False):
-    """(Lambda_0(t), spectrum report of alpha); ``need_upper`` adds the
-    spectrum condition of the Sylvester route to the checks."""
-    _check_time(t)
-    spec = _check_spectrum(triple, tol, need_zero=False, need_upper=need_upper)
-    e_minus, e_plus = _exp_factors(triple.alpha, t)
-    return np.hstack([e_minus @ triple.theta1, e_plus @ triple.theta2]), spec
+def _at(stacked, subject, t, *args):
+    """``stacked(subject, times, *args)``, a stacked evaluation that returns
+    its faults last, on the grid of the one time t: its other results,
+    after raising the error of t.  Floating point warnings are silenced;
+    failures are errors."""
+    with np.errstate(all="ignore"):
+        *results, faults = stacked(subject, np.array([t], dtype=float), *args)
+    faults.check()
+    return results
+
+
+def _lambda0(triple, times, tol, need_upper=False):
+    """(Lambda_0(t) at each of ``times``, stacked; spectrum report of alpha,
+    or None if it fails the checks; faults).  ``need_upper`` adds the
+    spectrum condition of the Sylvester route to the checks.  An entry
+    that fails keeps Lambda_0."""
+    faults = _Faults(times.size)
+    faults.put(~np.isfinite(times), lambda k: InputError(
+        f"time t must be finite, got {float(times[k])!r}"))
+    lam = np.broadcast_to(triple.lambda0,
+                          times.shape + triple.lambda0.shape).copy()
+    try:
+        spec = _check_spectrum(triple, tol, need_zero=False,
+                               need_upper=need_upper)
+        e, overflows = _exp_factors(triple.alpha, times)
+    except SpinLatticeError as exc:        # the same for every time
+        faults.put(np.arange(times.size), exc)
+        return lam, None, faults
+    faults.merge(np.arange(times.size), overflows)
+    return np.concatenate([e[0] @ triple.theta1, e[1] @ triple.theta2],
+                          axis=-1), spec, faults
 
 
 def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     """Lambda_0(t) = [e^{-2t(a - iI)^{-1}} theta1, e^{-2t(a + iI)^{-1}} theta2]."""
-    return _lambda0(triple, t, tol)[0]
+    return _at(_lambda0, triple, t, tol)[0][0]
 
 
 def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
@@ -128,12 +174,13 @@ def _sigma_rk4(triple, t, rk_step=1e-3):
     steps = max(1, int(np.ceil(steps)))
     h = t / steps
     i_n = np.eye(alpha.shape[0], dtype=complex)
-    r = linalg.inv(alpha - 1j * i_n) + linalg.inv(alpha + 1j * i_n)
+    minus, plus = _resolvents(alpha)
+    r = minus + plus
     r_adj = r.conj().T
     q = linalg.inv(alpha @ alpha + i_n)
     q_alpha = q @ alpha
     j = signature_matrix(m)
-    p_minus, p_plus = _exp_factors(alpha, h / 2)
+    (p_minus,), (p_plus,) = _at(_exp_factors, alpha, h / 2)[0]
 
     def rhs(sigma, lam):
         # Q alpha C Q* = (Q alpha Lam) J (Q Lam)*, and Q C alpha* Q* is its
@@ -158,51 +205,76 @@ def _sigma_rk4(triple, t, rk_step=1e-3):
     return linalg.herm(sigma)
 
 
-def _gramian(a, b, t):
-    """int_0^t e^{sA} b b* e^{sA*} ds from one expm of the Van Loan block
-    t [[-A, b b*], [0, A*]] (Van Loan, IEEE TAC 23, 1978): its top-right
-    block, premultiplied by the adjoint of its bottom-right block e^{tA*}."""
+def _van_loan(a, b):
+    """The block [[-A, b b*], [0, A*]]: the top-right block of e^{t block},
+    premultiplied by the adjoint of its bottom-right block e^{tA*}, is the
+    Gramian int_0^t e^{sA} b b* e^{sA*} ds (Van Loan, IEEE TAC 23, 1978)."""
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, :n] = -a
     block[:n, n:] = b @ b.conj().T
     block[n:, n:] = a.conj().T
-    f = _expm(t * block, t)
-    return f[n:, n:].conj().T @ f[:n, n:]
+    return block
 
 
-def _sigma_flow(triple, t):
-    """Exact solution at t of the Sigma_0 flow that ``_sigma_rk4``
-    integrates, from three expm calls whatever t is.  R, Q and the
-    propagators are functions of alpha and commute, so
+def _sigma_flow(triple, times):
+    """Exact solution at each of ``times`` of the Sigma_0 flow that
+    ``_sigma_rk4`` integrates, stacked, from three exponentials per time
+    whatever t is.  R, Q and the propagators are functions of alpha and
+    commute, so
 
     Sigma_0(t) = E [Sigma_0 - 2(Q alpha W Q* + Q W alpha* Q*)] E*,
 
     E = e^{-tR}, W = G(L, theta1) - G(-L, theta2) with the Gramians
     G(A, b) = int_0^t e^{sA} b b* e^{sA*} ds and
     L = (alpha + iI)^{-1} - (alpha - iI)^{-1}.
+
+    Returns ``(sigma, faults)``, the overflow of a time in ``faults``.
     """
     alpha = triple.alpha
-    i_n = np.eye(alpha.shape[0], dtype=complex)
-    minus, plus = linalg.inv(alpha - 1j * i_n), linalg.inv(alpha + 1j * i_n)
+    n = alpha.shape[0]
+    faults = _Faults(times.size)
+    minus, plus = _resolvents(alpha)
     q = minus @ plus
-    e = _expm(-t * (minus + plus), t)
-    w = (_gramian(plus - minus, triple.theta1, t)
-         - _gramian(minus - plus, triple.theta2, t))
-    term = q @ alpha @ linalg.herm(w) @ q.conj().T
-    y = triple.sigma0 - 2.0 * (term + term.conj().T)
-    return linalg.herm(e @ y @ e.conj().T)
+    e = _expm((-times)[None, :, None, None] * (minus + plus), times, faults)[0]
+    blocks = np.stack([_van_loan(plus - minus, triple.theta1),
+                       _van_loan(minus - plus, triple.theta2)])
+    f = _expm(times[:, None, None] * blocks[:, None], times, faults)
+    g = _h(f[..., n:, n:]) @ f[..., :n, n:]
+    term = q @ alpha @ linalg.herm(g[0] - g[1]) @ q.conj().T
+    y = triple.sigma0 - 2.0 * (term + _h(term))
+    return linalg.herm(e @ y @ _h(e)), faults
 
 
-def _lambda_sigma(triple, t, tol, need_upper=False):
-    """(Lambda_0(t), Sigma_0(t)).  a Sig - Sig a* = i Lam0(t) Lam0(t)* fixes
-    Sigma_0(t) only for spec(alpha) in the open upper half plane: a Sylvester
-    solve there, else the exact solution of its flow (which ``need_upper``
-    refuses)."""
-    lam_t, spec = _lambda0(triple, t, tol, need_upper)
+def _lambda_sigma(triple, times, tol, need_upper=False):
+    """(Lambda_0(t), Sigma_0(t), faults) stacked over ``times``.
+    a Sig - Sig a* = i Lam0(t) Lam0(t)* fixes Sigma_0(t) only for
+    spec(alpha) in the open upper half plane: a Sylvester solve there, over
+    one pair of Schur forms for every time, else the exact solution of its
+    flow (which ``need_upper`` refuses).  An entry that fails records its
+    error and keeps Sigma_0."""
+    lam, spec, faults = _lambda0(triple, times, tol, need_upper)
+    sigma = np.broadcast_to(triple.sigma0,
+                            times.shape + triple.sigma0.shape).copy()
+    if spec is None:
+        return lam, sigma, faults
     if spec.min_imag_part > tol.spec_tol:
-        return lam_t, linalg.sigma_from_identity(triple.alpha, lam_t, tol)[0]
-    return lam_t, _sigma_flow(triple, t)
+        faults.put(~_finite(lam),
+                   NumericError("lambda contains non-finite entries"))
+        faults.put(~_finite(1j * lam @ _h(lam)),
+                   NumericError("C contains non-finite entries"))
+        live = faults.live()
+        try:
+            if live.size:
+                sigma[live] = linalg.sigma_from_identity(triple.alpha,
+                                                         lam[live], tol)[0]
+        except SpinLatticeError as exc:     # overlapping spectra
+            faults.put(live, exc)
+        return lam, sigma, faults
+    live = faults.live()
+    sigma[live], flow = _sigma_flow(triple, times[live])
+    faults.merge(live, flow)
+    return lam, sigma, faults
 
 
 def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
@@ -212,14 +284,14 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
     ``sylvester``: unique solution of a Sig - Sig a* = i Lam0(t) Lam0(t)*
     (requires the spectrum of alpha strictly inside the upper half plane).
     ``gramian``: exact solution of the Sigma_0 flow from Sigma_0(0), three
-    expm calls for any t (Van Loan Gramians, see ``_sigma_flow``).
+    matrix exponentials for any t (Van Loan Gramians, see ``_sigma_flow``).
     ``ode``: fixed-step RK4 on the same flow, the reference for
     ``gramian``; ``rk_step`` applies to it alone.
     All results are symmetrized.  ``triple_at`` takes ``sylvester`` on
     the open upper half plane and ``gramian`` elsewhere.
     """
     if method == "sylvester":
-        return _lambda_sigma(triple, t, tol, need_upper=True)[1]
+        return _at(_lambda_sigma, triple, t, tol, True)[1][0]
     if method not in ("gramian", "ode"):
         raise ValueError(f"unknown method {method!r}")
     _check_time(t)
@@ -227,22 +299,41 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
         raise InputError(f"rk_step must be finite and positive, got {rk_step!r}")
     _check_spectrum(triple, tol, need_zero=False)
     if method == "gramian":
-        return _sigma_flow(triple, t)
+        return _at(_sigma_flow, triple, t)[0][0]
     return _sigma_rk4(triple, t, rk_step)
+
+
+def _triples_at(triple, times, tol):
+    """(Lambda_0(t), Sigma_0(t), faults) of the time-t triple at each of
+    ``times``, stacked, with the checks of ParameterTriple; at t = 0 the
+    triple itself."""
+    faults = _Faults(times.size)
+    lam = np.broadcast_to(triple.lambda0,
+                          times.shape + triple.lambda0.shape).copy()
+    sigma = np.broadcast_to(triple.sigma0,
+                            times.shape + triple.sigma0.shape).copy()
+    moving = np.flatnonzero(times != 0)
+    if moving.size:
+        lam_t, sigma_t, moved = _lambda_sigma(triple, times[moving], tol)
+        m = triple.m
+        for name, block in (("theta1", lam_t[..., :m]),
+                            ("theta2", lam_t[..., m:]), ("sigma0", sigma_t)):
+            moved.put(~_finite(block),
+                      NumericError(f"{name} contains non-finite entries"))
+        lam[moving] = lam_t
+        sigma[moving] = linalg.herm(sigma_t)
+        faults.merge(moving, moved)
+    return lam, sigma, faults
 
 
 def triple_at(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     """The parameter triple carrying Lambda_0(t) and Sigma_0(t)."""
     if t == 0:
         return triple
-    lam_t, sigma_t = _lambda_sigma(triple, t, tol)
+    lam, sigma = _at(_triples_at, triple, t, tol)
     m = triple.m
-    return ParameterTriple(
-        alpha=triple.alpha,
-        theta1=lam_t[:, :m],
-        theta2=lam_t[:, m:],
-        sigma0=sigma_t,
-    )
+    return ParameterTriple(alpha=triple.alpha, theta1=lam[0, :, :m],
+                           theta2=lam[0, :, m:], sigma0=sigma[0])
 
 
 def state_at(triple: ParameterTriple, t, n_max, tol: Tolerances = DEFAULT):
@@ -263,6 +354,34 @@ class SpinVector:
         return float(np.linalg.norm(self.as_array()))
 
 
+def _spin_vectors(spins, tol):
+    """(s1, s2, s3) of each 2x2 spin matrix of a stack, indexed [..., i],
+    and the errors that ``spin_vector`` raises on them, keyed by stack
+    index."""
+    vectors = np.stack([spins[..., 1, 0].real, spins[..., 1, 0].imag,
+                        spins[..., 0, 0].real], axis=-1)
+    with np.errstate(all="ignore"):
+        i2 = np.eye(2)
+        near = np.minimum(linalg.frob_norms(spins - i2),
+                          linalg.frob_norms(spins + i2))
+        norms = np.sqrt(np.vecdot(vectors, vectors))
+    finite = _finite(spins)
+    degenerate = near < tol.degeneracy_tol
+    off = abs(norms - 1.0) > 1e-9
+    faults = {}
+    for index in np.argwhere(~finite | degenerate | off):
+        index = tuple(index.tolist())
+        if not finite[index]:
+            faults[index] = NumericError("spin matrix contains non-finite entries")
+        elif degenerate[index]:
+            faults[index] = DegeneracyError("spin matrix degenerates to +/- I")
+        else:
+            faults[index] = NumericError(
+                f"spin vector norm {float(norms[index])} deviates from 1 "
+                f"beyond 1e-09")
+    return vectors, faults
+
+
 def spin_vector(s, tol: Tolerances = DEFAULT):
     """Extract (s1, s2, s3) from a 2x2 spin matrix.
 
@@ -272,17 +391,10 @@ def spin_vector(s, tol: Tolerances = DEFAULT):
     s = linalg.as_matrix(s, "spin matrix")
     if s.shape != (2, 2):
         raise DimensionError(f"spin matrix must be 2x2, got {s.shape}")
-    i2 = np.eye(2)
-    if min(linalg.frob(s - i2), linalg.frob(s + i2)) < tol.degeneracy_tol:
-        raise DegeneracyError("spin matrix degenerates to +/- I")
-    vec = SpinVector(
-        s1=float(s[1, 0].real), s2=float(s[1, 0].imag), s3=float(s[0, 0].real)
-    )
-    if abs(vec.norm - 1.0) > 1e-9:
-        raise NumericError(
-            f"spin vector norm {vec.norm} deviates from 1 beyond 1e-09"
-        )
-    return vec
+    vector, faults = _spin_vectors(s, tol)
+    if faults:
+        raise faults[()]
+    return SpinVector(*vector.tolist())
 
 
 def _require_ihm(triple):
@@ -300,10 +412,6 @@ def spin_evolution(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     return s, spin_vector(s, tol)
 
 
-def _spin_vectors(state, tol):
-    return [spin_vector(s, tol) for s in state.spins]
-
-
 @dataclass(frozen=True)
 class LaxPair:
     g: np.ndarray               # G_n(t, lambda)
@@ -316,24 +424,6 @@ class LaxPair:
     equality_minus: float
     trace_v_plus: complex
     trace_v_minus: complex
-
-
-def _bond(vectors, n, tol: Tolerances):
-    """1 + s_{n-1}.s_n, the denominator of V_n and of the IHM equation."""
-    if n < 1:
-        raise ValueError(f"site n = {n} has no S_{{n-1}}: needs n >= 1")
-    denom = 1.0 + float(np.dot(vectors[n - 1].as_array(), vectors[n].as_array()))
-    if abs(denom) < tol.degeneracy_tol:
-        raise DegeneracyError(f"1 + s_{n - 1}.s_{n} = {denom:.3e} vanishes")
-    return denom
-
-
-def _v_pair(vectors, spins, n, tol: Tolerances):
-    denom = _bond(vectors, n, tol)
-    i2 = np.eye(2, dtype=complex)
-    v_plus = (i2 + spins[n]) @ (i2 + spins[n - 1]) / denom
-    v_minus = (i2 - spins[n]) @ (i2 - spins[n - 1]) / denom
-    return v_plus, v_minus
 
 
 def _lax_parameter(lam, tol: Tolerances):
@@ -354,64 +444,215 @@ def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
     return TimeSlice(triple, t, n + 1, tol=tol).lax(n, lam)
 
 
+# Times per TimeGrid in ``trajectory``: a long time grid is built and
+# dropped one block of stacks at a time.
+TIME_BLOCK = 32
+
+
+class TimeGrid:
+    """The lattice around each time t of a grid, built as one stack: the
+    states at t to horizon N with their spin vectors, and the states at
+    t +/- h_t to horizon N - 1 for the central differences in t.  One batch
+    of time-t triples feeds one ``generate_stack`` over the 3k entries t,
+    then t + h_t, then t - h_t.  The residuals are arrays indexed
+    [time, n - 1] over the sites 1 <= n <= N - 2.
+
+    Errors are kept per state, spin vector and bond, and raised by the
+    reader in the order in which the lattice built time by time and site
+    by site meets them: ``check`` for the whole grid, a TimeSlice for one
+    time.
+    """
+
+    def __init__(self, triple: ParameterTriple, times, n_max, h_t=1e-4,
+                 tol: Tolerances = DEFAULT):
+        _require_ihm(triple)
+        self.triple, self.n_max, self.h_t, self.tol = triple, n_max, h_t, tol
+        self.times = np.asarray(times, dtype=float)
+        size = self.times.size
+        self.stamps = np.concatenate([self.times, self.times + h_t,
+                                      self.times - h_t])
+        with np.errstate(all="ignore"):
+            lam0, sigma0, faults = _triples_at(triple, self.stamps, tol)
+        self.stack = generate_stack(
+            triple.alpha, lam0, sigma0,
+            [n_max] * size + [max(n_max - 1, 0)] * (2 * size), tol,
+            faults=faults)
+        spins = self.stack.spins.reshape((3, size) + self.stack.spins.shape[1:])
+        self.spins = spins[0]
+        self.vectors, self._vector_faults = _spin_vectors(self.spins, tol)
+        # spins and spin vectors at t +/- h_t, [0 for plus or 1 for minus,
+        # time, n - 1] over the sites n = 1..N - 2
+        self._side_spins = spins[1:, :, 1:n_max - 1]
+        self._sides, self._side_faults = _spin_vectors(self._side_spins, tol)
+        # 1 + s_{n-1}.s_n, the denominator of V_n, at [time, n - 1]
+        self.bonds = 1.0 + np.vecdot(self.vectors[:, :-1], self.vectors[:, 1:])
+
+    @property
+    def sigma0(self):
+        """Sigma_0(t) at each time."""
+        return self.stack.sigmas[:self.times.size, 0]
+
+    def state(self, entry):
+        """The LatticeState of stack entry ``entry``; raises its error."""
+        self.stack.faults.check(entry)
+        triple = self.triple
+        if self.stamps[entry] != 0:
+            lam, m = self.stack.lambdas[entry, 0], triple.m
+            triple = ParameterTriple(alpha=triple.alpha, theta1=lam[:, :m],
+                                     theta2=lam[:, m:],
+                                     sigma0=self.stack.sigmas[entry, 0])
+        return self.stack.state(entry, triple)
+
+    def _bond_fault(self, k, n):
+        denom = self.bonds[k, n - 1]
+        if abs(denom) < self.tol.degeneracy_tol:
+            return DegeneracyError(f"1 + s_{n - 1}.s_{n} = {denom:.3e} vanishes")
+        return None
+
+    def _faults(self, k):
+        """The errors of time k, in the order in which ``evolve`` built
+        them time by time: the state and its spin vectors, then per site n
+        the bonds of V_n and V_{n+1}, the states at t +/- h_t (first read at
+        site 1) and their spin vectors at n."""
+        yield self.stack.faults[k]
+        yield from (self._vector_faults.get((k, n)) for n in range(self.n_max))
+        for n in range(1, self.n_max - 1):
+            yield self._bond_fault(k, n)
+            yield self._bond_fault(k, n + 1)
+            for side in (0, 1):
+                yield self.stack.faults[(side + 1) * self.times.size + k]
+            for side in (0, 1):
+                yield self._side_faults.get((side, k, n - 1))
+
+    def check(self):
+        """Raise the first error of the grid, time by time."""
+        if (any(self.stack.faults.errors) or self._vector_faults
+                or self._side_faults
+                or (abs(self.bonds) < self.tol.degeneracy_tol).any()):
+            for k in range(self.times.size):
+                for error in self._faults(k):
+                    if error is not None:
+                        raise error
+
+    @cached_property
+    def _v_pairs(self):
+        """V_n^+ and V_n^- at [time, n - 1], n = 1..N - 1."""
+        i2 = np.eye(2, dtype=complex)
+        s, d = self.spins, self.bonds[..., None, None]
+        with np.errstate(all="ignore"):
+            return ((i2 + s[:, 1:]) @ (i2 + s[:, :-1]) / d,
+                    (i2 - s[:, 1:]) @ (i2 - s[:, :-1]) / d)
+
+    def zero_curvature(self, lam):
+        """|| dG_n/dt - (F_{n+1} G_n - G_n F_n) || with a central difference,
+        at [time, n - 1].  Exact zero curvature makes this O(h_t^2)."""
+        lam = _lax_parameter(lam, self.tol)
+        f = _lax_f(*self._v_pairs, lam)
+        plus, minus = self._side_spins
+        g_mid = _g(self.spins[:, 1:self.n_max - 1], lam)
+        dg = (_g(plus, lam) - _g(minus, lam)) / (2 * self.h_t)
+        return linalg.frob_norms(dg - (f[:, 1:] @ g_mid - g_mid @ f[:, :-1]))
+
+    def ihm(self):
+        """Residual of the IHM lattice equation, central difference in t, at
+        [time, n - 1]:
+
+        ds_n/dt = 2 s_n x ( s_{n+1} / (1 + s_n.s_{n+1})
+                            + s_{n-1} / (1 + s_{n-1}.s_n) ).
+        """
+        v = self.vectors
+        with np.errstate(all="ignore"):
+            rhs = 2.0 * np.cross(v[:, 1:-1], v[:, 2:] / self.bonds[:, 1:, None]
+                                 + v[:, :-2] / self.bonds[:, :-1, None])
+        gap = (self._sides[0] - self._sides[1]) / (2 * self.h_t) - rhs
+        return np.sqrt(np.vecdot(gap, gap))
+
+    def slice(self, k):
+        """The TimeSlice of time k; raises the errors of its state and spin
+        vectors."""
+        return TimeSlice._of(self, k)
+
+
+def trajectory(triple: ParameterTriple, times, n_max, lam, h_t=1e-4,
+               tol: Tolerances = DEFAULT):
+    """The TimeGrids of ``times`` in blocks of TIME_BLOCK, each checked:
+    yields ``(grid, zero_curvature(lam), ihm())`` per block."""
+    for start in range(0, len(times), TIME_BLOCK):
+        grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max, h_t,
+                        tol)
+        grid.check()
+        yield grid, grid.zero_curvature(lam), grid.ihm()
+
+
 class TimeSlice:
     """The lattice around one time t, read by the residuals of every site:
-    the state at t to horizon N with its spin vectors and its Transfer, and
-    the states at t +/- h_t to horizon N - 1 for the central differences in
-    t.  The Transfer and the t +/- h_t states are built on first use, so a
-    slice read only by ``lax`` or ``monodromy`` builds one state.  The
+    a TimeGrid of one time, or one time of a larger one.  ``state`` and
+    ``vectors`` are those at t, ``plus`` and ``minus`` the states at
+    t +/- h_t to horizon N - 1, and the Transfer of ``state`` is built on
+    first use.  Each read raises the errors that it meets.  The
     differences can be evaluated at sites 1 <= n <= N - 2."""
 
     def __init__(self, triple: ParameterTriple, t, n_max, h_t=1e-4,
                  tol: Tolerances = DEFAULT):
-        _require_ihm(triple)
-        self.state = state_at(triple, t, n_max=n_max, tol=tol)
-        self.vectors = _spin_vectors(self.state, tol)
-        self.triple, self.t, self.h_t, self.tol = triple, t, h_t, tol
+        self._bind(TimeGrid(triple, [t], n_max, h_t, tol), 0)
+
+    @classmethod
+    def _of(cls, grid, k):
+        view = cls.__new__(cls)
+        view._bind(grid, k)
+        return view
+
+    def _bind(self, grid, k):
+        self._grid, self._k = grid, k
+        self.state = grid.state(k)
+        for n in range(grid.n_max):
+            error = grid._vector_faults.get((k, n))
+            if error is not None:
+                raise error
+        self.vectors = [SpinVector(*v) for v in grid.vectors[k].tolist()]
+        self.triple, self.h_t, self.tol = grid.triple, grid.h_t, grid.tol
+        self.t = float(grid.times[k])
 
     @cached_property
     def plus(self):
-        return state_at(self.triple, self.t + self.h_t,
-                        n_max=self.state.n_max - 1, tol=self.tol)
+        return self._grid.state(self._grid.times.size + self._k)
 
     @cached_property
     def minus(self):
-        return state_at(self.triple, self.t - self.h_t,
-                        n_max=self.state.n_max - 1, tol=self.tol)
+        return self._grid.state(2 * self._grid.times.size + self._k)
 
     @cached_property
     def transfer(self):
         return Transfer(self.state, self.tol)
 
-    def _d_dt(self, f, n):
-        """Central difference in t of f(S_n)."""
-        return (f(self.plus.spins[n]) - f(self.minus.spins[n])) / (2 * self.h_t)
+    def _site(self, n, top):
+        if not 1 <= n <= top:
+            raise ValueError(f"site n = {n} outside 1..{top} of this slice")
+
+    def _bonds(self, *sites):
+        for n in sites:
+            error = self._grid._bond_fault(self._k, n)
+            if error is not None:
+                raise error
 
     def zero_curvature(self, n, lam):
-        """|| dG_n/dt - (F_{n+1} G_n - G_n F_n) || with a central difference.
-
-        Exact zero curvature makes this O(h_t^2).
-        """
+        """``TimeGrid.zero_curvature`` at site n."""
         lam = _lax_parameter(lam, self.tol)
-        spins = self.state.spins
-        f_n, f_n1 = (_lax_f(*_v_pair(self.vectors, spins, k, self.tol), lam)
-                     for k in (n, n + 1))
-        g_mid = _g(spins[n], lam)
-        dg = self._d_dt(lambda s: _g(s, lam), n)
-        return linalg.frob(dg - (f_n1 @ g_mid - g_mid @ f_n))
+        self._site(n, self._grid.n_max - 2)
+        self._bonds(n, n + 1)
+        self.plus, self.minus
+        return float(self._grid.zero_curvature(lam)[self._k, n - 1])
 
     def ihm(self, n):
-        """Residual of the IHM lattice equation at site n, central difference
-        in t:
-
-        ds_n/dt = 2 s_n x ( s_{n+1} / (1 + s_n.s_{n+1})
-                            + s_{n-1} / (1 + s_{n-1}.s_n) ).
-        """
-        d_prev, d_next = (_bond(self.vectors, k, self.tol) for k in (n, n + 1))
-        s_prev, s_mid, s_next = (v.as_array() for v in self.vectors[n - 1:n + 2])
-        rhs = 2.0 * np.cross(s_mid, s_next / d_next + s_prev / d_prev)
-        dvec = self._d_dt(lambda s: spin_vector(s, self.tol).as_array(), n)
-        return float(np.linalg.norm(dvec - rhs))
+        """``TimeGrid.ihm`` at site n."""
+        self._site(n, self._grid.n_max - 2)
+        self._bonds(n, n + 1)
+        for side, state in enumerate(("plus", "minus")):
+            getattr(self, state)
+            error = self._grid._side_faults.get((side, self._k, n - 1))
+            if error is not None:
+                raise error
+        return float(self._grid.ihm()[self._k, n - 1])
 
     def lax(self, n, lam):
         """Lax pair at site n >= 1, with the V = H equality report.
@@ -419,7 +660,9 @@ class TimeSlice:
         H_n^+ = 2 W(n, i) P_+ W(n, -i)*, H_n^- = 2 W(n, -i) P_- W(n, i)*.
         """
         lam = _lax_parameter(lam, self.tol)
-        v_plus, v_minus = _v_pair(self.vectors, self.state.spins, n, self.tol)
+        self._site(n, self._grid.n_max - 1)
+        self._bonds(n)
+        v_plus, v_minus = (v[self._k, n - 1] for v in self._grid._v_pairs)
         w = self.transfer.w
         p_plus, p_minus = projectors(1)
         h_plus = 2.0 * w(n, 1j) @ p_plus @ w(n, -1j).conj().T
@@ -462,9 +705,9 @@ def weyl_evolution(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     with E_-* = (e^{-2t(a - iI)^{-1}})*, E_+ = e^{-2t(a + iI)^{-1}} and
     beta(t) = a - i E_+ theta2 theta2* E_+* Sigma_0(t)^{-1}.
     """
-    lam_t, sigma_t = _lambda_sigma(triple, t, tol)
+    lam, sigma = _at(_lambda_sigma, triple, t, tol)
     m = triple.m
-    return _realization(triple.alpha, lam_t[:, :m], lam_t[:, m:], sigma_t)
+    return _realization(triple.alpha, lam[0, :, :m], lam[0, :, m:], sigma[0])
 
 
 def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,

@@ -10,14 +10,17 @@ import scipy.integrate
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import ConditioningError, NumericError, SpectrumError
+from .errors import (ConditioningError, NumericError, SingularMatrixError,
+                     SpectrumError)
 from .triples import ParameterTriple, signature_matrix
 
 __all__ = [
     "advance",
     "lambda_closed_form",
     "LatticeState",
+    "LatticeStack",
     "generate",
+    "generate_stack",
     "spin_matrix",
     "MonotoneDiagnostics",
     "monotone_diagnostics",
@@ -27,7 +30,8 @@ __all__ = [
 
 
 def advance(alpha, lam, sigma, alpha_inv=None):
-    """One step of the lattice recursion.
+    """One step of the lattice recursion, for one (Lambda, Sigma) or for
+    each of a stack.
 
     Lambda' = Lambda + i alpha^{-1} Lambda J,
     Sigma'  = Sigma + alpha^{-1} Sigma alpha^{-*}
@@ -38,13 +42,13 @@ def advance(alpha, lam, sigma, alpha_inv=None):
     """
     if alpha_inv is None:
         alpha_inv = linalg.inv(alpha, "alpha")
-    m = lam.shape[1] // 2
+    m = lam.shape[-1] // 2
     j = signature_matrix(m)
     lam_next = lam + 1j * alpha_inv @ lam @ j
-    core = sigma + lam @ j @ lam.conj().T
+    core = sigma + lam @ j @ lam.conj().swapaxes(-1, -2)
     sigma_next = sigma + alpha_inv @ core @ alpha_inv.conj().T
     sym = linalg.herm(sigma_next)
-    return lam_next, sym, linalg.frob(sigma_next - sym)
+    return lam_next, sym, linalg.frob_norms(sigma_next - sym)
 
 
 def _lattice_powers(alpha, lam0, n):
@@ -99,58 +103,161 @@ class LatticeState:
         return linalg.solve(self.sigmas[n], rhs, f"Sigma_{n}")
 
 
-def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT,
-             overflow_limit=None):
-    """Run the recursion up to horizon ``n_max`` and assemble a LatticeState.
+class _Faults:
+    """The first error met by each entry of a stack, or None.  A stacked
+    computation records the error of an entry and goes on with the others;
+    its reader raises them in the order in which a computation entry by
+    entry would have met them."""
 
-    Aborts with diagnostics if ||Sigma_n|| exceeds the overflow guard or the
-    conditioning limit is crossed (Sigma_n inversion is the dominant error
-    source, so it is tracked per n).
+    def __init__(self, size):
+        self.errors = [None] * size
+
+    def __getitem__(self, k):
+        return self.errors[k]
+
+    def put(self, where, error):
+        """Record ``error`` (an exception, or a function of the entry index
+        that makes one) at the entries of the mask or index array ``where``
+        that have none yet."""
+        where = np.asarray(where)
+        if where.dtype == bool:
+            where = np.flatnonzero(where)
+        for k in where.tolist():
+            if self.errors[k] is None:
+                self.errors[k] = error(k) if callable(error) else error
+
+    def merge(self, indices, other):
+        """Record the errors of ``other``, whose entry j is our entry
+        indices[j]."""
+        for k, error in zip(indices.tolist(), other.errors):
+            if error is not None:
+                self.put([k], error)
+
+    def live(self):
+        """Indices of the entries without an error."""
+        return np.array([k for k, e in enumerate(self.errors) if e is None],
+                        dtype=int)
+
+    def check(self, k=0):
+        """Raise the error of entry k, if it has one."""
+        if self.errors[k] is not None:
+            raise self.errors[k]
+
+
+@dataclass(frozen=True)
+class LatticeStack:
+    """The recursion run over a stack of initial (Lambda_0, Sigma_0) with one
+    alpha.  Entry k holds Lambda_n, Sigma_n for n = 0..horizons[k] and S_n
+    for n < horizons[k], in rows of arrays sized to the largest horizon
+    (what lies beyond its horizon is not guarded and not to be read), and
+    ``faults[k]``, the error that ``generate`` raises on it, or None."""
+
+    horizons: np.ndarray
+    lambdas: np.ndarray             # [k, n]
+    sigmas: np.ndarray
+    spins: np.ndarray
+    conditioning: np.ndarray
+    spin_residuals: np.ndarray
+    sigma_asymmetries: np.ndarray
+    sigma_inv_lambdas: np.ndarray
+    faults: _Faults
+
+    def state(self, k, triple: ParameterTriple):
+        """Entry k, the run of ``triple``, as a LatticeState; raises its
+        error."""
+        self.faults.check(k)
+        h = int(self.horizons[k])
+        return LatticeState(
+            triple=triple,
+            n_max=h,
+            lambdas=list(self.lambdas[k, :h + 1]),
+            sigmas=list(self.sigmas[k, :h + 1]),
+            spins=list(self.spins[k, :h]),
+            conditioning=self.conditioning[k, :h + 1].tolist(),
+            spin_residuals=self.spin_residuals[k, :h].tolist(),
+            sigma_asymmetries=self.sigma_asymmetries[k, :h + 1].tolist(),
+            sigma_inv_lambdas=list(self.sigma_inv_lambdas[k, :h + 1]),
+        )
+
+
+def _solve_each(a, b):
+    """np.linalg.solve over a stack, and the mask of its singular matrices,
+    whose solutions are NaN."""
+    singular = np.zeros(a.shape[:-2], dtype=bool)
+    try:
+        return np.linalg.solve(a, b), singular
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan, dtype=complex)
+        for index in np.ndindex(a.shape[:-2]):
+            try:
+                x[index] = np.linalg.solve(a[index], b[index])
+            except np.linalg.LinAlgError:
+                singular[index] = True
+        return x, singular
+
+
+def _first(mask):
+    """(entry, first n) of each row of ``mask`` that has a True entry."""
+    return [(k, int(np.argmax(mask[k])))
+            for k in np.flatnonzero(mask.any(axis=1)).tolist()]
+
+
+def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
+                   overflow_limit=None, faults=None):
+    """Run the recursion from each (lambda0[k], sigma0[k]) up to horizon
+    horizons[k], all over one stack axis, with the guards of ``generate``
+    applied to each entry up to its horizon.  An entry that fails a guard
+    records the error in ``faults`` (one is made if none is given) and the
+    others go on; floating point warnings of failed entries are silenced.
     """
-    if n_max < 0:
+    horizons = np.asarray(horizons, dtype=int)
+    if (horizons < 0).any():
         raise ValueError("n_max must be non-negative")
     if overflow_limit is None:
         overflow_limit = tol.sigma_overflow
-    alpha_inv = linalg.inv(triple.alpha, "alpha")
-    lambdas = [triple.lambda0]
-    sigmas = [triple.sigma0.copy()]
-    asymmetries = [0.0]
-    for n in range(n_max):
-        lam_next, sigma_next, asym = advance(
-            triple.alpha, lambdas[-1], sigmas[-1], alpha_inv
-        )
-        norm = linalg.frob(sigma_next)
-        if overflow_limit and norm > overflow_limit:
-            raise NumericError(
-                f"||Sigma_{n + 1}|| = {norm:.3e} exceeds the overflow guard "
-                f"{overflow_limit:.1e}; triple growth is too fast for this "
-                f"horizon (reached n = {n + 1} of {n_max})"
-            )
-        lambdas.append(lam_next)
-        sigmas.append(sigma_next)
-        asymmetries.append(asym)
-    conditioning = [linalg.cond(s) for s in sigmas]
-    for n, c in enumerate(conditioning):
-        if c > tol.cond_limit:
-            raise ConditioningError(
-                f"cond(Sigma_{n}) = {c:.3e} exceeds the limit {tol.cond_limit:.1e}",
-                index=n,
-                condition=c,
-            )
-    m = triple.m
-    j = signature_matrix(m)
-    spins = []
-    spin_residuals = []
-    solved = [linalg.solve(sig, lam, "Sigma") for lam, sig in zip(lambdas, sigmas)]
-    xi = [lam.conj().T @ x for lam, x in zip(lambdas, solved)]
-    i2m = np.eye(2 * m, dtype=complex)
-    for n in range(n_max):
-        s = linalg.herm(j + xi[n] - xi[n + 1])
-        spins.append(s)
-        spin_residuals.append(linalg.frob(s @ s - i2m))
-    return LatticeState(
-        triple=triple,
-        n_max=n_max,
+    size = horizons.size
+    if faults is None:
+        faults = _Faults(size)
+    try:
+        alpha_inv = linalg.inv(alpha, "alpha")
+    except SingularMatrixError as exc:
+        faults.put(np.arange(size), exc)
+        alpha_inv = np.zeros(alpha.shape, dtype=complex)
+    n_max = int(horizons.max(initial=0))
+    lambdas = np.empty((size, n_max + 1) + lambda0.shape[-2:], dtype=complex)
+    sigmas = np.empty((size, n_max + 1) + sigma0.shape[-2:], dtype=complex)
+    asymmetries = np.zeros((size, n_max + 1))
+    lambdas[:, 0] = lambda0
+    sigmas[:, 0] = sigma0
+    with np.errstate(all="ignore"):
+        for n in range(n_max):
+            lambdas[:, n + 1], sigmas[:, n + 1], asymmetries[:, n + 1] = advance(
+                alpha, lambdas[:, n], sigmas[:, n], alpha_inv)
+        guarded = np.arange(n_max + 1) <= horizons[:, None]
+        if overflow_limit:
+            norms = linalg.frob_norms(sigmas)
+            for k, n in _first(guarded[:, 1:] & (norms[:, 1:] > overflow_limit)):
+                faults.put([k], NumericError(
+                    f"||Sigma_{n + 1}|| = {norms[k, n + 1]:.3e} exceeds the "
+                    f"overflow guard {overflow_limit:.1e}; triple growth is too "
+                    f"fast for this horizon (reached n = {n + 1} of "
+                    f"{horizons[k]})"))
+        conditioning = linalg.cond(sigmas)
+        for k, n in _first(guarded & (conditioning > tol.cond_limit)):
+            c = float(conditioning[k, n])
+            faults.put([k], ConditioningError(
+                f"cond(Sigma_{n}) = {c:.3e} exceeds the limit "
+                f"{tol.cond_limit:.1e}", index=n, condition=c))
+        solved, singular = _solve_each(sigmas, lambdas)
+        faults.put((guarded & singular).any(axis=1),
+                   SingularMatrixError("Sigma is singular"))
+        m = lambda0.shape[-1] // 2
+        xi = lambdas.conj().swapaxes(-1, -2) @ solved
+        spins = linalg.herm(signature_matrix(m) + xi[:, :-1] - xi[:, 1:])
+        spin_residuals = linalg.frob_norms(
+            spins @ spins - np.eye(2 * m, dtype=complex))
+    return LatticeStack(
+        horizons=horizons,
         lambdas=lambdas,
         sigmas=sigmas,
         spins=spins,
@@ -158,7 +265,22 @@ def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT,
         spin_residuals=spin_residuals,
         sigma_asymmetries=asymmetries,
         sigma_inv_lambdas=solved,
+        faults=faults,
     )
+
+
+def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT,
+             overflow_limit=None):
+    """Run the recursion up to horizon ``n_max`` and assemble a LatticeState:
+    the stack of one of ``generate_stack``.
+
+    Aborts with diagnostics if ||Sigma_n|| exceeds the overflow guard or the
+    conditioning limit is crossed (Sigma_n inversion is the dominant error
+    source, so it is tracked per n).
+    """
+    stack = generate_stack(triple.alpha, triple.lambda0[None],
+                           triple.sigma0[None], [n_max], tol, overflow_limit)
+    return stack.state(0, triple)
 
 
 def spin_matrix(state: LatticeState, n):

@@ -23,6 +23,7 @@ from .errors import (
 
 __all__ = [
     "as_matrix",
+    "as_matrices",
     "frob",
     "frob_norms",
     "eye",
@@ -52,6 +53,16 @@ def as_matrix(a, name="matrix"):
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    return as_matrices(m, name)
+
+
+def as_matrices(a, name="matrix"):
+    """Coerce to a complex array of matrices over its last two axes,
+    rejecting NaN/Inf entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2:
+        raise DimensionError(f"{name} must be at least 2-dimensional, got "
+                             f"shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise NumericError(f"{name} contains non-finite entries")
     return m
@@ -66,8 +77,8 @@ def eye(n):
 
 
 def herm(a):
-    """Hermitian part (M + M*)/2."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (M + M*)/2, of each matrix of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitian_deviation(m):
@@ -141,19 +152,22 @@ def hermitian_power(m, power, tol: Tolerances = DEFAULT):
 
 
 def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
-    """Solve AX - XB = C for X.
+    """Solve AX - XB = C for X, or for each right-hand side of a stack C.
 
     Requires the spectra of A and B to be disjoint (checked up to
-    ``spec_tol``); uses the Schur-based Bartels-Stewart solver.
+    ``spec_tol``).  Bartels-Stewart with the steps of
+    ``scipy.linalg.solve_sylvester(a, -b, c)``, and so its bits: one pair of
+    Schur forms of A and -B* serves every right-hand side, each solved by
+    LAPACK ``trsyl``.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    c = as_matrix(c, "C")
+    c = as_matrices(c, "C")
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise DimensionError("A and B must be square")
-    if c.shape != (a.shape[0], b.shape[0]):
+    if c.shape[-2:] != (a.shape[0], b.shape[0]):
         raise DimensionError(
-            f"C must be {a.shape[0]}x{b.shape[0]}, got {c.shape}"
+            f"C must be {a.shape[0]}x{b.shape[0]}, got {c.shape[-2:]}"
         )
     ea = spectrum(a, tol).eigenvalues
     eb = spectrum(b, tol).eigenvalues
@@ -163,21 +177,36 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
             raise SingularEquationError(
                 f"spectra of A and B overlap (separation {sep:.3e})"
             )
-    # scipy solves AX + XB = Q
-    return scipy.linalg.solve_sylvester(a, -b, c)
+    if not (ea.size and eb.size):
+        return np.empty(c.shape, dtype=complex)
+    # scipy solves AX + XB' = Q with B' = -B: Schur forms of A and B'*
+    r, u = scipy.linalg.schur(a, output="real")
+    s, v = scipy.linalg.schur((-b).conj().T, output="real")
+    f = u.conj().T @ c @ v
+    trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))
+    y = np.empty_like(f)
+    for index in np.ndindex(c.shape[:-2]):
+        y_k, scale, info = trsyl(r, s, f[index], tranb="C")
+        if info < 0:  # pragma: no cover - LAPACK argument error
+            raise np.linalg.LinAlgError(
+                f"Illegal value encountered in the {-info} term")
+        y[index] = scale * y_k
+    return u @ y @ v.conj().T
 
 
 def sigma_from_identity(alpha, lam, tol: Tolerances = DEFAULT):
-    """Solve alpha Sigma - Sigma alpha* = i lam lam* and symmetrize.
+    """Solve alpha Sigma - Sigma alpha* = i lam lam* and symmetrize, for one
+    lam or each of a stack.
 
     Returns ``(sigma, asymmetry)`` where asymmetry is the Frobenius norm of
     the discarded anti-Hermitian part.
     """
     alpha = as_matrix(alpha, "alpha")
-    lam = as_matrix(lam, "lambda")
-    x = solve_sylvester(alpha, alpha.conj().T, 1j * lam @ lam.conj().T, tol)
+    lam = as_matrices(lam, "lambda")
+    x = solve_sylvester(alpha, alpha.conj().T,
+                        1j * lam @ lam.conj().swapaxes(-1, -2), tol)
     sym = herm(x)
-    return sym, frob(x - sym)
+    return sym, frob_norms(x - sym)
 
 
 def krylov_basis(a, b, tol: Tolerances = DEFAULT):
@@ -219,11 +248,15 @@ def is_full_range(a, b, tol: Tolerances = DEFAULT):
 
 
 def cond(m):
-    """2-norm condition number; inf for singular input."""
+    """2-norm condition number, or an array of them over a stack; inf for a
+    singular matrix."""
     try:
-        return float(np.linalg.cond(m))
-    except np.linalg.LinAlgError:  # pragma: no cover
-        return float("inf")
+        c = np.linalg.cond(m)
+    except np.linalg.LinAlgError:
+        if m.ndim == 2:
+            return float("inf")
+        return np.array([cond(x) for x in m])
+    return c if m.ndim > 2 else float(c)
 
 
 def solve(m, rhs, name="matrix"):
@@ -244,19 +277,26 @@ def poles(m):
 
 
 def check_pole(lam, eigs, scale, tol: Tolerances = DEFAULT, name="matrix"):
-    """Raise PoleError if lam lies within pole_tol * scale of an eigenvalue.
+    """Raise PoleError if lam, or the first in order of a sequence of
+    points, lies within pole_tol * scale of an eigenvalue.
 
     ``eigs`` and ``scale`` come from ``poles(M)`` for the matrix M whose
     resolvent (lam I - M)^{-1} is about to be formed.
     """
-    if eigs.size:
-        nearest = eigs[int(np.argmin(np.abs(eigs - lam)))]
-        if abs(nearest - lam) <= tol.pole_tol * scale:
-            raise PoleError(
-                f"lambda = {lam} too close to the spectrum of {name} "
-                f"(nearest eigenvalue {nearest})",
-                nearest=nearest,
-            )
+    if not eigs.size:
+        return
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    gaps = np.abs(eigs[None, :] - lams[:, None])
+    nearest = np.argmin(gaps, axis=1)
+    close = np.flatnonzero(
+        gaps[np.arange(lams.size), nearest] <= tol.pole_tol * scale)
+    if close.size:
+        k = close[0]
+        raise PoleError(
+            f"lambda = {complex(lams[k])} too close to the spectrum of {name} "
+            f"(nearest eigenvalue {eigs[nearest[k]]})",
+            nearest=eigs[nearest[k]],
+        )
 
 
 def frob_norms(a):

@@ -44,7 +44,7 @@ def _scaled(factors, a):
 def _g(s, lam):
     """G_n(lambda) = I - (i/lambda) S_n, the one-step factor of W(n, lambda)
     and the Lax matrix of the IHM lattice."""
-    return np.eye(s.shape[0], dtype=complex) - (1j / lam) * s
+    return np.eye(s.shape[-1], dtype=complex) - (1j / lam) * s
 
 
 def _h(a):
@@ -101,8 +101,7 @@ class Transfer:
         return np.stack([cache[lam][0] for lam in lams], axis=1)
 
     def _build_w(self, lams):
-        for lam in lams:
-            linalg.check_pole(lam, *self.poles, self.tol, "alpha")
+        linalg.check_pole(lams, *self.poles, self.tol, "alpha")
         shifted = np.array([lam * np.eye(self.order, dtype=complex) - self.alpha
                             for lam in lams])
         resolvents = linalg.solve(shifted[:, None], self._lambdas[None])

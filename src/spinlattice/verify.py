@@ -32,13 +32,15 @@ class CheckResult:
 
 _LAMBDA_COUNT = 8
 _SUMMABILITY_TERMS = 30     # the Cauchy heuristic needs a longer horizon
+_SLICE_TIMES = (0.0, 0.2)   # times of the Lax, zero-curvature, IHM checks
 
 
 class _Context:
     """What the checks read, each built once: the state and Transfer to
     horizon n_max, and on first use the Weyl realization, the summability
-    Transfer and, per time t, the time-t triple and the horizon-3 TimeSlice
-    that the public residual functions build for site 1."""
+    Transfer, per time t the time-t triple, and one horizon-3 TimeGrid
+    over _SLICE_TIMES read through a TimeSlice per time, the lattice that
+    the public residual functions build for site 1."""
 
     def __init__(self, triple, n_max, tol):
         self.triple = triple
@@ -55,7 +57,12 @@ class _Context:
         ]
         self.sites = range(min(n_max - 1, 10) + 1)
         self.triple_at = cache(lambda t: evolution.triple_at(triple, t, tol))
-        self.slice = cache(lambda t: evolution.TimeSlice(triple, t, 3, tol=tol))
+        self.slice = cache(
+            lambda t: self.time_grid.slice(_SLICE_TIMES.index(t)))
+
+    @cached_property
+    def time_grid(self):
+        return evolution.TimeGrid(self.triple, _SLICE_TIMES, 3, tol=self.tol)
 
     @cached_property
     def weyl(self):
@@ -182,18 +189,15 @@ def _monotone(ctx):
 def _weyl_ratio(ctx):
     m = ctx.triple.m
     w0 = ctx.transfer.w_grid(ctx.grid)[0]
-    phi = np.array([ctx.weyl(lam, ctx.tol) for lam in ctx.grid])
+    phi = ctx.weyl.grid(ctx.grid, ctx.tol)
     d_inv = linalg.solve(w0[:, m:, m:], np.broadcast_to(linalg.eye(m), phi.shape))
     return linalg.frob_norms(phi - w0[:, :m, m:] @ d_inv).max(), 1e-10
 
 
 def _weyl_normalized(ctx):
     phi_norm = weyl(normalize_sigma0(ctx.triple, ctx.tol), ctx.tol)
-    worst = max(
-        linalg.frob(ctx.weyl(lam, ctx.tol) - phi_norm(lam, ctx.tol))
-        for lam in ctx.grid
-    )
-    return worst, 1e-10
+    gaps = ctx.weyl.grid(ctx.grid, ctx.tol) - phi_norm.grid(ctx.grid, ctx.tol)
+    return linalg.frob_norms(gaps).max(), 1e-10
 
 
 def _summability_point(ctx):
@@ -249,7 +253,7 @@ def _evolution_methods(ctx):
 def _lax_equality(ctx):
     worst = 0.0
     trace_dev = 0.0
-    for t in (0.0, 0.2):
+    for t in _SLICE_TIMES:
         pair = ctx.slice(t).lax(1, 2.0 + 0.5j)
         worst = max(worst, pair.equality_plus, pair.equality_minus)
         trace_dev = max(trace_dev, abs(pair.trace_v_plus - 2.0),
@@ -258,12 +262,13 @@ def _lax_equality(ctx):
 
 
 def _zero_curvature(ctx):
-    worst = max(ctx.slice(t).zero_curvature(1, 2.0 + 0.5j) for t in (0.0, 0.2))
+    worst = max(ctx.slice(t).zero_curvature(1, 2.0 + 0.5j)
+                for t in _SLICE_TIMES)
     return worst, 1e-6
 
 
 def _ihm_vector(ctx):
-    worst = max(ctx.slice(t).ihm(1) for t in (0.0, 0.2))
+    worst = max(ctx.slice(t).ihm(1) for t in _SLICE_TIMES)
     return worst, 1e-6
 
 

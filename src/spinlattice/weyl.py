@@ -66,14 +66,20 @@ class Realization:
         return linalg.poles(self.gamma)
 
     def __call__(self, lam, tol: Tolerances = DEFAULT):
-        lam = complex(lam)
+        return self.grid([lam], tol)[0]
+
+    def grid(self, lams, tol: Tolerances = DEFAULT):
+        """phi at each of ``lams``, indexed [k] for lams[k]: the poles
+        checked in order, then one broadcast solve of the stacked
+        lambda I - gamma."""
+        lams = np.array([complex(lam) for lam in lams], dtype=complex)
         if self.order == 0:
-            return np.zeros((self.m, self.m), dtype=complex)
-        linalg.check_pole(lam, *self._poles, tol, "gamma")
-        resolvent = linalg.solve(
-            lam * np.eye(self.order, dtype=complex) - self.gamma, self.vartheta2
-        )
-        return 1j * self.vartheta1.conj().T @ resolvent
+            return np.zeros((lams.size, self.m, self.m), dtype=complex)
+        linalg.check_pole(lams, *self._poles, tol, "gamma")
+        shifted = (lams[:, None, None] * np.eye(self.order, dtype=complex)
+                   - self.gamma)
+        resolvents = linalg.solve(shifted, self.vartheta2)
+        return 1j * self.vartheta1.conj().T @ resolvents
 
     def similarity(self, t):
         """State-space similarity (gamma, v1, v2) -> (T g T^{-1}, T^{-*} v1, T v2).

@@ -183,21 +183,24 @@ def test_non_integer_declared_size_is_input_error(triple_file, tmp_path, value):
 ))
 def test_evolve_builds_three_states_per_time(triple_file, monkeypatch, n_max,
                                              grid, built_states):
-    """One TimeSlice per time: the state at t to horizon N and the two at
-    t +/- h_t to horizon N - 1."""
+    """One stacked lattice for the grid: per time, the state at t to horizon
+    N and the two at t +/- h_t to horizon N - 1, counted as stack entries."""
     import spinlattice.evolution as evolution
 
-    generate = evolution.generate
+    generate_stack = evolution.generate_stack
     horizons = []
 
-    def counting_generate(*args, **kwargs):
-        horizons.append(kwargs["n_max"])
-        return generate(*args, **kwargs)
+    def counting_generate_stack(alpha, lambda0, sigma0, stack_horizons,
+                                *args, **kwargs):
+        horizons.extend(stack_horizons)
+        return generate_stack(alpha, lambda0, sigma0, stack_horizons,
+                              *args, **kwargs)
 
-    monkeypatch.setattr(evolution, "generate", counting_generate)
+    monkeypatch.setattr(evolution, "generate_stack", counting_generate_stack)
     assert main(["evolve", triple_file, "--nmax", str(n_max), *grid]) == 0
     assert len(horizons) == built_states
-    assert horizons[:3] == [n_max, n_max - 1, n_max - 1]
+    times = built_states // 3
+    assert horizons == [n_max] * times + [n_max - 1] * (2 * times)
 
 
 def test_evolve_rows_match_the_residual_functions(triple_file, capsys):
@@ -263,6 +266,29 @@ def test_evolve_overflow_on_the_flow_route_is_one_error_line(real_mode_file,
     err = capsys.readouterr().err.splitlines()
     assert err == ["numeric failure: matrix exponential overflows at "
                    "t = -1e+06"]
+
+
+@pytest.mark.parametrize("triple", ("example_file", "real_mode_file"))
+def test_evolve_overflowing_exponent_is_one_error_line(request, capsys,
+                                                        triple):
+    """t (alpha -/+ iI)^{-1} itself overflows at t = 1e308: a NumericError
+    naming t, with no numpy warning before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", request.getfixturevalue(triple),
+                     "--time-grid", "0,1e308,2", "--nmax", "3"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numeric failure: matrix exponential overflows at "
+                   "t = 1e+308"]
+
+
+@pytest.mark.parametrize("n_max", ("0", "1", "2"))
+def test_evolve_rejects_a_horizon_below_three(example_file, capsys, n_max):
+    """Sites 1..N-2 carry the residuals, so N >= 3."""
+    assert main(["evolve", example_file, "--nmax", n_max]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --nmax must be >= 3, got {n_max}\n")
+    assert main(["evolve", example_file, "--nmax", "3"]) == 0
 
 
 def test_evolve_has_no_method_flag(capsys):

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from spinlattice import (
     monodromy_residual,
     positivity_interval,
     random_admissible_triple,
+    random_general_sigma_triple,
     spin_evolution,
     spin_vector,
     state_at,
@@ -66,12 +70,13 @@ def test_sigma_methods_agree(ihm_triple):
 
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """Counts the scipy.linalg.expm calls made through evolution."""
+    """Counts the matrices exponentiated through evolution: one entry per
+    matrix of a stacked scipy.linalg.expm call."""
     calls = []
     expm = evolution.scipy.linalg.expm
 
     def counted(a):
-        calls.append(a.shape)
+        calls.extend([a.shape[-2:]] * int(np.prod(a.shape[:-2], dtype=int)))
         return expm(a)
 
     monkeypatch.setattr(evolution.scipy.linalg, "expm", counted)
@@ -260,14 +265,15 @@ def test_positivity_interval(ihm_triple):
 def test_positivity_interval_marches_from_the_previous_point(
         real_mode_triple, expm_calls, monkeypatch):
     """On the flow route each point evolves the last one by one step:
-    5 expm calls per point (2 for Lambda_0, 3 for the Gramian solution of
-    the flow), and every call covers one ``step`` of the march."""
+    5 exponentiated matrices per point (2 for Lambda_0, 3 for the Gramian
+    solution of the flow), and every call covers one ``step`` of the
+    march."""
     evolved = []
     sigma_flow = evolution._sigma_flow
 
-    def recorded(triple, t):
-        evolved.append(abs(t))
-        return sigma_flow(triple, t)
+    def recorded(triple, times):
+        evolved.extend(np.abs(times).tolist())
+        return sigma_flow(triple, times)
 
     monkeypatch.setattr(evolution, "_sigma_flow", recorded)
     for t_max, points in ((0.5, 20), (1.0, 40)):
@@ -347,3 +353,86 @@ def test_real_mode_padding_keeps_the_spins(order, m, real, negative, tt, seed):
     padded = _pad_real_mode(triple, -real if negative else real, rng)
     got, want = (state_at(x, tt, 4).spins for x in (padded, triple))
     assert max(np.linalg.norm(a - b) for a, b in zip(got, want)) <= 1e-9
+
+
+def _same(a, b):
+    return all((x == y).all() for x, y in zip(a, b, strict=True))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(order=st.integers(1, 8),
+       kind=st.sampled_from(("upper", "general", "real")),
+       times=st.lists(st.one_of(st.just(0.0), st.floats(-0.6, 0.6)),
+                      min_size=1, max_size=7),
+       n_max=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
+                                                       n_max, seed):
+    """Both routes of Sigma_0(t): a spectrum in the open upper half plane
+    (class FG, or a general sigma0) and a real eigenvalue.  The stacked
+    states at t and t +/- h_t and the residual arrays equal the per-time
+    ones; a grid that fails raises what the first failing time raises."""
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        triple = random_general_sigma_triple(rng, order, 1)
+    else:
+        triple = random_admissible_triple(rng, order, 1)
+        if kind == "real":
+            triple = _pad_real_mode(triple, 1.5, rng)
+    lam = 2.0 + 0.5j
+    try:
+        grid, zc, ihm = next(evolution.trajectory(triple, times, n_max, lam))
+    except SpinLatticeError as exc:
+        with pytest.raises(type(exc)):
+            for t in times:
+                lattice = evolution.TimeSlice(triple, t, n_max)
+                for n in range(1, n_max - 1):
+                    lattice.zero_curvature(n, lam)
+                    lattice.ihm(n)
+        return
+    h_t = grid.h_t
+    for k, t in enumerate(times):
+        for offset, entry, horizon in ((0.0, k, n_max),
+                                       (h_t, len(times) + k, n_max - 1),
+                                       (-h_t, 2 * len(times) + k, n_max - 1)):
+            want = state_at(triple, t + offset, horizon)
+            got = grid.state(entry)
+            for field in ("lambdas", "sigmas", "spins", "sigma_inv_lambdas"):
+                assert _same(getattr(got, field), getattr(want, field)), field
+            for field in ("conditioning", "spin_residuals"):
+                assert getattr(got, field) == getattr(want, field), field
+        for n in range(1, n_max - 1):
+            assert zc[k, n - 1] == zero_curvature_residual(triple, n, t, lam)
+            assert ihm[k, n - 1] == ihm_residual(triple, n, t)
+
+
+@pytest.mark.parametrize("times, failing", (
+    ([0.0, -1e6, 1e308], -1e6),
+    ([0.5, 1e308, -1e6], 1e308),
+))
+def test_time_grid_raises_the_error_of_the_first_failing_time(
+        real_mode_triple, times, failing):
+    grid = evolution.TimeGrid(real_mode_triple, times, 3)
+    with pytest.raises(NumericError, match=re.escape(f"at t = {failing:g}")):
+        grid.check()
+    # the slice of a good time reads as if alone
+    good = grid.slice(0)
+    assert good.ihm(1) == ihm_residual(real_mode_triple, 1, times[0])
+    with pytest.raises(NumericError, match=re.escape(f"at t = {times[1]:g}")):
+        grid.slice(1)
+
+
+@pytest.mark.parametrize("t", (1e308, -1e308))
+def test_non_finite_exponent_names_t_without_warnings(ihm_triple, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="matrix exponential overflows"):
+            triple_at(ihm_triple, t)
+        with pytest.raises(NumericError, match="matrix exponential overflows"):
+            evolve_sigma0(ihm_triple, t, "gramian")
+
+
+@pytest.mark.parametrize("n", (0, 2))
+def test_time_slice_sites_outside_the_differences_are_rejected(ihm_triple, n):
+    lattice = evolution.TimeSlice(ihm_triple, 0.1, 3)
+    with pytest.raises(ValueError, match="outside 1..1"):
+        lattice.ihm(n)

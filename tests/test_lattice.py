@@ -143,3 +143,34 @@ def test_quadrature_oracle(rng):
     for n in (0, 2, 4):
         sig = sigma_quadrature(t, n)
         assert np.linalg.norm(sig - state.sigmas[n]) <= 1e-6
+
+
+def test_stack_entries_are_the_states_of_generate(small_triple):
+    """Entries of one stacked run with their own horizons equal separate
+    runs bit for bit, and an entry that fails a guard records the error
+    that generate raises while the others go on."""
+    from spinlattice.lattice import generate_stack
+
+    grown = ParameterTriple(alpha=small_triple.alpha,
+                            theta1=1e7 * small_triple.theta1,
+                            theta2=1e7 * small_triple.theta2,
+                            sigma0=1e14 * small_triple.sigma0)
+    triples = (small_triple, grown, small_triple)
+    horizons = (6, 6, 3)
+    stack = generate_stack(small_triple.alpha,
+                           np.stack([t.lambda0 for t in triples]),
+                           np.stack([t.sigma0 for t in triples]), horizons)
+    for k in (0, 2):
+        want = generate(triples[k], n_max=horizons[k])
+        got = stack.state(k, triples[k])
+        assert got.n_max == horizons[k]
+        for name in ("lambdas", "sigmas", "spins", "sigma_inv_lambdas"):
+            assert all((a == b).all() for a, b in
+                       zip(getattr(got, name), getattr(want, name), strict=True))
+        for name in ("conditioning", "spin_residuals", "sigma_asymmetries"):
+            assert getattr(got, name) == getattr(want, name)
+    with pytest.raises(NumericError) as info:
+        generate(grown, n_max=6)
+    assert str(stack.faults[1]) == str(info.value)
+    with pytest.raises(NumericError):
+        stack.state(1, grown)

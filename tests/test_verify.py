@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -86,31 +84,34 @@ def test_shared_context_changes_no_residual(order, general, seed):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts the lattice states and the expm calls made through the
-    package modules."""
+    """Counts the lattice states built (entries of every stacked run of the
+    recursion) and the matrices exponentiated (matrices of every stacked
+    expm call) through the package modules."""
     calls = {"states": 0, "expm": 0}
+    generate_stack, expm = lattice.generate_stack, evolution.scipy.linalg.expm
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_generate_stack(alpha, lambda0, sigma0, horizons, *args,
+                               **kwargs):
+        calls["states"] += len(horizons)
+        return generate_stack(alpha, lambda0, sigma0, horizons, *args,
+                              **kwargs)
 
-    generate = counted("states", lattice.generate)
-    for module in ("lattice", "evolution", "verify", "weyl"):
-        monkeypatch.setattr(importlib.import_module(f"spinlattice.{module}"),
-                            "generate", generate)
-    monkeypatch.setattr(evolution.scipy.linalg, "expm",
-                        counted("expm", evolution.scipy.linalg.expm))
+    def counted_expm(a):
+        calls["expm"] += int(np.prod(a.shape[:-2], dtype=int))
+        return expm(a)
+
+    for module in (lattice, evolution):
+        monkeypatch.setattr(module, "generate_stack", counted_generate_stack)
+    monkeypatch.setattr(evolution.scipy.linalg, "expm", counted_expm)
     return calls
 
 
 @pytest.mark.parametrize("n_max, states", ((15, 8), (30, 7)))
 def test_verify_builds_each_shared_quantity_once(counts, n_max, states):
-    """States: the one to n_max, 3 per TimeSlice at t = 0 and 0.2, and the
-    horizon-30 one unless n_max >= 30.  expm: 2 per time-t triple at
-    t = 0.1, 0.35, +/-h_t, 0.2 and 0.2 +/- h_t, and 3 per Gramian flow at
-    t = 0.1 and 0.35."""
+    """States: the one to n_max, 3 per time of the slices at t = 0 and 0.2,
+    and the horizon-30 one unless n_max >= 30.  Exponentiated matrices: 2
+    per time-t triple at t = 0.1, 0.35, +/-h_t, 0.2 and 0.2 +/- h_t, and 3
+    per Gramian flow at t = 0.1 and 0.35."""
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
     results = run_checks(triple, n_max=n_max)
     assert all(np.isfinite(r.residual) for r in results)     # none raised

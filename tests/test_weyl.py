@@ -86,3 +86,21 @@ def test_lambda_grid_avoids_spectrum(small_triple):
     eigs = np.linalg.eigvals(small_triple.alpha)
     for lam in lambda_grid(small_triple.alpha, count=16):
         assert np.min(np.abs(eigs - lam)) > 1e-8
+
+
+def test_grid_is_one_solve_of_the_stacked_resolvents(small_triple):
+    """phi on a grid equals the per-point resolvent formula bit for bit,
+    and a pole raises for the first point in order that is too close."""
+    phi = weyl(small_triple)
+    lams = [3.0, 2.0 - 1j, -1.0 + 4j, 0.5j]
+    want = [1j * phi.vartheta1.conj().T @ np.linalg.solve(
+        complex(lam) * np.eye(phi.order, dtype=complex) - phi.gamma,
+        phi.vartheta2) for lam in lams]
+    got = phi.grid(lams)
+    assert got.shape == (len(lams), 1, 1)
+    assert all((g == w).all() for g, w in zip(got, want))
+    assert (phi(lams[1]) == want[1]).all()
+    poles = np.linalg.eigvals(phi.gamma)
+    with pytest.raises(PoleError) as info:
+        phi.grid([3.0, poles[1], poles[0]])
+    assert info.value.nearest == poles[1]
