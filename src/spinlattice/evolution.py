@@ -450,12 +450,16 @@ TIME_BLOCK = 32
 
 
 class TimeGrid:
-    """The lattice around each time t of a grid, built as one stack: the
-    states at t to horizon N with their spin vectors, and the states at
-    t +/- h_t to horizon N - 1 for the central differences in t.  One batch
-    of time-t triples feeds one ``generate_stack`` over the 3k entries t,
-    then t + h_t, then t - h_t.  The residuals are arrays indexed
-    [time, n - 1] over the sites 1 <= n <= N - 2.
+    """The lattice around each time t of a grid: the states at t to
+    horizon N with their spin vectors, and the states at t +/- h_t to
+    horizon N - 1 for the central differences in t.  With ``sides`` (the
+    default) the states at t and t +/- h_t are one batch of time-t triples
+    fed to one ``generate_stack``; without it those at t +/- h_t are a
+    second batch, built on first read, so a grid read only at t builds no
+    more than its states at t.  Entry k of the grid is the state at time
+    k, entry K + k the one at t + h_t and entry 2K + k the one at t - h_t,
+    for K times.  The residuals are arrays indexed [time, n - 1] over the
+    sites 1 <= n <= N - 2, each computed once.
 
     Errors are kept per state, spin vector and bond, and raised by the
     reader in the order in which the lattice built time by time and site
@@ -464,44 +468,68 @@ class TimeGrid:
     """
 
     def __init__(self, triple: ParameterTriple, times, n_max, h_t=1e-4,
-                 tol: Tolerances = DEFAULT):
+                 tol: Tolerances = DEFAULT, sides=True):
         _require_ihm(triple)
         self.triple, self.n_max, self.h_t, self.tol = triple, n_max, h_t, tol
         self.times = np.asarray(times, dtype=float)
         size = self.times.size
         self.stamps = np.concatenate([self.times, self.times + h_t,
                                       self.times - h_t])
-        with np.errstate(all="ignore"):
-            lam0, sigma0, faults = _triples_at(triple, self.stamps, tol)
-        self.stack = generate_stack(
-            triple.alpha, lam0, sigma0,
-            [n_max] * size + [max(n_max - 1, 0)] * (2 * size), tol,
-            faults=faults)
-        spins = self.stack.spins.reshape((3, size) + self.stack.spins.shape[1:])
-        self.spins = spins[0]
+        if sides:
+            stack = self._lattice(self.stamps, [n_max] * size
+                                  + [max(n_max - 1, 0)] * (2 * size))
+            self.stack, self.sides = stack[:size], stack[size:]
+        else:
+            self.stack = self._lattice(self.times, [n_max] * size)
+        self.spins = self.stack.spins
         self.vectors, self._vector_faults = _spin_vectors(self.spins, tol)
-        # spins and spin vectors at t +/- h_t, [0 for plus or 1 for minus,
-        # time, n - 1] over the sites n = 1..N - 2
-        self._side_spins = spins[1:, :, 1:n_max - 1]
-        self._sides, self._side_faults = _spin_vectors(self._side_spins, tol)
         # 1 + s_{n-1}.s_n, the denominator of V_n, at [time, n - 1]
         self.bonds = 1.0 + np.vecdot(self.vectors[:, :-1], self.vectors[:, 1:])
+        self._zero_curvature = {}
+
+    def _lattice(self, times, horizons):
+        """The recursion from the time-t triple of each of ``times`` to its
+        horizon, as one stack."""
+        with np.errstate(all="ignore"):
+            lam0, sigma0, faults = _triples_at(self.triple, times, self.tol)
+        return generate_stack(self.triple.alpha, lam0, sigma0, horizons,
+                              self.tol, faults=faults)
+
+    @cached_property
+    def sides(self):
+        """The states at t + h_t of every time, then at t - h_t."""
+        size = self.times.size
+        return self._lattice(self.stamps[size:],
+                             [max(self.n_max - 1, 0)] * (2 * size))
+
+    @cached_property
+    def _side_vectors(self):
+        """(spins, spin vectors, errors of ``_spin_vectors``) at t +/- h_t,
+        [0 for plus or 1 for minus, time, n - 1] over the sites
+        n = 1..N - 2."""
+        spins = self.sides.spins.reshape(
+            (2, self.times.size) + self.sides.spins.shape[1:])
+        spins = spins[:, :, 1:self.n_max - 1]
+        return (spins, *_spin_vectors(spins, self.tol))
 
     @property
     def sigma0(self):
         """Sigma_0(t) at each time."""
-        return self.stack.sigmas[:self.times.size, 0]
+        return self.stack.sigmas[:, 0]
 
     def state(self, entry):
-        """The LatticeState of stack entry ``entry``; raises its error."""
-        self.stack.faults.check(entry)
+        """The LatticeState of grid entry ``entry``; raises its error."""
+        size = self.times.size
+        stack, k = ((self.stack, entry) if entry < size
+                    else (self.sides, entry - size))
+        stack.faults.check(k)
         triple = self.triple
         if self.stamps[entry] != 0:
-            lam, m = self.stack.lambdas[entry, 0], triple.m
+            lam, m = stack.lambdas[k, 0], triple.m
             triple = ParameterTriple(alpha=triple.alpha, theta1=lam[:, :m],
                                      theta2=lam[:, m:],
-                                     sigma0=self.stack.sigmas[entry, 0])
-        return self.stack.state(entry, triple)
+                                     sigma0=stack.sigmas[k, 0])
+        return stack.state(k, triple)
 
     def _bond_fault(self, k, n):
         denom = self.bonds[k, n - 1]
@@ -520,14 +548,15 @@ class TimeGrid:
             yield self._bond_fault(k, n)
             yield self._bond_fault(k, n + 1)
             for side in (0, 1):
-                yield self.stack.faults[(side + 1) * self.times.size + k]
+                yield self.sides.faults[side * self.times.size + k]
             for side in (0, 1):
-                yield self._side_faults.get((side, k, n - 1))
+                yield self._side_vectors[2].get((side, k, n - 1))
 
     def check(self):
-        """Raise the first error of the grid, time by time."""
+        """Build the states at t +/- h_t and raise the first error of the
+        grid, time by time."""
         if (any(self.stack.faults.errors) or self._vector_faults
-                or self._side_faults
+                or any(self.sides.faults.errors) or self._side_vectors[2]
                 or (abs(self.bonds) < self.tol.degeneracy_tol).any()):
             for k in range(self.times.size):
                 for error in self._faults(k):
@@ -547,11 +576,24 @@ class TimeGrid:
         """|| dG_n/dt - (F_{n+1} G_n - G_n F_n) || with a central difference,
         at [time, n - 1].  Exact zero curvature makes this O(h_t^2)."""
         lam = _lax_parameter(lam, self.tol)
-        f = _lax_f(*self._v_pairs, lam)
-        plus, minus = self._side_spins
-        g_mid = _g(self.spins[:, 1:self.n_max - 1], lam)
-        dg = (_g(plus, lam) - _g(minus, lam)) / (2 * self.h_t)
-        return linalg.frob_norms(dg - (f[:, 1:] @ g_mid - g_mid @ f[:, :-1]))
+        if lam not in self._zero_curvature:
+            f = _lax_f(*self._v_pairs, lam)
+            plus, minus = self._side_vectors[0]
+            g_mid = _g(self.spins[:, 1:self.n_max - 1], lam)
+            dg = (_g(plus, lam) - _g(minus, lam)) / (2 * self.h_t)
+            self._zero_curvature[lam] = linalg.frob_norms(
+                dg - (f[:, 1:] @ g_mid - g_mid @ f[:, :-1]))
+        return self._zero_curvature[lam]
+
+    @cached_property
+    def _ihm(self):
+        v = self.vectors
+        with np.errstate(all="ignore"):
+            rhs = 2.0 * np.cross(v[:, 1:-1], v[:, 2:] / self.bonds[:, 1:, None]
+                                 + v[:, :-2] / self.bonds[:, :-1, None])
+        sides = self._side_vectors[1]
+        gap = (sides[0] - sides[1]) / (2 * self.h_t) - rhs
+        return np.sqrt(np.vecdot(gap, gap))
 
     def ihm(self):
         """Residual of the IHM lattice equation, central difference in t, at
@@ -560,12 +602,7 @@ class TimeGrid:
         ds_n/dt = 2 s_n x ( s_{n+1} / (1 + s_n.s_{n+1})
                             + s_{n-1} / (1 + s_{n-1}.s_n) ).
         """
-        v = self.vectors
-        with np.errstate(all="ignore"):
-            rhs = 2.0 * np.cross(v[:, 1:-1], v[:, 2:] / self.bonds[:, 1:, None]
-                                 + v[:, :-2] / self.bonds[:, :-1, None])
-        gap = (self._sides[0] - self._sides[1]) / (2 * self.h_t) - rhs
-        return np.sqrt(np.vecdot(gap, gap))
+        return self._ihm
 
     def slice(self, k):
         """The TimeSlice of time k; raises the errors of its state and spin
@@ -573,13 +610,13 @@ class TimeGrid:
         return TimeSlice._of(self, k)
 
 
-def trajectory(triple: ParameterTriple, times, n_max, lam, h_t=1e-4,
+def trajectory(triple: ParameterTriple, times, n_max, lam,
                tol: Tolerances = DEFAULT):
     """The TimeGrids of ``times`` in blocks of TIME_BLOCK, each checked:
     yields ``(grid, zero_curvature(lam), ihm())`` per block."""
     for start in range(0, len(times), TIME_BLOCK):
-        grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max, h_t,
-                        tol)
+        grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max,
+                        tol=tol)
         grid.check()
         yield grid, grid.zero_curvature(lam), grid.ihm()
 
@@ -588,13 +625,14 @@ class TimeSlice:
     """The lattice around one time t, read by the residuals of every site:
     a TimeGrid of one time, or one time of a larger one.  ``state`` and
     ``vectors`` are those at t, ``plus`` and ``minus`` the states at
-    t +/- h_t to horizon N - 1, and the Transfer of ``state`` is built on
-    first use.  Each read raises the errors that it meets.  The
-    differences can be evaluated at sites 1 <= n <= N - 2."""
+    t +/- h_t to horizon N - 1.  The t +/- h_t states and the Transfer of
+    ``state`` are built on first use, so a slice read only by ``lax`` or
+    ``monodromy`` builds one state.  Each read raises the errors that it
+    meets.  The differences can be evaluated at sites 1 <= n <= N - 2."""
 
     def __init__(self, triple: ParameterTriple, t, n_max, h_t=1e-4,
                  tol: Tolerances = DEFAULT):
-        self._bind(TimeGrid(triple, [t], n_max, h_t, tol), 0)
+        self._bind(TimeGrid(triple, [t], n_max, h_t, tol, sides=False), 0)
 
     @classmethod
     def _of(cls, grid, k):
@@ -649,7 +687,7 @@ class TimeSlice:
         self._bonds(n, n + 1)
         for side, state in enumerate(("plus", "minus")):
             getattr(self, state)
-            error = self._grid._side_faults.get((side, self._k, n - 1))
+            error = self._grid._side_vectors[2].get((side, self._k, n - 1))
             if error is not None:
                 raise error
         return float(self._grid.ihm()[self._k, n - 1])

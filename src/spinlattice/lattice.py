@@ -3,7 +3,7 @@ structural diagnostics (identity propagation, involution, monotone R/Q
 sequences, the K residual).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.integrate
@@ -161,6 +161,14 @@ class LatticeStack:
     sigma_asymmetries: np.ndarray
     sigma_inv_lambdas: np.ndarray
     faults: _Faults
+
+    def __getitem__(self, index):
+        """The entries ``index``, a slice, as a stack."""
+        faults = _Faults(0)
+        faults.errors = self.faults.errors[index]
+        return LatticeStack(faults=faults, **{
+            f.name: getattr(self, f.name)[index] for f in fields(self)
+            if f.name != "faults"})
 
     def state(self, k, triple: ParameterTriple):
         """Entry k, the run of ``triple``, as a LatticeState; raises its

@@ -183,8 +183,9 @@ def test_non_integer_declared_size_is_input_error(triple_file, tmp_path, value):
 ))
 def test_evolve_builds_three_states_per_time(triple_file, monkeypatch, n_max,
                                              grid, built_states):
-    """One stacked lattice for the grid: per time, the state at t to horizon
-    N and the two at t +/- h_t to horizon N - 1, counted as stack entries."""
+    """Per time, the state at t to horizon N and the two at t +/- h_t to
+    horizon N - 1, counted as stack entries: one stack for the times of
+    the grid, then one for t + h_t and t - h_t."""
     import spinlattice.evolution as evolution
 
     generate_stack = evolution.generate_stack
@@ -289,6 +290,29 @@ def test_evolve_rejects_a_horizon_below_three(example_file, capsys, n_max):
     assert capsys.readouterr().err == (
         f"error: --nmax must be >= 3, got {n_max}\n")
     assert main(["evolve", example_file, "--nmax", "3"]) == 0
+
+
+EVOLVE_DATA = pathlib.Path(__file__).parent / "data" / "evolve"
+
+
+@pytest.mark.parametrize("name, n_max, grid, outputs", (
+    ("example", 5, "-1,1,5", ("csv", "json")),          # scalar example
+    ("real_mode", 4, "-0.5,1,4", ("csv", "json")),      # flow route
+    ("general", 5, "-0.4,0.4,3", ("csv", "json")),      # general sigma0
+    ("fg4", 6, "-0.6,0,4", ("csv",)),                   # negative times
+))
+def test_evolve_output_is_that_of_the_per_time_lattice(capsys, name, n_max,
+                                                       grid, outputs):
+    """tests/data/evolve/<name>.out.csv and <name>.out.json were written by
+    the per-time implementation of evolve (commit 7c080c7), one lattice and
+    one residual per time and site; the stacked grid writes the same
+    bytes."""
+    for fmt in outputs:
+        assert main(["evolve", str(EVOLVE_DATA / f"{name}.json"), "--nmax",
+                     str(n_max), f"--time-grid={grid}", "--format",
+                     fmt]) == 0
+        want = (EVOLVE_DATA / f"{name}.out.{fmt}").read_text()
+        assert capsys.readouterr().out == want
 
 
 def test_evolve_has_no_method_flag(capsys):

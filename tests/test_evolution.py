@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,10 @@ from spinlattice import (
     weyl_evolution,
     zero_curvature_residual,
 )
+from spinlattice.config import DEFAULT
 from spinlattice.errors import (DegeneracyError, DimensionError, NumericError,
                                 SpectrumError, SpinLatticeError)
+from spinlattice.triples import signature_matrix
 from spinlattice.worked_example import (
     example_triple,
     lambda_closed_form_t,
@@ -359,6 +362,102 @@ def _same(a, b):
     return all((x == y).all() for x, y in zip(a, b, strict=True))
 
 
+def _herm(x):
+    return (x + x.conj().T) / 2
+
+
+def _per_time_triple(triple, t):
+    """The time-t triple by the per-time arithmetic that TimeGrid batches:
+    a 2-D expm per propagator, then scipy.linalg.solve_sylvester on the
+    open upper half plane, else the Van Loan solution of the Sigma_0 flow
+    with a 2-D expm per block."""
+    if t == 0:
+        return triple
+    a = triple.alpha
+    i_n = np.eye(a.shape[0], dtype=complex)
+    minus, plus = np.linalg.solve(a - 1j * i_n, i_n), np.linalg.solve(
+        a + 1j * i_n, i_n)
+    lam = np.hstack([scipy.linalg.expm(-2.0 * t * minus) @ triple.theta1,
+                     scipy.linalg.expm(-2.0 * t * plus) @ triple.theta2])
+    if np.linalg.eigvals(a).imag.min() > DEFAULT.spec_tol:
+        sigma = _herm(scipy.linalg.solve_sylvester(
+            a, -a.conj().T, 1j * lam @ lam.conj().T))
+    else:
+        def gramian(g, b):
+            n = g.shape[0]
+            block = np.zeros((2 * n, 2 * n), dtype=complex)
+            block[:n, :n], block[n:, n:] = -g, g.conj().T
+            block[:n, n:] = b @ b.conj().T
+            f = scipy.linalg.expm(t * block)
+            return f[n:, n:].conj().T @ f[:n, n:]
+
+        q = minus @ plus
+        e = scipy.linalg.expm(-t * (minus + plus))
+        w = (gramian(plus - minus, triple.theta1)
+             - gramian(minus - plus, triple.theta2))
+        term = q @ a @ _herm(w) @ q.conj().T
+        sigma = _herm(e @ (triple.sigma0 - 2.0 * (term + term.conj().T))
+                      @ e.conj().T)
+    return ParameterTriple(alpha=a, theta1=lam[:, :1], theta2=lam[:, 1:],
+                           sigma0=sigma)
+
+
+def _per_time_lattice(triple, n_max):
+    """(Lambda_n, Sigma_n, Sigma_n^{-1} Lambda_n, cond(Sigma_n), S_n,
+    ||S_n^2 - I||, spin vectors) by the 2-D recursion, one step and one
+    solve at a time."""
+    a_inv = np.linalg.solve(triple.alpha, np.eye(triple.order, dtype=complex))
+    j = signature_matrix(1)
+    lambdas, sigmas = [triple.lambda0], [triple.sigma0]
+    for _ in range(n_max):
+        lam, sigma = lambdas[-1], sigmas[-1]
+        core = sigma + lam @ j @ lam.conj().T
+        lambdas.append(lam + 1j * a_inv @ lam @ j)
+        sigmas.append(_herm(sigma + a_inv @ core @ a_inv.conj().T))
+    solved = [np.linalg.solve(sigma, lam) for lam, sigma in zip(lambdas, sigmas)]
+    xi = [lam.conj().T @ x for lam, x in zip(lambdas, solved)]
+    spins = [_herm(j + xi[n] - xi[n + 1]) for n in range(n_max)]
+    vectors = [np.array([s[1, 0].real, s[1, 0].imag, s[0, 0].real])
+               for s in spins]
+    return (lambdas, sigmas, solved,
+            [float(np.linalg.cond(s)) for s in sigmas], spins,
+            [float(np.linalg.norm(s @ s - np.eye(2), "fro")) for s in spins],
+            vectors)
+
+
+def _per_time_residuals(triple, t, n_max, lam, h_t=1e-4):
+    """zero-curvature and IHM residuals at sites 1..N - 2, each site on its
+    own 2-D matrices and 3-vectors."""
+    *_, spins, _, vectors = _per_time_lattice(_per_time_triple(triple, t),
+                                              n_max)
+    # (S_n, spin vectors) at t + h_t and t - h_t
+    sides = [_per_time_lattice(_per_time_triple(triple, t + d), n_max - 1)[4::2]
+             for d in (h_t, -h_t)]
+    i2 = np.eye(2, dtype=complex)
+
+    def g(s):
+        return i2 - (1j / lam) * s
+
+    def f(n):
+        d = 1.0 + float(np.dot(vectors[n - 1], vectors[n]))
+        return ((i2 + spins[n]) @ (i2 + spins[n - 1]) / d / (lam - 1j)
+                + (i2 - spins[n]) @ (i2 - spins[n - 1]) / d / (lam + 1j))
+
+    zc, ihm = [], []
+    for n in range(1, n_max - 1):
+        dg = (g(sides[0][0][n]) - g(sides[1][0][n])) / (2 * h_t)
+        g_mid = g(spins[n])
+        zc.append(float(np.linalg.norm(dg - (f(n + 1) @ g_mid - g_mid @ f(n)),
+                                       "fro")))
+        d_prev, d_next = (1.0 + float(np.dot(vectors[k - 1], vectors[k]))
+                          for k in (n, n + 1))
+        rhs = 2.0 * np.cross(vectors[n], vectors[n + 1] / d_next
+                             + vectors[n - 1] / d_prev)
+        dvec = (sides[0][1][n] - sides[1][1][n]) / (2 * h_t)
+        ihm.append(float(np.linalg.norm(dvec - rhs)))
+    return zc, ihm
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(order=st.integers(1, 8),
        kind=st.sampled_from(("upper", "general", "real")),
@@ -369,8 +468,10 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
                                                        n_max, seed):
     """Both routes of Sigma_0(t): a spectrum in the open upper half plane
     (class FG, or a general sigma0) and a real eigenvalue.  The stacked
-    states at t and t +/- h_t and the residual arrays equal the per-time
-    ones; a grid that fails raises what the first failing time raises."""
+    states at t and t +/- h_t, the spin vectors and the residual arrays
+    equal those of the per-time arithmetic with 2-D matrices throughout,
+    and those of the scalar functions; a grid that fails raises what the
+    first failing time raises."""
     rng = np.random.default_rng(seed)
     if kind == "general":
         triple = random_general_sigma_triple(rng, order, 1)
@@ -394,15 +495,54 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
         for offset, entry, horizon in ((0.0, k, n_max),
                                        (h_t, len(times) + k, n_max - 1),
                                        (-h_t, 2 * len(times) + k, n_max - 1)):
-            want = state_at(triple, t + offset, horizon)
+            (lambdas, sigmas, solved, conditioning, spins, spin_residuals,
+             vectors) = _per_time_lattice(_per_time_triple(triple, t + offset),
+                                          horizon)
             got = grid.state(entry)
-            for field in ("lambdas", "sigmas", "spins", "sigma_inv_lambdas"):
-                assert _same(getattr(got, field), getattr(want, field)), field
-            for field in ("conditioning", "spin_residuals"):
-                assert getattr(got, field) == getattr(want, field), field
+            assert _same(got.lambdas, lambdas)
+            assert _same(got.sigmas, sigmas)
+            assert _same(got.sigma_inv_lambdas, solved)
+            assert _same(got.spins, spins)
+            assert got.conditioning == conditioning
+            assert got.spin_residuals == spin_residuals
+            want = state_at(triple, t + offset, horizon)
+            assert _same(got.spins, want.spins)
+            if offset == 0.0:
+                assert _same(grid.vectors[k], vectors)
+        want_zc, want_ihm = _per_time_residuals(triple, t, n_max, lam, h_t)
+        assert zc[k].tolist() == want_zc
+        assert ihm[k].tolist() == want_ihm
         for n in range(1, n_max - 1):
             assert zc[k, n - 1] == zero_curvature_residual(triple, n, t, lam)
             assert ihm[k, n - 1] == ihm_residual(triple, n, t)
+
+
+@pytest.mark.parametrize("scale", (1.0 + 3e-9, 1.0 - 7e-9, 1.5))
+def test_spin_vector_norm_is_that_of_the_three_vector(scale):
+    """The norm in the error message is np.linalg.norm of (s1, s2, s3)."""
+    s = np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex) * scale
+    norm = np.linalg.norm(np.array([s[1, 0].real, s[1, 0].imag,
+                                    s[0, 0].real]))
+    with pytest.raises(NumericError,
+                       match=re.escape(f"spin vector norm {norm} deviates")):
+        spin_vector(s)
+
+
+def test_lax_pair_builds_one_state(ihm_triple, expm_calls, monkeypatch):
+    """A slice read only by lax builds the state at t alone: one stack
+    entry, and the two propagators of its time-t triple."""
+    horizons = []
+    generate_stack = evolution.generate_stack
+
+    def counted(alpha, lambda0, sigma0, stack_horizons, *args, **kwargs):
+        horizons.extend(stack_horizons)
+        return generate_stack(alpha, lambda0, sigma0, stack_horizons, *args,
+                              **kwargs)
+
+    monkeypatch.setattr(evolution, "generate_stack", counted)
+    lax_pair(ihm_triple, 2, 0.3, 2.0 + 0.5j)
+    assert horizons == [3]
+    assert len(expm_calls) == 2
 
 
 @pytest.mark.parametrize("times, failing", (

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +59,27 @@ def test_sylvester_disjoint_spectra():
     c = np.eye(2, dtype=complex)
     x = linalg.solve_sylvester(a, b, c)
     assert np.allclose(a @ x - x @ b, c)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(order=st.integers(0, 8), cols=st.integers(0, 6),
+       stack=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_sylvester_stack_is_scipy_per_matrix_bit_for_bit(order, cols, stack,
+                                                         seed):
+    """One pair of Schur forms for the whole stack gives, for each
+    right-hand side, the bits of scipy.linalg.solve_sylvester."""
+    rng = np.random.default_rng(seed)
+
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = normal(order, order) + 3j * np.eye(order)
+    b = normal(cols, cols) - 3j * np.eye(cols)
+    c = normal(stack, order, cols)
+    x = linalg.solve_sylvester(a, b, c)
+    assert x.shape == c.shape
+    for got, rhs in zip(x, c):
+        assert (got == scipy.linalg.solve_sylvester(a, -b, rhs)).all()
 
 
 def test_sylvester_shared_spectrum_raises():
