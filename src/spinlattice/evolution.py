@@ -17,7 +17,8 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneracyError, DimensionError, InputError,
                      NumericError, SpectrumError, SpinLatticeError)
-from .lattice import _Faults, _lattice_powers, generate, generate_stack
+from .lattice import (_lattice_powers, _live, _record, generate,
+                      generate_stack)
 from .transfer import Transfer, _g, _h
 from .triples import ParameterTriple, projectors, signature_matrix
 from .weyl import _realization
@@ -46,6 +47,9 @@ __all__ = [
 
 # Cap on the RK4 steps of one integration: |t| <= 100 at the default step.
 MAX_RK_STEPS = 100_000
+
+# Bound on | ||(s1, s2, s3)|| - 1 | of a spin vector.
+SPIN_NORM_BOUND = 1e-9
 
 
 def _check_spectrum(triple, tol, need_zero=True, need_upper=False):
@@ -78,15 +82,15 @@ def _finite(a):
 
 def _expm(a, times, faults):
     """e^{a[p, k]} for the time-times[k] quantities a[p, k] of each entry k
-    that has no error yet, in one expm call.  A non-finite exponent or
-    exponential is a NumericError naming t, not numpy warnings and NaN
+    without an error in ``faults``, in one expm call.  A non-finite exponent
+    or exponential is a NumericError naming t, not numpy warnings and NaN
     downstream; the entries with an error get the identity."""
-    faults.put(~_finite(a).all(axis=0), lambda k: _overflow(times[k]))
-    live = faults.live()
+    _record(faults, ~_finite(a).all(axis=0), lambda k: _overflow(times[k]))
+    live = _live(faults)
     e = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
     if live.size:
         e[:, live] = scipy.linalg.expm(a[:, live])
-    faults.put(~_finite(e).all(axis=0), lambda k: _overflow(times[k]))
+    _record(faults, ~_finite(e).all(axis=0), lambda k: _overflow(times[k]))
     return e
 
 
@@ -98,8 +102,8 @@ def _resolvents(alpha):
 
 def _exp_factors(alpha, times):
     """(e^{-2t(alpha - iI)^{-1}} and e^{-2t(alpha + iI)^{-1}} at each time,
-    indexed [0 or 1, time]; faults)."""
-    faults = _Faults(times.size)
+    indexed [0 or 1, time]; the error of each time or None)."""
+    faults = [None] * times.size
     scale = (-2.0 * times)[:, None, None]
     return _expm(np.stack([scale * r for r in _resolvents(alpha)]), times,
                  faults), faults
@@ -112,35 +116,36 @@ def _check_time(t):
 
 def _at(stacked, subject, t, *args):
     """``stacked(subject, times, *args)``, a stacked evaluation that returns
-    its faults last, on the grid of the one time t: its other results,
-    after raising the error of t.  Floating point warnings are silenced;
-    failures are errors."""
+    the error of each time (or None) last, on the grid of the one time t:
+    its other results, after raising the error of t.  Floating point
+    warnings are silenced; failures are errors."""
     with np.errstate(all="ignore"):
-        *results, faults = stacked(subject, np.array([t], dtype=float), *args)
-    faults.check()
+        *results, (error,) = stacked(subject, np.array([t], dtype=float),
+                                     *args)
+    if error is not None:
+        raise error
     return results
 
 
 def _lambda0(triple, times, tol, need_upper=False):
     """(Lambda_0(t) at each of ``times``, stacked; spectrum report of alpha,
-    or None if it fails the checks; faults).  ``need_upper`` adds the
-    spectrum condition of the Sylvester route to the checks.  An entry
-    that fails keeps Lambda_0."""
-    faults = _Faults(times.size)
-    faults.put(~np.isfinite(times), lambda k: InputError(
-        f"time t must be finite, got {float(times[k])!r}"))
+    or None if it fails the checks; the error of each time or None).
+    ``need_upper`` adds the spectrum condition of the Sylvester route to
+    the checks.  An entry that fails keeps Lambda_0."""
     lam = np.broadcast_to(triple.lambda0,
                           times.shape + triple.lambda0.shape).copy()
     try:
         spec = _check_spectrum(triple, tol, need_zero=False,
                                need_upper=need_upper)
-        e, overflows = _exp_factors(triple.alpha, times)
+        e, faults = _exp_factors(triple.alpha, times)
+        lam = np.concatenate([e[0] @ triple.theta1, e[1] @ triple.theta2],
+                             axis=-1)
     except SpinLatticeError as exc:        # the same for every time
-        faults.put(np.arange(times.size), exc)
-        return lam, None, faults
-    faults.merge(np.arange(times.size), overflows)
-    return np.concatenate([e[0] @ triple.theta1, e[1] @ triple.theta2],
-                          axis=-1), spec, faults
+        spec, faults = None, [exc] * times.size
+    for k in np.flatnonzero(~np.isfinite(times)).tolist():  # checked first
+        faults[k] = InputError(
+            f"time t must be finite, got {float(times[k])!r}")
+    return lam, spec, faults
 
 
 def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
@@ -233,7 +238,7 @@ def _sigma_flow(triple, times):
     """
     alpha = triple.alpha
     n = alpha.shape[0]
-    faults = _Faults(times.size)
+    faults = [None] * times.size
     minus, plus = _resolvents(alpha)
     q = minus @ plus
     e = _expm((-times)[None, :, None, None] * (minus + plus), times, faults)[0]
@@ -258,22 +263,23 @@ def _lambda_sigma(triple, times, tol, need_upper=False):
                             times.shape + triple.sigma0.shape).copy()
     if spec is None:
         return lam, sigma, faults
-    if spec.min_imag_part > tol.spec_tol:
-        faults.put(~_finite(lam),
-                   NumericError("lambda contains non-finite entries"))
-        faults.put(~_finite(1j * lam @ _h(lam)),
-                   NumericError("C contains non-finite entries"))
-        live = faults.live()
-        try:
-            if live.size:
-                sigma[live] = linalg.sigma_from_identity(triple.alpha,
-                                                         lam[live], tol)[0]
-        except SpinLatticeError as exc:     # overlapping spectra
-            faults.put(live, exc)
+    if spec.min_imag_part <= tol.spec_tol:
+        live = _live(faults)
+        sigma[live], flow = _sigma_flow(triple, times[live])
+        for k, error in zip(live.tolist(), flow):
+            faults[k] = error
         return lam, sigma, faults
-    live = faults.live()
-    sigma[live], flow = _sigma_flow(triple, times[live])
-    faults.merge(live, flow)
+    _record(faults, ~_finite(lam),
+            NumericError("lambda contains non-finite entries"))
+    _record(faults, ~_finite(1j * lam @ _h(lam)),
+            NumericError("C contains non-finite entries"))
+    live = _live(faults)
+    try:
+        if live.size:
+            sigma[live] = linalg.sigma_from_identity(triple.alpha, lam[live],
+                                                     tol)[0]
+    except SpinLatticeError as exc:     # overlapping spectra
+        _record(faults, live, exc)
     return lam, sigma, faults
 
 
@@ -307,7 +313,7 @@ def _triples_at(triple, times, tol):
     """(Lambda_0(t), Sigma_0(t), faults) of the time-t triple at each of
     ``times``, stacked, with the checks of ParameterTriple; at t = 0 the
     triple itself."""
-    faults = _Faults(times.size)
+    faults = [None] * times.size
     lam = np.broadcast_to(triple.lambda0,
                           times.shape + triple.lambda0.shape).copy()
     sigma = np.broadcast_to(triple.sigma0,
@@ -318,11 +324,12 @@ def _triples_at(triple, times, tol):
         m = triple.m
         for name, block in (("theta1", lam_t[..., :m]),
                             ("theta2", lam_t[..., m:]), ("sigma0", sigma_t)):
-            moved.put(~_finite(block),
-                      NumericError(f"{name} contains non-finite entries"))
+            _record(moved, ~_finite(block),
+                    NumericError(f"{name} contains non-finite entries"))
         lam[moving] = lam_t
         sigma[moving] = linalg.herm(sigma_t)
-        faults.merge(moving, moved)
+        for k, error in zip(moving.tolist(), moved):
+            faults[k] = error
     return lam, sigma, faults
 
 
@@ -355,9 +362,9 @@ class SpinVector:
 
 
 def _spin_vectors(spins, tol):
-    """(s1, s2, s3) of each 2x2 spin matrix of a stack, indexed [..., i],
-    and the errors that ``spin_vector`` raises on them, keyed by stack
-    index."""
+    """(s1, s2, s3) of each 2x2 spin matrix of a stack, indexed [..., i];
+    the mask of the matrices that ``spin_vector`` rejects; and the function
+    that makes the error it raises on the one at a stack index."""
     vectors = np.stack([spins[..., 1, 0].real, spins[..., 1, 0].imag,
                         spins[..., 0, 0].real], axis=-1)
     with np.errstate(all="ignore"):
@@ -367,19 +374,17 @@ def _spin_vectors(spins, tol):
         norms = np.sqrt(np.vecdot(vectors, vectors))
     finite = _finite(spins)
     degenerate = near < tol.degeneracy_tol
-    off = abs(norms - 1.0) > 1e-9
-    faults = {}
-    for index in np.argwhere(~finite | degenerate | off):
-        index = tuple(index.tolist())
+
+    def error(index):
         if not finite[index]:
-            faults[index] = NumericError("spin matrix contains non-finite entries")
-        elif degenerate[index]:
-            faults[index] = DegeneracyError("spin matrix degenerates to +/- I")
-        else:
-            faults[index] = NumericError(
-                f"spin vector norm {float(norms[index])} deviates from 1 "
-                f"beyond 1e-09")
-    return vectors, faults
+            return NumericError("spin matrix contains non-finite entries")
+        if degenerate[index]:
+            return DegeneracyError("spin matrix degenerates to +/- I")
+        return NumericError(f"spin vector norm {float(norms[index])} deviates "
+                            f"from 1 beyond {SPIN_NORM_BOUND:g}")
+
+    off = abs(norms - 1.0) > SPIN_NORM_BOUND
+    return vectors, ~finite | degenerate | off, error
 
 
 def spin_vector(s, tol: Tolerances = DEFAULT):
@@ -391,9 +396,9 @@ def spin_vector(s, tol: Tolerances = DEFAULT):
     s = linalg.as_matrix(s, "spin matrix")
     if s.shape != (2, 2):
         raise DimensionError(f"spin matrix must be 2x2, got {s.shape}")
-    vector, faults = _spin_vectors(s, tol)
-    if faults:
-        raise faults[()]
+    vector, bad, error = _spin_vectors(s, tol)
+    if bad:
+        raise error(())
     return SpinVector(*vector.tolist())
 
 
@@ -461,10 +466,14 @@ class TimeGrid:
     for K times.  The residuals are arrays indexed [time, n - 1] over the
     sites 1 <= n <= N - 2, each computed once.
 
-    Errors are kept per state, spin vector and bond, and raised by the
-    reader in the order in which the lattice built time by time and site
-    by site meets them: ``check`` for the whole grid, a TimeSlice for one
-    time.
+    Errors are kept per state, and as one mask each for the spin vectors
+    and the bonds.  A grid raises the error of its first failing time in
+    grid order (``check``).  Within a time, the first failing stage
+    raises, in the order: the state at t, its spin vectors, the states at
+    t + h_t and t - h_t, their spin vectors, the bonds 1 + s_{n-1}.s_n;
+    lowest site first, and t + h_t before t - h_t.  A read of one time
+    (``state``, ``slice`` and the reads of a TimeSlice) raises only the
+    stages and sites that it reads.
     """
 
     def __init__(self, triple: ParameterTriple, times, n_max, h_t=1e-4,
@@ -482,9 +491,11 @@ class TimeGrid:
         else:
             self.stack = self._lattice(self.times, [n_max] * size)
         self.spins = self.stack.spins
-        self.vectors, self._vector_faults = _spin_vectors(self.spins, tol)
+        self.vectors, self._bad_vectors, self._vector_error = _spin_vectors(
+            self.spins, tol)
         # 1 + s_{n-1}.s_n, the denominator of V_n, at [time, n - 1]
         self.bonds = 1.0 + np.vecdot(self.vectors[:, :-1], self.vectors[:, 1:])
+        self._bad_bonds = abs(self.bonds) < tol.degeneracy_tol
         self._zero_curvature = {}
 
     def _lattice(self, times, horizons):
@@ -504,9 +515,9 @@ class TimeGrid:
 
     @cached_property
     def _side_vectors(self):
-        """(spins, spin vectors, errors of ``_spin_vectors``) at t +/- h_t,
-        [0 for plus or 1 for minus, time, n - 1] over the sites
-        n = 1..N - 2."""
+        """(spins, and spin vectors, mask and error function of
+        ``_spin_vectors``) at t +/- h_t, [0 for plus or 1 for minus, time,
+        n - 1] over the sites n = 1..N - 2."""
         spins = self.sides.spins.reshape(
             (2, self.times.size) + self.sides.spins.shape[1:])
         spins = spins[:, :, 1:self.n_max - 1]
@@ -522,7 +533,7 @@ class TimeGrid:
         size = self.times.size
         stack, k = ((self.stack, entry) if entry < size
                     else (self.sides, entry - size))
-        stack.faults.check(k)
+        stack.check(k)
         triple = self.triple
         if self.stamps[entry] != 0:
             lam, m = stack.lambdas[k, 0], triple.m
@@ -531,37 +542,36 @@ class TimeGrid:
                                      sigma0=stack.sigmas[k, 0])
         return stack.state(k, triple)
 
-    def _bond_fault(self, k, n):
-        denom = self.bonds[k, n - 1]
-        if abs(denom) < self.tol.degeneracy_tol:
-            return DegeneracyError(f"1 + s_{n - 1}.s_{n} = {denom:.3e} vanishes")
-        return None
-
-    def _faults(self, k):
-        """The errors of time k, in the order in which ``evolve`` built
-        them time by time: the state and its spin vectors, then per site n
-        the bonds of V_n and V_{n+1}, the states at t +/- h_t (first read at
-        site 1) and their spin vectors at n."""
-        yield self.stack.faults[k]
-        yield from (self._vector_faults.get((k, n)) for n in range(self.n_max))
-        for n in range(1, self.n_max - 1):
-            yield self._bond_fault(k, n)
-            yield self._bond_fault(k, n + 1)
-            for side in (0, 1):
-                yield self.sides.faults[side * self.times.size + k]
-            for side in (0, 1):
-                yield self._side_vectors[2].get((side, k, n - 1))
+    def _check(self, k, bonds=(), side_sites=None):
+        """Raise the first error of time k, stage by stage, among: its state
+        and spin vectors; unless ``side_sites`` is None its states at
+        t +/- h_t and their spin vectors at the sites ``side_sites``; its
+        bonds at the sites ``bonds``."""
+        self.stack.check(k)
+        for n in np.flatnonzero(self._bad_vectors[k])[:1].tolist():
+            raise self._vector_error((k, n))
+        if side_sites is not None:
+            self.sides.check(k)
+            self.sides.check(self.times.size + k)
+            _, _, bad, error = self._side_vectors
+            for n in side_sites:
+                for side in np.flatnonzero(bad[:, k, n - 1])[:1].tolist():
+                    raise error((side, k, n - 1))
+        for n in bonds:
+            if self._bad_bonds[k, n - 1]:
+                raise DegeneracyError(f"1 + s_{n - 1}.s_{n} = "
+                                      f"{self.bonds[k, n - 1]:.3e} vanishes")
 
     def check(self):
         """Build the states at t +/- h_t and raise the first error of the
-        grid, time by time."""
-        if (any(self.stack.faults.errors) or self._vector_faults
-                or any(self.sides.faults.errors) or self._side_vectors[2]
-                or (abs(self.bonds) < self.tol.degeneracy_tol).any()):
-            for k in range(self.times.size):
-                for error in self._faults(k):
-                    if error is not None:
-                        raise error
+        grid."""
+        failed = np.array([e is not None
+                           for e in self.stack.faults + self.sides.faults])
+        bad = (failed.reshape(3, -1).any(axis=0)
+               | self._bad_vectors.any(axis=1) | self._bad_bonds.any(axis=1)
+               | self._side_vectors[2].any(axis=(0, 2)))
+        for k in np.flatnonzero(bad)[:1].tolist():
+            self._check(k, range(1, self.n_max), range(1, self.n_max - 1))
 
     @cached_property
     def _v_pairs(self):
@@ -607,7 +617,9 @@ class TimeGrid:
     def slice(self, k):
         """The TimeSlice of time k; raises the errors of its state and spin
         vectors."""
-        return TimeSlice._of(self, k)
+        view = TimeSlice.__new__(TimeSlice)
+        view._bind(self, k)
+        return view
 
 
 def trajectory(triple: ParameterTriple, times, n_max, lam,
@@ -624,40 +636,29 @@ def trajectory(triple: ParameterTriple, times, n_max, lam,
 class TimeSlice:
     """The lattice around one time t, read by the residuals of every site:
     a TimeGrid of one time, or one time of a larger one.  ``state`` and
-    ``vectors`` are those at t, ``plus`` and ``minus`` the states at
-    t +/- h_t to horizon N - 1.  The t +/- h_t states and the Transfer of
-    ``state`` are built on first use, so a slice read only by ``lax`` or
-    ``monodromy`` builds one state.  Each read raises the errors that it
-    meets.  The differences can be evaluated at sites 1 <= n <= N - 2."""
+    ``vectors`` are those at t.  The states at t +/- h_t and the Transfer
+    of ``state`` are built on first use, so a slice read only by ``lax`` or
+    ``monodromy`` builds one state.  The differences can be evaluated at
+    sites 1 <= n <= N - 2.
+
+    Each read raises the errors of the stages and sites that it reads, in
+    the order of TimeGrid: making the slice, the state and its spin
+    vectors; ``lax`` at site n, the bond n; ``zero_curvature``, the states
+    at t +/- h_t and the bonds n and n + 1; ``ihm``, those and the spin
+    vectors at t +/- h_t at site n.
+    """
 
     def __init__(self, triple: ParameterTriple, t, n_max, h_t=1e-4,
                  tol: Tolerances = DEFAULT):
         self._bind(TimeGrid(triple, [t], n_max, h_t, tol, sides=False), 0)
 
-    @classmethod
-    def _of(cls, grid, k):
-        view = cls.__new__(cls)
-        view._bind(grid, k)
-        return view
-
     def _bind(self, grid, k):
         self._grid, self._k = grid, k
         self.state = grid.state(k)
-        for n in range(grid.n_max):
-            error = grid._vector_faults.get((k, n))
-            if error is not None:
-                raise error
+        grid._check(k)
         self.vectors = [SpinVector(*v) for v in grid.vectors[k].tolist()]
         self.triple, self.h_t, self.tol = grid.triple, grid.h_t, grid.tol
         self.t = float(grid.times[k])
-
-    @cached_property
-    def plus(self):
-        return self._grid.state(self._grid.times.size + self._k)
-
-    @cached_property
-    def minus(self):
-        return self._grid.state(2 * self._grid.times.size + self._k)
 
     @cached_property
     def transfer(self):
@@ -667,29 +668,17 @@ class TimeSlice:
         if not 1 <= n <= top:
             raise ValueError(f"site n = {n} outside 1..{top} of this slice")
 
-    def _bonds(self, *sites):
-        for n in sites:
-            error = self._grid._bond_fault(self._k, n)
-            if error is not None:
-                raise error
-
     def zero_curvature(self, n, lam):
         """``TimeGrid.zero_curvature`` at site n."""
         lam = _lax_parameter(lam, self.tol)
         self._site(n, self._grid.n_max - 2)
-        self._bonds(n, n + 1)
-        self.plus, self.minus
+        self._grid._check(self._k, (n, n + 1), ())
         return float(self._grid.zero_curvature(lam)[self._k, n - 1])
 
     def ihm(self, n):
         """``TimeGrid.ihm`` at site n."""
         self._site(n, self._grid.n_max - 2)
-        self._bonds(n, n + 1)
-        for side, state in enumerate(("plus", "minus")):
-            getattr(self, state)
-            error = self._grid._side_vectors[2].get((side, self._k, n - 1))
-            if error is not None:
-                raise error
+        self._grid._check(self._k, (n, n + 1), (n,))
         return float(self._grid.ihm()[self._k, n - 1])
 
     def lax(self, n, lam):
@@ -699,7 +688,7 @@ class TimeSlice:
         """
         lam = _lax_parameter(lam, self.tol)
         self._site(n, self._grid.n_max - 1)
-        self._bonds(n)
+        self._grid._check(self._k, (n,))
         v_plus, v_minus = (v[self._k, n - 1] for v in self._grid._v_pairs)
         w = self.transfer.w
         p_plus, p_minus = projectors(1)

@@ -6,7 +6,6 @@ sequences, the K residual).
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.integrate
 
 from . import linalg
 from .config import DEFAULT, Tolerances
@@ -103,45 +102,23 @@ class LatticeState:
         return linalg.solve(self.sigmas[n], rhs, f"Sigma_{n}")
 
 
-class _Faults:
-    """The first error met by each entry of a stack, or None.  A stacked
-    computation records the error of an entry and goes on with the others;
-    its reader raises them in the order in which a computation entry by
-    entry would have met them."""
+def _record(faults, where, error):
+    """Record ``error``, an exception or a function of the entry index that
+    makes one, at the entries ``where`` (a mask or an index array) of the
+    per-entry error list ``faults`` that have none yet.  A stacked
+    computation records the first error of an entry and goes on with the
+    others."""
+    where = np.asarray(where)
+    if where.dtype == bool:
+        where = np.flatnonzero(where)
+    for k in where.tolist():
+        if faults[k] is None:
+            faults[k] = error(k) if callable(error) else error
 
-    def __init__(self, size):
-        self.errors = [None] * size
 
-    def __getitem__(self, k):
-        return self.errors[k]
-
-    def put(self, where, error):
-        """Record ``error`` (an exception, or a function of the entry index
-        that makes one) at the entries of the mask or index array ``where``
-        that have none yet."""
-        where = np.asarray(where)
-        if where.dtype == bool:
-            where = np.flatnonzero(where)
-        for k in where.tolist():
-            if self.errors[k] is None:
-                self.errors[k] = error(k) if callable(error) else error
-
-    def merge(self, indices, other):
-        """Record the errors of ``other``, whose entry j is our entry
-        indices[j]."""
-        for k, error in zip(indices.tolist(), other.errors):
-            if error is not None:
-                self.put([k], error)
-
-    def live(self):
-        """Indices of the entries without an error."""
-        return np.array([k for k, e in enumerate(self.errors) if e is None],
-                        dtype=int)
-
-    def check(self, k=0):
-        """Raise the error of entry k, if it has one."""
-        if self.errors[k] is not None:
-            raise self.errors[k]
+def _live(faults):
+    """Indices of the entries of ``faults`` without an error."""
+    return np.array([k for k, e in enumerate(faults) if e is None], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -160,20 +137,22 @@ class LatticeStack:
     spin_residuals: np.ndarray
     sigma_asymmetries: np.ndarray
     sigma_inv_lambdas: np.ndarray
-    faults: _Faults
+    faults: list
 
     def __getitem__(self, index):
         """The entries ``index``, a slice, as a stack."""
-        faults = _Faults(0)
-        faults.errors = self.faults.errors[index]
-        return LatticeStack(faults=faults, **{
-            f.name: getattr(self, f.name)[index] for f in fields(self)
-            if f.name != "faults"})
+        return LatticeStack(**{f.name: getattr(self, f.name)[index]
+                               for f in fields(self)})
+
+    def check(self, k):
+        """Raise the error of entry k, if it has one."""
+        if self.faults[k] is not None:
+            raise self.faults[k]
 
     def state(self, k, triple: ParameterTriple):
         """Entry k, the run of ``triple``, as a LatticeState; raises its
         error."""
-        self.faults.check(k)
+        self.check(k)
         h = int(self.horizons[k])
         return LatticeState(
             triple=triple,
@@ -215,8 +194,9 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     """Run the recursion from each (lambda0[k], sigma0[k]) up to horizon
     horizons[k], all over one stack axis, with the guards of ``generate``
     applied to each entry up to its horizon.  An entry that fails a guard
-    records the error in ``faults`` (one is made if none is given) and the
-    others go on; floating point warnings of failed entries are silenced.
+    records the error in the list ``faults`` (one is made if none is given)
+    and the others go on; floating point warnings of failed entries are
+    silenced.
     """
     horizons = np.asarray(horizons, dtype=int)
     if (horizons < 0).any():
@@ -225,11 +205,11 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         overflow_limit = tol.sigma_overflow
     size = horizons.size
     if faults is None:
-        faults = _Faults(size)
+        faults = [None] * size
     try:
         alpha_inv = linalg.inv(alpha, "alpha")
     except SingularMatrixError as exc:
-        faults.put(np.arange(size), exc)
+        _record(faults, np.arange(size), exc)
         alpha_inv = np.zeros(alpha.shape, dtype=complex)
     n_max = int(horizons.max(initial=0))
     lambdas = np.empty((size, n_max + 1) + lambda0.shape[-2:], dtype=complex)
@@ -245,7 +225,7 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         if overflow_limit:
             norms = linalg.frob_norms(sigmas)
             for k, n in _first(guarded[:, 1:] & (norms[:, 1:] > overflow_limit)):
-                faults.put([k], NumericError(
+                _record(faults, [k], NumericError(
                     f"||Sigma_{n + 1}|| = {norms[k, n + 1]:.3e} exceeds the "
                     f"overflow guard {overflow_limit:.1e}; triple growth is too "
                     f"fast for this horizon (reached n = {n + 1} of "
@@ -253,12 +233,12 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         conditioning = linalg.cond(sigmas)
         for k, n in _first(guarded & (conditioning > tol.cond_limit)):
             c = float(conditioning[k, n])
-            faults.put([k], ConditioningError(
+            _record(faults, [k], ConditioningError(
                 f"cond(Sigma_{n}) = {c:.3e} exceeds the limit "
                 f"{tol.cond_limit:.1e}", index=n, condition=c))
         solved, singular = _solve_each(sigmas, lambdas)
-        faults.put((guarded & singular).any(axis=1),
-                   SingularMatrixError("Sigma is singular"))
+        _record(faults, (guarded & singular).any(axis=1),
+                SingularMatrixError("Sigma is singular"))
         m = lambda0.shape[-1] // 2
         xi = lambdas.conj().swapaxes(-1, -2) @ solved
         spins = linalg.herm(signature_matrix(m) + xi[:, :-1] - xi[:, 1:])
@@ -420,6 +400,8 @@ def sigma_quadrature(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
         r = np.linalg.solve(a.conj() - x * i_n, r.T).T
         out = r * (jac / (2 * np.pi))
         return np.concatenate([out.real.ravel(), out.imag.ravel()])
+
+    import scipy.integrate      # slow to import; only this oracle needs it
 
     flat, _ = scipy.integrate.quad_vec(
         integrand, -np.pi / 2, np.pi / 2, epsabs=1e-10, epsrel=1e-10

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinlattice
 from spinlattice import (Transfer, generate, invert,
                          random_admissible_triple,
                          random_general_sigma_triple,
@@ -474,3 +478,15 @@ def test_main_reuses_its_parser_across_subcommands(triple_file, capsys):
         cli._parser.cache_clear()
         separate.append(run(argv))
     assert together == separate
+
+
+def test_importing_the_cli_leaves_the_integrator_unloaded():
+    """scipy.integrate (which pulls in scipy.optimize) is imported by the
+    test oracle ``sigma_quadrature`` alone, not by every process."""
+    code = ("import sys, spinlattice.cli; print(sorted(name for name in "
+            "('scipy.integrate', 'scipy.optimize') if name in sys.modules))")
+    src = pathlib.Path(spinlattice.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

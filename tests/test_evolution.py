@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinlattice import evolution
@@ -28,8 +28,9 @@ from spinlattice import (
     zero_curvature_residual,
 )
 from spinlattice.config import DEFAULT
-from spinlattice.errors import (DegeneracyError, DimensionError, NumericError,
-                                SpectrumError, SpinLatticeError)
+from spinlattice.errors import (ConditioningError, DegeneracyError,
+                                DimensionError, NumericError, SpectrumError,
+                                SpinLatticeError)
 from spinlattice.triples import signature_matrix
 from spinlattice.worked_example import (
     example_triple,
@@ -545,20 +546,94 @@ def test_lax_pair_builds_one_state(ihm_triple, expm_calls, monkeypatch):
     assert len(expm_calls) == 2
 
 
-@pytest.mark.parametrize("times, failing", (
-    ([0.0, -1e6, 1e308], -1e6),
-    ([0.5, 1e308, -1e6], 1e308),
+@pytest.mark.parametrize("times, tol, error, message", (
+    pytest.param([0.0, -1e6, 1e308], DEFAULT, NumericError, "at t = -1e+06",
+                 id="times0--1000000.0"),
+    pytest.param([0.5, 1e308, -1e6], DEFAULT, NumericError, "at t = 1e+308",
+                 id="times1-1e+308"),
+    # the state stage: cond(Sigma_3) = 7.576 at t = 0.5, at most 4.158 at 0
+    pytest.param([0.0, 0.5, 1e308], DEFAULT.replace(cond_limit=5.0),
+                 ConditioningError, "cond(Sigma_3) = 7.576e+00 exceeds",
+                 id="state-conditioning"),
 ))
 def test_time_grid_raises_the_error_of_the_first_failing_time(
-        real_mode_triple, times, failing):
-    grid = evolution.TimeGrid(real_mode_triple, times, 3)
-    with pytest.raises(NumericError, match=re.escape(f"at t = {failing:g}")):
+        real_mode_triple, times, tol, error, message):
+    grid = evolution.TimeGrid(real_mode_triple, times, 3, tol=tol)
+    with pytest.raises(error, match=re.escape(message)):
         grid.check()
     # the slice of a good time reads as if alone
     good = grid.slice(0)
-    assert good.ihm(1) == ihm_residual(real_mode_triple, 1, times[0])
-    with pytest.raises(NumericError, match=re.escape(f"at t = {times[1]:g}")):
+    assert good.ihm(1) == ihm_residual(real_mode_triple, 1, times[0], tol=tol)
+    with pytest.raises(error, match=re.escape(message)):
         grid.slice(1)
+
+
+def _slice_reads(view, n_max, lam):
+    """Every residual of a TimeSlice, read site by site."""
+    return [(view.ihm(n), view.zero_curvature(n, lam),
+             view.lax(n, lam).f.tolist()) for n in range(1, n_max - 1)]
+
+
+def _outcome(read):
+    """``read()``, or the type and message of the SpinLatticeError that it
+    raises."""
+    try:
+        return read()
+    except SpinLatticeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+# the limit is cond(Sigma_0(-1)): the state at t = -1 - h_t fails it
+@example(times=[-1.0, 0.0], n_max=3, pick=0.0)
+@given(times=st.lists(st.one_of(st.just(0.0), st.floats(-0.6, 0.6),
+                                st.sampled_from((1e6, -1e6, 1e308, -1e308))),
+                      min_size=1, max_size=6),
+       n_max=st.integers(3, 5),
+       pick=st.one_of(st.none(), st.floats(0, 1)))
+def test_time_grid_errors_are_those_of_lone_slices_in_grid_order(
+        times, n_max, pick):
+    """Grids of the real-mode triple that mix good times with hostile ones,
+    some with ``cond_limit`` lowered to the largest cond(Sigma_n) of the
+    state at one of the times: the states of the times with a larger one
+    fail, and so do those at t - h_t of that time if it is negative, where
+    cond(Sigma_0(t)) grows with |t| and leads the sequence.
+    ``trajectory`` raises the error, type and message, of lone slices read
+    in grid order; the slice of each good time reads as a lone one bit for
+    bit; no floating point warning is emitted.  A lone slice read site by
+    site meets a bond before the spin vectors at t +/- h_t of a higher
+    site; the real-mode spins have no vanishing bond, so that order and
+    the stage order of the grid agree here."""
+    r2 = np.sqrt(2.0)
+    triple = ParameterTriple(alpha=np.diag([2j, 3.0]), theta1=[[r2], [0.0]],
+                             theta2=[[r2], [0.0]])
+    lam = 2.0 + 0.5j
+
+    def lone(t):
+        return _slice_reads(evolution.TimeSlice(triple, t, n_max, tol=tol),
+                            n_max, lam)
+
+    def evolved():
+        (_, zc, ihm), = evolution.trajectory(triple, times, n_max, lam, tol)
+        return [list(zip(*rows)) for rows in zip(ihm.tolist(), zc.tolist())]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tol = DEFAULT
+        if pick is not None:
+            grid = evolution.TimeGrid(triple, times, n_max)
+            reached = grid.stack.conditioning.max(axis=1)
+            reached = np.unique(reached[np.isfinite(reached)])
+            if reached.size:
+                tol = DEFAULT.replace(cond_limit=float(
+                    reached[int(pick * (reached.size - 1))]))
+        assert _outcome(evolved) == _outcome(
+            lambda: [[read[:2] for read in lone(t)] for t in times])
+        grid = evolution.TimeGrid(triple, times, n_max, tol=tol)
+        for k, t in enumerate(times):
+            alone = _outcome(lambda: lone(t))
+            if not isinstance(alone, tuple):
+                assert _slice_reads(grid.slice(k), n_max, lam) == alone
 
 
 @pytest.mark.parametrize("t", (1e308, -1e308))
