@@ -319,6 +319,29 @@ def test_evolve_output_is_that_of_the_per_time_lattice(capsys, name, n_max,
         assert capsys.readouterr().out == want
 
 
+VERIFY_DATA = pathlib.Path(__file__).parent / "data" / "verify"
+
+
+@pytest.mark.parametrize("name, n_max, code", (
+    ("example", 15, 0),         # scalar example
+    ("real_mode", 15, 0),       # flow route, RK4 as the other route
+    ("fg4", 15, 0),             # order 4, sigma0 = I
+    ("general", 15, 0),         # general sigma0: the normalize_sigma0 path
+    ("cond30", 15, 1),          # cond(Sigma_29) > 1e12 in the horizon-30 run
+    ("m2", 30, 0),
+    ("m3", 30, 0),
+))
+def test_verify_output_is_that_of_the_per_check_evaluation(capsys, name,
+                                                           n_max, code):
+    """tests/data/verify/<name>.out.txt were written by verify before its
+    shared work was batched (commit 773e052), each check building what it
+    read; the batched context writes the same bytes."""
+    assert main(["verify", str(VERIFY_DATA / f"{name}.json"), "--nmax",
+                 str(n_max)]) == code
+    want = (VERIFY_DATA / f"{name}.out.txt").read_text()
+    assert capsys.readouterr().out == want
+
+
 def test_evolve_has_no_method_flag(capsys):
     with pytest.raises(SystemExit):
         main(["evolve", "--help"])
