@@ -190,19 +190,27 @@ def _cmd_evolve(args, tol):
     sites = range(1, args.nmax - 1)
     as_json = args.format == "json"
     rows = []
-    for grid, zc, ihm in trajectory(triple, times, args.nmax, lam_probe,
-                                    tol=tol):
-        vectors = grid.vectors[:, 1:-1].tolist()
-        zc, ihm = zc.tolist(), ihm.tolist()
-        if as_json:
-            spins, sigma0 = grid.spins[:, 1:-1].copy(), grid.sigma0.copy()
-        for k, t in enumerate(grid.times.tolist()):
-            for i, n in enumerate(sites):
-                row = (t, n, *vectors[k][i], zc[k][i], ihm[k][i])
-                if as_json:
-                    row = dict(zip(columns, row), spin=spins[k, i],
-                               sigma0=sigma0[k])
-                rows.append(row)
+    try:
+        for grid, zc, ihm in trajectory(triple, times, args.nmax, lam_probe,
+                                        tol=tol):
+            vectors = grid.vectors[:, 1:-1].tolist()
+            zc, ihm = zc.tolist(), ihm.tolist()
+            if as_json:
+                spins, sigma0 = grid.spins[:, 1:-1].copy(), grid.sigma0.copy()
+            for k, t in enumerate(grid.times.tolist()):
+                for i, n in enumerate(sites):
+                    row = (t, n, *vectors[k][i], zc[k][i], ihm[k][i])
+                    if as_json:
+                        row = dict(zip(columns, row), spin=spins[k, i],
+                                   sigma0=sigma0[k])
+                    rows.append(row)
+    except SpinLatticeError as exc:
+        # name the failing time, unless the message does
+        message = str(exc)
+        if (hasattr(exc, "time") and "t = " not in message
+                and not message.startswith("time t ")):
+            exc.args = (f"{message} (at t = {exc.time:g})",)
+        raise
     with _output(args) as out:
         if as_json:
             out.write(serialize.dumps(rows))

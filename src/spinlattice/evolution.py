@@ -156,7 +156,7 @@ def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
 def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     """Closed-form Lambda_n(t): lattice powers applied to Lambda_0(t)."""
     _check_spectrum(triple, tol)
-    return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), n)
+    return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), [n])[0]
 
 
 def _sigma_rk4(triple, t, rk_step=1e-3):
@@ -303,10 +303,23 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
     _check_time(t)
     if method == "ode" and not (np.isfinite(rk_step) and rk_step > 0):
         raise InputError(f"rk_step must be finite and positive, got {rk_step!r}")
-    _check_spectrum(triple, tol, need_zero=False)
     if method == "gramian":
-        return _at(_sigma_flow, triple, t)[0][0]
+        return _at(_gramian, triple, t, tol)[0][0]
+    _check_spectrum(triple, tol, need_zero=False)
     return _sigma_rk4(triple, t, rk_step)
+
+
+def _gramian(triple, times, tol):
+    """(Sigma_0(t) by the ``gramian`` route of ``evolve_sigma0`` at each of
+    ``times``, finite, in one stacked flow; the error of each time or None,
+    the spectrum guard before the overflow of t)."""
+    try:
+        _check_spectrum(triple, tol, need_zero=False)
+    except SpinLatticeError as exc:
+        return np.broadcast_to(triple.sigma0, times.shape
+                               + triple.sigma0.shape), [exc] * times.size
+    with np.errstate(all="ignore"):
+        return _sigma_flow(triple, times)
 
 
 def _triples_at(triple, times, tol):
@@ -338,9 +351,15 @@ def triple_at(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     if t == 0:
         return triple
     lam, sigma = _at(_triples_at, triple, t, tol)
+    return _triple_with(triple, lam[0], sigma[0])
+
+
+def _triple_with(triple, lam, sigma):
+    """The triple with the alpha of ``triple``, Lambda_0 = ``lam`` and
+    Sigma_0 = ``sigma``."""
     m = triple.m
-    return ParameterTriple(alpha=triple.alpha, theta1=lam[0, :, :m],
-                           theta2=lam[0, :, m:], sigma0=sigma[0])
+    return ParameterTriple(alpha=triple.alpha, theta1=lam[:, :m],
+                           theta2=lam[:, m:], sigma0=sigma)
 
 
 def state_at(triple: ParameterTriple, t, n_max, tol: Tolerances = DEFAULT):
@@ -464,7 +483,8 @@ class TimeGrid:
     more than its states at t.  Entry k of the grid is the state at time
     k, entry K + k the one at t + h_t and entry 2K + k the one at t - h_t,
     for K times.  The residuals are arrays indexed [time, n - 1] over the
-    sites 1 <= n <= N - 2, each computed once.
+    sites 1 <= n <= N - 2, each computed once.  The time-t triples at
+    ``triple_times`` join the first batch (``triple_at``).
 
     Errors are kept per state, and as one mask each for the spin vectors
     and the bonds.  A grid raises the error of its first failing time in
@@ -477,19 +497,22 @@ class TimeGrid:
     """
 
     def __init__(self, triple: ParameterTriple, times, n_max, h_t=1e-4,
-                 tol: Tolerances = DEFAULT, sides=True):
+                 tol: Tolerances = DEFAULT, sides=True, triple_times=()):
         _require_ihm(triple)
         self.triple, self.n_max, self.h_t, self.tol = triple, n_max, h_t, tol
         self.times = np.asarray(times, dtype=float)
         size = self.times.size
         self.stamps = np.concatenate([self.times, self.times + h_t,
                                       self.times - h_t])
+        self.triple_times = np.asarray(triple_times, dtype=float)
         if sides:
-            stack = self._lattice(self.stamps, [n_max] * size
-                                  + [max(n_max - 1, 0)] * (2 * size))
+            stack, self._extra = self._lattice(
+                self.stamps, [n_max] * size + [max(n_max - 1, 0)] * (2 * size),
+                self.triple_times)
             self.stack, self.sides = stack[:size], stack[size:]
         else:
-            self.stack = self._lattice(self.times, [n_max] * size)
+            self.stack, self._extra = self._lattice(
+                self.times, [n_max] * size, self.triple_times)
         self.spins = self.stack.spins
         self.vectors, self._bad_vectors, self._vector_error = _spin_vectors(
             self.spins, tol)
@@ -498,20 +521,36 @@ class TimeGrid:
         self._bad_bonds = abs(self.bonds) < tol.degeneracy_tol
         self._zero_curvature = {}
 
-    def _lattice(self, times, horizons):
-        """The recursion from the time-t triple of each of ``times`` to its
-        horizon, as one stack."""
+    def _lattice(self, times, horizons, triple_times=()):
+        """(The recursion from the time-t triple of each of ``times`` to its
+        horizon, as one stack; (Lambda_0(t), Sigma_0(t), faults) of the
+        time-t triples at ``triple_times``, from the same batch)."""
+        size = len(times)
+        if len(triple_times):
+            times = np.concatenate([times, triple_times])
         with np.errstate(all="ignore"):
             lam0, sigma0, faults = _triples_at(self.triple, times, self.tol)
-        return generate_stack(self.triple.alpha, lam0, sigma0, horizons,
-                              self.tol, faults=faults)
+        stack = generate_stack(self.triple.alpha, lam0[:size], sigma0[:size],
+                               horizons, self.tol, faults=faults[:size])
+        return stack, (lam0[size:], sigma0[size:], faults[size:])
+
+    def triple_at(self, t):
+        """``triple_at(self.triple, t)`` for t one of ``triple_times``;
+        raises its error."""
+        if t == 0:
+            return self.triple
+        lam, sigma, faults = self._extra
+        k = self.triple_times.tolist().index(t)
+        if faults[k] is not None:
+            raise faults[k]
+        return _triple_with(self.triple, lam[k], sigma[k])
 
     @cached_property
     def sides(self):
         """The states at t + h_t of every time, then at t - h_t."""
         size = self.times.size
         return self._lattice(self.stamps[size:],
-                             [max(self.n_max - 1, 0)] * (2 * size))
+                             [max(self.n_max - 1, 0)] * (2 * size))[0]
 
     @cached_property
     def _side_vectors(self):
@@ -536,10 +575,7 @@ class TimeGrid:
         stack.check(k)
         triple = self.triple
         if self.stamps[entry] != 0:
-            lam, m = stack.lambdas[k, 0], triple.m
-            triple = ParameterTriple(alpha=triple.alpha, theta1=lam[:, :m],
-                                     theta2=lam[:, m:],
-                                     sigma0=stack.sigmas[k, 0])
+            triple = _triple_with(triple, stack.lambdas[k, 0], stack.sigmas[k, 0])
         return stack.state(k, triple)
 
     def _check(self, k, bonds=(), side_sites=None):
@@ -562,15 +598,20 @@ class TimeGrid:
                 raise DegeneracyError(f"1 + s_{n - 1}.s_{n} = "
                                       f"{self.bonds[k, n - 1]:.3e} vanishes")
 
-    def check(self):
-        """Build the states at t +/- h_t and raise the first error of the
-        grid."""
+    def _first_failing(self):
+        """The index of the first time with an error, or None."""
         failed = np.array([e is not None
                            for e in self.stack.faults + self.sides.faults])
         bad = (failed.reshape(3, -1).any(axis=0)
                | self._bad_vectors.any(axis=1) | self._bad_bonds.any(axis=1)
                | self._side_vectors[2].any(axis=(0, 2)))
-        for k in np.flatnonzero(bad)[:1].tolist():
+        return next(iter(np.flatnonzero(bad).tolist()), None)
+
+    def check(self):
+        """Build the states at t +/- h_t and raise the first error of the
+        grid."""
+        k = self._first_failing()
+        if k is not None:
             self._check(k, range(1, self.n_max), range(1, self.n_max - 1))
 
     @cached_property
@@ -625,11 +666,16 @@ class TimeGrid:
 def trajectory(triple: ParameterTriple, times, n_max, lam,
                tol: Tolerances = DEFAULT):
     """The TimeGrids of ``times`` in blocks of TIME_BLOCK, each checked:
-    yields ``(grid, zero_curvature(lam), ihm())`` per block."""
+    yields ``(grid, zero_curvature(lam), ihm())`` per block.  The error of
+    a block's check carries the time that raised it as ``time``."""
     for start in range(0, len(times), TIME_BLOCK):
         grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max,
                         tol=tol)
-        grid.check()
+        try:
+            grid.check()
+        except SpinLatticeError as exc:
+            exc.time = float(grid.times[grid._first_failing()])
+            raise
         yield grid, grid.zero_curvature(lam), grid.ihm()
 
 

@@ -50,15 +50,16 @@ def advance(alpha, lam, sigma, alpha_inv=None):
     return lam_next, sym, linalg.frob_norms(sigma_next - sym)
 
 
-def _lattice_powers(alpha, lam0, n):
+def _lattice_powers(alpha, lam0, ns):
     """[(I + i a^{-1})^n lam0_1, (I - i a^{-1})^n lam0_2] for the column
-    blocks lam0 = [lam0_1, lam0_2]."""
+    blocks lam0 = [lam0_1, lam0_2], stacked over the n of ``ns``: alpha is
+    inverted once, and each power is its own ``matrix_power``."""
     a_inv = linalg.inv(alpha, "alpha")
     i_n = np.eye(alpha.shape[0], dtype=complex)
     m = lam0.shape[1] // 2
-    plus = np.linalg.matrix_power(i_n + 1j * a_inv, n)
-    minus = np.linalg.matrix_power(i_n - 1j * a_inv, n)
-    return np.hstack([plus @ lam0[:, :m], minus @ lam0[:, m:]])
+    plus, minus = (np.array([np.linalg.matrix_power(base, n) for n in ns])
+                   for base in (i_n + 1j * a_inv, i_n - 1j * a_inv))
+    return np.concatenate([plus @ lam0[:, :m], minus @ lam0[:, m:]], axis=-1)
 
 
 def lambda_closed_form(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
@@ -68,7 +69,7 @@ def lambda_closed_form(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
     """
     if not triple.sigma0_is_identity(tol):
         raise NumericError("closed form requires sigma0 = I (normalize first)")
-    return _lattice_powers(triple.alpha, triple.lambda0, n)
+    return _lattice_powers(triple.alpha, triple.lambda0, [n])[0]
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,9 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     applied to each entry up to its horizon.  An entry that fails a guard
     records the error in the list ``faults`` (one is made if none is given)
     and the others go on; floating point warnings of failed entries are
-    silenced.
+    silenced.  When lambda0 and sigma0 are single matrices, every entry
+    starts from them: the recursion runs once, to the largest horizon, and
+    each entry is a read-only view of its rows.
     """
     horizons = np.asarray(horizons, dtype=int)
     if (horizons < 0).any():
@@ -212,9 +215,14 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         _record(faults, np.arange(size), exc)
         alpha_inv = np.zeros(alpha.shape, dtype=complex)
     n_max = int(horizons.max(initial=0))
-    lambdas = np.empty((size, n_max + 1) + lambda0.shape[-2:], dtype=complex)
-    sigmas = np.empty((size, n_max + 1) + sigma0.shape[-2:], dtype=complex)
-    asymmetries = np.zeros((size, n_max + 1))
+    rows = 1 if lambda0.ndim == 2 else size
+
+    def entries(a):
+        return a if rows == size else np.broadcast_to(a, (size,) + a.shape[1:])
+
+    lambdas = np.empty((rows, n_max + 1) + lambda0.shape[-2:], dtype=complex)
+    sigmas = np.empty((rows, n_max + 1) + sigma0.shape[-2:], dtype=complex)
+    asymmetries = np.zeros((rows, n_max + 1))
     lambdas[:, 0] = lambda0
     sigmas[:, 0] = sigma0
     with np.errstate(all="ignore"):
@@ -223,14 +231,14 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
                 alpha, lambdas[:, n], sigmas[:, n], alpha_inv)
         guarded = np.arange(n_max + 1) <= horizons[:, None]
         if overflow_limit:
-            norms = linalg.frob_norms(sigmas)
+            norms = entries(linalg.frob_norms(sigmas))
             for k, n in _first(guarded[:, 1:] & (norms[:, 1:] > overflow_limit)):
                 _record(faults, [k], NumericError(
                     f"||Sigma_{n + 1}|| = {norms[k, n + 1]:.3e} exceeds the "
                     f"overflow guard {overflow_limit:.1e}; triple growth is too "
                     f"fast for this horizon (reached n = {n + 1} of "
                     f"{horizons[k]})"))
-        conditioning = linalg.cond(sigmas)
+        conditioning = entries(linalg.cond(sigmas))
         for k, n in _first(guarded & (conditioning > tol.cond_limit)):
             c = float(conditioning[k, n])
             _record(faults, [k], ConditioningError(
@@ -246,13 +254,13 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
             spins @ spins - np.eye(2 * m, dtype=complex))
     return LatticeStack(
         horizons=horizons,
-        lambdas=lambdas,
-        sigmas=sigmas,
-        spins=spins,
+        lambdas=entries(lambdas),
+        sigmas=entries(sigmas),
+        spins=entries(spins),
         conditioning=conditioning,
-        spin_residuals=spin_residuals,
-        sigma_asymmetries=asymmetries,
-        sigma_inv_lambdas=solved,
+        spin_residuals=entries(spin_residuals),
+        sigma_asymmetries=entries(asymmetries),
+        sigma_inv_lambdas=entries(solved),
         faults=faults,
     )
 
@@ -286,16 +294,18 @@ def k_residual(state: LatticeState, n):
     K_n = Lam_{n+1}* Sig_{n+1}^{-1}(a^2 + I) - Lam_n* Sig_n^{-1} a^2
           + i S_n Lam_n* Sig_n^{-1} a.
     """
-    a = state.triple.alpha
-    i_n = np.eye(state.triple.order, dtype=complex)
-    y_next = state.sigma_inv_lambdas[n + 1].conj().T
-    y = state.sigma_inv_lambdas[n].conj().T
-    k = (
-        y_next @ (a @ a + i_n)
-        - y @ a @ a
-        + 1j * state.spins[n] @ y @ a
-    )
-    return linalg.frob(k)
+    y = state.sigma_inv_lambdas
+    return linalg.frob(_k(state.triple.alpha, y[n].conj().T,
+                          y[n + 1].conj().T, state.spins[n]))
+
+
+def _k(alpha, y, y_next, spin):
+    """K_n of ``k_residual`` from y = Lam_n* Sig_n^{-1}, y_next (the same at
+    n + 1) and S_n, for one n or each of a stack."""
+    i_n = np.eye(alpha.shape[0], dtype=complex)
+    return (y_next @ (alpha @ alpha + i_n)
+            - y @ alpha @ alpha
+            + 1j * spin @ y @ alpha)
 
 
 @dataclass(frozen=True)
@@ -323,30 +333,27 @@ def monotone_diagnostics(state: LatticeState, tol: Tolerances = DEFAULT):
     a_inv = linalg.inv(triple.alpha, "alpha")
     i_n = np.eye(triple.order, dtype=complex)
     m = state.m
+    sigmas = np.array(state.sigmas)
+    lambdas = np.array(state.lambdas)[:-1]
 
     def build(factor, column, sign):
         # factor = I -/+ i a^{-1}; column selects the theta block feeding
         # the Gram increment; sign +1 for R (non-decreasing), -1 for Q.
-        seq = [linalg.herm(state.sigmas[0])]
-        extremes = []
-        cross = []
-        scales = []
-        power_inv = i_n.copy()
+        # factor^{-(n+1)} for n < n_max, each solved from the one before.
+        powers = np.empty((state.n_max,) + i_n.shape, dtype=complex)
+        power_inv = i_n
         for n in range(state.n_max):
-            power_inv = linalg.solve(factor, power_inv)
-            rn1 = linalg.herm(
-                power_inv @ state.sigmas[n + 1] @ power_inv.conj().T
-            )
-            diff = linalg.herm(rn1 - seq[-1])
-            lam_block = state.lambdas[n][:, column * m:(column + 1) * m]
-            z = power_inv @ a_inv @ lam_block
-            gram = sign * 2.0 * z @ z.conj().T
-            cross.append(linalg.frob(diff - gram))
-            w = np.linalg.eigvalsh(diff)
-            extremes.append(float(w[0] if sign > 0 else w[-1]))
-            scales.append(linalg.frob(rn1))
-            seq.append(rn1)
-        return seq, extremes, cross, scales
+            power_inv = powers[n] = linalg.solve(factor, power_inv)
+        # R_{n+1}, and its increment over R_n
+        rn1 = linalg.herm(powers @ sigmas[1:] @ powers.conj().swapaxes(-1, -2))
+        first = linalg.herm(sigmas[:1])
+        diff = linalg.herm(rn1 - np.concatenate([first, rn1[:-1]]))
+        z = powers @ a_inv @ lambdas[..., column * m:(column + 1) * m]
+        gram = sign * 2.0 * z @ z.conj().swapaxes(-1, -2)
+        w = np.linalg.eigvalsh(diff)
+        return ([first[0], *rn1], (w[:, 0] if sign > 0 else w[:, -1]).tolist(),
+                linalg.frob_norms(diff - gram).tolist(),
+                linalg.frob_norms(rn1).tolist())
 
     r_seq = q_seq = None
     r_min, q_max, r_cross, q_cross = [], [], [], []

@@ -10,13 +10,12 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from . import evolution, linalg
+from . import evolution, lattice, linalg
 from .config import DEFAULT, Tolerances
 from .errors import AdmissibilityError, PoleError, SpinLatticeError
-from .lattice import generate, k_residual, lambda_closed_form, monotone_diagnostics
-from .transfer import Transfer
+from .transfer import Transfer, _h
 from .triples import ParameterTriple, TripleClass, normalize_sigma0, validate
-from .weyl import _summability, lambda_grid, weyl
+from .weyl import _realization, _summability, lambda_grid, weyl
 
 __all__ = ["CheckResult", "check_names", "run_checks"]
 
@@ -33,20 +32,42 @@ class CheckResult:
 _LAMBDA_COUNT = 8
 _SUMMABILITY_TERMS = 30     # the Cauchy heuristic needs a longer horizon
 _SLICE_TIMES = (0.0, 0.2)   # times of the Lax, zero-curvature, IHM checks
+_TRIPLE_TIMES = (0.1, 0.35)  # times of the two evolution-* checks
+
+
+def _worst(values):
+    """The largest of ``values`` and 0, NaN skipped: the max of a loop
+    ``worst = max(worst, value)`` from worst = 0."""
+    return float(np.fmax.reduce(values, axis=None, initial=0.0))
 
 
 class _Context:
-    """What the checks read, each built once: the state and Transfer to
-    horizon n_max, and on first use the Weyl realization, the summability
-    Transfer, per time t the time-t triple, and one horizon-3 TimeGrid
-    over _SLICE_TIMES read through a TimeSlice per time, the lattice that
-    the public residual functions build for site 1."""
+    """What the checks read, each built once.  One recursion runs to
+    horizon n_max and, in the same stack, to the summability horizon 30
+    when n_max is below it; the per-n checks read its rows at once.  On
+    first use: the Weyl realization, the Transfer of horizon 30, one
+    horizon-3 TimeGrid over _SLICE_TIMES read through a TimeSlice per time
+    (the lattice that the public residual functions build for site 1),
+    whose batch of time-t triples also holds those at _TRIPLE_TIMES, and
+    one Gramian flow over _TRIPLE_TIMES.  ``spectrum`` is that of the
+    validate report."""
 
-    def __init__(self, triple, n_max, tol):
+    def __init__(self, triple, n_max, tol, spectrum):
         self.triple = triple
         self.tol = tol
         self.n_max = n_max
-        self.state = generate(triple, n_max=n_max, tol=tol)
+        self.spectrum = spectrum
+        horizons = [n_max] + [_SUMMABILITY_TERMS] * (n_max < _SUMMABILITY_TERMS)
+        self.stack = lattice.generate_stack(triple.alpha, triple.lambda0,
+                                            triple.sigma0, horizons, tol)
+        self.state = self.stack.state(0, triple)    # raises what generate does
+        rows = slice(0, n_max + 1)
+        self.lambdas = self.stack.lambdas[0, rows]
+        self.sigmas = self.stack.sigmas[0, rows]
+        self.sigma_inv_lambdas = self.stack.sigma_inv_lambdas[0, rows]
+        self.conditioning = self.stack.conditioning[0, rows]
+        self.spins = self.stack.spins[0, :n_max]
+        self.spin_residuals = self.stack.spin_residuals[0, :n_max]
         self.transfer = Transfer(self.state, tol)
         self.grid = lambda_grid(triple.alpha, count=_LAMBDA_COUNT, tol=tol)
         scale = 1.0 + float(np.linalg.norm(triple.alpha, 2))
@@ -56,69 +77,72 @@ class _Context:
             for k in range(_LAMBDA_COUNT)
         ]
         self.sites = range(min(n_max - 1, 10) + 1)
-        self.triple_at = cache(lambda t: evolution.triple_at(triple, t, tol))
+        self.triple_at = cache(lambda t: self.time_grid.triple_at(t))
         self.slice = cache(
             lambda t: self.time_grid.slice(_SLICE_TIMES.index(t)))
 
     @cached_property
     def time_grid(self):
-        return evolution.TimeGrid(self.triple, _SLICE_TIMES, 3, tol=self.tol)
+        return evolution.TimeGrid(self.triple, _SLICE_TIMES, 3, tol=self.tol,
+                                  triple_times=_TRIPLE_TIMES)
+
+    @cached_property
+    def gramian(self):
+        """Sigma_0(t) of the Gramian route at _TRIPLE_TIMES, and the error
+        of each time or None."""
+        return evolution._gramian(self.triple, np.array(_TRIPLE_TIMES),
+                                  self.tol)
 
     @cached_property
     def weyl(self):
-        return weyl(self.triple, self.tol)
+        # run_checks has validated the triple: weyl() without its validate
+        t = self.triple
+        return _realization(t.alpha, t.theta1, t.theta2, t.sigma0)
+
+    @cached_property
+    def phi_grid(self):
+        return self.weyl.grid(self.grid, self.tol)
 
     @cached_property
     def summability_transfer(self):
         if self.n_max >= _SUMMABILITY_TERMS:
             return self.transfer
-        state = generate(self.triple, n_max=_SUMMABILITY_TERMS, tol=self.tol)
-        return Transfer(state, self.tol)
+        return Transfer(self.stack.state(1, self.triple), self.tol)
 
 
 def _identity_propagation(ctx):
-    worst = 0.0
-    for lam, sig in zip(ctx.state.lambdas, ctx.state.sigmas):
-        res = linalg.frob(
-            ctx.triple.alpha @ sig - sig @ ctx.triple.alpha.conj().T
-            - 1j * lam @ lam.conj().T
-        )
-        scale = max(1.0, linalg.frob(sig) * linalg.frob(ctx.triple.alpha))
-        worst = max(worst, res / scale)
-    return worst, 1e-9
+    a, lam, sig = ctx.triple.alpha, ctx.lambdas, ctx.sigmas
+    res = linalg.frob_norms(a @ sig - sig @ a.conj().T - 1j * lam @ _h(lam))
+    scale = np.fmax(1.0, linalg.frob_norms(sig) * linalg.frob(a))
+    return _worst(res / scale), 1e-9
 
 
 def _sigma_positivity(ctx):
-    min_eig = min(float(np.linalg.eigvalsh(s)[0]) for s in ctx.state.sigmas)
+    min_eig = float(np.linalg.eigvalsh(ctx.sigmas)[:, 0].min())
     return max(0.0, -min_eig), 0.0, f"min eigenvalue {min_eig:.3e}"
 
 
 def _spin_involution(ctx):
-    worst = 0.0
-    for n, res in enumerate(ctx.state.spin_residuals):
-        scale = max(1.0, ctx.state.conditioning[n] * ctx.state.conditioning[n + 1])
-        worst = max(worst, res / scale)
-    return worst, ctx.tol.spin_tol * 100
+    scale = np.fmax(1.0, ctx.conditioning[:-1] * ctx.conditioning[1:])
+    return _worst(ctx.spin_residuals / scale), ctx.tol.spin_tol * 100
 
 
 def _spin_hermitian(ctx):
-    worst = max(
-        (linalg.frob(s - s.conj().T) for s in ctx.state.spins), default=0.0
-    )
-    return worst, 1e-10
+    return _worst(linalg.frob_norms(ctx.spins - _h(ctx.spins))), 1e-10
 
 
 def _closed_form(ctx):
+    # sigma0 = I on both branches, as lambda_closed_form requires
     if not ctx.triple.sigma0_is_identity(ctx.tol):
         triple = normalize_sigma0(ctx.triple, ctx.tol)
-        state = generate(triple, n_max=ctx.n_max, tol=ctx.tol)
+        lambdas = np.array(lattice.generate(triple, n_max=ctx.n_max,
+                                            tol=ctx.tol).lambdas)
     else:
-        triple, state = ctx.triple, ctx.state
-    worst = 0.0
-    for n, lam in enumerate(state.lambdas):
-        closed = lambda_closed_form(triple, n, ctx.tol)
-        worst = max(worst, linalg.frob(closed - lam) / max(1.0, linalg.frob(lam)))
-    return worst, 1e-11 * 100
+        triple, lambdas = ctx.triple, ctx.lambdas
+    closed = lattice._lattice_powers(triple.alpha, triple.lambda0,
+                                     range(ctx.n_max + 1))
+    return _worst(linalg.frob_norms(closed - lambdas)
+                  / np.fmax(1.0, linalg.frob_norms(lambdas))), 1e-11 * 100
 
 
 def _transfer_identity(ctx):
@@ -126,12 +150,12 @@ def _transfer_identity(ctx):
 
 
 def _k_residual(ctx):
-    worst = 0.0
-    for n in ctx.sites:
-        scale = max(1.0, linalg.frob(ctx.state.lambdas[n])
-                    * ctx.state.conditioning[n])
-        worst = max(worst, k_residual(ctx.state, n) / scale)
-    return worst, 1e-9
+    n = np.array(ctx.sites)
+    y = ctx.sigma_inv_lambdas
+    k = lattice._k(ctx.triple.alpha, _h(y[n]), _h(y[n + 1]), ctx.spins[n])
+    scale = np.fmax(1.0, linalg.frob_norms(ctx.lambdas[n])
+                    * ctx.conditioning[n])
+    return _worst(linalg.frob_norms(k) / scale), 1e-9
 
 
 def _inverse_product(ctx):
@@ -153,14 +177,9 @@ def _fundamental_recursion(ctx):
 
 def _rank_structure(ctx):
     m = ctx.triple.m
-    i2m = np.eye(2 * m)
-    worst = 0.0
-    for s in ctx.state.spins:
-        for sign in (1.0, -1.0):
-            sv = np.linalg.svd(i2m + sign * s, compute_uv=False)
-            if sv.size > m:
-                worst = max(worst, float(sv[m]))
-    return worst, 1e-8
+    signs = np.array([1.0, -1.0])[:, None, None, None]
+    sv = np.linalg.svd(np.eye(2 * m) + signs * ctx.spins, compute_uv=False)
+    return _worst(sv[..., m]), 1e-8
 
 
 def _factorizations(ctx):
@@ -171,33 +190,35 @@ def _factorizations(ctx):
 def _monotone(ctx):
     # residuals scaled by ||R_{n+1}|| (resp. Q): the sequences grow
     # geometrically and absolute eigenvalue noise grows with them
-    diag = monotone_diagnostics(ctx.state, ctx.tol)
-    worst = 0.0
+    diag = lattice.monotone_diagnostics(ctx.state, ctx.tol)
+    ratios = []
     if diag.r_sequence is not None:
-        for e, c, s in zip(diag.r_increments_min_eig,
-                           diag.r_cross_residuals, diag.r_scales):
-            scale = max(1.0, s)
-            worst = max(worst, -e / scale, c / scale)
+        scale = np.fmax(1.0, diag.r_scales)
+        ratios += [-np.array(diag.r_increments_min_eig) / scale,
+                   np.array(diag.r_cross_residuals) / scale]
     if diag.q_sequence is not None:
-        for e, c, s in zip(diag.q_increments_max_eig,
-                           diag.q_cross_residuals, diag.q_scales):
-            scale = max(1.0, s)
-            worst = max(worst, e / scale, c / scale)
-    return max(0.0, worst), 1e-10
+        scale = np.fmax(1.0, diag.q_scales)
+        ratios += [np.array(diag.q_increments_max_eig) / scale,
+                   np.array(diag.q_cross_residuals) / scale]
+    return _worst(np.concatenate(ratios)), 1e-10
 
 
 def _weyl_ratio(ctx):
     m = ctx.triple.m
     w0 = ctx.transfer.w_grid(ctx.grid)[0]
-    phi = ctx.weyl.grid(ctx.grid, ctx.tol)
+    phi = ctx.phi_grid
     d_inv = linalg.solve(w0[:, m:, m:], np.broadcast_to(linalg.eye(m), phi.shape))
     return linalg.frob_norms(phi - w0[:, :m, m:] @ d_inv).max(), 1e-10
 
 
 def _weyl_normalized(ctx):
-    phi_norm = weyl(normalize_sigma0(ctx.triple, ctx.tol), ctx.tol)
-    gaps = ctx.weyl.grid(ctx.grid, ctx.tol) - phi_norm.grid(ctx.grid, ctx.tol)
-    return linalg.frob_norms(gaps).max(), 1e-10
+    normalized = normalize_sigma0(ctx.triple, ctx.tol)
+    phi_norm = ctx.weyl if normalized is ctx.triple else weyl(normalized,
+                                                              ctx.tol)
+    phi = ctx.phi_grid
+    # sigma0 = I: the same realization, evaluated once
+    other = phi if phi_norm is ctx.weyl else phi_norm.grid(ctx.grid, ctx.tol)
+    return linalg.frob_norms(phi - other).max(), 1e-10
 
 
 def _summability_point(ctx):
@@ -229,7 +250,7 @@ def _summability_dichotomy(ctx):
 
 def _evolution_identity(ctx):
     worst = 0.0
-    for t in (0.1, 0.35):
+    for t in _TRIPLE_TIMES:
         triple_t = ctx.triple_at(t)
         worst = max(worst, triple_t.identity_residual()
                     / max(1.0, triple_t.identity_scale()))
@@ -239,13 +260,19 @@ def _evolution_identity(ctx):
 def _evolution_methods(ctx):
     """Sigma_0(t) of the time-t triple against the other exact route: the
     Gramian flow where that triple took the Sylvester solve (spectrum in the
-    open upper half plane), RK4 where it took the flow."""
-    spec = linalg.spectrum(ctx.triple.alpha, ctx.tol)
-    other = "gramian" if spec.min_imag_part > ctx.tol.spec_tol else "ode"
+    open upper half plane), RK4 where it took the flow.  The flow of both
+    times is one stacked call; RK4 runs time by time."""
+    flow = ctx.spectrum.min_imag_part > ctx.tol.spec_tol
     worst = 0.0
-    for t in (0.1, 0.35):
+    for k, t in enumerate(_TRIPLE_TIMES):
         a = ctx.triple_at(t).sigma0
-        b = evolution.evolve_sigma0(ctx.triple, t, other, tol=ctx.tol)
+        if flow:
+            sigma, faults = ctx.gramian
+            if faults[k] is not None:
+                raise faults[k]
+            b = sigma[k]
+        else:
+            b = evolution.evolve_sigma0(ctx.triple, t, "ode", tol=ctx.tol)
         worst = max(worst, linalg.frob(a - b))
     return worst, 1e-7
 
@@ -331,7 +358,7 @@ def run_checks(triple: ParameterTriple, n_max=15, tol: Tolerances = DEFAULT):
     registry = dict(_GENERAL_CHECKS)
     if triple.m == 1:
         registry.update(_EVOLUTION_CHECKS)
-    ctx = _Context(triple, n_max, tol)
+    ctx = _Context(triple, n_max, tol, report.spectrum)
     results = []
     for name in sorted(registry):
         try:

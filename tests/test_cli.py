@@ -262,6 +262,23 @@ def test_evolve_far_time_on_the_flow_route_fails_at_once(real_mode_file, capsys)
     assert "cond(Sigma_0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, message", (
+    pytest.param("0,1e6,2", "cond(Sigma_0) = inf exceeds the limit 1.0e+12 "
+                 "(at t = 1e+06)", id="first-block"),
+    # t = 22 is time 44, in the second block of TIME_BLOCK times
+    pytest.param("0,40,81", "cond(Sigma_3) = 1.214e+12 exceeds the limit "
+                 "1.0e+12 (at t = 22)", id="second-block"),
+))
+def test_evolve_error_names_the_failing_time(real_mode_file, capsys, grid,
+                                             message):
+    """An error whose message has no time gets the time that raised it; the
+    exit code is that of the error."""
+    assert main(["evolve", real_mode_file, f"--time-grid={grid}",
+                 "--nmax", "3"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"numeric failure: {message}"]
+
+
 def test_evolve_overflow_on_the_flow_route_is_one_error_line(real_mode_file,
                                                              capsys):
     with warnings.catch_warnings():

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,10 +8,11 @@ from hypothesis import strategies as st
 from spinlattice import (evolution, ihm_residual, lax_pair, lattice, linalg,
                          monodromy_residual, random_admissible_triple,
                          random_general_sigma_triple, summability_diagnostic,
-                         weyl, zero_curvature_residual)
+                         triples, verify, weyl, zero_curvature_residual)
 from spinlattice.errors import PoleError, SpinLatticeError
 from spinlattice.verify import run_checks
 
+weyl_module = importlib.import_module("spinlattice.weyl")
 LAM = 2.0 + 0.5j
 
 
@@ -123,3 +126,49 @@ def test_verify_builds_each_shared_quantity_once(counts, n_max, states):
 def test_run_checks_rejects_a_horizon_below_one(small_triple, n_max):
     with pytest.raises(ValueError, match="n_max >= 1"):
         run_checks(small_triple, n_max=n_max)
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The size of each batch of shared work: the times of every
+    ``_triples_at`` and ``_sigma_flow`` call, the horizons of every
+    ``generate_stack`` call, and the number of ``validate`` calls."""
+    calls = {"_triples_at": [], "_sigma_flow": [], "generate_stack": [],
+             "validate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "validate":
+                calls[name] += 1
+            elif name == "generate_stack":
+                calls[name].append([int(h) for h in args[3]])
+            else:
+                calls[name].append(args[1].size)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, names in ((evolution, ("_triples_at", "_sigma_flow",
+                                       "generate_stack")),
+                          (lattice, ("generate_stack",)),
+                          (triples, ("validate",)), (verify, ("validate",)),
+                          (weyl_module, ("validate",))):
+        for name in names:
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("n_max, state_horizons", ((15, [15, 30]),
+                                                   (30, [30])))
+def test_verify_batches_its_shared_work(batches, n_max, state_horizons):
+    """One verify of an m = 1 triple with its spectrum in the open upper
+    half plane: one validate; one batch of time-t triples, for t and
+    t +/- h_t at t = 0, 0.2 and for t = 0.1, 0.35; one Gramian flow over
+    t = 0.1, 0.35; one recursion for the state to n_max and the horizon-30
+    state, and one for the horizon-3 time grid."""
+    triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
+    results = run_checks(triple, n_max=n_max)
+    assert all(np.isfinite(r.residual) for r in results)     # none raised
+    assert batches == {"_triples_at": [8], "_sigma_flow": [2],
+                       "generate_stack": [state_horizons, [3, 3, 2, 2, 2, 2]],
+                       "validate": 1}
