@@ -359,6 +359,40 @@ def test_verify_output_is_that_of_the_per_check_evaluation(capsys, name,
     assert capsys.readouterr().out == want
 
 
+JSON_DATA = pathlib.Path(__file__).parent / "data" / "json"
+
+
+@pytest.mark.parametrize("name, argv", (
+    (f"{name}.{out}", [command, str(source), *extra])
+    for name in ("m2", "m3")
+    for out, command, source, extra in (
+        ("invert.json", "invert", JSON_DATA / f"{name}.realization.json", ()),
+        ("weyl.json", "weyl", VERIFY_DATA / f"{name}.json", ()),
+        ("fundamental.json", "fundamental", VERIFY_DATA / f"{name}.json",
+         ("--nmax", "4", "--lambda", "2+0.5i")),
+        ("fundamental.csv", "fundamental", VERIFY_DATA / f"{name}.json",
+         ("--nmax", "4", "--lambda", "2+0.5i", "--format", "csv")),
+        ("spins.json", "spins", VERIFY_DATA / f"{name}.json", ("--nmax", "4")),
+        ("spins.csv", "spins", VERIFY_DATA / f"{name}.json",
+         ("--nmax", "4", "--format", "csv")),
+    )
+))
+def test_json_and_csv_outputs_are_those_of_the_per_matrix_writer(capsys, name,
+                                                                  argv):
+    """tests/data/json/<name> were written by the writer that formatted
+    every float of every matrix (commit dea30bd); the m2 and m3 triples are
+    those of CI, and <name>.realization.json their Weyl realizations."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (JSON_DATA / name).read_text()
+
+
+def test_spins_json_of_the_real_mode_triple_is_pinned(capsys):
+    assert main(["spins", str(EVOLVE_DATA / "real_mode.json"), "--nmax",
+                 "4"]) == 0
+    want = (JSON_DATA / "real_mode.spins.json").read_text()
+    assert capsys.readouterr().out == want
+
+
 def test_evolve_has_no_method_flag(capsys):
     with pytest.raises(SystemExit):
         main(["evolve", "--help"])
