@@ -146,14 +146,9 @@ def _cmd_fundamental(args, tol):
     state = generate(triple, n_max=args.nmax, tol=tol)
     table = Transfer(state, tol).fundamental_grid([lam])[:, 0]
     if args.format == "csv":
-        rows = []
-        for n, w in enumerate(table):
-            for i in range(w.shape[0]):
-                for j in range(w.shape[1]):
-                    rows.append((n, i, j, float(w[i, j].real),
-                                 float(w[i, j].imag)))
         with _output(args) as out:
-            serialize.write_csv(out, ["n", "i", "j", "re", "im"], rows)
+            serialize.write_csv(out, ["n", "i", "j", "re", "im"],
+                                serialize.stack_csv_rows(table))
     else:
         with _output(args) as out:
             out.write(serialize.dumps({"lambda": lam, "table": [

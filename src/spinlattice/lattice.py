@@ -41,13 +41,24 @@ def advance(alpha, lam, sigma, alpha_inv=None):
     """
     if alpha_inv is None:
         alpha_inv = linalg.inv(alpha, "alpha")
-    m = lam.shape[-1] // 2
+    return _stepper(alpha_inv, lam.shape[-1] // 2)(lam, sigma)
+
+
+def _stepper(alpha_inv, m):
+    """The step of ``advance`` as a function of (Lambda, Sigma), with its
+    constants J, i alpha^{-1} and alpha^{-*} formed once."""
     j = signature_matrix(m)
-    lam_next = lam + 1j * alpha_inv @ lam @ j
-    core = sigma + lam @ j @ lam.conj().swapaxes(-1, -2)
-    sigma_next = sigma + alpha_inv @ core @ alpha_inv.conj().T
-    sym = linalg.herm(sigma_next)
-    return lam_next, sym, linalg.frob_norms(sigma_next - sym)
+    i_alpha_inv = 1j * alpha_inv
+    alpha_inv_adj = alpha_inv.conj().T
+
+    def step(lam, sigma):
+        lam_next = lam + i_alpha_inv @ lam @ j
+        core = sigma + lam @ j @ lam.conj().swapaxes(-1, -2)
+        sigma_next = sigma + alpha_inv @ core @ alpha_inv_adj
+        sym = linalg.herm(sigma_next)
+        return lam_next, sym, linalg.frob_norms(sigma_next - sym)
+
+    return step
 
 
 def _lattice_powers(alpha, lam0, ns):
@@ -225,10 +236,11 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     asymmetries = np.zeros((rows, n_max + 1))
     lambdas[:, 0] = lambda0
     sigmas[:, 0] = sigma0
+    step = _stepper(alpha_inv, lambda0.shape[-1] // 2)
     with np.errstate(all="ignore"):
         for n in range(n_max):
-            lambdas[:, n + 1], sigmas[:, n + 1], asymmetries[:, n + 1] = advance(
-                alpha, lambdas[:, n], sigmas[:, n], alpha_inv)
+            lambdas[:, n + 1], sigmas[:, n + 1], asymmetries[:, n + 1] = step(
+                lambdas[:, n], sigmas[:, n])
         guarded = np.arange(n_max + 1) <= horizons[:, None]
         if overflow_limit:
             norms = entries(linalg.frob_norms(sigmas))

@@ -7,9 +7,13 @@ scalars whose leaves may also be complex numbers and complex matrices
 (``ndarray``).  Its
 bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)`` for the
 plain object in which each complex leaf is a ``complex_to_obj`` dict and
-each matrix a ``matrix_to_obj`` nest, but matrices are written straight
-from their arrays, so no per-entry dicts are built.  Keys are sorted and
-floats go through Python's shortest round-trip repr, so identical inputs
+each matrix a ``matrix_to_obj`` nest, but no per-entry dicts are built.
+It writes in two steps.  One walk of the document builds its text as one
+%-template (a cached template per matrix shape, % doubled in keys and
+strings) and collects its floats, matrices straight from their arrays.
+Then each distinct magnitude |x| of those floats is formatted once with
+Python's shortest round-trip repr, a "-" is added where the sign bit is
+set, and one % fills the template.  Keys are sorted, so identical inputs
 give identical bytes.
 """
 
@@ -36,6 +40,7 @@ __all__ = [
     "state_to_obj",
     "dumps",
     "load_json",
+    "stack_csv_rows",
     "spin_csv_rows",
     "write_csv",
 ]
@@ -203,19 +208,47 @@ def _escape(match):
 
 
 def _string(text):
-    return '"' + _ESCAPED.sub(_escape, text) + '"'
+    """JSON string literal of ``text`` as %-template text (% doubled)."""
+    return '"' + _ESCAPED.sub(_escape, text).replace("%", "%%") + '"'
 
 
 def _float(x):
-    """JSON text of a float; float.__repr__ also writes numpy floats as
-    plain numbers."""
+    """JSON text of a non-negative float or NaN."""
     if x != x:
         return "NaN"
     if x == math.inf:
         return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
     return float.__repr__(x)
+
+
+def _float_texts(magnitudes):
+    """JSON texts of an array of distinct non-negative floats (NaN
+    included): the one place where floats are formatted."""
+    values = magnitudes.tolist()
+    # float.__repr__ runs in C; only a non-finite entry needs _float's tokens
+    if np.isfinite(magnitudes).all():
+        return list(map(float.__repr__, values))
+    return list(map(_float, values))
+
+
+_SIGN = np.uint64(1 << 63)
+
+
+def _fill(values):
+    """The JSON texts of the floats of ``values``, a list of sequences of
+    (re, im) pairs, in (im, re) order.  Each distinct magnitude |x| (by bit
+    pattern) is formatted once, and a "-" added where the sign bit is set:
+    the repr of -x is "-" and the repr of x, except for NaN, which has no
+    sign."""
+    if not values:
+        return ()
+    floats = np.concatenate(values).reshape(-1, 2)[:, ::-1].ravel()
+    bits = floats.view(np.uint64)
+    magnitudes, inverse = np.unique(bits & ~_SIGN, return_inverse=True)
+    texts = np.array(_float_texts(magnitudes.view(np.float64)), dtype=object)
+    negative = (bits >= _SIGN) & (floats == floats)
+    table = np.concatenate((texts, "-" + texts))
+    return tuple(table[inverse + texts.size * negative].tolist())
 
 
 def _newline(depth):
@@ -244,19 +277,18 @@ def _matrix_template(rows, cols, depth):
     return _block("[", [row] * rows, "]", depth)
 
 
-def _matrix(matrix, depth):
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
+def _matrix(matrix, depth, values):
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex, order="C"))
     if matrix.ndim != 2:
         raise TypeError(f"cannot write a {matrix.ndim}-D array as a matrix")
-    values = np.stack((matrix.imag, matrix.real), axis=-1).ravel().tolist()
-    # float.__repr__ runs in C; only a non-finite entry needs _float's tokens
-    text = (map(float.__repr__, values) if np.isfinite(matrix).all()
-            else map(_float, values))
-    return _matrix_template(*matrix.shape, depth) % tuple(text)
+    values.append(matrix.view(np.float64).ravel())
+    return _matrix_template(*matrix.shape, depth)
 
 
-def _text(value, depth):
-    """JSON text of ``value`` at nesting ``depth``."""
+def _template(value, depth, values):
+    """%-format text of ``value`` at nesting ``depth``, with every literal
+    % doubled; its floats are appended to ``values`` as (re, im) pairs, one
+    pair per complex entry and per float, in the order of their %s."""
     if isinstance(value, str):
         return _string(value)
     if value is None:
@@ -268,19 +300,21 @@ def _text(value, depth):
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float(value)
+        # (x, x) is a pair like a complex entry's; "%.0s" prints nothing
+        values.append((value, value))
+        return "%s%.0s"
     if isinstance(value, complex):
-        return _complex_template(depth) % (_float(value.imag),
-                                           _float(value.real))
+        values.append((value.real, value.imag))
+        return _complex_template(depth)
     if isinstance(value, np.ndarray):
-        return _matrix(value, depth)
+        return _matrix(value, depth, values)
     if isinstance(value, dict):
-        return _block("{", [f"{_string(key)}: {_text(item, depth + 1)}"
-                            for key, item in sorted(value.items())],
-                      "}", depth)
+        return _block("{", [
+            f"{_string(key)}: {_template(item, depth + 1, values)}"
+            for key, item in sorted(value.items())], "}", depth)
     if isinstance(value, (list, tuple)):
-        return _block("[", [_text(item, depth + 1) for item in value],
-                      "]", depth)
+        return _block("[", [_template(item, depth + 1, values)
+                            for item in value], "]", depth)
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -288,8 +322,11 @@ def _text(value, depth):
 def dumps(doc):
     """Deterministic JSON text of a document (sorted keys, two-space indent,
     trailing newline): ``json.dumps(_plain(doc), sort_keys=True, indent=2)``
-    plus a newline, byte for byte."""
-    return _text(doc, 0) + "\n"
+    plus a newline, byte for byte.  One walk builds the text as a
+    %-template and collects the floats; one % fills it."""
+    values = []
+    template = _template(doc, 0, values)
+    return template % _fill(values) + "\n"
 
 
 def load_json(path):
@@ -303,14 +340,19 @@ def load_json(path):
                          f"column {exc.colno}") from exc
 
 
+def stack_csv_rows(stack):
+    """Rows (n, i, j, re, im) over every entry of every matrix stack[n],
+    row by row."""
+    stack = np.asarray(stack, dtype=complex)
+    n, i, j = np.indices(stack.shape).reshape(3, -1).tolist()
+    flat = stack.ravel()
+    return list(zip(n, i, j, flat.real.tolist(), flat.imag.tolist()))
+
+
 def spin_csv_rows(state):
     """Rows (n, i, j, re, im) over every entry of every S_n."""
-    rows = []
-    for n, s in enumerate(state.spins):
-        for i in range(s.shape[0]):
-            for j in range(s.shape[1]):
-                rows.append((n, i, j, float(s[i, j].real), float(s[i, j].imag)))
-    return rows
+    size = 2 * state.m
+    return stack_csv_rows(np.reshape(state.spins, (-1, size, size)))
 
 
 def write_csv(stream, header, rows):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -146,3 +147,68 @@ def test_dumps_rejects_what_it_cannot_write():
     for doc in ([object()], {"a": {1, 2}}, np.zeros((2, 2, 2))):
         with pytest.raises(TypeError):
             serialize.dumps(doc)
+
+
+def _hermitian_with_signed_zeros():
+    """An exactly Hermitian matrix whose mirrored entries differ only in the
+    sign of a zero imaginary part, and whose other mirrored entries share
+    magnitudes."""
+    h = np.array([[2.0, 0.5 + 0.25j, -3.0],
+                  [0.0, -1.0, 1e-300 - 7.5j],
+                  [0.0, 0.0, 0.125]], dtype=complex)
+    h = h + np.triu(h, 1).conj().T
+    h[2, 0] = complex(-3.0, 0.0)
+    h[0, 2] = complex(-3.0, -0.0)
+    assert np.array_equal(h, h.conj().T)
+    return h
+
+
+_NEG_NAN = float(np.copysign(math.nan, -1))
+_SUBNORMALS = [5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               -2.2250738585072014e-308 / 7, 1e-310]
+
+
+@pytest.mark.parametrize("doc", [
+    _hermitian_with_signed_zeros(),
+    {"s": [_hermitian_with_signed_zeros(), -_hermitian_with_signed_zeros()]},
+    [_NEG_NAN, math.nan, math.inf, -math.inf, complex(_NEG_NAN, -math.inf),
+     np.array([[complex(_NEG_NAN, math.nan), complex(-math.inf, math.inf)],
+               [complex(-0.0, 0.0), complex(math.nan, _NEG_NAN)]])],
+    {"sub": _SUBNORMALS, "m": np.array([_SUBNORMALS], dtype=complex) * 1j},
+    {"%s": "100%", "a%%b": ["%d", "%(x)s", "%s %s", 1.5], "%": -1.5,
+     "%%s": {"%": complex(1.5, -1.5)}},
+])
+def test_dumps_matches_the_stdlib_encoder_at_the_edges(doc):
+    """Signed zeros of mirrored entries, NaN with the sign bit set, infinities,
+    subnormals, and % in keys and string values."""
+    assert serialize.dumps(doc) == _reference(doc)
+
+
+def _json_floats(obj):
+    if isinstance(obj, dict):
+        return [x for value in obj.values() for x in _json_floats(value)]
+    if isinstance(obj, list):
+        return [x for value in obj for x in _json_floats(value)]
+    return [obj] if isinstance(obj, float) else []
+
+
+def test_dumps_formats_each_distinct_magnitude_once(monkeypatch):
+    """The spins document of the CI m = 2 triple at horizon 30 formats as
+    many floats as it has distinct |x|, under 70 % of its floats: Sigma_n and
+    S_n are exactly Hermitian, so mirrored entries share magnitudes."""
+    path = pathlib.Path(__file__).parent / "data" / "verify" / "m2.json"
+    triple = serialize.triple_from_obj(serialize.load_json(path))
+    doc = serialize._state_doc(generate(triple, 30))
+    formatted = []
+    float_texts = serialize._float_texts
+
+    def counting(magnitudes):
+        formatted.append(magnitudes.size)
+        return float_texts(magnitudes)
+
+    monkeypatch.setattr(serialize, "_float_texts", counting)
+    text = serialize.dumps(doc)
+    floats = np.abs(_json_floats(json.loads(text)))
+    distinct = np.unique(floats.view(np.uint64)).size
+    assert formatted == [distinct]
+    assert distinct < 0.7 * floats.size
