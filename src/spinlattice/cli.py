@@ -8,8 +8,6 @@ failure.
 import argparse
 import contextlib
 import functools
-import logging
-import os
 import sys
 
 import numpy as np
@@ -31,8 +29,6 @@ from .verify import run_checks
 from .weyl import weyl
 from .worked_example import run_diffs
 
-log = logging.getLogger("spinlattice")
-
 
 def _parse_tolerances(pairs):
     overrides = {}
@@ -52,6 +48,8 @@ def _parse_tolerances(pairs):
             raise InputError(f"--tol {name}: non-numeric value {value!r}") from exc
         if value <= 0:
             raise InputError(f"--tol {name}: value must be positive")
+        if not np.isfinite(value):
+            raise InputError(f"--tol {name}: value must be finite, got {value}")
         overrides[name] = value
     return DEFAULT.replace(**overrides)
 
@@ -67,6 +65,8 @@ def _parse_lambda_grid(text):
         raise InputError(f"bad --lambda-grid value: {exc}") from exc
     if count < 1 or radius <= 0:
         raise InputError("--lambda-grid needs k >= 1 and r > 0")
+    if not np.isfinite([c_re, c_im, radius]).all():
+        raise InputError("--lambda-grid needs a finite center and radius")
     center = complex(c_re, c_im)
     return [center + radius * np.exp(2j * np.pi * k / count)
             for k in range(count)]
@@ -143,6 +143,8 @@ def _cmd_fundamental(args, tol):
         lam = complex(args.lam.replace("i", "j"))
     except ValueError as exc:
         raise InputError(f"bad --lambda value {args.lam!r}") from exc
+    if not np.isfinite(lam):
+        raise InputError(f"--lambda must be finite, got {args.lam!r}")
     state = generate(triple, n_max=args.nmax, tol=tol)
     table = Transfer(state, tol).fundamental_grid([lam])[:, 0]
     if args.format == "csv":
@@ -326,8 +328,6 @@ def _parser():
 
 
 def main(argv=None):
-    level = os.environ.get("SPINLATTICE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _parser().parse_args(argv)
     try:
         tol = _parse_tolerances(args.tol)

@@ -53,7 +53,7 @@ SPIN_NORM_BOUND = 1e-9
 
 
 def _check_spectrum(triple, tol, need_zero=True, need_upper=False):
-    spec = linalg.spectrum(triple.alpha, tol)
+    spec = triple.spectrum(tol)
     if spec.contains_plus_i or spec.contains_minus_i:
         raise SpectrumError(
             "time evolution requires +/-i not in the spectrum of alpha",

@@ -86,32 +86,25 @@ def lambda_closed_form(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
 @dataclass(frozen=True)
 class LatticeState:
     """Sequences Lambda_0..Lambda_{n_max}, Sigma_0..Sigma_{n_max} and the
-    spins S_0..S_{n_max-1} generated from one triple."""
+    spins S_0..S_{n_max-1} of one triple, views [n] of LatticeStack rows."""
 
     triple: ParameterTriple
     n_max: int
-    lambdas: list
-    sigmas: list
-    spins: list
+    lambdas: np.ndarray
+    sigmas: np.ndarray
+    spins: np.ndarray
     conditioning: list          # cond(Sigma_n), n = 0..n_max
     spin_residuals: list        # ||S_n^2 - I||_F, n = 0..n_max-1
     sigma_asymmetries: list
-    sigma_inv_lambdas: list     # Sigma_n^{-1} Lambda_n, n = 0..n_max
+    sigma_inv_lambdas: np.ndarray   # Sigma_n^{-1} Lambda_n, n = 0..n_max
 
     @property
     def m(self):
         return self.triple.m
 
-    @property
-    def j(self):
-        return signature_matrix(self.m)
-
     def xi(self, n):
         """Lambda_n* Sigma_n^{-1} Lambda_n (solved, never inverted)."""
         return self.lambdas[n].conj().T @ self.sigma_inv_lambdas[n]
-
-    def sigma_solve(self, n, rhs):
-        return linalg.solve(self.sigmas[n], rhs, f"Sigma_{n}")
 
 
 def _record(faults, where, error):
@@ -162,20 +155,20 @@ class LatticeStack:
             raise self.faults[k]
 
     def state(self, k, triple: ParameterTriple):
-        """Entry k, the run of ``triple``, as a LatticeState; raises its
-        error."""
+        """Entry k, the run of ``triple``, as a LatticeState of views of its
+        rows; raises its error."""
         self.check(k)
         h = int(self.horizons[k])
         return LatticeState(
             triple=triple,
             n_max=h,
-            lambdas=list(self.lambdas[k, :h + 1]),
-            sigmas=list(self.sigmas[k, :h + 1]),
-            spins=list(self.spins[k, :h]),
+            lambdas=self.lambdas[k, :h + 1],
+            sigmas=self.sigmas[k, :h + 1],
+            spins=self.spins[k, :h],
             conditioning=self.conditioning[k, :h + 1].tolist(),
             spin_residuals=self.spin_residuals[k, :h].tolist(),
             sigma_asymmetries=self.sigma_asymmetries[k, :h + 1].tolist(),
-            sigma_inv_lambdas=list(self.sigma_inv_lambdas[k, :h + 1]),
+            sigma_inv_lambdas=self.sigma_inv_lambdas[k, :h + 1],
         )
 
 
@@ -202,7 +195,7 @@ def _first(mask):
 
 
 def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
-                   overflow_limit=None, faults=None):
+                   faults=None):
     """Run the recursion from each (lambda0[k], sigma0[k]) up to horizon
     horizons[k], all over one stack axis, with the guards of ``generate``
     applied to each entry up to its horizon.  An entry that fails a guard
@@ -215,8 +208,6 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     horizons = np.asarray(horizons, dtype=int)
     if (horizons < 0).any():
         raise ValueError("n_max must be non-negative")
-    if overflow_limit is None:
-        overflow_limit = tol.sigma_overflow
     size = horizons.size
     if faults is None:
         faults = [None] * size
@@ -242,12 +233,13 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
             lambdas[:, n + 1], sigmas[:, n + 1], asymmetries[:, n + 1] = step(
                 lambdas[:, n], sigmas[:, n])
         guarded = np.arange(n_max + 1) <= horizons[:, None]
-        if overflow_limit:
+        limit = tol.sigma_overflow
+        if limit:
             norms = entries(linalg.frob_norms(sigmas))
-            for k, n in _first(guarded[:, 1:] & (norms[:, 1:] > overflow_limit)):
+            for k, n in _first(guarded[:, 1:] & (norms[:, 1:] > limit)):
                 _record(faults, [k], NumericError(
                     f"||Sigma_{n + 1}|| = {norms[k, n + 1]:.3e} exceeds the "
-                    f"overflow guard {overflow_limit:.1e}; triple growth is too "
+                    f"overflow guard {limit:.1e}; triple growth is too "
                     f"fast for this horizon (reached n = {n + 1} of "
                     f"{horizons[k]})"))
         conditioning = entries(linalg.cond(sigmas))
@@ -282,12 +274,14 @@ def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT,
     """Run the recursion up to horizon ``n_max`` and assemble a LatticeState:
     the stack of one of ``generate_stack``.
 
-    Aborts with diagnostics if ||Sigma_n|| exceeds the overflow guard or the
-    conditioning limit is crossed (Sigma_n inversion is the dominant error
-    source, so it is tracked per n).
+    Aborts with diagnostics if ||Sigma_n|| exceeds ``overflow_limit`` (by
+    default tol.sigma_overflow) or the conditioning limit is crossed
+    (Sigma_n inversion is the dominant error source, so it is tracked per n).
     """
+    if overflow_limit is not None:
+        tol = tol.replace(sigma_overflow=overflow_limit)
     stack = generate_stack(triple.alpha, triple.lambda0[None],
-                           triple.sigma0[None], [n_max], tol, overflow_limit)
+                           triple.sigma0[None], [n_max], tol)
     return stack.state(0, triple)
 
 
@@ -341,12 +335,11 @@ class MonotoneDiagnostics:
 
 def monotone_diagnostics(state: LatticeState, tol: Tolerances = DEFAULT):
     triple = state.triple
-    spec = linalg.spectrum(triple.alpha, tol)
+    spec = triple.spectrum(tol)
     a_inv = linalg.inv(triple.alpha, "alpha")
     i_n = np.eye(triple.order, dtype=complex)
     m = state.m
-    sigmas = np.array(state.sigmas)
-    lambdas = np.array(state.lambdas)[:-1]
+    sigmas, lambdas = state.sigmas, state.lambdas[:-1]
 
     def build(factor, column, sign):
         # factor = I -/+ i a^{-1}; column selects the theta block feeding
@@ -401,7 +394,7 @@ def sigma_quadrature(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
     of alpha in the open upper half plane and sigma0 = I; used as a test
     oracle only.
     """
-    spec = linalg.spectrum(triple.alpha, tol)
+    spec = triple.spectrum(tol)
     if spec.min_imag_part <= tol.spec_tol:
         raise SpectrumError(
             "quadrature oracle requires the spectrum in the open upper half plane"

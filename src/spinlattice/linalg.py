@@ -43,7 +43,6 @@ __all__ = [
     "cond",
     "solve",
     "inv",
-    "poles",
     "check_pole",
 ]
 
@@ -98,17 +97,20 @@ def require_hermitian(m, tol: Tolerances = DEFAULT, name="matrix"):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of a square matrix plus flags against the points 0, +/-i."""
+    """Eigenvalues of a square matrix M plus flags against the points 0,
+    +/-i, its 2-norm and the pole scale max(1, ||M||_2) of ``check_pole``."""
 
     eigenvalues: np.ndarray
     min_imag_part: float
     contains_plus_i: bool
     contains_minus_i: bool
     contains_zero: bool
+    norm: float
+    scale: float
 
 
 def spectrum(m, tol: Tolerances = DEFAULT):
-    """Eigenvalues of a square complex matrix with point flags at 0 and +/-i."""
+    """The SpectrumReport of a square complex matrix."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"spectrum needs a square matrix, got {m.shape}")
@@ -116,12 +118,14 @@ def spectrum(m, tol: Tolerances = DEFAULT):
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    norm = float(np.linalg.norm(m, 2))
     return SpectrumReport(
         eigenvalues=eigs,
         min_imag_part=float(np.min(eigs.imag)) if eigs.size else 0.0,
         contains_plus_i=bool(np.any(np.abs(eigs - 1j) <= tol.spec_tol)),
         contains_minus_i=bool(np.any(np.abs(eigs + 1j) <= tol.spec_tol)),
         contains_zero=bool(np.any(np.abs(eigs) <= tol.spec_tol)),
+        norm=norm, scale=max(1.0, norm),
     )
 
 
@@ -169,8 +173,8 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
         raise DimensionError(
             f"C must be {a.shape[0]}x{b.shape[0]}, got {c.shape[-2:]}"
         )
-    ea = spectrum(a, tol).eigenvalues
-    eb = spectrum(b, tol).eigenvalues
+    ea = np.linalg.eigvals(a)
+    eb = np.linalg.eigvals(b)
     if ea.size and eb.size:
         sep = np.min(np.abs(ea[:, None] - eb[None, :]))
         if sep <= tol.spec_tol:
@@ -271,25 +275,21 @@ def inv(m, name="matrix"):
     return solve(as_matrix(m, name), eye(m.shape[0]), name)
 
 
-def poles(m):
-    """Eigenvalues of M and its pole scale max(1, ||M||_2), for check_pole."""
-    return np.linalg.eigvals(m), max(1.0, float(np.linalg.norm(m, 2)))
-
-
-def check_pole(lam, eigs, scale, tol: Tolerances = DEFAULT, name="matrix"):
+def check_pole(lam, spec: SpectrumReport, tol: Tolerances = DEFAULT,
+               name="matrix"):
     """Raise PoleError if lam, or the first in order of a sequence of
-    points, lies within pole_tol * scale of an eigenvalue.
-
-    ``eigs`` and ``scale`` come from ``poles(M)`` for the matrix M whose
-    resolvent (lam I - M)^{-1} is about to be formed.
+    points, lies within pole_tol * spec.scale of an eigenvalue, for the
+    report ``spec`` of the matrix M whose resolvent (lam I - M)^{-1} is
+    about to be formed.
     """
+    eigs = spec.eigenvalues
     if not eigs.size:
         return
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     gaps = np.abs(eigs[None, :] - lams[:, None])
     nearest = np.argmin(gaps, axis=1)
     close = np.flatnonzero(
-        gaps[np.arange(lams.size), nearest] <= tol.pole_tol * scale)
+        gaps[np.arange(lams.size), nearest] <= tol.pole_tol * spec.scale)
     if close.size:
         k = close[0]
         raise PoleError(

@@ -177,9 +177,9 @@ def _state_doc(state):
     return {
         "triple": _triple_doc(state.triple),
         "n_max": state.n_max,
-        "lambdas": state.lambdas,
-        "sigmas": state.sigmas,
-        "spins": state.spins,
+        "lambdas": list(state.lambdas),
+        "sigmas": list(state.sigmas),
+        "spins": list(state.spins),
         "conditioning": [float(c) for c in state.conditioning],
         "spin_residuals": [float(r) for r in state.spin_residuals],
     }
@@ -351,8 +351,7 @@ def stack_csv_rows(stack):
 
 def spin_csv_rows(state):
     """Rows (n, i, j, re, im) over every entry of every S_n."""
-    size = 2 * state.m
-    return stack_csv_rows(np.reshape(state.spins, (-1, size, size)))
+    return stack_csv_rows(state.spins)
 
 
 def write_csv(stream, header, rows):

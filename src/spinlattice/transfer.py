@@ -70,11 +70,8 @@ class Transfer:
         self.alpha = state.triple.alpha
         self.order = state.triple.order
         self.m = state.m
-        self.poles = linalg.poles(self.alpha)
-        self._lambdas = np.stack(state.lambdas)
-        self._spins = np.array(state.spins, dtype=complex).reshape(
-            -1, 2 * self.m, 2 * self.m)
-        self._y = _h(np.stack(state.sigma_inv_lambdas))    # Lam_n* Sig_n^{-1}
+        self.spectrum = state.triple.spectrum(tol)
+        self._y = _h(state.sigma_inv_lambdas)    # Lam_n* Sig_n^{-1}
         # lam -> (the row over n stacked, its per-n views): repeated reads of
         # one point return the same object
         self._cache = {}            # W(n, lam)
@@ -101,10 +98,10 @@ class Transfer:
         return np.stack([cache[lam][0] for lam in lams], axis=1)
 
     def _build_w(self, lams):
-        linalg.check_pole(lams, *self.poles, self.tol, "alpha")
+        linalg.check_pole(lams, self.spectrum, self.tol, "alpha")
         shifted = np.array([lam * np.eye(self.order, dtype=complex) - self.alpha
                             for lam in lams])
-        resolvents = linalg.solve(shifted[:, None], self._lambdas[None])
+        resolvents = linalg.solve(shifted[:, None], self.state.lambdas[None])
         return np.eye(2 * self.m, dtype=complex) + 1j * self._y @ resolvents
 
     def _build_fundamental(self, lams):
@@ -154,7 +151,7 @@ class Transfer:
         w = self.w_grid(lams)
         step = np.stack([j_power_factor(lam, 1, self.m) for lam in lams])
         g = np.eye(2 * self.m, dtype=complex) - _scaled(
-            [1j / lam for lam in lams], self._spins[n][:, None])
+            [1j / lam for lam in lams], self.state.spins[n][:, None])
         return linalg.frob_norms(w[n + 1] @ step - g @ w[n])
 
     def unitarity_residuals(self, sites, lams):
@@ -175,11 +172,10 @@ class Transfer:
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)[n]
         i_n = np.eye(self.order, dtype=complex)
-        lam_n = self._lambdas[n][:, None]
+        lam_n = self.state.lambdas[n][:, None]
         inner = linalg.solve(
             np.array([lam * i_n - self.alpha for lam in lams]), lam_n)
-        inner = linalg.solve(np.array(self.state.sigmas)[n][:, None], inner,
-                             "Sigma_n")
+        inner = linalg.solve(self.state.sigmas[n][:, None], inner, "Sigma_n")
         inner = linalg.solve(np.array(
             [np.conj(lam) * i_n - self.alpha.conj().T for lam in lams]), inner)
         rhs = np.eye(2 * self.m, dtype=complex) - _scaled(
@@ -198,7 +194,7 @@ class Transfer:
         n = self._sites(sites, self.state.n_max - 1)
         lams = [complex(lam) for lam in lams]
         f = self.fundamental_grid(lams)
-        step = _scaled([1j / lam for lam in lams], self._spins[n][:, None])
+        step = _scaled([1j / lam for lam in lams], self.state.spins[n][:, None])
         return linalg.frob_norms(f[n + 1] - f[n] + step @ f[n])
 
     def factorization_residual_arrays(self, sites):
@@ -213,7 +209,7 @@ class Transfer:
         i2m = np.eye(2 * m, dtype=complex)
         a = self.alpha
         core = linalg.inv(a @ a + np.eye(self.order, dtype=complex))
-        lam_n, y = self._lambdas[n], self._y[n]
+        lam_n, y = self.state.lambdas[n], self._y[n]
         w = self.w_grid([1j, -1j])
 
         w_n_pi_1, w_n1_mi_1 = w[n, 0, :, :m], w[n + 1, 1, :, :m]
@@ -226,7 +222,7 @@ class Transfer:
             i_m - 2 * _h(w_n_mi_2) @ y @ core @ lam_n[..., m:]
         ))
 
-        s = self._spins[n]
+        s = self.state.spins[n]
         plus = linalg.frob_norms(i2m + s - 2 * w_n1_mi_1 @ _h(w_n_pi_1))
         minus = linalg.frob_norms(i2m - s - 2 * w_n1_pi_2 @ _h(w_n_mi_2))
         return {"first": first, "second": second, "plus": plus, "minus": minus}

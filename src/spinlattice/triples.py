@@ -83,6 +83,13 @@ class ParameterTriple:
         object.__setattr__(self, "theta1", theta1)
         object.__setattr__(self, "theta2", theta2)
         object.__setattr__(self, "sigma0", sigma0)
+        object.__setattr__(self, "_spectra", {})
+
+    def spectrum(self, tol: Tolerances = DEFAULT):
+        """The SpectrumReport of alpha, made once per Tolerances."""
+        if tol not in self._spectra:
+            self._spectra[tol] = linalg.spectrum(self.alpha, tol)
+        return self._spectra[tol]
 
     @property
     def order(self):
@@ -145,7 +152,7 @@ def validate(triple: ParameterTriple, tol: Tolerances = DEFAULT):
     identity_ok = residual <= tol.id_tol * max(1.0, triple.identity_scale())
     fr1, _ = linalg.is_full_range(triple.alpha, triple.theta1, tol)
     fr2, _ = linalg.is_full_range(triple.alpha, triple.theta2, tol)
-    spec = linalg.spectrum(triple.alpha, tol)
+    spec = triple.spectrum(tol)
 
     if not identity_ok:
         cls = TripleClass.INVALID
@@ -201,7 +208,7 @@ def reduce_triple(triple: ParameterTriple, which="theta2", tol: Tolerances = DEF
         raise NotPositiveDefiniteError(
             "reduce_triple requires the normalized form sigma0 = I"
         )
-    spec = linalg.spectrum(triple.alpha, tol)
+    spec = triple.spectrum(tol)
     if spec.contains_zero or spec.contains_plus_i:
         bad = 0.0 if spec.contains_zero else 1j
         raise SpectrumError(

@@ -15,7 +15,7 @@ from .config import DEFAULT, Tolerances
 from .errors import AdmissibilityError, PoleError, SpinLatticeError
 from .transfer import Transfer, _h
 from .triples import ParameterTriple, TripleClass, normalize_sigma0, validate
-from .weyl import _realization, _summability, lambda_grid, weyl
+from .weyl import _lambda_grid, _realization, _summability, weyl
 
 __all__ = ["CheckResult", "check_names", "run_checks"]
 
@@ -49,28 +49,23 @@ class _Context:
     horizon-3 TimeGrid over _SLICE_TIMES read through a TimeSlice per time
     (the lattice that the public residual functions build for site 1),
     whose batch of time-t triples also holds those at _TRIPLE_TIMES, and
-    one Gramian flow over _TRIPLE_TIMES.  ``spectrum`` is that of the
-    validate report."""
+    one Gramian flow over _TRIPLE_TIMES.  ``spectrum`` is the report of
+    alpha that validate made."""
 
-    def __init__(self, triple, n_max, tol, spectrum):
+    def __init__(self, triple, n_max, tol):
         self.triple = triple
         self.tol = tol
         self.n_max = n_max
-        self.spectrum = spectrum
+        self.spectrum = triple.spectrum(tol)
         horizons = [n_max] + [_SUMMABILITY_TERMS] * (n_max < _SUMMABILITY_TERMS)
         self.stack = lattice.generate_stack(triple.alpha, triple.lambda0,
                                             triple.sigma0, horizons, tol)
         self.state = self.stack.state(0, triple)    # raises what generate does
-        rows = slice(0, n_max + 1)
-        self.lambdas = self.stack.lambdas[0, rows]
-        self.sigmas = self.stack.sigmas[0, rows]
-        self.sigma_inv_lambdas = self.stack.sigma_inv_lambdas[0, rows]
-        self.conditioning = self.stack.conditioning[0, rows]
-        self.spins = self.stack.spins[0, :n_max]
+        self.conditioning = self.stack.conditioning[0, :n_max + 1]
         self.spin_residuals = self.stack.spin_residuals[0, :n_max]
         self.transfer = Transfer(self.state, tol)
-        self.grid = lambda_grid(triple.alpha, count=_LAMBDA_COUNT, tol=tol)
-        scale = 1.0 + float(np.linalg.norm(triple.alpha, 2))
+        self.grid = _lambda_grid(self.spectrum, count=_LAMBDA_COUNT, tol=tol)
+        scale = 1.0 + self.spectrum.norm
         # lower half plane sample points for the contractivity check
         self.lower_grid = [
             scale * np.exp(-1j * np.pi * (k + 0.5) / _LAMBDA_COUNT)
@@ -111,14 +106,14 @@ class _Context:
 
 
 def _identity_propagation(ctx):
-    a, lam, sig = ctx.triple.alpha, ctx.lambdas, ctx.sigmas
+    a, lam, sig = ctx.triple.alpha, ctx.state.lambdas, ctx.state.sigmas
     res = linalg.frob_norms(a @ sig - sig @ a.conj().T - 1j * lam @ _h(lam))
     scale = np.fmax(1.0, linalg.frob_norms(sig) * linalg.frob(a))
     return _worst(res / scale), 1e-9
 
 
 def _sigma_positivity(ctx):
-    min_eig = float(np.linalg.eigvalsh(ctx.sigmas)[:, 0].min())
+    min_eig = float(np.linalg.eigvalsh(ctx.state.sigmas)[:, 0].min())
     return max(0.0, -min_eig), 0.0, f"min eigenvalue {min_eig:.3e}"
 
 
@@ -128,17 +123,18 @@ def _spin_involution(ctx):
 
 
 def _spin_hermitian(ctx):
-    return _worst(linalg.frob_norms(ctx.spins - _h(ctx.spins))), 1e-10
+    spins = ctx.state.spins
+    return _worst(linalg.frob_norms(spins - _h(spins))), 1e-10
 
 
 def _closed_form(ctx):
     # sigma0 = I on both branches, as lambda_closed_form requires
     if not ctx.triple.sigma0_is_identity(ctx.tol):
         triple = normalize_sigma0(ctx.triple, ctx.tol)
-        lambdas = np.array(lattice.generate(triple, n_max=ctx.n_max,
-                                            tol=ctx.tol).lambdas)
+        lambdas = lattice.generate(triple, n_max=ctx.n_max,
+                                   tol=ctx.tol).lambdas
     else:
-        triple, lambdas = ctx.triple, ctx.lambdas
+        triple, lambdas = ctx.triple, ctx.state.lambdas
     closed = lattice._lattice_powers(triple.alpha, triple.lambda0,
                                      range(ctx.n_max + 1))
     return _worst(linalg.frob_norms(closed - lambdas)
@@ -151,9 +147,10 @@ def _transfer_identity(ctx):
 
 def _k_residual(ctx):
     n = np.array(ctx.sites)
-    y = ctx.sigma_inv_lambdas
-    k = lattice._k(ctx.triple.alpha, _h(y[n]), _h(y[n + 1]), ctx.spins[n])
-    scale = np.fmax(1.0, linalg.frob_norms(ctx.lambdas[n])
+    state = ctx.state
+    y = state.sigma_inv_lambdas
+    k = lattice._k(ctx.triple.alpha, _h(y[n]), _h(y[n + 1]), state.spins[n])
+    scale = np.fmax(1.0, linalg.frob_norms(state.lambdas[n])
                     * ctx.conditioning[n])
     return _worst(linalg.frob_norms(k) / scale), 1e-9
 
@@ -178,7 +175,8 @@ def _fundamental_recursion(ctx):
 def _rank_structure(ctx):
     m = ctx.triple.m
     signs = np.array([1.0, -1.0])[:, None, None, None]
-    sv = np.linalg.svd(np.eye(2 * m) + signs * ctx.spins, compute_uv=False)
+    sv = np.linalg.svd(np.eye(2 * m) + signs * ctx.state.spins,
+                       compute_uv=False)
     return _worst(sv[..., m]), 1e-8
 
 
@@ -227,7 +225,7 @@ def _summability_point(ctx):
     that clears it."""
     for lam in (-2j, 1 - 2j):
         try:
-            linalg.check_pole(np.conj(lam), *ctx.transfer.poles, ctx.tol, "alpha")
+            linalg.check_pole(np.conj(lam), ctx.spectrum, ctx.tol, "alpha")
             return lam
         except PoleError:
             pass
@@ -358,7 +356,7 @@ def run_checks(triple: ParameterTriple, n_max=15, tol: Tolerances = DEFAULT):
     registry = dict(_GENERAL_CHECKS)
     if triple.m == 1:
         registry.update(_EVOLUTION_CHECKS)
-    ctx = _Context(triple, n_max, tol, report.spectrum)
+    ctx = _Context(triple, n_max, tol)
     results = []
     for name in sorted(registry):
         try:

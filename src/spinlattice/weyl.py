@@ -3,7 +3,7 @@ W(0, lambda), and the summability diagnostic that defines the Weyl
 function.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -62,8 +62,8 @@ class Realization:
         return self.vartheta1.shape[1]
 
     @cached_property
-    def _poles(self):
-        return linalg.poles(self.gamma)
+    def _spectrum(self):
+        return linalg.spectrum(self.gamma)
 
     def __call__(self, lam, tol: Tolerances = DEFAULT):
         return self.grid([lam], tol)[0]
@@ -75,7 +75,7 @@ class Realization:
         lams = np.array([complex(lam) for lam in lams], dtype=complex)
         if self.order == 0:
             return np.zeros((lams.size, self.m, self.m), dtype=complex)
-        linalg.check_pole(lams, *self._poles, tol, "gamma")
+        linalg.check_pole(lams, self._spectrum, tol, "gamma")
         shifted = (lams[:, None, None] * np.eye(self.order, dtype=complex)
                    - self.gamma)
         resolvents = linalg.solve(shifted, self.vartheta2)
@@ -214,15 +214,21 @@ def lambda_grid(alpha, count=20, radius=None, center=0.0,
     Default radius 2(1 + ||alpha||); points within the pole threshold of the
     spectrum are dropped.
     """
-    alpha = np.asarray(alpha, dtype=complex)
+    return _lambda_grid(linalg.spectrum(alpha, tol), count, radius, center,
+                        tol)
+
+
+def _lambda_grid(spec, count=20, radius=None, center=0.0,
+                 tol: Tolerances = DEFAULT):
+    """``lambda_grid`` from the SpectrumReport ``spec`` of alpha."""
     if radius is None:
-        radius = 2.0 * (1.0 + float(np.linalg.norm(alpha, 2)))
-    eigs, scale = linalg.poles(alpha)
+        radius = 2.0 * (1.0 + spec.norm)
+    margin = replace(spec, scale=10 * spec.scale)   # 10x pole threshold
     pts = []
     for k in range(count):
         lam = complex(center) + radius * np.exp(2j * np.pi * (k + 0.37) / count)
         try:
-            linalg.check_pole(lam, eigs, 10 * scale, tol, "alpha")
+            linalg.check_pole(lam, margin, tol, "alpha")
         except PoleError:
             continue
         pts.append(lam)

@@ -138,13 +138,28 @@ def test_example_fixture(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_bad_tolerance_flag(triple_file):
+def test_bad_tolerance_flag(triple_file, example_file):
     assert main(["validate", triple_file, "--tol", "nonsense=1"]) == 2
     assert main(["validate", triple_file, "--tol", "id_tol=-1"]) == 2
+    # a NaN or infinite tolerance would switch a guard off: the pole guard
+    # at lambda = 1e-320 and the overflow guard at n = 66 (both exit 3)
+    pole = ["weyl", example_file, "--lambda-grid", "0,0,1e-320,1"]
+    assert main(pole) == 3
+    assert main(pole + ["--tol", "pole_tol=nan"]) == 2
+    grows = ["spins", triple_file, "--nmax", "80"]
+    assert main(grows) == 3
+    assert main(grows + ["--tol", "cond_limit=nan",
+                         "--tol", "sigma_overflow=inf"]) == 2
 
 
-def test_bad_lambda_grid(triple_file):
+def test_bad_lambda_grid(triple_file, example_file, capsys):
     assert main(["weyl", triple_file, "--lambda-grid", "1,2,3"]) == 2
+    # non-finite points are input errors, not NaN in the output
+    for argv in (["weyl", "--lambda-grid", "0,0,nan,2"],
+                 ["weyl", "--lambda-grid", "inf,0,1,2"],
+                 ["fundamental", "--lambda", "nan"]):
+        assert main([argv[0], example_file, *argv[1:]]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_verify_example_passes(example_file, capsys):

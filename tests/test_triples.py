@@ -13,6 +13,7 @@ from spinlattice import (
     signature_matrix,
     validate,
 )
+from spinlattice.config import DEFAULT
 from spinlattice.errors import DimensionError
 
 
@@ -29,6 +30,33 @@ def test_dimension_mismatch():
             theta1=np.ones((3, 1), dtype=complex),
             theta2=np.ones((2, 1), dtype=complex),
         )
+
+
+def test_spectrum_report_is_kept_per_tolerances():
+    """alpha = i(1 + 1e-6) lies within spec_tol of i for the loose table
+    only.  One triple validated under both tables, in either order, reports
+    what a fresh triple reports under each."""
+    h = 1.0 + 1e-6
+
+    def scalar():
+        return ParameterTriple(alpha=[[1j * h]], theta1=[[np.sqrt(h)]],
+                               theta2=[[np.sqrt(h)]])
+
+    def fields(report):
+        spec = report.spectrum
+        return (report.triple_class, spec.eigenvalues.tolist(),
+                spec.min_imag_part, spec.contains_plus_i,
+                spec.contains_minus_i, spec.contains_zero, spec.norm,
+                spec.scale)
+
+    tight, loose = DEFAULT, DEFAULT.replace(spec_tol=1e-4)
+    assert scalar().spectrum(loose).contains_plus_i
+    assert not scalar().spectrum(tight).contains_plus_i
+    for order in ((tight, loose), (loose, tight)):
+        triple = scalar()
+        for tol in order:
+            assert fields(validate(triple, tol)) == fields(
+                validate(scalar(), tol))
 
 
 def test_random_triple_is_fg(rng):

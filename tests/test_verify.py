@@ -61,7 +61,7 @@ def test_shared_context_changes_no_residual(order, general, seed):
     make = random_general_sigma_triple if general else random_admissible_triple
     triple = make(rng, order, 1)
     try:
-        linalg.check_pole(2j, *linalg.poles(triple.alpha))
+        linalg.check_pole(2j, linalg.spectrum(triple.alpha))
     except PoleError:
         assume(False)
     results = {r.name: r for r in run_checks(triple, n_max=15)}
@@ -120,6 +120,31 @@ def test_verify_builds_each_shared_quantity_once(counts, n_max, states):
     assert all(np.isfinite(r.residual) for r in results)     # none raised
     assert counts["states"] == states
     assert counts["expm"] == 2 * 7 + 3 * 2
+
+
+def test_verify_solves_each_spectrum_once(monkeypatch):
+    """Eigenvalue solves: the validate report of alpha, which the checks
+    share, the report of gamma of the Weyl realization, that of the
+    time-t triple of the slice at t = 0.2 (its Transfer) and the
+    separation test of the one stacked Sylvester solve (alpha and alpha*).
+    2-norms: the three reports and one per Krylov staircase of validate."""
+    triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
+    calls = {"eigvals": 0, "norm2": 0}
+    eigvals, norm = np.linalg.eigvals, np.linalg.norm
+
+    def counted_eigvals(a):
+        calls["eigvals"] += 1
+        return eigvals(a)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        calls["norm2"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    results = run_checks(triple, n_max=15)
+    assert all(np.isfinite(r.residual) for r in results)     # none raised
+    assert calls == {"eigvals": 5, "norm2": 5}
 
 
 @pytest.mark.parametrize("n_max", [0, -3])
