@@ -29,6 +29,10 @@ from .verify import run_checks
 from .weyl import weyl
 from .worked_example import run_diffs
 
+# Largest modulus of an evaluation point lambda: |lambda|^2, which complex
+# products and quotients form, is finite up to it.
+_LAMBDA_MAX = float(np.sqrt(np.finfo(float).max))
+
 
 def _parse_tolerances(pairs):
     overrides = {}
@@ -65,11 +69,14 @@ def _parse_lambda_grid(text):
         raise InputError(f"bad --lambda-grid value: {exc}") from exc
     if count < 1 or radius <= 0:
         raise InputError("--lambda-grid needs k >= 1 and r > 0")
-    if not np.isfinite([c_re, c_im, radius]).all():
-        raise InputError("--lambda-grid needs a finite center and radius")
     center = complex(c_re, c_im)
-    return [center + radius * np.exp(2j * np.pi * k / count)
-            for k in range(count)]
+    with np.errstate(all="ignore"):
+        grid = [center + radius * np.exp(2j * np.pi * k / count)
+                for k in range(count)]
+    if not (np.abs(grid) <= _LAMBDA_MAX).all():
+        raise InputError(f"--lambda-grid needs finite points of modulus at "
+                         f"most {_LAMBDA_MAX:.3g}")
+    return grid
 
 
 def _parse_time_grid(text):
@@ -143,8 +150,9 @@ def _cmd_fundamental(args, tol):
         lam = complex(args.lam.replace("i", "j"))
     except ValueError as exc:
         raise InputError(f"bad --lambda value {args.lam!r}") from exc
-    if not np.isfinite(lam):
-        raise InputError(f"--lambda must be finite, got {args.lam!r}")
+    if not abs(lam) <= _LAMBDA_MAX:
+        raise InputError(f"--lambda must be finite, of modulus at most "
+                         f"{_LAMBDA_MAX:.3g}, got {args.lam!r}")
     state = generate(triple, n_max=args.nmax, tol=tol)
     table = Transfer(state, tol).fundamental_grid([lam])[:, 0]
     if args.format == "csv":

@@ -30,7 +30,6 @@ __all__ = [
     "triple_at",
     "state_at",
     "TimeGrid",
-    "TimeSlice",
     "trajectory",
     "SpinVector",
     "spin_vector",
@@ -464,8 +463,8 @@ def _lax_f(v_plus, v_minus, lam):
 
 
 def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
-    """TimeSlice.lax at site n >= 1, from the sites up to n."""
-    return TimeSlice(triple, t, n + 1, tol=tol).lax(n, lam)
+    """TimeGrid.lax at site n >= 1 of time t alone, from the sites up to n."""
+    return TimeGrid(triple, [t], n + 1, tol=tol, sides=False).lax(0, n, lam)
 
 
 # Times per TimeGrid in ``trajectory``: a long time grid is built and
@@ -484,7 +483,8 @@ class TimeGrid:
     k, entry K + k the one at t + h_t and entry 2K + k the one at t - h_t,
     for K times.  The residuals are arrays indexed [time, n - 1] over the
     sites 1 <= n <= N - 2, each computed once.  The time-t triples at
-    ``triple_times`` join the first batch (``triple_at``).
+    ``triple_times`` join the first batch (``triple_at``).  The Transfer
+    of the state at a time is built on first read (``lax``, ``monodromy``).
 
     Errors are kept per state, and as one mask each for the spin vectors
     and the bonds.  A grid raises the error of its first failing time in
@@ -492,8 +492,10 @@ class TimeGrid:
     raises, in the order: the state at t, its spin vectors, the states at
     t + h_t and t - h_t, their spin vectors, the bonds 1 + s_{n-1}.s_n;
     lowest site first, and t + h_t before t - h_t.  A read of one time
-    (``state``, ``slice`` and the reads of a TimeSlice) raises only the
-    stages and sites that it reads.
+    raises only the stages and sites that it reads: at site n, the state
+    and its spin vectors, then the bond n (``lax``), or the states at
+    t +/- h_t and the bonds n, n + 1 (``zero_curvature_at``) and their
+    spin vectors at n (``ihm_at``).
     """
 
     def __init__(self, triple: ParameterTriple, times, n_max, h_t=1e-4,
@@ -520,6 +522,7 @@ class TimeGrid:
         self.bonds = 1.0 + np.vecdot(self.vectors[:, :-1], self.vectors[:, 1:])
         self._bad_bonds = abs(self.bonds) < tol.degeneracy_tol
         self._zero_curvature = {}
+        self._transfers = {}
 
     def _lattice(self, times, horizons, triple_times=()):
         """(The recursion from the time-t triple of each of ``times`` to its
@@ -637,7 +640,13 @@ class TimeGrid:
         return self._zero_curvature[lam]
 
     @cached_property
-    def _ihm(self):
+    def ihm(self):
+        """Residual of the IHM lattice equation, central difference in t, at
+        [time, n - 1]:
+
+        ds_n/dt = 2 s_n x ( s_{n+1} / (1 + s_n.s_{n+1})
+                            + s_{n-1} / (1 + s_{n-1}.s_n) ).
+        """
         v = self.vectors
         with np.errstate(all="ignore"):
             rhs = 2.0 * np.cross(v[:, 1:-1], v[:, 2:] / self.bonds[:, 1:, None]
@@ -646,102 +655,46 @@ class TimeGrid:
         gap = (sides[0] - sides[1]) / (2 * self.h_t) - rhs
         return np.sqrt(np.vecdot(gap, gap))
 
-    def ihm(self):
-        """Residual of the IHM lattice equation, central difference in t, at
-        [time, n - 1]:
-
-        ds_n/dt = 2 s_n x ( s_{n+1} / (1 + s_n.s_{n+1})
-                            + s_{n-1} / (1 + s_{n-1}.s_n) ).
-        """
-        return self._ihm
-
-    def slice(self, k):
-        """The TimeSlice of time k; raises the errors of its state and spin
-        vectors."""
-        view = TimeSlice.__new__(TimeSlice)
-        view._bind(self, k)
-        return view
-
-
-def trajectory(triple: ParameterTriple, times, n_max, lam,
-               tol: Tolerances = DEFAULT):
-    """The TimeGrids of ``times`` in blocks of TIME_BLOCK, each checked:
-    yields ``(grid, zero_curvature(lam), ihm())`` per block.  The error of
-    a block's check carries the time that raised it as ``time``."""
-    for start in range(0, len(times), TIME_BLOCK):
-        grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max,
-                        tol=tol)
-        try:
-            grid.check()
-        except SpinLatticeError as exc:
-            exc.time = float(grid.times[grid._first_failing()])
-            raise
-        yield grid, grid.zero_curvature(lam), grid.ihm()
-
-
-class TimeSlice:
-    """The lattice around one time t, read by the residuals of every site:
-    a TimeGrid of one time, or one time of a larger one.  ``state`` and
-    ``vectors`` are those at t.  The states at t +/- h_t and the Transfer
-    of ``state`` are built on first use, so a slice read only by ``lax`` or
-    ``monodromy`` builds one state.  The differences can be evaluated at
-    sites 1 <= n <= N - 2.
-
-    Each read raises the errors of the stages and sites that it reads, in
-    the order of TimeGrid: making the slice, the state and its spin
-    vectors; ``lax`` at site n, the bond n; ``zero_curvature``, the states
-    at t +/- h_t and the bonds n and n + 1; ``ihm``, those and the spin
-    vectors at t +/- h_t at site n.
-    """
-
-    def __init__(self, triple: ParameterTriple, t, n_max, h_t=1e-4,
-                 tol: Tolerances = DEFAULT):
-        self._bind(TimeGrid(triple, [t], n_max, h_t, tol, sides=False), 0)
-
-    def _bind(self, grid, k):
-        self._grid, self._k = grid, k
-        self.state = grid.state(k)
-        grid._check(k)
-        self.vectors = [SpinVector(*v) for v in grid.vectors[k].tolist()]
-        self.triple, self.h_t, self.tol = grid.triple, grid.h_t, grid.tol
-        self.t = float(grid.times[k])
-
-    @cached_property
-    def transfer(self):
-        return Transfer(self.state, self.tol)
-
-    def _site(self, n, top):
+    def _site(self, k, n, top, lam=None, bonds=(), side_sites=None):
+        """Raise the first error of a read at time k and site n: the state
+        and spin vectors, ``lam``, n outside 1..top, then ``_check``."""
+        self._check(k)
+        if lam is not None:
+            lam = _lax_parameter(lam, self.tol)
         if not 1 <= n <= top:
-            raise ValueError(f"site n = {n} outside 1..{top} of this slice")
+            raise ValueError(f"site n = {n} outside 1..{top} of this grid")
+        self._check(k, bonds, side_sites)
+        return lam
 
-    def zero_curvature(self, n, lam):
-        """``TimeGrid.zero_curvature`` at site n."""
-        lam = _lax_parameter(lam, self.tol)
-        self._site(n, self._grid.n_max - 2)
-        self._grid._check(self._k, (n, n + 1), ())
-        return float(self._grid.zero_curvature(lam)[self._k, n - 1])
+    def _transfer(self, k):
+        """The Transfer of the state at time k, built once."""
+        if k not in self._transfers:
+            self._transfers[k] = Transfer(self.state(k), self.tol)
+        return self._transfers[k]
 
-    def ihm(self, n):
-        """``TimeGrid.ihm`` at site n."""
-        self._site(n, self._grid.n_max - 2)
-        self._grid._check(self._k, (n, n + 1), (n,))
-        return float(self._grid.ihm()[self._k, n - 1])
+    def zero_curvature_at(self, k, n, lam):
+        """``zero_curvature`` at time k and site n."""
+        lam = self._site(k, n, self.n_max - 2, lam, (n, n + 1), ())
+        return float(self.zero_curvature(lam)[k, n - 1])
 
-    def lax(self, n, lam):
-        """Lax pair at site n >= 1, with the V = H equality report.
+    def ihm_at(self, k, n):
+        """``ihm`` at time k and site n."""
+        self._site(k, n, self.n_max - 2, None, (n, n + 1), (n,))
+        return float(self.ihm[k, n - 1])
+
+    def lax(self, k, n, lam):
+        """Lax pair at time k and site n >= 1, with the V = H equality report.
 
         H_n^+ = 2 W(n, i) P_+ W(n, -i)*, H_n^- = 2 W(n, -i) P_- W(n, i)*.
         """
-        lam = _lax_parameter(lam, self.tol)
-        self._site(n, self._grid.n_max - 1)
-        self._grid._check(self._k, (n,))
-        v_plus, v_minus = (v[self._k, n - 1] for v in self._grid._v_pairs)
-        w = self.transfer.w
+        lam = self._site(k, n, self.n_max - 1, lam, (n,))
+        v_plus, v_minus = (v[k, n - 1] for v in self._v_pairs)
+        w = self._transfer(k).w
         p_plus, p_minus = projectors(1)
         h_plus = 2.0 * w(n, 1j) @ p_plus @ w(n, -1j).conj().T
         h_minus = 2.0 * w(n, -1j) @ p_minus @ w(n, 1j).conj().T
         return LaxPair(
-            g=_g(self.state.spins[n], lam),
+            g=_g(self.spins[k, n], lam),
             f=_lax_f(v_plus, v_minus, lam),
             v_plus=v_plus,
             v_minus=v_minus,
@@ -753,21 +706,41 @@ class TimeSlice:
             trace_v_minus=complex(np.trace(v_minus)),
         )
 
-    def monodromy(self, n, lam):
-        """``monodromy_residual`` at site n <= N - 1 and this slice's time."""
-        return _monodromy(self.transfer, self.t, n, lam)
+    def monodromy(self, k, n, lam):
+        """``monodromy_residual`` at time k and site n <= N - 1."""
+        self._check(k)
+        return _monodromy(self._transfer(k), float(self.times[k]), n, lam)
+
+
+def trajectory(triple: ParameterTriple, times, n_max, lam,
+               tol: Tolerances = DEFAULT):
+    """The TimeGrids of ``times`` in blocks of TIME_BLOCK, each checked:
+    yields ``(grid, zero_curvature(lam), ihm)`` per block.  The error of
+    a block's check carries the time that raised it as ``time``."""
+    for start in range(0, len(times), TIME_BLOCK):
+        grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max,
+                        tol=tol)
+        try:
+            grid.check()
+        except SpinLatticeError as exc:
+            exc.time = float(grid.times[grid._first_failing()])
+            raise
+        yield grid, grid.zero_curvature(lam), grid.ihm
 
 
 def zero_curvature_residual(triple: ParameterTriple, n, t, lam, h_t=1e-4,
                             tol: Tolerances = DEFAULT):
-    """TimeSlice.zero_curvature at site n >= 1, from the sites up to n + 1."""
-    return TimeSlice(triple, t, n + 2, h_t, tol).zero_curvature(n, lam)
+    """TimeGrid.zero_curvature_at site n >= 1 of time t alone, from the
+    sites up to n + 1."""
+    return TimeGrid(triple, [t], n + 2, h_t, tol,
+                    sides=False).zero_curvature_at(0, n, lam)
 
 
 def ihm_residual(triple: ParameterTriple, n, t, h_t=1e-4,
                  tol: Tolerances = DEFAULT):
-    """TimeSlice.ihm at site n >= 1, from the sites up to n + 1."""
-    return TimeSlice(triple, t, n + 2, h_t, tol).ihm(n)
+    """TimeGrid.ihm_at site n >= 1 of time t alone, from the sites up to
+    n + 1."""
+    return TimeGrid(triple, [t], n + 2, h_t, tol, sides=False).ihm_at(0, n)
 
 
 def weyl_evolution(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):

@@ -269,17 +269,14 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     )
 
 
-def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT,
-             overflow_limit=None):
+def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT):
     """Run the recursion up to horizon ``n_max`` and assemble a LatticeState:
     the stack of one of ``generate_stack``.
 
-    Aborts with diagnostics if ||Sigma_n|| exceeds ``overflow_limit`` (by
-    default tol.sigma_overflow) or the conditioning limit is crossed
-    (Sigma_n inversion is the dominant error source, so it is tracked per n).
+    Aborts with diagnostics if ||Sigma_n|| exceeds tol.sigma_overflow or the
+    conditioning limit is crossed (Sigma_n inversion is the dominant error
+    source, so it is tracked per n).
     """
-    if overflow_limit is not None:
-        tol = tol.replace(sigma_overflow=overflow_limit)
     stack = generate_stack(triple.alpha, triple.lambda0[None],
                            triple.sigma0[None], [n_max], tol)
     return stack.state(0, triple)

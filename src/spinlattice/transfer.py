@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import PoleError
+from .errors import NumericError, PoleError
 from .lattice import LatticeState
 
 __all__ = ["Transfer", "j_power_factor"]
@@ -28,9 +28,15 @@ def _j_powers(lam, powers, m):
     """j_power_factor(lam, n, m) for each n in ``powers``, stacked."""
     if lam == 0:
         raise PoleError("the factor (I - (i/lambda)J)^n has a pole at lambda = 0")
+    try:
+        minus = [(1 - 1j / lam) ** n for n in powers]
+        plus = [(1 + 1j / lam) ** n for n in powers]
+    except OverflowError:
+        raise NumericError(f"(I - (i/lambda)J)^n overflows at lambda = {lam}"
+                           ) from None
     out = np.zeros((len(powers), 2 * m, 2 * m), dtype=complex)
-    out[:, :m, :m] = _scaled([(1 - 1j / lam) ** n for n in powers], np.eye(m))
-    out[:, m:, m:] = _scaled([(1 + 1j / lam) ** n for n in powers], np.eye(m))
+    out[:, :m, :m] = _scaled(minus, np.eye(m))
+    out[:, m:, m:] = _scaled(plus, np.eye(m))
     return out
 
 

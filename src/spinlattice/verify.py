@@ -31,7 +31,7 @@ class CheckResult:
 
 _LAMBDA_COUNT = 8
 _SUMMABILITY_TERMS = 30     # the Cauchy heuristic needs a longer horizon
-_SLICE_TIMES = (0.0, 0.2)   # times of the Lax, zero-curvature, IHM checks
+_GRID_TIMES = (0.0, 0.2)    # times of the Lax, zero-curvature, IHM checks
 _TRIPLE_TIMES = (0.1, 0.35)  # times of the two evolution-* checks
 
 
@@ -46,11 +46,11 @@ class _Context:
     horizon n_max and, in the same stack, to the summability horizon 30
     when n_max is below it; the per-n checks read its rows at once.  On
     first use: the Weyl realization, the Transfer of horizon 30, one
-    horizon-3 TimeGrid over _SLICE_TIMES read through a TimeSlice per time
-    (the lattice that the public residual functions build for site 1),
-    whose batch of time-t triples also holds those at _TRIPLE_TIMES, and
-    one Gramian flow over _TRIPLE_TIMES.  ``spectrum`` is the report of
-    alpha that validate made."""
+    horizon-3 TimeGrid over _GRID_TIMES, read at site 1 of each time (as
+    the grid of one that the public residual functions build), whose
+    batch of time-t triples also holds those at _TRIPLE_TIMES, and one
+    Gramian flow over _TRIPLE_TIMES.  ``spectrum`` is the report of alpha
+    that validate made."""
 
     def __init__(self, triple, n_max, tol):
         self.triple = triple
@@ -73,12 +73,10 @@ class _Context:
         ]
         self.sites = range(min(n_max - 1, 10) + 1)
         self.triple_at = cache(lambda t: self.time_grid.triple_at(t))
-        self.slice = cache(
-            lambda t: self.time_grid.slice(_SLICE_TIMES.index(t)))
 
     @cached_property
     def time_grid(self):
-        return evolution.TimeGrid(self.triple, _SLICE_TIMES, 3, tol=self.tol,
+        return evolution.TimeGrid(self.triple, _GRID_TIMES, 3, tol=self.tol,
                                   triple_times=_TRIPLE_TIMES)
 
     @cached_property
@@ -278,8 +276,8 @@ def _evolution_methods(ctx):
 def _lax_equality(ctx):
     worst = 0.0
     trace_dev = 0.0
-    for t in _SLICE_TIMES:
-        pair = ctx.slice(t).lax(1, 2.0 + 0.5j)
+    for k in range(len(_GRID_TIMES)):
+        pair = ctx.time_grid.lax(k, 1, 2.0 + 0.5j)
         worst = max(worst, pair.equality_plus, pair.equality_minus)
         trace_dev = max(trace_dev, abs(pair.trace_v_plus - 2.0),
                         abs(pair.trace_v_minus - 2.0))
@@ -287,18 +285,19 @@ def _lax_equality(ctx):
 
 
 def _zero_curvature(ctx):
-    worst = max(ctx.slice(t).zero_curvature(1, 2.0 + 0.5j)
-                for t in _SLICE_TIMES)
+    worst = max(ctx.time_grid.zero_curvature_at(k, 1, 2.0 + 0.5j)
+                for k in range(len(_GRID_TIMES)))
     return worst, 1e-6
 
 
 def _ihm_vector(ctx):
-    worst = max(ctx.slice(t).ihm(1) for t in _SLICE_TIMES)
+    worst = max(ctx.time_grid.ihm_at(k, 1) for k in range(len(_GRID_TIMES)))
     return worst, 1e-6
 
 
 def _monodromy(ctx):
-    worst = max(ctx.slice(0.2).monodromy(n, 2.0 + 0.5j) for n in (0, 1, 2))
+    k = _GRID_TIMES.index(0.2)
+    worst = max(ctx.time_grid.monodromy(k, n, 2.0 + 0.5j) for n in (0, 1, 2))
     return worst, 1e-9
 
 

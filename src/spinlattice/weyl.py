@@ -212,7 +212,7 @@ def lambda_grid(alpha, count=20, radius=None, center=0.0,
     """Sampling grid on a circle away from the spectrum of alpha.
 
     Default radius 2(1 + ||alpha||); points within the pole threshold of the
-    spectrum are dropped.
+    spectrum are dropped, and dropping all of them is a PoleError.
     """
     return _lambda_grid(linalg.spectrum(alpha, tol), count, radius, center,
                         tol)
@@ -232,4 +232,7 @@ def _lambda_grid(spec, count=20, radius=None, center=0.0,
         except PoleError:
             continue
         pts.append(lam)
+    if count and not pts:
+        raise PoleError(f"all {count} sample points of the circle lie within "
+                        f"10 pole_tol of the spectrum of alpha")
     return pts

@@ -20,7 +20,7 @@ from spinlattice import (Transfer, generate, invert,
                          random_minimal_realization, validate, weyl)
 from spinlattice import cli, serialize
 from spinlattice.cli import main
-from spinlattice.evolution import TimeSlice
+from spinlattice.evolution import TimeGrid
 from spinlattice.worked_example import example_triple, spin_closed_form
 
 
@@ -160,6 +160,25 @@ def test_bad_lambda_grid(triple_file, example_file, capsys):
                  ["fundamental", "--lambda", "nan"]):
         assert main([argv[0], example_file, *argv[1:]]) == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, code", (
+    (["fundamental", "--lambda", "1e-200"], 3),
+    (["fundamental", "--lambda", "1e308+1e308i"], 2),
+    (["weyl", "--lambda-grid", "1.7e308,0,1e308,4"], 2),
+    (["verify", "--tol", "pole_tol=1"], 3),
+    (["verify", "--tol", "pole_tol=1e300"], 3),
+))
+def test_finite_arguments_that_overflow_are_one_error_line(
+        example_file, capsys, argv, code):
+    """Finite arguments whose arithmetic overflows, or whose pole guard
+    empties the sample circle of verify: one error line, no output and no
+    RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([argv[0], example_file, *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
 
 
 def test_verify_example_passes(example_file, capsys):
@@ -517,17 +536,16 @@ def test_json_commands_write_the_stdlib_bytes_of_the_plain_objects(
         if triple.m == 1:
             rows = []
             for t in (-0.2, 0.1):
-                lattice = TimeSlice(triple, t, 4)
+                lattice = TimeGrid(triple, [t], 4, sides=False)
+                state = lattice.state(0)
                 for n in (1, 2):
-                    vec = lattice.vectors[n]
+                    s1, s2, s3 = lattice.vectors[0, n].tolist()
                     rows.append({
-                        "t": t, "n": n, "s1": vec.s1, "s2": vec.s2,
-                        "s3": vec.s3,
-                        "zc_residual": lattice.zero_curvature(n, lam),
-                        "ihm_residual": lattice.ihm(n),
-                        "spin": serialize.matrix_to_obj(lattice.state.spins[n]),
-                        "sigma0": serialize.matrix_to_obj(
-                            lattice.state.sigmas[0]),
+                        "t": t, "n": n, "s1": s1, "s2": s2, "s3": s3,
+                        "zc_residual": lattice.zero_curvature_at(0, n, lam),
+                        "ihm_residual": lattice.ihm_at(0, n),
+                        "spin": serialize.matrix_to_obj(state.spins[n]),
+                        "sigma0": serialize.matrix_to_obj(state.sigmas[0]),
                     })
             expected[("evolve", path, "--nmax", "4", "--time-grid=-0.2,0.1,2",
                       "--format", "json")] = rows

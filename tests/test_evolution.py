@@ -486,10 +486,10 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
     except SpinLatticeError as exc:
         with pytest.raises(type(exc)):
             for t in times:
-                lattice = evolution.TimeSlice(triple, t, n_max)
+                lattice = evolution.TimeGrid(triple, [t], n_max, sides=False)
                 for n in range(1, n_max - 1):
-                    lattice.zero_curvature(n, lam)
-                    lattice.ihm(n)
+                    lattice.zero_curvature_at(0, n, lam)
+                    lattice.ihm_at(0, n)
         return
     h_t = grid.h_t
     for k, t in enumerate(times):
@@ -530,8 +530,8 @@ def test_spin_vector_norm_is_that_of_the_three_vector(scale):
 
 
 def test_lax_pair_builds_one_state(ihm_triple, expm_calls, monkeypatch):
-    """A slice read only by lax builds the state at t alone: one stack
-    entry, and the two propagators of its time-t triple."""
+    """A grid of one time read only by lax builds the state at t alone:
+    one stack entry, and the two propagators of its time-t triple."""
     horizons = []
     generate_stack = evolution.generate_stack
 
@@ -561,17 +561,17 @@ def test_time_grid_raises_the_error_of_the_first_failing_time(
     grid = evolution.TimeGrid(real_mode_triple, times, 3, tol=tol)
     with pytest.raises(error, match=re.escape(message)):
         grid.check()
-    # the slice of a good time reads as if alone
-    good = grid.slice(0)
-    assert good.ihm(1) == ihm_residual(real_mode_triple, 1, times[0], tol=tol)
+    # a good time reads as if alone
+    assert grid.ihm_at(0, 1) == ihm_residual(real_mode_triple, 1, times[0],
+                                             tol=tol)
     with pytest.raises(error, match=re.escape(message)):
-        grid.slice(1)
+        grid.ihm_at(1, 1)
 
 
-def _slice_reads(view, n_max, lam):
-    """Every residual of a TimeSlice, read site by site."""
-    return [(view.ihm(n), view.zero_curvature(n, lam),
-             view.lax(n, lam).f.tolist()) for n in range(1, n_max - 1)]
+def _grid_reads(grid, k, n_max, lam):
+    """Every residual of time k of a TimeGrid, read site by site."""
+    return [(grid.ihm_at(k, n), grid.zero_curvature_at(k, n, lam),
+             grid.lax(k, n, lam).f.tolist()) for n in range(1, n_max - 1)]
 
 
 def _outcome(read):
@@ -598,20 +598,20 @@ def test_time_grid_errors_are_those_of_lone_slices_in_grid_order(
     state at one of the times: the states of the times with a larger one
     fail, and so do those at t - h_t of that time if it is negative, where
     cond(Sigma_0(t)) grows with |t| and leads the sequence.
-    ``trajectory`` raises the error, type and message, of lone slices read
-    in grid order; the slice of each good time reads as a lone one bit for
-    bit; no floating point warning is emitted.  A lone slice read site by
-    site meets a bond before the spin vectors at t +/- h_t of a higher
-    site; the real-mode spins have no vanishing bond, so that order and
-    the stage order of the grid agree here."""
+    ``trajectory`` raises the error, type and message, of lone grids of
+    one time read in grid order; each good time of the grid reads as a
+    lone one bit for bit; no floating point warning is emitted.  A lone
+    grid read site by site meets a bond before the spin vectors at
+    t +/- h_t of a higher site; the real-mode spins have no vanishing
+    bond, so that order and the stage order of the grid agree here."""
     r2 = np.sqrt(2.0)
     triple = ParameterTriple(alpha=np.diag([2j, 3.0]), theta1=[[r2], [0.0]],
                              theta2=[[r2], [0.0]])
     lam = 2.0 + 0.5j
 
     def lone(t):
-        return _slice_reads(evolution.TimeSlice(triple, t, n_max, tol=tol),
-                            n_max, lam)
+        return _grid_reads(evolution.TimeGrid(triple, [t], n_max, tol=tol,
+                                              sides=False), 0, n_max, lam)
 
     def evolved():
         (_, zc, ihm), = evolution.trajectory(triple, times, n_max, lam, tol)
@@ -633,7 +633,7 @@ def test_time_grid_errors_are_those_of_lone_slices_in_grid_order(
         for k, t in enumerate(times):
             alone = _outcome(lambda: lone(t))
             if not isinstance(alone, tuple):
-                assert _slice_reads(grid.slice(k), n_max, lam) == alone
+                assert _grid_reads(grid, k, n_max, lam) == alone
 
 
 @pytest.mark.parametrize("t", (1e308, -1e308))
@@ -648,6 +648,6 @@ def test_non_finite_exponent_names_t_without_warnings(ihm_triple, t):
 
 @pytest.mark.parametrize("n", (0, 2))
 def test_time_slice_sites_outside_the_differences_are_rejected(ihm_triple, n):
-    lattice = evolution.TimeSlice(ihm_triple, 0.1, 3)
+    lattice = evolution.TimeGrid(ihm_triple, [0.1], 3, sides=False)
     with pytest.raises(ValueError, match="outside 1..1"):
-        lattice.ihm(n)
+        lattice.ihm_at(0, n)

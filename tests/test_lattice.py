@@ -13,6 +13,7 @@ from spinlattice import (
     signature_matrix,
     spin_matrix,
 )
+from spinlattice.config import DEFAULT
 from spinlattice.errors import NumericError
 
 
@@ -111,7 +112,7 @@ def test_k_residual_zero_potential():
 def test_overflow_guard():
     t = scalar_example()
     with pytest.raises(NumericError):
-        generate(t, 60, overflow_limit=1e6)
+        generate(t, 60, tol=DEFAULT.replace(sigma_overflow=1e6))
 
 
 def test_monotone_sequences(rng):

@@ -54,9 +54,9 @@ def _summability(triple):
 @given(order=st.integers(1, 6), general=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_shared_context_changes_no_residual(order, general, seed):
-    """The checks read one TimeSlice per time, one Weyl realization and one
-    horizon-30 Transfer; each residual equals the max of the public
-    functions called one by one."""
+    """The checks read one TimeGrid at site 1 of each time, one Weyl
+    realization and one horizon-30 Transfer; each residual equals the max
+    of the public functions called one by one."""
     rng = np.random.default_rng(seed)
     make = random_general_sigma_triple if general else random_admissible_triple
     triple = make(rng, order, 1)
@@ -111,7 +111,7 @@ def counts(monkeypatch):
 
 @pytest.mark.parametrize("n_max, states", ((15, 8), (30, 7)))
 def test_verify_builds_each_shared_quantity_once(counts, n_max, states):
-    """States: the one to n_max, 3 per time of the slices at t = 0 and 0.2,
+    """States: the one to n_max, 3 per time of the grid at t = 0 and 0.2,
     and the horizon-30 one unless n_max >= 30.  Exponentiated matrices: 2
     per time-t triple at t = 0.1, 0.35, +/-h_t, 0.2 and 0.2 +/- h_t, and 3
     per Gramian flow at t = 0.1 and 0.35."""
@@ -125,7 +125,7 @@ def test_verify_builds_each_shared_quantity_once(counts, n_max, states):
 def test_verify_solves_each_spectrum_once(monkeypatch):
     """Eigenvalue solves: the validate report of alpha, which the checks
     share, the report of gamma of the Weyl realization, that of the
-    time-t triple of the slice at t = 0.2 (its Transfer) and the
+    time-t triple of the grid at t = 0.2 (its Transfer) and the
     separation test of the one stacked Sylvester solve (alpha and alpha*).
     2-norms: the three reports and one per Krylov staircase of validate."""
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
