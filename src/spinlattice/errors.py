@@ -12,10 +12,6 @@ class DimensionError(SpinLatticeError):
 class NumericError(SpinLatticeError):
     """A numerical routine failed (non-convergence, overflow guard, ...)."""
 
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
-
 
 class NotPositiveDefiniteError(SpinLatticeError):
     """A matrix required to be positive definite is not."""

@@ -51,21 +51,12 @@ MAX_RK_STEPS = 100_000
 SPIN_NORM_BOUND = 1e-9
 
 
-def _check_spectrum(triple, tol, need_zero=True, need_upper=False):
+def _check_spectrum(triple, tol):
     spec = triple.spectrum(tol)
     if spec.contains_plus_i or spec.contains_minus_i:
         raise SpectrumError(
             "time evolution requires +/-i not in the spectrum of alpha",
             eigenvalue=1j if spec.contains_plus_i else -1j,
-        )
-    if need_zero and spec.contains_zero:
-        raise SpectrumError(
-            "time evolution requires alpha invertible", eigenvalue=0.0
-        )
-    if need_upper and spec.min_imag_part <= tol.spec_tol:
-        raise SpectrumError(
-            "sylvester route needs the spectrum of alpha strictly in the "
-            "open upper half plane"
         )
     return spec
 
@@ -108,11 +99,6 @@ def _exp_factors(alpha, times):
                  faults), faults
 
 
-def _check_time(t):
-    if not np.isfinite(t):
-        raise InputError(f"time t must be finite, got {t!r}")
-
-
 def _at(stacked, subject, t, *args):
     """``stacked(subject, times, *args)``, a stacked evaluation that returns
     the error of each time (or None) last, on the grid of the one time t:
@@ -126,16 +112,14 @@ def _at(stacked, subject, t, *args):
     return results
 
 
-def _lambda0(triple, times, tol, need_upper=False):
+def _lambda0(triple, times, tol):
     """(Lambda_0(t) at each of ``times``, stacked; spectrum report of alpha,
-    or None if it fails the checks; the error of each time or None).
-    ``need_upper`` adds the spectrum condition of the Sylvester route to
-    the checks.  An entry that fails keeps Lambda_0."""
+    or None if it fails ``_check_spectrum``; the error of each time or
+    None).  An entry that fails keeps Lambda_0."""
     lam = np.broadcast_to(triple.lambda0,
                           times.shape + triple.lambda0.shape).copy()
     try:
-        spec = _check_spectrum(triple, tol, need_zero=False,
-                               need_upper=need_upper)
+        spec = _check_spectrum(triple, tol)
         e, faults = _exp_factors(triple.alpha, times)
         lam = np.concatenate([e[0] @ triple.theta1, e[1] @ triple.theta2],
                              axis=-1)
@@ -154,7 +138,10 @@ def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
 
 def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     """Closed-form Lambda_n(t): lattice powers applied to Lambda_0(t)."""
-    _check_spectrum(triple, tol)
+    if _check_spectrum(triple, tol).contains_zero:
+        raise SpectrumError(
+            "time evolution requires alpha invertible", eigenvalue=0.0
+        )
     return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), [n])[0]
 
 
@@ -250,14 +237,15 @@ def _sigma_flow(triple, times):
     return linalg.herm(e @ y @ _h(e)), faults
 
 
-def _lambda_sigma(triple, times, tol, need_upper=False):
-    """(Lambda_0(t), Sigma_0(t), faults) stacked over ``times``.
+def _lambda_sigma(triple, times, tol):
+    """(Lambda_0(t), Sigma_0(t), faults) stacked over ``times``; +/-i in
+    the spectrum of alpha is the error of every time (``_lambda0``).
     a Sig - Sig a* = i Lam0(t) Lam0(t)* fixes Sigma_0(t) only for
     spec(alpha) in the open upper half plane: a Sylvester solve there, over
     one pair of Schur forms for every time, else the exact solution of its
-    flow (which ``need_upper`` refuses).  An entry that fails records its
-    error and keeps Sigma_0."""
-    lam, spec, faults = _lambda0(triple, times, tol, need_upper)
+    flow (which ``evolve_sigma0`` refuses on its ``sylvester`` route).  An
+    entry that fails records its error and keeps Sigma_0."""
+    lam, spec, faults = _lambda0(triple, times, tol)
     sigma = np.broadcast_to(triple.sigma0,
                             times.shape + triple.sigma0.shape).copy()
     if spec is None:
@@ -286,39 +274,34 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
                   rk_step=1e-3, tol: Tolerances = DEFAULT):
     """Sigma_0(t) by one named route, for comparing them.
 
-    ``sylvester``: unique solution of a Sig - Sig a* = i Lam0(t) Lam0(t)*
-    (requires the spectrum of alpha strictly inside the upper half plane).
+    ``sylvester``: unique solution of a Sig - Sig a* = i Lam0(t) Lam0(t)*.
     ``gramian``: exact solution of the Sigma_0 flow from Sigma_0(0), three
     matrix exponentials for any t (Van Loan Gramians, see ``_sigma_flow``).
     ``ode``: fixed-step RK4 on the same flow, the reference for
     ``gramian``; ``rk_step`` applies to it alone.
+    The checks run in order: t finite, then ``rk_step`` (``ode``), then
+    +/-i not in the spectrum of alpha (every route), then the spectrum
+    strictly inside the open upper half plane (``sylvester`` alone).
     All results are symmetrized.  ``triple_at`` takes ``sylvester`` on
     the open upper half plane and ``gramian`` elsewhere.
     """
-    if method == "sylvester":
-        return _at(_lambda_sigma, triple, t, tol, True)[1][0]
-    if method not in ("gramian", "ode"):
+    if method not in ("sylvester", "gramian", "ode"):
         raise ValueError(f"unknown method {method!r}")
-    _check_time(t)
+    if not np.isfinite(t):
+        raise InputError(f"time t must be finite, got {t!r}")
     if method == "ode" and not (np.isfinite(rk_step) and rk_step > 0):
         raise InputError(f"rk_step must be finite and positive, got {rk_step!r}")
+    spec = _check_spectrum(triple, tol)
     if method == "gramian":
-        return _at(_gramian, triple, t, tol)[0][0]
-    _check_spectrum(triple, tol, need_zero=False)
-    return _sigma_rk4(triple, t, rk_step)
-
-
-def _gramian(triple, times, tol):
-    """(Sigma_0(t) by the ``gramian`` route of ``evolve_sigma0`` at each of
-    ``times``, finite, in one stacked flow; the error of each time or None,
-    the spectrum guard before the overflow of t)."""
-    try:
-        _check_spectrum(triple, tol, need_zero=False)
-    except SpinLatticeError as exc:
-        return np.broadcast_to(triple.sigma0, times.shape
-                               + triple.sigma0.shape), [exc] * times.size
-    with np.errstate(all="ignore"):
-        return _sigma_flow(triple, times)
+        return _at(_sigma_flow, triple, t)[0][0]
+    if method == "ode":
+        return _sigma_rk4(triple, t, rk_step)
+    if spec.min_imag_part <= tol.spec_tol:
+        raise SpectrumError(
+            "sylvester route needs the spectrum of alpha strictly in the "
+            "open upper half plane"
+        )
+    return _at(_lambda_sigma, triple, t, tol)[1][0]
 
 
 def _triples_at(triple, times, tol):
@@ -538,10 +521,8 @@ class TimeGrid:
         return stack, (lam0[size:], sigma0[size:], faults[size:])
 
     def triple_at(self, t):
-        """``triple_at(self.triple, t)`` for t one of ``triple_times``;
+        """``triple_at(self.triple, t)`` for t one of ``triple_times``, t != 0;
         raises its error."""
-        if t == 0:
-            return self.triple
         lam, sigma, faults = self._extra
         k = self.triple_times.tolist().index(t)
         if faults[k] is not None:
@@ -612,10 +593,14 @@ class TimeGrid:
 
     def check(self):
         """Build the states at t +/- h_t and raise the first error of the
-        grid."""
+        grid, carrying the time that raised it as ``time``."""
         k = self._first_failing()
         if k is not None:
-            self._check(k, range(1, self.n_max), range(1, self.n_max - 1))
+            try:
+                self._check(k, range(1, self.n_max), range(1, self.n_max - 1))
+            except SpinLatticeError as exc:
+                exc.time = float(self.times[k])
+                raise
 
     @cached_property
     def _v_pairs(self):
@@ -716,15 +701,11 @@ def trajectory(triple: ParameterTriple, times, n_max, lam,
                tol: Tolerances = DEFAULT):
     """The TimeGrids of ``times`` in blocks of TIME_BLOCK, each checked:
     yields ``(grid, zero_curvature(lam), ihm)`` per block.  The error of
-    a block's check carries the time that raised it as ``time``."""
+    a block carries the time that raised it (``TimeGrid.check``)."""
     for start in range(0, len(times), TIME_BLOCK):
         grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max,
                         tol=tol)
-        try:
-            grid.check()
-        except SpinLatticeError as exc:
-            exc.time = float(grid.times[grid._first_failing()])
-            raise
+        grid.check()
         yield grid, grid.zero_curvature(lam), grid.ihm
 
 
@@ -744,16 +725,15 @@ def ihm_residual(triple: ParameterTriple, n, t, h_t=1e-4,
 
 
 def weyl_evolution(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
-    """Weyl function at time t from the explicit evolution formula, as a
-    Realization.
+    """The Weyl realization of ``triple_at(triple, t)``:
 
     phi(t, lam) = i theta1* E_-* Sigma_0(t)^{-1} (lam I - beta(t))^{-1} E_+ theta2
     with E_-* = (e^{-2t(a - iI)^{-1}})*, E_+ = e^{-2t(a + iI)^{-1}} and
     beta(t) = a - i E_+ theta2 theta2* E_+* Sigma_0(t)^{-1}.
     """
-    lam, sigma = _at(_lambda_sigma, triple, t, tol)
-    m = triple.m
-    return _realization(triple.alpha, lam[0, :, :m], lam[0, :, m:], sigma[0])
+    t_triple = triple_at(triple, t, tol)
+    return _realization(t_triple.alpha, t_triple.theta1, t_triple.theta2,
+                        t_triple.sigma0)
 
 
 def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,

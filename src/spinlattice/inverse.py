@@ -11,7 +11,7 @@ import scipy.linalg
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import AdmissibilityError, NotPositiveDefiniteError, NumericError
-from .triples import ParameterTriple
+from .triples import ParameterTriple, _complex_gaussian
 from .weyl import Realization
 
 __all__ = [
@@ -44,22 +44,15 @@ def reduce_to_minimal(r: Realization, tol: Tolerances = DEFAULT):
     then onto the observable part via the dual pair; phi is unchanged on the
     resolvent set.
     """
-    if r.order == 0:
-        return r
-    q = linalg.krylov_basis(r.gamma, r.vartheta2, tol)
-    r = Realization(
-        gamma=q.conj().T @ r.gamma @ q,
-        vartheta1=q.conj().T @ r.vartheta1,
-        vartheta2=q.conj().T @ r.vartheta2,
-    )
-    if r.order == 0:
-        return r
-    q = linalg.krylov_basis(r.gamma.conj().T, r.vartheta1, tol)
-    return Realization(
-        gamma=q.conj().T @ r.gamma @ q,
-        vartheta1=q.conj().T @ r.vartheta1,
-        vartheta2=q.conj().T @ r.vartheta2,
-    )
+    for dual in (False, True):
+        if r.order == 0:
+            break
+        q = (linalg.krylov_basis(r.gamma.conj().T, r.vartheta1, tol) if dual
+             else linalg.krylov_basis(r.gamma, r.vartheta2, tol))
+        p = q.conj().T
+        r = Realization(gamma=p @ r.gamma @ q, vartheta1=p @ r.vartheta1,
+                        vartheta2=p @ r.vartheta2)
+    return r
 
 
 @dataclass(frozen=True)
@@ -164,17 +157,13 @@ def invert(r: Realization, tol: Tolerances = DEFAULT):
     return ParameterTriple(alpha=alpha, theta1=theta1, theta2=theta2)
 
 
-def random_minimal_realization(rng, order, m, max_tries=200,
-                               tol: Tolerances = DEFAULT):
-    """Random minimal realization with all entries complex Gaussian."""
-    for _ in range(max_tries):
-        gamma = (rng.standard_normal((order, order))
-                 + 1j * rng.standard_normal((order, order))) / np.sqrt(2)
-        v1 = (rng.standard_normal((order, m))
-              + 1j * rng.standard_normal((order, m))) / np.sqrt(2)
-        v2 = (rng.standard_normal((order, m))
-              + 1j * rng.standard_normal((order, m))) / np.sqrt(2)
-        r = Realization(gamma=gamma, vartheta1=v1, vartheta2=v2)
+def random_minimal_realization(rng, order, m, tol: Tolerances = DEFAULT):
+    """Random minimal realization with all entries complex Gaussian, at most
+    200 draws."""
+    for _ in range(200):
+        r = Realization(gamma=_complex_gaussian(rng, order, order),
+                        vartheta1=_complex_gaussian(rng, order, m),
+                        vartheta2=_complex_gaussian(rng, order, m))
         if all(check_minimal(r, tol)):
             return r
-    raise NumericError(f"no minimal realization found in {max_tries} draws")
+    raise NumericError("no minimal realization found in 200 draws")

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import (ConditioningError, NumericError, SingularMatrixError,
-                     SpectrumError)
+from .errors import (ConditioningError, InputError, NumericError,
+                     SingularMatrixError, SpectrumError)
 from .triples import ParameterTriple, signature_matrix
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-def advance(alpha, lam, sigma, alpha_inv=None):
+def advance(alpha, lam, sigma):
     """One step of the lattice recursion, for one (Lambda, Sigma) or for
     each of a stack.
 
@@ -39,9 +39,7 @@ def advance(alpha, lam, sigma, alpha_inv=None):
     Returns ``(lam_next, sigma_next, asymmetry)`` with sigma_next
     symmetrized and the discarded anti-Hermitian norm reported.
     """
-    if alpha_inv is None:
-        alpha_inv = linalg.inv(alpha, "alpha")
-    return _stepper(alpha_inv, lam.shape[-1] // 2)(lam, sigma)
+    return _stepper(linalg.inv(alpha, "alpha"), lam.shape[-1] // 2)(lam, sigma)
 
 
 def _stepper(alpha_inv, m):
@@ -172,6 +170,11 @@ class LatticeStack:
         )
 
 
+# Bytes of Lambda_n, Sigma_n, Sigma_n^{-1} Lambda_n, Xi_n and S_n that one
+# generate_stack may hold: beyond it, an InputError before any allocation.
+STACK_BUDGET = 2 ** 30
+
+
 def _solve_each(a, b):
     """np.linalg.solve over a stack, and the mask of its singular matrices,
     whose solutions are NaN."""
@@ -203,8 +206,18 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     and the others go on; floating point warnings of failed entries are
     silenced.  When lambda0 and sigma0 are single matrices, every entry
     starts from them: the recursion runs once, to the largest horizon, and
-    each entry is a read-only view of its rows.
+    each entry is a read-only view of its rows.  Arrays beyond
+    STACK_BUDGET bytes are an InputError.
     """
+    n_max = int(max([0, *horizons]))
+    rows = 1 if lambda0.ndim == 2 else len(horizons)
+    order, width = lambda0.shape[-2:]
+    need = 16 * rows * (n_max + 1) * (order * order + 2 * order * width
+                                      + 2 * width * width)
+    if need > STACK_BUDGET:
+        raise InputError(
+            f"horizon {n_max} needs {need / 2 ** 20:.3g} MiB of lattice "
+            f"arrays, beyond the budget of {STACK_BUDGET >> 20} MiB")
     horizons = np.asarray(horizons, dtype=int)
     if (horizons < 0).any():
         raise ValueError("n_max must be non-negative")
@@ -216,8 +229,6 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     except SingularMatrixError as exc:
         _record(faults, np.arange(size), exc)
         alpha_inv = np.zeros(alpha.shape, dtype=complex)
-    n_max = int(horizons.max(initial=0))
-    rows = 1 if lambda0.ndim == 2 else size
 
     def entries(a):
         return a if rows == size else np.broadcast_to(a, (size,) + a.shape[1:])
@@ -234,14 +245,12 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
                 lambdas[:, n], sigmas[:, n])
         guarded = np.arange(n_max + 1) <= horizons[:, None]
         limit = tol.sigma_overflow
-        if limit:
-            norms = entries(linalg.frob_norms(sigmas))
-            for k, n in _first(guarded[:, 1:] & (norms[:, 1:] > limit)):
-                _record(faults, [k], NumericError(
-                    f"||Sigma_{n + 1}|| = {norms[k, n + 1]:.3e} exceeds the "
-                    f"overflow guard {limit:.1e}; triple growth is too "
-                    f"fast for this horizon (reached n = {n + 1} of "
-                    f"{horizons[k]})"))
+        norms = entries(linalg.frob_norms(sigmas))
+        for k, n in _first(guarded[:, 1:] & (norms[:, 1:] > limit)):
+            _record(faults, [k], NumericError(
+                f"||Sigma_{n + 1}|| = {norms[k, n + 1]:.3e} exceeds the "
+                f"overflow guard {limit:.1e}; triple growth is too fast "
+                f"for this horizon (reached n = {n + 1} of {horizons[k]})"))
         conditioning = entries(linalg.cond(sigmas))
         for k, n in _first(guarded & (conditioning > tol.cond_limit)):
             c = float(conditioning[k, n])

@@ -26,14 +26,10 @@ __all__ = [
     "as_matrices",
     "frob",
     "frob_norms",
-    "eye",
     "herm",
-    "hermitian_deviation",
     "require_hermitian",
     "SpectrumReport",
     "spectrum",
-    "hermitian_eigenvalues",
-    "min_eig_hermitian",
     "hermitian_sqrt",
     "hermitian_power",
     "solve_sylvester",
@@ -71,25 +67,16 @@ def frob(a):
     return float(np.linalg.norm(a, "fro"))
 
 
-def eye(n):
-    return np.eye(n, dtype=complex)
-
-
 def herm(a):
     """Hermitian part (M + M*)/2, of each matrix of a stack."""
     return (a + a.conj().swapaxes(-1, -2)) / 2
-
-
-def hermitian_deviation(m):
-    """Relative deviation ||M - M*||_F / max(1, ||M||_F)."""
-    return frob(m - m.conj().T) / max(1.0, frob(m))
 
 
 def require_hermitian(m, tol: Tolerances = DEFAULT, name="matrix"):
     m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    dev = hermitian_deviation(m)
+    dev = frob(m - m.conj().T) / max(1.0, frob(m))
     if dev > tol.hermitian_tol:
         raise NumericError(f"{name} is not Hermitian (relative deviation {dev:.3e})")
     return herm(m)
@@ -127,15 +114,6 @@ def spectrum(m, tol: Tolerances = DEFAULT):
         contains_zero=bool(np.any(np.abs(eigs) <= tol.spec_tol)),
         norm=norm, scale=max(1.0, norm),
     )
-
-
-def hermitian_eigenvalues(m, tol: Tolerances = DEFAULT):
-    m = require_hermitian(m, tol)
-    return np.linalg.eigvalsh(m)
-
-
-def min_eig_hermitian(m, tol: Tolerances = DEFAULT):
-    return float(hermitian_eigenvalues(m, tol)[0])
 
 
 def hermitian_sqrt(m, tol: Tolerances = DEFAULT):
@@ -272,7 +250,7 @@ def solve(m, rhs, name="matrix"):
 
 
 def inv(m, name="matrix"):
-    return solve(as_matrix(m, name), eye(m.shape[0]), name)
+    return solve(as_matrix(m, name), np.eye(m.shape[0], dtype=complex), name)
 
 
 def check_pole(lam, spec: SpectrumReport, tol: Tolerances = DEFAULT,

@@ -241,8 +241,6 @@ def random_admissible_triple(
     m,
     h_scale=2.0,
     inv_norm_max=1.0,
-    avoid_distance=0.05,
-    max_tries=500,
     tol: Tolerances = DEFAULT,
 ):
     """Draw a random class-FG triple.
@@ -250,10 +248,10 @@ def random_admissible_triple(
     alpha = h_scale*H + (i/2)(theta1 theta1* + theta2 theta2*) with H random
     Hermitian satisfies the identity by construction.  Draws are rejected
     until both pairs are full range, ||alpha^{-1}|| <= inv_norm_max (keeps
-    the lattice recursion growth moderate) and the spectrum stays away from
-    {0, i, -i}.
+    the lattice recursion growth moderate) and the spectrum stays 0.05 away
+    from {0, i, -i}, at most 500 draws.
     """
-    for _ in range(max_tries):
+    for _ in range(500):
         theta1 = _complex_gaussian(rng, order, m)
         theta2 = _complex_gaussian(rng, order, m)
         h = linalg.herm(_complex_gaussian(rng, order, order)) * h_scale
@@ -274,32 +272,31 @@ def random_admissible_triple(
             np.min(np.abs(eigs)),
             np.min(np.abs(eigs - 1j)),
             np.min(np.abs(eigs + 1j)),
-        ) < avoid_distance:
+        ) < 0.05:
             continue
         return ParameterTriple(alpha=alpha, theta1=theta1, theta2=theta2)
-    raise NumericError(f"no admissible triple found in {max_tries} draws")
+    raise NumericError("no admissible triple found in 500 draws")
 
 
-def random_general_sigma_triple(rng, order, m, min_eig=0.05, max_tries=500,
-                                tol: Tolerances = DEFAULT):
+def random_general_sigma_triple(rng, order, m, tol: Tolerances = DEFAULT):
     """Random triple with a non-trivial positive definite sigma0.
 
     alpha is taken from an admissible draw (spectrum in the upper half
     plane), a fresh Lambda0 is drawn, and sigma0 is recovered from the
-    structural identity via a Sylvester solve; redrawn until sigma0 is
-    comfortably positive definite.
+    structural identity via a Sylvester solve; redrawn, at most 500 times,
+    until the least eigenvalue of sigma0 is at least 0.05.
     """
-    for _ in range(max_tries):
+    for _ in range(500):
         base = random_admissible_triple(rng, order, m, tol=tol)
         theta1 = _complex_gaussian(rng, order, m)
         theta2 = _complex_gaussian(rng, order, m)
         lam = np.hstack([theta1, theta2])
         sigma0, _ = linalg.sigma_from_identity(base.alpha, lam, tol)
-        if linalg.min_eig_hermitian(sigma0, tol) < min_eig:
+        if np.linalg.eigvalsh(linalg.require_hermitian(sigma0, tol))[0] < 0.05:
             continue
         return ParameterTriple(alpha=base.alpha, theta1=theta1, theta2=theta2,
                                sigma0=sigma0)
-    raise NumericError(f"no general-sigma triple found in {max_tries} draws")
+    raise NumericError("no general-sigma triple found in 500 draws")
 
 
 def pad_triple(triple: ParameterTriple, rng, pad, which="theta2", h_scale=3.0):

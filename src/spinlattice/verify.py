@@ -83,8 +83,9 @@ class _Context:
     def gramian(self):
         """Sigma_0(t) of the Gramian route at _TRIPLE_TIMES, and the error
         of each time or None."""
-        return evolution._gramian(self.triple, np.array(_TRIPLE_TIMES),
-                                  self.tol)
+        evolution._check_spectrum(self.triple, self.tol)
+        with np.errstate(all="ignore"):
+            return evolution._sigma_flow(self.triple, np.array(_TRIPLE_TIMES))
 
     @cached_property
     def weyl(self):
@@ -203,7 +204,8 @@ def _weyl_ratio(ctx):
     m = ctx.triple.m
     w0 = ctx.transfer.w_grid(ctx.grid)[0]
     phi = ctx.phi_grid
-    d_inv = linalg.solve(w0[:, m:, m:], np.broadcast_to(linalg.eye(m), phi.shape))
+    identity = np.broadcast_to(np.eye(m, dtype=complex), phi.shape)
+    d_inv = linalg.solve(w0[:, m:, m:], identity)
     return linalg.frob_norms(phi - w0[:, :m, m:] @ d_inv).max(), 1e-10
 
 

@@ -207,26 +207,20 @@ def _summability(transfer, lam, n_terms, phi, is_true_phi):
     )
 
 
-def lambda_grid(alpha, count=20, radius=None, center=0.0,
-                tol: Tolerances = DEFAULT):
-    """Sampling grid on a circle away from the spectrum of alpha.
-
-    Default radius 2(1 + ||alpha||); points within the pole threshold of the
-    spectrum are dropped, and dropping all of them is a PoleError.
-    """
-    return _lambda_grid(linalg.spectrum(alpha, tol), count, radius, center,
-                        tol)
+def lambda_grid(alpha, count=20, tol: Tolerances = DEFAULT):
+    """``count`` sampling points on the circle of radius 2(1 + ||alpha||_2)
+    about 0; points within 10 pole_tol of the spectrum of alpha are dropped,
+    and dropping all of them is a PoleError."""
+    return _lambda_grid(linalg.spectrum(alpha, tol), count, tol)
 
 
-def _lambda_grid(spec, count=20, radius=None, center=0.0,
-                 tol: Tolerances = DEFAULT):
+def _lambda_grid(spec, count, tol: Tolerances = DEFAULT):
     """``lambda_grid`` from the SpectrumReport ``spec`` of alpha."""
-    if radius is None:
-        radius = 2.0 * (1.0 + spec.norm)
+    radius = 2.0 * (1.0 + spec.norm)
     margin = replace(spec, scale=10 * spec.scale)   # 10x pole threshold
     pts = []
     for k in range(count):
-        lam = complex(center) + radius * np.exp(2j * np.pi * (k + 0.37) / count)
+        lam = radius * np.exp(2j * np.pi * (k + 0.37) / count)
         try:
             linalg.check_pole(lam, margin, tol, "alpha")
         except PoleError:

@@ -181,6 +181,18 @@ def test_finite_arguments_that_overflow_are_one_error_line(
     assert out == "" and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", (["spins"], ["fundamental", "--lambda", "2"],
+                                     ["verify"], ["evolve"]))
+def test_a_horizon_beyond_the_stack_budget_is_one_error_line(
+        example_file, capsys, command):
+    argv = [command[0], example_file, *command[1:], "--nmax", str(10 ** 15)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("error: horizon 1000000000000000 needs ")
+    assert "budget of 1024 MiB" in err
+
+
 def test_verify_example_passes(example_file, capsys):
     assert main(["verify", example_file]) == 0
     assert "FAIL" not in capsys.readouterr().out

@@ -29,8 +29,8 @@ from spinlattice import (
 )
 from spinlattice.config import DEFAULT
 from spinlattice.errors import (ConditioningError, DegeneracyError,
-                                DimensionError, NumericError, SpectrumError,
-                                SpinLatticeError)
+                                DimensionError, InputError, NumericError,
+                                SpectrumError, SpinLatticeError)
 from spinlattice.triples import signature_matrix
 from spinlattice.worked_example import (
     example_triple,
@@ -651,3 +651,48 @@ def test_time_slice_sites_outside_the_differences_are_rejected(ihm_triple, n):
     lattice = evolution.TimeGrid(ihm_triple, [0.1], 3, sides=False)
     with pytest.raises(ValueError, match="outside 1..1"):
         lattice.ihm_at(0, n)
+
+
+PLUS_MINUS_I = re.escape("requires +/-i not in the spectrum of alpha")
+GATE_SPECTRA = ((1j, 2j), (2j, 3.0), (0.0, 2j))
+
+
+def _diagonal_triple(eigenvalues):
+    ones = np.ones((len(eigenvalues), 1))
+    return ParameterTriple(alpha=np.diag(eigenvalues), theta1=ones,
+                           theta2=ones)
+
+
+@pytest.mark.parametrize("method", ("sylvester", "gramian", "ode"))
+@pytest.mark.parametrize("eigenvalues", GATE_SPECTRA)
+def test_a_non_finite_time_is_refused_before_the_spectrum(eigenvalues,
+                                                          method):
+    with pytest.raises(InputError, match="time t must be finite"):
+        evolve_sigma0(_diagonal_triple(eigenvalues), float("nan"), method)
+
+
+def test_spectrum_gate_order():
+    """+/-i is refused by every route and by lambda_n_at, which checks the
+    spectrum before t and then refuses 0; only the Sylvester route needs
+    the open upper half plane."""
+    plus_i, real, zero = (_diagonal_triple(e) for e in GATE_SPECTRA)
+    for method in ("sylvester", "gramian", "ode"):
+        with pytest.raises(SpectrumError, match=PLUS_MINUS_I):
+            evolve_sigma0(plus_i, 0.1, method)
+    for t in (0.1, float("nan")):
+        with pytest.raises(SpectrumError, match=PLUS_MINUS_I):
+            lambda_n_at(plus_i, 1, t)
+    with pytest.raises(SpectrumError, match="requires alpha invertible"):
+        lambda_n_at(zero, 1, 0.1)
+    for triple in (real, zero):
+        with pytest.raises(SpectrumError, match="sylvester route needs"):
+            evolve_sigma0(triple, 0.1, "sylvester")
+        for method in ("gramian", "ode"):
+            assert np.isfinite(evolve_sigma0(triple, 0.1, method)).all()
+
+
+def test_time_grid_check_names_the_failing_time(real_mode_triple):
+    grid = evolution.TimeGrid(real_mode_triple, [0.0, -5e5, -1e6], 3)
+    with pytest.raises(NumericError) as info:
+        grid.check()
+    assert info.value.time == -5e5

@@ -13,8 +13,9 @@ from spinlattice import (
     signature_matrix,
     spin_matrix,
 )
+from spinlattice import lattice
 from spinlattice.config import DEFAULT
-from spinlattice.errors import NumericError
+from spinlattice.errors import InputError, NumericError
 
 
 def scalar_example():
@@ -175,3 +176,27 @@ def test_stack_entries_are_the_states_of_generate(small_triple):
     assert str(stack.faults[1]) == str(info.value)
     with pytest.raises(NumericError):
         stack.state(1, grown)
+
+
+def test_a_horizon_beyond_the_stack_budget_is_refused_before_allocating():
+    """10**15 sites cannot be allocated: the refusal names the horizon and
+    the budget before any array is made."""
+    with pytest.raises(InputError, match=r"horizon 1000000000000000 needs "
+                       r".* MiB .* budget of 1024 MiB"):
+        generate(scalar_example(), 10 ** 15)
+
+
+def test_stack_budget_counts_the_arrays_of_every_entry(monkeypatch):
+    """The scalar triple keeps 16 (1 + 2 * 2 + 2 * 4) = 208 bytes per site
+    and entry: a budget of 11 sites takes horizon 10 and refuses 11, and
+    two stacked entries need twice the bytes."""
+    monkeypatch.setattr(lattice, "STACK_BUDGET", 208 * 11)
+    t = scalar_example()
+    assert generate(t, 10).n_max == 10
+    with pytest.raises(InputError, match="horizon 11 "):
+        generate(t, 11)
+    lam0, sigma0 = np.stack([t.lambda0] * 2), np.stack([t.sigma0] * 2)
+    with pytest.raises(InputError, match="horizon 5 "):
+        lattice.generate_stack(t.alpha, lam0, sigma0, [5, 0])
+    assert lattice.generate_stack(t.alpha, lam0, sigma0, [4, 0]).faults == [
+        None, None]
