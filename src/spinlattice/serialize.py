@@ -331,13 +331,19 @@ def dumps(doc):
 
 def load_json(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def stack_csv_rows(stack):

@@ -64,6 +64,37 @@ def test_validate_bad_json(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("case", ("directory input", "binary input",
+                                  "deeply nested input",
+                                  "output into a missing directory",
+                                  "output onto a directory"))
+def test_unreadable_input_and_unwritable_output_are_one_error_line(
+        tmp_path, example_file, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    source, output = example_file, tmp_path / "out.txt"
+    if case == "directory input":
+        source = str(folder)
+    elif case == "binary input":
+        source = tmp_path / "binary.json"
+        source.write_bytes(b"\xff\xfe\x00")
+    elif case == "deeply nested input":
+        source = tmp_path / "nested.json"
+        source.write_text("[" * 100_000)
+    elif case == "output into a missing directory":
+        output = tmp_path / "missing" / "out.txt"
+    else:
+        output = folder
+    assert main(["validate", str(source), "-o", str(output)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+        ["folder", "example.json", *([source.name] if case in (
+            "binary input", "deeply nested input") else [])])
+
+
 def test_spins_csv(triple_file, capsys):
     assert main(["spins", triple_file, "--nmax", "3", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -136,6 +167,29 @@ def test_verify_passes(triple_file, capsys):
 def test_example_fixture(capsys):
     assert main(["example", "--h", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("h", ("0.5", "0.9"))
+def test_example_diffs_are_relative_to_the_closed_form(capsys, h):
+    # sigma_5 = 29525 at h = 0.5: one ulp of it is 3.6e-12
+    assert main(["example", "--h", h]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("max relative diff ")
+    assert last.endswith("<= 1e-12: PASS")
+
+
+def test_example_fails_on_a_relative_diff_beyond_1e_12(monkeypatch, capsys):
+    run_diffs = cli.run_diffs
+
+    def off(h, tol):
+        rows = run_diffs(h=h, tol=tol)
+        name, _, want, _ = max(rows, key=lambda row: abs(row[2]))
+        got = want * (1 + 2e-12)
+        return rows + [(name, got, want, abs(got - want))]
+
+    monkeypatch.setattr(cli, "run_diffs", off)
+    assert main(["example", "--h", "0.5"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith("> 1e-12: FAIL")
 
 
 def test_bad_tolerance_flag(triple_file, example_file):

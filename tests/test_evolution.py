@@ -180,6 +180,26 @@ def test_bad_rk_step_is_an_error(ihm_triple, rk_step):
         evolve_sigma0(ihm_triple, 0.1, "ode", rk_step=rk_step)
 
 
+@pytest.mark.parametrize("evaluate", (
+    lambda triple: triple_at(triple, 0.1),
+    lambda triple: evolve_lambda0(triple, 0.1),
+    lambda triple: evolution.TimeGrid(triple, [0.1], 3).check(),
+), ids=("triple_at", "evolve_lambda0", "TimeGrid.check"))
+def test_an_eigenvalue_at_i_stops_the_time_evolution(evaluate):
+    triple = ParameterTriple(alpha=np.diag([1j, 2j]), theta1=[[1.0], [1.0]],
+                             theta2=[[1.0], [1.0]])
+    with pytest.raises(SpectrumError,
+                       match=re.escape("requires +/-i not in the spectrum")):
+        evaluate(triple)
+
+
+@pytest.mark.parametrize("evaluate, t", ((triple_at, float("nan")),
+                                         (evolve_lambda0, float("inf"))))
+def test_a_non_finite_time_is_an_input_error(evaluate, t):
+    with pytest.raises(InputError, match="time t must be finite"):
+        evaluate(example_triple(2), t)
+
+
 def test_spin_closed_form_in_time():
     t = example_triple(2.0)
     for tt in (0.0, 0.6):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from spinlattice import (
     weyl,
     weyl_evolution,
 )
+from spinlattice import inverse
 from spinlattice.errors import AdmissibilityError
 
 
@@ -34,6 +36,19 @@ def test_scalar_riccati_oracle():
     sol = solve_riccati(r)
     assert sol.x[0, 0] == pytest.approx(1.0)
     assert sol.residual_norm <= 1e-12
+
+
+@pytest.mark.parametrize("order, m", ((2, 1), (3, 2), (5, 1), (8, 2)))
+def test_newton_kleinman_polishes_a_perturbed_subspace_solution(
+        monkeypatch, order, m):
+    r = random_minimal_realization(np.random.default_rng(order), order, m)
+    want = solve_riccati(r).x
+    solve = scipy.linalg.solve_continuous_are
+    monkeypatch.setattr(inverse.scipy.linalg, "solve_continuous_are",
+                        lambda *args: solve(*args) * (1 + 1e-6))
+    sol = solve_riccati(r)
+    assert sol.newton_iterations >= 2
+    assert np.linalg.norm(sol.x - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_riccati_residual_and_positivity(rng):

@@ -15,7 +15,7 @@ from spinlattice import (
 )
 from spinlattice import lattice
 from spinlattice.config import DEFAULT
-from spinlattice.errors import InputError, NumericError
+from spinlattice.errors import InputError, NumericError, SingularMatrixError
 
 
 def scalar_example():
@@ -200,3 +200,10 @@ def test_stack_budget_counts_the_arrays_of_every_entry(monkeypatch):
         lattice.generate_stack(t.alpha, lam0, sigma0, [5, 0])
     assert lattice.generate_stack(t.alpha, lam0, sigma0, [4, 0]).faults == [
         None, None]
+
+
+def test_a_singular_alpha_stops_the_recursion():
+    triple = ParameterTriple(alpha=np.diag([0j, 2j]), theta1=[[1.0], [1.0]],
+                             theta2=[[1.0], [1.0]])
+    with pytest.raises(SingularMatrixError, match="alpha is singular"):
+        generate(triple, 3)
