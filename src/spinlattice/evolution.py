@@ -113,22 +113,22 @@ def _at(stacked, subject, t, *args):
 
 
 def _lambda0(triple, times, tol):
-    """(Lambda_0(t) at each of ``times``, stacked; spectrum report of alpha,
-    or None if it fails ``_check_spectrum``; the error of each time or
-    None).  An entry that fails keeps Lambda_0."""
+    """(Lambda_0(t) at each of ``times``, stacked; the error of each time or
+    None).  +/-i in the spectrum of alpha is the error of every time.  An
+    entry that fails keeps Lambda_0."""
     lam = np.broadcast_to(triple.lambda0,
                           times.shape + triple.lambda0.shape).copy()
     try:
-        spec = _check_spectrum(triple, tol)
+        _check_spectrum(triple, tol)
         e, faults = _exp_factors(triple.alpha, times)
         lam = np.concatenate([e[0] @ triple.theta1, e[1] @ triple.theta2],
                              axis=-1)
     except SpinLatticeError as exc:        # the same for every time
-        spec, faults = None, [exc] * times.size
+        faults = [exc] * times.size
     for k in np.flatnonzero(~np.isfinite(times)).tolist():  # checked first
         faults[k] = InputError(
             f"time t must be finite, got {float(times[k])!r}")
-    return lam, spec, faults
+    return lam, faults
 
 
 def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
@@ -237,44 +237,13 @@ def _sigma_flow(triple, times):
     return linalg.herm(e @ y @ _h(e)), faults
 
 
-def _lambda_sigma(triple, times, tol):
-    """(Lambda_0(t), Sigma_0(t), faults) stacked over ``times``; +/-i in
-    the spectrum of alpha is the error of every time (``_lambda0``).
-    a Sig - Sig a* = i Lam0(t) Lam0(t)* fixes Sigma_0(t) only for
-    spec(alpha) in the open upper half plane: a Sylvester solve there, over
-    one pair of Schur forms for every time, else the exact solution of its
-    flow (which ``evolve_sigma0`` refuses on its ``sylvester`` route).  An
-    entry that fails records its error and keeps Sigma_0."""
-    lam, spec, faults = _lambda0(triple, times, tol)
-    sigma = np.broadcast_to(triple.sigma0,
-                            times.shape + triple.sigma0.shape).copy()
-    if spec is None:
-        return lam, sigma, faults
-    if spec.min_imag_part <= tol.spec_tol:
-        live = _live(faults)
-        sigma[live], flow = _sigma_flow(triple, times[live])
-        for k, error in zip(live.tolist(), flow):
-            faults[k] = error
-        return lam, sigma, faults
-    _record(faults, ~_finite(lam),
-            NumericError("lambda contains non-finite entries"))
-    _record(faults, ~_finite(1j * lam @ _h(lam)),
-            NumericError("C contains non-finite entries"))
-    live = _live(faults)
-    try:
-        if live.size:
-            sigma[live] = linalg.sigma_from_identity(triple.alpha, lam[live],
-                                                     tol)[0]
-    except SpinLatticeError as exc:     # overlapping spectra
-        _record(faults, live, exc)
-    return lam, sigma, faults
-
-
 def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
                   rk_step=1e-3, tol: Tolerances = DEFAULT):
     """Sigma_0(t) by one named route, for comparing them.
 
-    ``sylvester``: unique solution of a Sig - Sig a* = i Lam0(t) Lam0(t)*.
+    ``sylvester``: the Sigma_0(t) of ``triple_at`` (``_triples_at``), the
+    unique solution of a Sig - Sig a* = i Lam0(t) Lam0(t)*, with its
+    finite checks; at t = 0 Sigma_0 itself.
     ``gramian``: exact solution of the Sigma_0 flow from Sigma_0(0), three
     matrix exponentials for any t (Van Loan Gramians, see ``_sigma_flow``).
     ``ode``: fixed-step RK4 on the same flow, the reference for
@@ -301,30 +270,53 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
             "sylvester route needs the spectrum of alpha strictly in the "
             "open upper half plane"
         )
-    return _at(_lambda_sigma, triple, t, tol)[1][0]
+    return _at(_triples_at, triple, t, tol)[1][0]
 
 
 def _triples_at(triple, times, tol):
     """(Lambda_0(t), Sigma_0(t), faults) of the time-t triple at each of
     ``times``, stacked, with the checks of ParameterTriple; at t = 0 the
-    triple itself."""
+    triple itself.  The one builder of Sigma_0(t), for ``triple_at``,
+    ``evolve_sigma0`` (``sylvester``) and ``TimeGrid``: a Sylvester solve of
+    a Sig - Sig a* = i Lam0(t) Lam0(t)* over one pair of Schur forms where
+    spec(alpha) lies in the open upper half plane, else the exact solution
+    of its flow.  +/-i in the spectrum is the error of every time t != 0
+    (``_lambda0``); an entry that fails keeps Lambda_0 and Sigma_0."""
     faults = [None] * times.size
     lam = np.broadcast_to(triple.lambda0,
                           times.shape + triple.lambda0.shape).copy()
     sigma = np.broadcast_to(triple.sigma0,
                             times.shape + triple.sigma0.shape).copy()
     moving = np.flatnonzero(times != 0)
-    if moving.size:
-        lam_t, sigma_t, moved = _lambda_sigma(triple, times[moving], tol)
-        m = triple.m
-        for name, block in (("theta1", lam_t[..., :m]),
-                            ("theta2", lam_t[..., m:]), ("sigma0", sigma_t)):
-            _record(moved, ~_finite(block),
-                    NumericError(f"{name} contains non-finite entries"))
-        lam[moving] = lam_t
-        sigma[moving] = linalg.herm(sigma_t)
-        for k, error in zip(moving.tolist(), moved):
-            faults[k] = error
+    if not moving.size:
+        return lam, sigma, faults
+    lam_t, moved = _lambda0(triple, times[moving], tol)
+    sigma_t = sigma[moving]
+    live = _live(moved)
+    if triple.spectrum(tol).min_imag_part > tol.spec_tol:
+        _record(moved, ~_finite(lam_t),
+                NumericError("lambda contains non-finite entries"))
+        _record(moved, ~_finite(1j * lam_t @ _h(lam_t)),
+                NumericError("C contains non-finite entries"))
+        live = _live(moved)
+        try:
+            if live.size:
+                sigma_t[live] = linalg.sigma_from_identity(
+                    triple.alpha, lam_t[live], tol)[0]
+        except SpinLatticeError as exc:     # overlapping spectra
+            _record(moved, live, exc)
+    elif live.size:
+        sigma_t[live], flow = _sigma_flow(triple, times[moving][live])
+        for k, error in zip(live.tolist(), flow):
+            moved[k] = error
+    m = triple.m
+    for name, block in (("theta1", lam_t[..., :m]),
+                        ("theta2", lam_t[..., m:]), ("sigma0", sigma_t)):
+        _record(moved, ~_finite(block),
+                NumericError(f"{name} contains non-finite entries"))
+    lam[moving], sigma[moving] = lam_t, sigma_t
+    for k, error in zip(moving.tolist(), moved):
+        faults[k] = error
     return lam, sigma, faults
 
 

@@ -116,8 +116,7 @@ def solve_riccati(r: Realization, tol: Tolerances = DEFAULT):
         # Newton-Kleinman: closed-loop Sylvester for the next iterate
         a_cl = a - bbt @ x
         rhs = -(linalg.herm(q) + x @ bbt @ x)
-        x_new = scipy.linalg.solve_sylvester(a_cl.conj().T, a_cl, rhs)
-        x = linalg.herm(np.asarray(x_new, dtype=complex))
+        x = linalg.herm(linalg.solve_sylvester(a_cl.conj().T, -a_cl, rhs))
     res_norm = linalg.frob(_riccati_residual(r, x))
     min_eig = float(np.linalg.eigvalsh(x)[0])
     if min_eig <= tol.posdef_tol:

@@ -50,6 +50,14 @@ def projectors(m):
     return (i2m + j) / 2, (i2m - j) / 2
 
 
+def _identity_residuals(alpha, sigma, lam):
+    """Frobenius norms of alpha Sigma - Sigma alpha* - i Lambda Lambda*, the
+    residual of the structural identity, for one (Sigma, Lambda) or each of
+    a stack."""
+    return linalg.frob_norms(alpha @ sigma - sigma @ alpha.conj().T
+                             - 1j * lam @ lam.conj().swapaxes(-1, -2))
+
+
 @dataclass(frozen=True)
 class ParameterTriple:
     """(alpha, theta1, theta2) with an explicit sigma0 (identity by default)."""
@@ -110,13 +118,7 @@ class ParameterTriple:
 
     def identity_residual(self):
         """Frobenius residual of alpha sigma0 - sigma0 alpha* = i Lam0 Lam0*."""
-        lam = self.lambda0
-        r = (
-            self.alpha @ self.sigma0
-            - self.sigma0 @ self.alpha.conj().T
-            - 1j * lam @ lam.conj().T
-        )
-        return linalg.frob(r)
+        return float(_identity_residuals(self.alpha, self.sigma0, self.lambda0))
 
     def identity_scale(self):
         return linalg.frob(self.alpha) * linalg.frob(self.sigma0) + linalg.frob(
@@ -198,8 +200,9 @@ def normalize_sigma0(triple: ParameterTriple, tol: Tolerances = DEFAULT):
 def reduce_triple(triple: ParameterTriple, which="theta2", tol: Tolerances = DEFAULT):
     """Compress out the non-full-range part in one theta factor.
 
-    Rotates the Krylov span of {alpha^k theta} onto the leading coordinates
-    and keeps the leading block.  The generated spin sequence is unchanged.
+    Projects onto the orthonormal Krylov basis of span{alpha^k theta}
+    (``linalg.krylov_basis``), as ``inverse.reduce_to_minimal`` does.  The
+    generated spin sequence is unchanged.
     Requires sigma0 = I and 0, i not in the spectrum of alpha.
     """
     if which not in ("theta1", "theta2"):
@@ -218,17 +221,11 @@ def reduce_triple(triple: ParameterTriple, which="theta2", tol: Tolerances = DEF
         )
     theta = triple.theta1 if which == "theta1" else triple.theta2
     q = linalg.krylov_basis(triple.alpha, theta, tol)
-    n0 = q.shape[1]
-    if n0 == triple.order:
+    if q.shape[1] == triple.order:
         return triple
-    u, _, _ = np.linalg.svd(q, full_matrices=True)
-    # first n0 columns of u span the Krylov subspace
-    basis = u[:, :n0]
-    return ParameterTriple(
-        alpha=basis.conj().T @ triple.alpha @ basis,
-        theta1=basis.conj().T @ triple.theta1,
-        theta2=basis.conj().T @ triple.theta2,
-    )
+    p = q.conj().T
+    return ParameterTriple(alpha=p @ triple.alpha @ q, theta1=p @ triple.theta1,
+                           theta2=p @ triple.theta2)
 
 
 def _complex_gaussian(rng, rows, cols):

@@ -14,7 +14,8 @@ from . import evolution, lattice, linalg
 from .config import DEFAULT, Tolerances
 from .errors import AdmissibilityError, PoleError, SpinLatticeError
 from .transfer import Transfer, _h
-from .triples import ParameterTriple, TripleClass, normalize_sigma0, validate
+from .triples import (ParameterTriple, TripleClass, _identity_residuals,
+                      normalize_sigma0, validate)
 from .weyl import _lambda_grid, _realization, _summability, weyl
 
 __all__ = ["CheckResult", "check_names", "run_checks"]
@@ -105,10 +106,9 @@ class _Context:
 
 
 def _identity_propagation(ctx):
-    a, lam, sig = ctx.triple.alpha, ctx.state.lambdas, ctx.state.sigmas
-    res = linalg.frob_norms(a @ sig - sig @ a.conj().T - 1j * lam @ _h(lam))
+    a, sig = ctx.triple.alpha, ctx.state.sigmas
     scale = np.fmax(1.0, linalg.frob_norms(sig) * linalg.frob(a))
-    return _worst(res / scale), 1e-9
+    return _worst(_identity_residuals(a, sig, ctx.state.lambdas) / scale), 1e-9
 
 
 def _sigma_positivity(ctx):

@@ -25,18 +25,14 @@ __all__ = [
 ]
 
 
-def example_triple(h=2.0, theta1=None, theta2=None):
-    """The admissible scalar triple alpha = ih with |t1|^2 + |t2|^2 = 2h.
-
-    Defaults to theta1 = theta2 = sqrt(h).
-    """
+def example_triple(h=2.0):
+    """The admissible scalar triple alpha = ih, theta1 = theta2 = sqrt(h)."""
     h = float(h)
+    if not np.isfinite(h):
+        raise InputError(f"h must be finite, got {h!r}")
     if h <= 0 or h == 1.0:
         raise InputError("h must be positive and different from 1")
-    if theta1 is None and theta2 is None:
-        theta1 = theta2 = complex(np.sqrt(h))
-    if abs(abs(theta1) ** 2 + abs(theta2) ** 2 - 2 * h) > 1e-12:
-        raise InputError("need |theta1|^2 + |theta2|^2 = 2h")
+    theta1 = theta2 = complex(np.sqrt(h))
     return ParameterTriple(
         alpha=np.array([[1j * h]]),
         theta1=np.array([[theta1]], dtype=complex),

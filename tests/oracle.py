@@ -1,0 +1,93 @@
+"""High-precision oracle of the time-t triple, for the tests.
+
+Lambda_0(t) = [e^{-2t(alpha - iI)^{-1}} theta1, e^{-2t(alpha + iI)^{-1}} theta2]
+is formed by ``mpmath.expm``.  Sigma_0(t) is the solution of
+alpha Sigma - Sigma alpha* = i Lambda_0(t) Lambda_0(t)* by its Kronecker form
+when the spectrum of alpha lies in the open upper half plane, else the exact
+solution of its flow,
+
+    Sigma_0(t) = E [Sigma_0 - 2(Q alpha W Q* + Q W alpha* Q*)] E*,
+
+with E = e^{-tR}, R = (alpha - iI)^{-1} + (alpha + iI)^{-1},
+Q = (alpha^2 + I)^{-1}, W = G(L, theta1) - G(-L, theta2),
+L = (alpha + iI)^{-1} - (alpha - iI)^{-1}, each Gramian
+G(A, b) = int_0^t e^{sA} b b* e^{sA*} ds taken from one exponential of the
+Van Loan block [[-A, b b*], [0, A*]].  Every step runs at ``DPS`` digits.
+"""
+
+import mpmath as mp
+import numpy as np
+
+DPS = 30
+
+
+def _mp(a):
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    return mp.matrix([[mp.mpc(x.real, x.imag) for x in row] for row in a])
+
+
+def _np(a):
+    return np.array([[complex(a[i, j]) for j in range(a.cols)]
+                     for i in range(a.rows)])
+
+
+def _blocks(rows):
+    """The matrix of a nested list of mpmath blocks."""
+    out = mp.matrix(sum(r[0].rows for r in rows),
+                    sum(b.cols for b in rows[0]))
+    i = 0
+    for row in rows:
+        j = 0
+        for block in row:
+            for p in range(block.rows):
+                for q in range(block.cols):
+                    out[i + p, j + q] = block[p, q]
+            j += block.cols
+        i += row[0].rows
+    return out
+
+
+def _sylvester(a, c):
+    """X with a X - X a* = c, from the Kronecker form over column-major
+    vec(X): (I (x) a - conj(a) (x) I) vec(X) = vec(c)."""
+    n = a.rows
+    k = mp.matrix(n * n, n * n)
+    for j in range(n):
+        for i in range(n):
+            for p in range(n):
+                k[i + n * j, p + n * j] += a[i, p]
+                k[i + n * j, i + n * p] -= mp.conj(a[j, p])
+    x = mp.lu_solve(k, mp.matrix([c[i, j] for j in range(n)
+                                  for i in range(n)]))
+    return mp.matrix([[x[i + n * j] for j in range(n)] for i in range(n)])
+
+
+def _gramian(a, b, t):
+    """int_0^t e^{sA} b b* e^{sA*} ds (Van Loan, IEEE TAC 23, 1978)."""
+    n = a.rows
+    f = mp.expm(t * _blocks([[-a, b * b.H], [mp.zeros(n, n), a.H]]))
+    return f[n:, n:].H * f[:n, n:]
+
+
+def triple_at(triple, t, upper_half_plane):
+    """(Lambda_0(t), Sigma_0(t)) of ``triple`` as complex arrays: the
+    Sylvester solution if ``upper_half_plane``, else that of the flow."""
+    with mp.workdps(DPS):
+        a = _mp(triple.alpha)
+        t = mp.mpf(t)
+        eye = mp.eye(a.rows)
+        minus = mp.inverse(a - mp.mpc(0, 1) * eye)
+        plus = mp.inverse(a + mp.mpc(0, 1) * eye)
+        theta1, theta2 = _mp(triple.theta1), _mp(triple.theta2)
+        lam = _blocks([[mp.expm(-2 * t * minus) * theta1,
+                        mp.expm(-2 * t * plus) * theta2]])
+        if upper_half_plane:
+            sigma = _sylvester(a, mp.mpc(0, 1) * lam * lam.H)
+        else:
+            q = minus * plus
+            e = mp.expm(-t * (minus + plus))
+            w = (_gramian(plus - minus, theta1, t)
+                 - _gramian(minus - plus, theta2, t))
+            term = q * a * w * q.H
+            sigma = e * (_mp(triple.sigma0) - 2 * (term + term.H)) * e.H
+        return _np(lam), _np(sigma)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -663,3 +664,80 @@ def test_importing_the_cli_leaves_the_integrator_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def _hostile_tol_files(directory):
+    """(path, m, is_realization) of the scalar example, the real-mode triple,
+    an m = 2 triple and the realizations of the scalar and m = 2 ones."""
+    r2 = np.sqrt(2.0)
+    triples = {"scalar": example_triple(2.0),
+               "real_mode": spinlattice.ParameterTriple(
+                   alpha=np.diag([2j, 3.0]), theta1=[[r2], [0.0]],
+                   theta2=[[r2], [0.0]]),
+               "m2": random_admissible_triple(np.random.default_rng(1), 4, 2)}
+    files = []
+    for name, triple in triples.items():
+        path = pathlib.Path(directory) / f"{name}.json"
+        path.write_text(serialize.dumps(serialize.triple_to_obj(triple)))
+        files.append((str(path), triple.m, False))
+        if name != "real_mode":
+            path = pathlib.Path(directory) / f"{name}.realization.json"
+            path.write_text(serialize.dumps(
+                serialize.realization_to_obj(weyl(triple))))
+            files.append((str(path), triple.m, True))
+    return files
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(name=st.sampled_from(spinlattice.Tolerances.names()),
+       exponent=st.floats(-300.0, 300.0))
+def test_hostile_tolerances_keep_the_exit_code_contract(name, exponent):
+    """Any Tolerances field at 10^u, |u| <= 300, through every subcommand:
+    an exit code in {0, 1, 2, 3}, no escaping exception, no RuntimeWarning
+    and no NaN or Infinity in the JSON output."""
+    tol = ["--tol", f"{name}={10.0 ** exponent!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(["example", "--h", "2"], False)]
+        for path, m, is_realization in _hostile_tol_files(tmp):
+            if is_realization:
+                runs.append((["invert", path], True))
+                continue
+            runs += [(["validate", path], True),
+                     (["spins", path, "--nmax", "4"], True),
+                     (["fundamental", path, "--lambda", "2+0.5i",
+                       "--nmax", "4"], True),
+                     (["weyl", path], True),
+                     (["verify", path, "--nmax", "4"], False)]
+            if m == 1:
+                runs.append((["evolve", path, "--nmax", "4", "--time-grid",
+                              "0,0.5,2", "--format", "json"], True))
+        for argv, is_json in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv + tol)
+            assert code in (0, 1, 2, 3), argv
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)], argv
+            if is_json:
+                assert not re.search(r"\bNaN\b|Infinity", out.getvalue()), argv
+
+
+@pytest.mark.parametrize("h", ("nan", "inf", "-inf"))
+def test_example_with_a_non_finite_h_is_one_error_line(capsys, h):
+    assert main(["example", f"--h={h}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: h must be finite")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("h", (4130.830748512281, 1e5))
+def test_example_triple_builds_at_large_h(h):
+    """theta1 = theta2 = sqrt(h) is the triple, with no check of
+    |theta1|^2 + |theta2|^2 = 2h that rounding can fail."""
+    triple = example_triple(h)
+    assert triple.alpha[0, 0] == 1j * h
+    assert triple.theta1[0, 0] == triple.theta2[0, 0] == np.sqrt(h)
+    assert validate(triple).identity_ok

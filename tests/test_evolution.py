@@ -716,3 +716,50 @@ def test_time_grid_check_names_the_failing_time(real_mode_triple):
     with pytest.raises(NumericError) as info:
         grid.check()
     assert info.value.time == -5e5
+
+
+@pytest.mark.parametrize("kind", ("identity", "general"))
+def test_sylvester_route_at_t_zero_is_sigma0_itself(rng, kind):
+    """evolve_sigma0 reads the time-t triple of triple_at, which at t = 0 is
+    the triple: Sigma_0 bit for bit, not a Sylvester solve near it."""
+    triple = (random_admissible_triple(rng, 3, 1) if kind == "identity"
+              else random_general_sigma_triple(rng, 3, 2))
+    sigma = evolve_sigma0(triple, 0.0, "sylvester")
+    assert sigma.tobytes() == triple.sigma0.tobytes()
+    assert sigma.tobytes() == triple_at(triple, 0.0).sigma0.tobytes()
+
+
+def test_unknown_sigma_method_is_a_value_error(ihm_triple):
+    with pytest.raises(ValueError, match="unknown method 'schur'"):
+        evolve_sigma0(ihm_triple, 0.1, "schur")
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(("fg", "general-sigma0", "real-mode")),
+       order=st.integers(1, 3), m=st.integers(1, 2), real=st.floats(-5.0, 5.0),
+       tt=st.floats(0.01, 3.0), negative=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_triple_at_matches_the_high_precision_oracle(kind, order, m, real, tt,
+                                                     negative, seed):
+    """Lambda_0(t) and Sigma_0(t) of triple_at agree with the 30-digit
+    oracle of tests/oracle.py to a relative Frobenius error of 1e-12 for
+    0.01 <= |t| <= 3 and order <= 4, on the Sylvester route (spectrum of
+    alpha in the open upper half plane) and on the flow route (a real
+    eigenvalue).  At t = 0 triple_at returns the triple itself."""
+    pytest.importorskip("mpmath")
+    import oracle
+
+    tt = -tt if negative else tt
+    rng = np.random.default_rng(seed)
+    if kind == "general-sigma0":
+        triple = random_general_sigma_triple(rng, order + 1, m)
+    else:
+        triple = random_admissible_triple(rng, order + (kind == "fg"), m)
+    if kind == "real-mode":
+        triple = _pad_real_mode(triple, real, rng)
+    upper = triple.spectrum().min_imag_part > DEFAULT.spec_tol
+    assert upper == (kind != "real-mode")
+    got = triple_at(triple, tt)
+    lam, sigma = oracle.triple_at(triple, tt, upper)
+    assert _relative_gap(got.lambda0, lam) <= 1e-12
+    assert _relative_gap(got.sigma0, sigma) <= 1e-12

@@ -197,3 +197,11 @@ def test_verify_batches_its_shared_work(batches, n_max, state_horizons):
     assert batches == {"_triples_at": [8], "_sigma_flow": [2],
                        "generate_stack": [state_horizons, [3, 3, 2, 2, 2, 2]],
                        "validate": 1}
+
+
+@pytest.mark.parametrize("order, m, count", ((3, 1, 23), (4, 2, 17)))
+def test_check_names_are_the_names_run_checks_reports(order, m, count):
+    triple = random_admissible_triple(np.random.default_rng(order), order, m)
+    names = verify.check_names(m)
+    assert len(names) == count
+    assert names == [r.name for r in run_checks(triple, n_max=4)]
