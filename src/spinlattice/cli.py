@@ -237,8 +237,8 @@ def build_parser():
         p.add_argument("--output", "-o", help="output path (default stdout)")
 
     p = sub.add_parser("validate", help="classify a triple")
-    common(p)
-    p.set_defaults(func=_cmd_validate, nmax_floor=0)
+    common(p, nmax=None)
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("spins", help="export the generated lattice state")
     common(p)
@@ -254,8 +254,8 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("weyl", help="sample the Weyl function on a grid")
-    common(p)
-    p.set_defaults(func=_cmd_weyl, nmax_floor=0)
+    common(p, nmax=None)
+    p.set_defaults(func=_cmd_weyl)
     p.add_argument("--lambda-grid", metavar="c_re,c_im,r,k",
                    help="circle grid: center, radius, count "
                         "(default 0,-2,3,8)")

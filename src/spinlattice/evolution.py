@@ -294,15 +294,16 @@ def _triples_at(triple, times, tol):
     sigma_t = sigma[moving]
     live = _live(moved)
     if triple.spectrum(tol).min_imag_part > tol.spec_tol:
+        c = 1j * lam_t @ _h(lam_t)
         _record(moved, ~_finite(lam_t),
                 NumericError("lambda contains non-finite entries"))
-        _record(moved, ~_finite(1j * lam_t @ _h(lam_t)),
+        _record(moved, ~_finite(c),
                 NumericError("C contains non-finite entries"))
         live = _live(moved)
         try:
             if live.size:
-                sigma_t[live] = linalg.sigma_from_identity(
-                    triple.alpha, lam_t[live], tol)[0]
+                sigma_t[live] = linalg.herm(linalg.solve_sylvester(
+                    triple.alpha, _h(triple.alpha), c[live], tol))
         except SpinLatticeError as exc:     # overlapping spectra
             _record(moved, live, exc)
     elif live.size:

@@ -147,8 +147,7 @@ def invert(r: Realization, tol: Tolerances = DEFAULT):
             "the zero function has no admissible triple (order 0)"
         )
     sol = solve_riccati(r, tol)
-    x_half = linalg.hermitian_sqrt(sol.x, tol)
-    x_minus_half = linalg.hermitian_power(sol.x, -0.5, tol)
+    x_half, x_minus_half = linalg.hermitian_powers(sol.x, (0.5, -0.5), tol)
     theta1 = x_half @ r.vartheta1
     theta2 = x_minus_half @ r.vartheta2
     beta = x_minus_half @ r.gamma @ x_half

@@ -31,9 +31,8 @@ __all__ = [
     "SpectrumReport",
     "spectrum",
     "hermitian_sqrt",
-    "hermitian_power",
+    "hermitian_powers",
     "solve_sylvester",
-    "sigma_from_identity",
     "is_full_range",
     "krylov_basis",
     "cond",
@@ -118,11 +117,12 @@ def spectrum(m, tol: Tolerances = DEFAULT):
 
 def hermitian_sqrt(m, tol: Tolerances = DEFAULT):
     """Positive definite square root of a Hermitian positive definite matrix."""
-    return hermitian_power(m, 0.5, tol)
+    return hermitian_powers(m, (0.5,), tol)[0]
 
 
-def hermitian_power(m, power, tol: Tolerances = DEFAULT):
-    """Fractional power M^p of a Hermitian positive definite M (eigh-based)."""
+def hermitian_powers(m, powers, tol: Tolerances = DEFAULT):
+    """The fractional powers M^p, p in ``powers``, of a Hermitian positive
+    definite M, all from one eigendecomposition."""
     m = require_hermitian(m, tol)
     w, v = np.linalg.eigh(m)
     if w.size and w[0] <= tol.posdef_tol:
@@ -130,7 +130,7 @@ def hermitian_power(m, power, tol: Tolerances = DEFAULT):
             f"matrix is not positive definite (min eigenvalue {w[0]:.3e})",
             min_eigenvalue=float(w[0]) if w.size else None,
         )
-    return herm((v * w**power) @ v.conj().T)
+    return [herm((v * w**p) @ v.conj().T) for p in powers]
 
 
 def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
@@ -174,21 +174,6 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
                 f"Illegal value encountered in the {-info} term")
         y[index] = scale * y_k
     return u @ y @ v.conj().T
-
-
-def sigma_from_identity(alpha, lam, tol: Tolerances = DEFAULT):
-    """Solve alpha Sigma - Sigma alpha* = i lam lam* and symmetrize, for one
-    lam or each of a stack.
-
-    Returns ``(sigma, asymmetry)`` where asymmetry is the Frobenius norm of
-    the discarded anti-Hermitian part.
-    """
-    alpha = as_matrix(alpha, "alpha")
-    lam = as_matrices(lam, "lambda")
-    x = solve_sylvester(alpha, alpha.conj().T,
-                        1j * lam @ lam.conj().swapaxes(-1, -2), tol)
-    sym = herm(x)
-    return sym, frob_norms(x - sym)
 
 
 def krylov_basis(a, b, tol: Tolerances = DEFAULT):

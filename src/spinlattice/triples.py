@@ -188,8 +188,7 @@ def normalize_sigma0(triple: ParameterTriple, tol: Tolerances = DEFAULT):
     """
     if triple.sigma0_is_identity(tol):
         return triple
-    r = linalg.hermitian_sqrt(triple.sigma0, tol)
-    r_inv = linalg.hermitian_power(triple.sigma0, -0.5, tol)
+    r, r_inv = linalg.hermitian_powers(triple.sigma0, (0.5, -0.5), tol)
     return ParameterTriple(
         alpha=r_inv @ triple.alpha @ r,
         theta1=r_inv @ triple.theta1,
@@ -288,8 +287,9 @@ def random_general_sigma_triple(rng, order, m, tol: Tolerances = DEFAULT):
         theta1 = _complex_gaussian(rng, order, m)
         theta2 = _complex_gaussian(rng, order, m)
         lam = np.hstack([theta1, theta2])
-        sigma0, _ = linalg.sigma_from_identity(base.alpha, lam, tol)
-        if np.linalg.eigvalsh(linalg.require_hermitian(sigma0, tol))[0] < 0.05:
+        sigma0 = linalg.herm(linalg.solve_sylvester(
+            base.alpha, base.alpha.conj().T, 1j * lam @ lam.conj().T, tol))
+        if np.linalg.eigvalsh(sigma0)[0] < 0.05:
             continue
         return ParameterTriple(alpha=base.alpha, theta1=theta1, theta2=theta2,
                                sigma0=sigma0)

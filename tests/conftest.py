@@ -29,3 +29,17 @@ def real_mode_triple():
     r2 = np.sqrt(2.0)
     return ParameterTriple(alpha=np.diag([2j, 3.0]), theta1=[[r2], [0.0]],
                            theta2=[[r2], [0.0]])
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.eigh, one per call."""
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes

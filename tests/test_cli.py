@@ -248,6 +248,15 @@ def test_a_horizon_beyond_the_stack_budget_is_one_error_line(
     assert "budget of 1024 MiB" in err
 
 
+@pytest.mark.parametrize("command", ("validate", "weyl"))
+def test_nmax_is_no_option_of_validate_and_weyl(example_file, capsys, command):
+    """Neither builds a lattice, so --nmax is an unknown argument."""
+    with pytest.raises(SystemExit) as stop:
+        main([command, example_file, "--nmax", "3"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --nmax 3" in capsys.readouterr().err
+
+
 def test_verify_example_passes(example_file, capsys):
     assert main(["verify", example_file]) == 0
     assert "FAIL" not in capsys.readouterr().out

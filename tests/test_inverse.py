@@ -51,6 +51,14 @@ def test_newton_kleinman_polishes_a_perturbed_subspace_solution(
     assert np.linalg.norm(sol.x - want) <= 1e-9 * np.linalg.norm(want)
 
 
+def test_invert_takes_both_roots_from_one_eigh(eigh_calls):
+    """X^{1/2} and X^{-1/2} of the Riccati solution X share one eigh."""
+    r = random_minimal_realization(np.random.default_rng(2), 3, 2)
+    eigh_calls.clear()
+    invert(r)
+    assert eigh_calls == [(3, 3)]
+
+
 def test_riccati_residual_and_positivity(rng):
     for _ in range(5):
         r = random_minimal_realization(rng, 4, 2)

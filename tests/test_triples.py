@@ -102,6 +102,13 @@ def test_normalize_sigma0_preserves_spins(rng):
     assert worst <= 1e-9
 
 
+def test_normalize_sigma0_takes_both_roots_from_one_eigh(rng, eigh_calls):
+    t = random_general_sigma_triple(rng, 3, 2)
+    eigh_calls.clear()
+    normalize_sigma0(t)
+    assert eigh_calls == [(3, 3)]
+
+
 @pytest.mark.parametrize("which", ["theta1", "theta2"])
 def test_pad_then_reduce_roundtrip(rng, which):
     base = random_admissible_triple(rng, 3, 1)
