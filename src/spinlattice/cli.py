@@ -93,7 +93,12 @@ def _parse_time_grid(text):
         raise InputError("--time-grid needs k >= 1")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InputError("--time-grid needs finite endpoints a and b")
-    return list(np.linspace(a, b, count))
+    with np.errstate(all="ignore"):
+        times = np.linspace(a, b, count)
+    if not np.isfinite(times).all():
+        raise InputError(f"--time-grid {text} has non-finite points: b - a "
+                         f"overflows")
+    return list(times)
 
 
 def _parse_lambda(text):

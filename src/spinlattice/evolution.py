@@ -495,7 +495,9 @@ class TimeGrid:
         self.vectors, self._bad_vectors, self._vector_error = _spin_vectors(
             self.spins, tol)
         # 1 + s_{n-1}.s_n, the denominator of V_n, at [time, n - 1]
-        self.bonds = 1.0 + np.vecdot(self.vectors[:, :-1], self.vectors[:, 1:])
+        with np.errstate(all="ignore"):
+            self.bonds = 1.0 + np.vecdot(self.vectors[:, :-1],
+                                         self.vectors[:, 1:])
         self._bad_bonds = abs(self.bonds) < tol.degeneracy_tol
         self._zero_curvature = {}
         self._transfers = {}

@@ -96,28 +96,31 @@ def solve_riccati(r: Realization, tol: Tolerances = DEFAULT):
             min_eigenvalue=np.inf,
             newton_iterations=0,
         )
-    a = 1j * r.gamma.conj().T
-    b = r.vartheta1
-    q = r.vartheta2 @ r.vartheta2.conj().T
-    m_eye = np.eye(r.m, dtype=complex)
-    try:
-        x = scipy.linalg.solve_continuous_are(a, b, linalg.herm(q), m_eye)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(f"Riccati subspace solver failed: {exc}") from exc
-    x = linalg.herm(np.asarray(x, dtype=complex))
+    with np.errstate(all="ignore"):
+        a = 1j * r.gamma.conj().T
+        b = r.vartheta1
+        q = r.vartheta2 @ r.vartheta2.conj().T
+        m_eye = np.eye(r.m, dtype=complex)
+        try:
+            x = scipy.linalg.solve_continuous_are(a, b, linalg.herm(q), m_eye)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise NumericError(f"Riccati subspace solver failed: {exc}") from exc
+        x = linalg.herm(np.asarray(x, dtype=complex))
 
-    scale = max(1.0, linalg.frob(r.gamma) * linalg.frob(x) + linalg.frob(q))
-    iterations = 0
-    bbt = b @ b.conj().T
-    for iterations in range(1, 26):
-        res = _riccati_residual(r, x)
-        if linalg.frob(res) <= 1e-12 * scale:
-            break
-        # Newton-Kleinman: closed-loop Sylvester for the next iterate
-        a_cl = a - bbt @ x
-        rhs = -(linalg.herm(q) + x @ bbt @ x)
-        x = linalg.herm(linalg.solve_sylvester(a_cl.conj().T, -a_cl, rhs))
-    res_norm = linalg.frob(_riccati_residual(r, x))
+        scale = max(1.0, linalg.frob(r.gamma) * linalg.frob(x) + linalg.frob(q))
+        iterations = 0
+        bbt = b @ b.conj().T
+        for iterations in range(1, 26):
+            res = _riccati_residual(r, x)
+            if linalg.frob(res) <= 1e-12 * scale:
+                break
+            # Newton-Kleinman: closed-loop Sylvester for the next iterate
+            a_cl = a - bbt @ x
+            rhs = -(linalg.herm(q) + x @ bbt @ x)
+            x = linalg.herm(linalg.solve_sylvester(a_cl.conj().T, -a_cl, rhs))
+        res_norm = linalg.frob(_riccati_residual(r, x))
+    if not np.isfinite(x).all():
+        raise NumericError("Riccati solution has non-finite entries")
     min_eig = float(np.linalg.eigvalsh(x)[0])
     if min_eig <= tol.posdef_tol:
         raise NotPositiveDefiniteError(

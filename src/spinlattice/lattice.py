@@ -265,6 +265,10 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         spins = linalg.herm(signature_matrix(m) + xi[:, :-1] - xi[:, 1:])
         spin_residuals = linalg.frob_norms(
             spins @ spins - np.eye(2 * m, dtype=complex))
+    for k, n in _first(guarded[:, 1:] & ~np.isfinite(entries(spin_residuals))):
+        _record(faults, [k], NumericError(
+            f"||S_{n}^2 - I|| is not finite: the recursion leaves the "
+            f"floating point range (reached n = {n} of {horizons[k]})"))
     return LatticeStack(
         horizons=horizons,
         lambdas=entries(lambdas),

@@ -75,10 +75,14 @@ def require_hermitian(m, tol: Tolerances = DEFAULT, name="matrix"):
     m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    dev = frob(m - m.conj().T) / max(1.0, frob(m))
-    if dev > tol.hermitian_tol:
+    with np.errstate(all="ignore"):
+        dev = frob(m - m.conj().T) / max(1.0, frob(m))
+        h = herm(m)
+    if not dev <= tol.hermitian_tol:
         raise NumericError(f"{name} is not Hermitian (relative deviation {dev:.3e})")
-    return herm(m)
+    if not np.isfinite(h).all():
+        raise NumericError(f"the Hermitian part of {name} overflows")
+    return h
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,9 @@ def spectrum(m, tol: Tolerances = DEFAULT):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     norm = float(np.linalg.norm(m, 2))
+    if not (np.isfinite(eigs).all() and np.isfinite(norm)):
+        raise NumericError("the eigenvalues or the 2-norm of the matrix "
+                           "overflow")
     return SpectrumReport(
         eigenvalues=eigs,
         min_imag_part=float(np.min(eigs.imag)) if eigs.size else 0.0,
@@ -194,9 +201,12 @@ def krylov_basis(a, b, tol: Tolerances = DEFAULT):
     basis = new = u[:, :int(np.sum(s > tol.rank_tol * s.max(initial=0.0)))]
     cutoff = tol.rank_tol * max(1.0, float(np.linalg.norm(a, 2)))
     while new.shape[1] and basis.shape[1] < n:
-        block = a @ new
-        for _ in range(2):
-            block = block - basis @ (basis.conj().T @ block)
+        with np.errstate(all="ignore"):
+            block = a @ new
+            for _ in range(2):
+                block = block - basis @ (basis.conj().T @ block)
+        if not np.isfinite(block).all():
+            raise NumericError("Krylov block A Q overflows")
         u, s, _ = np.linalg.svd(block, full_matrices=False)
         new = u[:, :min(int(np.sum(s > cutoff)), n - basis.shape[1])]
         basis = np.hstack([basis, new])

@@ -28,12 +28,13 @@ def _j_powers(lam, powers, m):
     """j_power_factor(lam, n, m) for each n in ``powers``, stacked."""
     if lam == 0:
         raise PoleError("the factor (I - (i/lambda)J)^n has a pole at lambda = 0")
-    try:
+    try:    # Python complex powers overflow to an error, inf or NaN
         minus = [(1 - 1j / lam) ** n for n in powers]
         plus = [(1 + 1j / lam) ** n for n in powers]
     except OverflowError:
-        raise NumericError(f"(I - (i/lambda)J)^n overflows at lambda = {lam}"
-                           ) from None
+        minus = plus = [np.nan]
+    if not np.isfinite(minus + plus).all():
+        raise NumericError(f"(I - (i/lambda)J)^n overflows at lambda = {lam}")
     out = np.zeros((len(powers), 2 * m, 2 * m), dtype=complex)
     out[:, :m, :m] = _scaled(minus, np.eye(m))
     out[:, m:, m:] = _scaled(plus, np.eye(m))

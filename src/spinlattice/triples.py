@@ -150,8 +150,13 @@ def validate(triple: ParameterTriple, tol: Tolerances = DEFAULT):
     half plane; a full-range triple violating that signals an internal
     inconsistency and raises.
     """
-    residual = triple.identity_residual()
-    identity_ok = residual <= tol.id_tol * max(1.0, triple.identity_scale())
+    with np.errstate(all="ignore"):
+        residual = triple.identity_residual()
+        scale = triple.identity_scale()
+    if not np.isfinite(residual):
+        raise NumericError("the identity residual alpha Sigma_0 - Sigma_0 "
+                           "alpha* - i Lambda_0 Lambda_0* overflows")
+    identity_ok = residual <= tol.id_tol * max(1.0, scale)
     fr1, _ = linalg.is_full_range(triple.alpha, triple.theta1, tol)
     fr2, _ = linalg.is_full_range(triple.alpha, triple.theta2, tol)
     spec = triple.spectrum(tol)

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinlattice
@@ -750,3 +750,195 @@ def test_example_triple_builds_at_large_h(h):
     assert triple.alpha[0, 0] == 1j * h
     assert triple.theta1[0, 0] == triple.theta2[0, 0] == np.sqrt(h)
     assert validate(triple).identity_ok
+
+
+def _keeps_the_contract(argv, document=True):
+    """Run main(argv) in-process and assert the exit-code contract: a code
+    in {0, 1, 2, 3}, no escaping exception, one stderr line with codes 2
+    and 3, no RuntimeWarning and, in a JSON or CSV document, no NaN or
+    infinite value."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert err.getvalue().count("\n") == (code in (2, 3)), (argv, err.getvalue())
+    assert not [w for w in caught
+                if issubclass(w.category, RuntimeWarning)], argv
+    if document:
+        assert not re.search(r"\b(NaN|Infinity|nan|inf)\b", out.getvalue()), argv
+
+
+@pytest.fixture(scope="module")
+def hostile_files(tmp_path_factory):
+    """(path, m, is_realization) of the files of ``_hostile_tol_files``."""
+    return _hostile_tol_files(tmp_path_factory.mktemp("hostile"))
+
+
+def _power(sign, exponent):
+    """sign * 10^exponent, or 0 for sign 0."""
+    return sign * 10.0 ** exponent if sign else 0.0
+
+
+_SIGNS = st.sampled_from((-1.0, 0.0, 1.0))
+_EXPONENTS = st.floats(-320.0, 308.25)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(file=st.integers(0, 2), anchor=st.integers(0, 3), exponent=_EXPONENTS,
+       phase=st.floats(0.0, 2 * np.pi), fmt=st.sampled_from(("json", "csv")))
+def test_hostile_lambda_keeps_the_exit_code_contract(
+        hostile_files, file, anchor, exponent, phase, fmt):
+    """fundamental at lambda = 10^u e^{i phase} away from 0, i, -i or an
+    eigenvalue of alpha, |u| up to the float limits."""
+    path = [p for p, _, realization in hostile_files if not realization][file]
+    eigs = np.linalg.eigvals(serialize.triple_from_obj(
+        serialize.load_json(path)).alpha)
+    lam = ((0.0, 1j, -1j, eigs[0])[anchor]
+           + 10.0 ** exponent * complex(np.cos(phase), np.sin(phase)))
+    text = f"{lam.real!r}{'-' if lam.imag < 0 else '+'}{abs(lam.imag)!r}i"
+    _keeps_the_contract(["fundamental", path, f"--lambda={text}", "--nmax",
+                         "4", "--format", fmt])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(file=st.integers(0, 2), signs=st.tuples(_SIGNS, _SIGNS),
+       exponents=st.tuples(_EXPONENTS, _EXPONENTS, _EXPONENTS),
+       count=st.integers(1, 16))
+def test_hostile_lambda_grid_keeps_the_exit_code_contract(
+        hostile_files, file, signs, exponents, count):
+    """weyl on a circle whose center parts and radius are 10^u, |u| up to
+    the float limits."""
+    path = [p for p, _, realization in hostile_files if not realization][file]
+    grid = (_power(signs[0], exponents[0]), _power(signs[1], exponents[1]),
+            10.0 ** exponents[2], count)
+    _keeps_the_contract(["weyl", path,
+                         f"--lambda-grid={','.join(map(repr, grid))}"])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(file=st.integers(0, 1), signs=st.tuples(_SIGNS, _SIGNS),
+       exponents=st.tuples(_EXPONENTS, _EXPONENTS), count=st.integers(1, 4),
+       fmt=st.sampled_from(("json", "csv")))
+def test_hostile_time_grid_keeps_the_exit_code_contract(
+        hostile_files, file, signs, exponents, count, fmt):
+    """evolve on the m = 1 triples between endpoints +/-10^u, |u| up to the
+    float limits."""
+    path = [p for p, m, realization in hostile_files
+            if m == 1 and not realization][file]
+    a, b = (_power(s, u) for s, u in zip(signs, exponents))
+    _keeps_the_contract(["evolve", path, f"--time-grid={a!r},{b!r},{count}",
+                         "--nmax", "3", "--format", fmt])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(file=st.integers(0, 2), n_max=st.integers(0, 300),
+       command=st.sampled_from(("spins", "fundamental", "verify", "evolve")))
+def test_hostile_nmax_keeps_the_exit_code_contract(hostile_files, file, n_max,
+                                                   command):
+    path, m, _ = [f for f in hostile_files if not f[2]][file]
+    assume(command != "evolve" or m == 1)
+    argv = [command, path, "--nmax", str(n_max)]
+    if command == "fundamental":
+        argv += ["--lambda", "2+0.5i"]
+    if command == "evolve":
+        argv += ["--time-grid", "0,0.5,3", "--format", "json"]
+    _keeps_the_contract(argv, document=command != "verify")
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(order=st.integers(1, 3), m=st.integers(1, 2),
+       exponent=st.floats(-320.0, 308.0),
+       kind=st.sampled_from(("gaussian", "admissible")),
+       sigma0=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_triples_at_extreme_scale_keep_the_exit_code_contract(
+        order, m, exponent, kind, sigma0, seed):
+    """Triples and realizations with entries of magnitude 10^u, |u| up to
+    the float limits, through every subcommand."""
+    obj = _random_triple_obj(order, m, 10.0 ** exponent, kind, sigma0, seed)
+    rng = np.random.default_rng(seed)
+    realization = {
+        name: serialize.matrix_to_obj(10.0 ** exponent * (
+            rng.standard_normal((order, cols))
+            + 1j * rng.standard_normal((order, cols))))
+        for name, cols in (("gamma", order), ("vartheta1", m),
+                           ("vartheta2", m))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "triple.json")
+        pathlib.Path(path).write_text(json.dumps(obj))
+        source = str(pathlib.Path(tmp) / "realization.json")
+        pathlib.Path(source).write_text(json.dumps(realization))
+        for argv, document in (
+                (["validate", path], True),
+                (["spins", path, "--nmax", "4"], True),
+                (["fundamental", path, "--lambda", "2+0.5i", "--nmax", "4"],
+                 True),
+                (["weyl", path], True),
+                (["verify", path, "--nmax", "4"], False),
+                (["evolve", path, "--nmax", "3", "--time-grid", "0,0.5,2"],
+                 True),
+                (["invert", source], True)):
+            _keeps_the_contract(argv, document)
+
+
+def _hostile_inputs(directory):
+    """Triple and realization files at the edge of the float range, keyed
+    by name."""
+    e1 = [[1.0], [0.0], [0.0]]
+    near_max = 1e308 * np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                                 [0.0, 1.0, 1.0]])
+    objects = {
+        "large_scalar": dict(alpha=[[-1.038e150 - 1.291e150j]],
+                             theta1=[[1.019e149]], theta2=[[-7.361e149]]),
+        "tiny_sigma0": dict(alpha=2j * np.eye(2) + 1e-3 * np.eye(2)[::-1],
+                            theta1=[[1.0], [0.5]], theta2=[[0.3], [1.0]],
+                            sigma0=1e-300 * np.eye(2)),
+        "subnormal": dict(alpha=[[2j]], theta1=[[1e-320]], theta2=[[1e-320]],
+                          sigma0=[[1e-320]]),
+        "huge_identity": dict(alpha=[[1 + 1e308j]], theta1=[[1e308]],
+                              theta2=[[1e308]]),
+        "huge_sigma0": dict(alpha=[[2j]], theta1=[[np.sqrt(2)]],
+                            theta2=[[np.sqrt(2)]], sigma0=[[1e308]]),
+        "near_max": dict(alpha=near_max, theta1=e1, theta2=e1),
+        "near_max.realization": dict(gamma=near_max, vartheta1=e1,
+                                     vartheta2=e1),
+        "large.realization": dict(
+            gamma=1e150 * np.array([[1j, 2.0], [0.5, -1j]]),
+            vartheta1=1e150 * np.array([[1.0], [0.3]]),
+            vartheta2=1e150 * np.array([[0.2], [1.0]])),
+    }
+    paths = {}
+    for name, obj in objects.items():
+        paths[name] = pathlib.Path(directory) / f"{name}.json"
+        paths[name].write_text(serialize.dumps(
+            {key: serialize.matrix_to_obj(value)
+             for key, value in obj.items()}))
+    return paths
+
+
+@pytest.mark.parametrize("command, name, options, code", (
+    ("spins", "large_scalar", (), 3),       # S_n ~ 1e299: S_n^2 overflows
+    ("spins", "tiny_sigma0", (), 3),
+    ("verify", "subnormal", (), 3),         # once an SVD of NaN spins
+    ("validate", "huge_identity", (), 3),   # once identity_residual NaN
+    ("validate", "huge_sigma0", (), 3),     # (M + M*) / 2 overflows
+    ("validate", "near_max", (), 3),        # an eigenvalue overflows
+    ("weyl", "near_max", (), 3),
+    ("verify", "near_max", (), 3),
+    ("invert", "near_max.realization", (), 3),
+    ("invert", "large.realization", (), 3),  # once warnings in solve_riccati
+    ("evolve", "example", ("--time-grid=-1e308,1e308,3", "--nmax", "3"),
+     2),                                    # b - a overflows in linspace
+    ("fundamental", "example", ("--lambda=5.4e-156+8.4e-156i",),
+     3),                                    # (1 - i/lambda)^2 is NaN
+))
+def test_finite_inputs_at_extreme_scale_are_one_error_line(
+        tmp_path, example_file, capsys, command, name, options, code):
+    path = (example_file if name == "example"
+            else str(_hostile_inputs(tmp_path)[name]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, path, *options]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
