@@ -1,7 +1,9 @@
 """Time-dependent triples and explicit solutions of the isotropic
 Heisenberg magnet lattice: Lambda_0(t), Sigma_0(t), spin vectors, the Lax
 pair with its V = H equality, and residual checks for the zero-curvature
-and IHM equations.
+and IHM equations from dS_n/dt, carried along the recursion in forward
+mode: exact up to round-off, where a step h_t (the two public residual
+functions alone) makes it a central difference.
 
 IHM semantics are fixed to 2x2 spin matrices (m = 1); the time evolution of
 Lambda_0 and Sigma_0 is implemented for general m.
@@ -17,9 +19,9 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneracyError, DimensionError, InputError,
                      NumericError, SpectrumError, SpinLatticeError)
-from .lattice import (_lattice_powers, _live, _record, generate,
+from .lattice import (_h, _lattice_powers, _live, _record, generate,
                       generate_stack)
-from .transfer import Transfer, _g, _h
+from .transfer import Transfer, _g
 from .triples import ParameterTriple, projectors, signature_matrix
 from .weyl import _realization
 
@@ -145,15 +147,36 @@ def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), [n])[0]
 
 
-def _sigma_rk4(triple, t, rk_step=1e-3):
-    """Classical RK4 on the Sigma_0 flow from Sigma_0(0), ceil(|t| / rk_step)
-    steps (at most MAX_RK_STEPS), symmetrized:
+def _flow(alpha, m):
+    """The right-hand side of the Sigma_0 flow as a function of
+    (Sigma_0(t), Lambda_0(t)), for one or each of a stack,
 
     dSigma/dt = -(R Sigma + Sigma R* + 2 Q (alpha C + C alpha*) Q*),
 
     R = (alpha - iI)^{-1} + (alpha + iI)^{-1}, Q = (alpha^2 + I)^{-1},
-    C = Lambda_0 J Lambda_0*.  Lambda_0 is advanced from one stage time to
-    the next by the exact half-step propagators e^{-h(alpha -/+ iI)^{-1}}.
+    C = Lambda_0 J Lambda_0*; and the resolvents of ``_resolvents``."""
+    i_n = np.eye(alpha.shape[0], dtype=complex)
+    minus, plus = _resolvents(alpha)
+    r = minus + plus
+    r_adj = _h(r)
+    q = linalg.inv(alpha @ alpha + i_n)
+    q_alpha = q @ alpha
+    j = signature_matrix(m)
+
+    def rhs(sigma, lam):
+        # Q alpha C Q* = (Q alpha Lam) J (Q Lam)*, and Q C alpha* Q* is its
+        # adjoint.
+        term = (q_alpha @ lam) @ j @ _h(q @ lam)
+        return -(r @ sigma + sigma @ r_adj + 2.0 * (term + _h(term)))
+
+    return rhs, (minus, plus)
+
+
+def _sigma_rk4(triple, t, rk_step=1e-3):
+    """Classical RK4 on the Sigma_0 flow (``_flow``) from Sigma_0(0),
+    ceil(|t| / rk_step) steps (at most MAX_RK_STEPS), symmetrized.
+    Lambda_0 is advanced from one stage time to the next by the exact
+    half-step propagators e^{-h(alpha -/+ iI)^{-1}}.
     """
     alpha, m = triple.alpha, triple.m
     steps = abs(t) / rk_step
@@ -164,20 +187,8 @@ def _sigma_rk4(triple, t, rk_step=1e-3):
         )
     steps = max(1, int(np.ceil(steps)))
     h = t / steps
-    i_n = np.eye(alpha.shape[0], dtype=complex)
-    minus, plus = _resolvents(alpha)
-    r = minus + plus
-    r_adj = r.conj().T
-    q = linalg.inv(alpha @ alpha + i_n)
-    q_alpha = q @ alpha
-    j = signature_matrix(m)
+    rhs, _ = _flow(alpha, m)
     (p_minus,), (p_plus,) = _at(_exp_factors, alpha, h / 2)[0]
-
-    def rhs(sigma, lam):
-        # Q alpha C Q* = (Q alpha Lam) J (Q Lam)*, and Q C alpha* Q* is its
-        # adjoint.
-        term = (q_alpha @ lam) @ j @ (q @ lam).conj().T
-        return -(r @ sigma + sigma @ r_adj + 2.0 * (term + term.conj().T))
 
     def half_step(lam):
         return np.hstack([p_minus @ lam[:, :m], p_plus @ lam[:, m:]])
@@ -321,6 +332,24 @@ def _triples_at(triple, times, tol):
     return lam, sigma, faults
 
 
+def _tangents(triple, lam, sigma, tol, faults):
+    """(dLambda_0/dt, dSigma_0/dt) at the stacked time-t triples (``lam``,
+    ``sigma``): dLambda_0 = [-2(alpha - iI)^{-1} Lambda_0^(1),
+    -2(alpha + iI)^{-1} Lambda_0^(2)] and dSigma_0 the right-hand side of
+    its flow (``_flow``).  +/-i in the spectrum of alpha is the error of
+    every time in ``faults``, t = 0 too."""
+    try:
+        _check_spectrum(triple, tol)
+        rhs, (minus, plus) = _flow(triple.alpha, triple.m)
+    except SpinLatticeError as exc:
+        _record(faults, np.arange(len(faults)), exc)
+        return np.zeros_like(lam), np.zeros_like(sigma)
+    m = triple.m
+    dlam = -2.0 * np.concatenate([minus @ lam[..., :m], plus @ lam[..., m:]],
+                                 axis=-1)
+    return dlam, rhs(sigma, lam)
+
+
 def triple_at(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     """The parameter triple carrying Lambda_0(t) and Sigma_0(t)."""
     if t == 0:
@@ -355,12 +384,18 @@ class SpinVector:
         return float(np.linalg.norm(self.as_array()))
 
 
+def _components(s):
+    """(s1, s2, s3) of each 2x2 matrix of a stack, indexed [..., i]: Re and
+    Im of its (2, 1) entry, Re of its (1, 1) entry; linear, so dS to ds."""
+    return np.stack([s[..., 1, 0].real, s[..., 1, 0].imag, s[..., 0, 0].real],
+                    axis=-1)
+
+
 def _spin_vectors(spins, tol):
-    """(s1, s2, s3) of each 2x2 spin matrix of a stack, indexed [..., i];
+    """(s1, s2, s3) of each 2x2 spin matrix of a stack (``_components``);
     the mask of the matrices that ``spin_vector`` rejects; and the function
     that makes the error it raises on the one at a stack index."""
-    vectors = np.stack([spins[..., 1, 0].real, spins[..., 1, 0].imag,
-                        spins[..., 0, 0].real], axis=-1)
+    vectors = _components(spins)
     with np.errstate(all="ignore"):
         i2 = np.eye(2)
         near = np.minimum(linalg.frob_norms(spins - i2),
@@ -440,7 +475,7 @@ def _lax_f(v_plus, v_minus, lam):
 
 def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
     """TimeGrid.lax at site n >= 1 of time t alone, from the sites up to n."""
-    return TimeGrid(triple, [t], n + 1, tol=tol, sides=False).lax(0, n, lam)
+    return TimeGrid(triple, [t], n + 1, tol=tol).lax(0, n, lam)
 
 
 # Times per TimeGrid in ``trajectory``: a long time grid is built and
@@ -449,49 +484,40 @@ TIME_BLOCK = 32
 
 
 class TimeGrid:
-    """The lattice around each time t of a grid: the states at t to
-    horizon N with their spin vectors, and the states at t +/- h_t to
-    horizon N - 1 for the central differences in t.  With ``sides`` (the
-    default) the states at t and t +/- h_t are one batch of time-t triples
-    fed to one ``generate_stack``; without it those at t +/- h_t are a
-    second batch, built on first read, so a grid read only at t builds no
-    more than its states at t.  Entry k of the grid is the state at time
-    k, entry K + k the one at t + h_t and entry 2K + k the one at t - h_t,
-    for K times.  The residuals are arrays indexed [time, n - 1] over the
-    sites 1 <= n <= N - 2, each computed once.  The time-t triples at
-    ``triple_times`` join the first batch (``triple_at``).  The Transfer
-    of the state at a time is built on first read (``lax``, ``monodromy``).
+    """The lattice at each time t of a grid: the state at t to horizon N
+    (grid entry k is time k), its spin vectors, the bonds 1 + s_{n-1}.s_n
+    and ``dspins``, dS_n/dt indexed like the spins.  The time-t triples are
+    one batch (``_triples_at``), joined by those at ``triple_times``
+    (``triple_at``); their derivatives (``_tangents``) ride along the one
+    ``generate_stack`` of the states.  The residuals are arrays indexed
+    [time, n - 1] over the sites 1 <= n <= N - 2, each computed once.  The
+    Transfer of a state is built on first read (``lax``, ``monodromy``).
 
-    Errors are kept per state, and as one mask each for the spin vectors
-    and the bonds.  A grid raises the error of its first failing time in
-    grid order (``check``).  Within a time, the first failing stage
-    raises, in the order: the state at t, its spin vectors, the states at
-    t + h_t and t - h_t, their spin vectors, the bonds 1 + s_{n-1}.s_n;
-    lowest site first, and t + h_t before t - h_t.  A read of one time
-    raises only the stages and sites that it reads: at site n, the state
-    and its spin vectors, then the bond n (``lax``), or the states at
-    t +/- h_t and the bonds n, n + 1 (``zero_curvature_at``) and their
-    spin vectors at n (``ihm_at``).
+    A grid raises the error of its first failing time (``check``).  Within
+    a time, the first failing stage raises, in the order: the state (+/-i
+    in the spectrum of alpha fails every time), its spin vectors, dS_n/dt
+    not finite, the bonds; lowest site first.  A read of one time raises
+    only the stages and sites that it reads: the state and spin vectors,
+    then at site n the bond n (``lax``), or dS_n/dt and the bonds n, n + 1
+    (``zero_curvature_at``, ``ihm_at``).
     """
 
-    def __init__(self, triple: ParameterTriple, times, n_max, h_t=1e-4,
-                 tol: Tolerances = DEFAULT, sides=True, triple_times=()):
+    def __init__(self, triple: ParameterTriple, times, n_max,
+                 tol: Tolerances = DEFAULT, triple_times=()):
         _require_ihm(triple)
-        self.triple, self.n_max, self.h_t, self.tol = triple, n_max, h_t, tol
+        self.triple, self.n_max, self.tol = triple, n_max, tol
         self.times = np.asarray(times, dtype=float)
-        size = self.times.size
-        self.stamps = np.concatenate([self.times, self.times + h_t,
-                                      self.times - h_t])
         self.triple_times = np.asarray(triple_times, dtype=float)
-        if sides:
-            stack, self._extra = self._lattice(
-                self.stamps, [n_max] * size + [max(n_max - 1, 0)] * (2 * size),
-                self.triple_times)
-            self.stack, self.sides = stack[:size], stack[size:]
-        else:
-            self.stack, self._extra = self._lattice(
-                self.times, [n_max] * size, self.triple_times)
-        self.spins = self.stack.spins
+        size = self.times.size
+        with np.errstate(all="ignore"):
+            lam0, sigma0, faults = _triples_at(
+                triple, np.concatenate([self.times, self.triple_times]), tol)
+            self._extra = lam0[size:], sigma0[size:], faults[size:]
+            lam0, sigma0, faults = lam0[:size], sigma0[:size], faults[:size]
+            tangent = _tangents(triple, lam0, sigma0, tol, faults)
+        self.stack = generate_stack(triple.alpha, lam0, sigma0,
+                                    [n_max] * size, tol, faults, tangent)
+        self.spins, self.dspins = self.stack.spins, self.stack.dspins
         self.vectors, self._bad_vectors, self._vector_error = _spin_vectors(
             self.spins, tol)
         # 1 + s_{n-1}.s_n, the denominator of V_n, at [time, n - 1]
@@ -502,19 +528,6 @@ class TimeGrid:
         self._zero_curvature = {}
         self._transfers = {}
 
-    def _lattice(self, times, horizons, triple_times=()):
-        """(The recursion from the time-t triple of each of ``times`` to its
-        horizon, as one stack; (Lambda_0(t), Sigma_0(t), faults) of the
-        time-t triples at ``triple_times``, from the same batch)."""
-        size = len(times)
-        if len(triple_times):
-            times = np.concatenate([times, triple_times])
-        with np.errstate(all="ignore"):
-            lam0, sigma0, faults = _triples_at(self.triple, times, self.tol)
-        stack = generate_stack(self.triple.alpha, lam0[:size], sigma0[:size],
-                               horizons, self.tol, faults=faults[:size])
-        return stack, (lam0[size:], sigma0[size:], faults[size:])
-
     def triple_at(self, t):
         """``triple_at(self.triple, t)`` for t one of ``triple_times``, t != 0;
         raises its error."""
@@ -524,73 +537,42 @@ class TimeGrid:
             raise faults[k]
         return _triple_with(self.triple, lam[k], sigma[k])
 
-    @cached_property
-    def sides(self):
-        """The states at t + h_t of every time, then at t - h_t."""
-        size = self.times.size
-        return self._lattice(self.stamps[size:],
-                             [max(self.n_max - 1, 0)] * (2 * size))[0]
-
-    @cached_property
-    def _side_vectors(self):
-        """(spins, and spin vectors, mask and error function of
-        ``_spin_vectors``) at t +/- h_t, [0 for plus or 1 for minus, time,
-        n - 1] over the sites n = 1..N - 2."""
-        spins = self.sides.spins.reshape(
-            (2, self.times.size) + self.sides.spins.shape[1:])
-        spins = spins[:, :, 1:self.n_max - 1]
-        return (spins, *_spin_vectors(spins, self.tol))
-
     @property
     def sigma0(self):
         """Sigma_0(t) at each time."""
         return self.stack.sigmas[:, 0]
 
-    def state(self, entry):
-        """The LatticeState of grid entry ``entry``; raises its error."""
-        size = self.times.size
-        stack, k = ((self.stack, entry) if entry < size
-                    else (self.sides, entry - size))
-        stack.check(k)
+    def state(self, k):
+        """The LatticeState at time k; raises its error."""
+        self.stack.check(k)
         triple = self.triple
-        if self.stamps[entry] != 0:
-            triple = _triple_with(triple, stack.lambdas[k, 0], stack.sigmas[k, 0])
-        return stack.state(k, triple)
+        if self.times[k] != 0:
+            triple = _triple_with(triple, self.stack.lambdas[k, 0],
+                                  self.stack.sigmas[k, 0])
+        return self.stack.state(k, triple)
 
-    def _check(self, k, bonds=(), side_sites=None):
+    def _check(self, k, bonds=(), tangents=()):
         """Raise the first error of time k, stage by stage, among: its state
-        and spin vectors; unless ``side_sites`` is None its states at
-        t +/- h_t and their spin vectors at the sites ``side_sites``; its
-        bonds at the sites ``bonds``."""
+        and spin vectors; dS_n/dt at the sites ``tangents``; its bonds at
+        the sites ``bonds``."""
         self.stack.check(k)
         for n in np.flatnonzero(self._bad_vectors[k])[:1].tolist():
             raise self._vector_error((k, n))
-        if side_sites is not None:
-            self.sides.check(k)
-            self.sides.check(self.times.size + k)
-            _, _, bad, error = self._side_vectors
-            for n in side_sites:
-                for side in np.flatnonzero(bad[:, k, n - 1])[:1].tolist():
-                    raise error((side, k, n - 1))
+        for n in tangents:
+            if not np.isfinite(self.dspins[k, n]).all():
+                raise NumericError(f"dS_{n}/dt contains non-finite entries")
         for n in bonds:
             if self._bad_bonds[k, n - 1]:
                 raise DegeneracyError(f"1 + s_{n - 1}.s_{n} = "
                                       f"{self.bonds[k, n - 1]:.3e} vanishes")
 
-    def _first_failing(self):
-        """The index of the first time with an error, or None."""
-        failed = np.array([e is not None
-                           for e in self.stack.faults + self.sides.faults])
-        bad = (failed.reshape(3, -1).any(axis=0)
-               | self._bad_vectors.any(axis=1) | self._bad_bonds.any(axis=1)
-               | self._side_vectors[2].any(axis=(0, 2)))
-        return next(iter(np.flatnonzero(bad).tolist()), None)
-
     def check(self):
-        """Build the states at t +/- h_t and raise the first error of the
-        grid, carrying the time that raised it as ``time``."""
-        k = self._first_failing()
-        if k is not None:
+        """Raise the first error of the grid, carrying the time that raised
+        it as ``time``."""
+        bad = (np.array([e is not None for e in self.stack.faults], dtype=bool)
+               | self._bad_vectors.any(axis=1) | self._bad_bonds.any(axis=1)
+               | ~_finite(self.dspins[:, 1:self.n_max - 1]).all(axis=1))
+        for k in np.flatnonzero(bad)[:1].tolist():
             try:
                 self._check(k, range(1, self.n_max), range(1, self.n_max - 1))
             except SpinLatticeError as exc:
@@ -607,22 +589,23 @@ class TimeGrid:
                     (i2 - s[:, 1:]) @ (i2 - s[:, :-1]) / d)
 
     def zero_curvature(self, lam):
-        """|| dG_n/dt - (F_{n+1} G_n - G_n F_n) || with a central difference,
-        at [time, n - 1].  Exact zero curvature makes this O(h_t^2)."""
+        """|| dG_n/dt - (F_{n+1} G_n - G_n F_n) || at [time, n - 1], with
+        dG_n/dt = -(i/lambda) dS_n/dt."""
         lam = _lax_parameter(lam, self.tol)
         if lam not in self._zero_curvature:
+            sites = slice(1, self.n_max - 1)
             f = _lax_f(*self._v_pairs, lam)
-            plus, minus = self._side_vectors[0]
-            g_mid = _g(self.spins[:, 1:self.n_max - 1], lam)
-            dg = (_g(plus, lam) - _g(minus, lam)) / (2 * self.h_t)
-            self._zero_curvature[lam] = linalg.frob_norms(
-                dg - (f[:, 1:] @ g_mid - g_mid @ f[:, :-1]))
+            g = _g(self.spins[:, sites], lam)
+            with np.errstate(all="ignore"):
+                dg = (-1j / lam) * self.dspins[:, sites]
+                self._zero_curvature[lam] = linalg.frob_norms(
+                    dg - (f[:, 1:] @ g - g @ f[:, :-1]))
         return self._zero_curvature[lam]
 
     @cached_property
     def ihm(self):
-        """Residual of the IHM lattice equation, central difference in t, at
-        [time, n - 1]:
+        """Residual of the IHM lattice equation at [time, n - 1], with ds_n/dt
+        read from dS_n/dt:
 
         ds_n/dt = 2 s_n x ( s_{n+1} / (1 + s_n.s_{n+1})
                             + s_{n-1} / (1 + s_{n-1}.s_n) ).
@@ -631,11 +614,10 @@ class TimeGrid:
         with np.errstate(all="ignore"):
             rhs = 2.0 * np.cross(v[:, 1:-1], v[:, 2:] / self.bonds[:, 1:, None]
                                  + v[:, :-2] / self.bonds[:, :-1, None])
-        sides = self._side_vectors[1]
-        gap = (sides[0] - sides[1]) / (2 * self.h_t) - rhs
-        return np.sqrt(np.vecdot(gap, gap))
+            gap = _components(self.dspins[:, 1:self.n_max - 1]) - rhs
+            return np.sqrt(np.vecdot(gap, gap))
 
-    def _site(self, k, n, top, lam=None, bonds=(), side_sites=None):
+    def _site(self, k, n, top, lam=None, bonds=(), tangents=()):
         """Raise the first error of a read at time k and site n: the state
         and spin vectors, ``lam``, n outside 1..top, then ``_check``."""
         self._check(k)
@@ -643,7 +625,7 @@ class TimeGrid:
             lam = _lax_parameter(lam, self.tol)
         if not 1 <= n <= top:
             raise ValueError(f"site n = {n} outside 1..{top} of this grid")
-        self._check(k, bonds, side_sites)
+        self._check(k, bonds, tangents)
         return lam
 
     def _transfer(self, k):
@@ -654,7 +636,7 @@ class TimeGrid:
 
     def zero_curvature_at(self, k, n, lam):
         """``zero_curvature`` at time k and site n."""
-        lam = self._site(k, n, self.n_max - 2, lam, (n, n + 1), ())
+        lam = self._site(k, n, self.n_max - 2, lam, (n, n + 1), (n,))
         return float(self.zero_curvature(lam)[k, n - 1])
 
     def ihm_at(self, k, n):
@@ -698,25 +680,38 @@ def trajectory(triple: ParameterTriple, times, n_max, lam,
     yields ``(grid, zero_curvature(lam), ihm)`` per block.  The error of
     a block carries the time that raised it (``TimeGrid.check``)."""
     for start in range(0, len(times), TIME_BLOCK):
-        grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max,
-                        tol=tol)
+        grid = TimeGrid(triple, times[start:start + TIME_BLOCK], n_max, tol)
         grid.check()
         yield grid, grid.zero_curvature(lam), grid.ihm
 
 
-def zero_curvature_residual(triple: ParameterTriple, n, t, lam, h_t=1e-4,
+def _grid(triple, n, t, h_t, tol):
+    """The TimeGrid of time t alone for the residuals at site n.  With
+    ``h_t``, its dS/dt is the central difference of the spins of the grid
+    over t + h_t and t - h_t instead, whose states and spin vectors are
+    checked after those at t and before the read."""
+    grid = TimeGrid(triple, [t], n + 2, tol)
+    if h_t is not None:
+        sides = TimeGrid(triple, [t + h_t, t - h_t], n + 2, tol)
+        for each, k in ((grid, 0), (sides, 0), (sides, 1)):
+            each._check(k)
+        grid.dspins = (sides.spins[:1] - sides.spins[1:]) / (2 * h_t)
+    return grid
+
+
+def zero_curvature_residual(triple: ParameterTriple, n, t, lam, h_t=None,
                             tol: Tolerances = DEFAULT):
     """TimeGrid.zero_curvature_at site n >= 1 of time t alone, from the
-    sites up to n + 1."""
-    return TimeGrid(triple, [t], n + 2, h_t, tol,
-                    sides=False).zero_curvature_at(0, n, lam)
+    sites up to n + 1; with a step ``h_t``, dS_n/dt by a central
+    difference, whose truncation error is O(h_t^2)."""
+    return _grid(triple, n, t, h_t, tol).zero_curvature_at(0, n, lam)
 
 
-def ihm_residual(triple: ParameterTriple, n, t, h_t=1e-4,
+def ihm_residual(triple: ParameterTriple, n, t, h_t=None,
                  tol: Tolerances = DEFAULT):
     """TimeGrid.ihm_at site n >= 1 of time t alone, from the sites up to
-    n + 1."""
-    return TimeGrid(triple, [t], n + 2, h_t, tol, sides=False).ihm_at(0, n)
+    n + 1; with a step ``h_t``, dS_n/dt by a central difference."""
+    return _grid(triple, n, t, h_t, tol).ihm_at(0, n)
 
 
 def weyl_evolution(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):

@@ -3,7 +3,7 @@ structural diagnostics (identity propagation, involution, monotone R/Q
 sequences, the K residual).
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,24 +39,39 @@ def advance(alpha, lam, sigma):
     Returns ``(lam_next, sigma_next, asymmetry)`` with sigma_next
     symmetrized and the discarded anti-Hermitian norm reported.
     """
-    return _stepper(linalg.inv(alpha, "alpha"), lam.shape[-1] // 2)(lam, sigma)
+    step, _ = _stepper(linalg.inv(alpha, "alpha"), lam.shape[-1] // 2)
+    return step(lam, sigma)
 
 
 def _stepper(alpha_inv, m):
-    """The step of ``advance`` as a function of (Lambda, Sigma), with its
-    constants J, i alpha^{-1} and alpha^{-*} formed once."""
+    """The step of ``advance`` as a function of (Lambda, Sigma), and its
+    derivative as one of (Lambda, dLambda, dSigma), with their constants
+    J, i alpha^{-1} and alpha^{-*} formed once: dLambda' = dLambda
+    + i alpha^{-1} dLambda J, dSigma' = dSigma + alpha^{-1}(dSigma
+    + dLambda J Lambda* + Lambda J dLambda*) alpha^{-*}."""
     j = signature_matrix(m)
     i_alpha_inv = 1j * alpha_inv
     alpha_inv_adj = alpha_inv.conj().T
 
     def step(lam, sigma):
         lam_next = lam + i_alpha_inv @ lam @ j
-        core = sigma + lam @ j @ lam.conj().swapaxes(-1, -2)
+        core = sigma + lam @ j @ _h(lam)
         sigma_next = sigma + alpha_inv @ core @ alpha_inv_adj
         sym = linalg.herm(sigma_next)
         return lam_next, sym, linalg.frob_norms(sigma_next - sym)
 
-    return step
+    def tangent(lam, dlam, dsigma):
+        cross = dlam @ j @ _h(lam)
+        core = dsigma + cross + _h(cross)
+        return (dlam + i_alpha_inv @ dlam @ j,
+                linalg.herm(dsigma + alpha_inv @ core @ alpha_inv_adj))
+
+    return step, tangent
+
+
+def _h(a):
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def _lattice_powers(alpha, lam0, ns):
@@ -130,7 +145,8 @@ class LatticeStack:
     alpha.  Entry k holds Lambda_n, Sigma_n for n = 0..horizons[k] and S_n
     for n < horizons[k], in rows of arrays sized to the largest horizon
     (what lies beyond its horizon is not guarded and not to be read), and
-    ``faults[k]``, the error that ``generate`` raises on it, or None."""
+    ``faults[k]``, the error that ``generate`` raises on it, or None; and
+    dS_n/dt in ``dspins`` (unguarded) if the run carried a tangent."""
 
     horizons: np.ndarray
     lambdas: np.ndarray             # [k, n]
@@ -141,11 +157,7 @@ class LatticeStack:
     sigma_asymmetries: np.ndarray
     sigma_inv_lambdas: np.ndarray
     faults: list
-
-    def __getitem__(self, index):
-        """The entries ``index``, a slice, as a stack."""
-        return LatticeStack(**{f.name: getattr(self, f.name)[index]
-                               for f in fields(self)})
+    dspins: np.ndarray = None
 
     def check(self, k):
         """Raise the error of entry k, if it has one."""
@@ -170,8 +182,9 @@ class LatticeStack:
         )
 
 
-# Bytes of Lambda_n, Sigma_n, Sigma_n^{-1} Lambda_n, Xi_n and S_n that one
-# generate_stack may hold: beyond it, an InputError before any allocation.
+# Bytes of Lambda_n, Sigma_n, Sigma_n^{-1} Lambda_n, Xi_n and S_n (and of
+# their derivatives, with a tangent) that one generate_stack may hold:
+# beyond it, an InputError before any allocation.
 STACK_BUDGET = 2 ** 30
 
 
@@ -198,7 +211,7 @@ def _first(mask):
 
 
 def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
-                   faults=None):
+                   faults=None, tangent=None):
     """Run the recursion from each (lambda0[k], sigma0[k]) up to horizon
     horizons[k], all over one stack axis, with the guards of ``generate``
     applied to each entry up to its horizon.  An entry that fails a guard
@@ -208,12 +221,19 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     starts from them: the recursion runs once, to the largest horizon, and
     each entry is a read-only view of its rows.  Arrays beyond
     STACK_BUDGET bytes are an InputError.
+
+    ``tangent``, (dLambda_0, dSigma_0) shaped as (lambda0, sigma0), rides
+    along the same loop (``_stepper``) to give dS_n = dXi_n - dXi_{n+1},
+    dXi_n = dLambda_n* X + X* dLambda_n - X* dSigma_n X, X = Sigma_n^{-1}
+    Lambda_n.  The guards, in order: ||Sigma_n|| > tol.sigma_overflow,
+    cond(Sigma_n) > tol.cond_limit, Sigma_n singular, ||S_n^2 - I|| not
+    finite, then above 100 tol.spin_tol max(1, cond_n cond_{n+1}).
     """
     n_max = int(max([0, *horizons]))
     rows = 1 if lambda0.ndim == 2 else len(horizons)
     order, width = lambda0.shape[-2:]
-    need = 16 * rows * (n_max + 1) * (order * order + 2 * order * width
-                                      + 2 * width * width)
+    need = (16 * rows * (n_max + 1) * (1 + (tangent is not None))
+            * (order * order + 2 * order * width + 2 * width * width))
     if need > STACK_BUDGET:
         raise InputError(
             f"horizon {n_max} needs {need / 2 ** 20:.3g} MiB of lattice "
@@ -233,16 +253,25 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     def entries(a):
         return a if rows == size else np.broadcast_to(a, (size,) + a.shape[1:])
 
-    lambdas = np.empty((rows, n_max + 1) + lambda0.shape[-2:], dtype=complex)
-    sigmas = np.empty((rows, n_max + 1) + sigma0.shape[-2:], dtype=complex)
+    def rows_of(start):
+        a = np.empty((rows, n_max + 1) + start.shape[-2:], dtype=complex)
+        a[:, 0] = start
+        return a
+
+    lambdas, sigmas = rows_of(lambda0), rows_of(sigma0)
     asymmetries = np.zeros((rows, n_max + 1))
-    lambdas[:, 0] = lambda0
-    sigmas[:, 0] = sigma0
-    step = _stepper(alpha_inv, lambda0.shape[-1] // 2)
+    m = lambda0.shape[-1] // 2
+    step, derivative = _stepper(alpha_inv, m)
+    if tangent is not None:
+        dlambdas, dsigmas = map(rows_of, tangent)
     with np.errstate(all="ignore"):
         for n in range(n_max):
+            lam, sigma = lambdas[:, n], sigmas[:, n]
             lambdas[:, n + 1], sigmas[:, n + 1], asymmetries[:, n + 1] = step(
-                lambdas[:, n], sigmas[:, n])
+                lam, sigma)
+            if tangent is not None:
+                dlambdas[:, n + 1], dsigmas[:, n + 1] = derivative(
+                    lam, dlambdas[:, n], dsigmas[:, n])
         guarded = np.arange(n_max + 1) <= horizons[:, None]
         limit = tol.sigma_overflow
         norms = entries(linalg.frob_norms(sigmas))
@@ -260,36 +289,47 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         solved, singular = _solve_each(sigmas, lambdas)
         _record(faults, (guarded & singular).any(axis=1),
                 SingularMatrixError("Sigma is singular"))
-        m = lambda0.shape[-1] // 2
-        xi = lambdas.conj().swapaxes(-1, -2) @ solved
+        xi = _h(lambdas) @ solved
         spins = linalg.herm(signature_matrix(m) + xi[:, :-1] - xi[:, 1:])
-        spin_residuals = linalg.frob_norms(
-            spins @ spins - np.eye(2 * m, dtype=complex))
-    for k, n in _first(guarded[:, 1:] & ~np.isfinite(entries(spin_residuals))):
+        spin_residuals = entries(linalg.frob_norms(
+            spins @ spins - np.eye(2 * m, dtype=complex)))
+        involution = spin_residuals / np.fmax(
+            1.0, conditioning[:, :-1] * conditioning[:, 1:])
+        spin_limit = 100 * tol.spin_tol
+        not_involutions = involution > spin_limit
+        dspins = None
+        if tangent is not None:
+            cross = _h(dlambdas) @ solved
+            dxi = cross + _h(cross) - _h(solved) @ dsigmas @ solved
+            dspins = entries(linalg.herm(dxi[:, :-1] - dxi[:, 1:]))
+    for k, n in _first(guarded[:, 1:] & ~np.isfinite(spin_residuals)):
         _record(faults, [k], NumericError(
             f"||S_{n}^2 - I|| is not finite: the recursion leaves the "
             f"floating point range (reached n = {n} of {horizons[k]})"))
+    for k, n in _first(guarded[:, 1:] & not_involutions):
+        _record(faults, [k], NumericError(
+            f"||S_{n}^2 - I|| / max(1, cond(Sigma_{n}) cond(Sigma_{n + 1})) "
+            f"= {involution[k, n]:.3e} exceeds {spin_limit:.1e}: S_{n} is "
+            f"not an involution"))
     return LatticeStack(
         horizons=horizons,
         lambdas=entries(lambdas),
         sigmas=entries(sigmas),
         spins=entries(spins),
         conditioning=conditioning,
-        spin_residuals=entries(spin_residuals),
+        spin_residuals=spin_residuals,
         sigma_asymmetries=entries(asymmetries),
         sigma_inv_lambdas=entries(solved),
         faults=faults,
+        dspins=dspins,
     )
 
 
 def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT):
     """Run the recursion up to horizon ``n_max`` and assemble a LatticeState:
-    the stack of one of ``generate_stack``.
-
-    Aborts with diagnostics if ||Sigma_n|| exceeds tol.sigma_overflow or the
-    conditioning limit is crossed (Sigma_n inversion is the dominant error
-    source, so it is tracked per n).
-    """
+    the stack of one of ``generate_stack``, whose guards it raises
+    (cond(Sigma_n) is tracked per n: Sigma_n inversion is the dominant
+    error source)."""
     stack = generate_stack(triple.alpha, triple.lambda0[None],
                            triple.sigma0[None], [n_max], tol)
     return stack.state(0, triple)

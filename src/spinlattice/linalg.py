@@ -199,7 +199,11 @@ def krylov_basis(a, b, tol: Tolerances = DEFAULT):
         raise DimensionError("conformality failure in Krylov construction")
     u, s, _ = np.linalg.svd(b, full_matrices=False)
     basis = new = u[:, :int(np.sum(s > tol.rank_tol * s.max(initial=0.0)))]
-    cutoff = tol.rank_tol * max(1.0, float(np.linalg.norm(a, 2)))
+    with np.errstate(all="ignore"):
+        cutoff = tol.rank_tol * max(1.0, float(np.linalg.norm(a, 2)))
+    if not np.isfinite(cutoff):
+        raise NumericError(f"Krylov rank cutoff {cutoff} is not finite: "
+                           f"||A||_2 overflows")
     while new.shape[1] and basis.shape[1] < n:
         with np.errstate(all="ignore"):
             block = a @ new

@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import NumericError, PoleError
-from .lattice import LatticeState
+from .lattice import LatticeState, _h
 
 __all__ = ["Transfer", "j_power_factor"]
 
@@ -52,11 +52,6 @@ def _g(s, lam):
     """G_n(lambda) = I - (i/lambda) S_n, the one-step factor of W(n, lambda)
     and the Lax matrix of the IHM lattice."""
     return np.eye(s.shape[-1], dtype=complex) - (1j / lam) * s
-
-
-def _h(a):
-    """Conjugate transpose over the last two axes."""
-    return a.conj().swapaxes(-1, -2)
 
 
 def _with_conjugates(lams):

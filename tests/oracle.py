@@ -13,6 +13,10 @@ Q = (alpha^2 + I)^{-1}, W = G(L, theta1) - G(-L, theta2),
 L = (alpha + iI)^{-1} - (alpha - iI)^{-1}, each Gramian
 G(A, b) = int_0^t e^{sA} b b* e^{sA*} ds taken from one exponential of the
 Van Loan block [[-A, b b*], [0, A*]].  Every step runs at ``DPS`` digits.
+
+dS_n/dt is the central difference, at t +/- 1e-15, of the spins of the
+recursion run from those time-t triples; the triples, the recursion and
+the difference stay in mpmath values throughout.
 """
 
 import mpmath as mp
@@ -73,21 +77,51 @@ def triple_at(triple, t, upper_half_plane):
     """(Lambda_0(t), Sigma_0(t)) of ``triple`` as complex arrays: the
     Sylvester solution if ``upper_half_plane``, else that of the flow."""
     with mp.workdps(DPS):
-        a = _mp(triple.alpha)
-        t = mp.mpf(t)
-        eye = mp.eye(a.rows)
-        minus = mp.inverse(a - mp.mpc(0, 1) * eye)
-        plus = mp.inverse(a + mp.mpc(0, 1) * eye)
-        theta1, theta2 = _mp(triple.theta1), _mp(triple.theta2)
-        lam = _blocks([[mp.expm(-2 * t * minus) * theta1,
-                        mp.expm(-2 * t * plus) * theta2]])
-        if upper_half_plane:
-            sigma = _sylvester(a, mp.mpc(0, 1) * lam * lam.H)
-        else:
-            q = minus * plus
-            e = mp.expm(-t * (minus + plus))
-            w = (_gramian(plus - minus, theta1, t)
-                 - _gramian(minus - plus, theta2, t))
-            term = q * a * w * q.H
-            sigma = e * (_mp(triple.sigma0) - 2 * (term + term.H)) * e.H
-        return _np(lam), _np(sigma)
+        return tuple(_np(x) for x in _triple_at(triple, mp.mpf(t),
+                                                upper_half_plane))
+
+
+def _triple_at(triple, t, upper_half_plane):
+    """``triple_at`` as mpmath matrices, at an mpmath time t."""
+    a = _mp(triple.alpha)
+    eye = mp.eye(a.rows)
+    minus = mp.inverse(a - mp.mpc(0, 1) * eye)
+    plus = mp.inverse(a + mp.mpc(0, 1) * eye)
+    theta1, theta2 = _mp(triple.theta1), _mp(triple.theta2)
+    lam = _blocks([[mp.expm(-2 * t * minus) * theta1,
+                    mp.expm(-2 * t * plus) * theta2]])
+    if upper_half_plane:
+        sigma = _sylvester(a, mp.mpc(0, 1) * lam * lam.H)
+    else:
+        q = minus * plus
+        e = mp.expm(-t * (minus + plus))
+        w = (_gramian(plus - minus, theta1, t)
+             - _gramian(minus - plus, theta2, t))
+        term = q * a * w * q.H
+        sigma = e * (_mp(triple.sigma0) - 2 * (term + term.H)) * e.H
+    return lam, sigma
+
+
+def _spins(alpha, lam, sigma, n_max):
+    """S_0..S_{n_max-1} of the recursion from (Lambda_0, Sigma_0)."""
+    m = lam.cols // 2
+    j = mp.diag([1] * m + [-1] * m)
+    a_inv = mp.inverse(alpha)
+    xi = []
+    for n in range(n_max + 1):
+        xi.append(lam.H * mp.inverse(sigma) * lam)
+        lam, sigma = (lam + mp.mpc(0, 1) * a_inv * lam * j,
+                      sigma + a_inv * (sigma + lam * j * lam.H) * a_inv.H)
+    return [j + xi[n] - xi[n + 1] for n in range(n_max)]
+
+
+def spin_derivatives(triple, t, n_max, upper_half_plane, step="1e-15"):
+    """dS_n/dt, n < n_max, as complex arrays: the central difference of
+    step ``step`` of the spins from the time-t triples (``triple_at``) at
+    t +/- step."""
+    with mp.workdps(DPS):
+        t, step = mp.mpf(t), mp.mpf(step)
+        plus, minus = (_spins(_mp(triple.alpha),
+                              *_triple_at(triple, t + d, upper_half_plane),
+                              n_max) for d in (step, -step))
+        return [_np((p - q) / (2 * step)) for p, q in zip(plus, minus)]

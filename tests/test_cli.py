@@ -292,30 +292,34 @@ def test_non_integer_declared_size_is_input_error(triple_file, tmp_path, value):
 
 
 @pytest.mark.parametrize("n_max, grid, built_states", (
-    (12, [], 33),                                   # default grid: 11 times
-    (8, ["--time-grid", "0,1,6"], 18),
+    (12, [], 11),                                   # default grid: 11 times
+    (8, ["--time-grid", "0,1,6"], 6),
 ))
-def test_evolve_builds_three_states_per_time(triple_file, monkeypatch, n_max,
-                                             grid, built_states):
-    """Per time, the state at t to horizon N and the two at t +/- h_t to
-    horizon N - 1, counted as stack entries: one stack for the times of
-    the grid, then one for t + h_t and t - h_t."""
+def test_evolve_builds_one_state_per_time(triple_file, monkeypatch, n_max,
+                                          grid, built_states):
+    """Per time, the state at t to horizon N, counted as stack entries of
+    one stack, and one time-t triple unless t = 0 (the time t = 0 is the
+    triple itself): the derivatives in t ride along the same recursion."""
     import spinlattice.evolution as evolution
 
-    generate_stack = evolution.generate_stack
-    horizons = []
+    generate_stack, lambda0 = evolution.generate_stack, evolution._lambda0
+    horizons, moving = [], []
 
     def counting_generate_stack(alpha, lambda0, sigma0, stack_horizons,
                                 *args, **kwargs):
-        horizons.extend(stack_horizons)
+        horizons.append(list(stack_horizons))
         return generate_stack(alpha, lambda0, sigma0, stack_horizons,
                               *args, **kwargs)
 
+    def counting_lambda0(triple, times, tol):
+        moving.append(times.size)
+        return lambda0(triple, times, tol)
+
     monkeypatch.setattr(evolution, "generate_stack", counting_generate_stack)
+    monkeypatch.setattr(evolution, "_lambda0", counting_lambda0)
     assert main(["evolve", triple_file, "--nmax", str(n_max), *grid]) == 0
-    assert len(horizons) == built_states
-    times = built_states // 3
-    assert horizons == [n_max] * times + [n_max - 1] * (2 * times)
+    assert horizons == [[n_max] * built_states]
+    assert moving == [built_states - 1]
 
 
 def test_evolve_rows_match_the_residual_functions(triple_file, capsys):
@@ -612,7 +616,7 @@ def test_json_commands_write_the_stdlib_bytes_of_the_plain_objects(
         if triple.m == 1:
             rows = []
             for t in (-0.2, 0.1):
-                lattice = TimeGrid(triple, [t], 4, sides=False)
+                lattice = TimeGrid(triple, [t], 4)
                 state = lattice.state(0)
                 for n in (1, 2):
                     s1, s2, s3 = lattice.vectors[0, n].tolist()
@@ -907,6 +911,9 @@ def _hostile_inputs(directory):
             gamma=1e150 * np.array([[1j, 2.0], [0.5, -1j]]),
             vartheta1=1e150 * np.array([[1.0], [0.3]]),
             vartheta2=1e150 * np.array([[0.2], [1.0]])),
+        "norm_overflow.realization": dict(
+            gamma=1.5e308 * (np.ones((3, 3)) - np.eye(3)), vartheta1=e1,
+            vartheta2=e1),
     }
     paths = {}
     for name, obj in objects.items():
@@ -914,6 +921,9 @@ def _hostile_inputs(directory):
         paths[name].write_text(serialize.dumps(
             {key: serialize.matrix_to_obj(value)
              for key, value in obj.items()}))
+    paths["scaled_1e68"] = pathlib.Path(directory) / "scaled_1e68.json"
+    paths["scaled_1e68"].write_text(json.dumps(
+        _random_triple_obj(1, 1, 1e68, "admissible", False, 0)))
     return paths
 
 
@@ -928,6 +938,12 @@ def _hostile_inputs(directory):
     ("verify", "near_max", (), 3),
     ("invert", "near_max.realization", (), 3),
     ("invert", "large.realization", (), 3),  # once warnings in solve_riccati
+    # ||gamma||_2 overflows: once an order-1 triple from an infinite
+    # Krylov cutoff, exit 0
+    ("invert", "norm_overflow.realization", (), 3),
+    # S_n = J + Xi_n - Xi_{n+1} cancels terms of 1e68: once spins that are
+    # no involutions, exit 0
+    ("spins", "scaled_1e68", (), 3),
     ("evolve", "example", ("--time-grid=-1e308,1e308,3", "--nmax", "3"),
      2),                                    # b - a overflows in linspace
     ("fundamental", "example", ("--lambda=5.4e-156+8.4e-156i",),

@@ -446,14 +446,44 @@ def _per_time_lattice(triple, n_max):
             vectors)
 
 
-def _per_time_residuals(triple, t, n_max, lam, h_t=1e-4):
-    """zero-curvature and IHM residuals at sites 1..N - 2, each site on its
-    own 2-D matrices and 3-vectors."""
-    *_, spins, _, vectors = _per_time_lattice(_per_time_triple(triple, t),
-                                              n_max)
-    # (S_n, spin vectors) at t + h_t and t - h_t
-    sides = [_per_time_lattice(_per_time_triple(triple, t + d), n_max - 1)[4::2]
-             for d in (h_t, -h_t)]
+def _per_time_tangent(triple, lambdas, sigmas, solved):
+    """dS_n/dt, n < N, by the 2-D forward-mode recursion from the
+    derivatives of the time-t triple (dLambda_0 from the propagators,
+    dSigma_0 the right-hand side of the Sigma_0 flow), one step and one
+    product at a time."""
+    a = triple.alpha
+    i_n = np.eye(a.shape[0], dtype=complex)
+    j = signature_matrix(1)
+    minus = np.linalg.solve(a - 1j * i_n, i_n)
+    plus = np.linalg.solve(a + 1j * i_n, i_n)
+    q = np.linalg.solve(a @ a + i_n, i_n)
+    r = minus + plus
+    lam, sigma = lambdas[0], sigmas[0]
+    term = (q @ a @ lam) @ j @ (q @ lam).conj().T
+    dlams = [-2.0 * np.hstack([minus @ lam[:, :1], plus @ lam[:, 1:]])]
+    dsigmas = [-(r @ sigma + sigma @ r.conj().T
+                 + 2.0 * (term + term.conj().T))]
+    a_inv = np.linalg.solve(a, i_n)
+    for lam in lambdas[:-1]:
+        dlam, dsigma = dlams[-1], dsigmas[-1]
+        cross = dlam @ j @ lam.conj().T
+        core = dsigma + cross + cross.conj().T
+        dlams.append(dlam + 1j * a_inv @ dlam @ j)
+        dsigmas.append(_herm(dsigma + a_inv @ core @ a_inv.conj().T))
+    dxi = []
+    for dlam, dsigma, x in zip(dlams, dsigmas, solved):
+        cross = dlam.conj().T @ x
+        dxi.append(cross + cross.conj().T - x.conj().T @ dsigma @ x)
+    return [_herm(dxi[n] - dxi[n + 1]) for n in range(len(dxi) - 1)]
+
+
+def _per_time_residuals(triple, t, n_max, lam):
+    """(dS_n/dt, n < N) and the zero-curvature and IHM residuals at sites
+    1..N - 2, each site on its own 2-D matrices and 3-vectors."""
+    triple = _per_time_triple(triple, t)
+    lambdas, sigmas, solved, _, spins, _, vectors = _per_time_lattice(
+        triple, n_max)
+    dspins = _per_time_tangent(triple, lambdas, sigmas, solved)
     i2 = np.eye(2, dtype=complex)
 
     def g(s):
@@ -466,7 +496,7 @@ def _per_time_residuals(triple, t, n_max, lam, h_t=1e-4):
 
     zc, ihm = [], []
     for n in range(1, n_max - 1):
-        dg = (g(sides[0][0][n]) - g(sides[1][0][n])) / (2 * h_t)
+        dg = (-1j / lam) * dspins[n]
         g_mid = g(spins[n])
         zc.append(float(np.linalg.norm(dg - (f(n + 1) @ g_mid - g_mid @ f(n)),
                                        "fro")))
@@ -474,9 +504,10 @@ def _per_time_residuals(triple, t, n_max, lam, h_t=1e-4):
                           for k in (n, n + 1))
         rhs = 2.0 * np.cross(vectors[n], vectors[n + 1] / d_next
                              + vectors[n - 1] / d_prev)
-        dvec = (sides[0][1][n] - sides[1][1][n]) / (2 * h_t)
+        ds = dspins[n]
+        dvec = np.array([ds[1, 0].real, ds[1, 0].imag, ds[0, 0].real])
         ihm.append(float(np.linalg.norm(dvec - rhs)))
-    return zc, ihm
+    return dspins, zc, ihm
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -489,10 +520,10 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
                                                        n_max, seed):
     """Both routes of Sigma_0(t): a spectrum in the open upper half plane
     (class FG, or a general sigma0) and a real eigenvalue.  The stacked
-    states at t and t +/- h_t, the spin vectors and the residual arrays
-    equal those of the per-time arithmetic with 2-D matrices throughout,
-    and those of the scalar functions; a grid that fails raises what the
-    first failing time raises."""
+    states, their time derivatives dS_n/dt, the spin vectors and the
+    residual arrays equal those of the per-time arithmetic with 2-D
+    matrices throughout, and those of the scalar functions; a grid that
+    fails raises what the first failing time raises."""
     rng = np.random.default_rng(seed)
     if kind == "general":
         triple = random_general_sigma_triple(rng, order, 1)
@@ -506,36 +537,62 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
     except SpinLatticeError as exc:
         with pytest.raises(type(exc)):
             for t in times:
-                lattice = evolution.TimeGrid(triple, [t], n_max, sides=False)
+                lattice = evolution.TimeGrid(triple, [t], n_max)
                 for n in range(1, n_max - 1):
                     lattice.zero_curvature_at(0, n, lam)
                     lattice.ihm_at(0, n)
         return
-    h_t = grid.h_t
     for k, t in enumerate(times):
-        for offset, entry, horizon in ((0.0, k, n_max),
-                                       (h_t, len(times) + k, n_max - 1),
-                                       (-h_t, 2 * len(times) + k, n_max - 1)):
-            (lambdas, sigmas, solved, conditioning, spins, spin_residuals,
-             vectors) = _per_time_lattice(_per_time_triple(triple, t + offset),
-                                          horizon)
-            got = grid.state(entry)
-            assert _same(got.lambdas, lambdas)
-            assert _same(got.sigmas, sigmas)
-            assert _same(got.sigma_inv_lambdas, solved)
-            assert _same(got.spins, spins)
-            assert got.conditioning == conditioning
-            assert got.spin_residuals == spin_residuals
-            want = state_at(triple, t + offset, horizon)
-            assert _same(got.spins, want.spins)
-            if offset == 0.0:
-                assert _same(grid.vectors[k], vectors)
-        want_zc, want_ihm = _per_time_residuals(triple, t, n_max, lam, h_t)
+        (lambdas, sigmas, solved, conditioning, spins, spin_residuals,
+         vectors) = _per_time_lattice(_per_time_triple(triple, t), n_max)
+        got = grid.state(k)
+        assert _same(got.lambdas, lambdas)
+        assert _same(got.sigmas, sigmas)
+        assert _same(got.sigma_inv_lambdas, solved)
+        assert _same(got.spins, spins)
+        assert got.conditioning == conditioning
+        assert got.spin_residuals == spin_residuals
+        assert _same(got.spins, state_at(triple, t, n_max).spins)
+        assert _same(grid.vectors[k], vectors)
+        want_dspins, want_zc, want_ihm = _per_time_residuals(triple, t, n_max,
+                                                             lam)
+        assert _same(grid.dspins[k], want_dspins)
         assert zc[k].tolist() == want_zc
         assert ihm[k].tolist() == want_ihm
         for n in range(1, n_max - 1):
             assert zc[k, n - 1] == zero_curvature_residual(triple, n, t, lam)
             assert ihm[k, n - 1] == ihm_residual(triple, n, t)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(("fg", "general-sigma0", "real-mode")),
+       order=st.integers(1, 3), real=st.floats(0.3, 5.0),
+       negative=st.booleans(), tt=st.floats(-0.6, 0.6),
+       n_max=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
+def test_spin_derivatives_match_the_high_precision_oracle(
+        kind, order, real, negative, tt, n_max, seed):
+    """dS_n/dt of a TimeGrid, carried along the recursion, agrees with the
+    30-digit oracle of tests/oracle.py (the recursion at 30 digits from
+    the time-t triples at t +/- 1e-15, differenced) to
+    1e-12 max(1, ||dS_n/dt||_F) for |t| <= 0.6 and order <= 4, on the
+    Sylvester route and on the flow route (a real eigenvalue)."""
+    pytest.importorskip("mpmath")
+    import oracle
+
+    rng = np.random.default_rng(seed)
+    if kind == "general-sigma0":
+        triple = random_general_sigma_triple(rng, order + 1, 1)
+    else:
+        triple = random_admissible_triple(rng, order + (kind == "fg"), 1)
+    if kind == "real-mode":
+        triple = _pad_real_mode(triple, -real if negative else real, rng)
+    upper = kind != "real-mode"
+    grid = evolution.TimeGrid(triple, [tt], n_max)
+    grid.check()
+    want = oracle.spin_derivatives(triple, tt, n_max, upper)
+    for got, exact in zip(grid.dspins[0], want, strict=True):
+        gap = np.linalg.norm(got - exact)
+        assert gap <= 1e-12 * max(1.0, np.linalg.norm(got))
 
 
 @pytest.mark.parametrize("scale", (1.0 + 3e-9, 1.0 - 7e-9, 1.5))
@@ -604,7 +661,7 @@ def _outcome(read):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-# the limit is cond(Sigma_0(-1)): the state at t = -1 - h_t fails it
+# the limit is the largest cond(Sigma_n) at t = -1: the state at 0 fails it
 @example(times=[-1.0, 0.0], n_max=3, pick=0.0)
 @given(times=st.lists(st.one_of(st.just(0.0), st.floats(-0.6, 0.6),
                                 st.sampled_from((1e6, -1e6, 1e308, -1e308))),
@@ -616,22 +673,20 @@ def test_time_grid_errors_are_those_of_lone_slices_in_grid_order(
     """Grids of the real-mode triple that mix good times with hostile ones,
     some with ``cond_limit`` lowered to the largest cond(Sigma_n) of the
     state at one of the times: the states of the times with a larger one
-    fail, and so do those at t - h_t of that time if it is negative, where
-    cond(Sigma_0(t)) grows with |t| and leads the sequence.
-    ``trajectory`` raises the error, type and message, of lone grids of
-    one time read in grid order; each good time of the grid reads as a
-    lone one bit for bit; no floating point warning is emitted.  A lone
-    grid read site by site meets a bond before the spin vectors at
-    t +/- h_t of a higher site; the real-mode spins have no vanishing
-    bond, so that order and the stage order of the grid agree here."""
+    fail.  ``trajectory`` raises the error, type and message, of lone
+    grids of one time read in grid order; each good time of the grid
+    reads as a lone one bit for bit; no floating point warning is
+    emitted.  A lone grid read site by site meets a bond before the
+    tangent of a higher site; the real-mode spins have no vanishing bond,
+    so that order and the stage order of the grid agree here."""
     r2 = np.sqrt(2.0)
     triple = ParameterTriple(alpha=np.diag([2j, 3.0]), theta1=[[r2], [0.0]],
                              theta2=[[r2], [0.0]])
     lam = 2.0 + 0.5j
 
     def lone(t):
-        return _grid_reads(evolution.TimeGrid(triple, [t], n_max, tol=tol,
-                                              sides=False), 0, n_max, lam)
+        return _grid_reads(evolution.TimeGrid(triple, [t], n_max, tol=tol),
+                           0, n_max, lam)
 
     def evolved():
         (_, zc, ihm), = evolution.trajectory(triple, times, n_max, lam, tol)
@@ -668,7 +723,7 @@ def test_non_finite_exponent_names_t_without_warnings(ihm_triple, t):
 
 @pytest.mark.parametrize("n", (0, 2))
 def test_time_slice_sites_outside_the_differences_are_rejected(ihm_triple, n):
-    lattice = evolution.TimeGrid(ihm_triple, [0.1], 3, sides=False)
+    lattice = evolution.TimeGrid(ihm_triple, [0.1], 3)
     with pytest.raises(ValueError, match="outside 1..1"):
         lattice.ihm_at(0, n)
 
@@ -763,3 +818,31 @@ def test_triple_at_matches_the_high_precision_oracle(kind, order, m, real, tt,
     lam, sigma = oracle.triple_at(triple, tt, upper)
     assert _relative_gap(got.lambda0, lam) <= 1e-12
     assert _relative_gap(got.sigma0, sigma) <= 1e-12
+
+
+def test_the_tangent_is_a_stage_after_the_spin_vectors(monkeypatch):
+    """+/-i in the spectrum of alpha, which the tangent needs, fails the
+    state at t = 0 as at every other time.  A non-finite dS_n/dt fails
+    its time after the state and spin vectors and before the bonds, named
+    by the lowest site n; a read of the Lax pair alone does not meet it."""
+    r2 = np.sqrt(2.0)
+    triple = ParameterTriple(alpha=np.diag([2j, 1j]), theta1=[[r2], [1.0]],
+                             theta2=[[r2], [-1.0]])
+    grid = evolution.TimeGrid(triple, [0.0], 3)
+    for read in (grid.check, lambda: grid.state(0)):
+        with pytest.raises(SpectrumError, match=PLUS_MINUS_I):
+            read()
+
+    tangents = evolution._tangents
+
+    def overflowing(triple, lam, sigma, tol, faults):
+        dlam, dsigma = tangents(triple, lam, sigma, tol, faults)
+        return np.full_like(dlam, np.inf), dsigma
+
+    monkeypatch.setattr(evolution, "_tangents", overflowing)
+    grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
+    with pytest.raises(NumericError, match=re.escape(
+            "dS_1/dt contains non-finite entries")) as info:
+        grid.check()
+    assert info.value.time == 0.0
+    assert np.isfinite(grid.lax(1, 2, 2.0 + 0.5j).f).all()

@@ -109,17 +109,17 @@ def counts(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n_max, states", ((15, 8), (30, 7)))
+@pytest.mark.parametrize("n_max, states", ((15, 4), (30, 3)))
 def test_verify_builds_each_shared_quantity_once(counts, n_max, states):
-    """States: the one to n_max, 3 per time of the grid at t = 0 and 0.2,
+    """States: the one to n_max, one per time of the grid at t = 0 and 0.2,
     and the horizon-30 one unless n_max >= 30.  Exponentiated matrices: 2
-    per time-t triple at t = 0.1, 0.35, +/-h_t, 0.2 and 0.2 +/- h_t, and 3
-    per Gramian flow at t = 0.1 and 0.35."""
+    per time-t triple at t = 0.1, 0.35 and 0.2, and 3 per Gramian flow at
+    t = 0.1 and 0.35."""
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
     results = run_checks(triple, n_max=n_max)
     assert all(np.isfinite(r.residual) for r in results)     # none raised
     assert counts["states"] == states
-    assert counts["expm"] == 2 * 7 + 3 * 2
+    assert counts["expm"] == 2 * 3 + 3 * 2
 
 
 def test_verify_solves_each_spectrum_once(monkeypatch):
@@ -187,15 +187,15 @@ def batches(monkeypatch):
                                                    (30, [30])))
 def test_verify_batches_its_shared_work(batches, n_max, state_horizons):
     """One verify of an m = 1 triple with its spectrum in the open upper
-    half plane: one validate; one batch of time-t triples, for t and
-    t +/- h_t at t = 0, 0.2 and for t = 0.1, 0.35; one Gramian flow over
-    t = 0.1, 0.35; one recursion for the state to n_max and the horizon-30
-    state, and one for the horizon-3 time grid."""
+    half plane: one validate; one batch of time-t triples, for t = 0, 0.2
+    and t = 0.1, 0.35; one Gramian flow over t = 0.1, 0.35; one recursion
+    for the state to n_max and the horizon-30 state, and one for the
+    horizon-3 time grid, which carries dS_n/dt along."""
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
     results = run_checks(triple, n_max=n_max)
     assert all(np.isfinite(r.residual) for r in results)     # none raised
-    assert batches == {"_triples_at": [8], "_sigma_flow": [2],
-                       "generate_stack": [state_horizons, [3, 3, 2, 2, 2, 2]],
+    assert batches == {"_triples_at": [4], "_sigma_flow": [2],
+                       "generate_stack": [state_horizons, [3, 3]],
                        "validate": 1}
 
 
@@ -205,3 +205,19 @@ def test_check_names_are_the_names_run_checks_reports(order, m, count):
     names = verify.check_names(m)
     assert len(names) == count
     assert names == [r.name for r in run_checks(triple, n_max=4)]
+
+
+def test_an_eigenvalue_near_i_keeps_the_time_derivative_checks():
+    """random_admissible_triple(default_rng(48), 1, 1) has the eigenvalue
+    0.229 + 0.983i near i.  Central differences in t of step 1e-4 put its
+    zero-curvature and IHM residuals at 1.3e-6 and 1.9e-6, beyond their
+    threshold 1e-6; the exact derivatives put them at round-off.  Every
+    other check passes too, save summability-dichotomy, whose fixed
+    30-term horizon crosses the overflow guard at ||Sigma_25||."""
+    triple = random_admissible_triple(np.random.default_rng(48), 1, 1)
+    results = {r.name: r for r in run_checks(triple)}
+    assert len(results) == 23
+    for name in ("zero-curvature", "ihm-vector-equation"):
+        assert results[name].residual <= 1e-12, name
+    assert all(r.passed for name, r in results.items()
+               if name != "summability-dichotomy")
