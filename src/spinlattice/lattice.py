@@ -154,6 +154,7 @@ class LatticeStack:
     spins: np.ndarray
     conditioning: np.ndarray
     spin_residuals: np.ndarray
+    involution_residuals: np.ndarray    # ||S_n^2 - I|| / max(1, cond cond)
     sigma_asymmetries: np.ndarray
     sigma_inv_lambdas: np.ndarray
     faults: list
@@ -266,12 +267,11 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         dlambdas, dsigmas = map(rows_of, tangent)
     with np.errstate(all="ignore"):
         for n in range(n_max):
-            lam, sigma = lambdas[:, n], sigmas[:, n]
             lambdas[:, n + 1], sigmas[:, n + 1], asymmetries[:, n + 1] = step(
-                lam, sigma)
+                lambdas[:, n], sigmas[:, n])
             if tangent is not None:
                 dlambdas[:, n + 1], dsigmas[:, n + 1] = derivative(
-                    lam, dlambdas[:, n], dsigmas[:, n])
+                    lambdas[:, n], dlambdas[:, n], dsigmas[:, n])
         guarded = np.arange(n_max + 1) <= horizons[:, None]
         limit = tol.sigma_overflow
         norms = entries(linalg.frob_norms(sigmas))
@@ -293,10 +293,10 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         spins = linalg.herm(signature_matrix(m) + xi[:, :-1] - xi[:, 1:])
         spin_residuals = entries(linalg.frob_norms(
             spins @ spins - np.eye(2 * m, dtype=complex)))
-        involution = spin_residuals / np.fmax(
+        involutions = spin_residuals / np.fmax(
             1.0, conditioning[:, :-1] * conditioning[:, 1:])
         spin_limit = 100 * tol.spin_tol
-        not_involutions = involution > spin_limit
+        not_involutions = involutions > spin_limit
         dspins = None
         if tangent is not None:
             cross = _h(dlambdas) @ solved
@@ -309,7 +309,7 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     for k, n in _first(guarded[:, 1:] & not_involutions):
         _record(faults, [k], NumericError(
             f"||S_{n}^2 - I|| / max(1, cond(Sigma_{n}) cond(Sigma_{n + 1})) "
-            f"= {involution[k, n]:.3e} exceeds {spin_limit:.1e}: S_{n} is "
+            f"= {involutions[k, n]:.3e} exceeds {spin_limit:.1e}: S_{n} is "
             f"not an involution"))
     return LatticeStack(
         horizons=horizons,
@@ -318,6 +318,7 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         spins=entries(spins),
         conditioning=conditioning,
         spin_residuals=spin_residuals,
+        involution_residuals=involutions,
         sigma_asymmetries=entries(asymmetries),
         sigma_inv_lambdas=entries(solved),
         faults=faults,

@@ -63,7 +63,6 @@ class _Context:
                                             triple.sigma0, horizons, tol)
         self.state = self.stack.state(0, triple)    # raises what generate does
         self.conditioning = self.stack.conditioning[0, :n_max + 1]
-        self.spin_residuals = self.stack.spin_residuals[0, :n_max]
         self.transfer = Transfer(self.state, tol)
         self.grid = _lambda_grid(self.spectrum, count=_LAMBDA_COUNT, tol=tol)
         scale = 1.0 + self.spectrum.norm
@@ -117,8 +116,9 @@ def _sigma_positivity(ctx):
 
 
 def _spin_involution(ctx):
-    scale = np.fmax(1.0, ctx.conditioning[:-1] * ctx.conditioning[1:])
-    return _worst(ctx.spin_residuals / scale), ctx.tol.spin_tol * 100
+    # the ratio that generate_stack refuses above the same threshold
+    return (_worst(ctx.stack.involution_residuals[0, :ctx.n_max]),
+            ctx.tol.spin_tol * 100)
 
 
 def _spin_hermitian(ctx):
