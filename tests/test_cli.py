@@ -938,16 +938,16 @@ def _hostile_inputs(directory):
     ("verify", "near_max", (), 3),
     ("invert", "near_max.realization", (), 3),
     ("invert", "large.realization", (), 3),  # once warnings in solve_riccati
+    ("evolve", "example", ("--time-grid=-1e308,1e308,3", "--nmax", "3"),
+     2),                                    # b - a overflows in linspace
+    ("fundamental", "example", ("--lambda=5.4e-156+8.4e-156i",),
+     3),                                    # (1 - i/lambda)^2 is NaN
     # ||gamma||_2 overflows: once an order-1 triple from an infinite
     # Krylov cutoff, exit 0
     ("invert", "norm_overflow.realization", (), 3),
     # S_n = J + Xi_n - Xi_{n+1} cancels terms of 1e68: once spins that are
     # no involutions, exit 0
     ("spins", "scaled_1e68", (), 3),
-    ("evolve", "example", ("--time-grid=-1e308,1e308,3", "--nmax", "3"),
-     2),                                    # b - a overflows in linspace
-    ("fundamental", "example", ("--lambda=5.4e-156+8.4e-156i",),
-     3),                                    # (1 - i/lambda)^2 is NaN
 ))
 def test_finite_inputs_at_extreme_scale_are_one_error_line(
         tmp_path, example_file, capsys, command, name, options, code):
