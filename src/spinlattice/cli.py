@@ -34,6 +34,10 @@ from .worked_example import run_diffs
 # products and quotients form, is finite up to it.
 _LAMBDA_MAX = float(np.sqrt(np.finfo(float).max))
 
+# Most points of --lambda-grid and of --time-grid: a larger count is an
+# input error before any point is made.
+GRID_MAX = 100_000
+
 
 def _parse_tolerances(pairs):
     overrides = {}
@@ -59,6 +63,11 @@ def _parse_tolerances(pairs):
     return DEFAULT.replace(**overrides)
 
 
+def _check_count(flag, count):
+    if count > GRID_MAX:
+        raise InputError(f"{flag} needs k <= {GRID_MAX}, got {count}")
+
+
 def _parse_lambda_grid(text):
     parts = (text or "0,-2,3,8").split(",")
     if len(parts) != 4:
@@ -70,6 +79,7 @@ def _parse_lambda_grid(text):
         raise InputError(f"bad --lambda-grid value: {exc}") from exc
     if count < 1 or radius <= 0:
         raise InputError("--lambda-grid needs k >= 1 and r > 0")
+    _check_count("--lambda-grid", count)
     center = complex(c_re, c_im)
     with np.errstate(all="ignore"):
         grid = [center + radius * np.exp(2j * np.pi * k / count)
@@ -91,6 +101,7 @@ def _parse_time_grid(text):
         raise InputError(f"bad --time-grid value: {exc}") from exc
     if count < 1:
         raise InputError("--time-grid needs k >= 1")
+    _check_count("--time-grid", count)
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InputError("--time-grid needs finite endpoints a and b")
     with np.errstate(all="ignore"):

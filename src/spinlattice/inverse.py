@@ -83,12 +83,21 @@ def solve_riccati(r: Realization, tol: Tolerances = DEFAULT):
     steps (Sylvester solves) until the relative residual reaches 1e-12, at
     most 25 of them.
     """
+    _require_minimal(r, tol)
+    return _riccati(r, tol)
+
+
+def _require_minimal(r: Realization, tol: Tolerances):
     controllable, observable = check_minimal(r, tol)
     if not (controllable and observable):
         raise AdmissibilityError(
             "Riccati solve requires a minimal realization "
             f"(controllable={controllable}, observable={observable})"
         )
+
+
+def _riccati(r: Realization, tol: Tolerances):
+    """``solve_riccati`` of a realization known to be minimal."""
     if r.order == 0:
         return RiccatiSolution(
             x=np.zeros((0, 0), dtype=complex),
@@ -142,14 +151,15 @@ def invert(r: Realization, tol: Tolerances = DEFAULT):
     alpha = beta + i theta2 theta2*; the symmetrized realization satisfies
     beta - beta* = i(theta1 theta1* - theta2 theta2*).
     """
-    controllable, observable = check_minimal(r, tol)
-    if not (controllable and observable):
+    # one minimality test of the realization the Riccati solve receives
+    if not all(check_minimal(r, tol)):
         r = reduce_to_minimal(r, tol)
+        _require_minimal(r, tol)
     if r.order == 0:
         raise AdmissibilityError(
             "the zero function has no admissible triple (order 0)"
         )
-    sol = solve_riccati(r, tol)
+    sol = _riccati(r, tol)
     x_half, x_minus_half = linalg.hermitian_powers(sol.x, (0.5, -0.5), tol)
     theta1 = x_half @ r.vartheta1
     theta2 = x_minus_half @ r.vartheta2

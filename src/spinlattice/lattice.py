@@ -3,6 +3,7 @@ structural diagnostics (identity propagation, involution, monotone R/Q
 sequences, the K residual).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,34 +40,41 @@ def advance(alpha, lam, sigma):
     Returns ``(lam_next, sigma_next, asymmetry)`` with sigma_next
     symmetrized and the discarded anti-Hermitian norm reported.
     """
-    step, _ = _stepper(linalg.inv(alpha, "alpha"), lam.shape[-1] // 2)
-    return step(lam, sigma)
+    lam_step, forcing, sigma_step, _ = _stepper(linalg.inv(alpha, "alpha"),
+                                                lam.shape[-1] // 2)
+    sigma_next = sigma_step(sigma, forcing(lam, lam))
+    sym = linalg.herm(sigma_next)
+    return lam_step(lam), sym, linalg.frob_norms(sigma_next - sym)
 
 
 def _stepper(alpha_inv, m):
-    """The step of ``advance`` as a function of (Lambda, Sigma), and its
-    derivative as one of (Lambda, dLambda, dSigma), with their constants
-    J, i alpha^{-1} and alpha^{-*} formed once: dLambda' = dLambda
-    + i alpha^{-1} dLambda J, dSigma' = dSigma + alpha^{-1}(dSigma
-    + dLambda J Lambda* + Lambda J dLambda*) alpha^{-*}."""
+    """The formulas of one step of ``advance`` and of its derivative, with
+    their constants J, i alpha^{-1} and alpha^{-*} formed once:
+
+    lam_step(L)       = L + i alpha^{-1} L J, for Lambda and for dLambda;
+    forcing(L, M)     = M J L*: Lambda J Lambda*, and dLambda J Lambda*;
+    sigma_step(S, F)  = S + alpha^{-1} (S + F) alpha^{-*}, not symmetrized;
+    tangent_step(D, C) = herm(D + alpha^{-1} (D + C + C*) alpha^{-*}),
+                         dSigma' from dSigma and C = dLambda J Lambda*.
+    """
     j = signature_matrix(m)
     i_alpha_inv = 1j * alpha_inv
     alpha_inv_adj = alpha_inv.conj().T
 
-    def step(lam, sigma):
-        lam_next = lam + i_alpha_inv @ lam @ j
-        core = sigma + lam @ j @ _h(lam)
-        sigma_next = sigma + alpha_inv @ core @ alpha_inv_adj
-        sym = linalg.herm(sigma_next)
-        return lam_next, sym, linalg.frob_norms(sigma_next - sym)
+    def lam_step(lam):
+        return lam + i_alpha_inv @ lam @ j
 
-    def tangent(lam, dlam, dsigma):
-        cross = dlam @ j @ _h(lam)
+    def forcing(lam, other, out=None):
+        return np.matmul(other @ j, _h(lam), out=out)
+
+    def sigma_step(sigma, force):
+        return sigma + alpha_inv @ (sigma + force) @ alpha_inv_adj
+
+    def tangent_step(dsigma, cross):
         core = dsigma + cross + _h(cross)
-        return (dlam + i_alpha_inv @ dlam @ j,
-                linalg.herm(dsigma + alpha_inv @ core @ alpha_inv_adj))
+        return linalg.herm(dsigma + alpha_inv @ core @ alpha_inv_adj)
 
-    return step, tangent
+    return lam_step, forcing, sigma_step, tangent_step
 
 
 def _h(a):
@@ -74,14 +82,45 @@ def _h(a):
     return a.conj().swapaxes(-1, -2)
 
 
+def _matrix_powers(base, ns):
+    """np.linalg.matrix_power(base, n) for each n of ``ns``, bit for bit:
+    its product (base @ base) @ base for n = 3, and for the other n its
+    binary ladder, the squarings of base multiplied in from the lowest set
+    bit of n up.  The squarings and the partial products are shared by all
+    the n."""
+    squares = [base]
+    partial = {}
+
+    def ladder(n):
+        # the product over the set bits of n, lowest first
+        if n not in partial:
+            top = n.bit_length() - 1
+            while len(squares) <= top:
+                squares.append(squares[-1] @ squares[-1])
+            rest = n - (1 << top)
+            partial[n] = ladder(rest) @ squares[top] if rest else squares[top]
+        return partial[n]
+
+    def power(n):
+        n = operator.index(n)
+        if n < 0:
+            return np.linalg.matrix_power(base, n)
+        if n == 0:
+            return np.eye(base.shape[0], dtype=base.dtype)
+        # the ladder of 3 is base @ (base @ base)
+        return ladder(2) @ base if n == 3 else ladder(n)
+
+    return np.array([power(n) for n in ns])
+
+
 def _lattice_powers(alpha, lam0, ns):
     """[(I + i a^{-1})^n lam0_1, (I - i a^{-1})^n lam0_2] for the column
     blocks lam0 = [lam0_1, lam0_2], stacked over the n of ``ns``: alpha is
-    inverted once, and each power is its own ``matrix_power``."""
+    inverted once, and the powers of each base share one squaring ladder."""
     a_inv = linalg.inv(alpha, "alpha")
     i_n = np.eye(alpha.shape[0], dtype=complex)
     m = lam0.shape[1] // 2
-    plus, minus = (np.array([np.linalg.matrix_power(base, n) for n in ns])
+    plus, minus = (_matrix_powers(base, ns)
                    for base in (i_n + 1j * a_inv, i_n - 1j * a_inv))
     return np.concatenate([plus @ lam0[:, :m], minus @ lam0[:, m:]], axis=-1)
 
@@ -184,7 +223,9 @@ class LatticeStack:
 
 
 # Bytes of Lambda_n, Sigma_n, Sigma_n^{-1} Lambda_n, Xi_n and S_n (and of
-# their derivatives, with a tangent) that one generate_stack may hold:
+# their derivatives, with a tangent) that one generate_stack may hold, or
+# of Lambda_n, Sigma_n and the skew parts dropped by the Sigma_n steps (and
+# of dLambda_n, dSigma_n) while the recursion runs, whichever is more:
 # beyond it, an InputError before any allocation.
 STACK_BUDGET = 2 ** 30
 
@@ -203,6 +244,39 @@ def _solve_each(a, b):
             except np.linalg.LinAlgError:
                 singular[index] = True
         return x, singular
+
+
+def _recur(alpha_inv, m, lambdas, sigmas, tangents=None):
+    """Fill the rows n = 1..n_max of the [k, n] arrays ``lambdas`` and
+    ``sigmas``, and of the pair (dlambdas, dsigmas) of ``tangents``, from
+    their rows n = 0; return the norms of the skew parts that the Sigma_n
+    steps drop, [k, n], 0 at n = 0.
+
+    Lambda_n does not depend on Sigma_n: its rows come first, then the
+    forcing terms Lambda_n J Lambda_n* (dLambda_n J Lambda_n*) of every n
+    in one product, written to the rows of Sigma_{n+1} (dSigma_{n+1})
+    that they help to make.  Only the Sigma_n steps stay sequential."""
+    lam_step, forcing, sigma_step, tangent_step = _stepper(alpha_inv, m)
+    n_max = lambdas.shape[1] - 1
+    dlambdas, dsigmas = tangents or (None, None)
+    for n in range(n_max):
+        lambdas[:, n + 1] = lam_step(lambdas[:, n])
+        if tangents:
+            dlambdas[:, n + 1] = lam_step(dlambdas[:, n])
+    before = lambdas[:, :-1]
+    forcing(before, before, out=sigmas[:, 1:])
+    if tangents:
+        forcing(before, dlambdas[:, :-1], out=dsigmas[:, 1:])
+    skews = np.empty_like(sigmas[:, 1:])
+    for n in range(n_max):
+        sigma_next = sigma_step(sigmas[:, n], sigmas[:, n + 1])
+        sigmas[:, n + 1] = linalg.herm(sigma_next)
+        np.subtract(sigma_next, sigmas[:, n + 1], out=skews[:, n])
+        if tangents:
+            dsigmas[:, n + 1] = tangent_step(dsigmas[:, n], dsigmas[:, n + 1])
+    asymmetries = np.zeros(lambdas.shape[:2])
+    asymmetries[:, 1:] = linalg.frob_norms(skews)
+    return asymmetries
 
 
 def _first(mask):
@@ -224,7 +298,7 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     STACK_BUDGET bytes are an InputError.
 
     ``tangent``, (dLambda_0, dSigma_0) shaped as (lambda0, sigma0), rides
-    along the same loop (``_stepper``) to give dS_n = dXi_n - dXi_{n+1},
+    along the same recursion (``_recur``) to give dS_n = dXi_n - dXi_{n+1},
     dXi_n = dLambda_n* X + X* dLambda_n - X* dSigma_n X, X = Sigma_n^{-1}
     Lambda_n.  The guards, in order: ||Sigma_n|| > tol.sigma_overflow,
     cond(Sigma_n) > tol.cond_limit, Sigma_n singular, ||S_n^2 - I|| not
@@ -233,8 +307,10 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     n_max = int(max([0, *horizons]))
     rows = 1 if lambda0.ndim == 2 else len(horizons)
     order, width = lambda0.shape[-2:]
-    need = (16 * rows * (n_max + 1) * (1 + (tangent is not None))
-            * (order * order + 2 * order * width + 2 * width * width))
+    copies = 1 + (tangent is not None)
+    need = 16 * rows * (n_max + 1) * max(
+        copies * (order * order + 2 * order * width + 2 * width * width),
+        (copies + 1) * order * order + copies * order * width)
     if need > STACK_BUDGET:
         raise InputError(
             f"horizon {n_max} needs {need / 2 ** 20:.3g} MiB of lattice "
@@ -260,18 +336,10 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         return a
 
     lambdas, sigmas = rows_of(lambda0), rows_of(sigma0)
-    asymmetries = np.zeros((rows, n_max + 1))
     m = lambda0.shape[-1] // 2
-    step, derivative = _stepper(alpha_inv, m)
-    if tangent is not None:
-        dlambdas, dsigmas = map(rows_of, tangent)
+    tangents = None if tangent is None else tuple(map(rows_of, tangent))
     with np.errstate(all="ignore"):
-        for n in range(n_max):
-            lambdas[:, n + 1], sigmas[:, n + 1], asymmetries[:, n + 1] = step(
-                lambdas[:, n], sigmas[:, n])
-            if tangent is not None:
-                dlambdas[:, n + 1], dsigmas[:, n + 1] = derivative(
-                    lambdas[:, n], dlambdas[:, n], dsigmas[:, n])
+        asymmetries = _recur(alpha_inv, m, lambdas, sigmas, tangents)
         guarded = np.arange(n_max + 1) <= horizons[:, None]
         limit = tol.sigma_overflow
         norms = entries(linalg.frob_norms(sigmas))
@@ -299,6 +367,7 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         not_involutions = involutions > spin_limit
         dspins = None
         if tangent is not None:
+            dlambdas, dsigmas = tangents
             cross = _h(dlambdas) @ solved
             dxi = cross + _h(cross) - _h(solved) @ dsigmas @ solved
             dspins = entries(linalg.herm(dxi[:, :-1] - dxi[:, 1:]))

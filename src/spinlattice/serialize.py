@@ -9,14 +9,16 @@ bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)`` for the
 plain object in which each complex leaf is a ``complex_to_obj`` dict and
 each matrix a ``matrix_to_obj`` nest, but no per-entry dicts are built.
 It writes in two steps.  One walk of the document builds its text as one
-%-template (a cached template per matrix shape, % doubled in keys and
-strings) and collects its floats, matrices straight from their arrays.
-Then each distinct magnitude |x| of those floats is formatted once with
-Python's shortest round-trip repr, a "-" is added where the sign bit is
-set, and one % fills the template.  Keys are sorted, so identical inputs
+%-template (a cached template per matrix shape, cached string literals
+and complex templates, % doubled in keys and strings) and collects its
+floats, matrices straight from their arrays.  Then each distinct
+magnitude |x| of those floats is formatted once with Python's shortest
+round-trip repr, a "-" is added where the sign bit is set, and one %
+fills the template.  Keys are sorted, so identical inputs
 give identical bytes.
 """
 
+import cmath
 import functools
 import json
 import math
@@ -58,7 +60,10 @@ def complex_from_obj(obj, where="value"):
         z = complex(float(obj["re"]), float(obj["im"]))
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: non-numeric re/im entry") from exc
-    if not np.isfinite(z):
+    except OverflowError as exc:    # an integer beyond the float range
+        raise InputError(f"{where}: re/im entry beyond the float "
+                         f"range") from exc
+    if not cmath.isfinite(z):
         raise InputError(f"{where}: non-finite re/im entry")
     return z
 
@@ -207,6 +212,7 @@ def _escape(match):
     return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
 
 
+@functools.lru_cache(maxsize=1024)
 def _string(text):
     """JSON string literal of ``text`` as %-template text (% doubled)."""
     return '"' + _ESCAPED.sub(_escape, text).replace("%", "%%") + '"'
@@ -265,6 +271,7 @@ def _block(opening, items, closing, depth):
             + closing)
 
 
+@functools.lru_cache(maxsize=None)
 def _complex_template(depth):
     return _block("{", ['"im": %s', '"re": %s'], "}", depth)
 

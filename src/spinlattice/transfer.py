@@ -48,6 +48,22 @@ def _scaled(factors, a):
     return np.array(factors, dtype=complex)[:, None, None] * a
 
 
+def _solve_blocks(a, b, name="matrix"):
+    """x[p, q] = a[p]^{-1} b[p, q] for the matrices a[p] and the blocks
+    b[p, q] (b may have one row p for all): the blocks of a row are the
+    columns of one right-hand side, so each a[p] is factored once."""
+    p, q, rows, cols = b.shape
+    rhs = b.transpose(0, 2, 1, 3).reshape(p, rows, q * cols)
+    x = linalg.solve(a, rhs, name).reshape(-1, rows, q, cols)
+    return x.transpose(0, 2, 1, 3)
+
+
+def _shifted(lams, a):
+    """lam I - a for each lam, stacked."""
+    i_n = np.eye(a.shape[0], dtype=complex)
+    return np.array([lam * i_n - a for lam in lams])
+
+
 def _g(s, lam):
     """G_n(lambda) = I - (i/lambda) S_n, the one-step factor of W(n, lambda)
     and the Lax matrix of the IHM lattice."""
@@ -101,9 +117,8 @@ class Transfer:
 
     def _build_w(self, lams):
         linalg.check_pole(lams, self.spectrum, self.tol, "alpha")
-        shifted = np.array([lam * np.eye(self.order, dtype=complex) - self.alpha
-                            for lam in lams])
-        resolvents = linalg.solve(shifted[:, None], self.state.lambdas[None])
+        resolvents = _solve_blocks(_shifted(lams, self.alpha),
+                                   self.state.lambdas[None])
         return np.eye(2 * self.m, dtype=complex) + 1j * self._y @ resolvents
 
     def _build_fundamental(self, lams):
@@ -173,15 +188,16 @@ class Transfer:
         n = self._sites(sites, self.state.n_max)
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)[n]
-        i_n = np.eye(self.order, dtype=complex)
-        lam_n = self.state.lambdas[n][:, None]
-        inner = linalg.solve(
-            np.array([lam * i_n - self.alpha for lam in lams]), lam_n)
-        inner = linalg.solve(self.state.sigmas[n][:, None], inner, "Sigma_n")
-        inner = linalg.solve(np.array(
-            [np.conj(lam) * i_n - self.alpha.conj().T for lam in lams]), inner)
+        lam_n = self.state.lambdas[n]
+        # indexed [k, i], then [i, k], then [k, i]: one LU per matrix
+        inner = _solve_blocks(_shifted(lams, self.alpha), lam_n[None])
+        inner = _solve_blocks(self.state.sigmas[n], inner.swapaxes(0, 1),
+                              "Sigma_n")
+        inner = _solve_blocks(_shifted(np.conj(lams), self.alpha.conj().T),
+                              inner.swapaxes(0, 1)).swapaxes(0, 1)
         rhs = np.eye(2 * self.m, dtype=complex) - _scaled(
-            [1j * (lam - np.conj(lam)) for lam in lams], _h(lam_n) @ inner)
+            [1j * (lam - np.conj(lam)) for lam in lams],
+            _h(lam_n)[:, None] @ inner)
         return linalg.frob_norms(_h(w) @ w - rhs)
 
     def contractivity_gram(self, sites, lams):

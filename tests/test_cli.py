@@ -958,3 +958,55 @@ def test_finite_inputs_at_extreme_scale_are_one_error_line(
         assert main([command, path, *options]) == code
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1, err
+
+
+def _oversized_integer_file(directory, realization):
+    """A triple, or a realization, whose first matrix entry has the JSON
+    integer 10**400 as its imaginary part."""
+    names = (("gamma", "vartheta1", "vartheta2") if realization
+             else ("alpha", "theta1", "theta2"))
+    entry = '{"re": 0, "im": 1' + "0" * 400 + "}"
+    one = '{"re": 1, "im": 0}'
+    text = "{" + ", ".join(
+        f'"{name}": [[{entry if k == 0 else one}]]'
+        for k, name in enumerate(names)) + "}"
+    path = directory / ("oversized.realization.json" if realization
+                        else "oversized.json")
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ("validate", "spins", "verify", "weyl",
+                                     "invert"))
+def test_an_integer_beyond_the_float_range_is_one_error_line(
+        tmp_path, capsys, command):
+    path = _oversized_integer_file(tmp_path, command == "invert")
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("error: ") and "beyond the float range" in err, err
+
+
+@pytest.mark.parametrize("argv", (
+    ["evolve", "--time-grid", f"0,1,{10 ** 12}"],
+    ["weyl", "--lambda-grid", f"0,-2,3,{10 ** 12}"],
+))
+def test_a_grid_count_beyond_the_bound_is_one_error_line(example_file, capsys,
+                                                         argv):
+    """Refused before the first point is made: 10**12 points would be a
+    memory error, or a Python loop of 10**12 turns."""
+    assert main([argv[0], example_file, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err == (f"error: {argv[1]} needs k <= {cli.GRID_MAX}, "
+                   f"got {10 ** 12}\n")
+
+
+@pytest.mark.parametrize("flag, spec", (("--time-grid", "0,1,{}"),
+                                        ("--lambda-grid", "0,-2,3,{}")))
+def test_a_grid_of_the_largest_count_is_accepted(flag, spec):
+    parse = (cli._parse_time_grid if flag == "--time-grid"
+             else cli._parse_lambda_grid)
+    assert len(parse(spec.format(cli.GRID_MAX))) == cli.GRID_MAX
+    with pytest.raises(spinlattice.errors.InputError, match=flag):
+        parse(spec.format(cli.GRID_MAX + 1))

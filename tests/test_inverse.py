@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +25,7 @@ from spinlattice import (
     weyl_evolution,
 )
 from spinlattice import inverse
+from spinlattice.cli import main
 from spinlattice.errors import AdmissibilityError
 
 
@@ -184,3 +187,58 @@ def test_order_ten_weyl_realization_is_minimal():
     recovered = invert(r)
     assert recovered.order == 10
     assert _spins_error(recovered, t) <= 1e-8
+
+
+def _krylov_calls(monkeypatch):
+    calls = []
+    krylov_basis = inverse.linalg.krylov_basis
+
+    def counted(a, b, *args, **kwargs):
+        calls.append(a.shape)
+        return krylov_basis(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(inverse.linalg, "krylov_basis", counted)
+    return calls
+
+
+def test_invert_tests_minimality_once(monkeypatch, capsys):
+    """One controllability and one observability staircase for a minimal
+    realization: the Riccati solve of invert does not test it again."""
+    path = pathlib.Path(__file__).parent / "data" / "json" / "m3.realization.json"
+    calls = _krylov_calls(monkeypatch)
+    assert main(["invert", str(path)]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == (path.parent / "m3.invert.json").read_text()
+
+
+def test_invert_tests_the_reduced_realization_once(monkeypatch):
+    """A non-minimal realization: its test, the two reduction staircases
+    (the second on the controllable part) and one test of the reduced
+    realization that the Riccati solve receives."""
+    r = random_minimal_realization(np.random.default_rng(4), 2, 1)
+    pad = np.zeros((1, 1), dtype=complex)
+    big = Realization(
+        gamma=scipy.linalg.block_diag(r.gamma, [[4.0 + 1j]]),
+        vartheta1=np.vstack([r.vartheta1, pad]),
+        vartheta2=np.vstack([r.vartheta2, pad]))
+    calls = _krylov_calls(monkeypatch)
+    assert invert(big).order == 2
+    assert calls == [(3, 3)] * 3 + [(2, 2)] * 3
+
+
+@pytest.mark.parametrize("block", ("uncontrollable", "unobservable"))
+def test_solve_riccati_refuses_a_non_minimal_realization(block):
+    r = random_minimal_realization(np.random.default_rng(6), 2, 1)
+    pad = np.zeros((1, 1), dtype=complex)
+    side = {"uncontrollable": "vartheta2", "unobservable": "vartheta1"}[block]
+    parts = {name: np.vstack([getattr(r, name),
+                              pad if name == side else [[1.0]]])
+             for name in ("vartheta1", "vartheta2")}
+    big = Realization(gamma=scipy.linalg.block_diag(r.gamma, [[4.0 + 1j]]),
+                      **parts)
+    flags = dict(zip(("controllable", "observable"), check_minimal(big)))
+    assert flags == {"controllable": block != "uncontrollable",
+                     "observable": block != "unobservable"}
+    with pytest.raises(AdmissibilityError,
+                       match="Riccati solve requires a minimal realization"):
+        solve_riccati(big)

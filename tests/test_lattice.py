@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlattice import (
     ParameterTriple,
@@ -13,7 +15,7 @@ from spinlattice import (
     signature_matrix,
     spin_matrix,
 )
-from spinlattice import lattice
+from spinlattice import lattice, linalg
 from spinlattice.config import DEFAULT
 from spinlattice.errors import InputError, NumericError, SingularMatrixError
 
@@ -207,3 +209,110 @@ def test_a_singular_alpha_stops_the_recursion():
                              theta2=[[1.0], [1.0]])
     with pytest.raises(SingularMatrixError, match="alpha is singular"):
         generate(triple, 3)
+
+
+def test_stack_budget_counts_the_skew_parts_while_the_recursion_runs(
+        monkeypatch):
+    """Order 6, m = 1: Lambda_n, Sigma_n and the skew part of each Sigma_n
+    step, 16 (2 * 36 + 6 * 2) = 1344 bytes per site, outweigh the 16 (36 +
+    2 * 6 * 2 + 2 * 4) = 1088 bytes of the arrays kept after it: a budget
+    of 11 sites takes horizon 10 and refuses 11."""
+    monkeypatch.setattr(lattice, "STACK_BUDGET", 1344 * 11)
+    t = random_admissible_triple(np.random.default_rng(3), 6, 1)
+    lam0, sigma0 = t.lambda0[None], t.sigma0[None]
+    assert lattice.generate_stack(t.alpha, lam0, sigma0, [10]).faults == [None]
+    with pytest.raises(InputError, match="horizon 11 "):
+        lattice.generate_stack(t.alpha, lam0, sigma0, [11])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(order=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       ns=st.lists(st.integers(0, 64), min_size=1, max_size=12))
+def test_lattice_powers_are_numpys_matrix_powers_bit_for_bit(order, seed, ns):
+    """One shared squaring ladder gives the bits of one matrix_power per n,
+    for n = 0..64 and for any order of the n."""
+    t = random_admissible_triple(np.random.default_rng(seed), order, 1)
+    a_inv = np.linalg.inv(t.alpha)
+    i_n = np.eye(order, dtype=complex)
+    for ns_ in (range(65), ns):
+        plus, minus = (np.array([np.linalg.matrix_power(base, n) for n in ns_])
+                       for base in (i_n + 1j * a_inv, i_n - 1j * a_inv))
+        want = np.concatenate([plus @ t.lambda0[:, :1],
+                               minus @ t.lambda0[:, 1:]], axis=-1)
+        got = lattice._lattice_powers(t.alpha, t.lambda0, ns_)
+        assert np.array_equal(got, want)
+
+
+def _recur_step_by_step(alpha_inv, m, lambdas, sigmas, tangents=None):
+    """The recursion as one step per n, each step forming its own Lambda_n J
+    Lambda_n* and its own skew norm: the reference of ``_recur``."""
+    j = signature_matrix(m)
+    i_alpha_inv = 1j * alpha_inv
+    alpha_inv_adj = alpha_inv.conj().T
+    asymmetries = np.zeros(lambdas.shape[:2])
+    for n in range(lambdas.shape[1] - 1):
+        lam, sigma = lambdas[:, n], sigmas[:, n]
+        lambdas[:, n + 1] = lam + i_alpha_inv @ lam @ j
+        core = sigma + lam @ j @ lattice._h(lam)
+        sigma_next = sigma + alpha_inv @ core @ alpha_inv_adj
+        sigmas[:, n + 1] = sym = linalg.herm(sigma_next)
+        asymmetries[:, n + 1] = linalg.frob_norms(sigma_next - sym)
+        if tangents:
+            dlambdas, dsigmas = tangents
+            dlam, dsigma = dlambdas[:, n], dsigmas[:, n]
+            cross = dlam @ j @ lattice._h(lam)
+            core = dsigma + cross + lattice._h(cross)
+            dlambdas[:, n + 1] = dlam + i_alpha_inv @ dlam @ j
+            dsigmas[:, n + 1] = linalg.herm(
+                dsigma + alpha_inv @ core @ alpha_inv_adj)
+    return asymmetries
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(order=st.integers(1, 6), m=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       horizons=st.lists(st.integers(0, 14), min_size=1, max_size=3),
+       scales=st.lists(st.sampled_from([1.0, 1e7, 1e150]), min_size=3,
+                       max_size=3),
+       shared=st.booleans(), with_tangent=st.booleans())
+def test_generate_stack_is_the_step_by_step_recursion(
+        order, m, seed, horizons, scales, shared, with_tangent):
+    """Every array and every fault of a stack, faulting entries included,
+    with and without a tangent, are those of the recursion run one step
+    per n."""
+    rng = np.random.default_rng(seed)
+    t = random_admissible_triple(rng, order, m)
+    k = len(horizons)
+    if shared:
+        lam0, sigma0 = t.lambda0, t.sigma0
+    else:
+        lam0 = np.stack([scales[i] * (t.lambda0 + rng.standard_normal(
+            t.lambda0.shape)) for i in range(k)])
+        sigma0 = np.stack([scales[i] ** 2 * t.sigma0 for i in range(k)])
+    tangent = None
+    if with_tangent:
+        tangent = (rng.standard_normal(lam0.shape) + 0j,
+                   linalg.herm(rng.standard_normal(sigma0.shape) + 0j))
+
+    def run():
+        return lattice.generate_stack(t.alpha, lam0, sigma0, horizons,
+                                      tangent=tangent)
+
+    got = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "_recur", _recur_step_by_step)
+        want = run()
+    for name in ("horizons", "lambdas", "sigmas", "spins", "conditioning",
+                 "spin_residuals", "involution_residuals",
+                 "sigma_asymmetries", "sigma_inv_lambdas", "dspins"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert [(type(e), str(e)) for e in got.faults] == [
+        (type(e), str(e)) for e in want.faults]

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import pathlib
 import sys
 
 import numpy as np
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 
 from spinlattice import (Transfer, generate, j_power_factor, lambda_grid,
                          random_admissible_triple, random_general_sigma_triple)
+from spinlattice import cli, linalg, transfer as transfer_module
 from spinlattice.errors import PoleError, SpinLatticeError
+from spinlattice.lattice import LatticeState
 from spinlattice.verify import run_checks
 
 
@@ -255,3 +260,123 @@ def test_run_checks_solves_once_per_lambda_batch(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted)
     run_checks(triple, n_max=15)
     assert 0 < callers.count("spinlattice.transfer") <= 20
+
+
+# One LU factorization per evaluation point: W(n, lambda) and the two-point
+# identity were a broadcast solve per (lambda, n) pair; the solves from one
+# LU per matrix must reproduce them bit for bit.
+
+def _h(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def _w_per_pair(state, lams):
+    """W(n, lambda) from one broadcast solve per (lambda, n), [n, k]."""
+    alpha = state.triple.alpha
+    i_n = np.eye(alpha.shape[0], dtype=complex)
+    shifted = np.array([lam * i_n - alpha for lam in lams])
+    resolvents = np.linalg.solve(shifted[:, None], state.lambdas[None])
+    w = np.eye(2 * state.m, dtype=complex) + 1j * _h(
+        state.sigma_inv_lambdas) @ resolvents
+    return w.swapaxes(0, 1)
+
+
+def _fundamental_per_pair(state, lams):
+    w = _w_per_pair(state, [z for lam in lams for z in (lam, np.conj(lam))])
+    steps = np.stack([transfer_module._j_powers(lam, range(state.n_max + 1),
+                                                state.m) for lam in lams],
+                     axis=1)
+    return w[:, ::2] @ steps @ _h(w[0, 1::2])
+
+
+def _gram_per_pair(state, lams):
+    """The residuals of gram_identity_residuals at every site, each of its
+    three solves broadcast over (site, lambda) pairs."""
+    alpha, m = state.triple.alpha, state.m
+    i_n = np.eye(alpha.shape[0], dtype=complex)
+    w = _w_per_pair(state, lams)[:-1]
+    lam_n = state.lambdas[:-1][:, None]
+    inner = np.linalg.solve(np.array([lam * i_n - alpha for lam in lams]),
+                            lam_n)
+    inner = np.linalg.solve(state.sigmas[:-1][:, None], inner)
+    inner = np.linalg.solve(np.array(
+        [np.conj(lam) * i_n - alpha.conj().T for lam in lams]), inner)
+    factors = np.array([1j * (lam - np.conj(lam)) for lam in lams])
+    rhs = np.eye(2 * m, dtype=complex) - factors[:, None, None] * (
+        _h(lam_n) @ inner)
+    return linalg.frob_norms(_h(w) @ w - rhs)
+
+
+def _random_state(rng, order, m, n_max):
+    """A LatticeState of random Lambda_n and positive definite Sigma_n
+    beside the alpha of an admissible triple: the solves of the transfer
+    kernel at every order and horizon, without the growth of the
+    recursion."""
+    triple = random_admissible_triple(rng, order, m)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    lambdas = gaussian(n_max + 1, order, 2 * m)
+    g = gaussian(n_max + 1, order, order)
+    sigmas = linalg.herm(g @ _h(g) + order * np.eye(order))
+    return LatticeState(
+        triple=triple, n_max=n_max, lambdas=lambdas, sigmas=sigmas,
+        spins=np.zeros((n_max, 2 * m, 2 * m), dtype=complex),
+        conditioning=[], spin_residuals=[], sigma_asymmetries=[],
+        sigma_inv_lambdas=np.linalg.solve(sigmas, lambdas))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(order=st.integers(1, 16), m=st.integers(1, 3),
+       n_max=st.integers(1, 200), count=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_lu_per_point_is_the_per_pair_solve_bit_for_bit(order, m, n_max,
+                                                           count, seed):
+    rng = np.random.default_rng(seed)
+    state = _random_state(rng, order, m, n_max)
+    scale = 1.0 + float(np.linalg.norm(state.triple.alpha, 2))
+    lams = [complex(lam) for lam in lambda_grid(state.triple.alpha,
+                                                count=count)]
+    lams.append(scale * complex(*rng.standard_normal(2)))
+    transfer = Transfer(state)
+    assert np.array_equal(transfer.w_grid(lams), _w_per_pair(state, lams))
+    assert np.array_equal(transfer.fundamental_grid(lams),
+                          _fundamental_per_pair(state, lams))
+    assert np.array_equal(
+        transfer.gram_identity_residuals(range(n_max), lams),
+        _gram_per_pair(state, lams))
+
+
+@pytest.fixture
+def lu_count(monkeypatch):
+    """LU factorizations made through linalg.solve (and linalg.inv): one per
+    matrix of the broadcast batch of each call."""
+    solve = linalg.solve
+    count = [0]
+
+    def counted(a, rhs, name="matrix"):
+        batch = np.broadcast_shapes(np.shape(a)[:-2], np.shape(rhs)[:-2])
+        count[0] += int(np.prod(batch, dtype=int))
+        return solve(a, rhs, name)
+
+    monkeypatch.setattr(linalg, "solve", counted)
+    return count
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, most", (
+    (["verify", "m3.json", "--nmax", "30"], 139),
+    (["fundamental", "m3.json", "--nmax", "60", "--lambda", "2+0.5i"], 3),
+))
+def test_commands_factor_each_matrix_once(lu_count, argv, most):
+    """Broadcast over sites, the resolvent was factored once per (lambda,
+    n): 1216 factorizations in this verify and 123 in this fundamental,
+    whose 61 sites need two matrices, lambda I - alpha and its conjugate,
+    beside the inverse of alpha."""
+    argv[1] = str(DATA / "verify" / argv[1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert 0 < lu_count[0] <= most
