@@ -52,7 +52,6 @@ from .lattice import (
     k_residual,
     lambda_closed_form,
     monotone_diagnostics,
-    sigma_quadrature,
     spin_matrix,
 )
 from .transfer import Transfer, j_power_factor

@@ -360,10 +360,13 @@ def triple_at(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
 
 def _triple_with(triple, lam, sigma):
     """The triple with the alpha of ``triple``, Lambda_0 = ``lam`` and
-    Sigma_0 = ``sigma``."""
+    Sigma_0 = ``sigma``; both hold the one alpha array, so they share its
+    spectrum reports."""
     m = triple.m
-    return ParameterTriple(alpha=triple.alpha, theta1=lam[:, :m],
-                           theta2=lam[:, m:], sigma0=sigma)
+    moved = ParameterTriple(alpha=triple.alpha, theta1=lam[:, :m],
+                            theta2=lam[:, m:], sigma0=sigma)
+    object.__setattr__(moved, "_spectra", triple._spectra)
+    return moved
 
 
 def state_at(triple: ParameterTriple, t, n_max, tol: Tolerances = DEFAULT):

@@ -25,7 +25,6 @@ __all__ = [
     "MonotoneDiagnostics",
     "monotone_diagnostics",
     "k_residual",
-    "sigma_quadrature",
 ]
 
 
@@ -222,11 +221,11 @@ class LatticeStack:
         )
 
 
-# Bytes of Lambda_n, Sigma_n, Sigma_n^{-1} Lambda_n, Xi_n and S_n (and of
-# their derivatives, with a tangent) that one generate_stack may hold, or
-# of Lambda_n, Sigma_n and the skew parts dropped by the Sigma_n steps (and
-# of dLambda_n, dSigma_n) while the recursion runs, whichever is more:
-# beyond it, an InputError before any allocation.
+# Bytes that one generate_stack may hold: per site and entry, Lambda_n and
+# Sigma_n (and their derivatives), the more of the skew parts of the Sigma_n
+# steps and of the arrays after the loop (Sigma_n^{-1} Lambda_n, Xi_n, S_n,
+# S_n^2 - I and their temporaries), and 8 floats; per entry, the temporaries
+# of one step; alpha^{-1}.  Beyond it, an InputError before any allocation.
 STACK_BUDGET = 2 ** 30
 
 
@@ -308,9 +307,11 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     rows = 1 if lambda0.ndim == 2 else len(horizons)
     order, width = lambda0.shape[-2:]
     copies = 1 + (tangent is not None)
-    need = 16 * rows * (n_max + 1) * max(
-        copies * (order * order + 2 * order * width + 2 * width * width),
-        (copies + 1) * order * order + copies * order * width)
+    lam, sigma, xi = order * width, order * order, width * width
+    per_site = 16 * (copies * (lam + sigma) + max(
+        sigma, (copies + 1) * lam + (3 * copies + 2) * xi)) + 64
+    step = 16 * copies * (4 * sigma + 3 * lam)
+    need = rows * ((n_max + 1) * per_site + step) + 16 * (6 * sigma + xi)
     if need > STACK_BUDGET:
         raise InputError(
             f"horizon {n_max} needs {need / 2 ** 20:.3g} MiB of lattice "
@@ -503,42 +504,3 @@ def monotone_diagnostics(state: LatticeState, tol: Tolerances = DEFAULT):
         r_scales=r_scales,
         q_scales=q_scales,
     )
-
-
-def sigma_quadrature(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
-    """Integral representation oracle for Sigma_n:
-
-    Sigma_n = (1/2 pi) int (a - x I)^{-1} Lam_n Lam_n* (a* - x I)^{-1} dx
-
-    over the real axis, compactified by x = tan(u).  Requires the spectrum
-    of alpha in the open upper half plane and sigma0 = I; used as a test
-    oracle only.
-    """
-    spec = triple.spectrum(tol)
-    if spec.min_imag_part <= tol.spec_tol:
-        raise SpectrumError(
-            "quadrature oracle requires the spectrum in the open upper half plane"
-        )
-    lam = lambda_closed_form(triple, n, tol)
-    gram = lam @ lam.conj().T
-    a = triple.alpha
-    i_n = np.eye(triple.order, dtype=complex)
-
-    def integrand(u):
-        x = np.tan(u)
-        jac = 1.0 + x * x
-        r = np.linalg.solve(a - x * i_n, gram)
-        # right-multiply by (a* - x I)^{-1} via a transposed solve
-        r = np.linalg.solve(a.conj() - x * i_n, r.T).T
-        out = r * (jac / (2 * np.pi))
-        return np.concatenate([out.real.ravel(), out.imag.ravel()])
-
-    import scipy.integrate      # slow to import; only this oracle needs it
-
-    flat, _ = scipy.integrate.quad_vec(
-        integrand, -np.pi / 2, np.pi / 2, epsabs=1e-10, epsrel=1e-10
-    )
-    size = triple.order * triple.order
-    re = flat[:size].reshape(triple.order, triple.order)
-    im = flat[size:].reshape(triple.order, triple.order)
-    return linalg.herm(re + 1j * im)

@@ -144,10 +144,10 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
     """Solve AX - XB = C for X, or for each right-hand side of a stack C.
 
     Requires the spectra of A and B to be disjoint (checked up to
-    ``spec_tol``).  Bartels-Stewart with the steps of
-    ``scipy.linalg.solve_sylvester(a, -b, c)``, and so its bits: one pair of
-    Schur forms of A and -B* serves every right-hand side, each solved by
-    LAPACK ``trsyl``.
+    ``spec_tol`` on the diagonals of the Schur forms).  Bartels-Stewart
+    with the steps of ``scipy.linalg.solve_sylvester(a, -b, c)``, and so its
+    bits: one pair of Schur forms of A and -B* serves every right-hand side,
+    each solved by LAPACK ``trsyl``.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -158,19 +158,18 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
         raise DimensionError(
             f"C must be {a.shape[0]}x{b.shape[0]}, got {c.shape[-2:]}"
         )
-    ea = np.linalg.eigvals(a)
-    eb = np.linalg.eigvals(b)
-    if ea.size and eb.size:
-        sep = np.min(np.abs(ea[:, None] - eb[None, :]))
-        if sep <= tol.spec_tol:
-            raise SingularEquationError(
-                f"spectra of A and B overlap (separation {sep:.3e})"
-            )
-    if not (ea.size and eb.size):
+    if not (a.size and b.size):
         return np.empty(c.shape, dtype=complex)
     # scipy solves AX + XB' = Q with B' = -B: Schur forms of A and B'*
     r, u = scipy.linalg.schur(a, output="real")
     s, v = scipy.linalg.schur((-b).conj().T, output="real")
+    # the complex Schur forms carry the spectra: eig(A) = diag(R) and
+    # eig(B) = -conj(diag(S))
+    sep = np.min(np.abs(np.diag(r)[:, None] + np.diag(s).conj()[None, :]))
+    if sep <= tol.spec_tol:
+        raise SingularEquationError(
+            f"spectra of A and B overlap (separation {sep:.3e})"
+        )
     f = u.conj().T @ c @ v
     trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))
     y = np.empty_like(f)

@@ -56,10 +56,12 @@ def complex_to_obj(z):
 def complex_from_obj(obj, where="value"):
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise InputError(f"{where}: expected an object with 're' and 'im' keys")
+    re, im = obj["re"], obj["im"]
+    if (not isinstance(re, (int, float)) or not isinstance(im, (int, float))
+            or isinstance(re, bool) or isinstance(im, bool)):
+        raise InputError(f"{where}: non-numeric re/im entry")
     try:
-        z = complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: non-numeric re/im entry") from exc
+        z = complex(float(re), float(im))
     except OverflowError as exc:    # an integer beyond the float range
         raise InputError(f"{where}: re/im entry beyond the float "
                          f"range") from exc
@@ -75,9 +77,10 @@ def matrix_to_obj(matrix):
 
 def matrix_from_obj(obj, where="matrix"):
     if not isinstance(obj, list) or not obj or not all(
-        isinstance(row, list) for row in obj
+        isinstance(row, list) and row for row in obj
     ):
-        raise InputError(f"{where}: expected a non-empty list of rows")
+        raise InputError(f"{where}: expected a non-empty list of non-empty "
+                         f"rows")
     width = len(obj[0])
     rows = []
     for i, row in enumerate(obj):
@@ -119,35 +122,35 @@ def triple_to_obj(triple: ParameterTriple):
     return _plain(_triple_doc(triple))
 
 
-def triple_from_obj(obj, where="triple"):
+def _fields(obj, where, keys):
+    """The matrices of the required ``keys`` of the JSON object ``obj``."""
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected a JSON object")
-    for key in ("alpha", "theta1", "theta2"):
+    for key in keys:
         if key not in obj:
             raise InputError(f"{where}: missing field {key!r}")
-    sigma0 = None
+    return {key: matrix_from_obj(obj[key], f"{where}.{key}") for key in keys}
+
+
+def _check_declared(obj, where, order, m, square, blocks):
+    """Refuse a declared N or m that is no integer or that disagrees with
+    the order of the matrix ``square`` or the width of the ``blocks``."""
+    for key, size, found in (("N", order, f"{square} is {order} x {order}"),
+                             ("m", m, f"{blocks} blocks have {m} columns")):
+        declared = obj.get(key, size)
+        if isinstance(declared, bool) or not isinstance(declared, int):
+            raise InputError(f"{where}: N and m must be integers")
+        if declared != size:
+            raise InputError(f"{where}: declared {key} = {declared} but "
+                             f"{found}")
+
+
+def triple_from_obj(obj, where="triple"):
+    fields = _fields(obj, where, ("alpha", "theta1", "theta2"))
     if obj.get("sigma0") is not None:
-        sigma0 = matrix_from_obj(obj["sigma0"], f"{where}.sigma0")
-    triple = ParameterTriple(
-        alpha=matrix_from_obj(obj["alpha"], f"{where}.alpha"),
-        theta1=matrix_from_obj(obj["theta1"], f"{where}.theta1"),
-        theta2=matrix_from_obj(obj["theta2"], f"{where}.theta2"),
-        sigma0=sigma0,
-    )
-    try:
-        order, m = int(obj.get("N", triple.order)), int(obj.get("m", triple.m))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where}: N and m must be integers") from exc
-    if order != triple.order:
-        raise InputError(
-            f"{where}: declared N = {obj['N']} but alpha is {triple.order} x "
-            f"{triple.order}"
-        )
-    if m != triple.m:
-        raise InputError(
-            f"{where}: declared m = {obj['m']} but theta blocks have "
-            f"{triple.m} columns"
-        )
+        fields["sigma0"] = matrix_from_obj(obj["sigma0"], f"{where}.sigma0")
+    triple = ParameterTriple(**fields)
+    _check_declared(obj, where, triple.order, triple.m, "alpha", "theta")
     return triple
 
 
@@ -166,16 +169,11 @@ def realization_to_obj(r: Realization):
 
 
 def realization_from_obj(obj, where="realization"):
-    if not isinstance(obj, dict):
-        raise InputError(f"{where}: expected a JSON object")
-    for key in ("gamma", "vartheta1", "vartheta2"):
-        if key not in obj:
-            raise InputError(f"{where}: missing field {key!r}")
-    return Realization(
-        gamma=matrix_from_obj(obj["gamma"], f"{where}.gamma"),
-        vartheta1=matrix_from_obj(obj["vartheta1"], f"{where}.vartheta1"),
-        vartheta2=matrix_from_obj(obj["vartheta2"], f"{where}.vartheta2"),
-    )
+    realization = Realization(
+        **_fields(obj, where, ("gamma", "vartheta1", "vartheta2")))
+    _check_declared(obj, where, realization.order, realization.m, "gamma",
+                    "vartheta")
+    return realization
 
 
 def _state_doc(state):

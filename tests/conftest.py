@@ -43,3 +43,23 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return shapes
+
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    """The counts of np.linalg.eigvals calls and of 2-norms taken by
+    np.linalg.norm."""
+    eigvals, norm = np.linalg.eigvals, np.linalg.norm
+    calls = {"eigvals": 0, "norm2": 0}
+
+    def counted_eigvals(a):
+        calls["eigvals"] += 1
+        return eigvals(a)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        calls["norm2"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return calls

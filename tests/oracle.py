@@ -1,4 +1,5 @@
-"""High-precision oracle of the time-t triple, for the tests.
+"""High-precision oracle of the time-t triple and the lattice recursion, for
+the tests.
 
 Lambda_0(t) = [e^{-2t(alpha - iI)^{-1}} theta1, e^{-2t(alpha + iI)^{-1}} theta2]
 is formed by ``mpmath.expm``.  Sigma_0(t) is the solution of
@@ -14,6 +15,7 @@ L = (alpha + iI)^{-1} - (alpha - iI)^{-1}, each Gramian
 G(A, b) = int_0^t e^{sA} b b* e^{sA*} ds taken from one exponential of the
 Van Loan block [[-A, b b*], [0, A*]].  Every step runs at ``DPS`` digits.
 
+``sigmas`` is the lattice recursion of Sigma_n in the same arithmetic.
 dS_n/dt is the central difference, at t +/- 1e-15, of the spins of the
 recursion run from those time-t triples; the triples, the recursion and
 the difference stay in mpmath values throughout.
@@ -102,16 +104,40 @@ def _triple_at(triple, t, upper_half_plane):
     return lam, sigma
 
 
+def _recursion(alpha, lam, sigma, n_max):
+    """(Lambda_n, Sigma_n), n = 0..n_max, of the lattice recursion from
+    (Lambda_0, Sigma_0):
+
+    Lambda_{n+1} = Lambda_n + i alpha^{-1} Lambda_n J,
+    Sigma_{n+1}  = Sigma_n + alpha^{-1} (Sigma_n + Lambda_n J Lambda_n*)
+                   alpha^{-*}.
+    """
+    m = lam.cols // 2
+    j = mp.diag([1] * m + [-1] * m)
+    a_inv = mp.inverse(alpha)
+    pairs = [(lam, sigma)]
+    for _ in range(n_max):
+        lam, sigma = (lam + mp.mpc(0, 1) * a_inv * lam * j,
+                      sigma + a_inv * (sigma + lam * j * lam.H) * a_inv.H)
+        pairs.append((lam, sigma))
+    return pairs
+
+
+def sigmas(triple, n_max):
+    """Sigma_0..Sigma_{n_max} of the recursion from the triple, as complex
+    arrays."""
+    with mp.workdps(DPS):
+        return [_np(sigma) for _, sigma in _recursion(
+            _mp(triple.alpha), _mp(triple.lambda0), _mp(triple.sigma0),
+            n_max)]
+
+
 def _spins(alpha, lam, sigma, n_max):
     """S_0..S_{n_max-1} of the recursion from (Lambda_0, Sigma_0)."""
     m = lam.cols // 2
     j = mp.diag([1] * m + [-1] * m)
-    a_inv = mp.inverse(alpha)
-    xi = []
-    for n in range(n_max + 1):
-        xi.append(lam.H * mp.inverse(sigma) * lam)
-        lam, sigma = (lam + mp.mpc(0, 1) * a_inv * lam * j,
-                      sigma + a_inv * (sigma + lam * j * lam.H) * a_inv.H)
+    xi = [lam.H * mp.inverse(sigma) * lam
+          for lam, sigma in _recursion(alpha, lam, sigma, n_max)]
     return [j + xi[n] - xi[n + 1] for n in range(n_max)]
 
 

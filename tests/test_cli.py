@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -320,6 +321,14 @@ def test_evolve_builds_one_state_per_time(triple_file, monkeypatch, n_max,
     assert main(["evolve", triple_file, "--nmax", str(n_max), *grid]) == 0
     assert horizons == [[n_max] * built_states]
     assert moving == [built_states - 1]
+
+
+def test_evolve_solves_the_spectrum_once(capsys, spectrum_calls):
+    """One report of alpha, which every time-t triple shares; the Sylvester
+    solve reads its separation from its Schur forms."""
+    assert main(["evolve", str(EVOLVE_DATA / "fg4.json"), "--nmax", "6",
+                 "--time-grid=-0.6,0,4"]) == 0
+    assert spectrum_calls["eigvals"] == 1
 
 
 def test_evolve_rows_match_the_residual_functions(triple_file, capsys):
@@ -668,8 +677,8 @@ def test_main_reuses_its_parser_across_subcommands(triple_file, capsys):
 
 
 def test_importing_the_cli_leaves_the_integrator_unloaded():
-    """scipy.integrate (which pulls in scipy.optimize) is imported by the
-    test oracle ``sigma_quadrature`` alone, not by every process."""
+    """Nothing in the package imports scipy.integrate (which pulls in
+    scipy.optimize)."""
     code = ("import sys, spinlattice.cli; print(sorted(name for name in "
             "('scipy.integrate', 'scipy.optimize') if name in sys.modules))")
     src = pathlib.Path(spinlattice.__file__).parents[1]
@@ -1010,3 +1019,158 @@ def test_a_grid_of_the_largest_count_is_accepted(flag, spec):
     assert len(parse(spec.format(cli.GRID_MAX))) == cli.GRID_MAX
     with pytest.raises(spinlattice.errors.InputError, match=flag):
         parse(spec.format(cli.GRID_MAX + 1))
+
+
+def _refused(argv, directory):
+    """main(argv) with an --output in ``directory`` exits 2 with one stderr
+    line, raises nothing and writes no file."""
+    output = pathlib.Path(directory) / "out"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--output", str(output)])
+    assert code == 2, (argv, err.getvalue())
+    assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+    assert err.getvalue().startswith("error: "), argv
+    assert not output.exists(), argv
+
+
+# the commands that read a triple file, and the one that reads a realization
+_TRIPLE_COMMANDS = (["validate"], ["spins"], ["fundamental", "--lambda", "2"],
+                    ["weyl"], ["evolve"], ["verify"])
+_REALIZATION_COMMANDS = (["invert"],)
+_ENTRY = {"re": 1.0, "im": 0.0}
+_BAD_ENTRIES = ([1.0, 0.0], 1.0, "1", None, {"re": 1.0}, {"im": 1.0},
+                {"re": "1", "im": 0.0}, {"re": None, "im": 0.0},
+                {"re": True, "im": 0.0}, {"re": 0.0, "im": [1]})
+_BAD_SIZES = (3.5, "1", True, None, [1], -1)
+
+
+@functools.cache
+def _malformed_documents():
+    """(object, commands) of the valid documents that the malformed ones
+    are made from: the scalar example and an m = 2 triple, and their
+    realizations."""
+    docs = []
+    for triple in (example_triple(2.0),
+                   random_admissible_triple(np.random.default_rng(1), 4, 2)):
+        docs.append((serialize.triple_to_obj(triple), _TRIPLE_COMMANDS))
+        docs.append((serialize.realization_to_obj(weyl(triple)),
+                     _REALIZATION_COMMANDS))
+    return docs
+
+
+@st.composite
+def _malformed(draw, kind):
+    """A document made malformed in the way ``kind``, and the commands that
+    read it."""
+    obj, commands = draw(st.sampled_from(
+        [doc for doc in _malformed_documents()
+         if kind != "sigma0" or "alpha" in doc[0]]))
+    square, block, other = (("gamma", "vartheta1", "vartheta2")
+                            if "gamma" in obj
+                            else ("alpha", "theta1", "theta2"))
+    obj = json.loads(json.dumps(obj))
+    order, m = obj["N"], obj["m"]
+    key = draw(st.sampled_from((square, block, other)))
+    rows = obj[key]
+    if kind == "top":
+        obj = draw(st.sampled_from(([], [obj], 1, "triple", None, True)))
+    elif kind == "missing":
+        del obj[key]
+    elif kind == "ragged":
+        rows.insert(draw(st.integers(0, len(rows))), rows[0] + [_ENTRY])
+    elif kind == "empty":
+        obj[key] = draw(st.sampled_from(([], [[]] * len(rows))))
+    elif kind == "entry":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(
+            st.sampled_from(_BAD_ENTRIES))
+    elif kind == "square":
+        obj[square] = ([row[:-1] for row in obj[square]] if order > 1
+                       else [row + [_ENTRY] for row in obj[square]])
+    elif kind == "width":
+        obj[block] = [row + [_ENTRY] for row in obj[block]]
+    elif kind == "height":
+        obj[block] = (obj[block][:-1] if order > 1
+                      else obj[block] + obj[block])
+    elif kind == "sigma0":
+        obj["sigma0"] = serialize.matrix_to_obj(np.eye(order + 1))
+    else:
+        size = draw(st.sampled_from(("N", "m")))
+        wrong = draw(st.one_of(st.sampled_from(_BAD_SIZES),
+                               st.integers(-3, 40)))
+        assume(wrong != (order if size == "N" else m))
+        obj[size] = wrong
+    return json.dumps(obj), commands
+
+
+@pytest.mark.parametrize("kind", (
+    "top",          # a top level that is no object
+    "missing",      # a missing key
+    "ragged",       # a row longer than the first
+    "empty",        # no rows, or empty rows
+    "entry",        # an entry without re/im, or with a non-numeric part
+    "square",       # a non-square alpha or gamma
+    "width",        # theta or vartheta blocks of unequal width
+    "height",       # a theta or vartheta block of the wrong height
+    "sigma0",       # a sigma0 of the wrong order
+    "declared",     # a declared N or m that is no integer or disagrees
+))
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_malformed_documents_are_one_error_line(kind, data):
+    """A malformed triple or realization file, through every subcommand that
+    reads it: exit 2, one stderr line, no traceback and no file written."""
+    text, commands = data.draw(_malformed(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.json"
+        path.write_text(text)
+        for command in commands:
+            _refused([command[0], str(path), *command[1:]], tmp)
+
+
+_FLOAT_TEXT = st.floats(-10.0, 10.0).map(repr)
+_WORD = st.sampled_from(("", "x", "1e", "--1", "1,5", "0x10", "i"))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(tol=st.one_of(
+           _WORD,                                           # no name=value
+           st.tuples(st.sampled_from(spinlattice.Tolerances.names()),
+                     st.one_of(_WORD, st.sampled_from(
+                         ("0", "-1e-3", "nan", "inf", "-inf")))
+                     ).map("=".join),
+           st.sampled_from(("bogus=1", "=1", "tol=1e-8"))),
+       lambda_grid=st.one_of(
+           st.lists(_FLOAT_TEXT, min_size=1, max_size=6).filter(
+               lambda parts: len(parts) != 4).map(",".join),
+           st.tuples(_FLOAT_TEXT, _FLOAT_TEXT, _FLOAT_TEXT,
+                     st.sampled_from(("x", "2.5", "1e3", ""))).map(",".join),
+           st.tuples(_FLOAT_TEXT, _FLOAT_TEXT,
+                     st.floats(-10.0, 0.0).map(repr),
+                     st.integers(-5, 8).map(str)).map(",".join),
+           st.tuples(_FLOAT_TEXT, _FLOAT_TEXT, st.floats(0.1, 10.0).map(repr),
+                     st.integers(-5, 0).map(str)).map(",".join)),
+       time_grid=st.one_of(
+           st.lists(_FLOAT_TEXT, min_size=1, max_size=5).filter(
+               lambda parts: len(parts) != 3).map(",".join),
+           st.tuples(st.one_of(_FLOAT_TEXT, _WORD.filter(bool)), _FLOAT_TEXT,
+                     st.sampled_from(("x", "2.5", "1e3", ""))).map(",".join),
+           st.tuples(_FLOAT_TEXT, _FLOAT_TEXT,
+                     st.integers(-5, 0).map(str)).map(",".join)))
+def test_malformed_flag_strings_are_one_error_line(hostile_files, tol,
+                                                   lambda_grid, time_grid):
+    """A malformed --tol through every subcommand, a malformed --lambda-grid
+    through weyl and a malformed --time-grid through evolve: exit 2, one
+    stderr line, no traceback and no file written."""
+    triple, realization = (next(path for path, m, is_realization
+                                in hostile_files
+                                if m == 1 and is_realization == wanted)
+                           for wanted in (False, True))
+    with tempfile.TemporaryDirectory() as tmp:
+        _refused(["example", f"--tol={tol}"], tmp)
+        _refused(["invert", realization, f"--tol={tol}"], tmp)
+        for command in _TRIPLE_COMMANDS:
+            _refused([command[0], triple, *command[1:], f"--tol={tol}"], tmp)
+        _refused(["weyl", triple, f"--lambda-grid={lambda_grid}"], tmp)
+        _refused(["evolve", triple, f"--time-grid={time_grid}"], tmp)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from spinlattice import (
     lambda_closed_form,
     monotone_diagnostics,
     random_admissible_triple,
-    sigma_quadrature,
     signature_matrix,
     spin_matrix,
 )
@@ -142,11 +143,17 @@ def test_monotone_constant_for_zero_potential():
 
 
 def test_quadrature_oracle(rng):
+    """Sigma_n of the recursion against the 30-digit recursion of
+    ``oracle.sigmas``."""
+    pytest.importorskip("mpmath")
+    import oracle
+
     t = random_admissible_triple(rng, 3, 1)
     state = generate(t, 4)
+    want = oracle.sigmas(t, 4)
     for n in (0, 2, 4):
-        sig = sigma_quadrature(t, n)
-        assert np.linalg.norm(sig - state.sigmas[n]) <= 1e-6
+        assert (np.linalg.norm(state.sigmas[n] - want[n])
+                <= 1e-12 * np.linalg.norm(want[n]))
 
 
 def test_stack_entries_are_the_states_of_generate(small_triple):
@@ -189,10 +196,13 @@ def test_a_horizon_beyond_the_stack_budget_is_refused_before_allocating():
 
 
 def test_stack_budget_counts_the_arrays_of_every_entry(monkeypatch):
-    """The scalar triple keeps 16 (1 + 2 * 2 + 2 * 4) = 208 bytes per site
-    and entry: a budget of 11 sites takes horizon 10 and refuses 11, and
-    two stacked entries need twice the bytes."""
-    monkeypatch.setattr(lattice, "STACK_BUDGET", 208 * 11)
+    """The scalar triple needs 16 (3 + 2 * 2 + 5 * 4) + 64 = 496 bytes per
+    site and entry (Lambda_n and Sigma_n, then Sigma_n^{-1} Lambda_n, the
+    conjugate copy of Lambda_n, five 2 x 2 arrays of Xi_n, S_n, S_n^2 - I
+    and their temporaries, and 8 floats), 160 per entry for one step and
+    160 for alpha^{-1}: a budget of 11 sites takes horizon 10 and refuses
+    11, and two stacked entries need twice the bytes."""
+    monkeypatch.setattr(lattice, "STACK_BUDGET", 496 * 11 + 160 + 160)
     t = scalar_example()
     assert generate(t, 10).n_max == 10
     with pytest.raises(InputError, match="horizon 11 "):
@@ -204,6 +214,34 @@ def test_stack_budget_counts_the_arrays_of_every_entry(monkeypatch):
         None, None]
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(order=st.integers(1, 16), m=st.integers(1, 3), tangent=st.booleans(),
+       rows=st.integers(1, 3), horizon=st.integers(64, 512))
+def test_stack_budget_bounds_the_traced_peak(order, m, tangent, rows,
+                                             horizon):
+    """At a budget of its tracemalloc peak less one byte, a run is refused:
+    the budget counts every array that generate_stack holds at once.  The
+    horizons have 64 sites or more, where the arrays outweigh the few kB of
+    Python objects of a call."""
+    t = random_admissible_triple(np.random.default_rng(order + 16 * m), order,
+                                 m)
+    start = (t.alpha, np.stack([t.lambda0] * rows),
+             np.stack([t.sigma0] * rows), [horizon] * rows)
+    tangents = start[1:3] if tangent else None
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        lattice.generate_stack(*start, tangent=tangents)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "STACK_BUDGET", peak - 1)
+        with pytest.raises(InputError, match=f"horizon {horizon} "):
+            lattice.generate_stack(*start, tangent=tangents)
+
+
 def test_a_singular_alpha_stops_the_recursion():
     triple = ParameterTriple(alpha=np.diag([0j, 2j]), theta1=[[1.0], [1.0]],
                              theta2=[[1.0], [1.0]])
@@ -213,12 +251,13 @@ def test_a_singular_alpha_stops_the_recursion():
 
 def test_stack_budget_counts_the_skew_parts_while_the_recursion_runs(
         monkeypatch):
-    """Order 6, m = 1: Lambda_n, Sigma_n and the skew part of each Sigma_n
-    step, 16 (2 * 36 + 6 * 2) = 1344 bytes per site, outweigh the 16 (36 +
-    2 * 6 * 2 + 2 * 4) = 1088 bytes of the arrays kept after it: a budget
-    of 11 sites takes horizon 10 and refuses 11."""
-    monkeypatch.setattr(lattice, "STACK_BUDGET", 1344 * 11)
-    t = random_admissible_triple(np.random.default_rng(3), 6, 1)
+    """Order 10, m = 1: Lambda_n, Sigma_n and the skew part of each Sigma_n
+    step, 16 (20 + 2 * 100) + 64 = 3584 bytes per site, outweigh the 16 (120
+    + 2 * 20 + 5 * 4) + 64 = 2944 of the arrays after it; with 16 (4 * 100
+    + 3 * 20) = 7360 for one step and 16 (6 * 100 + 4) = 9664 for
+    alpha^{-1}, a budget of 11 sites takes horizon 10 and refuses 11."""
+    monkeypatch.setattr(lattice, "STACK_BUDGET", 3584 * 11 + 7360 + 9664)
+    t = random_admissible_triple(np.random.default_rng(3), 10, 1)
     lam0, sigma0 = t.lambda0[None], t.sigma0[None]
     assert lattice.generate_stack(t.alpha, lam0, sigma0, [10]).faults == [None]
     with pytest.raises(InputError, match="horizon 11 "):

@@ -88,6 +88,21 @@ def test_sylvester_shared_spectrum_raises():
         linalg.solve_sylvester(a, a, np.eye(2, dtype=complex))
 
 
+_HERMITIAN = np.array([[2.0, 1 - 1j, 0.5], [1 + 1j, -1.0, 3j],
+                       [0.5, -3j, 0.25]])
+_SHARED = np.array([[1 + 2j, 5.0], [0.0, 3 - 1j]])
+
+
+@pytest.mark.parametrize("a, b", ((_HERMITIAN, _HERMITIAN),
+                                  (_SHARED, _SHARED[:1, :1])))
+def test_sylvester_reads_the_separation_from_its_schur_forms(a, b):
+    """eig(A) = diag(R) and eig(B) = -conj(diag(S)), S the Schur form of
+    -B*: a shared real spectrum, and the shared eigenvalue 1 + 2i of a
+    non-normal A, are refused."""
+    with pytest.raises(SingularEquationError, match="spectra of A and B"):
+        linalg.solve_sylvester(a, b, np.ones((a.shape[0], b.shape[0])))
+
+
 def test_sigma_from_identity():
     """alpha Sigma - Sigma alpha* = i Lambda Lambda* as a Sylvester solve."""
     alpha = np.array([[2j]])
