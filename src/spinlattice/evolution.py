@@ -724,9 +724,7 @@ def weyl_evolution(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     with E_-* = (e^{-2t(a - iI)^{-1}})*, E_+ = e^{-2t(a + iI)^{-1}} and
     beta(t) = a - i E_+ theta2 theta2* E_+* Sigma_0(t)^{-1}.
     """
-    t_triple = triple_at(triple, t, tol)
-    return _realization(t_triple.alpha, t_triple.theta1, t_triple.theta2,
-                        t_triple.sigma0)
+    return _realization(triple_at(triple, t, tol))
 
 
 def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,

@@ -30,8 +30,6 @@ def check_minimal(r: Realization, tol: Tolerances = DEFAULT):
     Controllability tests {gamma, vartheta2}; observability dualizes to the
     full-range test on {gamma*, vartheta1}.
     """
-    if r.order == 0:
-        return True, True
     controllable, _ = linalg.is_full_range(r.gamma, r.vartheta2, tol)
     observable, _ = linalg.is_full_range(r.gamma.conj().T, r.vartheta1, tol)
     return controllable, observable
@@ -42,13 +40,15 @@ def reduce_to_minimal(r: Realization, tol: Tolerances = DEFAULT):
 
     First compresses onto the controllable subspace of {gamma, vartheta2},
     then onto the observable part via the dual pair; phi is unchanged on the
-    resolvent set.
+    resolvent set.  An empty basis leaves phi = 0, which has no admissible
+    triple: an AdmissibilityError.
     """
     for dual in (False, True):
-        if r.order == 0:
-            break
         q = (linalg.krylov_basis(r.gamma.conj().T, r.vartheta1, tol) if dual
              else linalg.krylov_basis(r.gamma, r.vartheta2, tol))
+        if q.shape[1] == 0:
+            raise AdmissibilityError(
+                "the zero function has no admissible triple (order 0)")
         p = q.conj().T
         r = Realization(gamma=p @ r.gamma @ q, vartheta1=p @ r.vartheta1,
                         vartheta2=p @ r.vartheta2)
@@ -98,13 +98,6 @@ def _require_minimal(r: Realization, tol: Tolerances):
 
 def _riccati(r: Realization, tol: Tolerances):
     """``solve_riccati`` of a realization known to be minimal."""
-    if r.order == 0:
-        return RiccatiSolution(
-            x=np.zeros((0, 0), dtype=complex),
-            residual_norm=0.0,
-            min_eigenvalue=np.inf,
-            newton_iterations=0,
-        )
     with np.errstate(all="ignore"):
         a = 1j * r.gamma.conj().T
         b = r.vartheta1
@@ -155,10 +148,6 @@ def invert(r: Realization, tol: Tolerances = DEFAULT):
     if not all(check_minimal(r, tol)):
         r = reduce_to_minimal(r, tol)
         _require_minimal(r, tol)
-    if r.order == 0:
-        raise AdmissibilityError(
-            "the zero function has no admissible triple (order 0)"
-        )
     sol = _riccati(r, tol)
     x_half, x_minus_half = linalg.hermitian_powers(sol.x, (0.5, -0.5), tol)
     theta1 = x_half @ r.vartheta1

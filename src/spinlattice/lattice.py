@@ -124,13 +124,13 @@ def _lattice_powers(alpha, lam0, ns):
     return np.concatenate([plus @ lam0[:, :m], minus @ lam0[:, m:]], axis=-1)
 
 
-def lambda_closed_form(triple: ParameterTriple, n, tol: Tolerances = DEFAULT):
+def lambda_closed_form(triple: ParameterTriple, n):
     """Lambda_n = [(I + i a^{-1})^n theta1, (I - i a^{-1})^n theta2].
 
-    Valid for the normalized form sigma0 = I.
+    Valid for every sigma0: the step Lambda_{n+1} = Lambda_n
+    + i a^{-1} Lambda_n J never reads Sigma_n, and J acts on the two column
+    blocks as the scalars +1 and -1.
     """
-    if not triple.sigma0_is_identity(tol):
-        raise NumericError("closed form requires sigma0 = I (normalize first)")
     return _lattice_powers(triple.alpha, triple.lambda0, [n])[0]
 
 

@@ -81,6 +81,9 @@ class ParameterTriple:
             )
         if theta1.shape[1] != theta2.shape[1]:
             raise DimensionError("theta1 and theta2 must have equal width")
+        if n == 0 or theta1.shape[1] == 0:
+            raise DimensionError(f"a triple needs N >= 1 and m >= 1, got "
+                                 f"N = {n}, m = {theta1.shape[1]}")
         sigma0 = self.sigma0
         if sigma0 is None:
             sigma0 = np.eye(n, dtype=complex)

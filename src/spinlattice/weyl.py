@@ -49,6 +49,9 @@ class Realization:
             raise DimensionError(
                 f"vartheta blocks must be {n} x m, got {v1.shape} and {v2.shape}"
             )
+        if n == 0 or v1.shape[1] == 0:
+            raise DimensionError(f"a realization needs N >= 1 and m >= 1, "
+                                 f"got N = {n}, m = {v1.shape[1]}")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "vartheta1", v1)
         object.__setattr__(self, "vartheta2", v2)
@@ -73,8 +76,6 @@ class Realization:
         checked in order, then one broadcast solve of the stacked
         lambda I - gamma."""
         lams = np.array([complex(lam) for lam in lams], dtype=complex)
-        if self.order == 0:
-            return np.zeros((lams.size, self.m, self.m), dtype=complex)
         linalg.check_pole(lams, self._spectrum, tol, "gamma")
         shifted = (lams[:, None, None] * np.eye(self.order, dtype=complex)
                    - self.gamma)
@@ -109,17 +110,17 @@ def weyl(triple: ParameterTriple, tol: Tolerances = DEFAULT):
         raise AdmissibilityError(
             f"triple of class {report.triple_class.value} has no Weyl function"
         )
-    return _realization(triple.alpha, triple.theta1, triple.theta2, triple.sigma0)
+    return _realization(triple)
 
 
-def _realization(alpha, theta1, theta2, sigma0):
+def _realization(t: ParameterTriple):
     """gamma = beta = alpha - i theta2 theta2* sigma0^{-1},
     vartheta1 = sigma0^{-1} theta1, vartheta2 = theta2."""
-    sigma_inv_t2 = linalg.solve(sigma0, theta2, "sigma0")
+    sigma_inv_t2 = linalg.solve(t.sigma0, t.theta2, "sigma0")
     return Realization(
-        gamma=alpha - 1j * theta2 @ sigma_inv_t2.conj().T,
-        vartheta1=linalg.solve(sigma0, theta1, "sigma0"),
-        vartheta2=theta2,
+        gamma=t.alpha - 1j * t.theta2 @ sigma_inv_t2.conj().T,
+        vartheta1=linalg.solve(t.sigma0, t.theta1, "sigma0"),
+        vartheta2=t.theta2,
     )
 
 

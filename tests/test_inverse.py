@@ -141,13 +141,17 @@ def test_invert_handles_non_minimal(rng):
 
 
 def test_zero_function_rejected():
+    """phi = 0: reduce_to_minimal finds an empty controllable basis and
+    raises what invert raises."""
     r = Realization(
         gamma=np.array([[2.0 + 1j]]),
         vartheta1=np.array([[0.0]], dtype=complex),
         vartheta2=np.array([[0.0]], dtype=complex),
     )
-    with pytest.raises(AdmissibilityError):
-        invert(r)
+    for fn in (invert, reduce_to_minimal):
+        with pytest.raises(AdmissibilityError, match=r"^the zero function "
+                           r"has no admissible triple \(order 0\)$"):
+            fn(r)
 
 
 def _spins_error(a, b):

@@ -13,6 +13,7 @@ from spinlattice import (
     lambda_closed_form,
     monotone_diagnostics,
     random_admissible_triple,
+    random_general_sigma_triple,
     signature_matrix,
     spin_matrix,
 )
@@ -48,14 +49,19 @@ def test_advance_zero_lambda():
 
 
 def test_closed_form_matches_recursion(rng):
-    t = random_admissible_triple(rng, 4, 2)
-    state = generate(t, 12)
-    for n in (0, 1, 5, 12):
-        closed = lambda_closed_form(t, n)
-        rel = np.linalg.norm(closed - state.lambdas[n]) / max(
-            1.0, np.linalg.norm(state.lambdas[n])
-        )
-        assert rel <= 1e-11
+    """For every sigma0: the Lambda_n step never reads Sigma_n."""
+    cases = [(random_admissible_triple(rng, 4, 2), (0, 1, 5, 12))] + [
+        (random_general_sigma_triple(np.random.default_rng(order), order,
+                                     1 + order % 3), (0, 1, 7, 20))
+        for order in range(1, 7)]
+    for t, ns in cases:
+        state = generate(t, max(ns))
+        for n in ns:
+            closed = lambda_closed_form(t, n)
+            rel = np.linalg.norm(closed - state.lambdas[n]) / max(
+                1.0, np.linalg.norm(state.lambdas[n])
+            )
+            assert rel <= 1e-11
 
 
 def test_spin_zero_potential():

@@ -3,6 +3,7 @@ import pytest
 
 from spinlattice import (
     ParameterTriple,
+    Realization,
     TripleClass,
     generate,
     normalize_sigma0,
@@ -30,6 +31,23 @@ def test_dimension_mismatch():
             theta1=np.ones((3, 1), dtype=complex),
             theta2=np.ones((2, 1), dtype=complex),
         )
+
+
+@pytest.mark.parametrize("build, kwargs", (
+    (ParameterTriple, dict(alpha=[[2j]], theta1=np.zeros((1, 0)),
+                           theta2=np.zeros((1, 0)))),
+    (ParameterTriple, dict(alpha=np.zeros((0, 0)), theta1=np.zeros((0, 1)),
+                           theta2=np.zeros((0, 1)))),
+    (Realization, dict(gamma=[[2j]], vartheta1=np.zeros((1, 0)),
+                       vartheta2=np.zeros((1, 0)))),
+    (Realization, dict(gamma=np.zeros((0, 0)), vartheta1=np.zeros((0, 1)),
+                       vartheta2=np.zeros((0, 1)))),
+), ids=("triple-m0", "triple-n0", "realization-m0", "realization-n0"))
+def test_empty_triples_and_realizations_are_refused(build, kwargs):
+    """N >= 1 and m >= 1 when built, before an empty block can reach a
+    lattice or Transfer, which cannot reshape it."""
+    with pytest.raises(DimensionError, match="N >= 1 and m >= 1"):
+        build(**kwargs)
 
 
 def test_spectrum_report_is_kept_per_tolerances():

@@ -178,13 +178,19 @@ def test_verify_batches_its_shared_work(batches, n_max, state_horizons):
     half plane: one validate; one batch of time-t triples, for t = 0, 0.2
     and t = 0.1, 0.35; one Gramian flow over t = 0.1, 0.35; one recursion
     for the state to n_max and the horizon-30 state, and one for the
-    horizon-3 time grid, which carries dS_n/dt along."""
-    triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
-    results = run_checks(triple, n_max=n_max)
-    assert all(np.isfinite(r.residual) for r in results)     # none raised
-    assert batches == {"_triples_at": [4], "_sigma_flow": [2],
-                       "generate_stack": [state_horizons, [3, 3]],
-                       "validate": 1}
+    horizon-3 time grid, which carries dS_n/dt along.  A general sigma0
+    adds nothing: the closed form reads the state's Lambda_n, and the
+    normalized Weyl realization is built without a second validate."""
+    for triple in (random_admissible_triple(np.random.default_rng(5), 3, 1),
+                   random_general_sigma_triple(np.random.default_rng(7), 3,
+                                               1)):
+        batches.update(_triples_at=[], _sigma_flow=[], generate_stack=[],
+                       validate=0)
+        results = run_checks(triple, n_max=n_max)
+        assert all(np.isfinite(r.residual) for r in results)  # none raised
+        assert batches == {"_triples_at": [4], "_sigma_flow": [2],
+                           "generate_stack": [state_horizons, [3, 3]],
+                           "validate": 1}
 
 
 @pytest.mark.parametrize("order, m, count", ((3, 1, 23), (4, 2, 17)))
