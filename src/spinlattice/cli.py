@@ -195,12 +195,14 @@ def _cmd_evolve(args, tol):
         if as_json:
             spins, sigma0 = grid.spins[:, 1:-1].copy(), grid.sigma0.copy()
         for k, t in enumerate(grid.times.tolist()):
-            for i, n in enumerate(sites):
-                row = (t, n, *vectors[k][i], zc[k][i], ihm[k][i])
-                if as_json:
-                    row = dict(zip(columns, row), spin=spins[k, i],
-                               sigma0=sigma0[k])
-                rows.append(row)
+            cells = [(t, n, *vectors[k][i], zc[k][i], ihm[k][i])
+                     for i, n in enumerate(sites)]
+            if as_json:
+                # one object per time: Sigma_0(t) once, then its sites
+                cells = [{"t": t, "sigma0": sigma0[k], "sites": [
+                    dict(zip(columns[1:], cell[1:]), spin=spins[k, i])
+                    for i, cell in enumerate(cells)]}]
+            rows += cells
     return serialize.dumps(rows) if as_json else _csv(columns, rows)
 
 

@@ -5,7 +5,7 @@ name (``--tol name=value``).  The defaults are deliberate: the underlying
 algebraic identities are exact, the slack only absorbs floating point error.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)

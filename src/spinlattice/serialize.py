@@ -177,11 +177,13 @@ def realization_from_obj(obj, where="realization"):
 
 
 def _state_doc(state):
+    """The ``spins`` document of a lattice state: its triple, horizon,
+    spins and health.  Lambda_n and Sigma_n are left out: ``generate`` of
+    the triple at ``n_max`` rebuilds them bit for bit, and Lambda_n has a
+    closed form in the triple."""
     return {
         "triple": _triple_doc(state.triple),
         "n_max": state.n_max,
-        "lambdas": list(state.lambdas),
-        "sigmas": list(state.sigmas),
         "spins": list(state.spins),
         "conditioning": [float(c) for c in state.conditioning],
         "spin_residuals": [float(r) for r in state.spin_residuals],
@@ -189,6 +191,8 @@ def _state_doc(state):
 
 
 def state_to_obj(state):
+    """The plain JSON object of ``_state_doc``: keys ``triple``, ``n_max``,
+    ``spins``, ``conditioning`` and ``spin_residuals``."""
     return _plain(_state_doc(state))
 
 

@@ -6,7 +6,7 @@ the random generators used by the verification suites.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

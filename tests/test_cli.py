@@ -336,14 +336,15 @@ def test_evolve_rows_match_the_residual_functions(triple_file, capsys):
 
     assert main(["evolve", triple_file, "--nmax", "5", "--time-grid",
                  "0,0.4,3", "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [(r["t"], r["n"]) for r in rows] == [
-        (t, n) for t in (0.0, 0.2, 0.4) for n in (1, 2, 3)]
+    doc = json.loads(capsys.readouterr().out)
+    assert [(d["t"], [r["n"] for r in d["sites"]]) for d in doc] == [
+        (t, [1, 2, 3]) for t in (0.0, 0.2, 0.4)]
     triple = serialize.triple_from_obj(serialize.load_json(triple_file))
-    for r in rows:
-        assert r["zc_residual"] == zero_curvature_residual(
-            triple, r["n"], r["t"], 2.0 + 0.5j)
-        assert r["ihm_residual"] == ihm_residual(triple, r["n"], r["t"])
+    for d in doc:
+        for r in d["sites"]:
+            assert r["zc_residual"] == zero_curvature_residual(
+                triple, r["n"], d["t"], 2.0 + 0.5j)
+            assert r["ihm_residual"] == ihm_residual(triple, r["n"], d["t"])
 
 
 def test_evolve_needs_m_equal_one(tmp_path, capsys):
@@ -357,13 +358,14 @@ def test_evolve_needs_m_equal_one(tmp_path, capsys):
 def test_evolve_takes_the_flow_route_on_a_real_spectrum(real_mode_file, capsys):
     assert main(["evolve", real_mode_file, "--time-grid=-0.5,1,4",
                  "--nmax", "5", "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 4 * 3
+    doc = json.loads(capsys.readouterr().out)
+    assert [len(d["sites"]) for d in doc] == [3] * 4
     r2 = np.sqrt(2.0)
-    for row in rows:
-        want = spin_closed_form(row["n"], row["t"], 2.0, r2, r2)
-        got = serialize.matrix_from_obj(row["spin"])
-        assert np.linalg.norm(got - want) <= 1e-12
+    for d in doc:
+        for row in d["sites"]:
+            want = spin_closed_form(row["n"], d["t"], 2.0, r2, r2)
+            got = serialize.matrix_from_obj(row["spin"])
+            assert np.linalg.norm(got - want) <= 1e-12
 
 
 def test_verify_passes_every_check_on_a_real_spectrum(real_mode_file, capsys):
@@ -450,7 +452,8 @@ def test_evolve_output_is_that_of_the_per_time_lattice(capsys, name, n_max,
     """tests/data/evolve/<name>.out.csv and <name>.out.json were written by
     the per-time implementation of evolve (commit 7c080c7), one lattice and
     one residual per time and site; the stacked grid writes the same
-    bytes."""
+    bytes.  The JSON files have since been regrouped to one object per
+    time, with each value unchanged."""
     for fmt in outputs:
         assert main(["evolve", str(EVOLVE_DATA / f"{name}.json"), "--nmax",
                      str(n_max), f"--time-grid={grid}", "--format",
@@ -504,7 +507,9 @@ def test_json_and_csv_outputs_are_those_of_the_per_matrix_writer(capsys, name,
                                                                   argv):
     """tests/data/json/<name> were written by the writer that formatted
     every float of every matrix (commit dea30bd); the m2 and m3 triples are
-    those of CI, and <name>.realization.json their Weyl realizations."""
+    those of CI, and <name>.realization.json their Weyl realizations.  The
+    spins.json files have since lost their lambdas and sigmas keys, with
+    every other value unchanged."""
     assert main(argv) == 0
     assert capsys.readouterr().out == (JSON_DATA / name).read_text()
 
@@ -623,21 +628,25 @@ def test_json_commands_write_the_stdlib_bytes_of_the_plain_objects(
                              for z in grid],
         }
         if triple.m == 1:
-            rows = []
+            times = []
             for t in (-0.2, 0.1):
                 lattice = TimeGrid(triple, [t], 4)
                 state = lattice.state(0)
+                sites = []
                 for n in (1, 2):
                     s1, s2, s3 = lattice.vectors[0, n].tolist()
-                    rows.append({
-                        "t": t, "n": n, "s1": s1, "s2": s2, "s3": s3,
+                    sites.append({
+                        "n": n, "s1": s1, "s2": s2, "s3": s3,
                         "zc_residual": lattice.zero_curvature_at(0, n, lam),
                         "ihm_residual": lattice.ihm_at(0, n),
                         "spin": serialize.matrix_to_obj(state.spins[n]),
-                        "sigma0": serialize.matrix_to_obj(state.sigmas[0]),
                     })
+                times.append({
+                    "t": t, "sites": sites,
+                    "sigma0": serialize.matrix_to_obj(state.sigmas[0]),
+                })
             expected[("evolve", path, "--nmax", "4", "--time-grid=-0.2,0.1,2",
-                      "--format", "json")] = rows
+                      "--format", "json")] = times
         for argv, obj in expected.items():
             assert main(list(argv)) == 0, argv
             assert capsys.readouterr().out == _stdlib_json(obj), argv

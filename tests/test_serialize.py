@@ -194,8 +194,8 @@ def _json_floats(obj):
 
 def test_dumps_formats_each_distinct_magnitude_once(monkeypatch):
     """The spins document of the CI m = 2 triple at horizon 30 formats as
-    many floats as it has distinct |x|, under 70 % of its floats: Sigma_n and
-    S_n are exactly Hermitian, so mirrored entries share magnitudes."""
+    many floats as it has distinct |x|, under 70 % of its floats: S_n is
+    exactly Hermitian, so mirrored entries share magnitudes."""
     path = pathlib.Path(__file__).parent / "data" / "verify" / "m2.json"
     triple = serialize.triple_from_obj(serialize.load_json(path))
     doc = serialize._state_doc(generate(triple, 30))
@@ -212,3 +212,33 @@ def test_dumps_formats_each_distinct_magnitude_once(monkeypatch):
     distinct = np.unique(floats.view(np.uint64)).size
     assert formatted == [distinct]
     assert distinct < 0.7 * floats.size
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ("m2", "m3", "real_mode"))
+def test_spins_document_is_a_fixed_point_of_its_triple(name):
+    """A spins document carries no Lambda_n or Sigma_n: generate rebuilds
+    them from its triple, and the rebuilt state writes the same bytes."""
+    text = (DATA / "json" / f"{name}.spins.json").read_text()
+    doc = json.loads(text)
+    assert set(doc) == {"triple", "n_max", "spins", "conditioning",
+                        "spin_residuals"}
+    state = generate(serialize.triple_from_obj(doc["triple"]), doc["n_max"])
+    assert serialize.dumps(serialize._state_doc(state)) == text
+
+
+def test_spins_document_of_m3_at_horizon_60_holds_one_copy_of_each_fact():
+    """The CI m = 3 triple at horizon 60: 4,551 floats in 215,326 bytes.
+    dumps collects them as 4,672 values, since each float leaf (the 121 of
+    conditioning and spin_residuals) enters as an (x, x) pair."""
+    triple = serialize.triple_from_obj(
+        serialize.load_json(DATA / "verify" / "m3.json"))
+    doc = serialize._state_doc(generate(triple, 60))
+    values = []
+    serialize._template(doc, 0, values)
+    assert sum(np.size(pair) for pair in values) == 4672
+    text = serialize.dumps(doc)
+    assert len(_json_floats(json.loads(text))) == 4551
+    assert len(text.encode()) == 215326
