@@ -27,7 +27,6 @@ from .evolution import (
     ihm_residual,
     lambda_n_at,
     lax_pair,
-    monodromy_residual,
     positivity_interval,
     spin_evolution,
     spin_vector,
@@ -52,9 +51,8 @@ from .lattice import (
     k_residual,
     lambda_closed_form,
     monotone_diagnostics,
-    spin_matrix,
 )
-from .transfer import Transfer, j_power_factor
+from .transfer import Transfer
 from .triples import (
     AdmissibilityReport,
     ParameterTriple,
@@ -68,12 +66,10 @@ from .triples import (
     signature_matrix,
     validate,
 )
-from .verify import CheckResult, check_names, run_checks
+from .verify import CheckResult, run_checks
 from .weyl import (
-    BlockDecomposition,
     Realization,
     SummabilityReport,
-    block_decomposition,
     lambda_grid,
     summability_diagnostic,
     weyl,
@@ -82,7 +78,6 @@ from .worked_example import (
     example_triple,
     phi_closed_form,
     run_diffs,
-    sigma_closed_form,
     spin_closed_form,
 )
 

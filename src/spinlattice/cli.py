@@ -7,8 +7,10 @@ code: 0 success, 1 check failure, 2 input error, 3 numeric failure.
 """
 
 import argparse
+import contextlib
 import functools
 import io
+import os
 import sys
 
 import numpy as np
@@ -318,14 +320,21 @@ def main(argv=None):
                              f"got {args.nmax}")
         result = args.func(args, tol)
         text, code = result if isinstance(result, tuple) else (result, 0)
-        if not args.output:
-            sys.stdout.write(text)
-            return code
         try:
-            with open(args.output, "w") as stream:
-                stream.write(text)
+            if args.output:
+                with open(args.output, "w") as stream:
+                    stream.write(text)
+            else:   # a closed pipe or a full device fails here
+                sys.stdout.write(text)
+                sys.stdout.flush()
         except OSError as exc:
-            raise InputError(f"cannot write {args.output}: "
+            if not args.output:   # else its buffered bytes fail again at exit
+                with contextlib.suppress(OSError):   # an in-memory stdout
+                    fd = sys.stdout.fileno()
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, fd)
+                    os.close(devnull)
+            raise InputError(f"cannot write {args.output or 'stdout'}: "
                              f"{exc.strerror}") from exc
         return code
     except (InputError, DimensionError, AdmissibilityError) as exc:

@@ -42,7 +42,6 @@ __all__ = [
     "ihm_residual",
     "weyl_evolution",
     "positivity_interval",
-    "monodromy_residual",
 ]
 
 
@@ -672,7 +671,7 @@ class TimeGrid:
         )
 
     def monodromy(self, k, n, lam):
-        """``monodromy_residual`` at time k and site n <= N - 1."""
+        """``_monodromy`` at time k and site n <= N - 1."""
         self._check(k)
         return _monodromy(self._transfer(k), float(self.times[k]), n, lam)
 
@@ -757,22 +756,15 @@ def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,
     return edges[0], edges[1]
 
 
-def monodromy_residual(triple: ParameterTriple, n, t, lam,
-                       tol: Tolerances = DEFAULT):
-    """Residual of the discrete half of the auxiliary linear system for the
-    normalized family
+def _monodromy(transfer, t, n, lam):
+    """Residual of the discrete half of the auxiliary linear system over the
+    Transfer of the state at time t, for the normalized family
 
     What_n = lam^{-n} W(n, t, lam) diag((lam - i)^n e^{2t/(lam - i)} I_m,
                                         (lam + i)^n e^{2t/(lam + i)} I_m):
 
     returns ||What_{n+1} - G_n What_n||_F.
     """
-    return _monodromy(Transfer(state_at(triple, t, n_max=n + 1, tol=tol), tol),
-                      t, n, lam)
-
-
-def _monodromy(transfer, t, n, lam):
-    """``monodromy_residual`` over the Transfer of the state at time t."""
     lam = _lax_parameter(lam, transfer.tol)
     m = transfer.m
 

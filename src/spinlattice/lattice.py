@@ -21,7 +21,6 @@ __all__ = [
     "LatticeStack",
     "generate",
     "generate_stack",
-    "spin_matrix",
     "MonotoneDiagnostics",
     "monotone_diagnostics",
     "k_residual",
@@ -404,14 +403,6 @@ def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT):
     stack = generate_stack(triple.alpha, triple.lambda0[None],
                            triple.sigma0[None], [n_max], tol)
     return stack.state(0, triple)
-
-
-def spin_matrix(state: LatticeState, n):
-    """S_n = J + Lambda_n* Sigma_n^{-1} Lambda_n
-              - Lambda_{n+1}* Sigma_{n+1}^{-1} Lambda_{n+1}."""
-    if not 0 <= n < state.n_max:
-        raise ValueError(f"spin index {n} outside horizon {state.n_max}")
-    return state.spins[n]
 
 
 def k_residual(state: LatticeState, n):

@@ -23,7 +23,6 @@ from .errors import (
 
 __all__ = [
     "as_matrix",
-    "as_matrices",
     "frob",
     "frob_norms",
     "herm",

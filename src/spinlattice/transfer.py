@@ -16,16 +16,12 @@ from .config import DEFAULT, Tolerances
 from .errors import NumericError, PoleError
 from .lattice import LatticeState, _h
 
-__all__ = ["Transfer", "j_power_factor"]
-
-
-def j_power_factor(lam, n, m):
-    """(I - (i/lambda) J)^n in closed form: diag((1 - i/lam)^n, (1 + i/lam)^n)."""
-    return _j_powers(lam, [n], m)[0]
+__all__ = ["Transfer"]
 
 
 def _j_powers(lam, powers, m):
-    """j_power_factor(lam, n, m) for each n in ``powers``, stacked."""
+    """(I - (i/lambda) J)^n in closed form, diag((1 - i/lam)^n I_m,
+    (1 + i/lam)^n I_m), for each n in ``powers``, stacked."""
     if lam == 0:
         raise PoleError("the factor (I - (i/lambda)J)^n has a pole at lambda = 0")
     try:    # Python complex powers overflow to an error, inf or NaN
@@ -166,7 +162,7 @@ class Transfer:
         n = self._sites(sites, self.state.n_max - 1)
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)
-        step = np.stack([j_power_factor(lam, 1, self.m) for lam in lams])
+        step = np.stack([_j_powers(lam, [1], self.m)[0] for lam in lams])
         g = np.eye(2 * self.m, dtype=complex) - _scaled(
             [1j / lam for lam in lams], self.state.spins[n][:, None])
         return linalg.frob_norms(w[n + 1] @ step - g @ w[n])
@@ -262,9 +258,3 @@ class Transfer:
     def factorization_residuals(self, n):
         return {key: float(value[0]) for key, value
                 in self.factorization_residual_arrays([n]).items()}
-
-    def properness_deviation(self, n, radius=1e8):
-        """||W(n, lam) - I|| at |lam| = radius (decays like 1/|lam|)."""
-        return linalg.frob(
-            self.w(n, complex(radius)) - np.eye(2 * self.m)
-        )

@@ -18,7 +18,7 @@ from .triples import (ParameterTriple, TripleClass, _identity_residuals,
                       normalize_sigma0, validate)
 from .weyl import _lambda_grid, _realization, _summability
 
-__all__ = ["CheckResult", "check_names", "run_checks"]
+__all__ = ["CheckResult", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -327,13 +327,6 @@ _EVOLUTION_CHECKS = {
     "monodromy": _monodromy,
     "zero-curvature": _zero_curvature,
 }
-
-
-def check_names(m=1):
-    names = list(_GENERAL_CHECKS)
-    if m == 1:
-        names += list(_EVOLUTION_CHECKS)
-    return sorted(names)
 
 
 def run_checks(triple: ParameterTriple, n_max=15, tol: Tolerances = DEFAULT):

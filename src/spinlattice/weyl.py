@@ -1,6 +1,5 @@
-"""Weyl functions as state-space realizations, block decomposition of
-W(0, lambda), and the summability diagnostic that defines the Weyl
-function.
+"""Weyl functions as state-space realizations, and the summability
+diagnostic that defines the Weyl function.
 """
 
 from dataclasses import dataclass, replace
@@ -18,8 +17,6 @@ from .triples import ParameterTriple, TripleClass, validate
 __all__ = [
     "Realization",
     "weyl",
-    "BlockDecomposition",
-    "block_decomposition",
     "SummabilityReport",
     "summability_diagnostic",
     "lambda_grid",
@@ -121,25 +118,6 @@ def _realization(t: ParameterTriple):
         gamma=t.alpha - 1j * t.theta2 @ sigma_inv_t2.conj().T,
         vartheta1=linalg.solve(t.sigma0, t.theta1, "sigma0"),
         vartheta2=t.theta2,
-    )
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """The m x m blocks a, b, c, d of W(0, lambda)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-
-def block_decomposition(triple: ParameterTriple, lam, tol: Tolerances = DEFAULT):
-    """Split W(0, lambda) into its m x m blocks."""
-    w0 = Transfer(generate(triple, n_max=0, tol=tol), tol).w(0, lam)
-    m = triple.m
-    return BlockDecomposition(
-        a=w0[:m, :m], b=w0[:m, m:], c=w0[m:, :m], d=w0[m:, m:]
     )
 
 

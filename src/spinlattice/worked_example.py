@@ -16,8 +16,6 @@ from .weyl import weyl
 
 __all__ = [
     "example_triple",
-    "c_coefficient",
-    "sigma_closed_form",
     "lambda_closed_form_t",
     "spin_closed_form",
     "phi_closed_form",

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -95,6 +96,68 @@ def test_unreadable_input_and_unwritable_output_are_one_error_line(
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
         ["folder", "example.json", *([source.name] if case in (
             "binary input", "deeply nested input") else [])])
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` raises ``error``."""
+
+    def __init__(self, method, error):
+        super().__init__()
+        self.method, self.error = method, error
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("method, error", (
+    ("write", BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))),
+    ("flush", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))))
+def test_an_unwritable_stdout_is_one_error_line(
+        example_file, capsys, monkeypatch, method, error):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(method, error))
+    assert main(["validate", example_file]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write stdout: {error.strerror}"]
+
+
+def _closed_pipe():
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("open_stdout, errnum", (
+    (_closed_pipe, errno.EPIPE),
+    pytest.param(lambda: os.open("/dev/full", os.O_WRONLY), errno.ENOSPC,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full"))),
+    ids=("closed pipe", "full device"))
+def test_an_unwritable_stdout_exits_2_without_a_traceback(
+        example_file, open_stdout, errnum):
+    """A subprocess with a buffered stdout: the failed flush leaves its
+    bytes in the buffer, and the flush at interpreter exit must not write
+    them, or fail, again."""
+    src = pathlib.Path(spinlattice.__file__).parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONUNBUFFERED", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = str(src)
+    stdout = open_stdout()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinlattice.cli", "validate", example_file],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: cannot write stdout: {os.strerror(errnum)}"]
 
 
 def test_spins_csv(triple_file, capsys):

@@ -16,7 +16,6 @@ from spinlattice import (
     ihm_residual,
     lambda_n_at,
     lax_pair,
-    monodromy_residual,
     positivity_interval,
     random_admissible_triple,
     random_general_sigma_triple,
@@ -245,9 +244,10 @@ def test_ihm_equation_with_convergence_order(ihm_triple):
 
 
 def test_monodromy(ihm_triple):
+    grid = evolution.TimeGrid(ihm_triple, [0.3], 3)
     for n in (0, 1, 2):
         for lam in (2.0 + 0.5j, -1.0 + 2j):
-            assert monodromy_residual(ihm_triple, n, 0.3, lam) <= 1e-9
+            assert grid.monodromy(0, n, lam) <= 1e-9
 
 
 @pytest.mark.parametrize("lam", (1j + 1e-12, -1j + 1e-12, 1e-12))
@@ -257,7 +257,7 @@ def test_lax_parameter_near_a_pole_is_a_spectrum_error(ihm_triple, lam):
     with pytest.raises(SpectrumError):
         zero_curvature_residual(ihm_triple, 1, 0.2, lam)
     with pytest.raises(SpectrumError):
-        monodromy_residual(ihm_triple, 1, 0.2, lam)
+        evolution.TimeGrid(ihm_triple, [0.2], 2).monodromy(0, 1, lam)
     with pytest.raises(SpectrumError):
         lax_pair(ihm_triple, 1, 0.2, lam)
 

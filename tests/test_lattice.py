@@ -15,7 +15,6 @@ from spinlattice import (
     random_admissible_triple,
     random_general_sigma_triple,
     signature_matrix,
-    spin_matrix,
 )
 from spinlattice import lattice, linalg
 from spinlattice.config import DEFAULT
@@ -74,7 +73,7 @@ def test_spin_zero_potential():
     state = generate(t, 5)
     j = signature_matrix(1)
     for n in range(5):
-        assert np.allclose(spin_matrix(state, n), j)
+        assert np.allclose(state.spins[n], j)
 
 
 def test_spin_involution_and_hermitian(small_triple):
