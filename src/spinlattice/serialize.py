@@ -4,18 +4,18 @@ exports used by the command line tools.
 
 ``dumps`` writes a document: a nest of dicts with str keys, lists and JSON
 scalars whose leaves may also be complex numbers and complex matrices
-(``ndarray``).  Its
-bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)`` for the
-plain object in which each complex leaf is a ``complex_to_obj`` dict and
-each matrix a ``matrix_to_obj`` nest, but no per-entry dicts are built.
-It writes in two steps.  One walk of the document builds its text as one
-%-template (a cached template per matrix shape, cached string literals
-and complex templates, % doubled in keys and strings) and collects its
-floats, matrices straight from their arrays.  Then each distinct
-magnitude |x| of those floats is formatted once with Python's shortest
-round-trip repr, a "-" is added where the sign bit is set, and one %
-fills the template.  Keys are sorted, so identical inputs
-give identical bytes.
+(``ndarray``).  Its bytes are those of ``json.dumps(obj, sort_keys=True,
+indent=2)`` for the plain object in which each complex leaf is a
+``complex_to_obj`` dict and each matrix a ``matrix_to_obj`` nest, but no
+per-entry dicts are built.  It writes in two steps.  One walk of the
+document builds its text as one %-template (a cached template per matrix
+shape, cached string literals and complex templates, % doubled in keys
+and strings) and collects its floats, matrices straight from their
+arrays.  Then one orjson call writes the text of every float in C, and
+one % fills the template.  orjson's shortest round-trip text is Python's
+repr for zero and for every magnitude in [1e-4, 1e16); the few other
+floats, and NaN and the infinities, are written by repr as json writes
+them.  Keys are sorted, so identical inputs give identical bytes.
 """
 
 import cmath
@@ -25,6 +25,7 @@ import math
 import re
 
 import numpy as np
+import orjson
 
 from .errors import InputError
 from .triples import ParameterTriple
@@ -221,42 +222,30 @@ def _string(text):
 
 
 def _float(x):
-    """JSON text of a non-negative float or NaN."""
+    """JSON text of a float as json writes it, NaN and infinities too."""
     if x != x:
         return "NaN"
-    if x == math.inf:
-        return "Infinity"
+    if math.isinf(x):
+        return "-Infinity" if x < 0 else "Infinity"
     return float.__repr__(x)
-
-
-def _float_texts(magnitudes):
-    """JSON texts of an array of distinct non-negative floats (NaN
-    included): the one place where floats are formatted."""
-    values = magnitudes.tolist()
-    # float.__repr__ runs in C; only a non-finite entry needs _float's tokens
-    if np.isfinite(magnitudes).all():
-        return list(map(float.__repr__, values))
-    return list(map(_float, values))
-
-
-_SIGN = np.uint64(1 << 63)
 
 
 def _fill(values):
     """The JSON texts of the floats of ``values``, a list of sequences of
-    (re, im) pairs, in (im, re) order.  Each distinct magnitude |x| (by bit
-    pattern) is formatted once, and a "-" added where the sign bit is set:
-    the repr of -x is "-" and the repr of x, except for NaN, which has no
-    sign."""
-    if not values:
+    (re, im) pairs, in (im, re) order.  One orjson call writes them all;
+    its text is ``float.__repr__``'s for zeros and magnitudes in [1e-4,
+    1e16), and ``_float`` writes the rest (exponents, NaN, infinities)."""
+    floats = np.concatenate(values or [()]).reshape(-1, 2)[:, ::-1].ravel()
+    if not floats.size:
         return ()
-    floats = np.concatenate(values).reshape(-1, 2)[:, ::-1].ravel()
-    bits = floats.view(np.uint64)
-    magnitudes, inverse = np.unique(bits & ~_SIGN, return_inverse=True)
-    texts = np.array(_float_texts(magnitudes.view(np.float64)), dtype=object)
-    negative = (bits >= _SIGN) & (floats == floats)
-    table = np.concatenate((texts, "-" + texts))
-    return tuple(table[inverse + texts.size * negative].tolist())
+    text = orjson.dumps(floats, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    texts = text[1:-1].split(",")
+    magnitudes = np.abs(floats)
+    outside = np.flatnonzero(~((magnitudes >= 1e-4) & (magnitudes < 1e16)
+                               | (floats == 0)))
+    for i, x in zip(outside.tolist(), floats[outside].tolist()):
+        texts[i] = _float(x)
+    return tuple(texts)
 
 
 def _newline(depth):
@@ -309,8 +298,9 @@ def _template(value, depth, values):
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        # (x, x) is a pair like a complex entry's; "%.0s" prints nothing
-        values.append((value, value))
+        # the pair of x*1j, whose (im, re) order puts x first; "%.0s"
+        # prints nothing for its zero real part
+        values.append((0.0, value))
         return "%s%.0s"
     if isinstance(value, complex):
         values.append((value.real, value.imag))

@@ -168,6 +168,14 @@ _SUBNORMALS = [5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                -2.2250738585072014e-308 / 7, 1e-310]
 
 
+_RANGE_ENDS = [float(np.nextafter(1e-4, 0)), 1e-4, 9.999e-5, 1e-5,
+               float(np.nextafter(1e16, 0)), 1e16, 9999999999999998.0, -0.0,
+               5e-324, 1.7976931348623157e308]
+_SIGNED_ENDS = _RANGE_ENDS + [-x for x in _RANGE_ENDS]
+_ENDS_AS_PARTS = [complex(x, y) for x, y in zip(_SIGNED_ENDS,
+                                                _SIGNED_ENDS[::-1])]
+
+
 @pytest.mark.parametrize("doc", [
     _hermitian_with_signed_zeros(),
     {"s": [_hermitian_with_signed_zeros(), -_hermitian_with_signed_zeros()]},
@@ -177,10 +185,13 @@ _SUBNORMALS = [5e-324, -5e-324, 2.2250738585072014e-308 / 3,
     {"sub": _SUBNORMALS, "m": np.array([_SUBNORMALS], dtype=complex) * 1j},
     {"%s": "100%", "a%%b": ["%d", "%(x)s", "%s %s", 1.5], "%": -1.5,
      "%%s": {"%": complex(1.5, -1.5)}},
+    {"x": _SIGNED_ENDS, "z": _ENDS_AS_PARTS, "m": np.array([_ENDS_AS_PARTS])},
 ])
 def test_dumps_matches_the_stdlib_encoder_at_the_edges(doc):
     """Signed zeros of mirrored entries, NaN with the sign bit set, infinities,
-    subnormals, and % in keys and string values."""
+    subnormals, % in keys and string values, and both signs of the values at
+    either end of [1e-4, 1e16), as scalars, complex parts and matrix
+    entries."""
     assert serialize.dumps(doc) == _reference(doc)
 
 
@@ -192,26 +203,49 @@ def _json_floats(obj):
     return [obj] if isinstance(obj, float) else []
 
 
-def test_dumps_formats_each_distinct_magnitude_once(monkeypatch):
-    """The spins document of the CI m = 2 triple at horizon 30 formats as
-    many floats as it has distinct |x|, under 70 % of its floats: S_n is
-    exactly Hermitian, so mirrored entries share magnitudes."""
-    path = pathlib.Path(__file__).parent / "data" / "verify" / "m2.json"
+def test_dumps_writes_every_float_in_one_orjson_call(monkeypatch):
+    """The spins document of the m = 3 triple at horizon 60 writes its 4,551
+    floats (360 exact zeros) with one orjson call, and repr writes just the
+    76 whose magnitude lies outside [1e-4, 1e16), where orjson's text is
+    not repr's.  The call also writes the zero that each of the 121 float
+    leaves carries and "%.0s" drops."""
+    path = pathlib.Path(__file__).parent / "data" / "verify" / "m3.json"
     triple = serialize.triple_from_obj(serialize.load_json(path))
-    doc = serialize._state_doc(generate(triple, 30))
-    formatted = []
-    float_texts = serialize._float_texts
+    doc = serialize._state_doc(generate(triple, 60))
+    calls, repr_floats = [], []
+    orjson_dumps, float_text = serialize.orjson.dumps, serialize._float
 
-    def counting(magnitudes):
-        formatted.append(magnitudes.size)
-        return float_texts(magnitudes)
+    def counting_dumps(obj, **kwargs):
+        calls.append(obj.size)
+        return orjson_dumps(obj, **kwargs)
 
-    monkeypatch.setattr(serialize, "_float_texts", counting)
+    def counting_float(x):
+        repr_floats.append(x)
+        return float_text(x)
+
+    monkeypatch.setattr(serialize.orjson, "dumps", counting_dumps)
+    monkeypatch.setattr(serialize, "_float", counting_float)
     text = serialize.dumps(doc)
-    floats = np.abs(_json_floats(json.loads(text)))
-    distinct = np.unique(floats.view(np.uint64)).size
-    assert formatted == [distinct]
-    assert distinct < 0.7 * floats.size
+    floats = np.array(_json_floats(json.loads(text)))
+    outside = floats[(floats != 0) & ((np.abs(floats) < 1e-4)
+                                      | (np.abs(floats) >= 1e16))]
+    assert floats.size == 4551 and np.count_nonzero(floats == 0) == 360
+    assert calls == [4551 + 121]
+    assert repr_floats == outside.tolist() and len(repr_floats) == 76
+
+
+# a decade drawn uniformly, then a point in it: log-uniform over [1e-6, 1e18]
+_LOG_FLOATS = st.builds(
+    lambda decade, point, sign: sign * 10.0 ** (decade + point),
+    st.integers(-6, 17), st.floats(0, 1), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(x=_LOG_FLOATS)
+def test_dumps_writes_floats_across_both_range_ends_as_json_does(x):
+    """x log-uniform over [1e-6, 1e18] of both signs crosses 1e-4 and 1e16,
+    where orjson's text and repr's part."""
+    assert serialize.dumps([x]) == json.dumps([x], indent=2) + "\n"
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -232,7 +266,7 @@ def test_spins_document_is_a_fixed_point_of_its_triple(name):
 def test_spins_document_of_m3_at_horizon_60_holds_one_copy_of_each_fact():
     """The CI m = 3 triple at horizon 60: 4,551 floats in 215,326 bytes.
     dumps collects them as 4,672 values, since each float leaf (the 121 of
-    conditioning and spin_residuals) enters as an (x, x) pair."""
+    conditioning and spin_residuals) enters as a (0.0, x) pair."""
     triple = serialize.triple_from_obj(
         serialize.load_json(DATA / "verify" / "m3.json"))
     doc = serialize._state_doc(generate(triple, 60))
