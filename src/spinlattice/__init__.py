@@ -30,7 +30,6 @@ from .evolution import (
     positivity_interval,
     spin_evolution,
     spin_vector,
-    state_at,
     triple_at,
     weyl_evolution,
     zero_curvature_residual,
@@ -46,7 +45,6 @@ from .inverse import (
 from .lattice import (
     LatticeState,
     MonotoneDiagnostics,
-    advance,
     generate,
     k_residual,
     lambda_closed_form,

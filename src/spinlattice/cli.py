@@ -152,7 +152,7 @@ def _cmd_spins(args, tol):
     state = generate(_load_triple(args.triple), n_max=args.nmax, tol=tol)
     if args.format == "csv":
         return _csv(["n", "i", "j", "re", "im"],
-                    serialize.spin_csv_rows(state))
+                    serialize.stack_csv_rows(state.spins))
     return serialize.dumps(serialize._state_doc(state))
 
 

@@ -9,6 +9,7 @@ IHM semantics are fixed to 2x2 spin matrices (m = 1); the time evolution of
 Lambda_0 and Sigma_0 is implemented for general m.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,6 @@ __all__ = [
     "lambda_n_at",
     "evolve_sigma0",
     "triple_at",
-    "state_at",
     "TimeGrid",
     "trajectory",
     "SpinVector",
@@ -56,9 +56,7 @@ def _check_spectrum(triple, tol):
     spec = triple.spectrum(tol)
     if spec.contains_plus_i or spec.contains_minus_i:
         raise SpectrumError(
-            "time evolution requires +/-i not in the spectrum of alpha",
-            eigenvalue=1j if spec.contains_plus_i else -1j,
-        )
+            "time evolution requires +/-i not in the spectrum of alpha")
     return spec
 
 
@@ -140,9 +138,7 @@ def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
 def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     """Closed-form Lambda_n(t): lattice powers applied to Lambda_0(t)."""
     if _check_spectrum(triple, tol).contains_zero:
-        raise SpectrumError(
-            "time evolution requires alpha invertible", eigenvalue=0.0
-        )
+        raise SpectrumError("time evolution requires alpha invertible")
     return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), [n])[0]
 
 
@@ -174,7 +170,7 @@ def _flow(alpha, m):
 def _sigma_rk4(triple, t, rk_step=1e-3):
     """Classical RK4 on the Sigma_0 flow (``_flow``) from Sigma_0(0),
     ceil(|t| / rk_step) steps (at most MAX_RK_STEPS), symmetrized.
-    Lambda_0 is advanced from one stage time to the next by the exact
+    Lambda_0 is carried from one stage time to the next by the exact
     half-step propagators e^{-h(alpha -/+ iI)^{-1}}.
     """
     alpha, m = triple.alpha, triple.m
@@ -275,7 +271,7 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
         return _at(_sigma_flow, triple, t)[0][0]
     if method == "ode":
         return _sigma_rk4(triple, t, rk_step)
-    if spec.min_imag_part <= tol.spec_tol:
+    if not spec.in_upper_half_plane:
         raise SpectrumError(
             "sylvester route needs the spectrum of alpha strictly in the "
             "open upper half plane"
@@ -303,7 +299,7 @@ def _triples_at(triple, times, tol):
     lam_t, moved = _lambda0(triple, times[moving], tol)
     sigma_t = sigma[moving]
     live = _live(moved)
-    if triple.spectrum(tol).min_imag_part > tol.spec_tol:
+    if triple.spectrum(tol).in_upper_half_plane:
         c = 1j * lam_t @ _h(lam_t)
         _record(moved, ~_finite(lam_t),
                 NumericError("lambda contains non-finite entries"))
@@ -368,22 +364,15 @@ def _triple_with(triple, lam, sigma):
     return moved
 
 
-def state_at(triple: ParameterTriple, t, n_max, tol: Tolerances = DEFAULT):
-    return generate(triple_at(triple, t, tol), n_max=n_max, tol=tol)
-
-
 @dataclass(frozen=True)
 class SpinVector:
     s1: float
     s2: float
     s3: float
 
-    def as_array(self):
-        return np.array([self.s1, self.s2, self.s3])
-
     @property
     def norm(self):
-        return float(np.linalg.norm(self.as_array()))
+        return float(np.linalg.norm([self.s1, self.s2, self.s3]))
 
 
 def _components(s):
@@ -441,9 +430,11 @@ def _require_ihm(triple):
 
 
 def spin_evolution(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
-    """(S_n(t), spin vector) from the time-t triple."""
+    """(S_n(t), spin vector) at a site n >= 0 from the time-t triple."""
     _require_ihm(triple)
-    state = state_at(triple, t, n_max=n + 1, tol=tol)
+    if operator.index(n) < 0:
+        raise ValueError(f"spin_evolution needs a site n >= 0, got {n}")
+    state = generate(triple_at(triple, t, tol), n_max=n + 1, tol=tol)
     s = state.spins[n]
     return s, spin_vector(s, tol)
 
@@ -736,8 +727,15 @@ def positivity_interval(triple: ParameterTriple, t_max=5.0, step=0.05,
     reached); returns the last good bracketing times
     ``(t_minus, t_plus)``.  Each point evolves the triple of the previous
     one by ``step``, so the march costs time linear in ``t_max / step``
-    on either route of Sigma_0(t).
+    on either route of Sigma_0(t).  ``t_max`` must be finite and
+    non-negative, ``step`` finite and positive, and so ``t_max / step``.
     """
+    if not (np.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"positivity_interval needs a finite t_max >= 0, "
+                         f"got {t_max}")
+    if not (np.isfinite(step) and step > 0 and np.isfinite(t_max / step)):
+        raise ValueError(f"positivity_interval needs a finite step > 0 and "
+                         f"a finite t_max / step, got step = {step}")
     edges = []
     for sign in (-1.0, 1.0):
         good = 0.0

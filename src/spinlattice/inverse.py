@@ -30,8 +30,8 @@ def check_minimal(r: Realization, tol: Tolerances = DEFAULT):
     Controllability tests {gamma, vartheta2}; observability dualizes to the
     full-range test on {gamma*, vartheta1}.
     """
-    controllable, _ = linalg.is_full_range(r.gamma, r.vartheta2, tol)
-    observable, _ = linalg.is_full_range(r.gamma.conj().T, r.vartheta1, tol)
+    controllable = linalg.is_full_range(r.gamma, r.vartheta2, tol)
+    observable = linalg.is_full_range(r.gamma.conj().T, r.vartheta1, tol)
     return controllable, observable
 
 
@@ -126,9 +126,8 @@ def _riccati(r: Realization, tol: Tolerances):
     min_eig = float(np.linalg.eigvalsh(x)[0])
     if min_eig <= tol.posdef_tol:
         raise NotPositiveDefiniteError(
-            f"Riccati solution is not positive definite (min eig {min_eig:.3e})",
-            min_eigenvalue=min_eig,
-        )
+            f"Riccati solution is not positive definite (min eig "
+            f"{min_eig:.3e})")
     return RiccatiSolution(
         x=x,
         residual_norm=res_norm,

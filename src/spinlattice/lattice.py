@@ -15,7 +15,6 @@ from .errors import (ConditioningError, InputError, NumericError,
 from .triples import ParameterTriple, signature_matrix
 
 __all__ = [
-    "advance",
     "lambda_closed_form",
     "LatticeState",
     "LatticeStack",
@@ -27,27 +26,10 @@ __all__ = [
 ]
 
 
-def advance(alpha, lam, sigma):
-    """One step of the lattice recursion, for one (Lambda, Sigma) or for
-    each of a stack.
-
-    Lambda' = Lambda + i alpha^{-1} Lambda J,
-    Sigma'  = Sigma + alpha^{-1} Sigma alpha^{-*}
-                    + alpha^{-1} Lambda J Lambda* alpha^{-*}.
-
-    Returns ``(lam_next, sigma_next, asymmetry)`` with sigma_next
-    symmetrized and the discarded anti-Hermitian norm reported.
-    """
-    lam_step, forcing, sigma_step, _ = _stepper(linalg.inv(alpha, "alpha"),
-                                                lam.shape[-1] // 2)
-    sigma_next = sigma_step(sigma, forcing(lam, lam))
-    sym = linalg.herm(sigma_next)
-    return lam_step(lam), sym, linalg.frob_norms(sigma_next - sym)
-
-
 def _stepper(alpha_inv, m):
-    """The formulas of one step of ``advance`` and of its derivative, with
-    their constants J, i alpha^{-1} and alpha^{-*} formed once:
+    """The formulas of one step of the lattice recursion and of its
+    derivative, with their constants J, i alpha^{-1} and alpha^{-*} formed
+    once:
 
     lam_step(L)       = L + i alpha^{-1} L J, for Lambda and for dLambda;
     forcing(L, M)     = M J L*: Lambda J Lambda*, and dLambda J Lambda*;
@@ -277,6 +259,12 @@ def _recur(alpha_inv, m, lambdas, sigmas, tangents=None):
     return asymmetries
 
 
+def _involution_limit(tol: Tolerances):
+    """The bound on ||S_n^2 - I|| / max(1, cond(Sigma_n) cond(Sigma_{n+1}))
+    beyond which S_n is not an involution."""
+    return 100 * tol.spin_tol
+
+
 def _first(mask):
     """(entry, first n) of each row of ``mask`` that has a True entry."""
     return [(k, int(np.argmax(mask[k])))
@@ -350,10 +338,9 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
                 f"for this horizon (reached n = {n + 1} of {horizons[k]})"))
         conditioning = entries(linalg.cond(sigmas))
         for k, n in _first(guarded & (conditioning > tol.cond_limit)):
-            c = float(conditioning[k, n])
             _record(faults, [k], ConditioningError(
-                f"cond(Sigma_{n}) = {c:.3e} exceeds the limit "
-                f"{tol.cond_limit:.1e}", index=n, condition=c))
+                f"cond(Sigma_{n}) = {conditioning[k, n]:.3e} exceeds the "
+                f"limit {tol.cond_limit:.1e}"))
         solved, singular = _solve_each(sigmas, lambdas)
         _record(faults, (guarded & singular).any(axis=1),
                 SingularMatrixError("Sigma is singular"))
@@ -363,7 +350,7 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
             spins @ spins - np.eye(2 * m, dtype=complex)))
         involutions = spin_residuals / np.fmax(
             1.0, conditioning[:, :-1] * conditioning[:, 1:])
-        spin_limit = 100 * tol.spin_tol
+        spin_limit = _involution_limit(tol)
         not_involutions = involutions > spin_limit
         dspins = None
         if tangent is not None:
@@ -405,13 +392,25 @@ def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT):
     return stack.state(0, triple)
 
 
+def _sites(state: LatticeState, sites, top):
+    """``sites`` as an index array, each checked to lie in 0..top of
+    ``state``."""
+    sites = np.array([operator.index(n) for n in sites], dtype=int)
+    bad = sites[(sites < 0) | (sites > top)]
+    if bad.size:
+        raise ValueError(
+            f"site {bad[0]} outside 0..{top} (horizon {state.n_max})")
+    return sites
+
+
 def k_residual(state: LatticeState, n):
     """Frobenius norm of the K matrix whose vanishing drives the transfer
-    identity:
+    identity, at a site n in 0..n_max - 1:
 
     K_n = Lam_{n+1}* Sig_{n+1}^{-1}(a^2 + I) - Lam_n* Sig_n^{-1} a^2
           + i S_n Lam_n* Sig_n^{-1} a.
     """
+    n = _sites(state, [n], state.n_max - 1)[0]
     y = state.sigma_inv_lambdas
     return linalg.frob(_k(state.triple.alpha, y[n].conj().T,
                           y[n + 1].conj().T, state.spins[n]))
@@ -482,9 +481,7 @@ def monotone_diagnostics(state: LatticeState, tol: Tolerances = DEFAULT):
     if r_seq is None and q_seq is None:
         raise SpectrumError(
             "both i and -i are eigenvalues of alpha; no monotone sequence "
-            "is defined",
-            eigenvalue=1j,
-        )
+            "is defined")
     return MonotoneDiagnostics(
         r_sequence=r_seq,
         q_sequence=q_seq,

@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: spectra, Hermitian square roots, Sylvester
-solves and full-range (controllability) tests.
+"""Dense complex matrix kernel: spectra, Hermitian fractional powers,
+Sylvester solves and full-range (controllability) tests.
 
 Everything operates on plain ``numpy`` arrays of complex128.  Matrices are
 validated on entry (finite entries, conforming shapes); all functions are
@@ -29,7 +29,6 @@ __all__ = [
     "require_hermitian",
     "SpectrumReport",
     "spectrum",
-    "hermitian_sqrt",
     "hermitian_powers",
     "solve_sylvester",
     "is_full_range",
@@ -87,10 +86,13 @@ def require_hermitian(m, tol: Tolerances = DEFAULT, name="matrix"):
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues of a square matrix M plus flags against the points 0,
-    +/-i, its 2-norm and the pole scale max(1, ||M||_2) of ``check_pole``."""
+    +/-i and the open upper half plane (every imaginary part above
+    spec_tol), its 2-norm and the pole scale max(1, ||M||_2) of
+    ``check_pole``."""
 
     eigenvalues: np.ndarray
     min_imag_part: float
+    in_upper_half_plane: bool
     contains_plus_i: bool
     contains_minus_i: bool
     contains_zero: bool
@@ -111,19 +113,16 @@ def spectrum(m, tol: Tolerances = DEFAULT):
     if not (np.isfinite(eigs).all() and np.isfinite(norm)):
         raise NumericError("the eigenvalues or the 2-norm of the matrix "
                            "overflow")
+    min_imag_part = float(np.min(eigs.imag)) if eigs.size else 0.0
     return SpectrumReport(
         eigenvalues=eigs,
-        min_imag_part=float(np.min(eigs.imag)) if eigs.size else 0.0,
+        min_imag_part=min_imag_part,
+        in_upper_half_plane=min_imag_part > tol.spec_tol,
         contains_plus_i=bool(np.any(np.abs(eigs - 1j) <= tol.spec_tol)),
         contains_minus_i=bool(np.any(np.abs(eigs + 1j) <= tol.spec_tol)),
         contains_zero=bool(np.any(np.abs(eigs) <= tol.spec_tol)),
         norm=norm, scale=max(1.0, norm),
     )
-
-
-def hermitian_sqrt(m, tol: Tolerances = DEFAULT):
-    """Positive definite square root of a Hermitian positive definite matrix."""
-    return hermitian_powers(m, (0.5,), tol)[0]
 
 
 def hermitian_powers(m, powers, tol: Tolerances = DEFAULT):
@@ -133,9 +132,7 @@ def hermitian_powers(m, powers, tol: Tolerances = DEFAULT):
     w, v = np.linalg.eigh(m)
     if w.size and w[0] <= tol.posdef_tol:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})",
-            min_eigenvalue=float(w[0]) if w.size else None,
-        )
+            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
     return [herm((v * w**p) @ v.conj().T) for p in powers]
 
 
@@ -216,14 +213,9 @@ def krylov_basis(a, b, tol: Tolerances = DEFAULT):
 
 
 def is_full_range(a, b, tol: Tolerances = DEFAULT):
-    """Controllability test for the pair {A, B}.
-
-    Returns ``(flag, rank)`` where flag is True iff the numeric rank of
-    [B, AB, ..., A^{N-1}B] equals N.
-    """
-    q = krylov_basis(a, b, tol)
-    rank = q.shape[1]
-    return rank == a.shape[0], rank
+    """Controllability test for the pair {A, B}: whether the numeric rank
+    of [B, AB, ..., A^{N-1}B] equals N."""
+    return krylov_basis(a, b, tol).shape[1] == a.shape[0]
 
 
 def cond(m):
@@ -269,9 +261,7 @@ def check_pole(lam, spec: SpectrumReport, tol: Tolerances = DEFAULT,
         k = close[0]
         raise PoleError(
             f"lambda = {complex(lams[k])} too close to the spectrum of {name} "
-            f"(nearest eigenvalue {eigs[nearest[k]]})",
-            nearest=eigs[nearest[k]],
-        )
+            f"(nearest eigenvalue {eigs[nearest[k]]})")
 
 
 def frob_norms(a):

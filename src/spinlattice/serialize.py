@@ -22,7 +22,6 @@ import cmath
 import functools
 import json
 import math
-import re
 
 import numpy as np
 import orjson
@@ -44,7 +43,6 @@ __all__ = [
     "dumps",
     "load_json",
     "stack_csv_rows",
-    "spin_csv_rows",
     "write_csv",
 ]
 
@@ -197,28 +195,11 @@ def state_to_obj(state):
     return _plain(_state_doc(state))
 
 
-_ESCAPED = re.compile(r'[\\"]|[^ -~]')
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f",
-            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(match):
-    """JSON escape of a quote, a backslash or a character outside printable
-    ASCII, as a UTF-16 surrogate pair above U+FFFF (json's ensure_ascii)."""
-    char = match.group(0)
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    code = ord(char)
-    if code < 0x10000:
-        return f"\\u{code:04x}"
-    code -= 0x10000
-    return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
-
-
 @functools.lru_cache(maxsize=1024)
 def _string(text):
-    """JSON string literal of ``text`` as %-template text (% doubled)."""
-    return '"' + _ESCAPED.sub(_escape, text).replace("%", "%%") + '"'
+    """JSON string literal of ``text`` as %-template text (% doubled), by
+    the C escaper of json.dumps (ensure_ascii)."""
+    return json.encoder.encode_basestring_ascii(text).replace("%", "%%")
 
 
 def _float(x):
@@ -352,11 +333,6 @@ def stack_csv_rows(stack):
     n, i, j = np.indices(stack.shape).reshape(3, -1).tolist()
     flat = stack.ravel()
     return list(zip(n, i, j, flat.real.tolist(), flat.imag.tolist()))
-
-
-def spin_csv_rows(state):
-    """Rows (n, i, j, re, im) over every entry of every S_n."""
-    return stack_csv_rows(state.spins)
 
 
 def write_csv(stream, header, rows):

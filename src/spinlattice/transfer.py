@@ -7,14 +7,12 @@ at once: one broadcast solve per batch.  Each identity is written once,
 over arrays of sites x lambdas; the scalar residuals index those arrays.
 """
 
-import operator
-
 import numpy as np
 
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import NumericError, PoleError
-from .lattice import LatticeState, _h
+from .lattice import LatticeState, _h, _sites
 
 __all__ = ["Transfer"]
 
@@ -91,15 +89,6 @@ class Transfer:
         self._cache = {}            # W(n, lam)
         self._fundamentals = {}     # W_n(lam)
 
-    def _sites(self, sites, top):
-        """``sites`` as an index array, each checked to lie in 0..top."""
-        sites = np.array([operator.index(n) for n in sites], dtype=int)
-        bad = sites[(sites < 0) | (sites > top)]
-        if bad.size:
-            raise ValueError(
-                f"site {bad[0]} outside 0..{top} (horizon {self.state.n_max})")
-        return sites
-
     def _grid(self, cache, build, lams):
         """The rows of ``cache`` at ``lams``, indexed [n, k] for lams[k];
         ``build`` makes the rows of the lambdas not yet cached, in one
@@ -138,7 +127,7 @@ class Transfer:
 
     def w(self, n, lam):
         """W(n, lambda), cached per lambda for every n."""
-        n = self._sites([n], self.state.n_max)[0]
+        n = _sites(self.state, [n], self.state.n_max)[0]
         self.w_grid([lam])
         return self._cache[complex(lam)][1][n]
 
@@ -148,7 +137,7 @@ class Transfer:
 
         W_n = W(n, lam) (I - (i/lam)J)^n W(0, lam)^{-1}.
         """
-        n = self._sites([n], self.state.n_max)[0]
+        n = _sites(self.state, [n], self.state.n_max)[0]
         self.fundamental_grid([lam])
         return self._fundamentals[complex(lam)][1][n]
 
@@ -159,7 +148,7 @@ class Transfer:
 
         indexed [i, k] for sites[i] and lams[k].
         """
-        n = self._sites(sites, self.state.n_max - 1)
+        n = _sites(self.state, sites, self.state.n_max - 1)
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)
         step = np.stack([_j_powers(lam, [1], self.m)[0] for lam in lams])
@@ -169,7 +158,7 @@ class Transfer:
 
     def unitarity_residuals(self, sites, lams):
         """Residuals of W(n, lam) W(n, conj(lam))* = I, indexed [i, k]."""
-        n = self._sites(sites, self.state.n_max)
+        n = _sites(self.state, sites, self.state.n_max)
         w = self.w_grid(_with_conjugates([complex(lam) for lam in lams]))[n]
         return linalg.frob_norms(w[:, ::2] @ _h(w[:, 1::2]) - np.eye(2 * self.m))
 
@@ -181,7 +170,7 @@ class Transfer:
 
         indexed [i, k].
         """
-        n = self._sites(sites, self.state.n_max)
+        n = _sites(self.state, sites, self.state.n_max)
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)[n]
         lam_n = self.state.lambdas[n]
@@ -199,13 +188,13 @@ class Transfer:
     def contractivity_gram(self, sites, lams):
         """W(n, lam)* W(n, lam) - I, negative semidefinite on the lower half
         plane, indexed [i, k]."""
-        w = self.w_grid(lams)[self._sites(sites, self.state.n_max)]
+        w = self.w_grid(lams)[_sites(self.state, sites, self.state.n_max)]
         return _h(w) @ w - np.eye(2 * self.m)
 
     def recursion_residuals(self, sites, lams):
         """Residuals of W_{n+1} - W_n = -(i/lam) S_n W_n for the fundamental
         solution, indexed [i, k]."""
-        n = self._sites(sites, self.state.n_max - 1)
+        n = _sites(self.state, sites, self.state.n_max - 1)
         lams = [complex(lam) for lam in lams]
         f = self.fundamental_grid(lams)
         step = _scaled([1j / lam for lam in lams], self.state.spins[n][:, None])
@@ -217,7 +206,7 @@ class Transfer:
 
         Returns a dict of arrays with keys 'first', 'second', 'plus', 'minus'.
         """
-        n = self._sites(sites, self.state.n_max - 1)
+        n = _sites(self.state, sites, self.state.n_max - 1)
         m = self.m
         i_m = np.eye(m, dtype=complex)
         i2m = np.eye(2 * m, dtype=complex)

@@ -160,14 +160,14 @@ def validate(triple: ParameterTriple, tol: Tolerances = DEFAULT):
         raise NumericError("the identity residual alpha Sigma_0 - Sigma_0 "
                            "alpha* - i Lambda_0 Lambda_0* overflows")
     identity_ok = residual <= tol.id_tol * max(1.0, scale)
-    fr1, _ = linalg.is_full_range(triple.alpha, triple.theta1, tol)
-    fr2, _ = linalg.is_full_range(triple.alpha, triple.theta2, tol)
+    fr1 = linalg.is_full_range(triple.alpha, triple.theta1, tol)
+    fr2 = linalg.is_full_range(triple.alpha, triple.theta2, tol)
     spec = triple.spectrum(tol)
 
     if not identity_ok:
         cls = TripleClass.INVALID
     elif fr1 and fr2:
-        if spec.min_imag_part <= tol.spec_tol:
+        if not spec.in_upper_half_plane:
             raise NumericError(
                 "full-range triple with spectrum not in the open upper half "
                 f"plane (min imag part {spec.min_imag_part:.3e})"
@@ -223,9 +223,7 @@ def reduce_triple(triple: ParameterTriple, which="theta2", tol: Tolerances = DEF
         bad = 0.0 if spec.contains_zero else 1j
         raise SpectrumError(
             f"reduce_triple requires 0, i not in the spectrum of alpha "
-            f"(found eigenvalue near {bad})",
-            eigenvalue=bad,
-        )
+            f"(found eigenvalue near {bad})")
     theta = triple.theta1 if which == "theta1" else triple.theta2
     q = linalg.krylov_basis(triple.alpha, theta, tol)
     if q.shape[1] == triple.order:
@@ -261,9 +259,8 @@ def random_admissible_triple(
         h = linalg.herm(_complex_gaussian(rng, order, order)) * h_scale
         gram = theta1 @ theta1.conj().T + theta2 @ theta2.conj().T
         alpha = h + 0.5j * gram
-        fr1, _ = linalg.is_full_range(alpha, theta1, tol)
-        fr2, _ = linalg.is_full_range(alpha, theta2, tol)
-        if not (fr1 and fr2):
+        if not (linalg.is_full_range(alpha, theta1, tol)
+                and linalg.is_full_range(alpha, theta2, tol)):
             continue
         try:
             a_inv = linalg.inv(alpha)

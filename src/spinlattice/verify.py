@@ -120,7 +120,7 @@ def _sigma_positivity(ctx):
 def _spin_involution(ctx):
     # the ratio that generate_stack refuses above the same threshold
     return (_worst(ctx.stack.involution_residuals[0, :ctx.n_max]),
-            ctx.tol.spin_tol * 100)
+            lattice._involution_limit(ctx.tol))
 
 
 def _spin_hermitian(ctx):
@@ -256,7 +256,7 @@ def _evolution_methods(ctx):
     Gramian flow where that triple took the Sylvester solve (spectrum in the
     open upper half plane), RK4 where it took the flow.  The flow of both
     times is one stacked call; RK4 runs time by time."""
-    flow = ctx.spectrum.min_imag_part > ctx.tol.spec_tol
+    flow = ctx.spectrum.in_upper_half_plane
     worst = 0.0
     for k, t in enumerate(_TRIPLE_TIMES):
         a = ctx.triple_at(t).sigma0

@@ -141,7 +141,11 @@ def summability_diagnostic(triple: ParameterTriple, lam, n_terms=40,
 
     When ``phi`` is None (the true Weyl function), also verifies the column
     identity W_n [phi; I] = ((lam + i)/lam)^n W(n, lam) [0; d(lam)^{-1}].
+    ``n_terms`` must be at least 1.
     """
+    if n_terms < 1:
+        raise ValueError(f"summability_diagnostic needs n_terms >= 1, got "
+                         f"{n_terms}")
     lam = complex(lam)
     if lam.imag >= -0.5:
         raise PoleError(

@@ -12,6 +12,7 @@ from spinlattice import (
     ParameterTriple,
     evolve_lambda0,
     evolve_sigma0,
+    generate,
     weyl,
     ihm_residual,
     lambda_n_at,
@@ -21,7 +22,6 @@ from spinlattice import (
     random_general_sigma_triple,
     spin_evolution,
     spin_vector,
-    state_at,
     triple_at,
     weyl_evolution,
     zero_curvature_residual,
@@ -375,7 +375,8 @@ def test_real_mode_padding_keeps_the_spins(order, m, real, negative, tt, seed):
     rng = np.random.default_rng(seed)
     triple = random_admissible_triple(rng, order, m)
     padded = _pad_real_mode(triple, -real if negative else real, rng)
-    got, want = (state_at(x, tt, 4).spins for x in (padded, triple))
+    got, want = (generate(triple_at(x, tt), 4).spins
+                 for x in (padded, triple))
     assert max(np.linalg.norm(a - b) for a, b in zip(got, want)) <= 1e-9
 
 
@@ -552,7 +553,7 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
         assert _same(got.spins, spins)
         assert got.conditioning == conditioning
         assert got.spin_residuals == spin_residuals
-        assert _same(got.spins, state_at(triple, t, n_max).spins)
+        assert _same(got.spins, generate(triple_at(triple, t), n_max).spins)
         assert _same(grid.vectors[k], vectors)
         want_dspins, want_zc, want_ihm = _per_time_residuals(triple, t, n_max,
                                                              lam)

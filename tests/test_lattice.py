@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spinlattice import (
     ParameterTriple,
-    advance,
     generate,
     k_residual,
     lambda_closed_form,
@@ -29,9 +28,16 @@ def scalar_example():
     )
 
 
+def _advance(alpha, lam, sigma):
+    """One step of the recursion: row n = 1 of a horizon-1 stack."""
+    stack = lattice.generate_stack(alpha, lam, sigma, [1])
+    return (stack.lambdas[0, 1], stack.sigmas[0, 1],
+            stack.sigma_asymmetries[0, 1])
+
+
 def test_advance_hand_values():
     t = scalar_example()
-    lam1, sigma1, asym = advance(t.alpha, t.lambda0, t.sigma0)
+    lam1, sigma1, asym = _advance(t.alpha, t.lambda0, t.sigma0)
     assert np.allclose(lam1, [[3 * np.sqrt(2) / 2, np.sqrt(2) / 2]])
     assert sigma1[0, 0] == pytest.approx(1.25)
     assert asym < 1e-15
@@ -41,7 +47,7 @@ def test_advance_zero_lambda():
     alpha = np.array([[2j, 0], [0, 3j]])
     lam = np.zeros((2, 2), dtype=complex)
     sigma = np.eye(2, dtype=complex)
-    lam1, sigma1, _ = advance(alpha, lam, sigma)
+    lam1, sigma1, _ = _advance(alpha, lam, sigma)
     assert np.allclose(lam1, 0)
     a_inv = np.linalg.inv(alpha)
     assert np.allclose(sigma1, sigma + a_inv @ sigma @ a_inv.conj().T)

@@ -39,13 +39,13 @@ def test_herm_projects():
 def test_hermitian_sqrt_roundtrip(rng):
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = b @ b.conj().T + np.eye(4)
-    r = linalg.hermitian_sqrt(a)
+    r = linalg.hermitian_powers(a, (0.5,))[0]
     assert np.allclose(r @ r, a)
 
 
 def test_hermitian_sqrt_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
-        linalg.hermitian_sqrt(np.diag([1.0, -1.0]))
+        linalg.hermitian_powers(np.diag([1.0, -1.0]), (0.5,))
 
 
 def test_solve_singular():
@@ -116,11 +116,11 @@ def test_krylov_rank_detection(rng):
     # block diagonal with b supported on the first coordinate only
     a = np.diag([2j, 3j])
     b = np.array([[1.0], [0.0]], dtype=complex)
-    full, rank = linalg.is_full_range(a, b)
-    assert not full and rank == 1
+    assert not linalg.is_full_range(a, b)
+    assert linalg.krylov_basis(a, b).shape[1] == 1
     b2 = np.array([[1.0], [1.0]], dtype=complex)
-    full, rank = linalg.is_full_range(a, b2)
-    assert full and rank == 2
+    assert linalg.is_full_range(a, b2)
+    assert linalg.krylov_basis(a, b2).shape[1] == 2
 
 
 def test_spectrum_report():
@@ -159,7 +159,8 @@ def test_full_range_agrees_with_pbh(order, m, hidden, h_scale, seed):
     a[order - hidden:, :order - hidden] = 0
     u, _ = np.linalg.qr(cg(order, order))
     a, b = u @ a @ u.conj().T, u @ b
-    flag, rank = linalg.is_full_range(a, b)
+    flag = linalg.is_full_range(a, b)
     assert flag == _pbh_full_range(a, b)
     if hidden:
-        assert not flag and rank <= order - hidden
+        assert not flag
+        assert linalg.krylov_basis(a, b).shape[1] <= order - hidden

@@ -1,15 +1,20 @@
 """The import surface of the package: each module's ``__all__``, the names
 that ``spinlattice/__init__.py`` re-exports, and the names each module
-imports."""
+imports; and the range checks of the site, term and step arguments where
+they enter the public functions."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import spinlattice
+from spinlattice import (generate, k_residual, positivity_interval,
+                         random_admissible_triple, spin_evolution,
+                         summability_diagnostic)
 
 PACKAGE = pathlib.Path(spinlattice.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE)]))
@@ -53,3 +58,200 @@ def test_no_module_imports_a_name_it_never_reads(name):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+def _doors():
+    """``spinlattice.<name>`` for each name that ``__init__`` re-exports and
+    ``<module>.<name>`` for each name of a module's ``__all__``, sorted."""
+    doors = [f"spinlattice.{alias.name}"
+             for node in ast.walk(_tree("__init__"))
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    for name in MODULES:
+        module = importlib.import_module(f"spinlattice.{name}")
+        doors += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())]
+    return sorted(doors)
+
+
+# The public surface, one door per line: adding or deleting a name is a
+# one-line diff here.
+SURFACE = """
+evolution.LaxPair
+evolution.SpinVector
+evolution.TimeGrid
+evolution.evolve_lambda0
+evolution.evolve_sigma0
+evolution.ihm_residual
+evolution.lambda_n_at
+evolution.lax_pair
+evolution.positivity_interval
+evolution.spin_evolution
+evolution.spin_vector
+evolution.trajectory
+evolution.triple_at
+evolution.weyl_evolution
+evolution.zero_curvature_residual
+inverse.RiccatiSolution
+inverse.check_minimal
+inverse.invert
+inverse.random_minimal_realization
+inverse.reduce_to_minimal
+inverse.solve_riccati
+lattice.LatticeStack
+lattice.LatticeState
+lattice.MonotoneDiagnostics
+lattice.generate
+lattice.generate_stack
+lattice.k_residual
+lattice.lambda_closed_form
+lattice.monotone_diagnostics
+linalg.SpectrumReport
+linalg.as_matrix
+linalg.check_pole
+linalg.cond
+linalg.frob
+linalg.frob_norms
+linalg.herm
+linalg.hermitian_powers
+linalg.inv
+linalg.is_full_range
+linalg.krylov_basis
+linalg.require_hermitian
+linalg.solve
+linalg.solve_sylvester
+linalg.spectrum
+serialize.complex_from_obj
+serialize.complex_to_obj
+serialize.dumps
+serialize.load_json
+serialize.matrix_from_obj
+serialize.matrix_to_obj
+serialize.realization_from_obj
+serialize.realization_to_obj
+serialize.stack_csv_rows
+serialize.state_to_obj
+serialize.triple_from_obj
+serialize.triple_to_obj
+serialize.write_csv
+spinlattice.AdmissibilityError
+spinlattice.AdmissibilityReport
+spinlattice.CheckResult
+spinlattice.ConditioningError
+spinlattice.DEFAULT
+spinlattice.DegeneracyError
+spinlattice.DimensionError
+spinlattice.InputError
+spinlattice.LatticeState
+spinlattice.LaxPair
+spinlattice.MonotoneDiagnostics
+spinlattice.NotPositiveDefiniteError
+spinlattice.NumericError
+spinlattice.ParameterTriple
+spinlattice.PoleError
+spinlattice.Realization
+spinlattice.RiccatiSolution
+spinlattice.SingularEquationError
+spinlattice.SingularMatrixError
+spinlattice.SpectrumError
+spinlattice.SpinLatticeError
+spinlattice.SpinVector
+spinlattice.SummabilityReport
+spinlattice.Tolerances
+spinlattice.Transfer
+spinlattice.TripleClass
+spinlattice.check_minimal
+spinlattice.evolve_lambda0
+spinlattice.evolve_sigma0
+spinlattice.example_triple
+spinlattice.generate
+spinlattice.ihm_residual
+spinlattice.invert
+spinlattice.k_residual
+spinlattice.lambda_closed_form
+spinlattice.lambda_grid
+spinlattice.lambda_n_at
+spinlattice.lax_pair
+spinlattice.monotone_diagnostics
+spinlattice.normalize_sigma0
+spinlattice.pad_triple
+spinlattice.phi_closed_form
+spinlattice.positivity_interval
+spinlattice.projectors
+spinlattice.random_admissible_triple
+spinlattice.random_general_sigma_triple
+spinlattice.random_minimal_realization
+spinlattice.reduce_to_minimal
+spinlattice.reduce_triple
+spinlattice.run_checks
+spinlattice.run_diffs
+spinlattice.signature_matrix
+spinlattice.solve_riccati
+spinlattice.spin_closed_form
+spinlattice.spin_evolution
+spinlattice.spin_vector
+spinlattice.summability_diagnostic
+spinlattice.triple_at
+spinlattice.validate
+spinlattice.weyl
+spinlattice.weyl_evolution
+spinlattice.zero_curvature_residual
+transfer.Transfer
+triples.AdmissibilityReport
+triples.ParameterTriple
+triples.TripleClass
+triples.normalize_sigma0
+triples.pad_triple
+triples.projectors
+triples.random_admissible_triple
+triples.random_general_sigma_triple
+triples.reduce_triple
+triples.signature_matrix
+triples.validate
+verify.CheckResult
+verify.run_checks
+weyl.Realization
+weyl.SummabilityReport
+weyl.lambda_grid
+weyl.summability_diagnostic
+weyl.weyl
+worked_example.example_triple
+worked_example.lambda_closed_form_t
+worked_example.phi_closed_form
+worked_example.run_diffs
+worked_example.spin_closed_form
+""".split()
+
+
+def test_the_public_surface_is_pinned():
+    assert _doors() == SURFACE
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda t, s: k_residual(s, -1), r"site -1 outside 0\.\.2 ",
+                 id="k_residual-negative-site"),
+    pytest.param(lambda t, s: k_residual(s, 3), r"site 3 outside 0\.\.2 ",
+                 id="k_residual-site-past-horizon"),
+    pytest.param(lambda t, s: spin_evolution(t, -1, 0.1),
+                 r"site n >= 0, got -1", id="spin_evolution-negative-site"),
+    pytest.param(lambda t, s: summability_diagnostic(t, -2j, n_terms=0),
+                 r"n_terms >= 1, got 0", id="summability-no-terms"),
+    pytest.param(lambda t, s: positivity_interval(t, step=0),
+                 r"step > 0 .*, got step = 0", id="positivity-zero-step"),
+    pytest.param(lambda t, s: positivity_interval(t, step=-0.1),
+                 r"step > 0 .*, got step = -0\.1",
+                 id="positivity-negative-step"),
+    pytest.param(lambda t, s: positivity_interval(t, t_max=np.inf),
+                 r"t_max >= 0, got inf", id="positivity-infinite-t_max"),
+    pytest.param(lambda t, s: positivity_interval(t, t_max=-1.0),
+                 r"t_max >= 0, got -1\.0", id="positivity-negative-t_max"),
+    pytest.param(lambda t, s: positivity_interval(t, t_max=1e300, step=1e-300),
+                 r"finite t_max / step, got step = 1e-300",
+                 id="positivity-overflowing-step-count"),
+])
+def test_site_term_and_step_arguments_are_checked_where_they_enter(call,
+                                                                   match):
+    """A ValueError naming the argument and its range, not an IndexError,
+    ZeroDivisionError or OverflowError further in, nor a value read from
+    the wrong site or an empty march."""
+    triple = random_admissible_triple(np.random.default_rng(1), 2, 1)
+    with pytest.raises(ValueError, match=match):
+        call(triple, generate(triple, 3))

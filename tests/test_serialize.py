@@ -72,7 +72,7 @@ def test_missing_field_rejected():
 def test_spin_csv_rows(rng):
     t = random_admissible_triple(rng, 2, 1)
     state = generate(t, 3)
-    rows = serialize.spin_csv_rows(state)
+    rows = serialize.stack_csv_rows(state.spins)
     assert len(rows) == 3 * 4
     n, i, j, re, im = rows[0]
     assert (n, i, j) == (0, 0, 0)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinlattice import (Transfer, evolution, ihm_residual, lax_pair, lattice,
-                         linalg, random_admissible_triple,
-                         random_general_sigma_triple, state_at,
-                         summability_diagnostic, triples, verify, weyl,
+from spinlattice import (Transfer, evolution, generate, ihm_residual,
+                         lax_pair, lattice, linalg, random_admissible_triple,
+                         random_general_sigma_triple, summability_diagnostic,
+                         triple_at, triples, verify, weyl,
                          zero_curvature_residual)
 from spinlattice.errors import PoleError, SpinLatticeError
 from spinlattice.verify import run_checks
@@ -77,7 +77,8 @@ def test_shared_context_changes_no_residual(order, general, seed):
                                  for t in times)),
         "monodromy": _worst(*(_public(
             lambda n=n: evolution._monodromy(
-                Transfer(state_at(triple, 0.2, n_max=n + 1)), 0.2, n, LAM))
+                Transfer(generate(triple_at(triple, 0.2), n_max=n + 1)), 0.2,
+                n, LAM))
             for n in (0, 1, 2))),
         "summability-dichotomy": _public(lambda: _summability(triple)),
     }
