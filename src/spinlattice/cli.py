@@ -237,7 +237,10 @@ def _cmd_example(args, tol):
     return "\n".join(lines) + "\n", 0 if passed else 1
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The parser, built once per process: parse_args leaves it unchanged
+    and returns a fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="spinlattice",
         description="Discrete canonical systems: spin sequences, transfer "
@@ -302,13 +305,6 @@ def build_parser():
     common(p, None, nmax=None)
     p.set_defaults(func=_cmd_example)
     return parser
-
-
-@functools.cache
-def _parser():
-    """The parser, built once per process: parse_args leaves it unchanged
-    and returns a fresh Namespace on every call."""
-    return build_parser()
 
 
 def main(argv=None):

@@ -466,8 +466,15 @@ def _lax_f(v_plus, v_minus, lam):
     return v_plus / (lam - 1j) + v_minus / (lam + 1j)
 
 
+def _check_site(name, n):
+    """Refuse a site n < 1 before a grid is sized from it."""
+    if operator.index(n) < 1:
+        raise ValueError(f"{name} needs a site n >= 1, got {n}")
+
+
 def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
     """TimeGrid.lax at site n >= 1 of time t alone, from the sites up to n."""
+    _check_site("lax_pair", n)
     return TimeGrid(triple, [t], n + 1, tol=tol).lax(0, n, lam)
 
 
@@ -697,6 +704,7 @@ def zero_curvature_residual(triple: ParameterTriple, n, t, lam, h_t=None,
     """TimeGrid.zero_curvature_at site n >= 1 of time t alone, from the
     sites up to n + 1; with a step ``h_t``, dS_n/dt by a central
     difference, whose truncation error is O(h_t^2)."""
+    _check_site("zero_curvature_residual", n)
     return _grid(triple, n, t, h_t, tol).zero_curvature_at(0, n, lam)
 
 
@@ -704,6 +712,7 @@ def ihm_residual(triple: ParameterTriple, n, t, h_t=None,
                  tol: Tolerances = DEFAULT):
     """TimeGrid.ihm_at site n >= 1 of time t alone, from the sites up to
     n + 1; with a step ``h_t``, dS_n/dt by a central difference."""
+    _check_site("ihm_residual", n)
     return _grid(triple, n, t, h_t, tol).ihm_at(0, n)
 
 

@@ -63,8 +63,12 @@ def test_validate_missing_file(capsys):
 
 def test_validate_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("not json")
-    assert main(["validate", str(path)]) == 2
+    for text in ("not json",
+                 '{"alpha": [[{"re": "zero", "im": 2}]], '
+                 '"theta1": [[{"re": 1.4142135623730951, "im": 0}]], '
+                 '"theta2": [[{"re": 1.4142135623730951, "im": 0}]]}'):
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
 
 
 @pytest.mark.parametrize("case", ("directory input", "binary input",
@@ -287,12 +291,13 @@ def test_bad_lambda_grid(triple_file, example_file, capsys):
     (["weyl", "--lambda-grid", "1.7e308,0,1e308,4"], 2),
     (["verify", "--tol", "pole_tol=1"], 3),
     (["verify", "--tol", "pole_tol=1e300"], 3),
+    (["fundamental", "--lambda", "0"], 3),
 ))
 def test_finite_arguments_that_overflow_are_one_error_line(
         example_file, capsys, argv, code):
-    """Finite arguments whose arithmetic overflows, or whose pole guard
-    empties the sample circle of verify: one error line, no output and no
-    RuntimeWarning."""
+    """Finite arguments whose arithmetic overflows, whose pole guard empties
+    the sample circle of verify, or that sit on the pole lambda = 0 of the
+    fundamental solution: one error line, no output and no RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([argv[0], example_file, *argv[1:]]) == code
@@ -429,6 +434,7 @@ def test_evolve_takes_the_flow_route_on_a_real_spectrum(real_mode_file, capsys):
             want = spin_closed_form(row["n"], d["t"], 2.0, r2, r2)
             got = serialize.matrix_from_obj(row["spin"])
             assert np.linalg.norm(got - want) <= 1e-12
+            assert row["zc_residual"] <= 1e-6 and row["ihm_residual"] <= 1e-6
 
 
 def test_verify_passes_every_check_on_a_real_spectrum(real_mode_file, capsys):
@@ -456,11 +462,15 @@ def test_evolve_far_time_on_the_flow_route_fails_at_once(real_mode_file, capsys)
     # t = 22 is time 44, in the second block of TIME_BLOCK times
     pytest.param("0,40,81", "cond(Sigma_3) = 1.214e+12 exceeds the limit "
                  "1.0e+12 (at t = 22)", id="second-block"),
+    # the matrix exponential overflows at both t = -500000 and t = -1e6
+    pytest.param("0,-1e6,3", "matrix exponential overflows at t = -500000",
+                 id="two-failing-times"),
 ))
 def test_evolve_error_names_the_failing_time(real_mode_file, capsys, grid,
                                              message):
-    """An error whose message has no time gets the time that raised it; the
-    exit code is that of the error."""
+    """An error whose message has no time gets the time that raised it; of
+    two failing times, the first is named; the exit code is that of the
+    error."""
     assert main(["evolve", real_mode_file, f"--time-grid={grid}",
                  "--nmax", "3"]) == 3
     assert capsys.readouterr().err.splitlines() == [
@@ -570,7 +580,9 @@ def test_json_and_csv_outputs_are_those_of_the_per_matrix_writer(capsys, name,
                                                                   argv):
     """tests/data/json/<name> were written by the writer that formatted
     every float of every matrix (commit dea30bd); the m2 and m3 triples are
-    those of CI, and <name>.realization.json their Weyl realizations.  The
+    random_admissible_triple(default_rng(seed), order, m, h_scale=8.0,
+    inv_norm_max=0.3) with (seed, order, m) = (1, 4, 2) and (2, 5, 3), and
+    <name>.realization.json their Weyl realizations.  The
     spins.json files have since lost their lambdas and sigmas keys, with
     every other value unchanged."""
     assert main(argv) == 0

@@ -140,9 +140,10 @@ def test_invert_handles_non_minimal(rng):
     assert np.linalg.norm(weyl(t)(3.0 - 2j) - base(3.0 - 2j)) <= 1e-9
 
 
-def test_zero_function_rejected():
+def test_zero_function_rejected(tmp_path, capsys):
     """phi = 0: reduce_to_minimal finds an empty controllable basis and
-    raises what invert raises."""
+    raises what invert raises, which the invert command writes as one
+    error line."""
     r = Realization(
         gamma=np.array([[2.0 + 1j]]),
         vartheta1=np.array([[0.0]], dtype=complex),
@@ -152,6 +153,13 @@ def test_zero_function_rejected():
         with pytest.raises(AdmissibilityError, match=r"^the zero function "
                            r"has no admissible triple \(order 0\)$"):
             fn(r)
+    path = tmp_path / "zero.json"
+    path.write_text('{"gamma": [[{"re": 2, "im": 1}]], '
+                    '"vartheta1": [[{"re": 1, "im": 0}]], '
+                    '"vartheta2": [[{"re": 0, "im": 0}]]}')
+    assert main(["invert", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the zero function has no admissible triple (order 0)\n")
 
 
 def _spins_error(a, b):

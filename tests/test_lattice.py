@@ -17,7 +17,8 @@ from spinlattice import (
 )
 from spinlattice import lattice, linalg
 from spinlattice.config import DEFAULT
-from spinlattice.errors import InputError, NumericError, SingularMatrixError
+from spinlattice.errors import (InputError, NumericError, SingularMatrixError,
+                                SpectrumError)
 
 
 def scalar_example():
@@ -151,6 +152,12 @@ def test_monotone_constant_for_zero_potential():
     diag = monotone_diagnostics(generate(t, 6))
     assert max(abs(e) for e in diag.r_increments_min_eig) <= 1e-14
     assert max(abs(e) for e in diag.q_increments_max_eig) <= 1e-14
+    # with both i and -i in the spectrum, neither sequence is defined
+    t = ParameterTriple(alpha=np.diag([1j, -1j]), theta1=np.zeros((2, 1)),
+                        theta2=np.zeros((2, 1)))
+    with pytest.raises(SpectrumError, match="^both i and -i are eigenvalues "
+                       "of alpha; no monotone sequence is defined$"):
+        monotone_diagnostics(generate(t, 3))
 
 
 def test_quadrature_oracle(rng):

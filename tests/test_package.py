@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import spinlattice
-from spinlattice import (generate, k_residual, positivity_interval,
-                         random_admissible_triple, spin_evolution,
-                         summability_diagnostic)
+from spinlattice import (generate, ihm_residual, k_residual, lax_pair,
+                         positivity_interval, random_admissible_triple,
+                         spin_evolution, summability_diagnostic,
+                         zero_curvature_residual)
 
 PACKAGE = pathlib.Path(spinlattice.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE)]))
@@ -232,6 +233,20 @@ def test_the_public_surface_is_pinned():
                  id="k_residual-site-past-horizon"),
     pytest.param(lambda t, s: spin_evolution(t, -1, 0.1),
                  r"site n >= 0, got -1", id="spin_evolution-negative-site"),
+    pytest.param(lambda t, s: zero_curvature_residual(t, 0, 0.1, 2.0),
+                 r"^zero_curvature_residual needs a site n >= 1, got 0$",
+                 id="zero_curvature_residual-site-zero"),
+    pytest.param(lambda t, s: ihm_residual(t, -1, 0.1),
+                 r"^ihm_residual needs a site n >= 1, got -1$",
+                 id="ihm_residual-negative-site"),
+    pytest.param(lambda t, s: lax_pair(t, 0, 0.1, 2.0),
+                 r"^lax_pair needs a site n >= 1, got 0$",
+                 id="lax_pair-site-zero"),
+    pytest.param(lambda t, s: lax_pair(t, -2, 0.1, 2.0),
+                 r"^lax_pair needs a site n >= 1, got -2$",
+                 id="lax_pair-negative-site"),
+    pytest.param(lambda t, s: generate(t, -1), r"n_max must be non-negative",
+                 id="generate-negative-horizon"),
     pytest.param(lambda t, s: summability_diagnostic(t, -2j, n_terms=0),
                  r"n_terms >= 1, got 0", id="summability-no-terms"),
     pytest.param(lambda t, s: positivity_interval(t, step=0),

@@ -248,6 +248,18 @@ def test_dumps_writes_floats_across_both_range_ends_as_json_does(x):
     assert serialize.dumps([x]) == json.dumps([x], indent=2) + "\n"
 
 
+def test_the_installed_orjson_writes_floats_as_json_does():
+    """200,000 floats log-uniform over [1e-6, 1e18] of both signs, then
+    both signs of the values at either end of [1e-4, 1e16): the orjson
+    installed here writes the bytes of json.dumps."""
+    rng = np.random.default_rng(0)
+    n = 200_000
+    xs = 10.0 ** rng.uniform(-6, 18, n) * rng.choice([-1.0, 1.0], n)
+    xs = np.concatenate([xs, _SIGNED_ENDS]).tolist()
+    assert serialize.dumps(xs) == json.dumps(xs, indent=2) + "\n", (
+        serialize.orjson.__version__)
+
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -264,7 +276,7 @@ def test_spins_document_is_a_fixed_point_of_its_triple(name):
 
 
 def test_spins_document_of_m3_at_horizon_60_holds_one_copy_of_each_fact():
-    """The CI m = 3 triple at horizon 60: 4,551 floats in 215,326 bytes.
+    """The m = 3 triple at horizon 60: 4,551 floats in 215,326 bytes.
     dumps collects them as 4,672 values, since each float leaf (the 121 of
     conditioning and spin_residuals) enters as a (0.0, x) pair."""
     triple = serialize.triple_from_obj(

@@ -37,6 +37,13 @@ def test_pole_rejection(small_triple, transfer):
     eig = np.linalg.eigvals(small_triple.alpha)[0]
     with pytest.raises(PoleError):
         transfer.w(2, eig)
+    # lambda = 0, the pole of (I - (i/lambda)J)^n
+    with pytest.raises(PoleError, match=r"^fundamental solution undefined "
+                       r"at lambda = 0$"):
+        transfer.fundamental(1, 0)
+    with pytest.raises(PoleError, match=r"^the factor \(I - \(i/lambda\)J\)"
+                       r"\^n has a pole at lambda = 0$"):
+        transfer.identity_residual(1, 0)
 
 
 def test_identity_residual(small_triple, transfer):
