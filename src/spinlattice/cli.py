@@ -194,16 +194,14 @@ def _cmd_evolve(args, tol):
                                     tol=tol):
         vectors = grid.vectors[:, 1:-1].tolist()
         zc, ihm = zc.tolist(), ihm.tolist()
-        if as_json:
-            spins, sigma0 = grid.spins[:, 1:-1].copy(), grid.sigma0.copy()
+        sigma0 = grid.sigma0.copy() if as_json else None
         for k, t in enumerate(grid.times.tolist()):
             cells = [(t, n, *vectors[k][i], zc[k][i], ihm[k][i])
                      for i, n in enumerate(sites)]
             if as_json:
                 # one object per time: Sigma_0(t) once, then its sites
                 cells = [{"t": t, "sigma0": sigma0[k], "sites": [
-                    dict(zip(columns[1:], cell[1:]), spin=spins[k, i])
-                    for i, cell in enumerate(cells)]}]
+                    dict(zip(columns[1:], cell[1:])) for cell in cells]}]
             rows += cells
     return serialize.dumps(rows) if as_json else _csv(columns, rows)
 

@@ -26,37 +26,6 @@ __all__ = [
 ]
 
 
-def _stepper(alpha_inv, m):
-    """The formulas of one step of the lattice recursion and of its
-    derivative, with their constants J, i alpha^{-1} and alpha^{-*} formed
-    once:
-
-    lam_step(L)       = L + i alpha^{-1} L J, for Lambda and for dLambda;
-    forcing(L, M)     = M J L*: Lambda J Lambda*, and dLambda J Lambda*;
-    sigma_step(S, F)  = S + alpha^{-1} (S + F) alpha^{-*}, not symmetrized;
-    tangent_step(D, C) = herm(D + alpha^{-1} (D + C + C*) alpha^{-*}),
-                         dSigma' from dSigma and C = dLambda J Lambda*.
-    """
-    j = signature_matrix(m)
-    i_alpha_inv = 1j * alpha_inv
-    alpha_inv_adj = alpha_inv.conj().T
-
-    def lam_step(lam):
-        return lam + i_alpha_inv @ lam @ j
-
-    def forcing(lam, other, out=None):
-        return np.matmul(other @ j, _h(lam), out=out)
-
-    def sigma_step(sigma, force):
-        return sigma + alpha_inv @ (sigma + force) @ alpha_inv_adj
-
-    def tangent_step(dsigma, cross):
-        core = dsigma + cross + _h(cross)
-        return linalg.herm(dsigma + alpha_inv @ core @ alpha_inv_adj)
-
-    return lam_step, forcing, sigma_step, tangent_step
-
-
 def _h(a):
     """Conjugate transpose over the last two axes."""
     return a.conj().swapaxes(-1, -2)
@@ -127,7 +96,6 @@ class LatticeState:
     spins: np.ndarray
     conditioning: list          # cond(Sigma_n), n = 0..n_max
     spin_residuals: list        # ||S_n^2 - I||_F, n = 0..n_max-1
-    sigma_asymmetries: list
     sigma_inv_lambdas: np.ndarray   # Sigma_n^{-1} Lambda_n, n = 0..n_max
 
     @property
@@ -174,7 +142,6 @@ class LatticeStack:
     conditioning: np.ndarray
     spin_residuals: np.ndarray
     involution_residuals: np.ndarray    # ||S_n^2 - I|| / max(1, cond cond)
-    sigma_asymmetries: np.ndarray
     sigma_inv_lambdas: np.ndarray
     faults: list
     dspins: np.ndarray = None
@@ -197,16 +164,15 @@ class LatticeStack:
             spins=self.spins[k, :h],
             conditioning=self.conditioning[k, :h + 1].tolist(),
             spin_residuals=self.spin_residuals[k, :h].tolist(),
-            sigma_asymmetries=self.sigma_asymmetries[k, :h + 1].tolist(),
             sigma_inv_lambdas=self.sigma_inv_lambdas[k, :h + 1],
         )
 
 
 # Bytes that one generate_stack may hold: per site and entry, Lambda_n and
-# Sigma_n (and their derivatives), the more of the skew parts of the Sigma_n
-# steps and of the arrays after the loop (Sigma_n^{-1} Lambda_n, Xi_n, S_n,
-# S_n^2 - I and their temporaries), and 8 floats; per entry, the temporaries
-# of one step; alpha^{-1}.  Beyond it, an InputError before any allocation.
+# Sigma_n (and their derivatives), the arrays after the loop (Sigma_n^{-1}
+# Lambda_n, Xi_n, S_n, S_n^2 - I and their temporaries), and 8 floats; per
+# entry, the temporaries of one step; alpha^{-1}.  Beyond it, an InputError
+# before any allocation.
 STACK_BUDGET = 2 ** 30
 
 
@@ -229,34 +195,39 @@ def _solve_each(a, b):
 def _recur(alpha_inv, m, lambdas, sigmas, tangents=None):
     """Fill the rows n = 1..n_max of the [k, n] arrays ``lambdas`` and
     ``sigmas``, and of the pair (dlambdas, dsigmas) of ``tangents``, from
-    their rows n = 0; return the norms of the skew parts that the Sigma_n
-    steps drop, [k, n], 0 at n = 0.
+    their rows n = 0, by the steps
+
+    Lambda_{n+1} = Lambda_n + i alpha^{-1} Lambda_n J, for Lambda and dLambda;
+    Sigma_{n+1}  = herm(Sigma_n + alpha^{-1} (Sigma_n + Lambda_n J Lambda_n*)
+                   alpha^{-*});
+    dSigma_{n+1} = herm(dSigma_n + alpha^{-1} (dSigma_n + C_n + C_n*)
+                   alpha^{-*}), C_n = dLambda_n J Lambda_n*.
 
     Lambda_n does not depend on Sigma_n: its rows come first, then the
-    forcing terms Lambda_n J Lambda_n* (dLambda_n J Lambda_n*) of every n
-    in one product, written to the rows of Sigma_{n+1} (dSigma_{n+1})
-    that they help to make.  Only the Sigma_n steps stay sequential."""
-    lam_step, forcing, sigma_step, tangent_step = _stepper(alpha_inv, m)
+    forcing terms Lambda_n J Lambda_n* (C_n) of every n in one product,
+    written to the rows of Sigma_{n+1} (dSigma_{n+1}) that they help to
+    make.  Only the Sigma_n steps stay sequential."""
+    j = signature_matrix(m)
+    i_alpha_inv = 1j * alpha_inv
+    alpha_inv_adj = alpha_inv.conj().T
     n_max = lambdas.shape[1] - 1
-    dlambdas, dsigmas = tangents or (None, None)
+    pairs = [(lambdas, sigmas)] + ([tangents] if tangents else [])
+    dsigmas = tangents[1] if tangents else None
     for n in range(n_max):
-        lambdas[:, n + 1] = lam_step(lambdas[:, n])
-        if tangents:
-            dlambdas[:, n + 1] = lam_step(dlambdas[:, n])
-    before = lambdas[:, :-1]
-    forcing(before, before, out=sigmas[:, 1:])
-    if tangents:
-        forcing(before, dlambdas[:, :-1], out=dsigmas[:, 1:])
-    skews = np.empty_like(sigmas[:, 1:])
+        for lams, _ in pairs:
+            lams[:, n + 1] = lams[:, n] + i_alpha_inv @ lams[:, n] @ j
+    before = _h(lambdas[:, :-1])
+    for lams, sigs in pairs:
+        np.matmul(lams[:, :-1] @ j, before, out=sigs[:, 1:])
     for n in range(n_max):
-        sigma_next = sigma_step(sigmas[:, n], sigmas[:, n + 1])
-        sigmas[:, n + 1] = linalg.herm(sigma_next)
-        np.subtract(sigma_next, sigmas[:, n + 1], out=skews[:, n])
+        sigma, force = sigmas[:, n], sigmas[:, n + 1]
+        sigmas[:, n + 1] = linalg.herm(
+            sigma + alpha_inv @ (sigma + force) @ alpha_inv_adj)
         if tangents:
-            dsigmas[:, n + 1] = tangent_step(dsigmas[:, n], dsigmas[:, n + 1])
-    asymmetries = np.zeros(lambdas.shape[:2])
-    asymmetries[:, 1:] = linalg.frob_norms(skews)
-    return asymmetries
+            dsigma, cross = dsigmas[:, n], dsigmas[:, n + 1]
+            core = dsigma + cross + _h(cross)
+            dsigmas[:, n + 1] = linalg.herm(
+                dsigma + alpha_inv @ core @ alpha_inv_adj)
 
 
 def _involution_limit(tol: Tolerances):
@@ -295,8 +266,8 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     order, width = lambda0.shape[-2:]
     copies = 1 + (tangent is not None)
     lam, sigma, xi = order * width, order * order, width * width
-    per_site = 16 * (copies * (lam + sigma) + max(
-        sigma, (copies + 1) * lam + (3 * copies + 2) * xi)) + 64
+    per_site = 16 * (copies * (lam + sigma) + (copies + 1) * lam
+                     + (3 * copies + 2) * xi) + 64
     step = 16 * copies * (4 * sigma + 3 * lam)
     need = rows * ((n_max + 1) * per_site + step) + 16 * (6 * sigma + xi)
     if need > STACK_BUDGET:
@@ -327,7 +298,7 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     m = lambda0.shape[-1] // 2
     tangents = None if tangent is None else tuple(map(rows_of, tangent))
     with np.errstate(all="ignore"):
-        asymmetries = _recur(alpha_inv, m, lambdas, sigmas, tangents)
+        _recur(alpha_inv, m, lambdas, sigmas, tangents)
         guarded = np.arange(n_max + 1) <= horizons[:, None]
         limit = tol.sigma_overflow
         norms = entries(linalg.frob_norms(sigmas))
@@ -375,7 +346,6 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         conditioning=conditioning,
         spin_residuals=spin_residuals,
         involution_residuals=involutions,
-        sigma_asymmetries=entries(asymmetries),
         sigma_inv_lambdas=entries(solved),
         faults=faults,
         dspins=dspins,

@@ -69,12 +69,19 @@ def herm(a):
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
+def _hermitian_deviation(m):
+    """||M - M*||_F / max(1, ||M||_F) of a square M, NaN or infinite where
+    it overflows."""
+    with np.errstate(all="ignore"):
+        return frob(m - m.conj().T) / max(1.0, frob(m))
+
+
 def require_hermitian(m, tol: Tolerances = DEFAULT, name="matrix"):
     m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
+    dev = _hermitian_deviation(m)
     with np.errstate(all="ignore"):
-        dev = frob(m - m.conj().T) / max(1.0, frob(m))
         h = herm(m)
     if not dev <= tol.hermitian_tol:
         raise NumericError(f"{name} is not Hermitian (relative deviation {dev:.3e})")

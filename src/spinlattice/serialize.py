@@ -26,6 +26,8 @@ import math
 import numpy as np
 import orjson
 
+from . import linalg
+from .config import DEFAULT
 from .errors import InputError
 from .triples import ParameterTriple
 from .weyl import Realization
@@ -147,7 +149,15 @@ def _check_declared(obj, where, order, m, square, blocks):
 def triple_from_obj(obj, where="triple"):
     fields = _fields(obj, where, ("alpha", "theta1", "theta2"))
     if obj.get("sigma0") is not None:
-        fields["sigma0"] = matrix_from_obj(obj["sigma0"], f"{where}.sigma0")
+        sigma0 = fields["sigma0"] = matrix_from_obj(obj["sigma0"],
+                                                    f"{where}.sigma0")
+        # a finite deviation is a malformed file; one that overflows, and
+        # a sigma0 that is not square, are left to ParameterTriple
+        if sigma0.shape[0] == sigma0.shape[1]:
+            dev = linalg._hermitian_deviation(sigma0)
+            if math.isfinite(dev) and dev > DEFAULT.hermitian_tol:
+                raise InputError(f"{where}.sigma0: not Hermitian (relative "
+                                 f"deviation {dev:.3e})")
     triple = ParameterTriple(**fields)
     _check_declared(obj, where, triple.order, triple.m, "alpha", "theta")
     return triple

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -32,34 +34,43 @@ def real_mode_triple():
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """The shapes of the matrices passed to np.linalg.eigh, one per call."""
-    eigh = np.linalg.eigh
-    shapes = []
+def calls(monkeypatch):
+    """calls(owner, name, key) patches the callable ``owner.name``, and
+    every binding of the same object in the loaded spinlattice modules, to
+    record key(*args, **kwargs) per call (the positional arguments without
+    a key) in the list it returns."""
 
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def patch(owner, name, key=lambda *args, **kwargs: args):
+        original = getattr(owner, name)
+        record = []
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return shapes
+        def counted(*args, **kwargs):
+            record.append(key(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        bindings = [(module, attr)
+                    for path, module in list(sys.modules.items())
+                    if path.split(".")[0] == "spinlattice"
+                    for attr, value in vars(module).items()
+                    if value is original]
+        for module, attr in bindings:
+            monkeypatch.setattr(module, attr, counted)
+        return record
+
+    return patch
 
 
 @pytest.fixture
-def spectrum_calls(monkeypatch):
-    """The counts of np.linalg.eigvals calls and of 2-norms taken by
-    np.linalg.norm."""
-    eigvals, norm = np.linalg.eigvals, np.linalg.norm
-    calls = {"eigvals": 0, "norm2": 0}
+def eigh_calls(calls):
+    """The shape of the matrix of each np.linalg.eigh call."""
+    return calls(np.linalg, "eigh", lambda a, *args, **kwargs: np.shape(a))
 
-    def counted_eigvals(a):
-        calls["eigvals"] += 1
-        return eigvals(a)
 
-    def counted_norm(x, ord=None, *args, **kwargs):
-        calls["norm2"] += ord == 2
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    return calls
+@pytest.fixture
+def spectrum_calls(calls):
+    """One entry per np.linalg.eigvals call, and the ord of each
+    np.linalg.norm call."""
+    return {"eigvals": calls(np.linalg, "eigvals"),
+            "norm": calls(np.linalg, "norm",
+                          lambda x, ord=None, *args, **kwargs: ord)}

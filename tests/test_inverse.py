@@ -201,29 +201,18 @@ def test_order_ten_weyl_realization_is_minimal():
     assert _spins_error(recovered, t) <= 1e-8
 
 
-def _krylov_calls(monkeypatch):
-    calls = []
-    krylov_basis = inverse.linalg.krylov_basis
-
-    def counted(a, b, *args, **kwargs):
-        calls.append(a.shape)
-        return krylov_basis(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(inverse.linalg, "krylov_basis", counted)
-    return calls
-
-
-def test_invert_tests_minimality_once(monkeypatch, capsys):
+def test_invert_tests_minimality_once(calls, capsys):
     """One controllability and one observability staircase for a minimal
     realization: the Riccati solve of invert does not test it again."""
     path = pathlib.Path(__file__).parent / "data" / "json" / "m3.realization.json"
-    calls = _krylov_calls(monkeypatch)
+    staircases = calls(inverse.linalg, "krylov_basis",
+                       lambda a, *args, **kwargs: a.shape)
     assert main(["invert", str(path)]) == 0
-    assert len(calls) == 2
+    assert len(staircases) == 2
     assert capsys.readouterr().out == (path.parent / "m3.invert.json").read_text()
 
 
-def test_invert_tests_the_reduced_realization_once(monkeypatch):
+def test_invert_tests_the_reduced_realization_once(calls):
     """A non-minimal realization: its test, the two reduction staircases
     (the second on the controllable part) and one test of the reduced
     realization that the Riccati solve receives."""
@@ -233,9 +222,10 @@ def test_invert_tests_the_reduced_realization_once(monkeypatch):
         gamma=scipy.linalg.block_diag(r.gamma, [[4.0 + 1j]]),
         vartheta1=np.vstack([r.vartheta1, pad]),
         vartheta2=np.vstack([r.vartheta2, pad]))
-    calls = _krylov_calls(monkeypatch)
+    staircases = calls(inverse.linalg, "krylov_basis",
+                       lambda a, *args, **kwargs: a.shape)
     assert invert(big).order == 2
-    assert calls == [(3, 3)] * 3 + [(2, 2)] * 3
+    assert staircases == [(3, 3)] * 3 + [(2, 2)] * 3
 
 
 @pytest.mark.parametrize("block", ("uncontrollable", "unobservable"))

@@ -203,7 +203,7 @@ def _json_floats(obj):
     return [obj] if isinstance(obj, float) else []
 
 
-def test_dumps_writes_every_float_in_one_orjson_call(monkeypatch):
+def test_dumps_writes_every_float_in_one_orjson_call(calls):
     """The spins document of the m = 3 triple at horizon 60 writes its 4,551
     floats (360 exact zeros) with one orjson call, and repr writes just the
     76 whose magnitude lies outside [1e-4, 1e16), where orjson's text is
@@ -212,25 +212,14 @@ def test_dumps_writes_every_float_in_one_orjson_call(monkeypatch):
     path = pathlib.Path(__file__).parent / "data" / "verify" / "m3.json"
     triple = serialize.triple_from_obj(serialize.load_json(path))
     doc = serialize._state_doc(generate(triple, 60))
-    calls, repr_floats = [], []
-    orjson_dumps, float_text = serialize.orjson.dumps, serialize._float
-
-    def counting_dumps(obj, **kwargs):
-        calls.append(obj.size)
-        return orjson_dumps(obj, **kwargs)
-
-    def counting_float(x):
-        repr_floats.append(x)
-        return float_text(x)
-
-    monkeypatch.setattr(serialize.orjson, "dumps", counting_dumps)
-    monkeypatch.setattr(serialize, "_float", counting_float)
+    sizes = calls(serialize.orjson, "dumps", lambda obj, **kwargs: obj.size)
+    repr_floats = calls(serialize, "_float", lambda x: x)
     text = serialize.dumps(doc)
     floats = np.array(_json_floats(json.loads(text)))
     outside = floats[(floats != 0) & ((np.abs(floats) < 1e-4)
                                       | (np.abs(floats) >= 1e16))]
     assert floats.size == 4551 and np.count_nonzero(floats == 0) == 360
-    assert calls == [4551 + 121]
+    assert sizes == [4551 + 121]
     assert repr_floats == outside.tolist() and len(repr_floats) == 76
 
 

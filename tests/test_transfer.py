@@ -63,18 +63,11 @@ def test_fundamental_normalized_at_zero(small_triple, transfer):
     assert np.allclose(transfer.fundamental(0, lam), np.eye(2 * small_triple.m))
 
 
-def test_w_makes_one_solve_per_distinct_lambda(transfer, monkeypatch):
+def test_w_makes_one_solve_per_distinct_lambda(transfer, calls):
     """The resolvent is the only solve of W(n, lambda), one per lambda for
     every n: Sigma_n^{-1} Lambda_n comes with the state, and repeated points
     come from the cache."""
-    solves = []
-    solve = np.linalg.solve
-
-    def counted(*args):
-        solves.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    solves = calls(np.linalg, "solve")
     points = [(n, lam) for n in range(13) for lam in (2.0 - 1.5j, 3j)]
     for n, lam in points + points:
         transfer.w(n, lam)
@@ -250,22 +243,19 @@ def test_stacked_kernel_matches_the_per_point_formulas(order, m, general, seed):
             assert factorizations[name][n] == value, (name, n)
 
 
-def test_run_checks_solves_once_per_lambda_batch(monkeypatch):
+def test_run_checks_solves_once_per_lambda_batch(calls):
     """One run_checks of an order-3, m = 1 triple at n_max = 15 makes a few
     broadcast solves in transfer, where one solve per (n, lambda) point made
     522."""
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
-    solve = np.linalg.solve
-    callers = []
 
-    def counted(*args, **kwargs):
-        frame = sys._getframe(1)
+    def caller(*args, **kwargs):
+        frame = sys._getframe(2)    # the caller of the counting wrapper
         while frame.f_globals.get("__name__") == "spinlattice.linalg":
             frame = frame.f_back
-        callers.append(frame.f_globals.get("__name__"))
-        return solve(*args, **kwargs)
+        return frame.f_globals.get("__name__")
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    callers = calls(np.linalg, "solve", caller)
     run_checks(triple, n_max=15)
     assert 0 < callers.count("spinlattice.transfer") <= 20
 
@@ -331,7 +321,7 @@ def _random_state(rng, order, m, n_max):
     return LatticeState(
         triple=triple, n_max=n_max, lambdas=lambdas, sigmas=sigmas,
         spins=np.zeros((n_max, 2 * m, 2 * m), dtype=complex),
-        conditioning=[], spin_residuals=[], sigma_asymmetries=[],
+        conditioning=[], spin_residuals=[],
         sigma_inv_lambdas=np.linalg.solve(sigmas, lambdas))
 
 
@@ -356,22 +346,6 @@ def test_one_lu_per_point_is_the_per_pair_solve_bit_for_bit(order, m, n_max,
         _gram_per_pair(state, lams))
 
 
-@pytest.fixture
-def lu_count(monkeypatch):
-    """LU factorizations made through linalg.solve (and linalg.inv): one per
-    matrix of the broadcast batch of each call."""
-    solve = linalg.solve
-    count = [0]
-
-    def counted(a, rhs, name="matrix"):
-        batch = np.broadcast_shapes(np.shape(a)[:-2], np.shape(rhs)[:-2])
-        count[0] += int(np.prod(batch, dtype=int))
-        return solve(a, rhs, name)
-
-    monkeypatch.setattr(linalg, "solve", counted)
-    return count
-
-
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -379,12 +353,17 @@ DATA = pathlib.Path(__file__).parent / "data"
     (["verify", "m3.json", "--nmax", "30"], 139),
     (["fundamental", "m3.json", "--nmax", "60", "--lambda", "2+0.5i"], 3),
 ))
-def test_commands_factor_each_matrix_once(lu_count, argv, most):
+def test_commands_factor_each_matrix_once(calls, argv, most):
     """Broadcast over sites, the resolvent was factored once per (lambda,
     n): 1216 factorizations in this verify and 123 in this fundamental,
     whose 61 sites need two matrices, lambda I - alpha and its conjugate,
-    beside the inverse of alpha."""
+    beside the inverse of alpha.  LU factorizations are counted through
+    linalg.solve (and linalg.inv): one per matrix of the broadcast batch of
+    each call."""
+    factored = calls(linalg, "solve", lambda a, rhs, *args: int(np.prod(
+        np.broadcast_shapes(np.shape(a)[:-2], np.shape(rhs)[:-2]),
+        dtype=int)))
     argv[1] = str(DATA / "verify" / argv[1])
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert 0 < lu_count[0] <= most
+    assert 0 < sum(factored) <= most
