@@ -131,12 +131,12 @@ def _csv(header, rows):
     return stream.getvalue()
 
 
-def _load_triple(path):
-    return serialize.triple_from_obj(serialize.load_json(path), path)
+def _load_triple(path, tol):
+    return serialize.triple_from_obj(serialize.load_json(path), path, tol)
 
 
 def _cmd_validate(args, tol):
-    report = validate_triple(_load_triple(args.triple), tol)
+    report = validate_triple(_load_triple(args.triple, tol), tol)
     return serialize.dumps({
         "class": report.triple_class.value,
         "identity_ok": report.identity_ok,
@@ -149,7 +149,7 @@ def _cmd_validate(args, tol):
 
 
 def _cmd_spins(args, tol):
-    state = generate(_load_triple(args.triple), n_max=args.nmax, tol=tol)
+    state = generate(_load_triple(args.triple, tol), n_max=args.nmax, tol=tol)
     if args.format == "csv":
         return _csv(["n", "i", "j", "re", "im"],
                     serialize.stack_csv_rows(state.spins))
@@ -157,7 +157,7 @@ def _cmd_spins(args, tol):
 
 
 def _cmd_fundamental(args, tol):
-    triple = _load_triple(args.triple)
+    triple = _load_triple(args.triple, tol)
     lam = _parse_lambda(args.lam)
     state = generate(triple, n_max=args.nmax, tol=tol)
     table = Transfer(state, tol).fundamental_grid([lam])[:, 0]
@@ -169,7 +169,7 @@ def _cmd_fundamental(args, tol):
 
 
 def _cmd_weyl(args, tol):
-    phi = weyl(_load_triple(args.triple), tol)
+    phi = weyl(_load_triple(args.triple, tol), tol)
     grid = _parse_lambda_grid(args.lambda_grid)
     return serialize.dumps([{"lambda": lam, "phi": value}
                             for lam, value in zip(grid, phi.grid(grid, tol))])
@@ -183,7 +183,7 @@ def _cmd_invert(args, tol):
 
 
 def _cmd_evolve(args, tol):
-    triple = _load_triple(args.triple)
+    triple = _load_triple(args.triple, tol)
     times = _parse_time_grid(args.time_grid)
     lam_probe = 2.0 + 0.5j
     columns = ["t", "n", "s1", "s2", "s3", "zc_residual", "ihm_residual"]
@@ -207,7 +207,8 @@ def _cmd_evolve(args, tol):
 
 
 def _cmd_verify(args, tol):
-    results = run_checks(_load_triple(args.triple), n_max=args.nmax, tol=tol)
+    results = run_checks(_load_triple(args.triple, tol), n_max=args.nmax,
+                         tol=tol)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

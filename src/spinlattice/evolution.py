@@ -9,7 +9,6 @@ IHM semantics are fixed to 2x2 spin matrices (m = 1); the time evolution of
 Lambda_0 and Sigma_0 is implemented for general m.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,8 +19,8 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneracyError, DimensionError, InputError,
                      NumericError, SpectrumError, SpinLatticeError)
-from .lattice import (_h, _lattice_powers, _live, _record, generate,
-                      generate_stack)
+from .lattice import (_check_site, _h, _lattice_powers, _live, _record,
+                      generate, generate_stack)
 from .transfer import Transfer, _g
 from .triples import ParameterTriple, projectors, signature_matrix
 from .weyl import _realization
@@ -136,7 +135,9 @@ def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
 
 
 def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
-    """Closed-form Lambda_n(t): lattice powers applied to Lambda_0(t)."""
+    """Closed-form Lambda_n(t) at a site n >= 0: lattice powers applied to
+    Lambda_0(t)."""
+    _check_site("lambda_n_at", n)
     if _check_spectrum(triple, tol).contains_zero:
         raise SpectrumError("time evolution requires alpha invertible")
     return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), [n])[0]
@@ -280,76 +281,87 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
 
 
 def _triples_at(triple, times, tol):
-    """(Lambda_0(t), Sigma_0(t), faults) of the time-t triple at each of
-    ``times``, stacked, with the checks of ParameterTriple; at t = 0 the
-    triple itself.  The one builder of Sigma_0(t), for ``triple_at``,
-    ``evolve_sigma0`` (``sylvester``) and ``TimeGrid``: a Sylvester solve of
+    """(Lambda_0(t), Sigma_0(t), (dLambda_0/dt, dSigma_0/dt), faults) of the
+    time-t triple at each of ``times``, stacked, with the checks of
+    ParameterTriple; at t = 0 the triple itself.  The one builder of the
+    time-t stage, for ``triple_at``, ``evolve_sigma0`` (``sylvester``) and
+    ``TimeGrid``.  Sigma_0(t) is a Sylvester solve of
     a Sig - Sig a* = i Lam0(t) Lam0(t)* over one pair of Schur forms where
     spec(alpha) lies in the open upper half plane, else the exact solution
-    of its flow.  +/-i in the spectrum is the error of every time t != 0
-    (``_lambda0``); an entry that fails keeps Lambda_0 and Sigma_0."""
+    of its flow; ``_sigma_cross`` takes the other route.  dLambda_0 =
+    [-2(alpha - iI)^{-1} Lambda_0^(1), -2(alpha + iI)^{-1} Lambda_0^(2)] and
+    dSigma_0 is the right-hand side of the flow (``_flow``).  +/-i in the
+    spectrum is the error of every time, t = 0 too; an entry that fails
+    keeps Lambda_0 and Sigma_0."""
     faults = [None] * times.size
     lam = np.broadcast_to(triple.lambda0,
                           times.shape + triple.lambda0.shape).copy()
     sigma = np.broadcast_to(triple.sigma0,
                             times.shape + triple.sigma0.shape).copy()
-    moving = np.flatnonzero(times != 0)
-    if not moving.size:
-        return lam, sigma, faults
-    lam_t, moved = _lambda0(triple, times[moving], tol)
-    sigma_t = sigma[moving]
-    live = _live(moved)
-    if triple.spectrum(tol).in_upper_half_plane:
-        c = 1j * lam_t @ _h(lam_t)
-        _record(moved, ~_finite(lam_t),
-                NumericError("lambda contains non-finite entries"))
-        _record(moved, ~_finite(c),
-                NumericError("C contains non-finite entries"))
-        live = _live(moved)
-        try:
-            if live.size:
-                sigma_t[live] = linalg.herm(linalg.solve_sylvester(
-                    triple.alpha, _h(triple.alpha), c[live], tol))
-        except SpinLatticeError as exc:     # overlapping spectra
-            _record(moved, live, exc)
-    elif live.size:
-        sigma_t[live], flow = _sigma_flow(triple, times[moving][live])
-        for k, error in zip(live.tolist(), flow):
-            moved[k] = error
     m = triple.m
-    for name, block in (("theta1", lam_t[..., :m]),
-                        ("theta2", lam_t[..., m:]), ("sigma0", sigma_t)):
-        _record(moved, ~_finite(block),
-                NumericError(f"{name} contains non-finite entries"))
-    lam[moving], sigma[moving] = lam_t, sigma_t
-    for k, error in zip(moving.tolist(), moved):
-        faults[k] = error
-    return lam, sigma, faults
-
-
-def _tangents(triple, lam, sigma, tol, faults):
-    """(dLambda_0/dt, dSigma_0/dt) at the stacked time-t triples (``lam``,
-    ``sigma``): dLambda_0 = [-2(alpha - iI)^{-1} Lambda_0^(1),
-    -2(alpha + iI)^{-1} Lambda_0^(2)] and dSigma_0 the right-hand side of
-    its flow (``_flow``).  +/-i in the spectrum of alpha is the error of
-    every time in ``faults``, t = 0 too."""
+    moving = np.flatnonzero(times != 0)
+    if moving.size:
+        lam_t, moved = _lambda0(triple, times[moving], tol)
+        sigma_t = sigma[moving]
+        live = _live(moved)
+        if triple.spectrum(tol).in_upper_half_plane:
+            c = 1j * lam_t @ _h(lam_t)
+            _record(moved, ~_finite(lam_t),
+                    NumericError("lambda contains non-finite entries"))
+            _record(moved, ~_finite(c),
+                    NumericError("C contains non-finite entries"))
+            live = _live(moved)
+            try:
+                if live.size:
+                    sigma_t[live] = linalg.herm(linalg.solve_sylvester(
+                        triple.alpha, _h(triple.alpha), c[live], tol))
+            except SpinLatticeError as exc:     # overlapping spectra
+                _record(moved, live, exc)
+        elif live.size:
+            sigma_t[live], flow = _sigma_flow(triple, times[moving][live])
+            for k, error in zip(live.tolist(), flow):
+                moved[k] = error
+        for name, block in (("theta1", lam_t[..., :m]),
+                            ("theta2", lam_t[..., m:]), ("sigma0", sigma_t)):
+            _record(moved, ~_finite(block),
+                    NumericError(f"{name} contains non-finite entries"))
+        lam[moving], sigma[moving] = lam_t, sigma_t
+        for k, error in zip(moving.tolist(), moved):
+            faults[k] = error
     try:
         _check_spectrum(triple, tol)
-        rhs, (minus, plus) = _flow(triple.alpha, triple.m)
+        rhs, (minus, plus) = _flow(triple.alpha, m)
     except SpinLatticeError as exc:
-        _record(faults, np.arange(len(faults)), exc)
-        return np.zeros_like(lam), np.zeros_like(sigma)
-    m = triple.m
+        _record(faults, np.arange(times.size), exc)
+        return lam, sigma, (np.zeros_like(lam), np.zeros_like(sigma)), faults
     dlam = -2.0 * np.concatenate([minus @ lam[..., :m], plus @ lam[..., m:]],
                                  axis=-1)
-    return dlam, rhs(sigma, lam)
+    return lam, sigma, (dlam, rhs(sigma, lam)), faults
+
+
+def _sigma_cross(triple, times, tol):
+    """(Sigma_0(t) at each of ``times`` by the route that ``_triples_at``
+    did not take, stacked; the error of each time or None): the exact flow
+    (``_sigma_flow``) where spec(alpha) lies in the open upper half plane,
+    else RK4 time by time (``evolve_sigma0``, ``ode``), where an entry that
+    fails keeps Sigma_0.  +/-i in the spectrum of alpha raises."""
+    if _check_spectrum(triple, tol).in_upper_half_plane:
+        return _sigma_flow(triple, times)
+    sigma = np.repeat(triple.sigma0[None], times.size, axis=0)
+    faults = [None] * times.size
+    for k, t in enumerate(times.tolist()):
+        try:
+            sigma[k] = evolve_sigma0(triple, t, "ode", tol=tol)
+        except SpinLatticeError as exc:
+            faults[k] = exc
+    return sigma, faults
 
 
 def triple_at(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     """The parameter triple carrying Lambda_0(t) and Sigma_0(t)."""
     if t == 0:
         return triple
-    lam, sigma = _at(_triples_at, triple, t, tol)
+    lam, sigma, _ = _at(_triples_at, triple, t, tol)
     return _triple_with(triple, lam[0], sigma[0])
 
 
@@ -432,8 +444,7 @@ def _require_ihm(triple):
 def spin_evolution(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     """(S_n(t), spin vector) at a site n >= 0 from the time-t triple."""
     _require_ihm(triple)
-    if operator.index(n) < 0:
-        raise ValueError(f"spin_evolution needs a site n >= 0, got {n}")
+    _check_site("spin_evolution", n)
     state = generate(triple_at(triple, t, tol), n_max=n + 1, tol=tol)
     s = state.spins[n]
     return s, spin_vector(s, tol)
@@ -466,15 +477,9 @@ def _lax_f(v_plus, v_minus, lam):
     return v_plus / (lam - 1j) + v_minus / (lam + 1j)
 
 
-def _check_site(name, n):
-    """Refuse a site n < 1 before a grid is sized from it."""
-    if operator.index(n) < 1:
-        raise ValueError(f"{name} needs a site n >= 1, got {n}")
-
-
 def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
     """TimeGrid.lax at site n >= 1 of time t alone, from the sites up to n."""
-    _check_site("lax_pair", n)
+    _check_site("lax_pair", n, 1)
     return TimeGrid(triple, [t], n + 1, tol=tol).lax(0, n, lam)
 
 
@@ -487,8 +492,8 @@ class TimeGrid:
     """The lattice at each time t of a grid: the state at t to horizon N
     (grid entry k is time k), its spin vectors, the bonds 1 + s_{n-1}.s_n
     and ``dspins``, dS_n/dt indexed like the spins.  The time-t triples are
-    one batch (``_triples_at``), joined by those at ``triple_times``
-    (``triple_at``); their derivatives (``_tangents``) ride along the one
+    one batch with their t-derivatives (``_triples_at``), joined by those
+    at ``triple_times`` (``triple_at``); the derivatives ride along the one
     ``generate_stack`` of the states.  The residuals are arrays indexed
     [time, n - 1] over the sites 1 <= n <= N - 2, each computed once.  The
     Transfer of a state is built on first read (``lax``, ``monodromy``).
@@ -510,13 +515,12 @@ class TimeGrid:
         self.triple_times = np.asarray(triple_times, dtype=float)
         size = self.times.size
         with np.errstate(all="ignore"):
-            lam0, sigma0, faults = _triples_at(
+            lam0, sigma0, tangent, faults = _triples_at(
                 triple, np.concatenate([self.times, self.triple_times]), tol)
-            self._extra = lam0[size:], sigma0[size:], faults[size:]
-            lam0, sigma0, faults = lam0[:size], sigma0[:size], faults[:size]
-            tangent = _tangents(triple, lam0, sigma0, tol, faults)
-        self.stack = generate_stack(triple.alpha, lam0, sigma0,
-                                    [n_max] * size, tol, faults, tangent)
+        self._extra = lam0[size:], sigma0[size:], faults[size:]
+        self.stack = generate_stack(triple.alpha, lam0[:size], sigma0[:size],
+                                    [n_max] * size, tol, faults[:size],
+                                    tuple(d[:size] for d in tangent))
         self.spins, self.dspins = self.stack.spins, self.stack.dspins
         self.vectors, self._bad_vectors, self._vector_error = _spin_vectors(
             self.spins, tol)
@@ -704,7 +708,7 @@ def zero_curvature_residual(triple: ParameterTriple, n, t, lam, h_t=None,
     """TimeGrid.zero_curvature_at site n >= 1 of time t alone, from the
     sites up to n + 1; with a step ``h_t``, dS_n/dt by a central
     difference, whose truncation error is O(h_t^2)."""
-    _check_site("zero_curvature_residual", n)
+    _check_site("zero_curvature_residual", n, 1)
     return _grid(triple, n, t, h_t, tol).zero_curvature_at(0, n, lam)
 
 
@@ -712,7 +716,7 @@ def ihm_residual(triple: ParameterTriple, n, t, h_t=None,
                  tol: Tolerances = DEFAULT):
     """TimeGrid.ihm_at site n >= 1 of time t alone, from the sites up to
     n + 1; with a step ``h_t``, dS_n/dt by a central difference."""
-    _check_site("ihm_residual", n)
+    _check_site("ihm_residual", n, 1)
     return _grid(triple, n, t, h_t, tol).ihm_at(0, n)
 
 

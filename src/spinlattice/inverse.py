@@ -119,7 +119,8 @@ def _riccati(r: Realization, tol: Tolerances):
             # Newton-Kleinman: closed-loop Sylvester for the next iterate
             a_cl = a - bbt @ x
             rhs = -(linalg.herm(q) + x @ bbt @ x)
-            x = linalg.herm(linalg.solve_sylvester(a_cl.conj().T, -a_cl, rhs))
+            x = linalg.herm(linalg.solve_sylvester(a_cl.conj().T, -a_cl, rhs,
+                                                   tol))
         res_norm = linalg.frob(_riccati_residual(r, x))
     if not np.isfinite(x).all():
         raise NumericError("Riccati solution has non-finite entries")

@@ -52,14 +52,19 @@ def _matrix_powers(base, ns):
 
     def power(n):
         n = operator.index(n)
-        if n < 0:
-            return np.linalg.matrix_power(base, n)
         if n == 0:
             return np.eye(base.shape[0], dtype=base.dtype)
         # the ladder of 3 is base @ (base @ base)
         return ladder(2) @ base if n == 3 else ladder(n)
 
     return np.array([power(n) for n in ns])
+
+
+def _check_site(name, n, first=0):
+    """Refuse a site n < first where it enters, before a power is taken or
+    a grid is sized from it."""
+    if operator.index(n) < first:
+        raise ValueError(f"{name} needs a site n >= {first}, got {n}")
 
 
 def _lattice_powers(alpha, lam0, ns):
@@ -81,6 +86,7 @@ def lambda_closed_form(triple: ParameterTriple, n):
     + i a^{-1} Lambda_n J never reads Sigma_n, and J acts on the two column
     blocks as the scalars +1 and -1.
     """
+    _check_site("lambda_closed_form", n)
     return _lattice_powers(triple.alpha, triple.lambda0, [n])[0]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 import orjson
 
 from . import linalg
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .errors import InputError
 from .triples import ParameterTriple
 from .weyl import Realization
@@ -146,18 +146,27 @@ def _check_declared(obj, where, order, m, square, blocks):
                              f"{found}")
 
 
-def triple_from_obj(obj, where="triple"):
+def triple_from_obj(obj, where="triple", tol: Tolerances = DEFAULT):
     fields = _fields(obj, where, ("alpha", "theta1", "theta2"))
     if obj.get("sigma0") is not None:
         sigma0 = fields["sigma0"] = matrix_from_obj(obj["sigma0"],
                                                     f"{where}.sigma0")
-        # a finite deviation is a malformed file; one that overflows, and
-        # a sigma0 that is not square, are left to ParameterTriple
+        # a finite deviation beyond tol.hermitian_tol is a malformed file;
+        # one that overflows, and a sigma0 that is not square, are left to
+        # ParameterTriple
         if sigma0.shape[0] == sigma0.shape[1]:
             dev = linalg._hermitian_deviation(sigma0)
-            if math.isfinite(dev) and dev > DEFAULT.hermitian_tol:
-                raise InputError(f"{where}.sigma0: not Hermitian (relative "
-                                 f"deviation {dev:.3e})")
+            if math.isfinite(dev):
+                if dev > tol.hermitian_tol:
+                    raise InputError(f"{where}.sigma0: not Hermitian "
+                                     f"(relative deviation {dev:.3e})")
+                # ParameterTriple gates with the default table: it gets the
+                # Hermitian part, which it keeps bit for bit, unless that
+                # overflows
+                with np.errstate(all="ignore"):
+                    part = linalg.herm(sigma0)
+                if np.isfinite(part).all():
+                    fields["sigma0"] = part
     triple = ParameterTriple(**fields)
     _check_declared(obj, where, triple.order, triple.m, "alpha", "theta")
     return triple

@@ -52,9 +52,8 @@ class _Context:
     first use: the Weyl realization, the Transfer of horizon 30, one
     horizon-3 TimeGrid over _GRID_TIMES, read at site 1 of each time (as
     the grid of one that the public residual functions build), whose
-    batch of time-t triples also holds those at _TRIPLE_TIMES, and one
-    Gramian flow over _TRIPLE_TIMES.  ``spectrum`` is the report of alpha
-    that validate made."""
+    batch of time-t triples also holds those at _TRIPLE_TIMES.
+    ``spectrum`` is the report of alpha that validate made."""
 
     def __init__(self, triple, n_max, tol):
         self.triple = triple
@@ -81,14 +80,6 @@ class _Context:
     def time_grid(self):
         return evolution.TimeGrid(self.triple, _GRID_TIMES, 3, tol=self.tol,
                                   triple_times=_TRIPLE_TIMES)
-
-    @cached_property
-    def gramian(self):
-        """Sigma_0(t) of the Gramian route at _TRIPLE_TIMES, and the error
-        of each time or None."""
-        evolution._check_spectrum(self.triple, self.tol)
-        with np.errstate(all="ignore"):
-            return evolution._sigma_flow(self.triple, np.array(_TRIPLE_TIMES))
 
     @cached_property
     def weyl(self):
@@ -252,22 +243,16 @@ def _evolution_identity(ctx):
 
 
 def _evolution_methods(ctx):
-    """Sigma_0(t) of the time-t triple against the other exact route: the
-    Gramian flow where that triple took the Sylvester solve (spectrum in the
-    open upper half plane), RK4 where it took the flow.  The flow of both
-    times is one stacked call; RK4 runs time by time."""
-    flow = ctx.spectrum.in_upper_half_plane
+    """Sigma_0(t) of the time-t triple against the route that it did not
+    take (``evolution._sigma_cross``), both times in one call."""
+    sigma, faults = evolution._sigma_cross(ctx.triple,
+                                           np.array(_TRIPLE_TIMES), ctx.tol)
     worst = 0.0
     for k, t in enumerate(_TRIPLE_TIMES):
         a = ctx.triple_at(t).sigma0
-        if flow:
-            sigma, faults = ctx.gramian
-            if faults[k] is not None:
-                raise faults[k]
-            b = sigma[k]
-        else:
-            b = evolution.evolve_sigma0(ctx.triple, t, "ode", tol=ctx.tol)
-        worst = max(worst, linalg.frob(a - b))
+        if faults[k] is not None:
+            raise faults[k]
+        worst = max(worst, linalg.frob(a - sigma[k]))
     return worst, 1e-7
 
 

@@ -275,6 +275,25 @@ def test_bad_tolerance_flag(triple_file, example_file):
                          "--tol", "sigma_overflow=inf"]) == 2
 
 
+def test_the_hermitian_tolerance_gates_the_sigma0_of_a_triple_file(
+        tmp_path, capsys):
+    """sigma0 = [[1 + i]] deviates from Hermitian by sqrt(2): refused under
+    the default table, and read as its Hermitian part [[1]], the sigma0 of
+    the FG triple alpha = 2i, theta1 = theta2 = sqrt(2), under
+    hermitian_tol = 10."""
+    r2 = np.sqrt(2.0)
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({
+        name: serialize.matrix_to_obj(np.array([[value]])) for name, value in
+        (("alpha", 2j), ("theta1", r2), ("theta2", r2), ("sigma0", 1 + 1j))}))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}.sigma0: not Hermitian "
+                                       f"(relative deviation 1.414e+00)\n")
+    assert main(["validate", str(path), "--tol", "hermitian_tol=10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["class"] == "FG" and out["identity_ok"]
+
+
 def test_bad_lambda_grid(triple_file, example_file, capsys):
     assert main(["weyl", triple_file, "--lambda-grid", "1,2,3"]) == 2
     # non-finite points are input errors, not NaN in the output

@@ -813,16 +813,58 @@ def test_the_tangent_is_a_stage_after_the_spin_vectors(monkeypatch):
         with pytest.raises(SpectrumError, match=PLUS_MINUS_I):
             read()
 
-    tangents = evolution._tangents
+    triples_at = evolution._triples_at
 
-    def overflowing(triple, lam, sigma, tol, faults):
-        dlam, dsigma = tangents(triple, lam, sigma, tol, faults)
-        return np.full_like(dlam, np.inf), dsigma
+    def overflowing(triple, times, tol):
+        lam, sigma, (dlam, dsigma), faults = triples_at(triple, times, tol)
+        return lam, sigma, (np.full_like(dlam, np.inf), dsigma), faults
 
-    monkeypatch.setattr(evolution, "_tangents", overflowing)
+    monkeypatch.setattr(evolution, "_triples_at", overflowing)
     grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
     with pytest.raises(NumericError, match=re.escape(
             "dS_1/dt contains non-finite entries")) as info:
         grid.check()
     assert info.value.time == 0.0
     assert np.isfinite(grid.lax(1, 2, 2.0 + 0.5j).f).all()
+
+
+def test_a_vanishing_bond_is_the_stage_after_the_tangent(monkeypatch):
+    """With s_2 = -s_1 at t = 0.3, the bond 1 + s_1.s_2 vanishes: it fails
+    that time, named by its sites, and ``check`` sets the time; a Lax read
+    at site 1, which reads the bond 1 alone, does not meet it.  When dS/dt
+    at t = 0.3 is not finite either, a read at site 2 raises dS_2/dt
+    first."""
+    spin_vectors = evolution._spin_vectors
+
+    def antiparallel(spins, tol):
+        vectors, bad, error = spin_vectors(spins, tol)
+        vectors = vectors.copy()
+        vectors[1, 2] = -vectors[1, 1]
+        return vectors, bad, error
+
+    monkeypatch.setattr(evolution, "_spin_vectors", antiparallel)
+    grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
+    bond = grid.bonds[1, 1]
+    assert abs(bond) < DEFAULT.degeneracy_tol
+    message = f"^{re.escape(f'1 + s_1.s_2 = {bond:.3e} vanishes')}$"
+    with pytest.raises(DegeneracyError, match=message) as info:
+        grid.check()
+    assert info.value.time == 0.3
+    assert np.isfinite(grid.lax(1, 1, 2.0 + 0.5j).f).all()
+    for read in (lambda: grid.lax(1, 2, 2.0 + 0.5j),
+                 lambda: grid.ihm_at(1, 1)):
+        with pytest.raises(DegeneracyError, match=message):
+            read()
+
+    triples_at = evolution._triples_at
+
+    def overflowing(triple, times, tol):
+        lam, sigma, (dlam, dsigma), faults = triples_at(triple, times, tol)
+        dlam[1] = np.inf
+        return lam, sigma, (dlam, dsigma), faults
+
+    monkeypatch.setattr(evolution, "_triples_at", overflowing)
+    grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
+    with pytest.raises(NumericError, match=re.escape(
+            "dS_2/dt contains non-finite entries")):
+        grid.ihm_at(1, 2)

@@ -24,7 +24,8 @@ from spinlattice import (
     weyl,
     weyl_evolution,
 )
-from spinlattice import inverse
+from spinlattice import inverse, linalg
+from spinlattice.config import DEFAULT
 from spinlattice.cli import main
 from spinlattice.errors import AdmissibilityError
 
@@ -52,6 +53,21 @@ def test_newton_kleinman_polishes_a_perturbed_subspace_solution(
     sol = solve_riccati(r)
     assert sol.newton_iterations >= 2
     assert np.linalg.norm(sol.x - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_newton_kleinman_solves_under_the_given_table(monkeypatch, calls):
+    """Each closed-loop Sylvester solve of the Newton steps of ``invert``
+    checks its spectra with the table ``invert`` was given."""
+    r = random_minimal_realization(np.random.default_rng(3), 3, 2)
+    solve = scipy.linalg.solve_continuous_are
+    monkeypatch.setattr(inverse.scipy.linalg, "solve_continuous_are",
+                        lambda *args: solve(*args) * (1 + 1e-6))
+    tables = calls(linalg, "solve_sylvester",
+                   lambda a, b, c, tol=DEFAULT: tol)
+    table = DEFAULT.replace(spec_tol=1e-9)
+    invert(r, table)
+    assert len(tables) >= 2
+    assert all(tol is table for tol in tables)
 
 
 def test_invert_takes_both_roots_from_one_eigh(eigh_calls):

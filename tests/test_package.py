@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import spinlattice
-from spinlattice import (generate, ihm_residual, k_residual, lax_pair,
+from spinlattice import (generate, ihm_residual, k_residual,
+                         lambda_closed_form, lambda_n_at, lax_pair,
                          positivity_interval, random_admissible_triple,
                          spin_evolution, summability_diagnostic,
                          zero_curvature_residual)
@@ -59,6 +60,19 @@ def test_no_module_imports_a_name_it_never_reads(name):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+def test_no_module_reads_a_tolerance_off_the_default_table():
+    """A tolerance is read off the table a function was given, so that
+    ``--tol`` reaches it: ``DEFAULT`` appears only as a parameter default
+    and as the base of ``DEFAULT.replace``."""
+    fields = set(spinlattice.Tolerances.names())
+    reads = [f"{name}.py:{node.lineno} DEFAULT.{node.attr}"
+             for name in MODULES for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Attribute) and node.attr in fields
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "DEFAULT"]
+    assert reads == []
 
 
 def _doors():
@@ -233,6 +247,12 @@ def test_the_public_surface_is_pinned():
                  id="k_residual-site-past-horizon"),
     pytest.param(lambda t, s: spin_evolution(t, -1, 0.1),
                  r"site n >= 0, got -1", id="spin_evolution-negative-site"),
+    pytest.param(lambda t, s: lambda_closed_form(t, -1),
+                 r"^lambda_closed_form needs a site n >= 0, got -1$",
+                 id="lambda_closed_form-negative-site"),
+    pytest.param(lambda t, s: lambda_n_at(t, -1, 0.1),
+                 r"^lambda_n_at needs a site n >= 0, got -1$",
+                 id="lambda_n_at-negative-site"),
     pytest.param(lambda t, s: zero_curvature_residual(t, 0, 0.1, 2.0),
                  r"^zero_curvature_residual needs a site n >= 1, got 0$",
                  id="zero_curvature_residual-site-zero"),
