@@ -50,6 +50,13 @@ MAX_RK_STEPS = 100_000
 # Bound on | ||(s1, s2, s3)|| - 1 | of a spin vector.
 SPIN_NORM_BOUND = 1e-9
 
+# Largest cond(V), V the unit eigenvectors of alpha, at which the time-t
+# stage is formed in the eigenbasis (``_eigenbasis``).  Its error grows
+# like cond(V)^2 eps: 1.1e-14 at cond(V) = 21, 2.7e-13 at 70 and 1.6e-12
+# at 210 on the family alpha = [[1+2i, 1, 0], [0, 1+2i+delta, 0.5],
+# [0, 0, -0.7+1.5i]], against 6e-16 by the Schur route.
+EIGENBASIS_COND = 100.0
+
 
 def _check_spectrum(triple, tol):
     spec = triple.spectrum(tol)
@@ -68,6 +75,71 @@ def _finite(a):
     return np.isfinite(a).all(axis=(-2, -1))
 
 
+def _refuse_non_finite(times, faults):
+    """Make the error of each non-finite time an InputError, whatever else
+    failed there: a time is checked first."""
+    for k in np.flatnonzero(~np.isfinite(times)).tolist():
+        faults[k] = InputError(
+            f"time t must be finite, got {float(times[k])!r}")
+    return faults
+
+
+def _of_alpha(triple, key, make):
+    """make(alpha), made once per alpha array: kept beside the spectrum
+    reports of the triple, which every triple moved from it shares
+    (``_triple_with``)."""
+    if key not in triple._spectra:
+        triple._spectra[key] = make(triple.alpha)
+    return triple._spectra[key]
+
+
+def _resolvents(triple):
+    """(alpha - iI)^{-1} and (alpha + iI)^{-1}, inverted once per alpha."""
+    def invert(alpha):
+        i_n = np.eye(alpha.shape[0], dtype=complex)
+        return linalg.inv(alpha - 1j * i_n), linalg.inv(alpha + 1j * i_n)
+
+    return _of_alpha(triple, "resolvents", invert)
+
+
+def _refined(alpha, d, v):
+    """One Newton step on the eigenpairs (d, V) of alpha (Dongarra, Moler
+    & Wilkinson, SIAM J. Numer. Anal. 20, 1983): with
+    G = V^{-1} (alpha V - V diag(d)), d + diag(G) and V (I + F),
+    F_jk = G_jk / (d_k - d_j) off the diagonal, kept where it is at most
+    1e-3 (a pair of close eigenvalues keeps its vectors), each column of
+    V rescaled to unit norm.  It leaves the residual of one product where
+    ``np.linalg.eig`` leaves that of its QR iterations: on random triples
+    ||alpha - V D V^{-1}|| / ||alpha|| falls from about 1.2e-15 to 3e-16,
+    and the error of Sigma_0(t) in the eigenbasis from 1.7e-15 to 5.5e-16
+    (medians)."""
+    g = linalg.solve(v, alpha @ v - v * d)
+    d = d + np.diag(g)
+    with np.errstate(all="ignore"):
+        f = g / (d[None, :] - d[:, None])
+    f[~(abs(f) <= 1e-3)] = 0.0          # the diagonal, and close pairs
+    v = v + v @ f
+    return d, v / np.linalg.norm(v, axis=0)
+
+
+def _eigenbasis(triple, tol):
+    """(d, V, V^{-1}) with alpha = V diag(d) V^{-1}, where the time-t stage
+    is formed in the eigenbasis: the spectrum in the open upper half plane
+    and cond(V) <= EIGENBASIS_COND; else None.  One eigendecomposition per
+    alpha, and none for a spectrum outside the half plane.  The caller has
+    refused +/-i in the spectrum."""
+    def decompose(alpha):
+        d, v = np.linalg.eig(alpha)
+        if not linalg.cond(v) <= EIGENBASIS_COND:
+            return None
+        d, v = _refined(alpha, d, v)
+        return d, v, linalg.inv(v)
+
+    if not triple.spectrum(tol).in_upper_half_plane:
+        return None
+    return _of_alpha(triple, "eigenbasis", decompose)
+
+
 def _expm(a, times, faults):
     """e^{a[p, k]} for the time-times[k] quantities a[p, k] of each entry k
     without an error in ``faults``, in one expm call.  A non-finite exponent
@@ -82,19 +154,33 @@ def _expm(a, times, faults):
     return e
 
 
-def _resolvents(alpha):
-    """(alpha - iI)^{-1} and (alpha + iI)^{-1}."""
-    i_n = np.eye(alpha.shape[0], dtype=complex)
-    return linalg.inv(alpha - 1j * i_n), linalg.inv(alpha + 1j * i_n)
-
-
-def _exp_factors(alpha, times):
+def _exp_factors(triple, times):
     """(e^{-2t(alpha - iI)^{-1}} and e^{-2t(alpha + iI)^{-1}} at each time,
     indexed [0 or 1, time]; the error of each time or None)."""
     faults = [None] * times.size
     scale = (-2.0 * times)[:, None, None]
-    return _expm(np.stack([scale * r for r in _resolvents(alpha)]), times,
+    return _expm(np.stack([scale * r for r in _resolvents(triple)]), times,
                  faults), faults
+
+
+def _primed_lambda0(triple, basis, times):
+    """((Lambda'_0(t), dLambda'_0/dt) at each of ``times``, stacked; the
+    error of each time or None), Lambda'_0(t) = V^{-1} Lambda_0(t) in the
+    eigenbasis ``basis`` of alpha (``_eigenbasis``).  The resolvents
+    (alpha -/+ iI)^{-1} are diagonal there, r = 1/(d -/+ i) down the
+    theta1 and theta2 columns, so Lambda'_0(t) = e^{-2t r} V^{-1} Lambda_0
+    and dLambda'_0/dt = -2 r Lambda'_0(t), elementwise.  A non-finite
+    exponent or exponential is the overflow of its time, as in ``_expm``."""
+    d, _, v_inv = basis
+    r = np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1),
+                  triple.m, axis=-1)
+    exponent = (-2.0 * times)[:, None, None] * r
+    e = np.exp(exponent)
+    faults = [None] * times.size
+    _record(faults, ~(_finite(exponent) & _finite(e)),
+            lambda k: _overflow(times[k]))
+    lam = e * (v_inv @ triple.lambda0)
+    return (lam, -2.0 * r * lam), faults
 
 
 def _at(stacked, subject, t, *args):
@@ -112,21 +198,30 @@ def _at(stacked, subject, t, *args):
 
 def _lambda0(triple, times, tol):
     """(Lambda_0(t) at each of ``times``, stacked; the error of each time or
-    None).  +/-i in the spectrum of alpha is the error of every time.  An
-    entry that fails keeps Lambda_0."""
+    None), in the eigenbasis of alpha where ``_eigenbasis`` admits it, else
+    from one stacked expm.  +/-i in the spectrum of alpha is the error of
+    every time.  At t = 0, and at an entry that fails, it is Lambda_0."""
     lam = np.broadcast_to(triple.lambda0,
                           times.shape + triple.lambda0.shape).copy()
     try:
         _check_spectrum(triple, tol)
-        e, faults = _exp_factors(triple.alpha, times)
-        lam = np.concatenate([e[0] @ triple.theta1, e[1] @ triple.theta2],
-                             axis=-1)
+        basis = _eigenbasis(triple, tol)
+        if basis is None:
+            e, faults = _exp_factors(triple, times)
+            lam = np.concatenate([e[0] @ triple.theta1, e[1] @ triple.theta2],
+                                 axis=-1)
+        else:
+            (primed, _), faults = _primed_lambda0(triple, basis, times)
+            moved = _moved(times, faults)
+            lam[moved] = (basis[1] @ primed)[moved]
     except SpinLatticeError as exc:        # the same for every time
         faults = [exc] * times.size
-    for k in np.flatnonzero(~np.isfinite(times)).tolist():  # checked first
-        faults[k] = InputError(
-            f"time t must be finite, got {float(times[k])!r}")
-    return lam, faults
+    return lam, _refuse_non_finite(times, faults)
+
+
+def _moved(times, faults):
+    """The mask of the entries at a time t != 0 without an error."""
+    return (times != 0) & np.array([e is None for e in faults], dtype=bool)
 
 
 def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
@@ -143,7 +238,7 @@ def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
     return _lattice_powers(triple.alpha, evolve_lambda0(triple, t, tol), [n])[0]
 
 
-def _flow(alpha, m):
+def _flow(triple):
     """The right-hand side of the Sigma_0 flow as a function of
     (Sigma_0(t), Lambda_0(t)), for one or each of a stack,
 
@@ -151,13 +246,14 @@ def _flow(alpha, m):
 
     R = (alpha - iI)^{-1} + (alpha + iI)^{-1}, Q = (alpha^2 + I)^{-1},
     C = Lambda_0 J Lambda_0*; and the resolvents of ``_resolvents``."""
+    alpha = triple.alpha
     i_n = np.eye(alpha.shape[0], dtype=complex)
-    minus, plus = _resolvents(alpha)
+    minus, plus = _resolvents(triple)
     r = minus + plus
     r_adj = _h(r)
     q = linalg.inv(alpha @ alpha + i_n)
     q_alpha = q @ alpha
-    j = signature_matrix(m)
+    j = signature_matrix(triple.m)
 
     def rhs(sigma, lam):
         # Q alpha C Q* = (Q alpha Lam) J (Q Lam)*, and Q C alpha* Q* is its
@@ -174,7 +270,7 @@ def _sigma_rk4(triple, t, rk_step=1e-3):
     Lambda_0 is carried from one stage time to the next by the exact
     half-step propagators e^{-h(alpha -/+ iI)^{-1}}.
     """
-    alpha, m = triple.alpha, triple.m
+    m = triple.m
     steps = abs(t) / rk_step
     if steps > MAX_RK_STEPS:
         raise NumericError(
@@ -183,8 +279,8 @@ def _sigma_rk4(triple, t, rk_step=1e-3):
         )
     steps = max(1, int(np.ceil(steps)))
     h = t / steps
-    rhs, _ = _flow(alpha, m)
-    (p_minus,), (p_plus,) = _at(_exp_factors, alpha, h / 2)[0]
+    rhs, _ = _flow(triple)
+    (p_minus,), (p_plus,) = _at(_exp_factors, triple, h / 2)[0]
 
     def half_step(lam):
         return np.hstack([p_minus @ lam[:, :m], p_plus @ lam[:, m:]])
@@ -232,7 +328,7 @@ def _sigma_flow(triple, times):
     alpha = triple.alpha
     n = alpha.shape[0]
     faults = [None] * times.size
-    minus, plus = _resolvents(alpha)
+    minus, plus = _resolvents(triple)
     q = minus @ plus
     e = _expm((-times)[None, :, None, None] * (minus + plus), times, faults)[0]
     blocks = np.stack([_van_loan(plus - minus, triple.theta1),
@@ -249,8 +345,10 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
     """Sigma_0(t) by one named route, for comparing them.
 
     ``sylvester``: the Sigma_0(t) of ``triple_at`` (``_triples_at``), the
-    unique solution of a Sig - Sig a* = i Lam0(t) Lam0(t)*, with its
-    finite checks; at t = 0 Sigma_0 itself.
+    unique solution of the Sylvester equation
+    a Sig - Sig a* = i Lam0(t) Lam0(t)*, with its finite checks; at t = 0
+    Sigma_0 itself.  The equation is solved in the eigenbasis of a where
+    ``_eigenbasis`` admits a, else over its Schur form.
     ``gramian``: exact solution of the Sigma_0 flow from Sigma_0(0), three
     matrix exponentials for any t (Van Loan Gramians, see ``_sigma_flow``).
     ``ode``: fixed-step RK4 on the same flow, the reference for
@@ -285,20 +383,75 @@ def _triples_at(triple, times, tol):
     time-t triple at each of ``times``, stacked, with the checks of
     ParameterTriple; at t = 0 the triple itself.  The one builder of the
     time-t stage, for ``triple_at``, ``evolve_sigma0`` (``sylvester``) and
-    ``TimeGrid``.  Sigma_0(t) is a Sylvester solve of
-    a Sig - Sig a* = i Lam0(t) Lam0(t)* over one pair of Schur forms where
-    spec(alpha) lies in the open upper half plane, else the exact solution
-    of its flow; ``_sigma_cross`` takes the other route.  dLambda_0 =
-    [-2(alpha - iI)^{-1} Lambda_0^(1), -2(alpha + iI)^{-1} Lambda_0^(2)] and
-    dSigma_0 is the right-hand side of the flow (``_flow``).  +/-i in the
-    spectrum is the error of every time, t = 0 too; an entry that fails
-    keeps Lambda_0 and Sigma_0."""
-    faults = [None] * times.size
-    lam = np.broadcast_to(triple.lambda0,
-                          times.shape + triple.lambda0.shape).copy()
-    sigma = np.broadcast_to(triple.sigma0,
-                            times.shape + triple.sigma0.shape).copy()
+    ``TimeGrid``.  Sigma_0(t) solves a Sig - Sig a* = i Lam0(t) Lam0(t)*
+    where spec(alpha) lies in the open upper half plane: in the eigenbasis
+    of alpha where ``_eigenbasis`` admits it (``_eigen_triples``), else by
+    a Sylvester solve over one pair of Schur forms; elsewhere it is the
+    exact solution of its flow (``_flow_triples``).  ``_sigma_cross`` takes
+    the other route.  +/-i in the spectrum is the error of every time,
+    t = 0 too; an entry that fails keeps Lambda_0 and Sigma_0."""
+    try:
+        _check_spectrum(triple, tol)
+        basis = _eigenbasis(triple, tol)
+        flow = None if basis else _flow(triple)
+    except SpinLatticeError as exc:     # +/-i: the error of every time
+        lam, sigma = _kept(triple, times)
+        faults = _refuse_non_finite(times, [exc] * times.size)
+        return lam, sigma, (np.zeros_like(lam), np.zeros_like(sigma)), faults
+    if basis:
+        return _eigen_triples(triple, basis, times)
+    return _flow_triples(triple, times, tol, flow)
+
+
+def _kept(triple, times):
+    """Lambda_0 and Sigma_0 at each of ``times``, stacked copies."""
+    return tuple(np.broadcast_to(a, times.shape + a.shape).copy()
+                 for a in (triple.lambda0, triple.sigma0))
+
+
+def _eigen_triples(triple, basis, times):
+    """``_triples_at`` in the eigenbasis ``basis`` = (d, V, V^{-1}) of alpha,
+    from ``_primed_lambda0``.  With D = diag(d) the equation is
+    D Sig' - Sig' D* = i Lam' Lam'* for Sig' = V^{-1} Sig V^{-*}, a
+    Cauchy-like matrix: Sig'_jk = i (Lam' Lam'*)_jk / (d_j - conj d_k)
+    (Gohberg, Kailath & Olshevsky, Math. Comp. 64, 1995), and dSig'_jk is
+    the same with dLam' Lam'* + Lam' dLam'* for Lam' Lam'*.  Each returns
+    through V.  At t = 0 the derivatives are those of the formulas; an
+    entry that fails has zero derivatives."""
+    d, v, _ = basis
+    v_adj = _h(v)
+    (lam_p, dlam_p), faults = _primed_lambda0(triple, basis, times)
+    lam_t = v @ lam_p
+    c = 1j * lam_p @ _h(lam_p)
+    _record(faults, ~_finite(lam_t),
+            NumericError("lambda contains non-finite entries"))
+    _record(faults, ~_finite(c), NumericError("C contains non-finite entries"))
+    gaps = d[:, None] - d.conj()[None, :]
+    sigma_t = linalg.herm(v @ (c / gaps) @ v_adj)
+    _record(faults, ~_finite(sigma_t),
+            NumericError("sigma0 contains non-finite entries"))
+    _refuse_non_finite(times, faults)
+    moved = _moved(times, faults)[:, None, None]
+    cross = dlam_p @ _h(lam_p)
+    dsigma = linalg.herm(v @ (1j * (cross + _h(cross)) / gaps) @ v_adj)
+    failed = np.array([e is not None for e in faults])[:, None, None]
+    return (np.where(moved, lam_t, triple.lambda0),
+            np.where(moved, sigma_t, triple.sigma0),
+            (np.where(failed, 0, v @ dlam_p), np.where(failed, 0, dsigma)),
+            faults)
+
+
+def _flow_triples(triple, times, tol, flow):
+    """``_triples_at`` where ``_eigenbasis`` refuses alpha: Lambda_0(t) from
+    one stacked expm, Sigma_0(t) a Sylvester solve over one pair of Schur
+    forms on the open upper half plane, else the exact solution of its
+    flow (``_sigma_flow``).  dLambda_0 = [-2(alpha - iI)^{-1} Lambda_0^(1),
+    -2(alpha + iI)^{-1} Lambda_0^(2)] and dSigma_0 is the right-hand side
+    of the flow, ``flow`` (``_flow``)."""
     m = triple.m
+    rhs, (minus, plus) = flow
+    lam, sigma = _kept(triple, times)
+    faults = [None] * times.size
     moving = np.flatnonzero(times != 0)
     if moving.size:
         lam_t, moved = _lambda0(triple, times[moving], tol)
@@ -318,8 +471,8 @@ def _triples_at(triple, times, tol):
             except SpinLatticeError as exc:     # overlapping spectra
                 _record(moved, live, exc)
         elif live.size:
-            sigma_t[live], flow = _sigma_flow(triple, times[moving][live])
-            for k, error in zip(live.tolist(), flow):
+            sigma_t[live], flowed = _sigma_flow(triple, times[moving][live])
+            for k, error in zip(live.tolist(), flowed):
                 moved[k] = error
         for name, block in (("theta1", lam_t[..., :m]),
                             ("theta2", lam_t[..., m:]), ("sigma0", sigma_t)):
@@ -328,12 +481,6 @@ def _triples_at(triple, times, tol):
         lam[moving], sigma[moving] = lam_t, sigma_t
         for k, error in zip(moving.tolist(), moved):
             faults[k] = error
-    try:
-        _check_spectrum(triple, tol)
-        rhs, (minus, plus) = _flow(triple.alpha, m)
-    except SpinLatticeError as exc:
-        _record(faults, np.arange(times.size), exc)
-        return lam, sigma, (np.zeros_like(lam), np.zeros_like(sigma)), faults
     dlam = -2.0 * np.concatenate([minus @ lam[..., :m], plus @ lam[..., m:]],
                                  axis=-1)
     return lam, sigma, (dlam, rhs(sigma, lam)), faults
@@ -358,7 +505,11 @@ def _sigma_cross(triple, times, tol):
 
 
 def triple_at(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
-    """The parameter triple carrying Lambda_0(t) and Sigma_0(t)."""
+    """The parameter triple carrying Lambda_0(t) and Sigma_0(t) of
+    ``_triples_at``: on the open upper half plane Sigma_0(t) solves the
+    Sylvester equation alpha Sig - Sig alpha* = i Lam0(t) Lam0(t)*, in the
+    eigenbasis of alpha where ``_eigenbasis`` admits it; elsewhere it
+    follows its flow."""
     if t == 0:
         return triple
     lam, sigma, _ = _at(_triples_at, triple, t, tol)

@@ -94,6 +94,9 @@ class ParameterTriple:
         object.__setattr__(self, "theta1", theta1)
         object.__setattr__(self, "theta2", theta2)
         object.__setattr__(self, "sigma0", sigma0)
+        # work on alpha alone, shared with each triple that the time
+        # evolution moves from this one: the spectrum reports, keyed by
+        # Tolerances, and the evolution's resolvents and eigenbasis
         object.__setattr__(self, "_spectra", {})
 
     def spectrum(self, tol: Tolerances = DEFAULT):

@@ -2,8 +2,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from spinlattice import ParameterTriple, random_admissible_triple
+from spinlattice import ParameterTriple, linalg, random_admissible_triple
 
 
 @pytest.fixture
@@ -74,3 +75,15 @@ def spectrum_calls(calls):
     return {"eigvals": calls(np.linalg, "eigvals"),
             "norm": calls(np.linalg, "norm",
                           lambda x, ord=None, *args, **kwargs: ord)}
+
+
+@pytest.fixture
+def stage_calls(calls):
+    """The work of the time-t stage: the number of matrices of each stacked
+    scipy.linalg.expm call and of right-hand sides of each
+    linalg.solve_sylvester call, and one entry per np.linalg.eig call."""
+    return {"expm": calls(scipy.linalg, "expm", lambda a: a[..., 0, 0].size),
+            "sylvester": calls(linalg, "solve_sylvester",
+                               lambda a, b, c, *args, **kwargs:
+                               c[..., 0, 0].size),
+            "eig": calls(np.linalg, "eig")}

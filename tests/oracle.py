@@ -15,8 +15,9 @@ L = (alpha + iI)^{-1} - (alpha - iI)^{-1}, each Gramian
 G(A, b) = int_0^t e^{sA} b b* e^{sA*} ds taken from one exponential of the
 Van Loan block [[-A, b b*], [0, A*]].  Every step runs at ``DPS`` digits.
 
-``sigmas`` is the lattice recursion of Sigma_n in the same arithmetic.
-dS_n/dt is the central difference, at t +/- 1e-15, of the spins of the
+``triple_derivatives`` is the central difference, at t +/- 1e-15, of
+that time-t triple.  ``sigmas`` is the lattice recursion of Sigma_n in
+the same arithmetic.  dS_n/dt is the central difference, at t +/- 1e-15, of the spins of the
 recursion run from those time-t triples; the triples, the recursion and
 the difference stay in mpmath values throughout.
 """
@@ -81,6 +82,16 @@ def triple_at(triple, t, upper_half_plane):
     with mp.workdps(DPS):
         return tuple(_np(x) for x in _triple_at(triple, mp.mpf(t),
                                                 upper_half_plane))
+
+
+def triple_derivatives(triple, t, upper_half_plane, step="1e-15"):
+    """(dLambda_0/dt, dSigma_0/dt) as complex arrays: the central difference
+    of step ``step`` of ``triple_at`` at t +/- step."""
+    with mp.workdps(DPS):
+        t, step = mp.mpf(t), mp.mpf(step)
+        plus, minus = (_triple_at(triple, t + d, upper_half_plane)
+                       for d in (step, -step))
+        return tuple(_np((p - q) / (2 * step)) for p, q in zip(plus, minus))
 
 
 def _triple_at(triple, t, upper_half_plane):

@@ -383,26 +383,38 @@ def test_non_integer_declared_size_is_input_error(triple_file, tmp_path, value):
     (12, [], 11),                                   # default grid: 11 times
     (8, ["--time-grid", "0,1,6"], 6),
 ))
-def test_evolve_builds_one_state_per_time(triple_file, calls, n_max, grid,
-                                          built_states):
+def test_evolve_builds_one_state_per_time(triple_file, calls, stage_calls,
+                                          n_max, grid, built_states):
     """Per time, the state at t to horizon N, counted as stack entries of
-    one stack, and one time-t triple unless t = 0 (the time t = 0 is the
-    triple itself): the derivatives in t ride along the same recursion."""
+    one stack, and its time-t triple in one batch of the time-t stage (the
+    time t = 0 is the triple itself): the derivatives in t ride along the
+    same recursion.  The stage works in the eigenbasis of alpha: one
+    eigendecomposition, and no matrix exponential or Sylvester solve."""
     import spinlattice.evolution as evolution
 
     horizons = calls(evolution, "generate_stack",
                      lambda alpha, lambda0, sigma0, horizons, *args,
                      **kwargs: list(horizons))
-    moving = calls(evolution, "_lambda0",
-                   lambda triple, times, tol: times.size)
+    batches = calls(evolution, "_triples_at",
+                    lambda triple, times, tol: times.size)
     assert main(["evolve", triple_file, "--nmax", str(n_max), *grid]) == 0
     assert horizons == [[n_max] * built_states]
-    assert moving == [built_states - 1]
+    assert batches == [built_states]
+    assert stage_calls["expm"] == stage_calls["sylvester"] == []
+    assert len(stage_calls["eig"]) == 1
+
+
+def test_a_long_evolve_makes_no_expm_call(example_file, capsys, stage_calls):
+    """5,000 times in blocks of TIME_BLOCK share one eigendecomposition of
+    alpha and exponentiate no matrix."""
+    assert main(["evolve", example_file, "--time-grid", "0,1,5000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 5000
+    assert stage_calls["expm"] == stage_calls["sylvester"] == []
+    assert len(stage_calls["eig"]) == 1
 
 
 def test_evolve_solves_the_spectrum_once(capsys, spectrum_calls):
-    """One report of alpha, which every time-t triple shares; the Sylvester
-    solve reads its separation from its Schur forms."""
+    """One report of alpha, which every time-t triple shares."""
     assert main(["evolve", str(EVOLVE_DATA / "fg4.json"), "--nmax", "6",
                  "--time-grid=-0.6,0,4"]) == 0
     assert len(spectrum_calls["eigvals"]) == 1
@@ -537,7 +549,11 @@ def test_evolve_output_is_that_of_the_per_time_lattice(capsys, name, n_max,
     one residual per time and site; the stacked grid writes the same
     bytes.  The JSON files have since been regrouped to one object per
     time, with each value unchanged, and have lost each site's 2 x 2
-    ``spin``, which its (s1, s2, s3) already give."""
+    ``spin``, which its (s1, s2, s3) already give.  The general and fg4
+    files were rewritten when the time-t stage moved to the eigenbasis of
+    alpha, by a script that asserted every time, site, key and t = 0 spin
+    unchanged, every residual below 1e-12, and every new spin and
+    Sigma_0(t) within 1e-12 of the oracle of tests/oracle.py."""
     for fmt in outputs:
         assert main(["evolve", str(EVOLVE_DATA / f"{name}.json"), "--nmax",
                      str(n_max), f"--time-grid={grid}", "--format",
@@ -562,7 +578,11 @@ def test_verify_output_is_that_of_the_per_check_evaluation(capsys, name,
                                                            n_max, code):
     """tests/data/verify/<name>.out.txt were written by verify before its
     shared work was batched (commit 773e052), each check building what it
-    read; the batched context writes the same bytes."""
+    read; the batched context writes the same bytes.  The fg4, general and
+    cond30 files were rewritten when the time-t stage moved to the
+    eigenbasis of alpha, by a script that asserted every line unchanged
+    but the residuals of the six checks that read the time-t triples, each
+    still a PASS under the same threshold."""
     assert main(["verify", str(VERIFY_DATA / f"{name}.json"), "--nmax",
                  str(n_max)]) == code
     want = (VERIFY_DATA / f"{name}.out.txt").read_text()

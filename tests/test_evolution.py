@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinlattice import evolution
+from spinlattice import evolution, linalg
 from spinlattice import (
     ParameterTriple,
     evolve_lambda0,
@@ -72,9 +72,9 @@ def test_sigma_methods_agree(ihm_triple):
 
 
 @pytest.fixture
-def expm_calls(calls):
+def expm_calls(stage_calls):
     """The number of matrices of each stacked scipy.linalg.expm call."""
-    return calls(evolution.scipy.linalg, "expm", lambda a: a[..., 0, 0].size)
+    return stage_calls["expm"]
 
 
 @pytest.mark.parametrize("tt", (0.1, 0.35))
@@ -85,10 +85,29 @@ def test_ode_route_makes_two_expm_calls(ihm_triple, expm_calls, tt):
     assert sum(expm_calls) == 2
 
 
-def test_triple_at_makes_two_expm_calls(ihm_triple, expm_calls):
-    """Lambda_0(t) is computed once and reused by the Sylvester route."""
-    triple_at(ihm_triple, 0.2)
-    assert sum(expm_calls) == 2
+def test_triple_at_makes_no_expm_call(ihm_triple, stage_calls):
+    """In the eigenbasis of alpha the time-t triple is elementwise: no
+    matrix exponential and no Sylvester solve.  alpha is decomposed once,
+    and the triples moved from it share the decomposition."""
+    moved = triple_at(ihm_triple, 0.2)
+    triple_at(moved, -0.1)
+    triple_at(ihm_triple, 0.3)
+    assert stage_calls["expm"] == stage_calls["sylvester"] == []
+    assert len(stage_calls["eig"]) == 1
+
+
+def test_the_flow_route_inverts_each_resolvent_once(real_mode_triple, calls):
+    """One batch on the flow route inverts alpha - iI and alpha + iI once,
+    for Lambda_0(t), the exact flow and the derivatives alike, and
+    alpha^2 + I once; the next batch on the same alpha inverts only
+    alpha^2 + I."""
+    inverted = calls(linalg, "inv", lambda m, *args: m.shape)
+    times = np.array([0.0, 0.3, -0.5])
+    for count in (3, 1):
+        inverted.clear()
+        *_, faults = evolution._triples_at(real_mode_triple, times, DEFAULT)
+        assert faults == [None] * 3
+        assert len(inverted) == count
 
 
 def test_ode_route_converges_at_fourth_order(ihm_triple):
@@ -373,11 +392,38 @@ def _herm(x):
     return (x + x.conj().T) / 2
 
 
-def _per_time_triple(triple, t):
-    """The time-t triple by the per-time arithmetic that TimeGrid batches:
-    a 2-D expm per propagator, then scipy.linalg.solve_sylvester on the
-    open upper half plane, else the Van Loan solution of the Sigma_0 flow
-    with a 2-D expm per block."""
+def _per_time_eigenbasis(triple, t):
+    """(Lambda_0(t), Sigma_0(t), dLambda_0/dt, dSigma_0/dt) in the
+    eigenbasis of alpha = V diag(d) V^{-1}, refined by
+    ``evolution._refined``, on 2-D arrays: elementwise exponentials of
+    -2t/(d -/+ i) and the Cauchy formula of Sigma_0(t), both
+    differentiated elementwise; None where the spectrum leaves the open
+    upper half plane or cond(V) exceeds EIGENBASIS_COND."""
+    a = triple.alpha
+    if np.linalg.eigvals(a).imag.min() <= DEFAULT.spec_tol:
+        return None
+    d, v = np.linalg.eig(a)
+    if np.linalg.cond(v) > evolution.EIGENBASIS_COND:
+        return None
+    d, v = evolution._refined(a, d, v)
+    v_inv = np.linalg.solve(v, np.eye(a.shape[0], dtype=complex))
+    r = np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1),
+                  triple.m, axis=-1)
+    lam = np.exp((-2.0 * t) * r) * (v_inv @ triple.lambda0)
+    dlam = -2.0 * r * lam
+    gaps = d[:, None] - d.conj()[None, :]
+    c = 1j * lam @ lam.conj().T
+    cross = dlam @ lam.conj().T
+    return (v @ lam, _herm(v @ (c / gaps) @ v.conj().T), v @ dlam,
+            _herm(v @ (1j * (cross + cross.conj().T) / gaps) @ v.conj().T))
+
+
+def _per_time_schur_triple(triple, t):
+    """The time-t triple by the per-time arithmetic that TimeGrid batches
+    where the eigenbasis of alpha is not admitted: a 2-D expm per
+    propagator, then scipy.linalg.solve_sylvester on the open upper half
+    plane, else the Van Loan solution of the Sigma_0 flow with a 2-D expm
+    per block."""
     if t == 0:
         return triple
     a = triple.alpha
@@ -409,6 +455,38 @@ def _per_time_triple(triple, t):
                            sigma0=sigma)
 
 
+def _per_time_flow_derivatives(triple):
+    """dLambda_0 from the propagators and dSigma_0 the right-hand side of
+    the Sigma_0 flow, at the time-t triple ``triple``."""
+    a = triple.alpha
+    i_n = np.eye(a.shape[0], dtype=complex)
+    j = signature_matrix(1)
+    minus = np.linalg.solve(a - 1j * i_n, i_n)
+    plus = np.linalg.solve(a + 1j * i_n, i_n)
+    q = np.linalg.solve(a @ a + i_n, i_n)
+    r = minus + plus
+    lam, sigma = triple.lambda0, triple.sigma0
+    term = (q @ a @ lam) @ j @ (q @ lam).conj().T
+    return (-2.0 * np.hstack([minus @ lam[:, :1], plus @ lam[:, 1:]]),
+            -(r @ sigma + sigma @ r.conj().T + 2.0 * (term + term.conj().T)))
+
+
+def _per_time_triple(triple, t):
+    """(the time-t triple, dLambda_0/dt, dSigma_0/dt) by the per-time
+    arithmetic that TimeGrid batches: in the eigenbasis of alpha where it
+    is admitted (``_per_time_eigenbasis``), else ``_per_time_schur_triple``
+    and ``_per_time_flow_derivatives``.  At t = 0 the triple itself."""
+    eigen = _per_time_eigenbasis(triple, t)
+    if eigen is None:
+        moved = _per_time_schur_triple(triple, t)
+        return (moved, *_per_time_flow_derivatives(moved))
+    lam, sigma, dlam, dsigma = eigen
+    if t != 0:
+        triple = ParameterTriple(alpha=triple.alpha, theta1=lam[:, :1],
+                                 theta2=lam[:, 1:], sigma0=sigma)
+    return triple, dlam, dsigma
+
+
 def _per_time_lattice(triple, n_max):
     """(Lambda_n, Sigma_n, Sigma_n^{-1} Lambda_n, cond(Sigma_n), S_n,
     ||S_n^2 - I||, spin vectors) by the 2-D recursion, one step and one
@@ -432,23 +510,14 @@ def _per_time_lattice(triple, n_max):
             vectors)
 
 
-def _per_time_tangent(triple, lambdas, sigmas, solved):
+def _per_time_tangent(triple, dlam, dsigma, lambdas, solved):
     """dS_n/dt, n < N, by the 2-D forward-mode recursion from the
-    derivatives of the time-t triple (dLambda_0 from the propagators,
-    dSigma_0 the right-hand side of the Sigma_0 flow), one step and one
-    product at a time."""
+    derivatives of the time-t triple, one step and one product at a
+    time."""
     a = triple.alpha
     i_n = np.eye(a.shape[0], dtype=complex)
     j = signature_matrix(1)
-    minus = np.linalg.solve(a - 1j * i_n, i_n)
-    plus = np.linalg.solve(a + 1j * i_n, i_n)
-    q = np.linalg.solve(a @ a + i_n, i_n)
-    r = minus + plus
-    lam, sigma = lambdas[0], sigmas[0]
-    term = (q @ a @ lam) @ j @ (q @ lam).conj().T
-    dlams = [-2.0 * np.hstack([minus @ lam[:, :1], plus @ lam[:, 1:]])]
-    dsigmas = [-(r @ sigma + sigma @ r.conj().T
-                 + 2.0 * (term + term.conj().T))]
+    dlams, dsigmas = [dlam], [dsigma]
     a_inv = np.linalg.solve(a, i_n)
     for lam in lambdas[:-1]:
         dlam, dsigma = dlams[-1], dsigmas[-1]
@@ -466,10 +535,10 @@ def _per_time_tangent(triple, lambdas, sigmas, solved):
 def _per_time_residuals(triple, t, n_max, lam):
     """(dS_n/dt, n < N) and the zero-curvature and IHM residuals at sites
     1..N - 2, each site on its own 2-D matrices and 3-vectors."""
-    triple = _per_time_triple(triple, t)
-    lambdas, sigmas, solved, _, spins, _, vectors = _per_time_lattice(
-        triple, n_max)
-    dspins = _per_time_tangent(triple, lambdas, sigmas, solved)
+    triple, dlam, dsigma = _per_time_triple(triple, t)
+    lambdas, _, solved, _, spins, _, vectors = _per_time_lattice(triple,
+                                                                 n_max)
+    dspins = _per_time_tangent(triple, dlam, dsigma, lambdas, solved)
     i2 = np.eye(2, dtype=complex)
 
     def g(s):
@@ -504,11 +573,12 @@ def _per_time_residuals(triple, t, n_max, lam):
        n_max=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
 def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
                                                        n_max, seed):
-    """Both routes of Sigma_0(t): a spectrum in the open upper half plane
-    (class FG, or a general sigma0) and a real eigenvalue.  The stacked
-    states, their time derivatives dS_n/dt, the spin vectors and the
-    residual arrays equal those of the per-time arithmetic with 2-D
-    matrices throughout, and those of the scalar functions; a grid that
+    """Both routes of Sigma_0(t): the eigenbasis of alpha, for a spectrum
+    in the open upper half plane (class FG, or a general sigma0), and the
+    flow, for a real eigenvalue.  The stacked states, their time
+    derivatives dS_n/dt, the spin vectors and the residual arrays equal
+    those of the per-time arithmetic with 2-D matrices throughout, and
+    those of the scalar functions; a grid that
     fails raises what the first failing time raises."""
     rng = np.random.default_rng(seed)
     if kind == "general":
@@ -530,7 +600,7 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
         return
     for k, t in enumerate(times):
         (lambdas, sigmas, solved, conditioning, spins, spin_residuals,
-         vectors) = _per_time_lattice(_per_time_triple(triple, t), n_max)
+         vectors) = _per_time_lattice(_per_time_triple(triple, t)[0], n_max)
         got = grid.state(k)
         assert _same(got.lambdas, lambdas)
         assert _same(got.sigmas, sigmas)
@@ -592,15 +662,18 @@ def test_spin_vector_norm_is_that_of_the_three_vector(scale):
         spin_vector(s)
 
 
-def test_lax_pair_builds_one_state(ihm_triple, expm_calls, calls):
+def test_lax_pair_builds_one_state(ihm_triple, stage_calls, calls):
     """A grid of one time read only by lax builds the state at t alone:
-    one stack entry, and the two propagators of its time-t triple."""
+    one stack entry, and its time-t triple in the eigenbasis of alpha, with
+    one eigendecomposition and no matrix exponential or Sylvester
+    solve."""
     horizons = calls(evolution, "generate_stack",
                      lambda alpha, lambda0, sigma0, horizons, *args,
                      **kwargs: list(horizons))
     lax_pair(ihm_triple, 2, 0.3, 2.0 + 0.5j)
     assert horizons == [[3]]
-    assert sum(expm_calls) == 2
+    assert stage_calls["expm"] == stage_calls["sylvester"] == []
+    assert len(stage_calls["eig"]) == 1
 
 
 @pytest.mark.parametrize("times, tol, error, message", (
@@ -798,6 +871,100 @@ def test_triple_at_matches_the_high_precision_oracle(kind, order, m, real, tt,
     lam, sigma = oracle.triple_at(triple, tt, upper)
     assert _relative_gap(got.lambda0, lam) <= 1e-12
     assert _relative_gap(got.sigma0, sigma) <= 1e-12
+
+
+def _assert_the_stage_matches_the_oracle(triple, tt):
+    """Lambda_0(t), Sigma_0(t) and their t-derivatives of ``_triples_at``
+    within 1e-12 relative (Frobenius) of the 30-digit oracle: its time-t
+    triple on the open upper half plane, and the central difference of
+    that triple at t +/- 1e-15."""
+    import oracle
+
+    lam, sigma, (dlam, dsigma), faults = evolution._triples_at(
+        triple, np.array([tt]), DEFAULT)
+    assert faults == [None]
+    want = (*oracle.triple_at(triple, tt, True),
+            *oracle.triple_derivatives(triple, tt, True))
+    for got, exact in zip((lam[0], sigma[0], dlam[0], dsigma[0]), want,
+                          strict=True):
+        assert _relative_gap(got, exact) <= 1e-12
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(("fg", "general-sigma0")), order=st.integers(1, 6),
+       m=st.integers(1, 2), tt=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_eigenbasis_stage_matches_the_high_precision_oracle(
+        kind, order, m, tt, seed):
+    """On FG and general-sigma0 triples of order <= 6, which the eigenbasis
+    of alpha admits, the time-t stage meets the oracle for |t| <= 1, t = 0
+    included (``_assert_the_stage_matches_the_oracle``)."""
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    triple = (random_general_sigma_triple if kind == "general-sigma0"
+              else random_admissible_triple)(rng, order, m)
+    assert evolution._eigenbasis(triple, DEFAULT) is not None
+    _assert_the_stage_matches_the_oracle(triple, tt)
+
+
+def _near_defective_triple(delta):
+    """alpha = [[1+2i, 1, 0], [0, 1+2i+delta, 0.5], [0, 0, -0.7+1.5i]], a
+    Jordan block at delta = 0, with m = 1 and the sigma0 of the structural
+    identity."""
+    alpha = np.array([[1 + 2j, 1, 0], [0, 1 + 2j + delta, 0.5],
+                      [0, 0, -0.7 + 1.5j]])
+    theta1, theta2 = np.ones((3, 1)), np.array([[1], [-1j], [0.5]])
+    lam = np.hstack([theta1, theta2])
+    sigma0 = linalg.herm(linalg.solve_sylvester(
+        alpha, alpha.conj().T, 1j * lam @ lam.conj().T))
+    return ParameterTriple(alpha=alpha, theta1=theta1, theta2=theta2,
+                           sigma0=sigma0)
+
+
+@pytest.mark.parametrize("delta", (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7,
+                                   0.0))
+def test_a_near_defective_alpha_takes_the_schur_route(delta, stage_calls):
+    """cond(V) grows like 2.1/delta: 21 at delta = 1e-1, 210 at 1e-2, and V
+    is singular at 0.  The eigenbasis, whose error grows like cond(V)^2 eps,
+    admits delta = 1e-1 alone; the others take the Schur route with its
+    matrix exponentials.  Admitted or not, every delta meets the oracle
+    bound of ``_assert_the_stage_matches_the_oracle``."""
+    pytest.importorskip("mpmath")
+    triple = _near_defective_triple(delta)
+    admitted = evolution._eigenbasis(triple, DEFAULT) is not None
+    assert admitted == (delta == 1e-1)
+    for tt in (0.0, 0.3, -0.7, 1.0):
+        _assert_the_stage_matches_the_oracle(triple, tt)
+    assert (stage_calls["expm"] == []) == admitted
+
+
+@pytest.mark.parametrize("gap, mixed", ((0.0, False), (0.0, True),
+                                        (1e-9, True)))
+def test_close_eigenvalues_keep_their_eigenvectors(gap, mixed):
+    """A normal alpha with the eigenvalues 2i and 2i + gap, diagonal or
+    mixed in by a unitary: cond(V) = 1, so the eigenbasis admits it, and
+    the refinement of ``evolution._refined`` leaves the vectors of a pair
+    whose Newton correction, a quotient by the gap, exceeds 1e-3 (0 / 0
+    for the diagonal alpha).  The stage meets the oracle bound of
+    ``_assert_the_stage_matches_the_oracle``, with no warning."""
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    if not mixed:
+        u = np.eye(3)
+    alpha = u @ np.diag([2j, 2j + gap, 1 + 1.5j]) @ u.conj().T
+    theta1, theta2 = rng.standard_normal((2, 3, 2))
+    lam = np.hstack([theta1, theta2])
+    sigma0 = linalg.herm(linalg.solve_sylvester(
+        alpha, alpha.conj().T, 1j * lam @ lam.conj().T))
+    triple = ParameterTriple(alpha=alpha, theta1=theta1, theta2=theta2,
+                             sigma0=sigma0)
+    assert evolution._eigenbasis(triple, DEFAULT) is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tt in (0.0, 0.3, -0.7):
+            _assert_the_stage_matches_the_oracle(triple, tt)
 
 
 def test_the_tangent_is_a_stage_after_the_spin_vectors(monkeypatch):

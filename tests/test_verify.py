@@ -86,30 +86,33 @@ def test_shared_context_changes_no_residual(order, general, seed):
 
 
 @pytest.mark.parametrize("n_max, states", ((15, 4), (30, 3)))
-def test_verify_builds_each_shared_quantity_once(calls, n_max, states):
+def test_verify_builds_each_shared_quantity_once(calls, stage_calls, n_max,
+                                                 states):
     """States: the one to n_max, one per time of the grid at t = 0 and 0.2,
     and the horizon-30 one unless n_max >= 30, counted as the entries of
-    every stacked run of the recursion.  Exponentiated matrices: 2 per
-    time-t triple at t = 0.1, 0.35 and 0.2, and 3 per Gramian flow at t =
-    0.1 and 0.35, counted as the matrices of every stacked expm call."""
+    every stacked run of the recursion.  The time-t triples at t = 0.1,
+    0.35 and 0.2 come from one eigendecomposition of alpha, with no matrix
+    exponential and no Sylvester solve; exponentiated matrices: 3 per
+    Gramian flow at t = 0.1 and 0.35, counted as the matrices of every
+    stacked expm call."""
     entries = calls(lattice, "generate_stack",
                     lambda alpha, lambda0, sigma0, horizons, *args,
                     **kwargs: len(horizons))
-    matrices = calls(evolution.scipy.linalg, "expm",
-                     lambda a: a[..., 0, 0].size)
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
     results = run_checks(triple, n_max=n_max)
     assert all(np.isfinite(r.residual) for r in results)     # none raised
     assert sum(entries) == states
-    assert sum(matrices) == 2 * 3 + 3 * 2
+    assert sum(stage_calls["expm"]) == 3 * 2
+    assert stage_calls["sylvester"] == []
+    assert len(stage_calls["eig"]) == 1
 
 
-def test_verify_solves_each_spectrum_once(spectrum_calls):
+def test_verify_solves_each_spectrum_once(spectrum_calls, stage_calls):
     """Eigenvalue solves and 2-norms: the validate report of alpha, which
     the checks, the time-t triples and their Transfers share, and the
-    report of gamma of the Weyl realization; the Sylvester solve reads its
-    separation from its Schur forms.  Two more 2-norms, one per Krylov
-    staircase of validate."""
+    report of gamma of the Weyl realization.  Two more 2-norms, one per
+    Krylov staircase of validate.  One eigendecomposition of alpha, which
+    the time-t triples share, and no Sylvester solve."""
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
     for record in spectrum_calls.values():      # not those of the draw
         record.clear()
@@ -117,6 +120,8 @@ def test_verify_solves_each_spectrum_once(spectrum_calls):
     assert all(np.isfinite(r.residual) for r in results)     # none raised
     assert len(spectrum_calls["eigvals"]) == 2
     assert spectrum_calls["norm"].count(2) == 4
+    assert len(stage_calls["eig"]) == 1
+    assert stage_calls["sylvester"] == []
 
 
 @pytest.mark.parametrize("n_max", [0, -3])
