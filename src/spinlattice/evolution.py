@@ -163,26 +163,6 @@ def _exp_factors(triple, times):
                  faults), faults
 
 
-def _primed_lambda0(triple, basis, times):
-    """((Lambda'_0(t), dLambda'_0/dt) at each of ``times``, stacked; the
-    error of each time or None), Lambda'_0(t) = V^{-1} Lambda_0(t) in the
-    eigenbasis ``basis`` of alpha (``_eigenbasis``).  The resolvents
-    (alpha -/+ iI)^{-1} are diagonal there, r = 1/(d -/+ i) down the
-    theta1 and theta2 columns, so Lambda'_0(t) = e^{-2t r} V^{-1} Lambda_0
-    and dLambda'_0/dt = -2 r Lambda'_0(t), elementwise.  A non-finite
-    exponent or exponential is the overflow of its time, as in ``_expm``."""
-    d, _, v_inv = basis
-    r = np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1),
-                  triple.m, axis=-1)
-    exponent = (-2.0 * times)[:, None, None] * r
-    e = np.exp(exponent)
-    faults = [None] * times.size
-    _record(faults, ~(_finite(exponent) & _finite(e)),
-            lambda k: _overflow(times[k]))
-    lam = e * (v_inv @ triple.lambda0)
-    return (lam, -2.0 * r * lam), faults
-
-
 def _at(stacked, subject, t, *args):
     """``stacked(subject, times, *args)``, a stacked evaluation that returns
     the error of each time (or None) last, on the grid of the one time t:
@@ -197,36 +177,60 @@ def _at(stacked, subject, t, *args):
 
 
 def _lambda0(triple, times, tol):
-    """(Lambda_0(t) at each of ``times``, stacked; the error of each time or
-    None), in the eigenbasis of alpha where ``_eigenbasis`` admits it, else
-    from one stacked expm.  +/-i in the spectrum of alpha is the error of
-    every time.  At t = 0, and at an entry that fails, it is Lambda_0."""
-    lam = np.broadcast_to(triple.lambda0,
-                          times.shape + triple.lambda0.shape).copy()
+    """((Lambda_0(t), dLambda_0/dt) at each of ``times``, stacked; the
+    eigenbasis (d, V, V^{-1}) of alpha or None; the error of each time or
+    None): the one choice of route of the time-t stage.  +/-i in the
+    spectrum of alpha is the error of every time, a non-finite time an
+    InputError.  Where ``_eigenbasis`` admits alpha both come primed,
+    Lam' = V^{-1} Lam: the resolvents (alpha -/+ iI)^{-1} are diagonal
+    there, r = 1/(d -/+ i) down the theta1 and theta2 columns, so
+    Lam'(t) = e^{-2t r} V^{-1} Lambda_0 and dLam'/dt = -2 r Lam'(t),
+    elementwise, and a non-finite exponent or exponential is the overflow
+    of its time, as in ``_expm``.  Else Lambda_0(t) comes from one stacked
+    expm over the times t != 0, is Lambda_0 at t = 0 and where the route
+    fails, and dLambda_0/dt = [-2(alpha - iI)^{-1} Lambda_0^(1)(t),
+    -2(alpha + iI)^{-1} Lambda_0^(2)(t)]."""
+    m = triple.m
     try:
         _check_spectrum(triple, tol)
         basis = _eigenbasis(triple, tol)
         if basis is None:
-            e, faults = _exp_factors(triple, times)
-            lam = np.concatenate([e[0] @ triple.theta1, e[1] @ triple.theta2],
-                                 axis=-1)
-        else:
-            (primed, _), faults = _primed_lambda0(triple, basis, times)
-            moved = _moved(times, faults)
-            lam[moved] = (basis[1] @ primed)[moved]
+            minus, plus = _resolvents(triple)
+            moving = np.flatnonzero(times != 0)
+            e, moved = _exp_factors(triple, times[moving])
     except SpinLatticeError as exc:        # the same for every time
-        faults = [exc] * times.size
-    return lam, _refuse_non_finite(times, faults)
-
-
-def _moved(times, faults):
-    """The mask of the entries at a time t != 0 without an error."""
-    return (times != 0) & np.array([e is None for e in faults], dtype=bool)
+        lam = np.broadcast_to(triple.lambda0,
+                              times.shape + triple.lambda0.shape)
+        return ((lam, np.zeros(lam.shape, dtype=complex)), None,
+                _refuse_non_finite(times, [exc] * times.size))
+    faults = [None] * times.size
+    if basis is not None:
+        d, _, v_inv = basis
+        r = np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1), m,
+                      axis=-1)
+        exponent = (-2.0 * times)[:, None, None] * r
+        e = np.exp(exponent)
+        _record(faults, ~(_finite(exponent) & _finite(e)),
+                lambda k: _overflow(times[k]))
+        lam = e * (v_inv @ triple.lambda0)
+        dlam = -2.0 * r * lam
+    else:
+        lam = np.repeat(triple.lambda0[None], times.size, axis=0)
+        lam[moving] = np.concatenate([e[0] @ triple.theta1,
+                                      e[1] @ triple.theta2], axis=-1)
+        for k, error in zip(moving.tolist(), moved):
+            faults[k] = error
+        dlam = -2.0 * np.concatenate([minus @ lam[..., :m],
+                                      plus @ lam[..., m:]], axis=-1)
+    return (lam, dlam), basis, _refuse_non_finite(times, faults)
 
 
 def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     """Lambda_0(t) = [e^{-2t(a - iI)^{-1}} theta1, e^{-2t(a + iI)^{-1}} theta2]."""
-    return _at(_lambda0, triple, t, tol)[0][0]
+    (lam, _), basis = _at(_lambda0, triple, t, tol)
+    if t == 0:
+        return triple.lambda0
+    return lam[0] if basis is None else (basis[1] @ lam)[0]
 
 
 def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
@@ -245,7 +249,7 @@ def _flow(triple):
     dSigma/dt = -(R Sigma + Sigma R* + 2 Q (alpha C + C alpha*) Q*),
 
     R = (alpha - iI)^{-1} + (alpha + iI)^{-1}, Q = (alpha^2 + I)^{-1},
-    C = Lambda_0 J Lambda_0*; and the resolvents of ``_resolvents``."""
+    C = Lambda_0 J Lambda_0*, from the resolvents of ``_resolvents``."""
     alpha = triple.alpha
     i_n = np.eye(alpha.shape[0], dtype=complex)
     minus, plus = _resolvents(triple)
@@ -261,7 +265,7 @@ def _flow(triple):
         term = (q_alpha @ lam) @ j @ _h(q @ lam)
         return -(r @ sigma + sigma @ r_adj + 2.0 * (term + _h(term)))
 
-    return rhs, (minus, plus)
+    return rhs
 
 
 def _sigma_rk4(triple, t, rk_step=1e-3):
@@ -279,7 +283,7 @@ def _sigma_rk4(triple, t, rk_step=1e-3):
         )
     steps = max(1, int(np.ceil(steps)))
     h = t / steps
-    rhs, _ = _flow(triple)
+    rhs = _flow(triple)
     (p_minus,), (p_plus,) = _at(_exp_factors, triple, h / 2)[0]
 
     def half_step(lam):
@@ -381,109 +385,68 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
 def _triples_at(triple, times, tol):
     """(Lambda_0(t), Sigma_0(t), (dLambda_0/dt, dSigma_0/dt), faults) of the
     time-t triple at each of ``times``, stacked, with the checks of
-    ParameterTriple; at t = 0 the triple itself.  The one builder of the
-    time-t stage, for ``triple_at``, ``evolve_sigma0`` (``sylvester``) and
-    ``TimeGrid``.  Sigma_0(t) solves a Sig - Sig a* = i Lam0(t) Lam0(t)*
-    where spec(alpha) lies in the open upper half plane: in the eigenbasis
-    of alpha where ``_eigenbasis`` admits it (``_eigen_triples``), else by
-    a Sylvester solve over one pair of Schur forms; elsewhere it is the
-    exact solution of its flow (``_flow_triples``).  ``_sigma_cross`` takes
-    the other route.  +/-i in the spectrum is the error of every time,
-    t = 0 too; an entry that fails keeps Lambda_0 and Sigma_0."""
-    try:
-        _check_spectrum(triple, tol)
-        basis = _eigenbasis(triple, tol)
-        flow = None if basis else _flow(triple)
-    except SpinLatticeError as exc:     # +/-i: the error of every time
-        lam, sigma = _kept(triple, times)
-        faults = _refuse_non_finite(times, [exc] * times.size)
-        return lam, sigma, (np.zeros_like(lam), np.zeros_like(sigma)), faults
-    if basis:
-        return _eigen_triples(triple, basis, times)
-    return _flow_triples(triple, times, tol, flow)
-
-
-def _kept(triple, times):
-    """Lambda_0 and Sigma_0 at each of ``times``, stacked copies."""
-    return tuple(np.broadcast_to(a, times.shape + a.shape).copy()
-                 for a in (triple.lambda0, triple.sigma0))
-
-
-def _eigen_triples(triple, basis, times):
-    """``_triples_at`` in the eigenbasis ``basis`` = (d, V, V^{-1}) of alpha,
-    from ``_primed_lambda0``.  With D = diag(d) the equation is
+    ParameterTriple: the one builder of the time-t stage, for ``triple_at``,
+    ``evolve_sigma0`` (``sylvester``) and ``TimeGrid``, on the route that
+    ``_lambda0`` picks.  Where spec(alpha) lies in the open upper half
+    plane Sigma_0(t) solves a Sig - Sig a* = i Lam0(t) Lam0(t)*.  In the
+    eigenbasis alpha = V D V^{-1}, D = diag(d), the equation is
     D Sig' - Sig' D* = i Lam' Lam'* for Sig' = V^{-1} Sig V^{-*}, a
     Cauchy-like matrix: Sig'_jk = i (Lam' Lam'*)_jk / (d_j - conj d_k)
     (Gohberg, Kailath & Olshevsky, Math. Comp. 64, 1995), and dSig'_jk is
-    the same with dLam' Lam'* + Lam' dLam'* for Lam' Lam'*.  Each returns
-    through V.  At t = 0 the derivatives are those of the formulas; an
-    entry that fails has zero derivatives."""
-    d, v, _ = basis
-    v_adj = _h(v)
-    (lam_p, dlam_p), faults = _primed_lambda0(triple, basis, times)
-    lam_t = v @ lam_p
-    c = 1j * lam_p @ _h(lam_p)
-    _record(faults, ~_finite(lam_t),
-            NumericError("lambda contains non-finite entries"))
-    _record(faults, ~_finite(c), NumericError("C contains non-finite entries"))
-    gaps = d[:, None] - d.conj()[None, :]
-    sigma_t = linalg.herm(v @ (c / gaps) @ v_adj)
-    _record(faults, ~_finite(sigma_t),
-            NumericError("sigma0 contains non-finite entries"))
-    _refuse_non_finite(times, faults)
-    moved = _moved(times, faults)[:, None, None]
-    cross = dlam_p @ _h(lam_p)
-    dsigma = linalg.herm(v @ (1j * (cross + _h(cross)) / gaps) @ v_adj)
-    failed = np.array([e is not None for e in faults])[:, None, None]
-    return (np.where(moved, lam_t, triple.lambda0),
-            np.where(moved, sigma_t, triple.sigma0),
-            (np.where(failed, 0, v @ dlam_p), np.where(failed, 0, dsigma)),
-            faults)
+    the same with dLam' Lam'* + Lam' dLam'* for Lam' Lam'*.  Without the
+    eigenbasis it is a Sylvester solve over one pair of Schur forms.
+    Elsewhere it is the exact solution of its flow (``_sigma_flow``).  Off
+    the eigenbasis dSigma_0/dt is the right-hand side of the flow
+    (``_flow``).  ``_sigma_cross`` takes the other route.
 
-
-def _flow_triples(triple, times, tol, flow):
-    """``_triples_at`` where ``_eigenbasis`` refuses alpha: Lambda_0(t) from
-    one stacked expm, Sigma_0(t) a Sylvester solve over one pair of Schur
-    forms on the open upper half plane, else the exact solution of its
-    flow (``_sigma_flow``).  dLambda_0 = [-2(alpha - iI)^{-1} Lambda_0^(1),
-    -2(alpha + iI)^{-1} Lambda_0^(2)] and dSigma_0 is the right-hand side
-    of the flow, ``flow`` (``_flow``)."""
-    m = triple.m
-    rhs, (minus, plus) = flow
-    lam, sigma = _kept(triple, times)
-    faults = [None] * times.size
-    moving = np.flatnonzero(times != 0)
-    if moving.size:
-        lam_t, moved = _lambda0(triple, times[moving], tol)
-        sigma_t = sigma[moving]
-        live = _live(moved)
-        if triple.spectrum(tol).in_upper_half_plane:
-            c = 1j * lam_t @ _h(lam_t)
-            _record(moved, ~_finite(lam_t),
-                    NumericError("lambda contains non-finite entries"))
-            _record(moved, ~_finite(c),
-                    NumericError("C contains non-finite entries"))
-            live = _live(moved)
+    A time fails on the first of: its error in ``_lambda0``; Lambda_0(t)
+    not finite; C = i Lam0(t) Lam0(t)* not finite, where the route forms
+    it (the Cauchy formula at every time, the Schur route at t != 0); the
+    Sylvester solve or the Gramians of its Sigma_0(t); Sigma_0(t) not
+    finite.  A non-finite time is an InputError whatever else failed.  At
+    t = 0 and at a time that fails the result is Lambda_0 and Sigma_0, and
+    a time that fails has zero derivatives."""
+    (lam, dlam), basis, faults = _lambda0(triple, times, tol)
+    moving = times != 0
+    c = None
+    if basis is not None:                               # the Cauchy formula
+        d, v, _ = basis
+        c, cross = 1j * lam @ _h(lam), dlam @ _h(lam)
+        lam, dlam = v @ lam, v @ dlam
+        gaps = d[:, None] - d.conj()[None, :]
+        sigma = linalg.herm(v @ (c / gaps) @ _h(v))
+        dsigma = linalg.herm(v @ (1j * (cross + _h(cross)) / gaps) @ _h(v))
+    else:
+        sigma = np.repeat(triple.sigma0[None], times.size, axis=0)
+        dsigma = np.zeros_like(sigma)
+    if basis is None and None in faults:    # some time has no error yet
+        live = moving & np.array([e is None for e in faults], dtype=bool)
+        if triple.spectrum(tol).in_upper_half_plane:    # the Schur solve
+            c = 1j * lam @ _h(lam)
+            c[~moving] = 0                  # Sigma_0(0) is Sigma_0
+            solved = np.flatnonzero(live & _finite(c))
             try:
-                if live.size:
-                    sigma_t[live] = linalg.herm(linalg.solve_sylvester(
-                        triple.alpha, _h(triple.alpha), c[live], tol))
-            except SpinLatticeError as exc:     # overlapping spectra
-                _record(moved, live, exc)
-        elif live.size:
-            sigma_t[live], flowed = _sigma_flow(triple, times[moving][live])
-            for k, error in zip(live.tolist(), flowed):
-                moved[k] = error
-        for name, block in (("theta1", lam_t[..., :m]),
-                            ("theta2", lam_t[..., m:]), ("sigma0", sigma_t)):
-            _record(moved, ~_finite(block),
+                if solved.size:
+                    sigma[solved] = linalg.herm(linalg.solve_sylvester(
+                        triple.alpha, _h(triple.alpha), c[solved], tol))
+            except SpinLatticeError as exc:             # overlapping spectra
+                _record(faults, solved, exc)
+        else:                                           # the Gramian flow
+            flowed = np.flatnonzero(live & _finite(lam))
+            if flowed.size:
+                sigma[flowed], errors = _sigma_flow(triple, times[flowed])
+                for k, error in zip(flowed.tolist(), errors):
+                    faults[k] = error
+        dsigma = _flow(triple)(sigma, lam)
+    for name, a in (("lambda", lam), ("C", c), ("sigma0", sigma)):
+        if a is not None:
+            _record(faults, ~_finite(a),
                     NumericError(f"{name} contains non-finite entries"))
-        lam[moving], sigma[moving] = lam_t, sigma_t
-        for k, error in zip(moving.tolist(), moved):
-            faults[k] = error
-    dlam = -2.0 * np.concatenate([minus @ lam[..., :m], plus @ lam[..., m:]],
-                                 axis=-1)
-    return lam, sigma, (dlam, rhs(sigma, lam)), faults
+    failed = np.array([e is not None for e in faults], dtype=bool)
+    kept, failed = (failed | ~moving)[:, None, None], failed[:, None, None]
+    return (np.where(kept, triple.lambda0, lam),
+            np.where(kept, triple.sigma0, sigma),
+            (np.where(failed, 0, dlam), np.where(failed, 0, dsigma)), faults)
 
 
 def _sigma_cross(triple, times, tol):

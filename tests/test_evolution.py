@@ -938,6 +938,57 @@ def test_a_near_defective_alpha_takes_the_schur_route(delta, stage_calls):
     assert (stage_calls["expm"] == []) == admitted
 
 
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("kind, tt, message", (
+    ("real-mode", -1000.0, "sigma0 contains non-finite entries"),
+    ("real-mode", 1e308, "matrix exponential overflows at t = 1e+308"),
+    ("fg", 1e308, "matrix exponential overflows at t = 1e+308"),
+    ("schur", 1e308, "matrix exponential overflows at t = 1e+308"),
+))
+def test_a_failing_time_keeps_the_triple_with_zero_derivatives(
+        real_mode_triple, small_triple, kind, tt, message):
+    """A time that fails returns Lambda_0 and Sigma_0 bit for bit, with
+    zero derivatives, on every route: the flow (the real-mode triple), the
+    eigenbasis (an FG triple) and the Schur solve (the near-defective
+    alpha at delta = 1e-2); the time beside it in the batch moves."""
+    triple = {"real-mode": real_mode_triple, "fg": small_triple,
+              "schur": _near_defective_triple(1e-2)}[kind]
+    with np.errstate(all="ignore"):
+        lam, sigma, (dlam, dsigma), faults = evolution._triples_at(
+            triple, np.array([0.3, tt]), DEFAULT)
+    assert faults[0] is None
+    assert isinstance(faults[1], NumericError)
+    assert str(faults[1]) == message
+    assert _bits(lam[1]) == _bits(triple.lambda0)
+    assert _bits(sigma[1]) == _bits(triple.sigma0)
+    assert not dlam[1].any() and not dsigma[1].any()
+    assert not np.array_equal(lam[0], triple.lambda0)
+
+
+@pytest.mark.parametrize("tt", (0.0, 0.3, -0.7))
+def test_evolve_lambda0_is_the_lambda0_of_triple_at(real_mode_triple,
+                                                    small_triple, tt):
+    """Bit for bit on every route, t = 0 included: the eigenbasis (an FG
+    triple), the flow (the real-mode triple) and the Schur solve (the
+    near-defective alpha at delta = 1e-2)."""
+    for triple in (small_triple, real_mode_triple,
+                   _near_defective_triple(1e-2)):
+        assert (_bits(evolve_lambda0(triple, tt))
+                == _bits(triple_at(triple, tt).lambda0))
+
+
+def test_evolve_lambda0_reads_lambda0_alone(real_mode_triple):
+    """At t = -1000 Sigma_0(t) of the real-mode triple overflows, so
+    ``triple_at`` raises; Lambda_0(t), which does not, is returned."""
+    assert np.isfinite(evolve_lambda0(real_mode_triple, -1000.0)).all()
+    with pytest.raises(NumericError, match=re.escape(
+            "sigma0 contains non-finite entries")):
+        triple_at(real_mode_triple, -1000.0)
+
+
 @pytest.mark.parametrize("gap, mixed", ((0.0, False), (0.0, True),
                                         (1e-9, True)))
 def test_close_eigenvalues_keep_their_eigenvectors(gap, mixed):

@@ -62,6 +62,27 @@ def test_no_module_imports_a_name_it_never_reads(name):
     assert sorted(imported - read) == []
 
 
+def test_every_private_function_is_read_somewhere():
+    """Each module-level private function and each private method of the
+    package is named somewhere in the package other than its definition:
+    a helper that a refactor leaves behind fails here.  Dunders are
+    excluded."""
+    defined, read = set(), set()
+    for name in MODULES:
+        tree = _tree(name)
+        scopes = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        defined |= {f"{name}.py {node.name}" for body in scopes
+                    for node in body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")}
+        read |= {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(d for d in defined if d.split()[1] not in read) == []
+
+
 def test_no_module_reads_a_tolerance_off_the_default_table():
     """A tolerance is read off the table a function was given, so that
     ``--tol`` reaches it: ``DEFAULT`` appears only as a parameter default
