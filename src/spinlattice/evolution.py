@@ -50,14 +50,6 @@ MAX_RK_STEPS = 100_000
 # Bound on | ||(s1, s2, s3)|| - 1 | of a spin vector.
 SPIN_NORM_BOUND = 1e-9
 
-# Largest cond(V), V the unit eigenvectors of alpha, at which the time-t
-# stage is formed in the eigenbasis (``_eigenbasis``).  Its error grows
-# like cond(V)^2 eps: 1.1e-14 at cond(V) = 21, 2.7e-13 at 70 and 1.6e-12
-# at 210 on the family alpha = [[1+2i, 1, 0], [0, 1+2i+delta, 0.5],
-# [0, 0, -0.7+1.5i]], against 6e-16 by the Schur route.
-EIGENBASIS_COND = 100.0
-
-
 def _check_spectrum(triple, tol):
     spec = triple.spectrum(tol)
     if spec.contains_plus_i or spec.contains_minus_i:
@@ -84,62 +76,6 @@ def _refuse_non_finite(times, faults):
     return faults
 
 
-def _of_alpha(triple, key, make):
-    """make(alpha), made once per alpha array: kept beside the spectrum
-    reports of the triple, which every triple moved from it shares
-    (``_triple_with``)."""
-    if key not in triple._spectra:
-        triple._spectra[key] = make(triple.alpha)
-    return triple._spectra[key]
-
-
-def _resolvents(triple):
-    """(alpha - iI)^{-1} and (alpha + iI)^{-1}, inverted once per alpha."""
-    def invert(alpha):
-        i_n = np.eye(alpha.shape[0], dtype=complex)
-        return linalg.inv(alpha - 1j * i_n), linalg.inv(alpha + 1j * i_n)
-
-    return _of_alpha(triple, "resolvents", invert)
-
-
-def _refined(alpha, d, v):
-    """One Newton step on the eigenpairs (d, V) of alpha (Dongarra, Moler
-    & Wilkinson, SIAM J. Numer. Anal. 20, 1983): with
-    G = V^{-1} (alpha V - V diag(d)), d + diag(G) and V (I + F),
-    F_jk = G_jk / (d_k - d_j) off the diagonal, kept where it is at most
-    1e-3 (a pair of close eigenvalues keeps its vectors), each column of
-    V rescaled to unit norm.  It leaves the residual of one product where
-    ``np.linalg.eig`` leaves that of its QR iterations: on random triples
-    ||alpha - V D V^{-1}|| / ||alpha|| falls from about 1.2e-15 to 3e-16,
-    and the error of Sigma_0(t) in the eigenbasis from 1.7e-15 to 5.5e-16
-    (medians)."""
-    g = linalg.solve(v, alpha @ v - v * d)
-    d = d + np.diag(g)
-    with np.errstate(all="ignore"):
-        f = g / (d[None, :] - d[:, None])
-    f[~(abs(f) <= 1e-3)] = 0.0          # the diagonal, and close pairs
-    v = v + v @ f
-    return d, v / np.linalg.norm(v, axis=0)
-
-
-def _eigenbasis(triple, tol):
-    """(d, V, V^{-1}) with alpha = V diag(d) V^{-1}, where the time-t stage
-    is formed in the eigenbasis: the spectrum in the open upper half plane
-    and cond(V) <= EIGENBASIS_COND; else None.  One eigendecomposition per
-    alpha, and none for a spectrum outside the half plane.  The caller has
-    refused +/-i in the spectrum."""
-    def decompose(alpha):
-        d, v = np.linalg.eig(alpha)
-        if not linalg.cond(v) <= EIGENBASIS_COND:
-            return None
-        d, v = _refined(alpha, d, v)
-        return d, v, linalg.inv(v)
-
-    if not triple.spectrum(tol).in_upper_half_plane:
-        return None
-    return _of_alpha(triple, "eigenbasis", decompose)
-
-
 def _expm(a, times, faults):
     """e^{a[p, k]} for the time-times[k] quantities a[p, k] of each entry k
     without an error in ``faults``, in one expm call.  A non-finite exponent
@@ -159,7 +95,7 @@ def _exp_factors(triple, times):
     indexed [0 or 1, time]; the error of each time or None)."""
     faults = [None] * times.size
     scale = (-2.0 * times)[:, None, None]
-    return _expm(np.stack([scale * r for r in _resolvents(triple)]), times,
+    return _expm(np.stack([scale * r for r in triple._resolvents()]), times,
                  faults), faults
 
 
@@ -181,21 +117,22 @@ def _lambda0(triple, times, tol):
     eigenbasis (d, V, V^{-1}) of alpha or None; the error of each time or
     None): the one choice of route of the time-t stage.  +/-i in the
     spectrum of alpha is the error of every time, a non-finite time an
-    InputError.  Where ``_eigenbasis`` admits alpha both come primed,
-    Lam' = V^{-1} Lam: the resolvents (alpha -/+ iI)^{-1} are diagonal
-    there, r = 1/(d -/+ i) down the theta1 and theta2 columns, so
-    Lam'(t) = e^{-2t r} V^{-1} Lambda_0 and dLam'/dt = -2 r Lam'(t),
-    elementwise, and a non-finite exponent or exponential is the overflow
-    of its time, as in ``_expm``.  Else Lambda_0(t) comes from one stacked
-    expm over the times t != 0, is Lambda_0 at t = 0 and where the route
-    fails, and dLambda_0/dt = [-2(alpha - iI)^{-1} Lambda_0^(1)(t),
-    -2(alpha + iI)^{-1} Lambda_0^(2)(t)]."""
+    InputError.  Where the triple's cached eigenbasis admits alpha
+    (``ParameterTriple._eigenbasis``) both come primed, Lam' = V^{-1} Lam:
+    the resolvents (alpha -/+ iI)^{-1} are diagonal there, r = 1/(d -/+ i)
+    down the theta1 and theta2 columns, so Lam'(t) = e^{-2t r} V^{-1}
+    Lambda_0 and dLam'/dt = -2 r Lam'(t), elementwise, and a non-finite
+    exponent or exponential is the overflow of its time, as in ``_expm``.
+    Else Lambda_0(t) comes from one stacked expm over the times t != 0, is
+    Lambda_0 at t = 0 and where the route fails, and dLambda_0/dt =
+    [-2(alpha - iI)^{-1} Lambda_0^(1)(t), -2(alpha + iI)^{-1}
+    Lambda_0^(2)(t)], from the cached resolvents."""
     m = triple.m
     try:
         _check_spectrum(triple, tol)
-        basis = _eigenbasis(triple, tol)
+        basis = triple._eigenbasis(tol)
         if basis is None:
-            minus, plus = _resolvents(triple)
+            minus, plus = triple._resolvents()
             moving = np.flatnonzero(times != 0)
             e, moved = _exp_factors(triple, times[moving])
     except SpinLatticeError as exc:        # the same for every time
@@ -248,15 +185,15 @@ def _flow(triple):
 
     dSigma/dt = -(R Sigma + Sigma R* + 2 Q (alpha C + C alpha*) Q*),
 
-    R = (alpha - iI)^{-1} + (alpha + iI)^{-1}, Q = (alpha^2 + I)^{-1},
-    C = Lambda_0 J Lambda_0*, from the resolvents of ``_resolvents``."""
-    alpha = triple.alpha
-    i_n = np.eye(alpha.shape[0], dtype=complex)
-    minus, plus = _resolvents(triple)
+    R = (alpha - iI)^{-1} + (alpha + iI)^{-1},
+    Q = (alpha^2 + I)^{-1} = (alpha - iI)^{-1} (alpha + iI)^{-1},
+    C = Lambda_0 J Lambda_0*: products of the resolvents that the triple
+    caches (``ParameterTriple._resolvents``), with no inversion."""
+    minus, plus = triple._resolvents()
     r = minus + plus
     r_adj = _h(r)
-    q = linalg.inv(alpha @ alpha + i_n)
-    q_alpha = q @ alpha
+    q = minus @ plus
+    q_alpha = q @ triple.alpha
     j = signature_matrix(triple.m)
 
     def rhs(sigma, lam):
@@ -332,7 +269,7 @@ def _sigma_flow(triple, times):
     alpha = triple.alpha
     n = alpha.shape[0]
     faults = [None] * times.size
-    minus, plus = _resolvents(triple)
+    minus, plus = triple._resolvents()
     q = minus @ plus
     e = _expm((-times)[None, :, None, None] * (minus + plus), times, faults)[0]
     blocks = np.stack([_van_loan(plus - minus, triple.theta1),
@@ -350,9 +287,10 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
 
     ``sylvester``: the Sigma_0(t) of ``triple_at`` (``_triples_at``), the
     unique solution of the Sylvester equation
-    a Sig - Sig a* = i Lam0(t) Lam0(t)*, with its finite checks; at t = 0
-    Sigma_0 itself.  The equation is solved in the eigenbasis of a where
-    ``_eigenbasis`` admits a, else over its Schur form.
+    a Sig - Sig a* = i Lam0(t) Lam0(t)*, with its finite checks at t != 0;
+    at t = 0 Sigma_0 itself, on every route.  The equation is solved in
+    the eigenbasis of a where the triple's cached eigenbasis admits a
+    (``ParameterTriple._eigenbasis``), else over its Schur form.
     ``gramian``: exact solution of the Sigma_0 flow from Sigma_0(0), three
     matrix exponentials for any t (Van Loan Gramians, see ``_sigma_flow``).
     ``ode``: fixed-step RK4 on the same flow, the reference for
@@ -401,11 +339,12 @@ def _triples_at(triple, times, tol):
 
     A time fails on the first of: its error in ``_lambda0``; Lambda_0(t)
     not finite; C = i Lam0(t) Lam0(t)* not finite, where the route forms
-    it (the Cauchy formula at every time, the Schur route at t != 0); the
-    Sylvester solve or the Gramians of its Sigma_0(t); Sigma_0(t) not
-    finite.  A non-finite time is an InputError whatever else failed.  At
-    t = 0 and at a time that fails the result is Lambda_0 and Sigma_0, and
-    a time that fails has zero derivatives."""
+    it (the Cauchy formula and the Schur solve); the Sylvester solve or the
+    Gramians of its Sigma_0(t); Sigma_0(t) not finite.  A non-finite time
+    is an InputError whatever else failed.  The finite checks apply at
+    t != 0 alone, on every route: at t = 0 the result is Lambda_0 and
+    Sigma_0, as at a time that fails, which has zero derivatives.  The
+    derivatives are not checked."""
     (lam, dlam), basis, faults = _lambda0(triple, times, tol)
     moving = times != 0
     c = None
@@ -423,7 +362,6 @@ def _triples_at(triple, times, tol):
         live = moving & np.array([e is None for e in faults], dtype=bool)
         if triple.spectrum(tol).in_upper_half_plane:    # the Schur solve
             c = 1j * lam @ _h(lam)
-            c[~moving] = 0                  # Sigma_0(0) is Sigma_0
             solved = np.flatnonzero(live & _finite(c))
             try:
                 if solved.size:
@@ -440,7 +378,7 @@ def _triples_at(triple, times, tol):
         dsigma = _flow(triple)(sigma, lam)
     for name, a in (("lambda", lam), ("C", c), ("sigma0", sigma)):
         if a is not None:
-            _record(faults, ~_finite(a),
+            _record(faults, moving & ~_finite(a),
                     NumericError(f"{name} contains non-finite entries"))
     failed = np.array([e is not None for e in faults], dtype=bool)
     kept, failed = (failed | ~moving)[:, None, None], failed[:, None, None]
@@ -471,23 +409,13 @@ def triple_at(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     """The parameter triple carrying Lambda_0(t) and Sigma_0(t) of
     ``_triples_at``: on the open upper half plane Sigma_0(t) solves the
     Sylvester equation alpha Sig - Sig alpha* = i Lam0(t) Lam0(t)*, in the
-    eigenbasis of alpha where ``_eigenbasis`` admits it; elsewhere it
-    follows its flow."""
+    eigenbasis of alpha where the triple's cached eigenbasis admits it;
+    elsewhere it follows its flow.  At t = 0 the triple itself.  The
+    time-t triple shares the work on alpha (``ParameterTriple._moved``)."""
     if t == 0:
         return triple
     lam, sigma, _ = _at(_triples_at, triple, t, tol)
-    return _triple_with(triple, lam[0], sigma[0])
-
-
-def _triple_with(triple, lam, sigma):
-    """The triple with the alpha of ``triple``, Lambda_0 = ``lam`` and
-    Sigma_0 = ``sigma``; both hold the one alpha array, so they share its
-    spectrum reports."""
-    m = triple.m
-    moved = ParameterTriple(alpha=triple.alpha, theta1=lam[:, :m],
-                            theta2=lam[:, m:], sigma0=sigma)
-    object.__setattr__(moved, "_spectra", triple._spectra)
-    return moved
+    return triple._moved(lam[0], sigma[0])
 
 
 @dataclass(frozen=True)
@@ -653,7 +581,7 @@ class TimeGrid:
         k = self.triple_times.tolist().index(t)
         if faults[k] is not None:
             raise faults[k]
-        return _triple_with(self.triple, lam[k], sigma[k])
+        return self.triple._moved(lam[k], sigma[k])
 
     @property
     def sigma0(self):
@@ -665,8 +593,8 @@ class TimeGrid:
         self.stack.check(k)
         triple = self.triple
         if self.times[k] != 0:
-            triple = _triple_with(triple, self.stack.lambdas[k, 0],
-                                  self.stack.sigmas[k, 0])
+            triple = triple._moved(self.stack.lambdas[k, 0],
+                                   self.stack.sigmas[k, 0])
         return self.stack.state(k, triple)
 
     def _check(self, k, bonds=(), tangents=()):

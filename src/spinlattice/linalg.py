@@ -132,6 +132,45 @@ def spectrum(m, tol: Tolerances = DEFAULT):
     )
 
 
+# Largest cond(V), V the unit eigenvectors of alpha, at which the time-t
+# stage is formed in the eigenbasis (``_eigenbasis``).  Its error grows
+# like cond(V)^2 eps: 1.1e-14 at cond(V) = 21, 2.7e-13 at 70 and 1.6e-12
+# at 210 on the family alpha = [[1+2i, 1, 0], [0, 1+2i+delta, 0.5],
+# [0, 0, -0.7+1.5i]], against 6e-16 by the Schur route.
+EIGENBASIS_COND = 100.0
+
+
+def _refined(a, d, v):
+    """One Newton step on the eigenpairs (d, V) of A (Dongarra, Moler
+    & Wilkinson, SIAM J. Numer. Anal. 20, 1983): with
+    G = V^{-1} (A V - V diag(d)), d + diag(G) and V (I + F),
+    F_jk = G_jk / (d_k - d_j) off the diagonal, kept where it is at most
+    1e-3 (a pair of close eigenvalues keeps its vectors), each column of
+    V rescaled to unit norm.  It leaves the residual of one product where
+    ``np.linalg.eig`` leaves that of its QR iterations: on random triples
+    ||A - V D V^{-1}|| / ||A|| falls from about 1.2e-15 to 3e-16,
+    and the error of Sigma_0(t) in the eigenbasis from 1.7e-15 to 5.5e-16
+    (medians)."""
+    g = solve(v, a @ v - v * d)
+    d = d + np.diag(g)
+    with np.errstate(all="ignore"):
+        f = g / (d[None, :] - d[:, None])
+    f[~(abs(f) <= 1e-3)] = 0.0          # the diagonal, and close pairs
+    v = v + v @ f
+    return d, v / np.linalg.norm(v, axis=0)
+
+
+def _eigenbasis(a):
+    """(d, V, V^{-1}) with A = V diag(d) V^{-1}, the eigenpairs refined by
+    ``_refined``, where the unit eigenvectors of ``np.linalg.eig`` have
+    cond(V) <= EIGENBASIS_COND; else None."""
+    d, v = np.linalg.eig(a)
+    if not cond(v) <= EIGENBASIS_COND:
+        return None
+    d, v = _refined(a, d, v)
+    return d, v, inv(v)
+
+
 def hermitian_powers(m, powers, tol: Tolerances = DEFAULT):
     """The fractional powers M^p, p in ``powers``, of a Hermitian positive
     definite M, all from one eigendecomposition."""

@@ -94,16 +94,47 @@ class ParameterTriple:
         object.__setattr__(self, "theta1", theta1)
         object.__setattr__(self, "theta2", theta2)
         object.__setattr__(self, "sigma0", sigma0)
-        # work on alpha alone, shared with each triple that the time
-        # evolution moves from this one: the spectrum reports, keyed by
-        # Tolerances, and the evolution's resolvents and eigenbasis
+        # work on alpha alone (``_of_alpha``), shared with each triple
+        # moved from this one (``_moved``)
         object.__setattr__(self, "_spectra", {})
+
+    def _of_alpha(self, key, make, *args):
+        """make(alpha, *args), made once per key: the spectrum reports,
+        keyed by Tolerances, the resolvents and the eigenbasis."""
+        if key not in self._spectra:
+            self._spectra[key] = make(self.alpha, *args)
+        return self._spectra[key]
 
     def spectrum(self, tol: Tolerances = DEFAULT):
         """The SpectrumReport of alpha, made once per Tolerances."""
-        if tol not in self._spectra:
-            self._spectra[tol] = linalg.spectrum(self.alpha, tol)
-        return self._spectra[tol]
+        return self._of_alpha(tol, linalg.spectrum, tol)
+
+    def _resolvents(self):
+        """(alpha - iI)^{-1} and (alpha + iI)^{-1}, inverted once per alpha."""
+        def invert(alpha):
+            i_n = np.eye(alpha.shape[0], dtype=complex)
+            return linalg.inv(alpha - 1j * i_n), linalg.inv(alpha + 1j * i_n)
+
+        return self._of_alpha("resolvents", invert)
+
+    def _eigenbasis(self, tol: Tolerances):
+        """(d, V, V^{-1}) with alpha = V diag(d) V^{-1}, made once per alpha
+        (``linalg._eigenbasis``), where the spectrum lies in the open upper
+        half plane and cond(V) <= ``linalg.EIGENBASIS_COND``; else None,
+        with no eigendecomposition off the half plane."""
+        if not self.spectrum(tol).in_upper_half_plane:
+            return None
+        return self._of_alpha("eigenbasis", linalg._eigenbasis)
+
+    def _moved(self, lam, sigma):
+        """The triple with this alpha, Lambda_0 = ``lam`` and Sigma_0 =
+        ``sigma``: it holds the one alpha array, and so shares the work on
+        it (``_of_alpha``)."""
+        m = self.m
+        moved = ParameterTriple(alpha=self.alpha, theta1=lam[:, :m],
+                                theta2=lam[:, m:], sigma0=sigma)
+        object.__setattr__(moved, "_spectra", self._spectra)
+        return moved
 
     @property
     def order(self):

@@ -98,12 +98,11 @@ def test_triple_at_makes_no_expm_call(ihm_triple, stage_calls):
 
 def test_the_flow_route_inverts_each_resolvent_once(real_mode_triple, calls):
     """One batch on the flow route inverts alpha - iI and alpha + iI once,
-    for Lambda_0(t), the exact flow and the derivatives alike, and
-    alpha^2 + I once; the next batch on the same alpha inverts only
-    alpha^2 + I."""
+    for Lambda_0(t), the exact flow and the derivatives alike; the next
+    batch on the same alpha inverts nothing."""
     inverted = calls(linalg, "inv", lambda m, *args: m.shape)
     times = np.array([0.0, 0.3, -0.5])
-    for count in (3, 1):
+    for count in (2, 0):
         inverted.clear()
         *_, faults = evolution._triples_at(real_mode_triple, times, DEFAULT)
         assert faults == [None] * 3
@@ -395,7 +394,7 @@ def _herm(x):
 def _per_time_eigenbasis(triple, t):
     """(Lambda_0(t), Sigma_0(t), dLambda_0/dt, dSigma_0/dt) in the
     eigenbasis of alpha = V diag(d) V^{-1}, refined by
-    ``evolution._refined``, on 2-D arrays: elementwise exponentials of
+    ``linalg._refined``, on 2-D arrays: elementwise exponentials of
     -2t/(d -/+ i) and the Cauchy formula of Sigma_0(t), both
     differentiated elementwise; None where the spectrum leaves the open
     upper half plane or cond(V) exceeds EIGENBASIS_COND."""
@@ -403,9 +402,9 @@ def _per_time_eigenbasis(triple, t):
     if np.linalg.eigvals(a).imag.min() <= DEFAULT.spec_tol:
         return None
     d, v = np.linalg.eig(a)
-    if np.linalg.cond(v) > evolution.EIGENBASIS_COND:
+    if np.linalg.cond(v) > linalg.EIGENBASIS_COND:
         return None
-    d, v = evolution._refined(a, d, v)
+    d, v = linalg._refined(a, d, v)
     v_inv = np.linalg.solve(v, np.eye(a.shape[0], dtype=complex))
     r = np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1),
                   triple.m, axis=-1)
@@ -463,7 +462,7 @@ def _per_time_flow_derivatives(triple):
     j = signature_matrix(1)
     minus = np.linalg.solve(a - 1j * i_n, i_n)
     plus = np.linalg.solve(a + 1j * i_n, i_n)
-    q = np.linalg.solve(a @ a + i_n, i_n)
+    q = minus @ plus
     r = minus + plus
     lam, sigma = triple.lambda0, triple.sigma0
     term = (q @ a @ lam) @ j @ (q @ lam).conj().T
@@ -903,7 +902,7 @@ def test_the_eigenbasis_stage_matches_the_high_precision_oracle(
     rng = np.random.default_rng(seed)
     triple = (random_general_sigma_triple if kind == "general-sigma0"
               else random_admissible_triple)(rng, order, m)
-    assert evolution._eigenbasis(triple, DEFAULT) is not None
+    assert triple._eigenbasis(DEFAULT) is not None
     _assert_the_stage_matches_the_oracle(triple, tt)
 
 
@@ -931,7 +930,7 @@ def test_a_near_defective_alpha_takes_the_schur_route(delta, stage_calls):
     bound of ``_assert_the_stage_matches_the_oracle``."""
     pytest.importorskip("mpmath")
     triple = _near_defective_triple(delta)
-    admitted = evolution._eigenbasis(triple, DEFAULT) is not None
+    admitted = triple._eigenbasis(DEFAULT) is not None
     assert admitted == (delta == 1e-1)
     for tt in (0.0, 0.3, -0.7, 1.0):
         _assert_the_stage_matches_the_oracle(triple, tt)
@@ -968,6 +967,33 @@ def test_a_failing_time_keeps_the_triple_with_zero_derivatives(
     assert not np.array_equal(lam[0], triple.lambda0)
 
 
+def test_time_zero_is_the_triple_on_every_reader():
+    """alpha = [[1 + 1e308i]], theta1 = theta2 = [[1e308]]: the eigenbasis
+    admits alpha, and C = i Lam0 Lam0* overflows.  The finite checks of
+    the time-t stage apply at t != 0 alone, so t = 0 is the triple itself
+    with no error, for ``_triples_at`` and ``evolve_sigma0``, and
+    ``TimeGrid`` fails it where ``generate`` does; t = 0.5 still fails on
+    C."""
+    triple = ParameterTriple(alpha=[[1 + 1e308j]], theta1=[[1e308]],
+                             theta2=[[1e308]])
+    assert triple._eigenbasis(DEFAULT) is not None
+    with np.errstate(all="ignore"):
+        lam, sigma, _, faults = evolution._triples_at(
+            triple, np.array([0.0, 0.5]), DEFAULT)
+    assert faults[0] is None
+    assert str(faults[1]) == "C contains non-finite entries"
+    assert _bits(lam[0]) == _bits(triple.lambda0)
+    assert _bits(sigma[0]) == _bits(triple.sigma0)
+    assert _bits(evolve_sigma0(triple, 0.0)) == _bits(triple.sigma0)
+    with pytest.raises(NumericError, match="C contains non-finite entries"):
+        evolve_sigma0(triple, 0.5)
+    with pytest.raises(ConditioningError) as want:
+        generate(triple, 3)
+    with pytest.raises(ConditioningError) as got:
+        evolution.TimeGrid(triple, [0.0], 3).check()
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("tt", (0.0, 0.3, -0.7))
 def test_evolve_lambda0_is_the_lambda0_of_triple_at(real_mode_triple,
                                                     small_triple, tt):
@@ -994,7 +1020,7 @@ def test_evolve_lambda0_reads_lambda0_alone(real_mode_triple):
 def test_close_eigenvalues_keep_their_eigenvectors(gap, mixed):
     """A normal alpha with the eigenvalues 2i and 2i + gap, diagonal or
     mixed in by a unitary: cond(V) = 1, so the eigenbasis admits it, and
-    the refinement of ``evolution._refined`` leaves the vectors of a pair
+    the refinement of ``linalg._refined`` leaves the vectors of a pair
     whose Newton correction, a quotient by the gap, exceeds 1e-3 (0 / 0
     for the diagonal alpha).  The stage meets the oracle bound of
     ``_assert_the_stage_matches_the_oracle``, with no warning."""
@@ -1011,7 +1037,7 @@ def test_close_eigenvalues_keep_their_eigenvectors(gap, mixed):
         alpha, alpha.conj().T, 1j * lam @ lam.conj().T))
     triple = ParameterTriple(alpha=alpha, theta1=theta1, theta2=theta2,
                              sigma0=sigma0)
-    assert evolution._eigenbasis(triple, DEFAULT) is not None
+    assert triple._eigenbasis(DEFAULT) is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tt in (0.0, 0.3, -0.7):

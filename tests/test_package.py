@@ -83,6 +83,19 @@ def test_every_private_function_is_read_somewhere():
     assert sorted(d for d in defined if d.split()[1] not in read) == []
 
 
+def test_the_cache_of_work_on_alpha_is_named_only_by_its_owner():
+    """``ParameterTriple._spectra``, the cache of the spectrum reports,
+    resolvents and eigenbasis of alpha, is named (as an attribute, a
+    variable or a string) in ``triples.py`` alone: other modules read it
+    through the methods of the triple and keep no second cache."""
+    names = [f"{name}.py:{node.lineno}" for name in MODULES
+             if name != "triples" for node in ast.walk(_tree(name))
+             if "_spectra" in (getattr(node, "attr", None),
+                               getattr(node, "id", None),
+                               getattr(node, "value", None))]
+    assert names == []
+
+
 def test_no_module_reads_a_tolerance_off_the_default_table():
     """A tolerance is read off the table a function was given, so that
     ``--tol`` reaches it: ``DEFAULT`` appears only as a parameter default
