@@ -19,7 +19,8 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneracyError, DimensionError, InputError,
                      NumericError, SpectrumError, SpinLatticeError)
-from .lattice import (_check_site, _h, _lattice_powers, _live, _record,
+from .lattice import (_cauchy, _check_site, _closed_form_stack, _finite, _h,
+                      _lattice_powers, _live, _record, _record_non_finite,
                       generate, generate_stack)
 from .transfer import Transfer, _g
 from .triples import ParameterTriple, projectors, signature_matrix
@@ -60,11 +61,6 @@ def _check_spectrum(triple, tol):
 
 def _overflow(t):
     return NumericError(f"matrix exponential overflows at t = {t:g}")
-
-
-def _finite(a):
-    """Whether each matrix of a stack has finite entries only."""
-    return np.isfinite(a).all(axis=(-2, -1))
 
 
 def _refuse_non_finite(times, faults):
@@ -112,6 +108,14 @@ def _at(stacked, subject, t, *args):
     return results
 
 
+def _stage_basis(triple, tol):
+    """The eigenbasis (d, V, V^{-1}) of alpha on which the time-t stage
+    runs, or None (``ParameterTriple._eigenbasis``); +/-i in the spectrum
+    of alpha raises."""
+    _check_spectrum(triple, tol)
+    return triple._eigenbasis(tol)
+
+
 def _lambda0(triple, times, tol):
     """((Lambda_0(t), dLambda_0/dt) at each of ``times``, stacked; the
     eigenbasis (d, V, V^{-1}) of alpha or None; the error of each time or
@@ -129,8 +133,7 @@ def _lambda0(triple, times, tol):
     Lambda_0^(2)(t)], from the cached resolvents."""
     m = triple.m
     try:
-        _check_spectrum(triple, tol)
-        basis = triple._eigenbasis(tol)
+        basis = _stage_basis(triple, tol)
         if basis is None:
             minus, plus = triple._resolvents()
             moving = np.flatnonzero(times != 0)
@@ -330,8 +333,8 @@ def _triples_at(triple, times, tol):
     eigenbasis alpha = V D V^{-1}, D = diag(d), the equation is
     D Sig' - Sig' D* = i Lam' Lam'* for Sig' = V^{-1} Sig V^{-*}, a
     Cauchy-like matrix: Sig'_jk = i (Lam' Lam'*)_jk / (d_j - conj d_k)
-    (Gohberg, Kailath & Olshevsky, Math. Comp. 64, 1995), and dSig'_jk is
-    the same with dLam' Lam'* + Lam' dLam'* for Lam' Lam'*.  Without the
+    (``lattice._cauchy``), and dSig' = Q + Q* with Q the same quotient of
+    dLam' Lam'*.  Without the
     eigenbasis it is a Sylvester solve over one pair of Schur forms.
     Elsewhere it is the exact solution of its flow (``_sigma_flow``).  Off
     the eigenbasis dSigma_0/dt is the right-hand side of the flow
@@ -350,11 +353,11 @@ def _triples_at(triple, times, tol):
     c = None
     if basis is not None:                               # the Cauchy formula
         d, v, _ = basis
-        c, cross = 1j * lam @ _h(lam), dlam @ _h(lam)
+        c, sigma = _cauchy(d, lam, lam)
+        q = _cauchy(d, dlam, lam)[1]
         lam, dlam = v @ lam, v @ dlam
-        gaps = d[:, None] - d.conj()[None, :]
-        sigma = linalg.herm(v @ (c / gaps) @ _h(v))
-        dsigma = linalg.herm(v @ (1j * (cross + _h(cross)) / gaps) @ _h(v))
+        sigma = linalg.herm(v @ sigma @ _h(v))
+        dsigma = linalg.herm(v @ (q + _h(q)) @ _h(v))
     else:
         sigma = np.repeat(triple.sigma0[None], times.size, axis=0)
         dsigma = np.zeros_like(sigma)
@@ -376,10 +379,8 @@ def _triples_at(triple, times, tol):
                 for k, error in zip(flowed.tolist(), errors):
                     faults[k] = error
         dsigma = _flow(triple)(sigma, lam)
-    for name, a in (("lambda", lam), ("C", c), ("sigma0", sigma)):
-        if a is not None:
-            _record(faults, moving & ~_finite(a),
-                    NumericError(f"{name} contains non-finite entries"))
+    _record_non_finite(faults, moving, (("lambda", lam), ("C", c),
+                                        ("sigma0", sigma)))
     failed = np.array([e is not None for e in faults], dtype=bool)
     kept, failed = (failed | ~moving)[:, None, None], failed[:, None, None]
     return (np.where(kept, triple.lambda0, lam),
@@ -525,6 +526,24 @@ def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
     return TimeGrid(triple, [t], n + 1, tol=tol).lax(0, n, lam)
 
 
+def _closed_form_grid(triple, times, n_max, tol):
+    """The LatticeStack of the lattice at each of ``times`` to horizon
+    n_max, with dS_n/dt, in closed form in the eigenbasis of alpha
+    (``lattice._closed_form_stack``), from the primed Lambda'_0(t) and its
+    t-derivative (``_lambda0``), where that eigenbasis admits alpha.  As in
+    ``_triples_at``, a time that fails there, and t = 0, start from the
+    triple itself, and a failing time has zero derivatives; the others
+    meet the finite checks of its Lambda_0(t), C and Sigma_0(t) on their
+    row n = 0."""
+    (lam, dlam), basis, faults = _lambda0(triple, times, tol)
+    failed = np.array([e is not None for e in faults], dtype=bool)
+    kept = failed | (times == 0)
+    lam = np.where(kept[:, None, None], basis[2] @ triple.lambda0, lam)
+    dlam = np.where(failed[:, None, None], 0, dlam)
+    return _closed_form_stack(basis, (triple.lambda0, triple.sigma0), lam,
+                              dlam, kept, [n_max] * times.size, tol, faults)
+
+
 # Times per TimeGrid in ``trajectory``: a long time grid is built and
 # dropped one block of stacks at a time.
 TIME_BLOCK = 32
@@ -533,10 +552,13 @@ TIME_BLOCK = 32
 class TimeGrid:
     """The lattice at each time t of a grid: the state at t to horizon N
     (grid entry k is time k), its spin vectors, the bonds 1 + s_{n-1}.s_n
-    and ``dspins``, dS_n/dt indexed like the spins.  The time-t triples are
-    one batch with their t-derivatives (``_triples_at``), joined by those
-    at ``triple_times`` (``triple_at``); the derivatives ride along the one
-    ``generate_stack`` of the states.  The residuals are arrays indexed
+    and ``dspins``, dS_n/dt indexed like the spins.  Where the eigenbasis
+    of alpha admits it (``_stage_basis``), the whole [time, n] grid is one
+    closed-form batch (``_closed_form_grid``), and the time-t triples at
+    ``triple_times`` (``triple_at``) are one batch of ``_triples_at``.
+    Elsewhere the time-t triples of both are one batch with their
+    t-derivatives (``_triples_at``), and the derivatives ride along the
+    one ``generate_stack`` of the states.  The residuals are arrays indexed
     [time, n - 1] over the sites 1 <= n <= N - 2, each computed once.  The
     Transfer of a state is built on first read (``lax``, ``monodromy``).
 
@@ -556,13 +578,27 @@ class TimeGrid:
         self.times = np.asarray(times, dtype=float)
         self.triple_times = np.asarray(triple_times, dtype=float)
         size = self.times.size
+        try:
+            basis = _stage_basis(triple, tol)
+        except SpinLatticeError:                # every time fails alike
+            basis = None
         with np.errstate(all="ignore"):
-            lam0, sigma0, tangent, faults = _triples_at(
-                triple, np.concatenate([self.times, self.triple_times]), tol)
-        self._extra = lam0[size:], sigma0[size:], faults[size:]
-        self.stack = generate_stack(triple.alpha, lam0[:size], sigma0[:size],
-                                    [n_max] * size, tol, faults[:size],
-                                    tuple(d[:size] for d in tangent))
+            if basis is None:
+                lam0, sigma0, tangent, faults = _triples_at(
+                    triple, np.concatenate([self.times, self.triple_times]),
+                    tol)
+                self.stack = generate_stack(
+                    triple.alpha, lam0[:size], sigma0[:size], [n_max] * size,
+                    tol, faults[:size], tuple(d[:size] for d in tangent))
+                self._extra = lam0[size:], sigma0[size:], faults[size:]
+            else:
+                self.stack = _closed_form_grid(triple, self.times, n_max,
+                                               tol)
+                self._extra = ((), (), [])
+                if self.triple_times.size:
+                    lam0, sigma0, _, faults = _triples_at(
+                        triple, self.triple_times, tol)
+                    self._extra = lam0, sigma0, faults
         self.spins, self.dspins = self.stack.spins, self.stack.dspins
         self.vectors, self._bad_vectors, self._vector_error = _spin_vectors(
             self.spins, tol)

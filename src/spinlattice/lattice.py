@@ -248,6 +248,24 @@ def _first(mask):
             for k in np.flatnonzero(mask.any(axis=1)).tolist()]
 
 
+def _check_budget(n_max, need):
+    """Refuse ``need`` bytes of lattice arrays beyond STACK_BUDGET, before
+    any is made."""
+    if need > STACK_BUDGET:
+        raise InputError(
+            f"horizon {n_max} needs {need / 2 ** 20:.3g} MiB of lattice "
+            f"arrays, beyond the budget of {STACK_BUDGET >> 20} MiB")
+
+
+def _horizons(horizons, faults):
+    """(``horizons`` as an int array, refused if one is negative; the
+    per-entry error list, made if ``faults`` is None)."""
+    horizons = np.asarray(horizons, dtype=int)
+    if (horizons < 0).any():
+        raise ValueError("n_max must be non-negative")
+    return horizons, [None] * horizons.size if faults is None else faults
+
+
 def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
                    faults=None, tangent=None):
     """Run the recursion from each (lambda0[k], sigma0[k]) up to horizon
@@ -263,9 +281,10 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     ``tangent``, (dLambda_0, dSigma_0) shaped as (lambda0, sigma0), rides
     along the same recursion (``_recur``) to give dS_n = dXi_n - dXi_{n+1},
     dXi_n = dLambda_n* X + X* dLambda_n - X* dSigma_n X, X = Sigma_n^{-1}
-    Lambda_n.  The guards, in order: ||Sigma_n|| > tol.sigma_overflow,
-    cond(Sigma_n) > tol.cond_limit, Sigma_n singular, ||S_n^2 - I|| not
-    finite, then above 100 tol.spin_tol max(1, cond_n cond_{n+1}).
+    Lambda_n.  The guards (``_guarded``), in order: ||Sigma_n|| >
+    tol.sigma_overflow, cond(Sigma_n) > tol.cond_limit, Sigma_n singular,
+    ||S_n^2 - I|| not finite, then above 100 tol.spin_tol max(1, cond_n
+    cond_{n+1}).
     """
     n_max = int(max([0, *horizons]))
     rows = 1 if lambda0.ndim == 2 else len(horizons)
@@ -275,17 +294,10 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     per_site = 16 * (copies * (lam + sigma) + (copies + 1) * lam
                      + (3 * copies + 2) * xi) + 64
     step = 16 * copies * (4 * sigma + 3 * lam)
-    need = rows * ((n_max + 1) * per_site + step) + 16 * (6 * sigma + xi)
-    if need > STACK_BUDGET:
-        raise InputError(
-            f"horizon {n_max} needs {need / 2 ** 20:.3g} MiB of lattice "
-            f"arrays, beyond the budget of {STACK_BUDGET >> 20} MiB")
-    horizons = np.asarray(horizons, dtype=int)
-    if (horizons < 0).any():
-        raise ValueError("n_max must be non-negative")
+    _check_budget(n_max, rows * ((n_max + 1) * per_site + step)
+                  + 16 * (6 * sigma + xi))
+    horizons, faults = _horizons(horizons, faults)
     size = horizons.size
-    if faults is None:
-        faults = [None] * size
     try:
         alpha_inv = linalg.inv(alpha, "alpha")
     except SingularMatrixError as exc:
@@ -301,10 +313,126 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         return a
 
     lambdas, sigmas = rows_of(lambda0), rows_of(sigma0)
-    m = lambda0.shape[-1] // 2
     tangents = None if tangent is None else tuple(map(rows_of, tangent))
     with np.errstate(all="ignore"):
-        _recur(alpha_inv, m, lambdas, sigmas, tangents)
+        _recur(alpha_inv, lambda0.shape[-1] // 2, lambdas, sigmas, tangents)
+        solved, singular = _solve_each(sigmas, lambdas)
+        xi, dxi = _xi(lambdas, solved, tangents)
+    return _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular,
+                    xi, dxi, entries)
+
+
+def _xi(lambdas, solved, tangent=None):
+    """(Xi_n = Lambda_n* X, and with a tangent (dLambda_n, dSigma_n)
+    dXi_n = dLambda_n* X + X* dLambda_n - X* dSigma_n X, else None) for
+    X = Sigma_n^{-1} Lambda_n = ``solved``: the same in every basis in
+    which Lambda_n and Sigma_n are given together."""
+    xi = _h(lambdas) @ solved
+    if tangent is None:
+        return xi, None
+    dlambdas, dsigmas = tangent
+    cross = _h(dlambdas) @ solved
+    return xi, cross + _h(cross) - _h(solved) @ dsigmas @ solved
+
+
+def _cauchy(d, a, b):
+    """(C, C_jk / (d_j - conj d_k)) with C = i A B*, over the last two
+    axes: with A = B = Lam', the second is the solution Sig' of
+    diag(d) Sig' - Sig' diag(d)* = i Lam' Lam'*, a Cauchy-like matrix
+    (Gohberg, Kailath & Olshevsky, Math. Comp. 64, 1995), wherever
+    d_j != conj d_k."""
+    c = 1j * a @ _h(b)
+    return c, c / (d[:, None] - d.conj()[None, :])
+
+
+def _finite(a):
+    """Whether each matrix of a stack has finite entries only."""
+    return np.isfinite(a).all(axis=(-2, -1))
+
+
+def _record_non_finite(faults, where, named):
+    """Record, at the entries ``where``, the first of the ``(name, stack)``
+    pairs whose matrix there is not finite, a stack of None skipped: the
+    finite checks of a start (Lambda_0, C = i Lambda_0 Lambda_0*,
+    Sigma_0)."""
+    for name, a in named:
+        if a is not None:
+            _record(faults, where & ~_finite(a),
+                    NumericError(f"{name} contains non-finite entries"))
+
+
+def _closed_form_stack(basis, start, lam, dlam, kept, horizons, tol, faults):
+    """The LatticeStack of ``generate_stack`` with a tangent, in closed form
+    in the eigenbasis (d, V, V^{-1}) of alpha, all the [k, n] rows in one
+    batch with no loop over n.  Entry k starts from the primed
+    Lam'_0 = ``lam[k]`` (Lambda_0 = V Lam'_0) with the tangent
+    ``dlam[k]``; an entry of the mask ``kept`` starts from ``start``,
+    (Lambda_0, Sigma_0) in the original basis, itself.
+
+    Lam'_n = diag(1 + i/d)^n Lam'^(1)_0 and diag(1 - i/d)^n Lam'^(2)_0
+    (``lambda_closed_form``), and dLam'_n the same of dLam'_0.  The
+    identity alpha Sigma_n - Sigma_n alpha* = i Lambda_n Lambda_n*, which
+    the recursion propagates, makes Sig'_n = V^{-1} Sigma_n V^{-*} the
+    Cauchy quotient of Lam'_n (``_cauchy``) and dSig'_n = Q + Q* with Q
+    that of (dLam'_n, Lam'_n); at n = 0 an entry of ``kept`` has
+    V^{-1} Sigma_0 V^{-*} instead.  X' = Sig'^{-1} Lam' is one batched
+    solve, and Xi_n and dXi_n (``_xi``) are those of the original basis,
+    so S_n and dS_n/dt are read here.
+    Sigma_n = V Sig'_n V* is rotated back for the guards, and Lambda_n =
+    V Lam'_n and Sigma_n^{-1} Lambda_n = V^{-*} X' for the stack.
+
+    Before the guards, an entry not ``kept`` fails on its row n = 0, on
+    the first of: Lambda_0, C = i Lam'_0 Lam'_0*, Sigma_0 not finite
+    (``_record_non_finite``).  Then the guards of ``generate_stack``
+    (``_guarded``)."""
+    d, v, v_inv = basis
+    rows, order, width = lam.shape
+    n_max = int(max([0, *horizons]))
+    # per site and entry: five arrays shaped as Lambda_n (Lam', dLam',
+    # Lambda_n, X', V^{-*} X'), seven as Sigma_n (C, Sig', Q, dSig', Sigma_n
+    # and two temporaries), nine as Xi_n (Xi, dXi, S_n, dS_n and their
+    # temporaries), and 8 floats
+    _check_budget(n_max, rows * (n_max + 1) * (
+        16 * (5 * order * width + 7 * order * order + 9 * width * width)
+        + 64))
+    horizons, faults = _horizons(horizons, faults)
+    m = width // 2
+    with np.errstate(all="ignore"):
+        bases = np.repeat(np.stack([1.0 + 1j / d, 1.0 - 1j / d], axis=-1), m,
+                          axis=-1)
+        powers = bases ** np.arange(n_max + 1)[:, None, None]
+        lams, dlams = powers * lam[:, None], powers * dlam[:, None]
+        c, sigmas_p = _cauchy(d, lams, lams)
+        q = _cauchy(d, dlams, lams)[1]
+        dsigmas_p = q + _h(q)
+        lambdas = v @ lams
+        sigmas = linalg.herm(v @ sigmas_p @ _h(v))
+        _record_non_finite(faults, ~kept, (("lambda", lambdas[:, 0]),
+                                           ("C", c[:, 0]),
+                                           ("sigma0", sigmas[:, 0])))
+        if kept.any():
+            lambda0, sigma0 = start
+            lambdas[kept, 0] = lambda0
+            sigmas[kept, 0] = sigma0
+            sigmas_p[kept, 0] = v_inv @ sigma0 @ _h(v_inv)
+        solved, singular = _solve_each(sigmas_p, lams)
+        xi, dxi = _xi(lams, solved, (dlams, dsigmas_p))
+    return _guarded(horizons, faults, tol, lambdas, sigmas,
+                    _h(v_inv) @ solved, singular, xi, dxi)
+
+
+def _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular, xi,
+             dxi=None, entries=lambda a: a):
+    """The LatticeStack of the [rows, n] arrays Lambda_n, Sigma_n, Sigma_n^{-1}
+    Lambda_n (``solved``, singular where ``singular``), Xi_n = Lambda_n*
+    Sigma_n^{-1} Lambda_n and its t-derivative ``dxi``: S_n = J + Xi_n -
+    Xi_{n+1}, dS_n/dt = dXi_n - dXi_{n+1}, and the guards of
+    ``generate_stack`` on each entry up to its horizon, in order, each
+    recording the first error of an entry in ``faults``.  ``entries``
+    spreads the rows over the entries."""
+    n_max = lambdas.shape[1] - 1
+    m = xi.shape[-1] // 2
+    with np.errstate(all="ignore"):
         guarded = np.arange(n_max + 1) <= horizons[:, None]
         limit = tol.sigma_overflow
         norms = entries(linalg.frob_norms(sigmas))
@@ -318,10 +446,8 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
             _record(faults, [k], ConditioningError(
                 f"cond(Sigma_{n}) = {conditioning[k, n]:.3e} exceeds the "
                 f"limit {tol.cond_limit:.1e}"))
-        solved, singular = _solve_each(sigmas, lambdas)
         _record(faults, (guarded & singular).any(axis=1),
                 SingularMatrixError("Sigma is singular"))
-        xi = _h(lambdas) @ solved
         spins = linalg.herm(signature_matrix(m) + xi[:, :-1] - xi[:, 1:])
         spin_residuals = entries(linalg.frob_norms(
             spins @ spins - np.eye(2 * m, dtype=complex)))
@@ -330,10 +456,7 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         spin_limit = _involution_limit(tol)
         not_involutions = involutions > spin_limit
         dspins = None
-        if tangent is not None:
-            dlambdas, dsigmas = tangents
-            cross = _h(dlambdas) @ solved
-            dxi = cross + _h(cross) - _h(solved) @ dsigmas @ solved
+        if dxi is not None:
             dspins = entries(linalg.herm(dxi[:, :-1] - dxi[:, 1:]))
     for k, n in _first(guarded[:, 1:] & ~np.isfinite(spin_residuals)):
         _record(faults, [k], NumericError(

@@ -230,22 +230,28 @@ def _float(x):
     return float.__repr__(x)
 
 
-def _fill(values):
-    """The JSON texts of the floats of ``values``, a list of sequences of
-    (re, im) pairs, in (im, re) order.  One orjson call writes them all;
+def _texts(floats, other):
+    """The texts of the floats of a 1-D float array, in one orjson call:
     its text is ``float.__repr__``'s for zeros and magnitudes in [1e-4,
-    1e16), and ``_float`` writes the rest (exponents, NaN, infinities)."""
-    floats = np.concatenate(values or [()]).reshape(-1, 2)[:, ::-1].ravel()
+    1e16), and ``other`` writes the rest (exponents, NaN, infinities)."""
     if not floats.size:
-        return ()
+        return []
     text = orjson.dumps(floats, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     texts = text[1:-1].split(",")
     magnitudes = np.abs(floats)
     outside = np.flatnonzero(~((magnitudes >= 1e-4) & (magnitudes < 1e16)
                                | (floats == 0)))
     for i, x in zip(outside.tolist(), floats[outside].tolist()):
-        texts[i] = _float(x)
-    return tuple(texts)
+        texts[i] = other(x)
+    return texts
+
+
+def _fill(values):
+    """The JSON texts of the floats of ``values``, a list of sequences of
+    (re, im) pairs, in (im, re) order (``_texts``, with ``_float`` for the
+    rest)."""
+    floats = np.concatenate(values or [()]).reshape(-1, 2)[:, ::-1].ravel()
+    return tuple(_texts(floats, _float))
 
 
 def _newline(depth):
@@ -355,8 +361,15 @@ def stack_csv_rows(stack):
 
 
 def write_csv(stream, header, rows):
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(
-            repr(x) if isinstance(x, float) else str(x) for x in row
-        ) + "\n")
+    """Write the header and the rows as CSV lines: each float cell as its
+    repr, all in one orjson call (``_texts``, with repr for the rest, so
+    NaN and the infinities are ``nan`` and ``inf``), any other cell as its
+    str."""
+    lines = [tuple(header), *map(tuple, rows)]
+    texts = iter(_texts(np.array([x for line in lines for x in line
+                                  if isinstance(x, float)], dtype=float),
+                        repr))
+    stream.write("".join([
+        ",".join([next(texts) if isinstance(x, float) else str(x)
+                  for x in line]) + "\n"
+        for line in lines]))

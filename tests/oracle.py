@@ -17,7 +17,8 @@ Van Loan block [[-A, b b*], [0, A*]].  Every step runs at ``DPS`` digits.
 
 ``triple_derivatives`` is the central difference, at t +/- 1e-15, of
 that time-t triple.  ``sigmas`` is the lattice recursion of Sigma_n in
-the same arithmetic.  dS_n/dt is the central difference, at t +/- 1e-15, of the spins of the
+the same arithmetic, and ``spins`` the S_n of the recursion run from the
+time-t triple.  dS_n/dt is the central difference, at t +/- 1e-15, of the spins of the
 recursion run from those time-t triples; the triples, the recursion and
 the difference stay in mpmath values throughout.
 """
@@ -150,6 +151,14 @@ def _spins(alpha, lam, sigma, n_max):
     xi = [lam.H * mp.inverse(sigma) * lam
           for lam, sigma in _recursion(alpha, lam, sigma, n_max)]
     return [j + xi[n] - xi[n + 1] for n in range(n_max)]
+
+
+def spins(triple, t, n_max, upper_half_plane):
+    """S_0..S_{n_max-1}, as complex arrays, of the recursion from the
+    time-t triple (``triple_at``)."""
+    with mp.workdps(DPS):
+        lam, sigma = _triple_at(triple, mp.mpf(t), upper_half_plane)
+        return [_np(s) for s in _spins(_mp(triple.alpha), lam, sigma, n_max)]
 
 
 def spin_derivatives(triple, t, n_max, upper_half_plane, step="1e-15"):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import functools
 import io
@@ -385,23 +386,42 @@ def test_non_integer_declared_size_is_input_error(triple_file, tmp_path, value):
 ))
 def test_evolve_builds_one_state_per_time(triple_file, calls, stage_calls,
                                           n_max, grid, built_states):
-    """Per time, the state at t to horizon N, counted as stack entries of
-    one stack, and its time-t triple in one batch of the time-t stage (the
-    time t = 0 is the triple itself): the derivatives in t ride along the
-    same recursion.  The stage works in the eigenbasis of alpha: one
-    eigendecomposition, and no matrix exponential or Sylvester solve."""
+    """Per time, the state at t to horizon N, counted as the entries of one
+    closed-form stack in the eigenbasis of alpha, with dS_n/dt in the same
+    batch: the grid times reach the lattice with no batch of time-t
+    triples and no run of the recursion.  One eigendecomposition, and no
+    matrix exponential or Sylvester solve."""
     import spinlattice.evolution as evolution
+    import spinlattice.lattice as lattice
 
-    horizons = calls(evolution, "generate_stack",
-                     lambda alpha, lambda0, sigma0, horizons, *args,
+    horizons = calls(lattice, "_closed_form_stack",
+                     lambda basis, start, lam, dlam, kept, horizons, *args,
                      **kwargs: list(horizons))
-    batches = calls(evolution, "_triples_at",
-                    lambda triple, times, tol: times.size)
+    batches = calls(evolution, "_triples_at")
+    recursions = calls(lattice, "_recur")
     assert main(["evolve", triple_file, "--nmax", str(n_max), *grid]) == 0
     assert horizons == [[n_max] * built_states]
-    assert batches == [built_states]
+    assert batches == recursions == []
     assert stage_calls["expm"] == stage_calls["sylvester"] == []
     assert len(stage_calls["eig"]) == 1
+
+
+def test_a_real_mode_evolve_runs_the_recursion_once_per_block(capsys, calls):
+    """The real-mode triple (alpha = diag(2i, 3)) is off the open upper half
+    plane: its grid takes the time-t triples and the recursion, one batch
+    and one run per block of TIME_BLOCK times, and no closed form."""
+    import spinlattice.evolution as evolution
+    import spinlattice.lattice as lattice
+
+    closed = calls(lattice, "_closed_form_stack")
+    batches = calls(evolution, "_triples_at",
+                    lambda triple, times, tol: times.size)
+    recursions = calls(lattice, "_recur")
+    assert main(["evolve", str(EVOLVE_DATA / "real_mode.json"), "--nmax", "4",
+                 "--time-grid", f"0,1,{evolution.TIME_BLOCK + 8}"]) == 0
+    assert closed == []
+    assert batches == [evolution.TIME_BLOCK, 8]
+    assert len(recursions) == 2
 
 
 def test_a_long_evolve_makes_no_expm_call(example_file, capsys, stage_calls):
@@ -411,6 +431,24 @@ def test_a_long_evolve_makes_no_expm_call(example_file, capsys, stage_calls):
     assert len(capsys.readouterr().out.splitlines()) > 5000
     assert stage_calls["expm"] == stage_calls["sylvester"] == []
     assert len(stage_calls["eig"]) == 1
+
+
+def test_a_long_evolve_keeps_unit_spin_vectors(tmp_path):
+    """tests/data/evolve/norm_drift.json is the order-3 triple drawn 57th by
+    the ihm-trajectory benchmark at seed 4242 (cond(V) = 1.45).  Run by the
+    recursion from the time-t triples, its spin vectors drift from unit
+    norm by 1.5e-9 at t = 0.914983, beyond SPIN_NORM_BOUND, and evolve
+    exits 3; in closed form every | ||s|| - 1 | over 5,000 times is at
+    round-off."""
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", str(EVOLVE_DATA / "norm_drift.json"), "--nmax", "8",
+                 "--time-grid", "0,1,5000", "-o", str(out)]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 5000 * 6
+    vectors = np.array([[float(row[k]) for k in ("s1", "s2", "s3")]
+                        for row in rows])
+    assert abs(np.linalg.norm(vectors, axis=1) - 1.0).max() <= 1e-12
 
 
 def test_evolve_solves_the_spectrum_once(capsys, spectrum_calls):
@@ -553,7 +591,11 @@ def test_evolve_output_is_that_of_the_per_time_lattice(capsys, name, n_max,
     files were rewritten when the time-t stage moved to the eigenbasis of
     alpha, by a script that asserted every time, site, key and t = 0 spin
     unchanged, every residual below 1e-12, and every new spin and
-    Sigma_0(t) within 1e-12 of the oracle of tests/oracle.py."""
+    Sigma_0(t) within 1e-12 of the oracle of tests/oracle.py.  The
+    example, general and fg4 files were rewritten again when the grid
+    moved to the closed form, by a script that asserted every header,
+    time, site, key and Sigma_0(t) unchanged, every residual below 1e-12
+    and every spin, t = 0 included, within 1e-12 of the oracle."""
     for fmt in outputs:
         assert main(["evolve", str(EVOLVE_DATA / f"{name}.json"), "--nmax",
                      str(n_max), f"--time-grid={grid}", "--format",
@@ -582,7 +624,11 @@ def test_verify_output_is_that_of_the_per_check_evaluation(capsys, name,
     cond30 files were rewritten when the time-t stage moved to the
     eigenbasis of alpha, by a script that asserted every line unchanged
     but the residuals of the six checks that read the time-t triples, each
-    still a PASS under the same threshold."""
+    still a PASS under the same threshold.  The example, fg4, general and
+    cond30 files were rewritten again when the time grid moved to the
+    closed form: every line unchanged but the residuals of the four checks
+    that read the grid (lax-equality, zero-curvature, ihm-vector-equation,
+    monodromy), each still a PASS under the same threshold."""
     assert main(["verify", str(VERIFY_DATA / f"{name}.json"), "--nmax",
                  str(n_max)]) == code
     want = (VERIFY_DATA / f"{name}.out.txt").read_text()

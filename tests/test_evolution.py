@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinlattice import evolution, linalg
+from spinlattice import evolution, lattice, linalg
 from spinlattice import (
     ParameterTriple,
     evolve_lambda0,
@@ -391,13 +391,16 @@ def _herm(x):
     return (x + x.conj().T) / 2
 
 
-def _per_time_eigenbasis(triple, t):
-    """(Lambda_0(t), Sigma_0(t), dLambda_0/dt, dSigma_0/dt) in the
-    eigenbasis of alpha = V diag(d) V^{-1}, refined by
-    ``linalg._refined``, on 2-D arrays: elementwise exponentials of
-    -2t/(d -/+ i) and the Cauchy formula of Sigma_0(t), both
-    differentiated elementwise; None where the spectrum leaves the open
-    upper half plane or cond(V) exceeds EIGENBASIS_COND."""
+def _per_time_closed_form(triple, t, n_max):
+    """The per-time arithmetic of the closed-form grid, on 2-D arrays, one
+    site at a time: in the eigenbasis of alpha = V diag(d) V^{-1}, refined
+    by ``linalg._refined``, Lam'_0(t) from elementwise exponentials of
+    -2t/(d -/+ i) (V^{-1} Lambda_0 at t = 0) with its t-derivative,
+    Lam'_n from the powers (1 +/- i/d)^n, Sig'_n and dSig'_n from the
+    Cauchy formula, Sigma_0 itself at t = 0, and S_n, dS_n/dt from Xi_n.
+    Returns ``_per_time_lattice``'s tuple with dS_n/dt appended, or None
+    where the spectrum leaves the open upper half plane or cond(V) exceeds
+    EIGENBASIS_COND."""
     a = triple.alpha
     if np.linalg.eigvals(a).imag.min() <= DEFAULT.spec_tol:
         return None
@@ -406,15 +409,37 @@ def _per_time_eigenbasis(triple, t):
         return None
     d, v = linalg._refined(a, d, v)
     v_inv = np.linalg.solve(v, np.eye(a.shape[0], dtype=complex))
-    r = np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1),
-                  triple.m, axis=-1)
+    r = np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1)
     lam = np.exp((-2.0 * t) * r) * (v_inv @ triple.lambda0)
     dlam = -2.0 * r * lam
+    if t == 0:
+        lam = v_inv @ triple.lambda0
     gaps = d[:, None] - d.conj()[None, :]
-    c = 1j * lam @ lam.conj().T
-    cross = dlam @ lam.conj().T
-    return (v @ lam, _herm(v @ (c / gaps) @ v.conj().T), v @ dlam,
-            _herm(v @ (1j * (cross + cross.conj().T) / gaps) @ v.conj().T))
+    powers = (np.stack([1.0 + 1j / d, 1.0 - 1j / d], axis=-1)
+              ** np.arange(n_max + 1)[:, None, None])
+    lambdas, sigmas, solved, xi, dxi = [], [], [], [], []
+    for n in range(n_max + 1):
+        lam_n, dlam_n = powers[n] * lam, powers[n] * dlam
+        sigma = 1j * lam_n @ lam_n.conj().T / gaps
+        q = 1j * dlam_n @ lam_n.conj().T / gaps
+        lambdas.append(v @ lam_n)
+        sigmas.append(_herm(v @ sigma @ v.conj().T))
+        if n == 0 and t == 0:
+            lambdas[0], sigmas[0] = triple.lambda0, triple.sigma0
+            sigma = v_inv @ triple.sigma0 @ v_inv.conj().T
+        x = np.linalg.solve(sigma, lam_n)
+        solved.append(v_inv.conj().T @ x)
+        xi.append(lam_n.conj().T @ x)
+        cross = dlam_n.conj().T @ x
+        dxi.append(cross + cross.conj().T - x.conj().T @ (q + q.conj().T) @ x)
+    j = signature_matrix(1)
+    spins = [_herm(j + xi[n] - xi[n + 1]) for n in range(n_max)]
+    return (lambdas, sigmas, solved,
+            [float(np.linalg.cond(s)) for s in sigmas], spins,
+            [float(np.linalg.norm(s @ s - np.eye(2), "fro")) for s in spins],
+            [np.array([s[1, 0].real, s[1, 0].imag, s[0, 0].real])
+             for s in spins],
+            [_herm(dxi[n] - dxi[n + 1]) for n in range(n_max)])
 
 
 def _per_time_schur_triple(triple, t):
@@ -470,22 +495,6 @@ def _per_time_flow_derivatives(triple):
             -(r @ sigma + sigma @ r.conj().T + 2.0 * (term + term.conj().T)))
 
 
-def _per_time_triple(triple, t):
-    """(the time-t triple, dLambda_0/dt, dSigma_0/dt) by the per-time
-    arithmetic that TimeGrid batches: in the eigenbasis of alpha where it
-    is admitted (``_per_time_eigenbasis``), else ``_per_time_schur_triple``
-    and ``_per_time_flow_derivatives``.  At t = 0 the triple itself."""
-    eigen = _per_time_eigenbasis(triple, t)
-    if eigen is None:
-        moved = _per_time_schur_triple(triple, t)
-        return (moved, *_per_time_flow_derivatives(moved))
-    lam, sigma, dlam, dsigma = eigen
-    if t != 0:
-        triple = ParameterTriple(alpha=triple.alpha, theta1=lam[:, :1],
-                                 theta2=lam[:, 1:], sigma0=sigma)
-    return triple, dlam, dsigma
-
-
 def _per_time_lattice(triple, n_max):
     """(Lambda_n, Sigma_n, Sigma_n^{-1} Lambda_n, cond(Sigma_n), S_n,
     ||S_n^2 - I||, spin vectors) by the 2-D recursion, one step and one
@@ -531,13 +540,26 @@ def _per_time_tangent(triple, dlam, dsigma, lambdas, solved):
     return [_herm(dxi[n] - dxi[n + 1]) for n in range(len(dxi) - 1)]
 
 
+def _per_time_states(triple, t, n_max):
+    """``_per_time_lattice``'s tuple at time t, with dS_n/dt appended, by
+    the route of the grid: the closed form where the eigenbasis of alpha
+    is admitted (``_per_time_closed_form``); else the time-t triple of
+    ``_per_time_schur_triple``, its derivatives of
+    ``_per_time_flow_derivatives``, the recursion and the tangent
+    recursion."""
+    closed = _per_time_closed_form(triple, t, n_max)
+    if closed is not None:
+        return closed
+    moved = _per_time_schur_triple(triple, t)
+    lattice = _per_time_lattice(moved, n_max)
+    return (*lattice, _per_time_tangent(
+        moved, *_per_time_flow_derivatives(moved), lattice[0], lattice[2]))
+
+
 def _per_time_residuals(triple, t, n_max, lam):
     """(dS_n/dt, n < N) and the zero-curvature and IHM residuals at sites
     1..N - 2, each site on its own 2-D matrices and 3-vectors."""
-    triple, dlam, dsigma = _per_time_triple(triple, t)
-    lambdas, _, solved, _, spins, _, vectors = _per_time_lattice(triple,
-                                                                 n_max)
-    dspins = _per_time_tangent(triple, dlam, dsigma, lambdas, solved)
+    *_, spins, _, vectors, dspins = _per_time_states(triple, t, n_max)
     i2 = np.eye(2, dtype=complex)
 
     def g(s):
@@ -572,13 +594,15 @@ def _per_time_residuals(triple, t, n_max, lam):
        n_max=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
 def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
                                                        n_max, seed):
-    """Both routes of Sigma_0(t): the eigenbasis of alpha, for a spectrum
-    in the open upper half plane (class FG, or a general sigma0), and the
-    flow, for a real eigenvalue.  The stacked states, their time
-    derivatives dS_n/dt, the spin vectors and the residual arrays equal
-    those of the per-time arithmetic with 2-D matrices throughout, and
-    those of the scalar functions; a grid that
-    fails raises what the first failing time raises."""
+    """Both routes of the grid: the closed form in the eigenbasis of
+    alpha, for a spectrum in the open upper half plane (class FG, or a
+    general sigma0), and the time-t triples and the recursion, for a real
+    eigenvalue (the flow).  The stacked states, their time derivatives
+    dS_n/dt, the spin vectors and the residual arrays equal those of the
+    per-time arithmetic of the route with 2-D matrices throughout, and
+    those of the scalar functions; off the closed form the states are
+    those of ``generate`` of the time-t triple.  A grid that fails raises
+    what the first failing time raises."""
     rng = np.random.default_rng(seed)
     if kind == "general":
         triple = random_general_sigma_triple(rng, order, 1)
@@ -597,9 +621,10 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
                     lattice.zero_curvature_at(0, n, lam)
                     lattice.ihm_at(0, n)
         return
+    closed = _per_time_closed_form(triple, 0.0, n_max) is not None
     for k, t in enumerate(times):
         (lambdas, sigmas, solved, conditioning, spins, spin_residuals,
-         vectors) = _per_time_lattice(_per_time_triple(triple, t)[0], n_max)
+         vectors, _) = _per_time_states(triple, t, n_max)
         got = grid.state(k)
         assert _same(got.lambdas, lambdas)
         assert _same(got.sigmas, sigmas)
@@ -607,7 +632,9 @@ def test_time_grid_is_the_per_time_lattice_bit_for_bit(order, kind, times,
         assert _same(got.spins, spins)
         assert got.conditioning == conditioning
         assert got.spin_residuals == spin_residuals
-        assert _same(got.spins, generate(triple_at(triple, t), n_max).spins)
+        if not closed:
+            assert _same(got.spins,
+                         generate(triple_at(triple, t), n_max).spins)
         assert _same(grid.vectors[k], vectors)
         want_dspins, want_zc, want_ihm = _per_time_residuals(triple, t, n_max,
                                                              lam)
@@ -650,6 +677,32 @@ def test_spin_derivatives_match_the_high_precision_oracle(
         assert gap <= 1e-12 * max(1.0, np.linalg.norm(got))
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(("fg", "general-sigma0")), order=st.integers(1, 5),
+       tt=st.one_of(st.just(0.0), st.floats(-0.6, 0.6)),
+       n_max=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_spins_match_the_high_precision_oracle(kind, order, tt,
+                                                           n_max, seed):
+    """On m = 1 triples whose eigenbasis of alpha is admitted, class FG and
+    general sigma0 of order <= 5, the spins of a TimeGrid, formed in
+    closed form, agree with those of the 30-digit oracle of tests/oracle.py
+    (the recursion at 30 digits from the time-t triple) to
+    1e-12 max(1, ||S_n||_F) for |t| <= 0.6 and n_max <= 12."""
+    pytest.importorskip("mpmath")
+    import oracle
+
+    rng = np.random.default_rng(seed)
+    triple = (random_general_sigma_triple if kind == "general-sigma0"
+              else random_admissible_triple)(rng, order, 1)
+    assert triple._eigenbasis(DEFAULT) is not None
+    grid = evolution.TimeGrid(triple, [tt], n_max)
+    grid.check()
+    want = oracle.spins(triple, tt, n_max, True)
+    for got, exact in zip(grid.spins[0], want, strict=True):
+        gap = np.linalg.norm(got - exact)
+        assert gap <= 1e-12 * max(1.0, np.linalg.norm(got))
+
+
 @pytest.mark.parametrize("scale", (1.0 + 3e-9, 1.0 - 7e-9, 1.5))
 def test_spin_vector_norm_is_that_of_the_three_vector(scale):
     """The norm in the error message is np.linalg.norm of (s1, s2, s3)."""
@@ -663,14 +716,17 @@ def test_spin_vector_norm_is_that_of_the_three_vector(scale):
 
 def test_lax_pair_builds_one_state(ihm_triple, stage_calls, calls):
     """A grid of one time read only by lax builds the state at t alone:
-    one stack entry, and its time-t triple in the eigenbasis of alpha, with
-    one eigendecomposition and no matrix exponential or Sylvester
-    solve."""
-    horizons = calls(evolution, "generate_stack",
-                     lambda alpha, lambda0, sigma0, horizons, *args,
+    one entry of one closed-form stack in the eigenbasis of alpha, with one
+    eigendecomposition, no run of the recursion, no time-t triple, and no
+    matrix exponential or Sylvester solve."""
+    horizons = calls(lattice, "_closed_form_stack",
+                     lambda basis, start, lam, dlam, kept, horizons, *args,
                      **kwargs: list(horizons))
+    recursions = calls(lattice, "_recur")
+    batches = calls(evolution, "_triples_at")
     lax_pair(ihm_triple, 2, 0.3, 2.0 + 0.5j)
     assert horizons == [[3]]
+    assert recursions == batches == []
     assert stage_calls["expm"] == stage_calls["sylvester"] == []
     assert len(stage_calls["eig"]) == 1
 
@@ -1057,13 +1113,13 @@ def test_the_tangent_is_a_stage_after_the_spin_vectors(monkeypatch):
         with pytest.raises(SpectrumError, match=PLUS_MINUS_I):
             read()
 
-    triples_at = evolution._triples_at
+    lambda0 = evolution._lambda0
 
     def overflowing(triple, times, tol):
-        lam, sigma, (dlam, dsigma), faults = triples_at(triple, times, tol)
-        return lam, sigma, (np.full_like(dlam, np.inf), dsigma), faults
+        (lam, dlam), basis, faults = lambda0(triple, times, tol)
+        return (lam, np.full_like(dlam, np.inf)), basis, faults
 
-    monkeypatch.setattr(evolution, "_triples_at", overflowing)
+    monkeypatch.setattr(evolution, "_lambda0", overflowing)
     grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
     with pytest.raises(NumericError, match=re.escape(
             "dS_1/dt contains non-finite entries")) as info:
@@ -1100,14 +1156,14 @@ def test_a_vanishing_bond_is_the_stage_after_the_tangent(monkeypatch):
         with pytest.raises(DegeneracyError, match=message):
             read()
 
-    triples_at = evolution._triples_at
+    lambda0 = evolution._lambda0
 
     def overflowing(triple, times, tol):
-        lam, sigma, (dlam, dsigma), faults = triples_at(triple, times, tol)
+        (lam, dlam), basis, faults = lambda0(triple, times, tol)
         dlam[1] = np.inf
-        return lam, sigma, (dlam, dsigma), faults
+        return (lam, dlam), basis, faults
 
-    monkeypatch.setattr(evolution, "_triples_at", overflowing)
+    monkeypatch.setattr(evolution, "_lambda0", overflowing)
     grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
     with pytest.raises(NumericError, match=re.escape(
             "dS_2/dt contains non-finite entries")):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinlattice import (
@@ -286,6 +286,36 @@ def test_stack_budget_bounds_the_traced_peak(order, m, tangent, rows,
         patch.setattr(lattice, "STACK_BUDGET", peak - 1)
         with pytest.raises(InputError, match=f"horizon {horizon} "):
             lattice.generate_stack(*start, tangent=tangents)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(order=st.integers(1, 8), m=st.integers(1, 3), rows=st.integers(1, 3),
+       horizon=st.integers(64, 256))
+def test_closed_form_budget_bounds_the_traced_peak(order, m, rows, horizon):
+    """The same of the closed-form stack in the eigenbasis of alpha, which
+    holds the primed arrays beside those of the original basis; traced
+    after a first run, which makes the one-time caches of its calls."""
+    t = random_admissible_triple(np.random.default_rng(order + 16 * m), order,
+                                 m)
+    basis = t._eigenbasis(DEFAULT)
+    assume(basis is not None)
+    lam = np.stack([basis[2] @ t.lambda0] * rows)
+    start = (basis, (t.lambda0, t.sigma0), lam, lam, np.zeros(rows, bool),
+             [horizon] * rows, DEFAULT)
+    with np.errstate(all="ignore"):
+        lattice._closed_form_stack(*start, None)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lattice._closed_form_stack(*start, None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "STACK_BUDGET", peak - 1)
+        with pytest.raises(InputError, match=f"horizon {horizon} "):
+            lattice._closed_form_stack(*start, None)
 
 
 def test_a_singular_alpha_stops_the_recursion():

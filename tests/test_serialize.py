@@ -111,6 +111,20 @@ _floats = st.one_of(
                      1e-5]),
 )
 _complexes = st.builds(complex, _floats, _floats)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(_floats, st.integers(), st.text()),
+                              max_size=8), max_size=8))
+def test_csv_writer_writes_the_repr_of_each_float(rows):
+    """One orjson call formats the floats: the bytes are those of repr per
+    float cell (nan, inf, -0.0, exponents and the subnormals included)
+    and of str per other cell."""
+    buf = io.StringIO()
+    serialize.write_csv(buf, ["a", "b"], rows)
+    assert buf.getvalue() == "a,b\n" + "".join(
+        ",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
+        + "\n" for row in rows)
 _matrices = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
     lambda shape: hnp.arrays(complex, shape, elements=_complexes))
 _strings = st.one_of(
@@ -221,6 +235,19 @@ def test_dumps_writes_every_float_in_one_orjson_call(calls):
     assert floats.size == 4551 and np.count_nonzero(floats == 0) == 360
     assert sizes == [4551 + 121]
     assert repr_floats == outside.tolist() and len(repr_floats) == 76
+
+
+def test_csv_writer_formats_every_float_in_one_orjson_call(calls):
+    """The 8 float cells of two rows go to one orjson call; the int cells
+    are their str, and nan, inf and 1e-15 are repr's."""
+    sizes = calls(serialize.orjson, "dumps", lambda obj, **kwargs: obj.size)
+    buf = io.StringIO()
+    serialize.write_csv(buf, ["t", "n", "a", "b", "c"],
+                        [(0.5, 1, 0.25, math.nan, 1e-15),
+                         (1.0, 2, -0.0, 3.0, math.inf)])
+    assert sizes == [8]
+    assert buf.getvalue() == ("t,n,a,b,c\n0.5,1,0.25,nan,1e-15\n"
+                              "1.0,2,-0.0,3.0,inf\n")
 
 
 # a decade drawn uniformly, then a point in it: log-uniform over [1e-6, 1e18]

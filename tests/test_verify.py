@@ -3,11 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinlattice import (Transfer, evolution, generate, ihm_residual,
-                         lax_pair, lattice, linalg, random_admissible_triple,
+from spinlattice import (evolution, ihm_residual, lax_pair, lattice, linalg,
+                         random_admissible_triple,
                          random_general_sigma_triple, summability_diagnostic,
-                         triple_at, triples, weyl,
-                         zero_curvature_residual)
+                         triples, weyl, zero_curvature_residual)
 from spinlattice.errors import PoleError, SpinLatticeError
 from spinlattice.verify import run_checks
 
@@ -73,9 +72,8 @@ def test_shared_context_changes_no_residual(order, general, seed):
         "lax-equality": _worst(*(_public(lambda t=t: _lax(triple, t))
                                  for t in times)),
         "monodromy": _worst(*(_public(
-            lambda n=n: evolution._monodromy(
-                Transfer(generate(triple_at(triple, 0.2), n_max=n + 1)), 0.2,
-                n, LAM))
+            lambda n=n: evolution.TimeGrid(triple, [0.2], n + 1).monodromy(
+                0, n, LAM))
             for n in (0, 1, 2))),
         "summability-dichotomy": _public(lambda: _summability(triple)),
     }
@@ -90,18 +88,22 @@ def test_verify_builds_each_shared_quantity_once(calls, stage_calls, n_max,
                                                  states):
     """States: the one to n_max, one per time of the grid at t = 0 and 0.2,
     and the horizon-30 one unless n_max >= 30, counted as the entries of
-    every stacked run of the recursion.  The time-t triples at t = 0.1,
-    0.35 and 0.2 come from one eigendecomposition of alpha, with no matrix
+    every stacked run of the recursion and of the closed-form stack of the
+    grid.  The time-t triples at t = 0.1 and 0.35 and the grid at t = 0
+    and 0.2 come from one eigendecomposition of alpha, with no matrix
     exponential and no Sylvester solve; exponentiated matrices: 3 per
     Gramian flow at t = 0.1 and 0.35, counted as the matrices of every
     stacked expm call."""
     entries = calls(lattice, "generate_stack",
                     lambda alpha, lambda0, sigma0, horizons, *args,
                     **kwargs: len(horizons))
+    closed = calls(lattice, "_closed_form_stack",
+                   lambda basis, start, lam, dlam, kept, horizons, *args,
+                   **kwargs: len(horizons))
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
     results = run_checks(triple, n_max=n_max)
     assert all(np.isfinite(r.residual) for r in results)     # none raised
-    assert sum(entries) == states
+    assert sum(entries) + sum(closed) == states
     assert sum(stage_calls["expm"]) == 3 * 2
     assert stage_calls["sylvester"] == []
     assert len(stage_calls["eig"]) == 1
@@ -134,10 +136,10 @@ def test_run_checks_rejects_a_horizon_below_one(small_triple, n_max):
                                                    (30, [30])))
 def test_verify_batches_its_shared_work(calls, n_max, state_horizons):
     """One verify of an m = 1 triple with its spectrum in the open upper
-    half plane: one validate; one batch of time-t triples, for t = 0, 0.2
-    and t = 0.1, 0.35; one Gramian flow over t = 0.1, 0.35; one recursion
-    for the state to n_max and the horizon-30 state, and one for the
-    horizon-3 time grid, which carries dS_n/dt along.  A general sigma0
+    half plane: one validate; one batch of time-t triples, for t = 0.1,
+    0.35; one Gramian flow over t = 0.1, 0.35; one recursion for the state
+    to n_max and the horizon-30 state; one closed-form stack for the
+    horizon-3 time grid at t = 0, 0.2, with dS_n/dt.  A general sigma0
     adds nothing: the closed form reads the state's Lambda_n, and the
     normalized Weyl realization is built without a second validate."""
 
@@ -151,6 +153,10 @@ def test_verify_batches_its_shared_work(calls, n_max, state_horizons):
             lattice, "generate_stack",
             lambda alpha, lambda0, sigma0, horizons, *args, **kwargs: [
                 int(h) for h in horizons]),
+        "_closed_form_stack": calls(
+            lattice, "_closed_form_stack",
+            lambda basis, start, lam, dlam, kept, horizons, *args, **kwargs: [
+                int(h) for h in horizons]),
         "validate": calls(triples, "validate",
                           lambda triple, *args, **kwargs: triple.order)}
     for triple in (random_admissible_triple(np.random.default_rng(5), 3, 1),
@@ -160,8 +166,9 @@ def test_verify_batches_its_shared_work(calls, n_max, state_horizons):
             record.clear()
         results = run_checks(triple, n_max=n_max)
         assert all(np.isfinite(r.residual) for r in results)  # none raised
-        assert batches == {"_triples_at": [4], "_sigma_flow": [2],
-                           "generate_stack": [state_horizons, [3, 3]],
+        assert batches == {"_triples_at": [2], "_sigma_flow": [2],
+                           "generate_stack": [state_horizons],
+                           "_closed_form_stack": [[3, 3]],
                            "validate": [3]}
 
 
