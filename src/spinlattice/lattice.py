@@ -403,20 +403,19 @@ def _closed_form_stack(basis, start, lam, dlam, kept, horizons, tol, faults):
         powers = bases ** np.arange(n_max + 1)[:, None, None]
         lams, dlams = powers * lam[:, None], powers * dlam[:, None]
         c, sigmas_p = _cauchy(d, lams, lams)
-        q = _cauchy(d, dlams, lams)[1]
-        dsigmas_p = q + _h(q)
+        c = c[:, 0].copy()                  # its check reads n = 0 alone
         lambdas = v @ lams
         sigmas = linalg.herm(v @ sigmas_p @ _h(v))
         _record_non_finite(faults, ~kept, (("lambda", lambdas[:, 0]),
-                                           ("C", c[:, 0]),
-                                           ("sigma0", sigmas[:, 0])))
+                                           ("C", c), ("sigma0", sigmas[:, 0])))
         if kept.any():
             lambda0, sigma0 = start
             lambdas[kept, 0] = lambda0
             sigmas[kept, 0] = sigma0
             sigmas_p[kept, 0] = v_inv @ sigma0 @ _h(v_inv)
         solved, singular = _solve_each(sigmas_p, lams)
-        xi, dxi = _xi(lams, solved, (dlams, dsigmas_p))
+        q = _cauchy(d, dlams, lams)[1]
+        xi, dxi = _xi(lams, solved, (dlams, q + _h(q)))
     return _guarded(horizons, faults, tol, lambdas, sigmas,
                     _h(v_inv) @ solved, singular, xi, dxi)
 
