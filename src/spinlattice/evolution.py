@@ -21,7 +21,7 @@ from .errors import (DegeneracyError, DimensionError, InputError,
                      NumericError, SpectrumError, SpinLatticeError)
 from .lattice import (_cauchy, _check_site, _closed_form_stack, _finite, _h,
                       _lattice_powers, _live, _record, _record_non_finite,
-                      generate, generate_stack)
+                      generate_stack)
 from .transfer import Transfer, _g
 from .triples import ParameterTriple, projectors, signature_matrix
 from .weyl import _realization
@@ -116,58 +116,54 @@ def _stage_basis(triple, tol):
     return triple._eigenbasis(tol)
 
 
+def _primed_resolvents(d, m):
+    """(alpha -/+ iI)^{-1} in the eigenbasis of alpha, diagonal there: r =
+    1/(d -/+ i) down the theta1 and theta2 columns of a primed Lambda'."""
+    return np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1), m,
+                     axis=-1)
+
+
 def _lambda0(triple, times, tol):
-    """((Lambda_0(t), dLambda_0/dt) at each of ``times``, stacked; the
-    eigenbasis (d, V, V^{-1}) of alpha or None; the error of each time or
-    None): the one choice of route of the time-t stage.  +/-i in the
-    spectrum of alpha is the error of every time, a non-finite time an
-    InputError.  Where the triple's cached eigenbasis admits alpha
-    (``ParameterTriple._eigenbasis``) both come primed, Lam' = V^{-1} Lam:
-    the resolvents (alpha -/+ iI)^{-1} are diagonal there, r = 1/(d -/+ i)
-    down the theta1 and theta2 columns, so Lam'(t) = e^{-2t r} V^{-1}
-    Lambda_0 and dLam'/dt = -2 r Lam'(t), elementwise, and a non-finite
-    exponent or exponential is the overflow of its time, as in ``_expm``.
-    Else Lambda_0(t) comes from one stacked expm over the times t != 0, is
-    Lambda_0 at t = 0 and where the route fails, and dLambda_0/dt =
-    [-2(alpha - iI)^{-1} Lambda_0^(1)(t), -2(alpha + iI)^{-1}
-    Lambda_0^(2)(t)], from the cached resolvents."""
-    m = triple.m
+    """(Lambda_0(t) at each of ``times``, stacked; the eigenbasis
+    (d, V, V^{-1}) of alpha or None; the error of each time or None): the
+    one choice of route of the time-t stage.  +/-i in the spectrum of
+    alpha is the error of every time, a non-finite time an InputError.
+    Where the triple's cached eigenbasis admits alpha
+    (``ParameterTriple._eigenbasis``) it comes primed, Lam' = V^{-1} Lam:
+    Lam'(t) = e^{-2t r} V^{-1} Lambda_0 elementwise (``_primed_resolvents``),
+    and a non-finite exponent or exponential is the overflow of its time,
+    as in ``_expm``.  Else it comes from one stacked expm over the times
+    t != 0, and is Lambda_0 at t = 0 and where the route fails."""
     try:
         basis = _stage_basis(triple, tol)
         if basis is None:
-            minus, plus = triple._resolvents()
             moving = np.flatnonzero(times != 0)
             e, moved = _exp_factors(triple, times[moving])
     except SpinLatticeError as exc:        # the same for every time
         lam = np.broadcast_to(triple.lambda0,
                               times.shape + triple.lambda0.shape)
-        return ((lam, np.zeros(lam.shape, dtype=complex)), None,
-                _refuse_non_finite(times, [exc] * times.size))
+        return lam, None, _refuse_non_finite(times, [exc] * times.size)
     faults = [None] * times.size
     if basis is not None:
         d, _, v_inv = basis
-        r = np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1), m,
-                      axis=-1)
-        exponent = (-2.0 * times)[:, None, None] * r
+        exponent = (-2.0 * times)[:, None, None] * _primed_resolvents(
+            d, triple.m)
         e = np.exp(exponent)
         _record(faults, ~(_finite(exponent) & _finite(e)),
                 lambda k: _overflow(times[k]))
         lam = e * (v_inv @ triple.lambda0)
-        dlam = -2.0 * r * lam
     else:
         lam = np.repeat(triple.lambda0[None], times.size, axis=0)
         lam[moving] = np.concatenate([e[0] @ triple.theta1,
                                       e[1] @ triple.theta2], axis=-1)
         for k, error in zip(moving.tolist(), moved):
             faults[k] = error
-        dlam = -2.0 * np.concatenate([minus @ lam[..., :m],
-                                      plus @ lam[..., m:]], axis=-1)
-    return (lam, dlam), basis, _refuse_non_finite(times, faults)
+    return lam, basis, _refuse_non_finite(times, faults)
 
 
 def evolve_lambda0(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     """Lambda_0(t) = [e^{-2t(a - iI)^{-1}} theta1, e^{-2t(a + iI)^{-1}} theta2]."""
-    (lam, _), basis = _at(_lambda0, triple, t, tol)
+    lam, basis = _at(_lambda0, triple, t, tol)
     if t == 0:
         return triple.lambda0
     return lam[0] if basis is None else (basis[1] @ lam)[0]
@@ -324,21 +320,20 @@ def evolve_sigma0(triple: ParameterTriple, t, method="sylvester",
 
 
 def _triples_at(triple, times, tol):
-    """(Lambda_0(t), Sigma_0(t), (dLambda_0/dt, dSigma_0/dt), faults) of the
-    time-t triple at each of ``times``, stacked, with the checks of
-    ParameterTriple: the one builder of the time-t stage, for ``triple_at``,
-    ``evolve_sigma0`` (``sylvester``) and ``TimeGrid``, on the route that
-    ``_lambda0`` picks.  Where spec(alpha) lies in the open upper half
-    plane Sigma_0(t) solves a Sig - Sig a* = i Lam0(t) Lam0(t)*.  In the
-    eigenbasis alpha = V D V^{-1}, D = diag(d), the equation is
+    """(Lambda_0(t), Sigma_0(t), faults) of the time-t triple at each of
+    ``times``, stacked, with the checks of ParameterTriple: the one builder
+    of the time-t stage, for ``triple_at``, ``evolve_sigma0``
+    (``sylvester``), the fallback of ``TimeGrid`` and ``verify``, on the
+    route that ``_lambda0`` picks.  Where spec(alpha) lies in the open
+    upper half plane Sigma_0(t) solves a Sig - Sig a* = i Lam0(t) Lam0(t)*.
+    In the eigenbasis alpha = V D V^{-1}, D = diag(d), the equation is
     D Sig' - Sig' D* = i Lam' Lam'* for Sig' = V^{-1} Sig V^{-*}, a
     Cauchy-like matrix: Sig'_jk = i (Lam' Lam'*)_jk / (d_j - conj d_k)
-    (``lattice._cauchy``), and dSig' = Q + Q* with Q the same quotient of
-    dLam' Lam'*.  Without the
-    eigenbasis it is a Sylvester solve over one pair of Schur forms.
-    Elsewhere it is the exact solution of its flow (``_sigma_flow``).  Off
-    the eigenbasis dSigma_0/dt is the right-hand side of the flow
-    (``_flow``).  ``_sigma_cross`` takes the other route.
+    (``lattice._cauchy``).  Without the eigenbasis it is a Sylvester solve
+    over one pair of Schur forms.  Elsewhere it is the exact solution of
+    its flow (``_sigma_flow``).  ``_sigma_cross`` takes the other route;
+    the t-derivatives are formed where the lattice reads them
+    (``_stage_tangent``, ``_closed_form_grid``).
 
     A time fails on the first of: its error in ``_lambda0``; Lambda_0(t)
     not finite; C = i Lam0(t) Lam0(t)* not finite, where the route forms
@@ -346,21 +341,17 @@ def _triples_at(triple, times, tol):
     Gramians of its Sigma_0(t); Sigma_0(t) not finite.  A non-finite time
     is an InputError whatever else failed.  The finite checks apply at
     t != 0 alone, on every route: at t = 0 the result is Lambda_0 and
-    Sigma_0, as at a time that fails, which has zero derivatives.  The
-    derivatives are not checked."""
-    (lam, dlam), basis, faults = _lambda0(triple, times, tol)
+    Sigma_0, as at a time that fails."""
+    lam, basis, faults = _lambda0(triple, times, tol)
     moving = times != 0
     c = None
     if basis is not None:                               # the Cauchy formula
         d, v, _ = basis
         c, sigma = _cauchy(d, lam, lam)
-        q = _cauchy(d, dlam, lam)[1]
-        lam, dlam = v @ lam, v @ dlam
+        lam = v @ lam
         sigma = linalg.herm(v @ sigma @ _h(v))
-        dsigma = linalg.herm(v @ (q + _h(q)) @ _h(v))
     else:
         sigma = np.repeat(triple.sigma0[None], times.size, axis=0)
-        dsigma = np.zeros_like(sigma)
     if basis is None and None in faults:    # some time has no error yet
         live = moving & np.array([e is None for e in faults], dtype=bool)
         if triple.spectrum(tol).in_upper_half_plane:    # the Schur solve
@@ -378,14 +369,30 @@ def _triples_at(triple, times, tol):
                 sigma[flowed], errors = _sigma_flow(triple, times[flowed])
                 for k, error in zip(flowed.tolist(), errors):
                     faults[k] = error
-        dsigma = _flow(triple)(sigma, lam)
     _record_non_finite(faults, moving, (("lambda", lam), ("C", c),
                                         ("sigma0", sigma)))
+    kept = np.array([e is not None for e in faults], dtype=bool) | ~moving
+    return (np.where(kept[:, None, None], triple.lambda0, lam),
+            np.where(kept[:, None, None], triple.sigma0, sigma), faults)
+
+
+def _stage_tangent(triple, lam, sigma, faults):
+    """(dLambda_0/dt, dSigma_0/dt) of each time-t triple of a batch of
+    ``_triples_at``, the start tangent of a grid off the eigenbasis:
+    dLambda_0/dt = [-2(alpha - iI)^{-1} Lambda_0^(1), -2(alpha + iI)^{-1}
+    Lambda_0^(2)] from the cached resolvents, dSigma_0/dt from the flow
+    (``_flow``).  Zero at a failed time; none is formed when every time
+    failed, as with +/-i in the spectrum of alpha."""
     failed = np.array([e is not None for e in faults], dtype=bool)
-    kept, failed = (failed | ~moving)[:, None, None], failed[:, None, None]
-    return (np.where(kept, triple.lambda0, lam),
-            np.where(kept, triple.sigma0, sigma),
-            (np.where(failed, 0, dlam), np.where(failed, 0, dsigma)), faults)
+    if failed.all():
+        return np.zeros_like(lam), np.zeros_like(sigma)
+    m = triple.m
+    minus, plus = triple._resolvents()
+    dlam = -2.0 * np.concatenate([minus @ lam[..., :m], plus @ lam[..., m:]],
+                                 axis=-1)
+    failed = failed[:, None, None]
+    return (np.where(failed, 0, dlam),
+            np.where(failed, 0, _flow(triple)(sigma, lam)))
 
 
 def _sigma_cross(triple, times, tol):
@@ -415,7 +422,7 @@ def triple_at(triple: ParameterTriple, t, tol: Tolerances = DEFAULT):
     time-t triple shares the work on alpha (``ParameterTriple._moved``)."""
     if t == 0:
         return triple
-    lam, sigma, _ = _at(_triples_at, triple, t, tol)
+    lam, sigma = _at(_triples_at, triple, t, tol)
     return triple._moved(lam[0], sigma[0])
 
 
@@ -485,11 +492,11 @@ def _require_ihm(triple):
 
 
 def spin_evolution(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
-    """(S_n(t), spin vector) at a site n >= 0 from the time-t triple."""
+    """(S_n(t), spin vector) at a site n >= 0: the state of the TimeGrid of
+    time t alone, from the sites up to n."""
     _require_ihm(triple)
     _check_site("spin_evolution", n)
-    state = generate(triple_at(triple, t, tol), n_max=n + 1, tol=tol)
-    s = state.spins[n]
+    s = TimeGrid(triple, [t], n + 1, tol=tol).state(0).spins[n]
     return s, spin_vector(s, tol)
 
 
@@ -529,17 +536,19 @@ def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
 def _closed_form_grid(triple, times, n_max, tol):
     """The LatticeStack of the lattice at each of ``times`` to horizon
     n_max, with dS_n/dt, in closed form in the eigenbasis of alpha
-    (``lattice._closed_form_stack``), from the primed Lambda'_0(t) and its
-    t-derivative (``_lambda0``), where that eigenbasis admits alpha.  As in
-    ``_triples_at``, a time that fails there, and t = 0, start from the
+    (``lattice._closed_form_stack``), from the primed Lambda'_0(t) of
+    ``_lambda0`` and its t-derivative dLam'_0 = -2 r Lam'_0, formed here
+    (r of ``_primed_resolvents``), where that eigenbasis admits alpha.  As
+    in ``_triples_at``, a time that fails there, and t = 0, start from the
     triple itself, and a failing time has zero derivatives; the others
     meet the finite checks of its Lambda_0(t), C and Sigma_0(t) on their
     row n = 0."""
-    (lam, dlam), basis, faults = _lambda0(triple, times, tol)
+    lam, basis, faults = _lambda0(triple, times, tol)
     failed = np.array([e is not None for e in faults], dtype=bool)
     kept = failed | (times == 0)
+    dlam = np.where(failed[:, None, None], 0,
+                    -2.0 * _primed_resolvents(basis[0], triple.m) * lam)
     lam = np.where(kept[:, None, None], basis[2] @ triple.lambda0, lam)
-    dlam = np.where(failed[:, None, None], 0, dlam)
     return _closed_form_stack(basis, (triple.lambda0, triple.sigma0), lam,
                               dlam, kept, [n_max] * times.size, tol, faults)
 
@@ -554,13 +563,12 @@ class TimeGrid:
     (grid entry k is time k), its spin vectors, the bonds 1 + s_{n-1}.s_n
     and ``dspins``, dS_n/dt indexed like the spins.  Where the eigenbasis
     of alpha admits it (``_stage_basis``), the whole [time, n] grid is one
-    closed-form batch (``_closed_form_grid``), and the time-t triples at
-    ``triple_times`` (``triple_at``) are one batch of ``_triples_at``.
-    Elsewhere the time-t triples of both are one batch with their
-    t-derivatives (``_triples_at``), and the derivatives ride along the
-    one ``generate_stack`` of the states.  The residuals are arrays indexed
-    [time, n - 1] over the sites 1 <= n <= N - 2, each computed once.  The
-    Transfer of a state is built on first read (``lax``, ``monodromy``).
+    closed-form batch (``_closed_form_grid``).  Elsewhere the time-t
+    triples are one batch (``_triples_at``), and their t-derivatives
+    (``_stage_tangent``) ride along the one ``generate_stack`` of the
+    states.  The residuals are arrays indexed [time, n - 1] over the sites
+    1 <= n <= N - 2, each computed once.  The Transfer of a state is built
+    on first read (``lax``, ``monodromy``).
 
     A grid raises the error of its first failing time (``check``).  Within
     a time, the first failing stage raises, in the order: the state (+/-i
@@ -572,33 +580,23 @@ class TimeGrid:
     """
 
     def __init__(self, triple: ParameterTriple, times, n_max,
-                 tol: Tolerances = DEFAULT, triple_times=()):
+                 tol: Tolerances = DEFAULT):
         _require_ihm(triple)
         self.triple, self.n_max, self.tol = triple, n_max, tol
         self.times = np.asarray(times, dtype=float)
-        self.triple_times = np.asarray(triple_times, dtype=float)
-        size = self.times.size
         try:
             basis = _stage_basis(triple, tol)
         except SpinLatticeError:                # every time fails alike
             basis = None
         with np.errstate(all="ignore"):
             if basis is None:
-                lam0, sigma0, tangent, faults = _triples_at(
-                    triple, np.concatenate([self.times, self.triple_times]),
-                    tol)
+                lam0, sigma0, faults = _triples_at(triple, self.times, tol)
                 self.stack = generate_stack(
-                    triple.alpha, lam0[:size], sigma0[:size], [n_max] * size,
-                    tol, faults[:size], tuple(d[:size] for d in tangent))
-                self._extra = lam0[size:], sigma0[size:], faults[size:]
+                    triple.alpha, lam0, sigma0, [n_max] * self.times.size,
+                    tol, faults, _stage_tangent(triple, lam0, sigma0, faults))
             else:
                 self.stack = _closed_form_grid(triple, self.times, n_max,
                                                tol)
-                self._extra = ((), (), [])
-                if self.triple_times.size:
-                    lam0, sigma0, _, faults = _triples_at(
-                        triple, self.triple_times, tol)
-                    self._extra = lam0, sigma0, faults
         self.spins, self.dspins = self.stack.spins, self.stack.dspins
         self.vectors, self._bad_vectors, self._vector_error = _spin_vectors(
             self.spins, tol)
@@ -609,15 +607,6 @@ class TimeGrid:
         self._bad_bonds = abs(self.bonds) < tol.degeneracy_tol
         self._zero_curvature = {}
         self._transfers = {}
-
-    def triple_at(self, t):
-        """``triple_at(self.triple, t)`` for t one of ``triple_times``, t != 0;
-        raises its error."""
-        lam, sigma, faults = self._extra
-        k = self.triple_times.tolist().index(t)
-        if faults[k] is not None:
-            raise faults[k]
-        return self.triple._moved(lam[k], sigma[k])
 
     @property
     def sigma0(self):

@@ -6,7 +6,7 @@ stable list.  Check names are stable API; output is sorted by name.
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +51,9 @@ class _Context:
     when n_max is below it; the per-n checks read its rows at once.  On
     first use: the Weyl realization, the Transfer of horizon 30, one
     horizon-3 TimeGrid over _GRID_TIMES, read at site 1 of each time (as
-    the grid of one that the public residual functions build), whose
-    batch of time-t triples also holds those at _TRIPLE_TIMES.
+    the grid of one that the public residual functions build), and the
+    time-t triples at _TRIPLE_TIMES as one batch of the time-t stage,
+    (Lambda_0(t), Sigma_0(t), faults) (``evolution._triples_at``).
     ``spectrum`` is the report of alpha that validate made."""
 
     def __init__(self, triple, n_max, tol):
@@ -74,12 +75,15 @@ class _Context:
             for k in range(_LAMBDA_COUNT)
         ]
         self.sites = range(min(n_max - 1, 10) + 1)
-        self.triple_at = cache(lambda t: self.time_grid.triple_at(t))
 
     @cached_property
     def time_grid(self):
-        return evolution.TimeGrid(self.triple, _GRID_TIMES, 3, tol=self.tol,
-                                  triple_times=_TRIPLE_TIMES)
+        return evolution.TimeGrid(self.triple, _GRID_TIMES, 3, tol=self.tol)
+
+    @cached_property
+    def stage(self):
+        return evolution._triples_at(self.triple, np.array(_TRIPLE_TIMES),
+                                     self.tol)
 
     @cached_property
     def weyl(self):
@@ -233,27 +237,31 @@ def _summability_dichotomy(ctx):
     )
 
 
+def _raise_first(*faults):
+    """Raise the first error of the times in order, of the lists in order."""
+    for error in (e for errors in zip(*faults) for e in errors):
+        if error is not None:
+            raise error
+
+
 def _evolution_identity(ctx):
-    worst = 0.0
-    for t in _TRIPLE_TIMES:
-        triple_t = ctx.triple_at(t)
-        worst = max(worst, triple_t.identity_residual()
-                    / max(1.0, triple_t.identity_scale()))
-    return worst, 1e-9
+    lam, sigma, faults = ctx.stage
+    _raise_first(faults)
+    alpha = ctx.triple.alpha
+    scale = (linalg.frob(alpha) * linalg.frob_norms(sigma)
+             + linalg.frob_norms(lam) ** 2)
+    return _worst(_identity_residuals(alpha, sigma, lam)
+                  / np.fmax(1.0, scale)), 1e-9
 
 
 def _evolution_methods(ctx):
     """Sigma_0(t) of the time-t triple against the route that it did not
     take (``evolution._sigma_cross``), both times in one call."""
-    sigma, faults = evolution._sigma_cross(ctx.triple,
-                                           np.array(_TRIPLE_TIMES), ctx.tol)
-    worst = 0.0
-    for k, t in enumerate(_TRIPLE_TIMES):
-        a = ctx.triple_at(t).sigma0
-        if faults[k] is not None:
-            raise faults[k]
-        worst = max(worst, linalg.frob(a - sigma[k]))
-    return worst, 1e-7
+    cross, cross_faults = evolution._sigma_cross(
+        ctx.triple, np.array(_TRIPLE_TIMES), ctx.tol)
+    _, sigma, faults = ctx.stage
+    _raise_first(faults, cross_faults)
+    return _worst(linalg.frob_norms(sigma - cross)), 1e-7
 
 
 def _lax_equality(ctx):

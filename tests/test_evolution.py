@@ -929,15 +929,16 @@ def test_triple_at_matches_the_high_precision_oracle(kind, order, m, real, tt,
 
 
 def _assert_the_stage_matches_the_oracle(triple, tt):
-    """Lambda_0(t), Sigma_0(t) and their t-derivatives of ``_triples_at``
-    within 1e-12 relative (Frobenius) of the 30-digit oracle: its time-t
-    triple on the open upper half plane, and the central difference of
-    that triple at t +/- 1e-15."""
+    """Lambda_0(t), Sigma_0(t) of ``_triples_at`` and their t-derivatives
+    of ``_stage_tangent`` within 1e-12 relative (Frobenius) of the 30-digit
+    oracle: its time-t triple on the open upper half plane, and the
+    central difference of that triple at t +/- 1e-15."""
     import oracle
 
-    lam, sigma, (dlam, dsigma), faults = evolution._triples_at(
-        triple, np.array([tt]), DEFAULT)
+    lam, sigma, faults = evolution._triples_at(triple, np.array([tt]),
+                                               DEFAULT)
     assert faults == [None]
+    dlam, dsigma = evolution._stage_tangent(triple, lam, sigma, faults)
     want = (*oracle.triple_at(triple, tt, True),
             *oracle.triple_derivatives(triple, tt, True))
     for got, exact in zip((lam[0], sigma[0], dlam[0], dsigma[0]), want,
@@ -1012,8 +1013,9 @@ def test_a_failing_time_keeps_the_triple_with_zero_derivatives(
     triple = {"real-mode": real_mode_triple, "fg": small_triple,
               "schur": _near_defective_triple(1e-2)}[kind]
     with np.errstate(all="ignore"):
-        lam, sigma, (dlam, dsigma), faults = evolution._triples_at(
+        lam, sigma, faults = evolution._triples_at(
             triple, np.array([0.3, tt]), DEFAULT)
+        dlam, dsigma = evolution._stage_tangent(triple, lam, sigma, faults)
     assert faults[0] is None
     assert isinstance(faults[1], NumericError)
     assert str(faults[1]) == message
@@ -1034,7 +1036,7 @@ def test_time_zero_is_the_triple_on_every_reader():
                              theta2=[[1e308]])
     assert triple._eigenbasis(DEFAULT) is not None
     with np.errstate(all="ignore"):
-        lam, sigma, _, faults = evolution._triples_at(
+        lam, sigma, faults = evolution._triples_at(
             triple, np.array([0.0, 0.5]), DEFAULT)
     assert faults[0] is None
     assert str(faults[1]) == "C contains non-finite entries"
@@ -1069,6 +1071,43 @@ def test_evolve_lambda0_reads_lambda0_alone(real_mode_triple):
     with pytest.raises(NumericError, match=re.escape(
             "sigma0 contains non-finite entries")):
         triple_at(real_mode_triple, -1000.0)
+
+
+@pytest.mark.parametrize("tt", (0.0, 0.3, -0.7))
+def test_spin_evolution_is_the_spin_of_the_time_grid(real_mode_triple,
+                                                     small_triple, tt):
+    """One definition of S_n(t): ``spin_evolution`` reads the state of the
+    TimeGrid of time t alone, bit for bit, on the closed form in the
+    eigenbasis of alpha (an FG triple) and on the recursion from the
+    time-t triple (the real-mode triple)."""
+    for triple in (small_triple, real_mode_triple):
+        grid = evolution.TimeGrid(triple, [tt], 5)
+        for n in range(5):
+            assert (_bits(spin_evolution(triple, n, tt)[0])
+                    == _bits(grid.spins[0, n]))
+
+
+def test_triple_at_forms_no_derivative(real_mode_triple, calls):
+    """The time-t triple is the stage alone: no right-hand side of the flow
+    on the flow route (the real-mode triple) or the Schur route (the
+    near-defective alpha at delta = 1e-2)."""
+    flows = calls(evolution, "_flow")
+    for triple in (real_mode_triple, _near_defective_triple(1e-2)):
+        assert triple._eigenbasis(DEFAULT) is None
+        triple_at(triple, 0.3)
+    assert flows == []
+
+
+def test_an_eigenbasis_stage_batch_makes_one_cauchy_quotient(small_triple,
+                                                             calls):
+    """Sigma'_0(t) alone: one Cauchy quotient per batch of times, and no
+    second one for a t-derivative."""
+    quotients = calls(lattice, "_cauchy")
+    assert small_triple._eigenbasis(DEFAULT) is not None
+    *_, faults = evolution._triples_at(small_triple,
+                                       np.array([0.0, 0.3, -0.7]), DEFAULT)
+    assert faults == [None] * 3
+    assert len(quotients) == 1
 
 
 @pytest.mark.parametrize("gap, mixed", ((0.0, False), (0.0, True),
@@ -1113,13 +1152,13 @@ def test_the_tangent_is_a_stage_after_the_spin_vectors(monkeypatch):
         with pytest.raises(SpectrumError, match=PLUS_MINUS_I):
             read()
 
-    lambda0 = evolution._lambda0
+    closed_form_stack = evolution._closed_form_stack
 
-    def overflowing(triple, times, tol):
-        (lam, dlam), basis, faults = lambda0(triple, times, tol)
-        return (lam, np.full_like(dlam, np.inf)), basis, faults
+    def overflowing(basis, start, lam, dlam, *args):
+        return closed_form_stack(basis, start, lam, np.full_like(dlam, np.inf),
+                                 *args)
 
-    monkeypatch.setattr(evolution, "_lambda0", overflowing)
+    monkeypatch.setattr(evolution, "_closed_form_stack", overflowing)
     grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
     with pytest.raises(NumericError, match=re.escape(
             "dS_1/dt contains non-finite entries")) as info:
@@ -1156,14 +1195,13 @@ def test_a_vanishing_bond_is_the_stage_after_the_tangent(monkeypatch):
         with pytest.raises(DegeneracyError, match=message):
             read()
 
-    lambda0 = evolution._lambda0
+    closed_form_stack = evolution._closed_form_stack
 
-    def overflowing(triple, times, tol):
-        (lam, dlam), basis, faults = lambda0(triple, times, tol)
+    def overflowing(basis, start, lam, dlam, *args):
         dlam[1] = np.inf
-        return (lam, dlam), basis, faults
+        return closed_form_stack(basis, start, lam, dlam, *args)
 
-    monkeypatch.setattr(evolution, "_lambda0", overflowing)
+    monkeypatch.setattr(evolution, "_closed_form_stack", overflowing)
     grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
     with pytest.raises(NumericError, match=re.escape(
             "dS_2/dt contains non-finite entries")):

@@ -172,6 +172,19 @@ def test_verify_batches_its_shared_work(calls, n_max, state_horizons):
                            "validate": [3]}
 
 
+def test_verify_of_a_real_mode_triple_batches_its_two_stages(
+        real_mode_triple, calls):
+    """Off the eigenbasis the time grid and the two evolution-* checks read
+    one batch of time-t triples each: the grid times, whose t-derivatives
+    the recursion reads, and the times of the evolution-* checks, with no
+    derivative."""
+    batches = calls(evolution, "_triples_at",
+                    lambda triple, times, *args: times.tolist())
+    results = run_checks(real_mode_triple, n_max=8)
+    assert all(np.isfinite(r.residual) for r in results)     # none raised
+    assert sorted(batches) == [[0.0, 0.2], [0.1, 0.35]]
+
+
 @pytest.mark.parametrize("order, m, count", ((3, 1, 23), (4, 2, 17)))
 def test_check_names_are_the_names_run_checks_reports(order, m, count):
     triple = random_admissible_triple(np.random.default_rng(order), order, m)
