@@ -78,10 +78,11 @@ def solve_riccati(r: Realization, tol: Tolerances = DEFAULT):
         gamma X - X gamma* = i (X v1 v1* X - v2 v2*).
 
     Multiplying by -i turns this into the continuous-time Riccati equation
-    A* X + X A - X v1 v1* X + v2 v2* = 0 with A = i gamma*, solved by the
-    Hamiltonian invariant-subspace method and polished with Newton-Kleinman
-    steps (Sylvester solves) until the relative residual reaches 1e-12, at
-    most 25 of them.
+    A* X + X A - X v1 v1* X + v2 v2* = 0 with A = i gamma*, solved from
+    the stable eigenvectors of its Hamiltonian (``_stable_subspace``), or
+    by scipy's Schur method where those do not serve, and polished with
+    Newton-Kleinman steps (Sylvester solves) until the relative residual
+    reaches 1e-12, at most 25 of them.
     """
     _require_minimal(r, tol)
     return _riccati(r, tol)
@@ -96,22 +97,46 @@ def _require_minimal(r: Realization, tol: Tolerances):
         )
 
 
+def _stable_subspace(a, bbt, q):
+    """X = U2 U1^{-1} of the stabilizing solution of A* X + X A - X B B* X
+    + Q = 0 (Potter, SIAM J. Appl. Math. 14, 1966): [U1; U2] are the
+    eigenvectors of the Hamiltonian [[A, -B B*], [-Q, -A*]] whose
+    eigenvalues have Re < 0.  None where their count is not N, cond(U1)
+    exceeds ``linalg.EIGENBASIS_COND`` or the eigensolver fails."""
+    n = a.shape[0]
+    try:
+        w, u = np.linalg.eig(np.block([[a, -bbt], [-q, -a.conj().T]]))
+    except np.linalg.LinAlgError:
+        return None
+    stable = w.real < 0
+    if np.count_nonzero(stable) != n:
+        return None
+    u1, u2 = u[:n, stable], u[n:, stable]
+    if not linalg.cond(u1) <= linalg.EIGENBASIS_COND:
+        return None
+    return np.linalg.solve(u1.T, u2.T).T
+
+
 def _riccati(r: Realization, tol: Tolerances):
     """``solve_riccati`` of a realization known to be minimal."""
     with np.errstate(all="ignore"):
         a = 1j * r.gamma.conj().T
         b = r.vartheta1
         q = r.vartheta2 @ r.vartheta2.conj().T
-        m_eye = np.eye(r.m, dtype=complex)
-        try:
-            x = scipy.linalg.solve_continuous_are(a, b, linalg.herm(q), m_eye)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NumericError(f"Riccati subspace solver failed: {exc}") from exc
+        bbt = b @ b.conj().T
+        x = _stable_subspace(a, bbt, q)
+        if x is None:
+            m_eye = np.eye(r.m, dtype=complex)
+            try:
+                x = scipy.linalg.solve_continuous_are(a, b, linalg.herm(q),
+                                                      m_eye)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                raise NumericError(
+                    f"Riccati subspace solver failed: {exc}") from exc
         x = linalg.herm(np.asarray(x, dtype=complex))
 
         scale = max(1.0, linalg.frob(r.gamma) * linalg.frob(x) + linalg.frob(q))
         iterations = 0
-        bbt = b @ b.conj().T
         for iterations in range(1, 26):
             res = _riccati_residual(r, x)
             if linalg.frob(res) <= 1e-12 * scale:

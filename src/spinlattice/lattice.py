@@ -1,6 +1,12 @@
-"""Lattice recursion: the sequences Lambda_n, Sigma_n, S_n and their
-structural diagnostics (identity propagation, involution, monotone R/Q
-sequences, the K residual).
+"""The lattice: the sequences Lambda_n, Sigma_n, S_n and their structural
+diagnostics (identity propagation, involution, monotone R/Q sequences, the
+K residual).
+
+Two routes build the sequences under one set of guards (``_guarded``):
+the recursion (``generate_stack``), and its closed form in the eigenbasis
+of alpha (``_closed_form_stack``), which ``generate`` and the time grids
+take wherever that basis admits alpha.  ``verify`` keeps the recursion, as
+the reference the closed form is checked against.
 """
 
 import operator
@@ -11,7 +17,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (ConditioningError, InputError, NumericError,
-                     SingularMatrixError, SpectrumError)
+                     SingularMatrixError, SpectrumError, SpinLatticeError)
 from .triples import ParameterTriple, signature_matrix
 
 __all__ = [
@@ -177,7 +183,8 @@ class LatticeStack:
 # Bytes that one generate_stack may hold: per site and entry, Lambda_n and
 # Sigma_n (and their derivatives), the arrays after the loop (Sigma_n^{-1}
 # Lambda_n, Xi_n, S_n, S_n^2 - I and their temporaries), and 8 floats; per
-# entry, the temporaries of one step; alpha^{-1}.  Beyond it, an InputError
+# entry, the temporaries of one step; alpha^{-1}.  _closed_form_stack
+# counts its own arrays against the same budget.  Beyond it, an InputError
 # before any allocation.
 STACK_BUDGET = 2 ** 30
 
@@ -362,24 +369,33 @@ def _record_non_finite(faults, where, named):
 
 
 def _closed_form_stack(basis, start, lam, dlam, kept, horizons, tol, faults):
-    """The LatticeStack of ``generate_stack`` with a tangent, in closed form
-    in the eigenbasis (d, V, V^{-1}) of alpha, all the [k, n] rows in one
-    batch with no loop over n.  Entry k starts from the primed
-    Lam'_0 = ``lam[k]`` (Lambda_0 = V Lam'_0) with the tangent
-    ``dlam[k]``; an entry of the mask ``kept`` starts from ``start``,
-    (Lambda_0, Sigma_0) in the original basis, itself.
+    """The LatticeStack of ``generate_stack``, in closed form in the
+    eigenbasis (d, V, V^{-1}) of alpha, all the [k, n] rows in one batch
+    with no loop over n.  Entry k starts from the primed
+    Lam'_0 = ``lam[k]`` (Lambda_0 = V Lam'_0), with the tangent
+    ``dlam[k]`` unless ``dlam`` is None; an entry of the mask ``kept``
+    starts from ``start``, (Lambda_0, Sigma_0) in the original basis,
+    itself.
 
     Lam'_n = diag(1 + i/d)^n Lam'^(1)_0 and diag(1 - i/d)^n Lam'^(2)_0
-    (``lambda_closed_form``), and dLam'_n the same of dLam'_0.  The
-    identity alpha Sigma_n - Sigma_n alpha* = i Lambda_n Lambda_n*, which
-    the recursion propagates, makes Sig'_n = V^{-1} Sigma_n V^{-*} the
-    Cauchy quotient of Lam'_n (``_cauchy``) and dSig'_n = Q + Q* with Q
-    that of (dLam'_n, Lam'_n); at n = 0 an entry of ``kept`` has
-    V^{-1} Sigma_0 V^{-*} instead.  X' = Sig'^{-1} Lam' is one batched
+    (``lambda_closed_form``), and dLam'_n the same of dLam'_0.  In the
+    eigenbasis the step of Sig'_n = V^{-1} Sigma_n V^{-*} multiplies each
+    entry by M_jk = 1 + 1/(d_j conj d_k) and adds the forcing term of
+    Lam'_n.  The Cauchy quotient C(Lam'_n) (``_cauchy``), the solution of
+    the identity alpha Sigma_n - Sigma_n alpha* = i Lambda_n Lambda_n*, is
+    one solution of that step, so
+
+        Sig'_n = C(Lam'_n) + M^n o (V^{-1} Sigma_0 V^{-*} - C(Lam'_0)),
+
+    entrywise, for every Hermitian Sigma_0.  The second term vanishes on
+    a start that meets the identity, as a time-t start does by its
+    construction; it is formed for the entries of ``kept`` alone, whose
+    row n = 0 is Sigma_0 itself.  With a tangent, dSig'_n = Q + Q*, Q the
+    quotient of (dLam'_n, Lam'_n).  X' = Sig'^{-1} Lam' is one batched
     solve, and Xi_n and dXi_n (``_xi``) are those of the original basis,
-    so S_n and dS_n/dt are read here.
-    Sigma_n = V Sig'_n V* is rotated back for the guards, and Lambda_n =
-    V Lam'_n and Sigma_n^{-1} Lambda_n = V^{-*} X' for the stack.
+    so S_n and dS_n/dt are read here.  Sigma_n = V Sig'_n V* is rotated
+    back for the guards, and Lambda_n = V Lam'_n and Sigma_n^{-1}
+    Lambda_n = V^{-*} X' for the stack.
 
     Before the guards, an entry not ``kept`` fails on its row n = 0, on
     the first of: Lambda_0, C = i Lam'_0 Lam'_0*, Sigma_0 not finite
@@ -388,34 +404,45 @@ def _closed_form_stack(basis, start, lam, dlam, kept, horizons, tol, faults):
     d, v, v_inv = basis
     rows, order, width = lam.shape
     n_max = int(max([0, *horizons]))
-    # per site and entry: five arrays shaped as Lambda_n (Lam', dLam',
-    # Lambda_n, X', V^{-*} X'), seven as Sigma_n (C, Sig', Q, dSig', Sigma_n
-    # and two temporaries), nine as Xi_n (Xi, dXi, S_n, dS_n and their
-    # temporaries), and 8 floats
+    tangent = dlam is not None
+    # per site and entry: arrays shaped as Lambda_n (Lam', Lambda_n, X',
+    # V^{-*} X', and dLam' with a tangent), as Sigma_n (C, Sig', Sigma_n,
+    # two temporaries, and Q and dSig' with a tangent, or the M^n term of
+    # a kept entry and its product without), as Xi_n (Xi, S_n and its
+    # temporaries, and dXi, dS_n with theirs with a tangent), and 8 floats
     _check_budget(n_max, rows * (n_max + 1) * (
-        16 * (5 * order * width + 7 * order * order + 9 * width * width)
-        + 64))
+        16 * ((4 + tangent) * order * width + 7 * order * order
+              + (5 + 4 * tangent) * width * width) + 64))
     horizons, faults = _horizons(horizons, faults)
     m = width // 2
     with np.errstate(all="ignore"):
-        bases = np.repeat(np.stack([1.0 + 1j / d, 1.0 - 1j / d], axis=-1), m,
-                          axis=-1)
-        powers = bases ** np.arange(n_max + 1)[:, None, None]
-        lams, dlams = powers * lam[:, None], powers * dlam[:, None]
+        sites = np.arange(n_max + 1)[:, None, None]
+        powers = np.repeat(np.stack([1.0 + 1j / d, 1.0 - 1j / d], axis=-1),
+                           m, axis=-1) ** sites
+        lams = powers * lam[:, None]
         c, sigmas_p = _cauchy(d, lams, lams)
         c = c[:, 0].copy()                  # its check reads n = 0 alone
         lambdas = v @ lams
+        if kept.any():
+            lambda0, sigma0 = start
+            sigma0_p = v_inv @ sigma0 @ _h(v_inv)
+            growth = (1.0 + 1.0 / (d[:, None] * d.conj()[None, :])) ** sites
+            for k in np.flatnonzero(kept).tolist():
+                sigmas_p[k] += growth * (sigma0_p - sigmas_p[k, 0])
+                sigmas_p[k, 0] = sigma0_p
         sigmas = linalg.herm(v @ sigmas_p @ _h(v))
         _record_non_finite(faults, ~kept, (("lambda", lambdas[:, 0]),
                                            ("C", c), ("sigma0", sigmas[:, 0])))
         if kept.any():
-            lambda0, sigma0 = start
             lambdas[kept, 0] = lambda0
             sigmas[kept, 0] = sigma0
-            sigmas_p[kept, 0] = v_inv @ sigma0 @ _h(v_inv)
         solved, singular = _solve_each(sigmas_p, lams)
-        q = _cauchy(d, dlams, lams)[1]
-        xi, dxi = _xi(lams, solved, (dlams, q + _h(q)))
+        if tangent:
+            dlams = powers * dlam[:, None]
+            q = _cauchy(d, dlams, lams)[1]
+            xi, dxi = _xi(lams, solved, (dlams, q + _h(q)))
+        else:
+            xi, dxi = _xi(lams, solved)
     return _guarded(horizons, faults, tol, lambdas, sigmas,
                     _h(v_inv) @ solved, singular, xi, dxi)
 
@@ -440,7 +467,7 @@ def _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular, xi,
                 f"||Sigma_{n + 1}|| = {norms[k, n + 1]:.3e} exceeds the "
                 f"overflow guard {limit:.1e}; triple growth is too fast "
                 f"for this horizon (reached n = {n + 1} of {horizons[k]})"))
-        conditioning = entries(linalg.cond(sigmas))
+        conditioning = entries(linalg._hermitian_conds(sigmas))
         for k, n in _first(guarded & (conditioning > tol.cond_limit)):
             _record(faults, [k], ConditioningError(
                 f"cond(Sigma_{n}) = {conditioning[k, n]:.3e} exceeds the "
@@ -480,13 +507,32 @@ def _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular, xi,
     )
 
 
+def _admitted_basis(triple: ParameterTriple, tol: Tolerances):
+    """The cached eigenbasis (d, V, V^{-1}) of alpha
+    (``ParameterTriple._eigenbasis``) where it admits alpha; None where it
+    does not, or where the spectrum or the eigenbasis raises."""
+    try:
+        return triple._eigenbasis(tol)
+    except SpinLatticeError:
+        return None
+
+
 def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT):
-    """Run the recursion up to horizon ``n_max`` and assemble a LatticeState:
-    the stack of one of ``generate_stack``, whose guards it raises
-    (cond(Sigma_n) is tracked per n: Sigma_n inversion is the dominant
-    error source)."""
-    stack = generate_stack(triple.alpha, triple.lambda0[None],
-                           triple.sigma0[None], [n_max], tol)
+    """The lattice of ``triple`` up to horizon ``n_max``, as a LatticeState:
+    the stack of one entry of ``_closed_form_stack``, from the triple
+    itself, where the eigenbasis of alpha admits it (``_admitted_basis``),
+    else of ``generate_stack``, the recursion.  Either raises the guards of
+    ``generate_stack`` (cond(Sigma_n) is tracked per n: Sigma_n inversion
+    is the dominant error source)."""
+    basis = _admitted_basis(triple, tol)
+    if basis is None:
+        stack = generate_stack(triple.alpha, triple.lambda0[None],
+                               triple.sigma0[None], [n_max], tol)
+    else:
+        stack = _closed_form_stack(
+            basis, (triple.lambda0, triple.sigma0),
+            (basis[2] @ triple.lambda0)[None], None, np.ones(1, dtype=bool),
+            [n_max], tol, None)
     return stack.state(0, triple)
 
 

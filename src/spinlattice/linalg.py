@@ -276,6 +276,23 @@ def cond(m):
     return c if m.ndim > 2 else float(c)
 
 
+def _hermitian_conds(m):
+    """``cond`` of each Hermitian matrix of a stack, max|w| / min|w| over
+    its eigenvalues w (``np.linalg.eigvalsh``, which costs about half of
+    ``np.linalg.cond``'s SVD on these sizes); inf for a singular matrix, or
+    one that is not finite or that eigvalsh cannot handle."""
+    with np.errstate(all="ignore"):
+        try:
+            w = abs(np.linalg.eigvalsh(m))
+        except np.linalg.LinAlgError:
+            if m.ndim == 2:
+                return float("inf")
+            return np.array([_hermitian_conds(x) for x in m])
+        c = w.max(axis=-1) / w.min(axis=-1)
+    return np.where(np.isfinite(m).all(axis=(-2, -1)) & ~np.isnan(c), c,
+                    np.inf)
+
+
 def solve(m, rhs, name="matrix"):
     """LU solve M X = rhs, raising SingularMatrixError on failure."""
     try:

@@ -3,36 +3,44 @@ discrete system, with the identity residuals used by the verification
 suites.
 
 W is evaluated one batch of lambdas at a time, at every site of the state
-at once: one broadcast solve per batch.  Each identity is written once,
-over arrays of sites x lambdas; the scalar residuals index those arrays.
+at once.  Where the eigenbasis (d, V, V^{-1}) of alpha admits it, W(n,
+lambda) = I + sum_j R_{n,j} / (lambda - d_j) from its pole residues,
+formed once per Transfer, so a batch is one product with the Cauchy
+matrix 1/(lambda - d_j); elsewhere a batch is one broadcast solve, one LU
+of lambda I - alpha per lambda.  Each identity is written once, over
+arrays of sites x lambdas; the scalar residuals index those arrays.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import NumericError, PoleError
-from .lattice import LatticeState, _h, _sites
+from .lattice import LatticeState, _admitted_basis, _h, _sites
 
 __all__ = ["Transfer"]
 
 
-def _j_powers(lam, powers, m):
-    """(I - (i/lambda) J)^n in closed form, diag((1 - i/lam)^n I_m,
-    (1 + i/lam)^n I_m), for each n in ``powers``, stacked."""
-    if lam == 0:
+def _j_diagonals(lams, n_max, m):
+    """The diagonals of (I - (i/lambda)J)^n, (1 - i/lambda)^n over the
+    first m entries and (1 + i/lambda)^n over the last m, indexed [n, k]
+    for n = 0..n_max and lams[k], from one array power.  lambda = 0 is a
+    PoleError, and powers that overflow a NumericError, of the first
+    lambda that has them."""
+    lams = [complex(lam) for lam in lams]
+    if 0 in lams:
         raise PoleError("the factor (I - (i/lambda)J)^n has a pole at lambda = 0")
-    try:    # Python complex powers overflow to an error, inf or NaN
-        minus = [(1 - 1j / lam) ** n for n in powers]
-        plus = [(1 + 1j / lam) ** n for n in powers]
-    except OverflowError:
-        minus = plus = [np.nan]
-    if not np.isfinite(minus + plus).all():
-        raise NumericError(f"(I - (i/lambda)J)^n overflows at lambda = {lam}")
-    out = np.zeros((len(powers), 2 * m, 2 * m), dtype=complex)
-    out[:, :m, :m] = _scaled(minus, np.eye(m))
-    out[:, m:, m:] = _scaled(plus, np.eye(m))
-    return out
+    # the factors in Python complex arithmetic, their powers in numpy's
+    bases = np.array([(1 - 1j / lam, 1 + 1j / lam) for lam in lams])
+    with np.errstate(all="ignore"):
+        powers = bases ** np.arange(n_max + 1)[:, None, None]
+    finite = np.isfinite(powers).all(axis=(0, 2))
+    if not finite.all():
+        raise NumericError(f"(I - (i/lambda)J)^n overflows at lambda = "
+                           f"{lams[np.argmin(finite)]}")
+    return np.repeat(powers, m, axis=-1)
 
 
 def _scaled(factors, a):
@@ -84,6 +92,9 @@ class Transfer:
         self.m = state.m
         self.spectrum = state.triple.spectrum(tol)
         self._y = _h(state.sigma_inv_lambdas)    # Lam_n* Sig_n^{-1}
+        # W from its pole residues where the eigenbasis admits alpha, else
+        # one LU of lam I - alpha per lambda
+        self._basis = _admitted_basis(state.triple, tol)
         # lam -> (the row over n stacked, its per-n views): repeated reads of
         # one point return the same object
         self._cache = {}            # W(n, lam)
@@ -102,19 +113,39 @@ class Transfer:
 
     def _build_w(self, lams):
         linalg.check_pole(lams, self.spectrum, self.tol, "alpha")
-        resolvents = _solve_blocks(_shifted(lams, self.alpha),
-                                   self.state.lambdas[None])
-        return np.eye(2 * self.m, dtype=complex) + 1j * self._y @ resolvents
+        i2m = np.eye(2 * self.m, dtype=complex)
+        if self._basis is None:
+            resolvents = _solve_blocks(_shifted(lams, self.alpha),
+                                       self.state.lambdas[None])
+            return i2m + 1j * self._y @ resolvents
+        # sum_j R_{n,j} / (lam - d_j): one product with the Cauchy matrix
+        d = self._basis[0]
+        cauchy = 1.0 / (np.asarray(lams)[None, :] - d[:, None])
+        w = (self._residues @ cauchy).reshape(self._y.shape[:2]
+                                              + (2 * self.m, len(lams)))
+        return i2m + np.moveaxis(w, -1, 0)
+
+    @cached_property
+    def _residues(self):
+        """The residues R_{n,j} = i (Y_n V)_{:,j} (V^{-1} Lambda_n)_{j,:} of
+        W(n, lambda) at its poles d_j, Y_n = Lambda_n* Sigma_n^{-1}, over
+        the eigenbasis (d, V, V^{-1}) of alpha: W(n, lambda) = I + sum_j
+        R_{n,j} / (lambda - d_j).  Indexed [(n, row, column), j]."""
+        _, v, v_inv = self._basis
+        left = self._y @ v                                  # [n, row, j]
+        right = (v_inv @ self.state.lambdas).swapaxes(-1, -2)   # [n, col, j]
+        return (1j * left[:, :, None] * right[:, None]).reshape(
+            -1, v.shape[0])
 
     def _build_fundamental(self, lams):
-        # W_n = W(n, lam) (I - (i/lam)J)^n W(0, conj(lam))^*
+        # W_n = W(n, lam) (I - (i/lam)J)^n W(0, conj(lam))^*, the middle
+        # factor diagonal: it scales the columns of W(n, lam)
         for lam in lams:
             if lam == 0:
                 raise PoleError("fundamental solution undefined at lambda = 0")
         w = self.w_grid(_with_conjugates(lams))
-        powers = range(self.state.n_max + 1)
-        steps = np.stack([_j_powers(lam, powers, self.m) for lam in lams], axis=1)
-        return (w[:, ::2] @ steps @ _h(w[0, 1::2])).swapaxes(0, 1)
+        steps = _j_diagonals(lams, self.state.n_max, self.m)[:, :, None]
+        return ((w[:, ::2] * steps) @ _h(w[0, 1::2])).swapaxes(0, 1)
 
     def w_grid(self, lams):
         """W(n, lambda) at n = 0..n_max for each lambda, indexed [n, k] for
@@ -151,10 +182,10 @@ class Transfer:
         n = _sites(self.state, sites, self.state.n_max - 1)
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)
-        step = np.stack([_j_powers(lam, [1], self.m)[0] for lam in lams])
+        step = _j_diagonals(lams, 1, self.m)[1, :, None]    # scales columns
         g = np.eye(2 * self.m, dtype=complex) - _scaled(
             [1j / lam for lam in lams], self.state.spins[n][:, None])
-        return linalg.frob_norms(w[n + 1] @ step - g @ w[n])
+        return linalg.frob_norms(w[n + 1] * step - g @ w[n])
 
     def unitarity_residuals(self, sites, lams):
         """Residuals of W(n, lam) W(n, conj(lam))* = I, indexed [i, k]."""

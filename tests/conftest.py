@@ -87,3 +87,40 @@ def stage_calls(calls):
                                lambda a, b, c, *args, **kwargs:
                                c[..., 0, 0].size),
             "eig": calls(np.linalg, "eig")}
+
+
+@pytest.fixture
+def near_defective_triple():
+    """near_defective_triple(delta): alpha = [[1+2i, 1, 0], [0, 1+2i+delta,
+    0.5], [0, 0, -0.7+1.5i]], a Jordan block at delta = 0, with m = 1 and
+    the sigma0 of the structural identity.  cond(V) grows like 2.1/delta,
+    so the eigenbasis admits delta = 1e-1 alone."""
+
+    def make(delta):
+        alpha = np.array([[1 + 2j, 1, 0], [0, 1 + 2j + delta, 0.5],
+                          [0, 0, -0.7 + 1.5j]])
+        theta1, theta2 = np.ones((3, 1)), np.array([[1], [-1j], [0.5]])
+        lam = np.hstack([theta1, theta2])
+        sigma0 = linalg.herm(linalg.solve_sylvester(
+            alpha, alpha.conj().T, 1j * lam @ lam.conj().T))
+        return ParameterTriple(alpha=alpha, theta1=theta1, theta2=theta2,
+                               sigma0=sigma0)
+
+    return make
+
+
+@pytest.fixture
+def routes(calls):
+    """The routes taken, one entry per call: the lattice recursion
+    (``lattice._recur``) and its closed form (``lattice._closed_form_stack``),
+    the LU solves of W(n, lambda) (``transfer._solve_blocks``, the number of
+    matrices factored) and scipy's Riccati solver.  A test of where a route
+    runs reads these, so that moving a route re-points this fixture
+    alone."""
+    from spinlattice import lattice, transfer
+
+    return {"recur": calls(lattice, "_recur"),
+            "closed_form": calls(lattice, "_closed_form_stack"),
+            "lu": calls(transfer, "_solve_blocks",
+                        lambda a, *args, **kwargs: a[..., 0, 0].size),
+            "care": calls(scipy.linalg, "solve_continuous_are")}

@@ -17,8 +17,10 @@ Van Loan block [[-A, b b*], [0, A*]].  Every step runs at ``DPS`` digits.
 
 ``triple_derivatives`` is the central difference, at t +/- 1e-15, of
 that time-t triple.  ``sigmas`` is the lattice recursion of Sigma_n in
-the same arithmetic, and ``spins`` the S_n of the recursion run from the
-time-t triple.  dS_n/dt is the central difference, at t +/- 1e-15, of the spins of the
+the same arithmetic, ``spins`` the S_n of the recursion run from the
+time-t triple, and ``transfer`` W(n, lambda) = I + i Lambda_n*
+Sigma_n^{-1} (lambda I - alpha)^{-1} Lambda_n over that recursion.
+dS_n/dt is the central difference, at t +/- 1e-15, of the spins of the
 recursion run from those time-t triples; the triples, the recursion and
 the difference stay in mpmath values throughout.
 """
@@ -171,3 +173,19 @@ def spin_derivatives(triple, t, n_max, upper_half_plane, step="1e-15"):
                               *_triple_at(triple, t + d, upper_half_plane),
                               n_max) for d in (step, -step))
         return [_np((p - q) / (2 * step)) for p, q in zip(plus, minus)]
+
+
+def transfer(triple, lams, n_max):
+    """W(n, lambda) = I + i Lambda_n* Sigma_n^{-1} (lambda I - alpha)^{-1}
+    Lambda_n, as complex arrays indexed [n][k] for n = 0..n_max and
+    lams[k], over the recursion from the triple (``_recursion``)."""
+    with mp.workdps(DPS):
+        alpha = _mp(triple.alpha)
+        eye = mp.eye(alpha.rows)
+        resolvents = [mp.inverse(mp.mpc(lam.real, lam.imag) * eye - alpha)
+                      for lam in map(complex, lams)]
+        unit = mp.eye(2 * triple.m)
+        return [[_np(unit + mp.mpc(0, 1) * lam.H * mp.inverse(sigma) * r * lam)
+                 for r in resolvents]
+                for lam, sigma in _recursion(alpha, _mp(triple.lambda0),
+                                             _mp(triple.sigma0), n_max)]

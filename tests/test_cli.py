@@ -595,7 +595,10 @@ def test_evolve_output_is_that_of_the_per_time_lattice(capsys, name, n_max,
     example, general and fg4 files were rewritten again when the grid
     moved to the closed form, by a script that asserted every header,
     time, site, key and Sigma_0(t) unchanged, every residual below 1e-12
-    and every spin, t = 0 included, within 1e-12 of the oracle."""
+    and every spin, t = 0 included, within 1e-12 of the oracle.  They were
+    rewritten once more when the t = 0 row took the exact M^n term of the
+    closed form and W moved to its pole residues, by a script that
+    asserted the same, with every spin within 1e-12 of the oracle."""
     for fmt in outputs:
         assert main(["evolve", str(EVOLVE_DATA / f"{name}.json"), "--nmax",
                      str(n_max), f"--time-grid={grid}", "--format",
@@ -628,7 +631,12 @@ def test_verify_output_is_that_of_the_per_check_evaluation(capsys, name,
     cond30 files were rewritten again when the time grid moved to the
     closed form: every line unchanged but the residuals of the four checks
     that read the grid (lax-equality, zero-curvature, ihm-vector-equation,
-    monodromy), each still a PASS under the same threshold."""
+    monodromy), each still a PASS under the same threshold.  All but
+    real_mode were rewritten again when W moved to its pole residues and
+    the time grid's t = 0 row to the exact M^n term: every line unchanged
+    but the residuals of the checks that read W, cond(Sigma_n) or that
+    row, each keeping its PASS or FAIL and its threshold, and every exit
+    code unchanged."""
     assert main(["verify", str(VERIFY_DATA / f"{name}.json"), "--nmax",
                  str(n_max)]) == code
     want = (VERIFY_DATA / f"{name}.out.txt").read_text()
@@ -661,7 +669,13 @@ def test_json_and_csv_outputs_are_those_of_the_per_matrix_writer(capsys, name,
     inv_norm_max=0.3) with (seed, order, m) = (1, 4, 2) and (2, 5, 3), and
     <name>.realization.json their Weyl realizations.  The
     spins.json files have since lost their lambdas and sigmas keys, with
-    every other value unchanged."""
+    every other value unchanged.  The invert, fundamental and spins files
+    were rewritten when the lattice moved to the closed form, W to its
+    pole residues and the Riccati solve to the Hamiltonian eigenvectors,
+    by a script that asserted every key and shape unchanged, the spins and
+    W_n within 1e-13 of the oracle of tests/oracle.py, cond(Sigma_n)
+    within 1e-12 of the oracle's, and the inverted triple within 1e-12 of
+    the old one; the weyl files are unchanged."""
     assert main(argv) == 0
     assert capsys.readouterr().out == (JSON_DATA / name).read_text()
 

@@ -391,13 +391,22 @@ def _herm(x):
     return (x + x.conj().T) / 2
 
 
+def _cond(sigma):
+    """cond(Sigma) of a Hermitian Sigma from its eigenvalues, as the guards
+    form it."""
+    w = abs(np.linalg.eigvalsh(sigma))
+    return float(w.max() / w.min())
+
+
 def _per_time_closed_form(triple, t, n_max):
     """The per-time arithmetic of the closed-form grid, on 2-D arrays, one
     site at a time: in the eigenbasis of alpha = V diag(d) V^{-1}, refined
     by ``linalg._refined``, Lam'_0(t) from elementwise exponentials of
     -2t/(d -/+ i) (V^{-1} Lambda_0 at t = 0) with its t-derivative,
     Lam'_n from the powers (1 +/- i/d)^n, Sig'_n and dSig'_n from the
-    Cauchy formula, Sigma_0 itself at t = 0, and S_n, dS_n/dt from Xi_n.
+    Cauchy formula, at t = 0 Sigma_0 itself and, at n >= 1, the term
+    M^n o (V^{-1} Sigma_0 V^{-*} - Sig'_0) with M_jk = 1 + 1/(d_j conj d_k)
+    added to Sig'_n, and S_n, dS_n/dt from Xi_n.
     Returns ``_per_time_lattice``'s tuple with dS_n/dt appended, or None
     where the spectrum leaves the open upper half plane or cond(V) exceeds
     EIGENBASIS_COND."""
@@ -415,18 +424,24 @@ def _per_time_closed_form(triple, t, n_max):
     if t == 0:
         lam = v_inv @ triple.lambda0
     gaps = d[:, None] - d.conj()[None, :]
+    growth = 1.0 + 1.0 / (d[:, None] * d.conj()[None, :])
     powers = (np.stack([1.0 + 1j / d, 1.0 - 1j / d], axis=-1)
               ** np.arange(n_max + 1)[:, None, None])
+    sigma0 = v_inv @ triple.sigma0 @ v_inv.conj().T
     lambdas, sigmas, solved, xi, dxi = [], [], [], [], []
     for n in range(n_max + 1):
         lam_n, dlam_n = powers[n] * lam, powers[n] * dlam
         sigma = 1j * lam_n @ lam_n.conj().T / gaps
+        if t == 0:
+            if n == 0:
+                gap = sigma0 - sigma
+            sigma = sigma + growth ** n * gap
         q = 1j * dlam_n @ lam_n.conj().T / gaps
         lambdas.append(v @ lam_n)
         sigmas.append(_herm(v @ sigma @ v.conj().T))
         if n == 0 and t == 0:
             lambdas[0], sigmas[0] = triple.lambda0, triple.sigma0
-            sigma = v_inv @ triple.sigma0 @ v_inv.conj().T
+            sigma = sigma0
         x = np.linalg.solve(sigma, lam_n)
         solved.append(v_inv.conj().T @ x)
         xi.append(lam_n.conj().T @ x)
@@ -435,7 +450,7 @@ def _per_time_closed_form(triple, t, n_max):
     j = signature_matrix(1)
     spins = [_herm(j + xi[n] - xi[n + 1]) for n in range(n_max)]
     return (lambdas, sigmas, solved,
-            [float(np.linalg.cond(s)) for s in sigmas], spins,
+            [_cond(s) for s in sigmas], spins,
             [float(np.linalg.norm(s @ s - np.eye(2), "fro")) for s in spins],
             [np.array([s[1, 0].real, s[1, 0].imag, s[0, 0].real])
              for s in spins],
@@ -513,7 +528,7 @@ def _per_time_lattice(triple, n_max):
     vectors = [np.array([s[1, 0].real, s[1, 0].imag, s[0, 0].real])
                for s in spins]
     return (lambdas, sigmas, solved,
-            [float(np.linalg.cond(s)) for s in sigmas], spins,
+            [_cond(s) for s in sigmas], spins,
             [float(np.linalg.norm(s @ s - np.eye(2), "fro")) for s in spins],
             vectors)
 
@@ -963,30 +978,17 @@ def test_the_eigenbasis_stage_matches_the_high_precision_oracle(
     _assert_the_stage_matches_the_oracle(triple, tt)
 
 
-def _near_defective_triple(delta):
-    """alpha = [[1+2i, 1, 0], [0, 1+2i+delta, 0.5], [0, 0, -0.7+1.5i]], a
-    Jordan block at delta = 0, with m = 1 and the sigma0 of the structural
-    identity."""
-    alpha = np.array([[1 + 2j, 1, 0], [0, 1 + 2j + delta, 0.5],
-                      [0, 0, -0.7 + 1.5j]])
-    theta1, theta2 = np.ones((3, 1)), np.array([[1], [-1j], [0.5]])
-    lam = np.hstack([theta1, theta2])
-    sigma0 = linalg.herm(linalg.solve_sylvester(
-        alpha, alpha.conj().T, 1j * lam @ lam.conj().T))
-    return ParameterTriple(alpha=alpha, theta1=theta1, theta2=theta2,
-                           sigma0=sigma0)
-
-
 @pytest.mark.parametrize("delta", (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7,
                                    0.0))
-def test_a_near_defective_alpha_takes_the_schur_route(delta, stage_calls):
+def test_a_near_defective_alpha_takes_the_schur_route(delta, stage_calls,
+                                                     near_defective_triple):
     """cond(V) grows like 2.1/delta: 21 at delta = 1e-1, 210 at 1e-2, and V
     is singular at 0.  The eigenbasis, whose error grows like cond(V)^2 eps,
     admits delta = 1e-1 alone; the others take the Schur route with its
     matrix exponentials.  Admitted or not, every delta meets the oracle
     bound of ``_assert_the_stage_matches_the_oracle``."""
     pytest.importorskip("mpmath")
-    triple = _near_defective_triple(delta)
+    triple = near_defective_triple(delta)
     admitted = triple._eigenbasis(DEFAULT) is not None
     assert admitted == (delta == 1e-1)
     for tt in (0.0, 0.3, -0.7, 1.0):
@@ -1005,13 +1007,14 @@ def _bits(a):
     ("schur", 1e308, "matrix exponential overflows at t = 1e+308"),
 ))
 def test_a_failing_time_keeps_the_triple_with_zero_derivatives(
-        real_mode_triple, small_triple, kind, tt, message):
+        real_mode_triple, small_triple, near_defective_triple, kind, tt,
+        message):
     """A time that fails returns Lambda_0 and Sigma_0 bit for bit, with
     zero derivatives, on every route: the flow (the real-mode triple), the
     eigenbasis (an FG triple) and the Schur solve (the near-defective
     alpha at delta = 1e-2); the time beside it in the batch moves."""
     triple = {"real-mode": real_mode_triple, "fg": small_triple,
-              "schur": _near_defective_triple(1e-2)}[kind]
+              "schur": near_defective_triple(1e-2)}[kind]
     with np.errstate(all="ignore"):
         lam, sigma, faults = evolution._triples_at(
             triple, np.array([0.3, tt]), DEFAULT)
@@ -1054,12 +1057,13 @@ def test_time_zero_is_the_triple_on_every_reader():
 
 @pytest.mark.parametrize("tt", (0.0, 0.3, -0.7))
 def test_evolve_lambda0_is_the_lambda0_of_triple_at(real_mode_triple,
-                                                    small_triple, tt):
+                                                    small_triple,
+                                                    near_defective_triple, tt):
     """Bit for bit on every route, t = 0 included: the eigenbasis (an FG
     triple), the flow (the real-mode triple) and the Schur solve (the
     near-defective alpha at delta = 1e-2)."""
     for triple in (small_triple, real_mode_triple,
-                   _near_defective_triple(1e-2)):
+                   near_defective_triple(1e-2)):
         assert (_bits(evolve_lambda0(triple, tt))
                 == _bits(triple_at(triple, tt).lambda0))
 
@@ -1087,12 +1091,13 @@ def test_spin_evolution_is_the_spin_of_the_time_grid(real_mode_triple,
                     == _bits(grid.spins[0, n]))
 
 
-def test_triple_at_forms_no_derivative(real_mode_triple, calls):
+def test_triple_at_forms_no_derivative(real_mode_triple, calls,
+                                       near_defective_triple):
     """The time-t triple is the stage alone: no right-hand side of the flow
     on the flow route (the real-mode triple) or the Schur route (the
     near-defective alpha at delta = 1e-2)."""
     flows = calls(evolution, "_flow")
-    for triple in (real_mode_triple, _near_defective_triple(1e-2)):
+    for triple in (real_mode_triple, near_defective_triple(1e-2)):
         assert triple._eigenbasis(DEFAULT) is None
         triple_at(triple, 0.3)
     assert flows == []

@@ -24,7 +24,7 @@ from spinlattice import (
     weyl,
     weyl_evolution,
 )
-from spinlattice import inverse, linalg
+from spinlattice import inverse, linalg, serialize
 from spinlattice.config import DEFAULT
 from spinlattice.cli import main
 from spinlattice.errors import AdmissibilityError
@@ -42,14 +42,28 @@ def test_scalar_riccati_oracle():
     assert sol.residual_norm <= 1e-12
 
 
+def _perturb_the_subspace_solution(monkeypatch):
+    """Scale the X of either subspace route, the Hamiltonian eigenvectors
+    or scipy's Schur method where those do not serve (cond(U1) = 195 at
+    order 8), by 1 + 1e-6."""
+    def perturbed(solve):
+        def run(*args):
+            x = solve(*args)
+            return None if x is None else x * (1 + 1e-6)
+        return run
+
+    monkeypatch.setattr(inverse, "_stable_subspace",
+                        perturbed(inverse._stable_subspace))
+    monkeypatch.setattr(inverse.scipy.linalg, "solve_continuous_are",
+                        perturbed(scipy.linalg.solve_continuous_are))
+
+
 @pytest.mark.parametrize("order, m", ((2, 1), (3, 2), (5, 1), (8, 2)))
 def test_newton_kleinman_polishes_a_perturbed_subspace_solution(
         monkeypatch, order, m):
     r = random_minimal_realization(np.random.default_rng(order), order, m)
     want = solve_riccati(r).x
-    solve = scipy.linalg.solve_continuous_are
-    monkeypatch.setattr(inverse.scipy.linalg, "solve_continuous_are",
-                        lambda *args: solve(*args) * (1 + 1e-6))
+    _perturb_the_subspace_solution(monkeypatch)
     sol = solve_riccati(r)
     assert sol.newton_iterations >= 2
     assert np.linalg.norm(sol.x - want) <= 1e-9 * np.linalg.norm(want)
@@ -59,15 +73,37 @@ def test_newton_kleinman_solves_under_the_given_table(monkeypatch, calls):
     """Each closed-loop Sylvester solve of the Newton steps of ``invert``
     checks its spectra with the table ``invert`` was given."""
     r = random_minimal_realization(np.random.default_rng(3), 3, 2)
-    solve = scipy.linalg.solve_continuous_are
-    monkeypatch.setattr(inverse.scipy.linalg, "solve_continuous_are",
-                        lambda *args: solve(*args) * (1 + 1e-6))
+    _perturb_the_subspace_solution(monkeypatch)
     tables = calls(linalg, "solve_sylvester",
                    lambda a, b, c, tol=DEFAULT: tol)
     table = DEFAULT.replace(spec_tol=1e-9)
     invert(r, table)
     assert len(tables) >= 2
     assert all(tol is table for tol in tables)
+
+
+DATA = pathlib.Path(__file__).parent / "data" / "json"
+
+
+@pytest.mark.parametrize("name", ("m2", "m3"))
+def test_invert_solves_the_riccati_equation_without_scipy(routes, monkeypatch,
+                                                         name):
+    """The m2 and m3 realizations take the stable eigenvectors of the
+    Hamiltonian, with no scipy Riccati call and no Newton step; with
+    cond(U1) over the limit (a limit of 0 here), scipy's solver is the
+    fallback, and both give X to 1e-12."""
+    path = DATA / f"{name}.realization.json"
+    r = serialize.realization_from_obj(serialize.load_json(path))
+    invert(r)
+    assert routes["care"] == []
+    sol = solve_riccati(r)
+    assert sol.newton_iterations == 1
+    monkeypatch.setattr(linalg, "EIGENBASIS_COND", 0.0)
+    invert(r)
+    assert len(routes["care"]) == 1
+    fallback = solve_riccati(r)
+    assert (np.linalg.norm(fallback.x - sol.x)
+            <= 1e-12 * np.linalg.norm(sol.x))
 
 
 def test_invert_takes_both_roots_from_one_eigh(eigh_calls):

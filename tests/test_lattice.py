@@ -1,3 +1,7 @@
+import contextlib
+import io
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,10 +19,10 @@ from spinlattice import (
     random_general_sigma_triple,
     signature_matrix,
 )
-from spinlattice import lattice, linalg
+from spinlattice import cli, lattice, linalg, serialize
 from spinlattice.config import DEFAULT
-from spinlattice.errors import (InputError, NumericError, SingularMatrixError,
-                                SpectrumError)
+from spinlattice.errors import (ConditioningError, InputError, NumericError,
+                                SingularMatrixError, SpectrumError)
 
 
 def scalar_example():
@@ -172,10 +176,110 @@ def test_quadrature_oracle(rng):
                 <= 1e-12 * np.linalg.norm(want[n]))
 
 
+def test_spins_of_triple_118_meet_the_oracle():
+    """Triple 118 of the sweep below, where cond(Sigma_20) is 6.4e10: the
+    spins of ``generate`` are within 1e-8 of the 30-digit recursion of
+    ``oracle.spins`` at horizon 20, where the plain recursion misses by
+    6.4e-6.  The guards are unchanged: horizon 25 is refused at n = 23."""
+    pytest.importorskip("mpmath")
+    import oracle
+
+    t = random_admissible_triple(np.random.default_rng(118), 5, 2)
+    want = oracle.spins(t, 0.0, 20, True)
+    assert max(np.linalg.norm(a - b) for a, b in
+               zip(generate(t, 20).spins, want, strict=True)) <= 1e-8
+    with pytest.raises(ConditioningError, match=re.escape(
+            "cond(Sigma_23) = 2.553e+12 exceeds the limit 1.0e+12")):
+        generate(t, 25)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, n_max", (
+    ("verify/example", 15), ("verify/fg4", 15), ("verify/general", 15),
+    ("verify/cond30", 15), ("verify/m2", 30), ("verify/m3", 30),
+    ("verify/m2", 60), ("verify/m3", 60), ("evolve/fg4", 6),
+    ("evolve/norm_drift", 8),
+))
+def test_closed_form_generate_agrees_with_the_recursion(name, n_max):
+    """On every fixture triple that the eigenbasis admits, at its horizon,
+    the closed-form spins of ``generate`` are within 100 eps
+    max(cond(Sigma_n), cond(Sigma_{n+1})) of those of ``generate_stack``,
+    the recursion, whose error that bound allows for."""
+    t = serialize.triple_from_obj(serialize.load_json(
+        FIXTURES / f"{name}.json"))
+    assert t._eigenbasis(DEFAULT) is not None
+    want = lattice.generate_stack(t.alpha, t.lambda0[None], t.sigma0[None],
+                                  [n_max]).state(0, t)
+    got = generate(t, n_max)
+    cond = np.array(want.conditioning)
+    bound = 100 * np.finfo(float).eps * np.fmax(cond[:-1], cond[1:])
+    assert (linalg.frob_norms(got.spins - want.spins) <= bound).all()
+
+
+def test_a_start_off_the_identity_fails_alike_on_both_routes(small_triple):
+    """Sigma_0 off the structural identity by 5 %: the closed form carries
+    the difference by M^n, so its Sigma_n are the recursion's to 1e-14,
+    and ``generate`` raises the involution error that ``generate_stack``
+    records."""
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    g = linalg.herm(g) / np.linalg.norm(linalg.herm(g))
+    t = small_triple
+    bad = ParameterTriple(alpha=t.alpha, theta1=t.theta1, theta2=t.theta2,
+                          sigma0=t.sigma0 + 0.05 * g * np.linalg.norm(
+                              t.sigma0))
+    basis = t._eigenbasis(DEFAULT)
+    assert basis is not None
+    want = lattice.generate_stack(bad.alpha, bad.lambda0[None],
+                                  bad.sigma0[None], [12])
+    with np.errstate(all="ignore"):
+        got = lattice._closed_form_stack(
+            basis, (bad.lambda0, bad.sigma0), (basis[2] @ bad.lambda0)[None],
+            None, np.ones(1, dtype=bool), [12], DEFAULT, None)
+    assert (linalg.frob_norms(got.sigmas - want.sigmas)
+            <= 1e-14 * linalg.frob_norms(want.sigmas)).all()
+    assert isinstance(want.faults[0], NumericError)
+    assert "is not an involution" in str(want.faults[0])
+    with pytest.raises(NumericError) as info:
+        generate(bad, 12)
+    assert str(info.value) == str(want.faults[0])
+
+
+@pytest.mark.parametrize("command", (
+    ["spins"], ["fundamental", "--lambda", "2+0.5i"]))
+def test_spins_and_fundamental_take_the_closed_form(routes, command, tmp_path,
+                                                    real_mode_triple):
+    """No recursion on the m3 fixture, which the eigenbasis admits; one on
+    the real-mode triple, whose real eigenvalue it does not."""
+    argv = [command[0], str(FIXTURES / "verify" / "m3.json"), "--nmax", "30",
+            *command[1:], "-o", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert (len(routes["recur"]), len(routes["closed_form"])) == (0, 1)
+    path = tmp_path / "real_mode.json"
+    path.write_text(serialize.dumps(serialize._triple_doc(real_mode_triple)))
+    argv[1] = str(path)
+    assert cli.main(argv) == 0
+    assert (len(routes["recur"]), len(routes["closed_form"])) == (1, 1)
+
+
+def test_verify_keeps_the_recursion(routes, calls):
+    """``verify``'s lattice is the recursion, the reference of the closed
+    form: one ``generate_stack``, on a triple the eigenbasis admits."""
+    stacks = calls(lattice, "generate_stack")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["verify", str(FIXTURES / "verify" / "m3.json"), "--nmax",
+                  "30"])
+    assert len(stacks) == 1
+    assert len(routes["recur"]) == 1
+
+
 def test_stack_entries_are_the_states_of_generate(small_triple):
     """Entries of one stacked run with their own horizons equal separate
-    runs bit for bit, and an entry that fails a guard records the error
-    that generate raises while the others go on."""
+    runs of the recursion bit for bit, and an entry that fails a guard
+    records the error that the recursion raises on it alone, which
+    ``generate`` raises too."""
     from spinlattice.lattice import generate_stack
 
     grown = ParameterTriple(alpha=small_triple.alpha,
@@ -187,8 +291,14 @@ def test_stack_entries_are_the_states_of_generate(small_triple):
     stack = generate_stack(small_triple.alpha,
                            np.stack([t.lambda0 for t in triples]),
                            np.stack([t.sigma0 for t in triples]), horizons)
+
+    def alone(k):
+        t = triples[k]
+        return generate_stack(t.alpha, t.lambda0[None], t.sigma0[None],
+                              [horizons[k]])
+
     for k in (0, 2):
-        want = generate(triples[k], n_max=horizons[k])
+        want = alone(k).state(0, triples[k])
         got = stack.state(k, triples[k])
         assert got.n_max == horizons[k]
         for name in ("lambdas", "sigmas", "spins", "sigma_inv_lambdas"):
@@ -196,6 +306,7 @@ def test_stack_entries_are_the_states_of_generate(small_triple):
                        zip(getattr(got, name), getattr(want, name), strict=True))
         for name in ("conditioning", "spin_residuals"):
             assert getattr(got, name) == getattr(want, name)
+    assert str(stack.faults[1]) == str(alone(1).faults[0])
     with pytest.raises(NumericError) as info:
         generate(grown, n_max=6)
     assert str(stack.faults[1]) == str(info.value)
@@ -242,17 +353,28 @@ def test_a_horizon_beyond_the_stack_budget_is_refused_before_allocating():
 
 
 def test_stack_budget_counts_the_arrays_of_every_entry(monkeypatch):
-    """The scalar triple needs 16 (3 + 2 * 2 + 5 * 4) + 64 = 496 bytes per
-    site and entry (Lambda_n and Sigma_n, then Sigma_n^{-1} Lambda_n, the
-    conjugate copy of Lambda_n, five 2 x 2 arrays of Xi_n, S_n, S_n^2 - I
-    and their temporaries, and 8 floats), 160 per entry for one step and
-    160 for alpha^{-1}: a budget of 11 sites takes horizon 10 and refuses
-    11, and two stacked entries need twice the bytes."""
-    monkeypatch.setattr(lattice, "STACK_BUDGET", 496 * 11 + 160 + 160)
+    """The scalar triple in closed form, as ``generate`` builds it, needs
+    16 (4 * 2 + 7 + 5 * 4) + 64 = 624 bytes per site and entry (Lambda_n,
+    Lam', X' and V^{-*} X'; C, Sig', Sigma_n, two temporaries and the M^n
+    term with its product; Xi_n, S_n, S_n^2 - I and their temporaries; and
+    8 floats): a budget of 11 sites takes horizon 10 and refuses 11.  The
+    recursion needs 16 (3 + 2 * 2 + 5 * 4) + 64 = 496 bytes per site and
+    entry (Lambda_n and Sigma_n, then Sigma_n^{-1} Lambda_n, the conjugate
+    copy of Lambda_n, five 2 x 2 arrays of Xi_n, S_n, S_n^2 - I and their
+    temporaries, and 8 floats), 160 per entry for one step and 160 for
+    alpha^{-1}, and two stacked entries need twice the bytes."""
     t = scalar_example()
+    assert t._eigenbasis(DEFAULT) is not None
+    monkeypatch.setattr(lattice, "STACK_BUDGET", 624 * 11)
     assert generate(t, 10).n_max == 10
     with pytest.raises(InputError, match="horizon 11 "):
         generate(t, 11)
+    monkeypatch.setattr(lattice, "STACK_BUDGET", 496 * 11 + 160 + 160)
+    lam0, sigma0 = t.lambda0[None], t.sigma0[None]
+    assert lattice.generate_stack(t.alpha, lam0, sigma0, [10]).faults == [
+        None]
+    with pytest.raises(InputError, match="horizon 11 "):
+        lattice.generate_stack(t.alpha, lam0, sigma0, [11])
     lam0, sigma0 = np.stack([t.lambda0] * 2), np.stack([t.sigma0] * 2)
     with pytest.raises(InputError, match="horizon 5 "):
         lattice.generate_stack(t.alpha, lam0, sigma0, [5, 0])
@@ -290,18 +412,22 @@ def test_stack_budget_bounds_the_traced_peak(order, m, tangent, rows,
 
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(order=st.integers(1, 8), m=st.integers(1, 3), rows=st.integers(1, 3),
-       horizon=st.integers(64, 256))
-def test_closed_form_budget_bounds_the_traced_peak(order, m, rows, horizon):
+       horizon=st.integers(64, 256), tangent=st.booleans(),
+       kept=st.integers(0, 3))
+def test_closed_form_budget_bounds_the_traced_peak(order, m, rows, horizon,
+                                                   tangent, kept):
     """The same of the closed-form stack in the eigenbasis of alpha, which
-    holds the primed arrays beside those of the original basis; traced
-    after a first run, which makes the one-time caches of its calls."""
+    holds the primed arrays beside those of the original basis, with and
+    without a tangent, and with up to ``kept`` entries that start from the
+    triple itself; traced after a first run, which makes the one-time
+    caches of its calls."""
     t = random_admissible_triple(np.random.default_rng(order + 16 * m), order,
                                  m)
     basis = t._eigenbasis(DEFAULT)
     assume(basis is not None)
     lam = np.stack([basis[2] @ t.lambda0] * rows)
-    start = (basis, (t.lambda0, t.sigma0), lam, lam, np.zeros(rows, bool),
-             [horizon] * rows, DEFAULT)
+    start = (basis, (t.lambda0, t.sigma0), lam, lam if tangent else None,
+             np.arange(rows) < kept, [horizon] * rows, DEFAULT)
     with np.errstate(all="ignore"):
         lattice._closed_form_stack(*start, None)
         tracemalloc.start()

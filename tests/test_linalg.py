@@ -53,6 +53,23 @@ def test_solve_singular():
         linalg.solve(np.zeros((2, 2)), np.eye(2))
 
 
+def test_hermitian_conds_are_the_condition_numbers_of_cond(rng):
+    """From eigvalsh, the 2-norm condition numbers of ``linalg.cond`` to
+    1e-12 on definite and indefinite Hermitian matrices of orders 1-8, and
+    inf, as there, where a matrix is singular or not finite."""
+    for order in range(1, 9):
+        g = rng.standard_normal((4, order, order)) * (1 + 1j)
+        stack = linalg.herm(g + 1j * rng.standard_normal(g.shape))
+        stack[:2] += 3 * order * np.eye(order)
+        want = linalg.cond(stack)
+        assert np.allclose(linalg._hermitian_conds(stack), want, rtol=1e-12)
+    bad = np.array([np.diag([1.0, 0.0]), [[np.nan, 0.0], [0.0, 1.0]],
+                    [[np.inf, 0.0], [0.0, 1.0]], np.zeros((2, 2))],
+                   dtype=complex)
+    assert linalg._hermitian_conds(bad).tolist() == [np.inf] * 4
+    assert [linalg.cond(x) for x in bad] == [np.inf] * 4
+
+
 def test_sylvester_disjoint_spectra():
     a = np.diag([1.0 + 1j, 2.0 + 1j])
     b = a.conj().T

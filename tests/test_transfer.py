@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spinlattice import (Transfer, generate, lambda_grid,
                          random_admissible_triple, random_general_sigma_triple)
 from spinlattice import cli, linalg, transfer as transfer_module
+from spinlattice.config import DEFAULT
 from spinlattice.errors import PoleError, SpinLatticeError
 from spinlattice.lattice import LatticeState
 from spinlattice.verify import run_checks
@@ -26,11 +27,12 @@ def grid(triple):
 
 
 def test_j_power_factor_closed_form():
-    out = transfer_module._j_powers(2.0 + 1j, [3], 2)[0]
+    """(I - (i/lambda)J)^n is diagonal: its diagonal, (1 - i/lambda)^n over
+    the first m entries and (1 + i/lambda)^n over the last m."""
     lam = 2.0 + 1j
-    assert out[0, 0] == pytest.approx((1 - 1j / lam) ** 3)
-    assert out[2, 2] == pytest.approx((1 + 1j / lam) ** 3)
-    assert np.count_nonzero(out - np.diag(np.diag(out))) == 0
+    out = transfer_module._j_diagonals([lam], 3, 2)[3, 0]
+    assert out[:2] == pytest.approx([(1 - 1j / lam) ** 3] * 2)
+    assert out[2:] == pytest.approx([(1 + 1j / lam) ** 3] * 2)
 
 
 def test_pole_rejection(small_triple, transfer):
@@ -63,15 +65,29 @@ def test_fundamental_normalized_at_zero(small_triple, transfer):
     assert np.allclose(transfer.fundamental(0, lam), np.eye(2 * small_triple.m))
 
 
-def test_w_makes_one_solve_per_distinct_lambda(transfer, calls):
-    """The resolvent is the only solve of W(n, lambda), one per lambda for
-    every n: Sigma_n^{-1} Lambda_n comes with the state, and repeated points
-    come from the cache."""
+def test_w_makes_one_solve_per_distinct_lambda(real_mode_triple, calls):
+    """Off the eigenbasis (the real mode 3) the resolvent is the only solve
+    of W(n, lambda), one per lambda for every n: Sigma_n^{-1} Lambda_n
+    comes with the state, and repeated points come from the cache."""
+    transfer = Transfer(generate(real_mode_triple, 12))
     solves = calls(np.linalg, "solve")
     points = [(n, lam) for n in range(13) for lam in (2.0 - 1.5j, 3j)]
     for n, lam in points + points:
         transfer.w(n, lam)
     assert len(solves) == 2
+
+
+def test_w_makes_no_lu_on_an_admitted_triple(small_triple, real_mode_triple,
+                                            near_defective_triple, routes):
+    """The LU route of W is the fallback alone: none for an FG triple,
+    whose W comes from its pole residues, one per lambda for the real-mode
+    triple and the near-defective alpha at delta = 1e-2."""
+    lams = [2.0 - 1.5j, 3j, 0.5 + 0.5j]
+    Transfer(generate(small_triple, 12)).w_grid(lams)
+    assert routes["lu"] == []
+    for triple in (real_mode_triple, near_defective_triple(1e-2)):
+        Transfer(generate(triple, 12)).w_grid(lams)
+    assert routes["lu"] == [3, 3]
 
 
 def test_fundamental_is_cached(transfer):
@@ -132,8 +148,16 @@ def test_site_outside_the_horizon_is_rejected(small_triple, n):
 
 
 # The per-point formulas W(n, lambda) and its residuals were evaluated with
-# before they were stacked over sites x lambdas; the stacked kernel must
-# reproduce them bit for bit.
+# before they were stacked over sites x lambdas; the stacked kernel on its
+# LU route must reproduce them bit for bit, and W from its pole residues
+# must agree with them.
+
+def _on_lu(transfer):
+    """``transfer`` on its fallback route, one LU of lambda I - alpha per
+    lambda, as where the eigenbasis does not admit alpha."""
+    transfer._basis = None
+    return transfer
+
 
 def _w(state, n, lam):
     lam = complex(lam)
@@ -144,15 +168,16 @@ def _w(state, n, lam):
     return np.eye(2 * state.m, dtype=complex) + 1j * y @ resolvent
 
 
-def _j_power(lam, n, m):
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    out[:m, :m] = (1 - 1j / lam) ** n * np.eye(m)
-    out[m:, m:] = (1 + 1j / lam) ** n * np.eye(m)
-    return out
+def _j_diagonal(lam, n, m):
+    """The diagonal of (I - (i/lambda)J)^n: factors in Python complex
+    arithmetic, raised by numpy's power loop over an array of exponents
+    (a scalar exponent 2 takes numpy's square instead)."""
+    return np.repeat(np.array([1 - 1j / lam, 1 + 1j / lam])
+                     ** np.array([n, n]), m)
 
 
 def _fundamental(state, n, lam):
-    return (_w(state, n, lam) @ _j_power(lam, n, state.m)
+    return ((_w(state, n, lam) * _j_diagonal(lam, n, state.m))
             @ _w(state, 0, np.conj(lam)).conj().T)
 
 
@@ -173,7 +198,7 @@ def _point_residuals(state, n, lam):
         lam_n.conj().T @ inner)
     f, f1 = _fundamental(state, n, lam), _fundamental(state, n + 1, lam)
     return {
-        "identity": _frob(w1 @ _j_power(lam, 1, m) - g @ w),
+        "identity": _frob(w1 * _j_diagonal(lam, 1, m) - g @ w),
         "unitarity": _frob(w @ _w(state, n, np.conj(lam)).conj().T
                            - np.eye(2 * m)),
         "gram": _frob(w.conj().T @ w - rhs),
@@ -212,13 +237,17 @@ def test_stacked_kernel_matches_the_per_point_formulas(order, m, general, seed):
         state = generate(make(rng, order, m), n_max=6)
     except SpinLatticeError:
         assume(False)
-    transfer = Transfer(state)
+    transfer = _on_lu(Transfer(state))
     scale = 1.0 + float(np.linalg.norm(state.triple.alpha, 2))
     lams = [complex(lam) for lam in lambda_grid(state.triple.alpha, count=3)]
     lams.append(scale * (0.6 - 0.8j))
     sites = range(state.n_max)
 
+    residues = Transfer(state)
+    assert residues._basis is not None
     w = transfer.w_grid(lams)
+    bound = 1e-12 * (1.0 + linalg.frob_norms(w))
+    assert (linalg.frob_norms(residues.w_grid(lams) - w) <= bound).all()
     f = transfer.fundamental_grid(lams)
     gram = transfer.contractivity_gram(sites, lams)
     arrays = {
@@ -243,6 +272,45 @@ def test_stacked_kernel_matches_the_per_point_formulas(order, m, general, seed):
             assert factorizations[name][n] == value, (name, n)
 
 
+def _assert_w_meets_the_oracle(triple, n_max, routed):
+    """W(n, lambda) of ``Transfer.w_grid`` within 100 eps cond(Sigma_n)
+    max(1, ||W||) of the 30-digit ``oracle.transfer``, on the route that
+    ``routed`` names (the pole residues or the LU solves), at three points
+    of the lambda grid, +/-i and a point of the lower half plane."""
+    import oracle
+
+    state = generate(triple, n_max)
+    transfer = Transfer(state)
+    assert (transfer._basis is not None) == (routed == "residues")
+    lams = [complex(lam) for lam in lambda_grid(triple.alpha, count=3)]
+    lams += [1j, -1j, 0.5 - 2j]
+    want = np.array(oracle.transfer(triple, lams, n_max))
+    cond = np.array(state.conditioning)[:, None]
+    bound = 100 * np.finfo(float).eps * cond * np.fmax(
+        1.0, linalg.frob_norms(want))
+    assert (linalg.frob_norms(transfer.w_grid(lams) - want) <= bound).all()
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(order=st.integers(1, 6), m=st.integers(1, 3), general=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_w_from_its_pole_residues_meets_the_oracle(order, m, general, seed):
+    pytest.importorskip("mpmath")
+    make = random_general_sigma_triple if general else random_admissible_triple
+    triple = make(np.random.default_rng(seed), order, m)
+    assume(triple._eigenbasis(DEFAULT) is not None)
+    _assert_w_meets_the_oracle(triple, 8, "residues")
+
+
+def test_w_from_the_lu_solves_meets_the_oracle(real_mode_triple,
+                                               near_defective_triple):
+    """The fallback: the real mode 3 and cond(V) = 210 (delta = 1e-2) keep
+    alpha out of the eigenbasis."""
+    pytest.importorskip("mpmath")
+    for triple in (real_mode_triple, near_defective_triple(1e-2)):
+        _assert_w_meets_the_oracle(triple, 10, "lu")
+
+
 def test_run_checks_solves_once_per_lambda_batch(calls):
     """One run_checks of an order-3, m = 1 triple at n_max = 15 makes a few
     broadcast solves in transfer, where one solve per (n, lambda) point made
@@ -262,7 +330,7 @@ def test_run_checks_solves_once_per_lambda_batch(calls):
 
 # One LU factorization per evaluation point: W(n, lambda) and the two-point
 # identity were a broadcast solve per (lambda, n) pair; the solves from one
-# LU per matrix must reproduce them bit for bit.
+# LU per matrix, W on its LU route, must reproduce them bit for bit.
 
 def _h(a):
     return a.conj().swapaxes(-1, -2)
@@ -281,10 +349,9 @@ def _w_per_pair(state, lams):
 
 def _fundamental_per_pair(state, lams):
     w = _w_per_pair(state, [z for lam in lams for z in (lam, np.conj(lam))])
-    steps = np.stack([transfer_module._j_powers(lam, range(state.n_max + 1),
-                                                state.m) for lam in lams],
-                     axis=1)
-    return w[:, ::2] @ steps @ _h(w[0, 1::2])
+    steps = np.array([[_j_diagonal(lam, n, state.m) for lam in lams]
+                      for n in range(state.n_max + 1)])
+    return (w[:, ::2] * steps[:, :, None]) @ _h(w[0, 1::2])
 
 
 def _gram_per_pair(state, lams):
@@ -337,7 +404,7 @@ def test_one_lu_per_point_is_the_per_pair_solve_bit_for_bit(order, m, n_max,
     lams = [complex(lam) for lam in lambda_grid(state.triple.alpha,
                                                 count=count)]
     lams.append(scale * complex(*rng.standard_normal(2)))
-    transfer = Transfer(state)
+    transfer = _on_lu(Transfer(state))
     assert np.array_equal(transfer.w_grid(lams), _w_per_pair(state, lams))
     assert np.array_equal(transfer.fundamental_grid(lams),
                           _fundamental_per_pair(state, lams))
