@@ -1,9 +1,9 @@
 """Time-dependent triples and explicit solutions of the isotropic
 Heisenberg magnet lattice: Lambda_0(t), Sigma_0(t), spin vectors, the Lax
 pair with its V = H equality, and residual checks for the zero-curvature
-and IHM equations from dS_n/dt, carried along the recursion in forward
-mode: exact up to round-off, where a step h_t (the two public residual
-functions alone) makes it a central difference.
+and IHM equations from dS_n/dt, the time flow evaluated at each site
+(``lattice._dspins``): exact up to round-off, where a step h_t (the two
+public residual functions alone) makes it a central difference.
 
 IHM semantics are fixed to 2x2 spin matrices (m = 1); the time evolution of
 Lambda_0 and Sigma_0 is implemented for general m.
@@ -116,11 +116,10 @@ def _stage_basis(triple, tol):
     return triple._eigenbasis(tol)
 
 
-def _primed_resolvents(d, m):
-    """(alpha -/+ iI)^{-1} in the eigenbasis of alpha, diagonal there: r =
-    1/(d -/+ i) down the theta1 and theta2 columns of a primed Lambda'."""
-    return np.repeat(np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1), m,
-                     axis=-1)
+def _primed_resolvents(d):
+    """(alpha -/+ iI)^{-1} in the eigenbasis of alpha: the diagonals
+    1/(d -/+ i)."""
+    return 1.0 / (d - 1j), 1.0 / (d + 1j)
 
 
 def _lambda0(triple, times, tol):
@@ -130,9 +129,10 @@ def _lambda0(triple, times, tol):
     alpha is the error of every time, a non-finite time an InputError.
     Where the triple's cached eigenbasis admits alpha
     (``ParameterTriple._eigenbasis``) it comes primed, Lam' = V^{-1} Lam:
-    Lam'(t) = e^{-2t r} V^{-1} Lambda_0 elementwise (``_primed_resolvents``),
-    and a non-finite exponent or exponential is the overflow of its time,
-    as in ``_expm``.  Else it comes from one stacked expm over the times
+    Lam'(t) = e^{-2t r} V^{-1} Lambda_0 elementwise, r = 1/(d -/+ i) down
+    the theta1 and theta2 columns (``_primed_resolvents``), and a
+    non-finite exponent or exponential is the overflow of its time, as in
+    ``_expm``.  Else it comes from one stacked expm over the times
     t != 0, and is Lambda_0 at t = 0 and where the route fails."""
     try:
         basis = _stage_basis(triple, tol)
@@ -146,8 +146,8 @@ def _lambda0(triple, times, tol):
     faults = [None] * times.size
     if basis is not None:
         d, _, v_inv = basis
-        exponent = (-2.0 * times)[:, None, None] * _primed_resolvents(
-            d, triple.m)
+        exponent = (-2.0 * times)[:, None, None] * np.repeat(
+            np.stack(_primed_resolvents(d), axis=-1), triple.m, axis=-1)
         e = np.exp(exponent)
         _record(faults, ~(_finite(exponent) & _finite(e)),
                 lambda k: _overflow(times[k]))
@@ -180,7 +180,8 @@ def lambda_n_at(triple: ParameterTriple, n, t, tol: Tolerances = DEFAULT):
 
 def _flow(triple):
     """The right-hand side of the Sigma_0 flow as a function of
-    (Sigma_0(t), Lambda_0(t)), for one or each of a stack,
+    (Sigma_0(t), Lambda_0(t)), for RK4 (``_sigma_rk4``); ``lattice._dspins``
+    evaluates it at each site,
 
     dSigma/dt = -(R Sigma + Sigma R* + 2 Q (alpha C + C alpha*) Q*),
 
@@ -332,8 +333,7 @@ def _triples_at(triple, times, tol):
     (``lattice._cauchy``).  Without the eigenbasis it is a Sylvester solve
     over one pair of Schur forms.  Elsewhere it is the exact solution of
     its flow (``_sigma_flow``).  ``_sigma_cross`` takes the other route;
-    the t-derivatives are formed where the lattice reads them
-    (``_stage_tangent``, ``_closed_form_grid``).
+    dS_n/dt is formed where the lattice reads it (``lattice._dspins``).
 
     A time fails on the first of: its error in ``_lambda0``; Lambda_0(t)
     not finite; C = i Lam0(t) Lam0(t)* not finite, where the route forms
@@ -347,7 +347,7 @@ def _triples_at(triple, times, tol):
     c = None
     if basis is not None:                               # the Cauchy formula
         d, v, _ = basis
-        c, sigma = _cauchy(d, lam, lam)
+        c, sigma = _cauchy(d, lam)
         lam = v @ lam
         sigma = linalg.herm(v @ sigma @ _h(v))
     else:
@@ -374,25 +374,6 @@ def _triples_at(triple, times, tol):
     kept = np.array([e is not None for e in faults], dtype=bool) | ~moving
     return (np.where(kept[:, None, None], triple.lambda0, lam),
             np.where(kept[:, None, None], triple.sigma0, sigma), faults)
-
-
-def _stage_tangent(triple, lam, sigma, faults):
-    """(dLambda_0/dt, dSigma_0/dt) of each time-t triple of a batch of
-    ``_triples_at``, the start tangent of a grid off the eigenbasis:
-    dLambda_0/dt = [-2(alpha - iI)^{-1} Lambda_0^(1), -2(alpha + iI)^{-1}
-    Lambda_0^(2)] from the cached resolvents, dSigma_0/dt from the flow
-    (``_flow``).  Zero at a failed time; none is formed when every time
-    failed, as with +/-i in the spectrum of alpha."""
-    failed = np.array([e is not None for e in faults], dtype=bool)
-    if failed.all():
-        return np.zeros_like(lam), np.zeros_like(sigma)
-    m = triple.m
-    minus, plus = triple._resolvents()
-    dlam = -2.0 * np.concatenate([minus @ lam[..., :m], plus @ lam[..., m:]],
-                                 axis=-1)
-    failed = failed[:, None, None]
-    return (np.where(failed, 0, dlam),
-            np.where(failed, 0, _flow(triple)(sigma, lam)))
 
 
 def _sigma_cross(triple, times, tol):
@@ -536,21 +517,16 @@ def lax_pair(triple: ParameterTriple, n, t, lam, tol: Tolerances = DEFAULT):
 def _closed_form_grid(triple, times, n_max, tol):
     """The LatticeStack of the lattice at each of ``times`` to horizon
     n_max, with dS_n/dt, in closed form in the eigenbasis of alpha
-    (``lattice._closed_form_stack``), from the primed Lambda'_0(t) of
-    ``_lambda0`` and its t-derivative dLam'_0 = -2 r Lam'_0, formed here
-    (r of ``_primed_resolvents``), where that eigenbasis admits alpha.  As
-    in ``_triples_at``, a time that fails there, and t = 0, start from the
-    triple itself, and a failing time has zero derivatives; the others
-    meet the finite checks of its Lambda_0(t), C and Sigma_0(t) on their
-    row n = 0."""
+    (``lattice._closed_form_stack``) from the primed Lambda'_0(t) of
+    ``_lambda0``.  As in ``_triples_at``, a time that fails there, and
+    t = 0, start from the triple itself; the others meet the finite
+    checks of its Lambda_0(t), C and Sigma_0(t) on their row n = 0."""
     lam, basis, faults = _lambda0(triple, times, tol)
-    failed = np.array([e is not None for e in faults], dtype=bool)
-    kept = failed | (times == 0)
-    dlam = np.where(failed[:, None, None], 0,
-                    -2.0 * _primed_resolvents(basis[0], triple.m) * lam)
+    kept = np.array([e is not None for e in faults], dtype=bool) | (times == 0)
     lam = np.where(kept[:, None, None], basis[2] @ triple.lambda0, lam)
     return _closed_form_stack(basis, (triple.lambda0, triple.sigma0), lam,
-                              dlam, kept, [n_max] * times.size, tol, faults)
+                              _primed_resolvents(basis[0]), kept,
+                              [n_max] * times.size, tol, faults)
 
 
 # Times per TimeGrid in ``trajectory``: a long time grid is built and
@@ -564,9 +540,10 @@ class TimeGrid:
     and ``dspins``, dS_n/dt indexed like the spins.  Where the eigenbasis
     of alpha admits it (``_stage_basis``), the whole [time, n] grid is one
     closed-form batch (``_closed_form_grid``).  Elsewhere the time-t
-    triples are one batch (``_triples_at``), and their t-derivatives
-    (``_stage_tangent``) ride along the one ``generate_stack`` of the
-    states.  The residuals are arrays indexed [time, n - 1] over the sites
+    triples are one batch (``_triples_at``) for one ``generate_stack``.
+    dS_n/dt is the flow at each site (``lattice._dspins``), NaN where
+    every time fails (+/-i in the spectrum of alpha).  The residuals are
+    arrays indexed [time, n - 1] over the sites
     1 <= n <= N - 2, each computed once.  The Transfer of a state is built
     on first read (``lax``, ``monodromy``).
 
@@ -593,11 +570,14 @@ class TimeGrid:
                 lam0, sigma0, faults = _triples_at(triple, self.times, tol)
                 self.stack = generate_stack(
                     triple.alpha, lam0, sigma0, [n_max] * self.times.size,
-                    tol, faults, _stage_tangent(triple, lam0, sigma0, faults))
+                    tol, faults, triple._resolvents() if None in faults
+                    else None)
             else:
                 self.stack = _closed_form_grid(triple, self.times, n_max,
                                                tol)
         self.spins, self.dspins = self.stack.spins, self.stack.dspins
+        if self.dspins is None:
+            self.dspins = np.full_like(self.spins, np.nan)
         self.vectors, self._bad_vectors, self._vector_error = _spin_vectors(
             self.spins, tol)
         # 1 + s_{n-1}.s_n, the denominator of V_n, at [time, n - 1]

@@ -6,7 +6,8 @@ Two routes build the sequences under one set of guards (``_guarded``):
 the recursion (``generate_stack``), and its closed form in the eigenbasis
 of alpha (``_closed_form_stack``), which ``generate`` and the time grids
 take wherever that basis admits alpha.  ``verify`` keeps the recursion, as
-the reference the closed form is checked against.
+the reference the closed form is checked against.  Either route forms
+dS_n/dt from the time flow at each site (``_dspins``).
 """
 
 import operator
@@ -76,13 +77,21 @@ def _check_site(name, n, first=0):
 def _lattice_powers(alpha, lam0, ns):
     """[(I + i a^{-1})^n lam0_1, (I - i a^{-1})^n lam0_2] for the column
     blocks lam0 = [lam0_1, lam0_2], stacked over the n of ``ns``: alpha is
-    inverted once, and the powers of each base share one squaring ladder."""
+    inverted once, and the powers of each base share one squaring ladder.
+    A power that leaves the floating point range is a NumericError naming
+    its first site, with no numpy warning."""
     a_inv = linalg.inv(alpha, "alpha")
     i_n = np.eye(alpha.shape[0], dtype=complex)
     m = lam0.shape[1] // 2
-    plus, minus = (_matrix_powers(base, ns)
-                   for base in (i_n + 1j * a_inv, i_n - 1j * a_inv))
-    return np.concatenate([plus @ lam0[:, :m], minus @ lam0[:, m:]], axis=-1)
+    with np.errstate(all="ignore"):
+        plus, minus = (_matrix_powers(base, ns)
+                       for base in (i_n + 1j * a_inv, i_n - 1j * a_inv))
+        lams = np.concatenate([plus @ lam0[:, :m], minus @ lam0[:, m:]],
+                              axis=-1)
+    for n in np.asarray(ns)[~_finite(lams)][:1].tolist():
+        raise NumericError(f"Lambda_{n} is not finite: the lattice powers "
+                           f"leave the floating point range")
+    return lams
 
 
 def lambda_closed_form(triple: ParameterTriple, n):
@@ -145,7 +154,7 @@ class LatticeStack:
     for n < horizons[k], in rows of arrays sized to the largest horizon
     (what lies beyond its horizon is not guarded and not to be read), and
     ``faults[k]``, the error that ``generate`` raises on it, or None; and
-    dS_n/dt in ``dspins`` (unguarded) if the run carried a tangent."""
+    dS_n/dt in ``dspins`` (unguarded) if the run was given resolvents."""
 
     horizons: np.ndarray
     lambdas: np.ndarray             # [k, n]
@@ -181,9 +190,10 @@ class LatticeStack:
 
 
 # Bytes that one generate_stack may hold: per site and entry, Lambda_n and
-# Sigma_n (and their derivatives), the arrays after the loop (Sigma_n^{-1}
-# Lambda_n, Xi_n, S_n, S_n^2 - I and their temporaries), and 8 floats; per
-# entry, the temporaries of one step; alpha^{-1}.  _closed_form_stack
+# Sigma_n, the arrays after the loop (Sigma_n^{-1} Lambda_n, Xi_n, S_n,
+# S_n^2 - I and their temporaries, and where dS_n/dt is formed the three
+# Lambda_n-shaped and five Xi_n-shaped arrays of _dspins), and 8 floats;
+# per entry, the temporaries of one step; alpha^{-1}.  _closed_form_stack
 # counts its own arrays against the same budget.  Beyond it, an InputError
 # before any allocation.
 STACK_BUDGET = 2 ** 30
@@ -205,42 +215,29 @@ def _solve_each(a, b):
         return x, singular
 
 
-def _recur(alpha_inv, m, lambdas, sigmas, tangents=None):
+def _recur(alpha_inv, m, lambdas, sigmas):
     """Fill the rows n = 1..n_max of the [k, n] arrays ``lambdas`` and
-    ``sigmas``, and of the pair (dlambdas, dsigmas) of ``tangents``, from
-    their rows n = 0, by the steps
+    ``sigmas`` from their rows n = 0, by the steps
 
-    Lambda_{n+1} = Lambda_n + i alpha^{-1} Lambda_n J, for Lambda and dLambda;
+    Lambda_{n+1} = Lambda_n + i alpha^{-1} Lambda_n J;
     Sigma_{n+1}  = herm(Sigma_n + alpha^{-1} (Sigma_n + Lambda_n J Lambda_n*)
-                   alpha^{-*});
-    dSigma_{n+1} = herm(dSigma_n + alpha^{-1} (dSigma_n + C_n + C_n*)
-                   alpha^{-*}), C_n = dLambda_n J Lambda_n*.
+                   alpha^{-*}).
 
     Lambda_n does not depend on Sigma_n: its rows come first, then the
-    forcing terms Lambda_n J Lambda_n* (C_n) of every n in one product,
-    written to the rows of Sigma_{n+1} (dSigma_{n+1}) that they help to
-    make.  Only the Sigma_n steps stay sequential."""
+    forcing terms Lambda_n J Lambda_n* of every n in one product, written
+    to the rows of Sigma_{n+1} that they help to make.  Only the Sigma_n
+    steps stay sequential."""
     j = signature_matrix(m)
     i_alpha_inv = 1j * alpha_inv
     alpha_inv_adj = alpha_inv.conj().T
     n_max = lambdas.shape[1] - 1
-    pairs = [(lambdas, sigmas)] + ([tangents] if tangents else [])
-    dsigmas = tangents[1] if tangents else None
     for n in range(n_max):
-        for lams, _ in pairs:
-            lams[:, n + 1] = lams[:, n] + i_alpha_inv @ lams[:, n] @ j
-    before = _h(lambdas[:, :-1])
-    for lams, sigs in pairs:
-        np.matmul(lams[:, :-1] @ j, before, out=sigs[:, 1:])
+        lambdas[:, n + 1] = lambdas[:, n] + i_alpha_inv @ lambdas[:, n] @ j
+    np.matmul(lambdas[:, :-1] @ j, _h(lambdas[:, :-1]), out=sigmas[:, 1:])
     for n in range(n_max):
         sigma, force = sigmas[:, n], sigmas[:, n + 1]
         sigmas[:, n + 1] = linalg.herm(
             sigma + alpha_inv @ (sigma + force) @ alpha_inv_adj)
-        if tangents:
-            dsigma, cross = dsigmas[:, n], dsigmas[:, n + 1]
-            core = dsigma + cross + _h(cross)
-            dsigmas[:, n + 1] = linalg.herm(
-                dsigma + alpha_inv @ core @ alpha_inv_adj)
 
 
 def _involution_limit(tol: Tolerances):
@@ -274,7 +271,7 @@ def _horizons(horizons, faults):
 
 
 def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
-                   faults=None, tangent=None):
+                   faults=None, resolvents=None):
     """Run the recursion from each (lambda0[k], sigma0[k]) up to horizon
     horizons[k], all over one stack axis, with the guards of ``generate``
     applied to each entry up to its horizon.  An entry that fails a guard
@@ -285,22 +282,19 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     each entry is a read-only view of its rows.  Arrays beyond
     STACK_BUDGET bytes are an InputError.
 
-    ``tangent``, (dLambda_0, dSigma_0) shaped as (lambda0, sigma0), rides
-    along the same recursion (``_recur``) to give dS_n = dXi_n - dXi_{n+1},
-    dXi_n = dLambda_n* X + X* dLambda_n - X* dSigma_n X, X = Sigma_n^{-1}
-    Lambda_n.  The guards (``_guarded``), in order: ||Sigma_n|| >
-    tol.sigma_overflow, cond(Sigma_n) > tol.cond_limit, Sigma_n singular,
-    ||S_n^2 - I|| not finite, then above 100 tol.spin_tol max(1, cond_n
-    cond_{n+1}).
+    With ``resolvents``, the pair (alpha -/+ iI)^{-1}, the stack carries
+    dS_n/dt (``_dspins``).  The guards (``_guarded``), in order:
+    ||Sigma_n|| > tol.sigma_overflow, cond(Sigma_n) > tol.cond_limit,
+    Sigma_n singular, ||S_n^2 - I|| not finite, then above 100
+    tol.spin_tol max(1, cond_n cond_{n+1}).
     """
     n_max = int(max([0, *horizons]))
     rows = 1 if lambda0.ndim == 2 else len(horizons)
     order, width = lambda0.shape[-2:]
-    copies = 1 + (tangent is not None)
     lam, sigma, xi = order * width, order * order, width * width
-    per_site = 16 * (copies * (lam + sigma) + (copies + 1) * lam
-                     + (3 * copies + 2) * xi) + 64
-    step = 16 * copies * (4 * sigma + 3 * lam)
+    copies = 1 + (resolvents is not None)   # _dspins holds as many again
+    per_site = 16 * (3 * copies * lam + sigma + 5 * copies * xi) + 64
+    step = 16 * (4 * sigma + 3 * lam)
     _check_budget(n_max, rows * ((n_max + 1) * per_site + step)
                   + 16 * (6 * sigma + xi))
     horizons, faults = _horizons(horizons, faults)
@@ -320,35 +314,46 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
         return a
 
     lambdas, sigmas = rows_of(lambda0), rows_of(sigma0)
-    tangents = None if tangent is None else tuple(map(rows_of, tangent))
     with np.errstate(all="ignore"):
-        _recur(alpha_inv, lambda0.shape[-1] // 2, lambdas, sigmas, tangents)
+        _recur(alpha_inv, lambda0.shape[-1] // 2, lambdas, sigmas)
         solved, singular = _solve_each(sigmas, lambdas)
-        xi, dxi = _xi(lambdas, solved, tangents)
+        xi = _h(lambdas) @ solved
+        dspins = (None if resolvents is None
+                  else _dspins(*resolvents, alpha, lambdas, solved))
     return _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular,
-                    xi, dxi, entries)
+                    xi, dspins, entries)
 
 
-def _xi(lambdas, solved, tangent=None):
-    """(Xi_n = Lambda_n* X, and with a tangent (dLambda_n, dSigma_n)
-    dXi_n = dLambda_n* X + X* dLambda_n - X* dSigma_n X, else None) for
-    X = Sigma_n^{-1} Lambda_n = ``solved``: the same in every basis in
-    which Lambda_n and Sigma_n are given together."""
-    xi = _h(lambdas) @ solved
-    if tangent is None:
-        return xi, None
-    dlambdas, dsigmas = tangent
-    cross = _h(dlambdas) @ solved
-    return xi, cross + _h(cross) - _h(solved) @ dsigmas @ solved
+def _dspins(minus, plus, alpha, lambdas, solved):
+    """dS_n/dt = dXi_n - dXi_{n+1}, n < n_max, from the [k, n] arrays
+    Lambda_n and X = Sigma_n^{-1} Lambda_n (``solved``) of one basis, with
+    (alpha -/+ iI)^{-1} (``minus``, ``plus``) and alpha as matrices there,
+    or as 1-D diagonals in the eigenbasis.  (alpha, Lambda_n(t),
+    Sigma_n(t)) is a time-t triple, so dLambda_n/dt = -2[minus
+    Lambda_n^(1), plus Lambda_n^(2)] and dSigma_n/dt is the Sigma_0 flow
+    (``evolution._flow``) at (Sigma_n, Lambda_n).  Read through X alone
+    (Sigma_n X = Lambda_n), with Q = minus plus:
+
+        dXi_n = dLambda_n* X + X* dLambda_n - X* dSigma_n X = 2 (A + A*),
+        A = (X* Q alpha Lambda_n) J (X* Q Lambda_n)* - i X* Q Lambda_n J."""
+    def times(a, b):        # a b, for a matrix a or the diagonal of one
+        return a[:, None] * b if a.ndim == 1 else a @ b
+
+    j = signature_matrix(lambdas.shape[-1] // 2)
+    x_adj = _h(solved)
+    q_lam = times(minus, times(plus, lambdas))
+    y = x_adj @ q_lam
+    a = (x_adj @ times(alpha, q_lam)) @ j @ _h(y) - 1j * y @ j
+    dxi = a + _h(a)
+    return 2.0 * (dxi[:, :-1] - dxi[:, 1:])
 
 
-def _cauchy(d, a, b):
-    """(C, C_jk / (d_j - conj d_k)) with C = i A B*, over the last two
-    axes: with A = B = Lam', the second is the solution Sig' of
-    diag(d) Sig' - Sig' diag(d)* = i Lam' Lam'*, a Cauchy-like matrix
-    (Gohberg, Kailath & Olshevsky, Math. Comp. 64, 1995), wherever
-    d_j != conj d_k."""
-    c = 1j * a @ _h(b)
+def _cauchy(d, lam):
+    """(C, C_jk / (d_j - conj d_k)) with C = i Lam' Lam'*, over the last
+    two axes: the second is the solution Sig' of diag(d) Sig' -
+    Sig' diag(d)* = i Lam' Lam'*, a Cauchy-like matrix (Gohberg, Kailath &
+    Olshevsky, Math. Comp. 64, 1995), wherever d_j != conj d_k."""
+    c = 1j * lam @ _h(lam)
     return c, c / (d[:, None] - d.conj()[None, :])
 
 
@@ -368,34 +373,33 @@ def _record_non_finite(faults, where, named):
                     NumericError(f"{name} contains non-finite entries"))
 
 
-def _closed_form_stack(basis, start, lam, dlam, kept, horizons, tol, faults):
+def _closed_form_stack(basis, start, lam, resolvents, kept, horizons, tol,
+                       faults):
     """The LatticeStack of ``generate_stack``, in closed form in the
     eigenbasis (d, V, V^{-1}) of alpha, all the [k, n] rows in one batch
-    with no loop over n.  Entry k starts from the primed
-    Lam'_0 = ``lam[k]`` (Lambda_0 = V Lam'_0), with the tangent
-    ``dlam[k]`` unless ``dlam`` is None; an entry of the mask ``kept``
-    starts from ``start``, (Lambda_0, Sigma_0) in the original basis,
-    itself.
+    with no loop over n.  Entry k starts from the primed Lam'_0 =
+    ``lam[k]`` (Lambda_0 = V Lam'_0); an entry of the mask ``kept`` starts
+    from ``start``, (Lambda_0, Sigma_0) in the original basis, itself.
+    With ``resolvents``, the diagonals 1/(d -/+ i) of (alpha -/+ iI)^{-1},
+    the stack carries dS_n/dt (``_dspins`` on the primed arrays).
 
     Lam'_n = diag(1 + i/d)^n Lam'^(1)_0 and diag(1 - i/d)^n Lam'^(2)_0
-    (``lambda_closed_form``), and dLam'_n the same of dLam'_0.  In the
-    eigenbasis the step of Sig'_n = V^{-1} Sigma_n V^{-*} multiplies each
-    entry by M_jk = 1 + 1/(d_j conj d_k) and adds the forcing term of
-    Lam'_n.  The Cauchy quotient C(Lam'_n) (``_cauchy``), the solution of
-    the identity alpha Sigma_n - Sigma_n alpha* = i Lambda_n Lambda_n*, is
-    one solution of that step, so
+    (``lambda_closed_form``).  In the eigenbasis the step of Sig'_n =
+    V^{-1} Sigma_n V^{-*} multiplies each entry by M_jk = 1 + 1/(d_j
+    conj d_k) and adds the forcing term of Lam'_n.  The Cauchy quotient
+    C(Lam'_n) (``_cauchy``), the solution of the identity alpha Sig -
+    Sig alpha* = i Lambda_n Lambda_n*, is one solution of that step, so
 
         Sig'_n = C(Lam'_n) + M^n o (V^{-1} Sigma_0 V^{-*} - C(Lam'_0)),
 
     entrywise, for every Hermitian Sigma_0.  The second term vanishes on
     a start that meets the identity, as a time-t start does by its
     construction; it is formed for the entries of ``kept`` alone, whose
-    row n = 0 is Sigma_0 itself.  With a tangent, dSig'_n = Q + Q*, Q the
-    quotient of (dLam'_n, Lam'_n).  X' = Sig'^{-1} Lam' is one batched
-    solve, and Xi_n and dXi_n (``_xi``) are those of the original basis,
-    so S_n and dS_n/dt are read here.  Sigma_n = V Sig'_n V* is rotated
-    back for the guards, and Lambda_n = V Lam'_n and Sigma_n^{-1}
-    Lambda_n = V^{-*} X' for the stack.
+    row n = 0 is Sigma_0 itself.  X' = Sig'^{-1} Lam' is one batched
+    solve, and Xi_n = Lam'* X' is that of the original basis, so S_n and
+    dS_n/dt are read here.  Sigma_n = V Sig'_n V* is rotated back for the
+    guards, and Lambda_n = V Lam'_n and Sigma_n^{-1} Lambda_n = V^{-*} X'
+    for the stack.
 
     Before the guards, an entry not ``kept`` fails on its row n = 0, on
     the first of: Lambda_0, C = i Lam'_0 Lam'_0*, Sigma_0 not finite
@@ -404,23 +408,21 @@ def _closed_form_stack(basis, start, lam, dlam, kept, horizons, tol, faults):
     d, v, v_inv = basis
     rows, order, width = lam.shape
     n_max = int(max([0, *horizons]))
-    tangent = dlam is not None
+    derivative = resolvents is not None
     # per site and entry: arrays shaped as Lambda_n (Lam', Lambda_n, X',
-    # V^{-*} X', and dLam' with a tangent), as Sigma_n (C, Sig', Sigma_n,
-    # two temporaries, and Q and dSig' with a tangent, or the M^n term of
-    # a kept entry and its product without), as Xi_n (Xi, S_n and its
-    # temporaries, and dXi, dS_n with theirs with a tangent), and 8 floats
+    # V^{-*} X', three of _dspins), as Sigma_n (C, Sig', Sigma_n, two
+    # temporaries, the M^n term of a kept entry and its product), as Xi_n
+    # (Xi, S_n and its temporaries, five of _dspins), and 8 floats
     _check_budget(n_max, rows * (n_max + 1) * (
-        16 * ((4 + tangent) * order * width + 7 * order * order
-              + (5 + 4 * tangent) * width * width) + 64))
+        16 * ((4 + 3 * derivative) * order * width + 7 * order * order
+              + (5 + 5 * derivative) * width * width) + 64))
     horizons, faults = _horizons(horizons, faults)
     m = width // 2
     with np.errstate(all="ignore"):
         sites = np.arange(n_max + 1)[:, None, None]
-        powers = np.repeat(np.stack([1.0 + 1j / d, 1.0 - 1j / d], axis=-1),
-                           m, axis=-1) ** sites
-        lams = powers * lam[:, None]
-        c, sigmas_p = _cauchy(d, lams, lams)
+        lams = np.repeat(np.stack([1.0 + 1j / d, 1.0 - 1j / d], axis=-1),
+                         m, axis=-1) ** sites * lam[:, None]
+        c, sigmas_p = _cauchy(d, lams)
         c = c[:, 0].copy()                  # its check reads n = 0 alone
         lambdas = v @ lams
         if kept.any():
@@ -437,25 +439,21 @@ def _closed_form_stack(basis, start, lam, dlam, kept, horizons, tol, faults):
             lambdas[kept, 0] = lambda0
             sigmas[kept, 0] = sigma0
         solved, singular = _solve_each(sigmas_p, lams)
-        if tangent:
-            dlams = powers * dlam[:, None]
-            q = _cauchy(d, dlams, lams)[1]
-            xi, dxi = _xi(lams, solved, (dlams, q + _h(q)))
-        else:
-            xi, dxi = _xi(lams, solved)
+        xi = _h(lams) @ solved
+        dspins = (None if resolvents is None
+                  else _dspins(*resolvents, d, lams, solved))
     return _guarded(horizons, faults, tol, lambdas, sigmas,
-                    _h(v_inv) @ solved, singular, xi, dxi)
+                    _h(v_inv) @ solved, singular, xi, dspins)
 
 
 def _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular, xi,
-             dxi=None, entries=lambda a: a):
+             dspins=None, entries=lambda a: a):
     """The LatticeStack of the [rows, n] arrays Lambda_n, Sigma_n, Sigma_n^{-1}
     Lambda_n (``solved``, singular where ``singular``), Xi_n = Lambda_n*
-    Sigma_n^{-1} Lambda_n and its t-derivative ``dxi``: S_n = J + Xi_n -
-    Xi_{n+1}, dS_n/dt = dXi_n - dXi_{n+1}, and the guards of
-    ``generate_stack`` on each entry up to its horizon, in order, each
-    recording the first error of an entry in ``faults``.  ``entries``
-    spreads the rows over the entries."""
+    Sigma_n^{-1} Lambda_n and dS_n/dt (``dspins``, or None): S_n = J +
+    Xi_n - Xi_{n+1}, and the guards of ``generate_stack`` on each entry up
+    to its horizon, in order, each recording the first error of an entry
+    in ``faults``.  ``entries`` spreads the rows over the entries."""
     n_max = lambdas.shape[1] - 1
     m = xi.shape[-1] // 2
     with np.errstate(all="ignore"):
@@ -481,9 +479,6 @@ def _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular, xi,
             1.0, conditioning[:, :-1] * conditioning[:, 1:])
         spin_limit = _involution_limit(tol)
         not_involutions = involutions > spin_limit
-        dspins = None
-        if dxi is not None:
-            dspins = entries(linalg.herm(dxi[:, :-1] - dxi[:, 1:]))
     for k, n in _first(guarded[:, 1:] & ~np.isfinite(spin_residuals)):
         _record(faults, [k], NumericError(
             f"||S_{n}^2 - I|| is not finite: the recursion leaves the "
@@ -503,7 +498,7 @@ def _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular, xi,
         involution_residuals=involutions,
         sigma_inv_lambdas=entries(solved),
         faults=faults,
-        dspins=dspins,
+        dspins=None if dspins is None else entries(dspins),
     )
 
 

@@ -113,14 +113,16 @@ def near_defective_triple():
 def routes(calls):
     """The routes taken, one entry per call: the lattice recursion
     (``lattice._recur``) and its closed form (``lattice._closed_form_stack``),
-    the LU solves of W(n, lambda) (``transfer._solve_blocks``, the number of
-    matrices factored) and scipy's Riccati solver.  A test of where a route
+    dS_n/dt from the flow at each site (``lattice._dspins``), the LU solves
+    of W(n, lambda) (``transfer._solve_blocks``, the number of matrices
+    factored) and scipy's Riccati solver.  A test of where a route
     runs reads these, so that moving a route re-points this fixture
     alone."""
     from spinlattice import lattice, transfer
 
     return {"recur": calls(lattice, "_recur"),
             "closed_form": calls(lattice, "_closed_form_stack"),
+            "dspins": calls(lattice, "_dspins"),
             "lu": calls(transfer, "_solve_blocks",
                         lambda a, *args, **kwargs: a[..., 0, 0].size),
             "care": calls(scipy.linalg, "solve_continuous_are")}

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import warnings
 
@@ -7,7 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinlattice import evolution, lattice, linalg
+from spinlattice import cli, evolution, lattice, linalg, serialize
 from spinlattice import (
     ParameterTriple,
     evolve_lambda0,
@@ -402,11 +404,12 @@ def _per_time_closed_form(triple, t, n_max):
     """The per-time arithmetic of the closed-form grid, on 2-D arrays, one
     site at a time: in the eigenbasis of alpha = V diag(d) V^{-1}, refined
     by ``linalg._refined``, Lam'_0(t) from elementwise exponentials of
-    -2t/(d -/+ i) (V^{-1} Lambda_0 at t = 0) with its t-derivative,
-    Lam'_n from the powers (1 +/- i/d)^n, Sig'_n and dSig'_n from the
-    Cauchy formula, at t = 0 Sigma_0 itself and, at n >= 1, the term
-    M^n o (V^{-1} Sigma_0 V^{-*} - Sig'_0) with M_jk = 1 + 1/(d_j conj d_k)
-    added to Sig'_n, and S_n, dS_n/dt from Xi_n.
+    -2t/(d -/+ i) (V^{-1} Lambda_0 at t = 0), Lam'_n from the powers
+    (1 +/- i/d)^n, Sig'_n from the Cauchy formula, at t = 0 Sigma_0 itself
+    and, at n >= 1, the term M^n o (V^{-1} Sigma_0 V^{-*} - Sig'_0) with
+    M_jk = 1 + 1/(d_j conj d_k) added to Sig'_n, S_n from Xi_n, and
+    dS_n/dt from the flow at each site on the primed arrays
+    (``_per_site_flow``).
     Returns ``_per_time_lattice``'s tuple with dS_n/dt appended, or None
     where the spectrum leaves the open upper half plane or cond(V) exceeds
     EIGENBASIS_COND."""
@@ -418,9 +421,9 @@ def _per_time_closed_form(triple, t, n_max):
         return None
     d, v = linalg._refined(a, d, v)
     v_inv = np.linalg.solve(v, np.eye(a.shape[0], dtype=complex))
-    r = np.stack([1.0 / (d - 1j), 1.0 / (d + 1j)], axis=-1)
+    minus, plus = 1.0 / (d - 1j), 1.0 / (d + 1j)
+    r = np.stack([minus, plus], axis=-1)
     lam = np.exp((-2.0 * t) * r) * (v_inv @ triple.lambda0)
-    dlam = -2.0 * r * lam
     if t == 0:
         lam = v_inv @ triple.lambda0
     gaps = d[:, None] - d.conj()[None, :]
@@ -428,15 +431,14 @@ def _per_time_closed_form(triple, t, n_max):
     powers = (np.stack([1.0 + 1j / d, 1.0 - 1j / d], axis=-1)
               ** np.arange(n_max + 1)[:, None, None])
     sigma0 = v_inv @ triple.sigma0 @ v_inv.conj().T
-    lambdas, sigmas, solved, xi, dxi = [], [], [], [], []
+    lambdas, sigmas, solved, xi, primed = [], [], [], [], []
     for n in range(n_max + 1):
-        lam_n, dlam_n = powers[n] * lam, powers[n] * dlam
+        lam_n = powers[n] * lam
         sigma = 1j * lam_n @ lam_n.conj().T / gaps
         if t == 0:
             if n == 0:
                 gap = sigma0 - sigma
             sigma = sigma + growth ** n * gap
-        q = 1j * dlam_n @ lam_n.conj().T / gaps
         lambdas.append(v @ lam_n)
         sigmas.append(_herm(v @ sigma @ v.conj().T))
         if n == 0 and t == 0:
@@ -445,8 +447,7 @@ def _per_time_closed_form(triple, t, n_max):
         x = np.linalg.solve(sigma, lam_n)
         solved.append(v_inv.conj().T @ x)
         xi.append(lam_n.conj().T @ x)
-        cross = dlam_n.conj().T @ x
-        dxi.append(cross + cross.conj().T - x.conj().T @ (q + q.conj().T) @ x)
+        primed.append((lam_n, x))
     j = signature_matrix(1)
     spins = [_herm(j + xi[n] - xi[n + 1]) for n in range(n_max)]
     return (lambdas, sigmas, solved,
@@ -454,7 +455,7 @@ def _per_time_closed_form(triple, t, n_max):
             [float(np.linalg.norm(s @ s - np.eye(2), "fro")) for s in spins],
             [np.array([s[1, 0].real, s[1, 0].imag, s[0, 0].real])
              for s in spins],
-            [_herm(dxi[n] - dxi[n + 1]) for n in range(n_max)])
+            _per_site_flow(minus, plus, d, *zip(*primed)))
 
 
 def _per_time_schur_triple(triple, t):
@@ -494,20 +495,25 @@ def _per_time_schur_triple(triple, t):
                            sigma0=sigma)
 
 
-def _per_time_flow_derivatives(triple):
-    """dLambda_0 from the propagators and dSigma_0 the right-hand side of
-    the Sigma_0 flow, at the time-t triple ``triple``."""
-    a = triple.alpha
-    i_n = np.eye(a.shape[0], dtype=complex)
+def _per_site_flow(minus, plus, alpha, lambdas, solved):
+    """dS_n/dt, n < N, from the flow at each site, one site and one product
+    at a time: dXi_n = 2 (A + A*), A = (X* Q alpha Lambda_n) J
+    (X* Q Lambda_n)* - i X* Q Lambda_n J, X = Sigma_n^{-1} Lambda_n and
+    Q = (alpha - iI)^{-1} (alpha + iI)^{-1}, with the resolvents ``minus``,
+    ``plus`` and alpha as matrices, or as 1-D diagonals in the eigenbasis
+    of alpha."""
+    def times(a, b):
+        return a[:, None] * b if a.ndim == 1 else a @ b
+
     j = signature_matrix(1)
-    minus = np.linalg.solve(a - 1j * i_n, i_n)
-    plus = np.linalg.solve(a + 1j * i_n, i_n)
-    q = minus @ plus
-    r = minus + plus
-    lam, sigma = triple.lambda0, triple.sigma0
-    term = (q @ a @ lam) @ j @ (q @ lam).conj().T
-    return (-2.0 * np.hstack([minus @ lam[:, :1], plus @ lam[:, 1:]]),
-            -(r @ sigma + sigma @ r.conj().T + 2.0 * (term + term.conj().T)))
+    dxi = []
+    for lam, x in zip(lambdas, solved, strict=True):
+        q_lam = times(minus, times(plus, lam))
+        y = x.conj().T @ q_lam
+        a = ((x.conj().T @ times(alpha, q_lam)) @ j @ y.conj().T
+             - (1j * y) @ j)
+        dxi.append(a + a.conj().T)
+    return [2.0 * (dxi[n] - dxi[n + 1]) for n in range(len(dxi) - 1)]
 
 
 def _per_time_lattice(triple, n_max):
@@ -533,42 +539,22 @@ def _per_time_lattice(triple, n_max):
             vectors)
 
 
-def _per_time_tangent(triple, dlam, dsigma, lambdas, solved):
-    """dS_n/dt, n < N, by the 2-D forward-mode recursion from the
-    derivatives of the time-t triple, one step and one product at a
-    time."""
-    a = triple.alpha
-    i_n = np.eye(a.shape[0], dtype=complex)
-    j = signature_matrix(1)
-    dlams, dsigmas = [dlam], [dsigma]
-    a_inv = np.linalg.solve(a, i_n)
-    for lam in lambdas[:-1]:
-        dlam, dsigma = dlams[-1], dsigmas[-1]
-        cross = dlam @ j @ lam.conj().T
-        core = dsigma + cross + cross.conj().T
-        dlams.append(dlam + 1j * a_inv @ dlam @ j)
-        dsigmas.append(_herm(dsigma + a_inv @ core @ a_inv.conj().T))
-    dxi = []
-    for dlam, dsigma, x in zip(dlams, dsigmas, solved):
-        cross = dlam.conj().T @ x
-        dxi.append(cross + cross.conj().T - x.conj().T @ dsigma @ x)
-    return [_herm(dxi[n] - dxi[n + 1]) for n in range(len(dxi) - 1)]
-
-
 def _per_time_states(triple, t, n_max):
     """``_per_time_lattice``'s tuple at time t, with dS_n/dt appended, by
     the route of the grid: the closed form where the eigenbasis of alpha
     is admitted (``_per_time_closed_form``); else the time-t triple of
-    ``_per_time_schur_triple``, its derivatives of
-    ``_per_time_flow_derivatives``, the recursion and the tangent
-    recursion."""
+    ``_per_time_schur_triple``, the recursion and the flow at each site
+    (``_per_site_flow``) with the resolvents of alpha."""
     closed = _per_time_closed_form(triple, t, n_max)
     if closed is not None:
         return closed
     moved = _per_time_schur_triple(triple, t)
     lattice = _per_time_lattice(moved, n_max)
-    return (*lattice, _per_time_tangent(
-        moved, *_per_time_flow_derivatives(moved), lattice[0], lattice[2]))
+    a = triple.alpha
+    i_n = np.eye(a.shape[0], dtype=complex)
+    minus = np.linalg.solve(a - 1j * i_n, i_n)
+    plus = np.linalg.solve(a + 1j * i_n, i_n)
+    return (*lattice, _per_site_flow(minus, plus, a, lattice[0], lattice[2]))
 
 
 def _per_time_residuals(triple, t, n_max, lam):
@@ -735,8 +721,8 @@ def test_lax_pair_builds_one_state(ihm_triple, stage_calls, calls):
     eigendecomposition, no run of the recursion, no time-t triple, and no
     matrix exponential or Sylvester solve."""
     horizons = calls(lattice, "_closed_form_stack",
-                     lambda basis, start, lam, dlam, kept, horizons, *args,
-                     **kwargs: list(horizons))
+                     lambda basis, start, lam, resolvents, kept, horizons,
+                     *args, **kwargs: list(horizons))
     recursions = calls(lattice, "_recur")
     batches = calls(evolution, "_triples_at")
     lax_pair(ihm_triple, 2, 0.3, 2.0 + 0.5j)
@@ -944,16 +930,23 @@ def test_triple_at_matches_the_high_precision_oracle(kind, order, m, real, tt,
 
 
 def _assert_the_stage_matches_the_oracle(triple, tt):
-    """Lambda_0(t), Sigma_0(t) of ``_triples_at`` and their t-derivatives
-    of ``_stage_tangent`` within 1e-12 relative (Frobenius) of the 30-digit
-    oracle: its time-t triple on the open upper half plane, and the
-    central difference of that triple at t +/- 1e-15."""
+    """Lambda_0(t), Sigma_0(t) of ``_triples_at`` and the time flow there,
+    dLambda_0/dt = -2[(alpha - iI)^{-1} Lambda_0^(1), (alpha + iI)^{-1}
+    Lambda_0^(2)] from the cached resolvents and dSigma_0/dt of ``_flow``,
+    which ``lattice._dspins`` evaluates at each site, within 1e-12
+    relative (Frobenius) of the 30-digit oracle: its time-t triple on the
+    open upper half plane, and the central difference of that triple at
+    t +/- 1e-15."""
     import oracle
 
     lam, sigma, faults = evolution._triples_at(triple, np.array([tt]),
                                                DEFAULT)
     assert faults == [None]
-    dlam, dsigma = evolution._stage_tangent(triple, lam, sigma, faults)
+    m = triple.m
+    minus, plus = triple._resolvents()
+    dlam = -2.0 * np.concatenate([minus @ lam[..., :m], plus @ lam[..., m:]],
+                                 axis=-1)
+    dsigma = evolution._flow(triple)(sigma, lam)
     want = (*oracle.triple_at(triple, tt, True),
             *oracle.triple_derivatives(triple, tt, True))
     for got, exact in zip((lam[0], sigma[0], dlam[0], dsigma[0]), want,
@@ -996,6 +989,56 @@ def test_a_near_defective_alpha_takes_the_schur_route(delta, stage_calls,
     assert (stage_calls["expm"] == []) == admitted
 
 
+@pytest.mark.parametrize("tt", (0.0, 0.3, -0.45))
+@pytest.mark.parametrize("delta", (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 0.0))
+def test_spin_derivatives_on_the_near_defective_family(delta, tt,
+                                                       near_defective_triple):
+    """Off the eigenbasis, on the Schur stage and the recursion, dS_n/dt of
+    a TimeGrid to horizon 8 meets the 30-digit oracle of tests/oracle.py
+    with the bound of the derivative property above, 1e-12 max(1,
+    ||dS_n/dt||_F), as alpha nears a Jordan block."""
+    pytest.importorskip("mpmath")
+    import oracle
+
+    triple = near_defective_triple(delta)
+    assert triple._eigenbasis(DEFAULT) is None
+    grid = evolution.TimeGrid(triple, [tt], 8)
+    grid.check()
+    want = oracle.spin_derivatives(triple, tt, 8, True)
+    for got, exact in zip(grid.dspins[0], want, strict=True):
+        gap = np.linalg.norm(got - exact)
+        assert gap <= 1e-12 * max(1.0, np.linalg.norm(got))
+
+
+def test_dspins_is_formed_once_per_time_grid(routes, real_mode_triple,
+                                             near_defective_triple):
+    """One ``lattice._dspins`` per TimeGrid, on the closed form (the scalar
+    example) and on the recursion from the time-t triples (the real-mode
+    triple, and the near-defective alpha at delta = 1e-3); the recursion
+    carries no tangent arrays."""
+    for triple, closed in ((example_triple(2.0), True),
+                           (real_mode_triple, False),
+                           (near_defective_triple(1e-3), False)):
+        assert (triple._eigenbasis(DEFAULT) is not None) == closed
+        evolution.TimeGrid(triple, [0.0, 0.3, -0.45], 4).check()
+    assert len(routes["dspins"]) == 3
+    assert len(routes["closed_form"]) == 1
+    assert [len(args) for args in routes["recur"]] == [4, 4]
+
+
+def test_only_the_time_grid_forms_dspins(routes, tmp_path):
+    """``generate`` and the spins command form no dS_n/dt; one verify of an
+    m = 1 triple forms it once, in its horizon-3 TimeGrid."""
+    path = tmp_path / "example.json"
+    path.write_text(serialize.dumps(serialize._triple_doc(example_triple())))
+    generate(example_triple(), 8)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["spins", str(path), "--nmax", "8"]) == 0
+        assert routes["dspins"] == []
+        assert cli.main(["verify", str(path), "--nmax", "8"]) == 0
+    assert len(routes["dspins"]) == 1
+
+
 def _bits(a):
     return a.shape, a.dtype, a.tobytes()
 
@@ -1006,26 +1049,30 @@ def _bits(a):
     ("fg", 1e308, "matrix exponential overflows at t = 1e+308"),
     ("schur", 1e308, "matrix exponential overflows at t = 1e+308"),
 ))
-def test_a_failing_time_keeps_the_triple_with_zero_derivatives(
+def test_a_failing_time_keeps_the_triple_and_is_never_read(
         real_mode_triple, small_triple, near_defective_triple, kind, tt,
         message):
-    """A time that fails returns Lambda_0 and Sigma_0 bit for bit, with
-    zero derivatives, on every route: the flow (the real-mode triple), the
-    eigenbasis (an FG triple) and the Schur solve (the near-defective
-    alpha at delta = 1e-2); the time beside it in the batch moves."""
+    """A time that fails returns Lambda_0 and Sigma_0 bit for bit on every
+    route: the flow (the real-mode triple), the eigenbasis (an FG triple)
+    and the Schur solve (the near-defective alpha at delta = 1e-2); the
+    time beside it in the batch moves.  Its dS_n/dt is never read: in a
+    TimeGrid every read of that time raises its error first."""
     triple = {"real-mode": real_mode_triple, "fg": small_triple,
               "schur": near_defective_triple(1e-2)}[kind]
     with np.errstate(all="ignore"):
         lam, sigma, faults = evolution._triples_at(
             triple, np.array([0.3, tt]), DEFAULT)
-        dlam, dsigma = evolution._stage_tangent(triple, lam, sigma, faults)
     assert faults[0] is None
     assert isinstance(faults[1], NumericError)
     assert str(faults[1]) == message
     assert _bits(lam[1]) == _bits(triple.lambda0)
     assert _bits(sigma[1]) == _bits(triple.sigma0)
-    assert not dlam[1].any() and not dsigma[1].any()
     assert not np.array_equal(lam[0], triple.lambda0)
+    grid = evolution.TimeGrid(triple, [0.3, tt], 3)
+    for read in (grid.check, lambda: grid.ihm_at(1, 1),
+                 lambda: grid.zero_curvature_at(1, 1, 2.0 + 0.5j)):
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            read()
 
 
 def test_time_zero_is_the_triple_on_every_reader():
@@ -1145,10 +1192,11 @@ def test_close_eigenvalues_keep_their_eigenvectors(gap, mixed):
 
 
 def test_the_tangent_is_a_stage_after_the_spin_vectors(monkeypatch):
-    """+/-i in the spectrum of alpha, which the tangent needs, fails the
-    state at t = 0 as at every other time.  A non-finite dS_n/dt fails
-    its time after the state and spin vectors and before the bonds, named
-    by the lowest site n; a read of the Lax pair alone does not meet it."""
+    """+/-i in the spectrum of alpha, where the resolvents that dS_n/dt
+    reads do not exist, fails the state at t = 0 as at every other time,
+    and no dS_n/dt is formed.  A non-finite dS_n/dt fails its time after
+    the state and spin vectors and before the bonds, named by the lowest
+    site n; a read of the Lax pair alone does not meet it."""
     r2 = np.sqrt(2.0)
     triple = ParameterTriple(alpha=np.diag([2j, 1j]), theta1=[[r2], [1.0]],
                              theta2=[[r2], [-1.0]])
@@ -1156,14 +1204,14 @@ def test_the_tangent_is_a_stage_after_the_spin_vectors(monkeypatch):
     for read in (grid.check, lambda: grid.state(0)):
         with pytest.raises(SpectrumError, match=PLUS_MINUS_I):
             read()
+    assert np.isnan(grid.dspins).all()
 
-    closed_form_stack = evolution._closed_form_stack
+    dspins = lattice._dspins
 
-    def overflowing(basis, start, lam, dlam, *args):
-        return closed_form_stack(basis, start, lam, np.full_like(dlam, np.inf),
-                                 *args)
+    def overflowing(*args):
+        return np.full_like(dspins(*args), np.inf)
 
-    monkeypatch.setattr(evolution, "_closed_form_stack", overflowing)
+    monkeypatch.setattr(lattice, "_dspins", overflowing)
     grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
     with pytest.raises(NumericError, match=re.escape(
             "dS_1/dt contains non-finite entries")) as info:
@@ -1200,13 +1248,14 @@ def test_a_vanishing_bond_is_the_stage_after_the_tangent(monkeypatch):
         with pytest.raises(DegeneracyError, match=message):
             read()
 
-    closed_form_stack = evolution._closed_form_stack
+    dspins = lattice._dspins
 
-    def overflowing(basis, start, lam, dlam, *args):
-        dlam[1] = np.inf
-        return closed_form_stack(basis, start, lam, dlam, *args)
+    def overflowing(*args):
+        derivatives = dspins(*args)
+        derivatives[1] = np.inf
+        return derivatives
 
-    monkeypatch.setattr(evolution, "_closed_form_stack", overflowing)
+    monkeypatch.setattr(lattice, "_dspins", overflowing)
     grid = evolution.TimeGrid(example_triple(2), [0.0, 0.3], 4)
     with pytest.raises(NumericError, match=re.escape(
             "dS_2/dt contains non-finite entries")):

@@ -383,50 +383,53 @@ def test_stack_budget_counts_the_arrays_of_every_entry(monkeypatch):
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(order=st.integers(1, 16), m=st.integers(1, 3), tangent=st.booleans(),
+@given(order=st.integers(1, 16), m=st.integers(1, 3), derivative=st.booleans(),
        rows=st.integers(1, 3), horizon=st.integers(64, 512))
-def test_stack_budget_bounds_the_traced_peak(order, m, tangent, rows,
+def test_stack_budget_bounds_the_traced_peak(order, m, derivative, rows,
                                              horizon):
     """At a budget of its tracemalloc peak less one byte, a run is refused:
-    the budget counts every array that generate_stack holds at once.  The
-    horizons have 64 sites or more, where the arrays outweigh the few kB of
-    Python objects of a call."""
+    the budget counts every array that generate_stack holds at once, with
+    and without dS_n/dt.  The horizons have 64 sites or more, where the
+    arrays outweigh the few kB of Python objects of a call."""
     t = random_admissible_triple(np.random.default_rng(order + 16 * m), order,
                                  m)
     start = (t.alpha, np.stack([t.lambda0] * rows),
              np.stack([t.sigma0] * rows), [horizon] * rows)
-    tangents = start[1:3] if tangent else None
+    resolvents = t._resolvents() if derivative else None
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        lattice.generate_stack(*start, tangent=tangents)
+        lattice.generate_stack(*start, resolvents=resolvents)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice, "STACK_BUDGET", peak - 1)
         with pytest.raises(InputError, match=f"horizon {horizon} "):
-            lattice.generate_stack(*start, tangent=tangents)
+            lattice.generate_stack(*start, resolvents=resolvents)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(order=st.integers(1, 8), m=st.integers(1, 3), rows=st.integers(1, 3),
-       horizon=st.integers(64, 256), tangent=st.booleans(),
+       horizon=st.integers(64, 256), derivative=st.booleans(),
        kept=st.integers(0, 3))
 def test_closed_form_budget_bounds_the_traced_peak(order, m, rows, horizon,
-                                                   tangent, kept):
+                                                   derivative, kept):
     """The same of the closed-form stack in the eigenbasis of alpha, which
     holds the primed arrays beside those of the original basis, with and
-    without a tangent, and with up to ``kept`` entries that start from the
-    triple itself; traced after a first run, which makes the one-time
-    caches of its calls."""
+    without dS_n/dt (given the diagonals 1/(d -/+ i) of the resolvents),
+    and with up to ``kept`` entries that start from the triple itself;
+    traced after a first run, which makes the one-time caches of its
+    calls."""
     t = random_admissible_triple(np.random.default_rng(order + 16 * m), order,
                                  m)
     basis = t._eigenbasis(DEFAULT)
     assume(basis is not None)
     lam = np.stack([basis[2] @ t.lambda0] * rows)
-    start = (basis, (t.lambda0, t.sigma0), lam, lam if tangent else None,
+    d = basis[0]
+    resolvents = (1.0 / (d - 1j), 1.0 / (d + 1j)) if derivative else None
+    start = (basis, (t.lambda0, t.sigma0), lam, resolvents,
              np.arange(rows) < kept, [horizon] * rows, DEFAULT)
     with np.errstate(all="ignore"):
         lattice._closed_form_stack(*start, None)
@@ -482,7 +485,7 @@ def test_lattice_powers_are_numpys_matrix_powers_bit_for_bit(order, seed, ns):
         assert np.array_equal(got, want)
 
 
-def _recur_step_by_step(alpha_inv, m, lambdas, sigmas, tangents=None):
+def _recur_step_by_step(alpha_inv, m, lambdas, sigmas):
     """The recursion as one step per n, each step forming its own Lambda_n J
     Lambda_n*: the reference of ``_recur``."""
     j = signature_matrix(m)
@@ -494,14 +497,6 @@ def _recur_step_by_step(alpha_inv, m, lambdas, sigmas, tangents=None):
         core = sigma + lam @ j @ lattice._h(lam)
         sigma_next = sigma + alpha_inv @ core @ alpha_inv_adj
         sigmas[:, n + 1] = linalg.herm(sigma_next)
-        if tangents:
-            dlambdas, dsigmas = tangents
-            dlam, dsigma = dlambdas[:, n], dsigmas[:, n]
-            cross = dlam @ j @ lattice._h(lam)
-            core = dsigma + cross + lattice._h(cross)
-            dlambdas[:, n + 1] = dlam + i_alpha_inv @ dlam @ j
-            dsigmas[:, n + 1] = linalg.herm(
-                dsigma + alpha_inv @ core @ alpha_inv_adj)
 
 
 def _same_bits(a, b):
@@ -518,12 +513,12 @@ def _same_bits(a, b):
        horizons=st.lists(st.integers(0, 14), min_size=1, max_size=3),
        scales=st.lists(st.sampled_from([1.0, 1e7, 1e150]), min_size=3,
                        max_size=3),
-       shared=st.booleans(), with_tangent=st.booleans())
+       shared=st.booleans(), with_derivative=st.booleans())
 def test_generate_stack_is_the_step_by_step_recursion(
-        order, m, seed, horizons, scales, shared, with_tangent):
+        order, m, seed, horizons, scales, shared, with_derivative):
     """Every array and every fault of a stack, faulting entries included,
-    with and without a tangent, are those of the recursion run one step
-    per n."""
+    with and without dS_n/dt, are those of the recursion run one step per
+    n."""
     rng = np.random.default_rng(seed)
     t = random_admissible_triple(rng, order, m)
     k = len(horizons)
@@ -533,14 +528,11 @@ def test_generate_stack_is_the_step_by_step_recursion(
         lam0 = np.stack([scales[i] * (t.lambda0 + rng.standard_normal(
             t.lambda0.shape)) for i in range(k)])
         sigma0 = np.stack([scales[i] ** 2 * t.sigma0 for i in range(k)])
-    tangent = None
-    if with_tangent:
-        tangent = (rng.standard_normal(lam0.shape) + 0j,
-                   linalg.herm(rng.standard_normal(sigma0.shape) + 0j))
+    resolvents = t._resolvents() if with_derivative else None
 
     def run():
         return lattice.generate_stack(t.alpha, lam0, sigma0, horizons,
-                                      tangent=tangent)
+                                      resolvents=resolvents)
 
     got = run()
     with pytest.MonkeyPatch.context() as patch:

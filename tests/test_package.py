@@ -7,6 +7,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from spinlattice import (generate, ihm_residual, k_residual,
                          positivity_interval, random_admissible_triple,
                          spin_evolution, summability_diagnostic,
                          zero_curvature_residual)
+from spinlattice.errors import NumericError
+from spinlattice.worked_example import example_triple
 
 PACKAGE = pathlib.Path(spinlattice.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE)]))
@@ -274,53 +277,70 @@ def test_the_public_surface_is_pinned():
     assert _doors() == SURFACE
 
 
-@pytest.mark.parametrize("call, match", [
-    pytest.param(lambda t, s: k_residual(s, -1), r"site -1 outside 0\.\.2 ",
-                 id="k_residual-negative-site"),
-    pytest.param(lambda t, s: k_residual(s, 3), r"site 3 outside 0\.\.2 ",
-                 id="k_residual-site-past-horizon"),
-    pytest.param(lambda t, s: spin_evolution(t, -1, 0.1),
-                 r"site n >= 0, got -1", id="spin_evolution-negative-site"),
-    pytest.param(lambda t, s: lambda_closed_form(t, -1),
-                 r"^lambda_closed_form needs a site n >= 0, got -1$",
-                 id="lambda_closed_form-negative-site"),
-    pytest.param(lambda t, s: lambda_n_at(t, -1, 0.1),
-                 r"^lambda_n_at needs a site n >= 0, got -1$",
-                 id="lambda_n_at-negative-site"),
-    pytest.param(lambda t, s: zero_curvature_residual(t, 0, 0.1, 2.0),
-                 r"^zero_curvature_residual needs a site n >= 1, got 0$",
-                 id="zero_curvature_residual-site-zero"),
-    pytest.param(lambda t, s: ihm_residual(t, -1, 0.1),
-                 r"^ihm_residual needs a site n >= 1, got -1$",
-                 id="ihm_residual-negative-site"),
-    pytest.param(lambda t, s: lax_pair(t, 0, 0.1, 2.0),
-                 r"^lax_pair needs a site n >= 1, got 0$",
-                 id="lax_pair-site-zero"),
-    pytest.param(lambda t, s: lax_pair(t, -2, 0.1, 2.0),
-                 r"^lax_pair needs a site n >= 1, got -2$",
-                 id="lax_pair-negative-site"),
-    pytest.param(lambda t, s: generate(t, -1), r"n_max must be non-negative",
-                 id="generate-negative-horizon"),
-    pytest.param(lambda t, s: summability_diagnostic(t, -2j, n_terms=0),
-                 r"n_terms >= 1, got 0", id="summability-no-terms"),
-    pytest.param(lambda t, s: positivity_interval(t, step=0),
-                 r"step > 0 .*, got step = 0", id="positivity-zero-step"),
-    pytest.param(lambda t, s: positivity_interval(t, step=-0.1),
-                 r"step > 0 .*, got step = -0\.1",
-                 id="positivity-negative-step"),
-    pytest.param(lambda t, s: positivity_interval(t, t_max=np.inf),
-                 r"t_max >= 0, got inf", id="positivity-infinite-t_max"),
-    pytest.param(lambda t, s: positivity_interval(t, t_max=-1.0),
-                 r"t_max >= 0, got -1\.0", id="positivity-negative-t_max"),
-    pytest.param(lambda t, s: positivity_interval(t, t_max=1e300, step=1e-300),
-                 r"finite t_max / step, got step = 1e-300",
-                 id="positivity-overflowing-step-count"),
+def _refused(call, match, id, error=ValueError):
+    """A case of the hostile-input parametrize below: ``call`` raises
+    ``error`` with a message that matches ``match``."""
+    return pytest.param(call, error, match, id=id)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    _refused(lambda t, s: k_residual(s, -1), r"site -1 outside 0\.\.2 ",
+             id="k_residual-negative-site"),
+    _refused(lambda t, s: k_residual(s, 3), r"site 3 outside 0\.\.2 ",
+             id="k_residual-site-past-horizon"),
+    _refused(lambda t, s: spin_evolution(t, -1, 0.1),
+             r"site n >= 0, got -1", id="spin_evolution-negative-site"),
+    _refused(lambda t, s: lambda_closed_form(t, -1),
+             r"^lambda_closed_form needs a site n >= 0, got -1$",
+             id="lambda_closed_form-negative-site"),
+    _refused(lambda t, s: lambda_closed_form(example_triple(2.0), 2000),
+             r"^Lambda_2000 is not finite: the lattice powers leave ",
+             id="lambda_closed_form-overflowing-site", error=NumericError),
+    _refused(lambda t, s: lambda_n_at(example_triple(2.0), 10 ** 6, 0.3),
+             r"^Lambda_1000000 is not finite: the lattice powers leave ",
+             id="lambda_n_at-overflowing-site", error=NumericError),
+    _refused(lambda t, s: lambda_n_at(t, -1, 0.1),
+             r"^lambda_n_at needs a site n >= 0, got -1$",
+             id="lambda_n_at-negative-site"),
+    _refused(lambda t, s: zero_curvature_residual(t, 0, 0.1, 2.0),
+             r"^zero_curvature_residual needs a site n >= 1, got 0$",
+             id="zero_curvature_residual-site-zero"),
+    _refused(lambda t, s: ihm_residual(t, -1, 0.1),
+             r"^ihm_residual needs a site n >= 1, got -1$",
+             id="ihm_residual-negative-site"),
+    _refused(lambda t, s: lax_pair(t, 0, 0.1, 2.0),
+             r"^lax_pair needs a site n >= 1, got 0$",
+             id="lax_pair-site-zero"),
+    _refused(lambda t, s: lax_pair(t, -2, 0.1, 2.0),
+             r"^lax_pair needs a site n >= 1, got -2$",
+             id="lax_pair-negative-site"),
+    _refused(lambda t, s: generate(t, -1), r"n_max must be non-negative",
+             id="generate-negative-horizon"),
+    _refused(lambda t, s: summability_diagnostic(t, -2j, n_terms=0),
+             r"n_terms >= 1, got 0", id="summability-no-terms"),
+    _refused(lambda t, s: positivity_interval(t, step=0),
+             r"step > 0 .*, got step = 0", id="positivity-zero-step"),
+    _refused(lambda t, s: positivity_interval(t, step=-0.1),
+             r"step > 0 .*, got step = -0\.1",
+             id="positivity-negative-step"),
+    _refused(lambda t, s: positivity_interval(t, t_max=np.inf),
+             r"t_max >= 0, got inf", id="positivity-infinite-t_max"),
+    _refused(lambda t, s: positivity_interval(t, t_max=-1.0),
+             r"t_max >= 0, got -1\.0", id="positivity-negative-t_max"),
+    _refused(lambda t, s: positivity_interval(t, t_max=1e300, step=1e-300),
+             r"finite t_max / step, got step = 1e-300",
+             id="positivity-overflowing-step-count"),
 ])
-def test_site_term_and_step_arguments_are_checked_where_they_enter(call,
-                                                                   match):
+def test_site_term_and_step_arguments_are_checked_where_they_enter(
+        call, error, match):
     """A ValueError naming the argument and its range, not an IndexError,
     ZeroDivisionError or OverflowError further in, nor a value read from
-    the wrong site or an empty march."""
+    the wrong site or an empty march; and a NumericError naming the site
+    where Lambda_n leaves the floating point range, not NaN.  No numpy
+    warning is emitted."""
     triple = random_admissible_triple(np.random.default_rng(1), 2, 1)
-    with pytest.raises(ValueError, match=match):
-        call(triple, generate(triple, 3))
+    state = generate(triple, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call(triple, state)

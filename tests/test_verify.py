@@ -98,8 +98,8 @@ def test_verify_builds_each_shared_quantity_once(calls, stage_calls, n_max,
                     lambda alpha, lambda0, sigma0, horizons, *args,
                     **kwargs: len(horizons))
     closed = calls(lattice, "_closed_form_stack",
-                   lambda basis, start, lam, dlam, kept, horizons, *args,
-                   **kwargs: len(horizons))
+                   lambda basis, start, lam, resolvents, kept, horizons,
+                   *args, **kwargs: len(horizons))
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
     results = run_checks(triple, n_max=n_max)
     assert all(np.isfinite(r.residual) for r in results)     # none raised
@@ -155,8 +155,8 @@ def test_verify_batches_its_shared_work(calls, n_max, state_horizons):
                 int(h) for h in horizons]),
         "_closed_form_stack": calls(
             lattice, "_closed_form_stack",
-            lambda basis, start, lam, dlam, kept, horizons, *args, **kwargs: [
-                int(h) for h in horizons]),
+            lambda basis, start, lam, resolvents, kept, horizons, *args,
+            **kwargs: [int(h) for h in horizons]),
         "validate": calls(triples, "validate",
                           lambda triple, *args, **kwargs: triple.order)}
     for triple in (random_admissible_triple(np.random.default_rng(5), 3, 1),
