@@ -22,7 +22,7 @@ from .errors import (DegeneracyError, DimensionError, InputError,
 from .lattice import (_cauchy, _check_site, _closed_form_stack, _finite, _h,
                       _lattice_powers, _live, _record, _record_non_finite,
                       generate_stack)
-from .transfer import Transfer, _g
+from .transfer import Transfer, _g, _j_diagonals
 from .triples import ParameterTriple, projectors, signature_matrix
 from .weyl import _realization
 
@@ -646,7 +646,7 @@ class TimeGrid:
         if lam not in self._zero_curvature:
             sites = slice(1, self.n_max - 1)
             f = _lax_f(*self._v_pairs, lam)
-            g = _g(self.spins[:, sites], lam)
+            g = _g(self.spins[:, sites], [lam])[..., 0, :, :]
             with np.errstate(all="ignore"):
                 dg = (-1j / lam) * self.dspins[:, sites]
                 self._zero_curvature[lam] = linalg.frob_norms(
@@ -707,7 +707,7 @@ class TimeGrid:
         h_plus = 2.0 * w(n, 1j) @ p_plus @ w(n, -1j).conj().T
         h_minus = 2.0 * w(n, -1j) @ p_minus @ w(n, 1j).conj().T
         return LaxPair(
-            g=_g(self.spins[k, n], lam),
+            g=_g(self.spins[k, n], [lam])[0],
             f=_lax_f(v_plus, v_minus, lam),
             v_plus=v_plus,
             v_minus=v_minus,
@@ -819,17 +819,14 @@ def _monodromy(transfer, t, n, lam):
     Transfer of the state at time t, for the normalized family
 
     What_n = lam^{-n} W(n, t, lam) diag((lam - i)^n e^{2t/(lam - i)} I_m,
-                                        (lam + i)^n e^{2t/(lam + i)} I_m):
+                                        (lam + i)^n e^{2t/(lam + i)} I_m)
+           = W(n, t, lam) (I - (i/lam)J)^n E(t, lam):
 
-    returns ||What_{n+1} - G_n What_n||_F.
+    returns ||What_{n+1} - G_n What_n||_F, the gap of the transfer identity
+    (``Transfer._identity_gaps``) times the diagonal (I - (i/lam)J)^n E.
     """
     lam = _lax_parameter(lam, transfer.tol)
-    m = transfer.m
-
-    def what(k):
-        d = np.zeros((2 * m, 2 * m), dtype=complex)
-        d[:m, :m] = (lam - 1j) ** k * np.exp(2 * t / (lam - 1j)) * np.eye(m)
-        d[m:, m:] = (lam + 1j) ** k * np.exp(2 * t / (lam + 1j)) * np.eye(m)
-        return lam ** (-k) * transfer.w(k, lam) @ d
-
-    return linalg.frob(what(n + 1) - _g(transfer.state.spins[n], lam) @ what(n))
+    gap = transfer._identity_gaps([n], [lam])[0, 0]
+    e = np.repeat(np.exp([2 * t / (lam - 1j), 2 * t / (lam + 1j)]),
+                  transfer.m)
+    return linalg.frob(gap * (_j_diagonals([lam], n, transfer.m)[n, 0] * e))

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (ConditioningError, InputError, NumericError,
-                     SingularMatrixError, SpectrumError, SpinLatticeError)
+                     SingularMatrixError, SpectrumError)
 from .triples import ParameterTriple, signature_matrix
 
 __all__ = [
@@ -195,7 +195,8 @@ class LatticeStack:
 # Lambda_n-shaped and five Xi_n-shaped arrays of _dspins), and 8 floats;
 # per entry, the temporaries of one step; alpha^{-1}.  _closed_form_stack
 # counts its own arrays against the same budget.  Beyond it, an InputError
-# before any allocation.
+# before any allocation.  Neither count holds the fixed cost of a call (its
+# Python objects and small per-call arrays, about 5-8 kB in tracemalloc).
 STACK_BUDGET = 2 ** 30
 
 
@@ -502,24 +503,14 @@ def _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular, xi,
     )
 
 
-def _admitted_basis(triple: ParameterTriple, tol: Tolerances):
-    """The cached eigenbasis (d, V, V^{-1}) of alpha
-    (``ParameterTriple._eigenbasis``) where it admits alpha; None where it
-    does not, or where the spectrum or the eigenbasis raises."""
-    try:
-        return triple._eigenbasis(tol)
-    except SpinLatticeError:
-        return None
-
-
 def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT):
     """The lattice of ``triple`` up to horizon ``n_max``, as a LatticeState:
     the stack of one entry of ``_closed_form_stack``, from the triple
-    itself, where the eigenbasis of alpha admits it (``_admitted_basis``),
+    itself, where the eigenbasis of alpha admits it (``triple._eigenbasis``),
     else of ``generate_stack``, the recursion.  Either raises the guards of
     ``generate_stack`` (cond(Sigma_n) is tracked per n: Sigma_n inversion
     is the dominant error source)."""
-    basis = _admitted_basis(triple, tol)
+    basis = triple._eigenbasis(tol)
     if basis is None:
         stack = generate_stack(triple.alpha, triple.lambda0[None],
                                triple.sigma0[None], [n_max], tol)

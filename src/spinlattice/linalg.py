@@ -136,7 +136,8 @@ def spectrum(m, tol: Tolerances = DEFAULT):
 # stage is formed in the eigenbasis (``_eigenbasis``).  Its error grows
 # like cond(V)^2 eps: 1.1e-14 at cond(V) = 21, 2.7e-13 at 70 and 1.6e-12
 # at 210 on the family alpha = [[1+2i, 1, 0], [0, 1+2i+delta, 0.5],
-# [0, 0, -0.7+1.5i]], against 6e-16 by the Schur route.
+# [0, 0, -0.7+1.5i]], against 6e-16 by the Schur route there; that route
+# too misses Sigma_0(t) by 1.5e-10 (relative) at delta = 1e-7, t = -2.5.
 EIGENBASIS_COND = 100.0
 
 
@@ -186,10 +187,9 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
     """Solve AX - XB = C for X, or for each right-hand side of a stack C.
 
     Requires the spectra of A and B to be disjoint (checked up to
-    ``spec_tol`` on the diagonals of the Schur forms).  Bartels-Stewart
-    with the steps of ``scipy.linalg.solve_sylvester(a, -b, c)``, and so its
-    bits: one pair of Schur forms of A and -B* serves every right-hand side,
-    each solved by LAPACK ``trsyl``.
+    ``spec_tol`` on their eigenvalues).  Each right-hand side is one call
+    of ``scipy.linalg.solve_sylvester(a, -b, c)``, Bartels-Stewart over
+    the Schur forms of A and -B*.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -202,26 +202,16 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
         )
     if not (a.size and b.size):
         return np.empty(c.shape, dtype=complex)
-    # scipy solves AX + XB' = Q with B' = -B: Schur forms of A and B'*
-    r, u = scipy.linalg.schur(a, output="real")
-    s, v = scipy.linalg.schur((-b).conj().T, output="real")
-    # the complex Schur forms carry the spectra: eig(A) = diag(R) and
-    # eig(B) = -conj(diag(S))
-    sep = np.min(np.abs(np.diag(r)[:, None] + np.diag(s).conj()[None, :]))
+    sep = np.min(np.abs(np.linalg.eigvals(a)[:, None]
+                        - np.linalg.eigvals(b)[None, :]))
     if sep <= tol.spec_tol:
         raise SingularEquationError(
             f"spectra of A and B overlap (separation {sep:.3e})"
         )
-    f = u.conj().T @ c @ v
-    trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))
-    y = np.empty_like(f)
+    x = np.empty(c.shape, dtype=complex)
     for index in np.ndindex(c.shape[:-2]):
-        y_k, scale, info = trsyl(r, s, f[index], tranb="C")
-        if info < 0:  # pragma: no cover - LAPACK argument error
-            raise np.linalg.LinAlgError(
-                f"Illegal value encountered in the {-info} term")
-        y[index] = scale * y_k
-    return u @ y @ v.conj().T
+        x[index] = scipy.linalg.solve_sylvester(a, -b, c[index])
+    return x
 
 
 def krylov_basis(a, b, tol: Tolerances = DEFAULT):

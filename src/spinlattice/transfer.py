@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import NumericError, PoleError
-from .lattice import LatticeState, _admitted_basis, _h, _sites
+from .lattice import LatticeState, _h, _sites
 
 __all__ = ["Transfer"]
 
@@ -66,10 +66,12 @@ def _shifted(lams, a):
     return np.array([lam * i_n - a for lam in lams])
 
 
-def _g(s, lam):
+def _g(s, lams):
     """G_n(lambda) = I - (i/lambda) S_n, the one-step factor of W(n, lambda)
-    and the Lax matrix of the IHM lattice."""
-    return np.eye(s.shape[-1], dtype=complex) - (1j / lam) * s
+    and the Lax matrix of the IHM lattice, for each S_n of ``s`` and each of
+    ``lams``, indexed [..., k] for lams[k]."""
+    return np.eye(s.shape[-1], dtype=complex) - _scaled(
+        [1j / complex(lam) for lam in lams], s[..., None, :, :])
 
 
 def _with_conjugates(lams):
@@ -88,13 +90,12 @@ class Transfer:
         self.state = state
         self.tol = tol
         self.alpha = state.triple.alpha
-        self.order = state.triple.order
         self.m = state.m
         self.spectrum = state.triple.spectrum(tol)
         self._y = _h(state.sigma_inv_lambdas)    # Lam_n* Sig_n^{-1}
         # W from its pole residues where the eigenbasis admits alpha, else
         # one LU of lam I - alpha per lambda
-        self._basis = _admitted_basis(state.triple, tol)
+        self._basis = state.triple._eigenbasis(tol)
         # lam -> (the row over n stacked, its per-n views): repeated reads of
         # one point return the same object
         self._cache = {}            # W(n, lam)
@@ -172,10 +173,10 @@ class Transfer:
         self.fundamental_grid([lam])
         return self._fundamentals[complex(lam)][1][n]
 
-    def identity_residuals(self, sites, lams):
-        """Residuals of the one-step transfer identity
+    def _identity_gaps(self, sites, lams):
+        """The gaps of the one-step transfer identity
 
-        W(n+1, lam)(I - (i/lam)J) = (I - (i/lam)S_n) W(n, lam),
+        W(n+1, lam)(I - (i/lam)J) - (I - (i/lam)S_n) W(n, lam),
 
         indexed [i, k] for sites[i] and lams[k].
         """
@@ -183,9 +184,11 @@ class Transfer:
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)
         step = _j_diagonals(lams, 1, self.m)[1, :, None]    # scales columns
-        g = np.eye(2 * self.m, dtype=complex) - _scaled(
-            [1j / lam for lam in lams], self.state.spins[n][:, None])
-        return linalg.frob_norms(w[n + 1] * step - g @ w[n])
+        return w[n + 1] * step - _g(self.state.spins[n], lams) @ w[n]
+
+    def identity_residuals(self, sites, lams):
+        """Frobenius norms of ``_identity_gaps``, indexed [i, k]."""
+        return linalg.frob_norms(self._identity_gaps(sites, lams))
 
     def unitarity_residuals(self, sites, lams):
         """Residuals of W(n, lam) W(n, conj(lam))* = I, indexed [i, k]."""
@@ -196,24 +199,20 @@ class Transfer:
     def gram_identity_residuals(self, sites, lams):
         """Residuals of the two-point identity
 
-        W(n,lam)* W(n,lam) = I - i(lam - conj(lam)) Lam_n* (conj(lam) I - a*)^{-1}
-                                Sig_n^{-1} (lam I - a)^{-1} Lam_n,
+        W(n,lam)* W(n,lam) = I - i(lam - conj(lam)) Z* Sig_n^{-1} Z,
+        Z = (lam I - a)^{-1} Lam_n,
 
         indexed [i, k].
         """
         n = _sites(self.state, sites, self.state.n_max)
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)[n]
-        lam_n = self.state.lambdas[n]
-        # indexed [k, i], then [i, k], then [k, i]: one LU per matrix
-        inner = _solve_blocks(_shifted(lams, self.alpha), lam_n[None])
-        inner = _solve_blocks(self.state.sigmas[n], inner.swapaxes(0, 1),
-                              "Sigma_n")
-        inner = _solve_blocks(_shifted(np.conj(lams), self.alpha.conj().T),
-                              inner.swapaxes(0, 1)).swapaxes(0, 1)
+        # Z indexed [k, i], then [i, k]: one LU per matrix
+        z = _solve_blocks(_shifted(lams, self.alpha),
+                          self.state.lambdas[n][None]).swapaxes(0, 1)
+        inner = _solve_blocks(self.state.sigmas[n], z, "Sigma_n")
         rhs = np.eye(2 * self.m, dtype=complex) - _scaled(
-            [1j * (lam - np.conj(lam)) for lam in lams],
-            _h(lam_n)[:, None] @ inner)
+            [1j * (lam - np.conj(lam)) for lam in lams], _h(z) @ inner)
         return linalg.frob_norms(_h(w) @ w - rhs)
 
     def contractivity_gram(self, sites, lams):
@@ -241,8 +240,9 @@ class Transfer:
         m = self.m
         i_m = np.eye(m, dtype=complex)
         i2m = np.eye(2 * m, dtype=complex)
-        a = self.alpha
-        core = linalg.inv(a @ a + np.eye(self.order, dtype=complex))
+        # (a^2 + I)^{-1} = (a - iI)^{-1} (a + iI)^{-1}
+        minus_i, plus_i = self.state.triple._resolvents()
+        core = minus_i @ plus_i
         lam_n, y = self.state.lambdas[n], self._y[n]
         w = self.w_grid([1j, -1j])
 

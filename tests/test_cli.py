@@ -642,7 +642,13 @@ def test_verify_output_is_that_of_the_per_check_evaluation(capsys, name,
     code unchanged.  The example, real_mode, fg4, general and cond30 files
     were rewritten again when dS_n/dt moved to the time flow at each site:
     every line unchanged but the zero-curvature and ihm-vector-equation
-    residuals, each still a PASS under the same threshold."""
+    residuals, each still a PASS under the same threshold.  All seven were
+    rewritten again when the two-point right side moved to one solve, the
+    monodromy to the gap of the transfer identity and (alpha^2 + I)^{-1} to
+    the product of the resolvents at +/-i: every line unchanged but the
+    two-point-identity, monodromy and factorization-rank-m residuals (12
+    lines), each keeping its PASS or FAIL and its threshold, and every exit
+    code unchanged."""
     assert main(["verify", str(VERIFY_DATA / f"{name}.json"), "--nmax",
                  str(n_max)]) == code
     want = (VERIFY_DATA / f"{name}.out.txt").read_text()

@@ -261,6 +261,48 @@ def test_monodromy(ihm_triple):
             assert grid.monodromy(0, n, lam) <= 1e-9
 
 
+def _what_monodromy(transfer, t, n, lam):
+    """(||What_{n+1} - G_n What_n||_F, ||What_{n+1}||_F + ||G_n What_n||_F)
+    from the normalized family itself, What_n = lam^{-n} W(n, t, lam)
+    diag((lam - i)^n e^{2t/(lam - i)} I_m, (lam + i)^n e^{2t/(lam + i)} I_m),
+    as the monodromy residual was formed before it read the gap of the
+    transfer identity."""
+    m = transfer.m
+
+    def what(k):
+        d = np.zeros((2 * m, 2 * m), dtype=complex)
+        d[:m, :m] = (lam - 1j) ** k * np.exp(2 * t / (lam - 1j)) * np.eye(m)
+        d[m:, m:] = (lam + 1j) ** k * np.exp(2 * t / (lam + 1j)) * np.eye(m)
+        return lam ** (-k) * transfer.w(k, lam) @ d
+
+    g = np.eye(2 * m) - (1j / lam) * transfer.state.spins[n]
+    step, moved = what(n + 1), g @ what(n)
+    return (linalg.frob(step - moved),
+            linalg.frob(step) + linalg.frob(moved))
+
+
+@pytest.mark.parametrize("name", ("ihm", "real_mode", "near_defective"))
+def test_monodromy_is_the_normalized_family_residual(ihm_triple,
+                                                     real_mode_triple,
+                                                     near_defective_triple,
+                                                     name):
+    """TimeGrid.monodromy, the gap of the transfer identity times
+    (I - (i/lam)J)^n E(t, lam), is the residual of the normalized family
+    What_n within 100 eps of the size of its two terms, at t = 0.2 and
+    0.3, sites 0..2 and two points lambda, on the pole residues of W (the
+    ihm triple) and its LU route (the real mode and the near-defective
+    alpha at delta = 1e-2)."""
+    triple = {"ihm": ihm_triple, "real_mode": real_mode_triple,
+              "near_defective": near_defective_triple(1e-2)}[name]
+    grid = evolution.TimeGrid(triple, [0.2, 0.3], 3)
+    for k, t in enumerate((0.2, 0.3)):
+        for n in (0, 1, 2):
+            for lam in (2.0 + 0.5j, -1.0 + 2j):
+                want, size = _what_monodromy(grid._transfer(k), t, n, lam)
+                got = grid.monodromy(k, n, lam)
+                assert abs(got - want) <= 100 * np.finfo(float).eps * size
+
+
 @pytest.mark.parametrize("lam", (1j + 1e-12, -1j + 1e-12, 1e-12))
 def test_lax_parameter_near_a_pole_is_a_spectrum_error(ihm_triple, lam):
     """G_n has a pole at 0 and F_n at +/-i: lambda within degeneracy_tol of
