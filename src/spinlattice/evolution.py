@@ -646,7 +646,7 @@ class TimeGrid:
         if lam not in self._zero_curvature:
             sites = slice(1, self.n_max - 1)
             f = _lax_f(*self._v_pairs, lam)
-            g = _g(self.spins[:, sites], [lam])[..., 0, :, :]
+            g = _g(self.spins[:, sites], lam)
             with np.errstate(all="ignore"):
                 dg = (-1j / lam) * self.dspins[:, sites]
                 self._zero_curvature[lam] = linalg.frob_norms(
@@ -707,7 +707,7 @@ class TimeGrid:
         h_plus = 2.0 * w(n, 1j) @ p_plus @ w(n, -1j).conj().T
         h_minus = 2.0 * w(n, -1j) @ p_minus @ w(n, 1j).conj().T
         return LaxPair(
-            g=_g(self.spins[k, n], [lam])[0],
+            g=_g(self.spins[k, n], lam),
             f=_lax_f(v_plus, v_minus, lam),
             v_plus=v_plus,
             v_minus=v_minus,

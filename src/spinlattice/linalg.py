@@ -187,9 +187,10 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
     """Solve AX - XB = C for X, or for each right-hand side of a stack C.
 
     Requires the spectra of A and B to be disjoint (checked up to
-    ``spec_tol`` on their eigenvalues).  Each right-hand side is one call
-    of ``scipy.linalg.solve_sylvester(a, -b, c)``, Bartels-Stewart over
-    the Schur forms of A and -B*.
+    ``spec_tol`` on the diagonals of the Schur forms).  Bartels-Stewart
+    with the steps of ``scipy.linalg.solve_sylvester(a, -b, c)``, and so its
+    bits: one pair of Schur forms of A and -B* serves every right-hand side,
+    each solved by LAPACK ``trsyl``.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -202,16 +203,26 @@ def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT):
         )
     if not (a.size and b.size):
         return np.empty(c.shape, dtype=complex)
-    sep = np.min(np.abs(np.linalg.eigvals(a)[:, None]
-                        - np.linalg.eigvals(b)[None, :]))
+    # scipy solves AX + XB' = Q with B' = -B: Schur forms of A and B'*
+    r, u = scipy.linalg.schur(a, output="real")
+    s, v = scipy.linalg.schur((-b).conj().T, output="real")
+    # the complex Schur forms carry the spectra: eig(A) = diag(R) and
+    # eig(B) = -conj(diag(S))
+    sep = np.min(np.abs(np.diag(r)[:, None] + np.diag(s).conj()[None, :]))
     if sep <= tol.spec_tol:
         raise SingularEquationError(
             f"spectra of A and B overlap (separation {sep:.3e})"
         )
-    x = np.empty(c.shape, dtype=complex)
+    f = u.conj().T @ c @ v
+    trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))
+    y = np.empty_like(f)
     for index in np.ndindex(c.shape[:-2]):
-        x[index] = scipy.linalg.solve_sylvester(a, -b, c[index])
-    return x
+        y_k, scale, info = trsyl(r, s, f[index], tranb="C")
+        if info < 0:  # pragma: no cover - LAPACK argument error
+            raise np.linalg.LinAlgError(
+                f"Illegal value encountered in the {-info} term")
+        y[index] = scale * y_k
+    return u @ y @ v.conj().T
 
 
 def krylov_basis(a, b, tol: Tolerances = DEFAULT):

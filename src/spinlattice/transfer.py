@@ -66,12 +66,10 @@ def _shifted(lams, a):
     return np.array([lam * i_n - a for lam in lams])
 
 
-def _g(s, lams):
+def _g(s, lam):
     """G_n(lambda) = I - (i/lambda) S_n, the one-step factor of W(n, lambda)
-    and the Lax matrix of the IHM lattice, for each S_n of ``s`` and each of
-    ``lams``, indexed [..., k] for lams[k]."""
-    return np.eye(s.shape[-1], dtype=complex) - _scaled(
-        [1j / complex(lam) for lam in lams], s[..., None, :, :])
+    and the Lax matrix of the IHM lattice."""
+    return np.eye(s.shape[-1], dtype=complex) - (1j / lam) * s
 
 
 def _with_conjugates(lams):
@@ -184,7 +182,8 @@ class Transfer:
         lams = [complex(lam) for lam in lams]
         w = self.w_grid(lams)
         step = _j_diagonals(lams, 1, self.m)[1, :, None]    # scales columns
-        return w[n + 1] * step - _g(self.state.spins[n], lams) @ w[n]
+        g = np.stack([_g(self.state.spins[n], lam) for lam in lams], axis=1)
+        return w[n + 1] * step - g @ w[n]
 
     def identity_residuals(self, sites, lams):
         """Frobenius norms of ``_identity_gaps``, indexed [i, k]."""

@@ -123,13 +123,13 @@ class ParameterTriple:
         (``linalg._eigenbasis``), where the spectrum lies in the open upper
         half plane and cond(V) <= ``linalg.EIGENBASIS_COND``; else None,
         with no eigendecomposition off the half plane.  None also where the
-        spectrum report or the eigenbasis raises a SpinLatticeError."""
+        spectrum report raises a SpinLatticeError."""
         try:
             if not self.spectrum(tol).in_upper_half_plane:
                 return None
-            return self._of_alpha("eigenbasis", linalg._eigenbasis)
         except SpinLatticeError:
             return None
+        return self._of_alpha("eigenbasis", linalg._eigenbasis)
 
     def _moved(self, lam, sigma):
         """The triple with this alpha, Lambda_0 = ``lam`` and Sigma_0 =

@@ -11,7 +11,7 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import AdmissibilityError, DimensionError, PoleError
 from .lattice import generate
-from .transfer import Transfer, _j_diagonals, _shifted
+from .transfer import Transfer, _scaled, _shifted
 from .triples import ParameterTriple, TripleClass, validate
 
 __all__ = [
@@ -170,9 +170,8 @@ def _summability(transfer, lam, n_terms, phi, is_true_phi):
         d_inv = linalg.inv(w[0][m:, m:], "d(lambda)")
         rhs_stack = np.vstack([np.zeros((m, m), dtype=complex), d_inv])
         sites = min(n_terms, 5) + 1
-        # the diagonal (I - (i/lam)J)^n is (1 + i/lam)^n on [0; d^{-1}]
-        steps = _j_diagonals([lam], sites - 1, m)[:, 0, None]
-        rhs = (w[:sites] * steps) @ rhs_stack
+        rhs = _scaled([((lam + 1j) / lam) ** n for n in range(sites)],
+                      w[:sites]) @ rhs_stack
         column_residual = linalg.frob_norms(wn[:sites] @ stack - rhs).max()
 
     # squares of Python floats summed in sequence: the bits of a running sum
