@@ -495,8 +495,10 @@ class LaxPair:
 
 
 def _lax_parameter(lam, tol: Tolerances):
-    """complex(lambda), kept off {0, i, -i}, the poles of G_n and F_n."""
+    """complex(lambda), finite and off {0, i, -i}, the poles of G_n and F_n."""
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise InputError(f"lambda must be finite, got {lam}")
     if min(abs(lam), abs(lam - 1j), abs(lam + 1j)) < tol.degeneracy_tol:
         raise SpectrumError("lambda must avoid {0, i, -i}")
     return lam
@@ -545,14 +547,13 @@ class TimeGrid:
         _require_ihm(triple)
         self.triple, self.n_max, self.tol = triple, n_max, tol
         self.times = np.asarray(times, dtype=float)
-        horizons = [n_max] * self.times.size
         with np.errstate(all="ignore"):
             lam, basis, faults = _lambda0(triple, self.times, tol)
             if basis is None:
                 lam0, sigma0, faults = _sigma0_at(
                     triple, self.times, (lam, None, faults), tol)
                 self.stack = generate_stack(
-                    triple.alpha, lam0, sigma0, horizons, tol, faults,
+                    triple.alpha, lam0, sigma0, n_max, tol, faults,
                     triple._resolvents() if None in faults else None)
             else:       # a failing time and t = 0 start from the triple
                 kept = np.array([e is not None for e in faults],
@@ -560,7 +561,7 @@ class TimeGrid:
                 lam[kept] = basis[2] @ triple.lambda0
                 self.stack = _closed_form_stack(
                     basis, (triple.lambda0, triple.sigma0), lam,
-                    _primed_resolvents(basis[0]), kept, horizons, tol, faults)
+                    _primed_resolvents(basis[0]), kept, n_max, tol, faults)
         self.spins, self.dspins = self.stack.spins, self.stack.dspins
         if self.dspins is None:
             self.dspins = np.full_like(self.spins, np.nan)
@@ -723,16 +724,18 @@ def trajectory(triple: ParameterTriple, times, n_max, lam,
 
 
 def _grid(triple, n, t, h_t, tol):
-    """The TimeGrid of time t alone for the residuals at site n.  With
-    ``h_t``, its dS/dt is the central difference of the spins of the grid
-    over t + h_t and t - h_t instead, whose states and spin vectors are
-    checked after those at t and before the read."""
-    grid = TimeGrid(triple, [t], n + 2, tol)
-    if h_t is not None:
-        sides = TimeGrid(triple, [t + h_t, t - h_t], n + 2, tol)
-        for each, k in ((grid, 0), (sides, 0), (sides, 1)):
-            each._check(k)
-        grid.dspins = (sides.spins[:1] - sides.spins[1:]) / (2 * h_t)
+    """The TimeGrid for the residuals at site n of time t, its time 0.  With
+    a finite nonzero step ``h_t`` it holds t + h_t and t - h_t too, whose
+    states and spin vectors are checked after those at t, and the dS/dt of
+    time t is the central difference of their spins."""
+    if h_t is None:
+        return TimeGrid(triple, [t], n + 2, tol)
+    if not (np.isfinite(h_t) and h_t != 0):
+        raise ValueError(f"h_t must be finite and nonzero, got {h_t!r}")
+    grid = TimeGrid(triple, [t, t + h_t, t - h_t], n + 2, tol)
+    for k in range(3):
+        grid._check(k)
+    grid.dspins = (grid.spins[1:2] - grid.spins[2:]) / (2 * h_t)
     return grid
 
 

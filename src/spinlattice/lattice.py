@@ -6,9 +6,9 @@ Two routes build the sequences under one set of guards (``_guarded``):
 the recursion (``generate_stack``), and its closed form in the eigenbasis
 of alpha (``_closed_form_stack``), which ``generate`` and
 ``evolution.TimeGrid`` call wherever that basis admits alpha, the grid on
-the basis of its one ``_lambda0`` batch.  ``verify`` keeps the recursion,
-as the reference the closed form is checked against.  Either route forms
-dS_n/dt from the time flow at each site (``_dspins``).
+the basis of its one ``_lambda0`` batch.  ``verify`` keeps the recursion
+to its one horizon, the reference the closed form is checked against.
+Either route forms dS_n/dt from the time flow at each site (``_dspins``).
 """
 
 import operator
@@ -75,6 +75,16 @@ def _check_site(name, n, first=0):
         raise ValueError(f"{name} needs a site n >= {first}, got {n}")
 
 
+def _horizon(n_max):
+    """The one horizon of a stack as an int, read before any work: one that
+    is not a whole number (2.5, 2.0) is the TypeError of ``operator.index``,
+    as a site is (``_check_site``), and a negative one a ValueError."""
+    n_max = operator.index(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    return n_max
+
+
 def _lattice_powers(alpha, lam0, ns):
     """[(I + i a^{-1})^n lam0_1, (I - i a^{-1})^n lam0_2] for the column
     blocks lam0 = [lam0_1, lam0_2], stacked over the n of ``ns``: alpha is
@@ -109,7 +119,7 @@ def lambda_closed_form(triple: ParameterTriple, n):
 @dataclass(frozen=True)
 class LatticeState:
     """Sequences Lambda_0..Lambda_{n_max}, Sigma_0..Sigma_{n_max} and the
-    spins S_0..S_{n_max-1} of one triple, views [n] of LatticeStack rows."""
+    spins S_0..S_{n_max-1} of one triple, the rows of a LatticeStack entry."""
 
     triple: ParameterTriple
     n_max: int
@@ -151,13 +161,12 @@ def _live(faults):
 @dataclass(frozen=True)
 class LatticeStack:
     """The recursion run over a stack of initial (Lambda_0, Sigma_0) with one
-    alpha.  Entry k holds Lambda_n, Sigma_n for n = 0..horizons[k] and S_n
-    for n < horizons[k], in rows of arrays sized to the largest horizon
-    (what lies beyond its horizon is not guarded and not to be read), and
-    ``faults[k]``, the error that ``generate`` raises on it, or None; and
-    dS_n/dt in ``dspins`` (unguarded) if the run was given resolvents."""
+    alpha, to one horizon n_max.  Entry k holds Lambda_n, Sigma_n for
+    n = 0..n_max and S_n for n < n_max in its rows [k], and ``faults[k]``,
+    the error that ``generate`` raises on it, or None; and dS_n/dt in
+    ``dspins`` (unguarded) if the run was given resolvents."""
 
-    horizons: np.ndarray
+    n_max: int
     lambdas: np.ndarray             # [k, n]
     sigmas: np.ndarray
     spins: np.ndarray
@@ -174,19 +183,18 @@ class LatticeStack:
             raise self.faults[k]
 
     def state(self, k, triple: ParameterTriple):
-        """Entry k, the run of ``triple``, as a LatticeState of views of its
-        rows; raises its error."""
+        """Entry k, the run of ``triple``, as a LatticeState of its rows;
+        raises its error."""
         self.check(k)
-        h = int(self.horizons[k])
         return LatticeState(
             triple=triple,
-            n_max=h,
-            lambdas=self.lambdas[k, :h + 1],
-            sigmas=self.sigmas[k, :h + 1],
-            spins=self.spins[k, :h],
-            conditioning=self.conditioning[k, :h + 1].tolist(),
-            spin_residuals=self.spin_residuals[k, :h].tolist(),
-            sigma_inv_lambdas=self.sigma_inv_lambdas[k, :h + 1],
+            n_max=self.n_max,
+            lambdas=self.lambdas[k],
+            sigmas=self.sigmas[k],
+            spins=self.spins[k],
+            conditioning=self.conditioning[k].tolist(),
+            spin_residuals=self.spin_residuals[k].tolist(),
+            sigma_inv_lambdas=self.sigma_inv_lambdas[k],
         )
 
 
@@ -263,26 +271,15 @@ def _check_budget(n_max, need):
             f"arrays, beyond the budget of {STACK_BUDGET >> 20} MiB")
 
 
-def _horizons(horizons, faults):
-    """(``horizons`` as an int array, refused if one is negative; the
-    per-entry error list, made if ``faults`` is None)."""
-    horizons = np.asarray(horizons, dtype=int)
-    if (horizons < 0).any():
-        raise ValueError("n_max must be non-negative")
-    return horizons, [None] * horizons.size if faults is None else faults
-
-
-def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
+def generate_stack(alpha, lambda0, sigma0, n_max, tol: Tolerances = DEFAULT,
                    faults=None, resolvents=None):
-    """Run the recursion from each (lambda0[k], sigma0[k]) up to horizon
-    horizons[k], all over one stack axis, with the guards of ``generate``
-    applied to each entry up to its horizon.  An entry that fails a guard
-    records the error in the list ``faults`` (one is made if none is given)
-    and the others go on; floating point warnings of failed entries are
-    silenced.  When lambda0 and sigma0 are single matrices, every entry
-    starts from them: the recursion runs once, to the largest horizon, and
-    each entry is a read-only view of its rows.  Arrays beyond
-    STACK_BUDGET bytes are an InputError.
+    """Run the recursion from each (lambda0[k], sigma0[k]) of the stacks
+    ``lambda0`` and ``sigma0`` up to the one horizon ``n_max``, all over one
+    stack axis, with the guards of ``generate`` applied to each entry.  An
+    entry that fails a guard records the error in the list ``faults`` (one
+    is made if none is given) and the others go on; floating point warnings
+    of failed entries are silenced.  Arrays beyond STACK_BUDGET bytes are
+    an InputError.
 
     With ``resolvents``, the pair (alpha -/+ iI)^{-1}, the stack carries
     dS_n/dt (``_dspins``).  The guards (``_guarded``), in order:
@@ -290,40 +287,32 @@ def generate_stack(alpha, lambda0, sigma0, horizons, tol: Tolerances = DEFAULT,
     Sigma_n singular, ||S_n^2 - I|| not finite, then above 100
     tol.spin_tol max(1, cond_n cond_{n+1}).
     """
-    n_max = int(max([0, *horizons]))
-    rows = 1 if lambda0.ndim == 2 else len(horizons)
-    order, width = lambda0.shape[-2:]
+    n_max = _horizon(n_max)
+    rows, order, width = lambda0.shape
     lam, sigma, xi = order * width, order * order, width * width
     copies = 1 + (resolvents is not None)   # _dspins holds as many again
     per_site = 16 * (3 * copies * lam + sigma + 5 * copies * xi) + 64
     step = 16 * (4 * sigma + 3 * lam)
     _check_budget(n_max, rows * ((n_max + 1) * per_site + step)
                   + 16 * (6 * sigma + xi))
-    horizons, faults = _horizons(horizons, faults)
-    size = horizons.size
+    faults = [None] * rows if faults is None else faults
     try:
         alpha_inv = linalg.inv(alpha, "alpha")
     except SingularMatrixError as exc:
-        _record(faults, np.arange(size), exc)
+        _record(faults, np.arange(rows), exc)
         alpha_inv = np.zeros(alpha.shape, dtype=complex)
 
-    def entries(a):
-        return a if rows == size else np.broadcast_to(a, (size,) + a.shape[1:])
-
-    def rows_of(start):
-        a = np.empty((rows, n_max + 1) + start.shape[-2:], dtype=complex)
-        a[:, 0] = start
-        return a
-
-    lambdas, sigmas = rows_of(lambda0), rows_of(sigma0)
+    lambdas = np.empty((rows, n_max + 1, order, width), dtype=complex)
+    sigmas = np.empty((rows, n_max + 1, order, order), dtype=complex)
+    lambdas[:, 0], sigmas[:, 0] = lambda0, sigma0
     with np.errstate(all="ignore"):
-        _recur(alpha_inv, lambda0.shape[-1] // 2, lambdas, sigmas)
+        _recur(alpha_inv, width // 2, lambdas, sigmas)
         solved, singular = _solve_each(sigmas, lambdas)
         xi = _h(lambdas) @ solved
         dspins = (None if resolvents is None
                   else _dspins(*resolvents, alpha, lambdas, solved))
-    return _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular,
-                    xi, dspins, entries)
+    return _guarded(n_max, faults, tol, lambdas, sigmas, solved, singular, xi,
+                    dspins)
 
 
 def _dspins(minus, plus, alpha, lambdas, solved):
@@ -375,7 +364,7 @@ def _record_non_finite(faults, where, named):
                     NumericError(f"{name} contains non-finite entries"))
 
 
-def _closed_form_stack(basis, start, lam, resolvents, kept, horizons, tol,
+def _closed_form_stack(basis, start, lam, resolvents, kept, n_max, tol,
                        faults):
     """The LatticeStack of ``generate_stack``, in closed form in the
     eigenbasis (d, V, V^{-1}) of alpha, all the [k, n] rows in one batch
@@ -407,9 +396,9 @@ def _closed_form_stack(basis, start, lam, resolvents, kept, horizons, tol,
     the first of: Lambda_0, C = i Lam'_0 Lam'_0*, Sigma_0 not finite
     (``_record_non_finite``).  Then the guards of ``generate_stack``
     (``_guarded``)."""
+    n_max = _horizon(n_max)
     d, v, v_inv = basis
     rows, order, width = lam.shape
-    n_max = int(max([0, *horizons]))
     derivative = resolvents is not None
     # per site and entry: arrays shaped as Lambda_n (Lam', Lambda_n, X',
     # V^{-*} X', three of _dspins), as Sigma_n (C, Sig', Sigma_n, two
@@ -418,7 +407,7 @@ def _closed_form_stack(basis, start, lam, resolvents, kept, horizons, tol,
     _check_budget(n_max, rows * (n_max + 1) * (
         16 * ((4 + 3 * derivative) * order * width + 7 * order * order
               + (5 + 5 * derivative) * width * width) + 64))
-    horizons, faults = _horizons(horizons, faults)
+    faults = [None] * rows if faults is None else faults
     m = width // 2
     with np.errstate(all="ignore"):
         sites = np.arange(n_max + 1)[:, None, None]
@@ -444,63 +433,61 @@ def _closed_form_stack(basis, start, lam, resolvents, kept, horizons, tol,
         xi = _h(lams) @ solved
         dspins = (None if resolvents is None
                   else _dspins(*resolvents, d, lams, solved))
-    return _guarded(horizons, faults, tol, lambdas, sigmas,
-                    _h(v_inv) @ solved, singular, xi, dspins)
+    return _guarded(n_max, faults, tol, lambdas, sigmas, _h(v_inv) @ solved,
+                    singular, xi, dspins)
 
 
-def _guarded(horizons, faults, tol, lambdas, sigmas, solved, singular, xi,
-             dspins=None, entries=lambda a: a):
-    """The LatticeStack of the [rows, n] arrays Lambda_n, Sigma_n, Sigma_n^{-1}
+def _guarded(n_max, faults, tol, lambdas, sigmas, solved, singular, xi,
+             dspins=None):
+    """The LatticeStack of the [k, n] arrays Lambda_n, Sigma_n, Sigma_n^{-1}
     Lambda_n (``solved``, singular where ``singular``), Xi_n = Lambda_n*
-    Sigma_n^{-1} Lambda_n and dS_n/dt (``dspins``, or None): S_n = J +
-    Xi_n - Xi_{n+1}, and the guards of ``generate_stack`` on each entry up
-    to its horizon, in order, each recording the first error of an entry
-    in ``faults``.  ``entries`` spreads the rows over the entries."""
-    n_max = lambdas.shape[1] - 1
+    Sigma_n^{-1} Lambda_n and dS_n/dt (``dspins``, or None) to the horizon
+    n_max: S_n = J + Xi_n - Xi_{n+1}, and the guards of ``generate_stack``
+    on each entry, in order, each recording the first error of an entry in
+    ``faults``."""
     m = xi.shape[-1] // 2
     with np.errstate(all="ignore"):
-        guarded = np.arange(n_max + 1) <= horizons[:, None]
         limit = tol.sigma_overflow
-        norms = entries(linalg.frob_norms(sigmas))
-        for k, n in _first(guarded[:, 1:] & (norms[:, 1:] > limit)):
+        norms = linalg.frob_norms(sigmas)
+        for k, n in _first(norms[:, 1:] > limit):
             _record(faults, [k], NumericError(
                 f"||Sigma_{n + 1}|| = {norms[k, n + 1]:.3e} exceeds the "
                 f"overflow guard {limit:.1e}; triple growth is too fast "
-                f"for this horizon (reached n = {n + 1} of {horizons[k]})"))
-        conditioning = entries(linalg._hermitian_conds(sigmas))
-        for k, n in _first(guarded & (conditioning > tol.cond_limit)):
+                f"for this horizon (reached n = {n + 1} of {n_max})"))
+        conditioning = linalg._hermitian_conds(sigmas)
+        for k, n in _first(conditioning > tol.cond_limit):
             _record(faults, [k], ConditioningError(
                 f"cond(Sigma_{n}) = {conditioning[k, n]:.3e} exceeds the "
                 f"limit {tol.cond_limit:.1e}"))
-        _record(faults, (guarded & singular).any(axis=1),
+        _record(faults, singular.any(axis=1),
                 SingularMatrixError("Sigma is singular"))
         spins = linalg.herm(signature_matrix(m) + xi[:, :-1] - xi[:, 1:])
-        spin_residuals = entries(linalg.frob_norms(
-            spins @ spins - np.eye(2 * m, dtype=complex)))
+        spin_residuals = linalg.frob_norms(
+            spins @ spins - np.eye(2 * m, dtype=complex))
         involutions = spin_residuals / np.fmax(
             1.0, conditioning[:, :-1] * conditioning[:, 1:])
         spin_limit = _involution_limit(tol)
         not_involutions = involutions > spin_limit
-    for k, n in _first(guarded[:, 1:] & ~np.isfinite(spin_residuals)):
+    for k, n in _first(~np.isfinite(spin_residuals)):
         _record(faults, [k], NumericError(
             f"||S_{n}^2 - I|| is not finite: the recursion leaves the "
-            f"floating point range (reached n = {n} of {horizons[k]})"))
-    for k, n in _first(guarded[:, 1:] & not_involutions):
+            f"floating point range (reached n = {n} of {n_max})"))
+    for k, n in _first(not_involutions):
         _record(faults, [k], NumericError(
             f"||S_{n}^2 - I|| / max(1, cond(Sigma_{n}) cond(Sigma_{n + 1})) "
             f"= {involutions[k, n]:.3e} exceeds {spin_limit:.1e}: S_{n} is "
             f"not an involution"))
     return LatticeStack(
-        horizons=horizons,
-        lambdas=entries(lambdas),
-        sigmas=entries(sigmas),
-        spins=entries(spins),
+        n_max=n_max,
+        lambdas=lambdas,
+        sigmas=sigmas,
+        spins=spins,
         conditioning=conditioning,
         spin_residuals=spin_residuals,
         involution_residuals=involutions,
-        sigma_inv_lambdas=entries(solved),
+        sigma_inv_lambdas=solved,
         faults=faults,
-        dspins=None if dspins is None else entries(dspins),
+        dspins=dspins,
     )
 
 
@@ -511,15 +498,16 @@ def generate(triple: ParameterTriple, n_max=50, tol: Tolerances = DEFAULT):
     else of ``generate_stack``, the recursion.  Either raises the guards of
     ``generate_stack`` (cond(Sigma_n) is tracked per n: Sigma_n inversion
     is the dominant error source)."""
+    n_max = _horizon(n_max)
     basis = triple._eigenbasis(tol)
     if basis is None:
         stack = generate_stack(triple.alpha, triple.lambda0[None],
-                               triple.sigma0[None], [n_max], tol)
+                               triple.sigma0[None], n_max, tol)
     else:
         stack = _closed_form_stack(
             basis, (triple.lambda0, triple.sigma0),
             (basis[2] @ triple.lambda0)[None], None, np.ones(1, dtype=bool),
-            [n_max], tol, None)
+            n_max, tol, None)
     return stack.state(0, triple)
 
 

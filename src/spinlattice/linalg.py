@@ -14,6 +14,7 @@ import scipy.linalg
 from .config import DEFAULT, Tolerances
 from .errors import (
     DimensionError,
+    InputError,
     NotPositiveDefiniteError,
     NumericError,
     PoleError,
@@ -311,12 +312,14 @@ def check_pole(lam, spec: SpectrumReport, tol: Tolerances = DEFAULT,
     """Raise PoleError if lam, or the first in order of a sequence of
     points, lies within pole_tol * spec.scale of an eigenvalue, for the
     report ``spec`` of the matrix M whose resolvent (lam I - M)^{-1} is
-    about to be formed.
+    about to be formed; before that, InputError if one is NaN or infinite.
     """
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    for bad in lams[~np.isfinite(lams)][:1].tolist():
+        raise InputError(f"lambda must be finite, got {bad}")
     eigs = spec.eigenvalues
     if not eigs.size:
         return
-    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     gaps = np.abs(eigs[None, :] - lams[:, None])
     nearest = np.argmin(gaps, axis=1)
     close = np.flatnonzero(

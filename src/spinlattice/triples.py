@@ -290,8 +290,11 @@ def random_admissible_triple(
     Hermitian satisfies the identity by construction.  Draws are rejected
     until both pairs are full range, ||alpha^{-1}|| <= inv_norm_max (keeps
     the lattice recursion growth moderate) and the spectrum stays 0.05 away
-    from {0, i, -i}, at most 500 draws.
+    from {0, i, -i}, at most 500 draws.  ``order`` and ``m`` must be >= 1.
     """
+    for name, size in (("order", order), ("m", m)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     for _ in range(500):
         theta1 = _complex_gaussian(rng, order, m)
         theta2 = _complex_gaussian(rng, order, m)
@@ -345,8 +348,10 @@ def pad_triple(triple: ParameterTriple, rng, pad, which="theta2", h_scale=3.0):
 
     The padded triple still satisfies the structural identity and generates
     the same spin sequence; ``reduce_triple`` on the padded factor must
-    recover the original order.
+    recover the original order.  ``pad`` must be >= 0.
     """
+    if pad < 0:
+        raise ValueError(f"pad must be >= 0, got {pad}")
     if not triple.sigma0_is_identity():
         raise NotPositiveDefiniteError("pad_triple requires sigma0 = I")
     n, m = triple.order, triple.m

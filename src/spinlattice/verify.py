@@ -5,6 +5,7 @@ returning a residual and a pass flag, so external tooling can consume one
 stable list.  Check names are stable API; output is sorted by name.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,13 +48,13 @@ def _worst(values):
 
 class _Context:
     """What the checks read, each built once.  One recursion runs to
-    horizon n_max and, in the same stack, to the summability horizon 30
-    when n_max is below it; the per-n checks read its rows at once.  On
-    first use: the Weyl realization, the Transfer of horizon 30, one
-    horizon-3 TimeGrid over _GRID_TIMES, read at site 1 of each time (as
-    the grid of one that the public residual functions build), and the
-    time-t triples at _TRIPLE_TIMES as one batch of the time-t stage,
-    (Lambda_0(t), Sigma_0(t), faults) (``evolution._triples_at``).
+    horizon n_max, the reference state; the per-n checks read its rows at
+    once.  On first use: the Weyl realization, the Transfer of horizon 30
+    (of ``generate`` when n_max is below it), one horizon-3 TimeGrid over
+    _GRID_TIMES, read at site 1 of each time (as the grid of one that the
+    public residual functions build), and the time-t triples at
+    _TRIPLE_TIMES as one batch of the time-t stage, (Lambda_0(t),
+    Sigma_0(t), faults) (``evolution._triples_at``).
     ``spectrum`` is the report of alpha that validate made."""
 
     def __init__(self, triple, n_max, tol):
@@ -61,11 +62,9 @@ class _Context:
         self.tol = tol
         self.n_max = n_max
         self.spectrum = triple.spectrum(tol)
-        horizons = [n_max] + [_SUMMABILITY_TERMS] * (n_max < _SUMMABILITY_TERMS)
-        self.stack = lattice.generate_stack(triple.alpha, triple.lambda0,
-                                            triple.sigma0, horizons, tol)
+        self.stack = lattice.generate_stack(triple.alpha, triple.lambda0[None],
+                                            triple.sigma0[None], n_max, tol)
         self.state = self.stack.state(0, triple)    # raises what generate does
-        self.conditioning = self.stack.conditioning[0, :n_max + 1]
         self.transfer = Transfer(self.state, tol)
         self.grid = _lambda_grid(self.spectrum, count=_LAMBDA_COUNT, tol=tol)
         scale = 1.0 + self.spectrum.norm
@@ -98,7 +97,8 @@ class _Context:
     def summability_transfer(self):
         if self.n_max >= _SUMMABILITY_TERMS:
             return self.transfer
-        return Transfer(self.stack.state(1, self.triple), self.tol)
+        return Transfer(lattice.generate(self.triple, _SUMMABILITY_TERMS,
+                                         self.tol), self.tol)
 
 
 def _identity_propagation(ctx):
@@ -114,7 +114,7 @@ def _sigma_positivity(ctx):
 
 def _spin_involution(ctx):
     # the ratio that generate_stack refuses above the same threshold
-    return (_worst(ctx.stack.involution_residuals[0, :ctx.n_max]),
+    return (_worst(ctx.stack.involution_residuals[0]),
             lattice._involution_limit(ctx.tol))
 
 
@@ -141,7 +141,7 @@ def _k_residual(ctx):
     y = state.sigma_inv_lambdas
     k = lattice._k(ctx.triple.alpha, _h(y[n]), _h(y[n + 1]), state.spins[n])
     scale = np.fmax(1.0, linalg.frob_norms(state.lambdas[n])
-                    * ctx.conditioning[n])
+                    * ctx.stack.conditioning[0, n])
     return _worst(linalg.frob_norms(k) / scale), 1e-9
 
 
@@ -328,7 +328,7 @@ def run_checks(triple: ParameterTriple, n_max=15, tol: Tolerances = DEFAULT):
     Requires a class FG triple (the identities under test assume it) and
     n_max >= 1.  The evolution checks run only for 2x2 spin matrices (m = 1).
     """
-    if n_max < 1:
+    if operator.index(n_max) < 1:     # 2.5 is a TypeError, as in generate
         raise ValueError(f"run_checks needs n_max >= 1, got {n_max}")
     report = validate(triple, tol)
     if report.triple_class not in (TripleClass.FG, TripleClass.FG_TILDE):

@@ -394,13 +394,13 @@ def test_evolve_builds_one_state_per_time(triple_file, calls, stage_calls,
     import spinlattice.evolution as evolution
     import spinlattice.lattice as lattice
 
-    horizons = calls(lattice, "_closed_form_stack",
-                     lambda basis, start, lam, resolvents, kept, horizons,
-                     *args, **kwargs: list(horizons))
+    stacks = calls(lattice, "_closed_form_stack",
+                   lambda basis, start, lam, resolvents, kept, n_max,
+                   *args, **kwargs: (len(lam), n_max))
     batches = calls(evolution, "_sigma0_at")
     recursions = calls(lattice, "_recur")
     assert main(["evolve", triple_file, "--nmax", str(n_max), *grid]) == 0
-    assert horizons == [[n_max] * built_states]
+    assert stacks == [(built_states, n_max)]
     assert batches == recursions == []
     assert stage_calls["expm"] == stage_calls["sylvester"] == []
     assert len(stage_calls["eig"]) == 1
@@ -648,7 +648,11 @@ def test_verify_output_is_that_of_the_per_check_evaluation(capsys, name,
     the product of the resolvents at +/-i: every line unchanged but the
     two-point-identity, monodromy and factorization-rank-m residuals (12
     lines), each keeping its PASS or FAIL and its threshold, and every exit
-    code unchanged."""
+    code unchanged.  The fg4, general and cond30 files were rewritten again
+    when verify's 30-term summability lattice moved from a second entry of
+    its recursion to ``generate`` (the closed form on these triples): every
+    line unchanged but the summability-dichotomy detail (3 lines), each
+    keeping its PASS or FAIL, and every exit code unchanged."""
     assert main(["verify", str(VERIFY_DATA / f"{name}.json"), "--nmax",
                  str(n_max)]) == code
     want = (VERIFY_DATA / f"{name}.out.txt").read_text()

@@ -762,13 +762,13 @@ def test_lax_pair_builds_one_state(ihm_triple, stage_calls, calls):
     one entry of one closed-form stack in the eigenbasis of alpha, with one
     eigendecomposition, no run of the recursion, no time-t triple, and no
     matrix exponential or Sylvester solve."""
-    horizons = calls(lattice, "_closed_form_stack",
-                     lambda basis, start, lam, resolvents, kept, horizons,
-                     *args, **kwargs: list(horizons))
+    stacks = calls(lattice, "_closed_form_stack",
+                   lambda basis, start, lam, resolvents, kept, n_max,
+                   *args, **kwargs: (len(lam), n_max))
     recursions = calls(lattice, "_recur")
     batches = calls(evolution, "_sigma0_at")
     lax_pair(ihm_triple, 2, 0.3, 2.0 + 0.5j)
-    assert horizons == [[3]]
+    assert stacks == [(1, 3)]
     assert recursions == batches == []
     assert stage_calls["expm"] == stage_calls["sylvester"] == []
     assert len(stage_calls["eig"]) == 1
@@ -793,6 +793,33 @@ def test_a_time_grid_picks_its_route_once(ihm_triple, real_mode_triple,
     assert len(gates) == 1
     assert batches == [[0.0, 0.2, 0.3]]
     assert len(stacks) == closed
+
+
+@pytest.mark.parametrize("residual", (
+    lambda t: zero_curvature_residual(t, 1, 0.2, 2.0 + 0.5j, h_t=1e-2),
+    lambda t: ihm_residual(t, 1, 0.2, h_t=1e-2)),
+    ids=("zero_curvature", "ihm"))
+@pytest.mark.parametrize("name, stages, exponentials", (
+    ("ihm", 0, 0), ("real_mode", 1, 3)))
+def test_a_stepped_residual_builds_one_grid(ihm_triple, real_mode_triple,
+                                            calls, residual, name, stages,
+                                            exponentials):
+    """A residual with a step h_t builds one TimeGrid over t, t + h_t and
+    t - h_t, in that order: one spectrum gate and one ``_lambda0`` batch.
+    In the eigenbasis (the ihm triple) that is all; off it (the real mode)
+    one batch of time-t triples, and three ``_expm`` calls, that of
+    Lambda_0(t) and the two of its Gramian flow."""
+    triple = {"ihm": ihm_triple, "real_mode": real_mode_triple}[name]
+    grids = calls(evolution, "TimeGrid",
+                  lambda triple, times, *args, **kwargs: list(times))
+    gates = calls(evolution, "_check_spectrum")
+    batches = calls(evolution, "_lambda0")
+    triples = calls(evolution, "_sigma0_at")
+    expms = calls(evolution, "_expm")
+    assert np.isfinite(residual(triple))
+    assert grids == [[0.2, 0.2 + 1e-2, 0.2 - 1e-2]]
+    assert (len(gates), len(batches)) == (1, 1)
+    assert (len(triples), len(expms)) == (stages, exponentials)
 
 
 @pytest.mark.parametrize("times, tol, error, message", (

@@ -35,7 +35,7 @@ def scalar_example():
 
 def _advance(alpha, lam, sigma):
     """One step of the recursion: row n = 1 of a horizon-1 stack."""
-    stack = lattice.generate_stack(alpha, lam, sigma, [1])
+    stack = lattice.generate_stack(alpha, lam[None], sigma[None], 1)
     return stack.lambdas[0, 1], stack.sigmas[0, 1]
 
 
@@ -211,7 +211,7 @@ def test_closed_form_generate_agrees_with_the_recursion(name, n_max):
         FIXTURES / f"{name}.json"))
     assert t._eigenbasis(DEFAULT) is not None
     want = lattice.generate_stack(t.alpha, t.lambda0[None], t.sigma0[None],
-                                  [n_max]).state(0, t)
+                                  n_max).state(0, t)
     got = generate(t, n_max)
     cond = np.array(want.conditioning)
     bound = 100 * np.finfo(float).eps * np.fmax(cond[:-1], cond[1:])
@@ -233,11 +233,11 @@ def test_a_start_off_the_identity_fails_alike_on_both_routes(small_triple):
     basis = t._eigenbasis(DEFAULT)
     assert basis is not None
     want = lattice.generate_stack(bad.alpha, bad.lambda0[None],
-                                  bad.sigma0[None], [12])
+                                  bad.sigma0[None], 12)
     with np.errstate(all="ignore"):
         got = lattice._closed_form_stack(
             basis, (bad.lambda0, bad.sigma0), (basis[2] @ bad.lambda0)[None],
-            None, np.ones(1, dtype=bool), [12], DEFAULT, None)
+            None, np.ones(1, dtype=bool), 12, DEFAULT, None)
     assert (linalg.frob_norms(got.sigmas - want.sigmas)
             <= 1e-14 * linalg.frob_norms(want.sigmas)).all()
     assert isinstance(want.faults[0], NumericError)
@@ -276,37 +276,36 @@ def test_verify_keeps_the_recursion(routes, calls):
 
 
 def test_stack_entries_are_the_states_of_generate(small_triple):
-    """Entries of one stacked run with their own horizons equal separate
-    runs of the recursion bit for bit, and an entry that fails a guard
-    records the error that the recursion raises on it alone, which
-    ``generate`` raises too."""
+    """Entries of one stacked run equal separate runs of the recursion bit
+    for bit, in a stack of horizon 3 and one of horizon 6, and an entry that
+    fails a guard records the error that the recursion raises on it alone,
+    which ``generate`` raises too."""
     from spinlattice.lattice import generate_stack
 
     grown = ParameterTriple(alpha=small_triple.alpha,
                             theta1=1e7 * small_triple.theta1,
                             theta2=1e7 * small_triple.theta2,
                             sigma0=1e14 * small_triple.sigma0)
+
+    def alone(t, n_max):
+        return generate_stack(t.alpha, t.lambda0[None], t.sigma0[None], n_max)
+
     triples = (small_triple, grown, small_triple)
-    horizons = (6, 6, 3)
-    stack = generate_stack(small_triple.alpha,
-                           np.stack([t.lambda0 for t in triples]),
-                           np.stack([t.sigma0 for t in triples]), horizons)
-
-    def alone(k):
-        t = triples[k]
-        return generate_stack(t.alpha, t.lambda0[None], t.sigma0[None],
-                              [horizons[k]])
-
-    for k in (0, 2):
-        want = alone(k).state(0, triples[k])
-        got = stack.state(k, triples[k])
-        assert got.n_max == horizons[k]
-        for name in ("lambdas", "sigmas", "spins", "sigma_inv_lambdas"):
-            assert all((a == b).all() for a, b in
-                       zip(getattr(got, name), getattr(want, name), strict=True))
-        for name in ("conditioning", "spin_residuals"):
-            assert getattr(got, name) == getattr(want, name)
-    assert str(stack.faults[1]) == str(alone(1).faults[0])
+    for n_max in (3, 6):
+        stack = generate_stack(small_triple.alpha,
+                               np.stack([t.lambda0 for t in triples]),
+                               np.stack([t.sigma0 for t in triples]), n_max)
+        for k in (0, 2):
+            want = alone(triples[k], n_max).state(0, triples[k])
+            got = stack.state(k, triples[k])
+            assert got.n_max == n_max
+            for name in ("lambdas", "sigmas", "spins", "sigma_inv_lambdas"):
+                assert all((a == b).all() for a, b in zip(
+                    getattr(got, name), getattr(want, name), strict=True))
+            for name in ("conditioning", "spin_residuals"):
+                assert getattr(got, name) == getattr(want, name)
+    # the horizon-6 stack, whose entry 1 fails
+    assert str(stack.faults[1]) == str(alone(grown, 6).faults[0])
     with pytest.raises(NumericError) as info:
         generate(grown, n_max=6)
     assert str(stack.faults[1]) == str(info.value)
@@ -371,14 +370,13 @@ def test_stack_budget_counts_the_arrays_of_every_entry(monkeypatch):
         generate(t, 11)
     monkeypatch.setattr(lattice, "STACK_BUDGET", 496 * 11 + 160 + 160)
     lam0, sigma0 = t.lambda0[None], t.sigma0[None]
-    assert lattice.generate_stack(t.alpha, lam0, sigma0, [10]).faults == [
-        None]
+    assert lattice.generate_stack(t.alpha, lam0, sigma0, 10).faults == [None]
     with pytest.raises(InputError, match="horizon 11 "):
-        lattice.generate_stack(t.alpha, lam0, sigma0, [11])
+        lattice.generate_stack(t.alpha, lam0, sigma0, 11)
     lam0, sigma0 = np.stack([t.lambda0] * 2), np.stack([t.sigma0] * 2)
     with pytest.raises(InputError, match="horizon 5 "):
-        lattice.generate_stack(t.alpha, lam0, sigma0, [5, 0])
-    assert lattice.generate_stack(t.alpha, lam0, sigma0, [4, 0]).faults == [
+        lattice.generate_stack(t.alpha, lam0, sigma0, 5)
+    assert lattice.generate_stack(t.alpha, lam0, sigma0, 4).faults == [
         None, None]
 
 
@@ -394,7 +392,7 @@ def test_stack_budget_bounds_the_traced_peak(order, m, derivative, rows,
     t = random_admissible_triple(np.random.default_rng(order + 16 * m), order,
                                  m)
     start = (t.alpha, np.stack([t.lambda0] * rows),
-             np.stack([t.sigma0] * rows), [horizon] * rows)
+             np.stack([t.sigma0] * rows), horizon)
     resolvents = t._resolvents() if derivative else None
     tracemalloc.start()
     try:
@@ -430,7 +428,7 @@ def test_closed_form_budget_bounds_the_traced_peak(order, m, rows, horizon,
     d = basis[0]
     resolvents = (1.0 / (d - 1j), 1.0 / (d + 1j)) if derivative else None
     start = (basis, (t.lambda0, t.sigma0), lam, resolvents,
-             np.arange(rows) < kept, [horizon] * rows, DEFAULT)
+             np.arange(rows) < kept, horizon, DEFAULT)
     with np.errstate(all="ignore"):
         lattice._closed_form_stack(*start, None)
         tracemalloc.start()
@@ -462,9 +460,9 @@ def test_stack_budget_counts_one_stage_at_order_10(monkeypatch):
     monkeypatch.setattr(lattice, "STACK_BUDGET", 2944 * 11 + 7360 + 9664)
     t = random_admissible_triple(np.random.default_rng(3), 10, 1)
     lam0, sigma0 = t.lambda0[None], t.sigma0[None]
-    assert lattice.generate_stack(t.alpha, lam0, sigma0, [10]).faults == [None]
+    assert lattice.generate_stack(t.alpha, lam0, sigma0, 10).faults == [None]
     with pytest.raises(InputError, match="horizon 11 "):
-        lattice.generate_stack(t.alpha, lam0, sigma0, [11])
+        lattice.generate_stack(t.alpha, lam0, sigma0, 11)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -510,35 +508,32 @@ def _same_bits(a, b):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(order=st.integers(1, 6), m=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1),
-       horizons=st.lists(st.integers(0, 14), min_size=1, max_size=3),
+       horizon=st.integers(0, 14), rows=st.integers(1, 3),
        scales=st.lists(st.sampled_from([1.0, 1e7, 1e150]), min_size=3,
                        max_size=3),
-       shared=st.booleans(), with_derivative=st.booleans())
+       with_derivative=st.booleans())
 def test_generate_stack_is_the_step_by_step_recursion(
-        order, m, seed, horizons, scales, shared, with_derivative):
+        order, m, seed, horizon, rows, scales, with_derivative):
     """Every array and every fault of a stack, faulting entries included,
     with and without dS_n/dt, are those of the recursion run one step per
     n."""
     rng = np.random.default_rng(seed)
     t = random_admissible_triple(rng, order, m)
-    k = len(horizons)
-    if shared:
-        lam0, sigma0 = t.lambda0, t.sigma0
-    else:
-        lam0 = np.stack([scales[i] * (t.lambda0 + rng.standard_normal(
-            t.lambda0.shape)) for i in range(k)])
-        sigma0 = np.stack([scales[i] ** 2 * t.sigma0 for i in range(k)])
+    lam0 = np.stack([scales[i] * (t.lambda0 + rng.standard_normal(
+        t.lambda0.shape)) for i in range(rows)])
+    sigma0 = np.stack([scales[i] ** 2 * t.sigma0 for i in range(rows)])
     resolvents = t._resolvents() if with_derivative else None
 
     def run():
-        return lattice.generate_stack(t.alpha, lam0, sigma0, horizons,
+        return lattice.generate_stack(t.alpha, lam0, sigma0, horizon,
                                       resolvents=resolvents)
 
     got = run()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice, "_recur", _recur_step_by_step)
         want = run()
-    for name in ("horizons", "lambdas", "sigmas", "spins", "conditioning",
+    assert got.n_max == want.n_max == horizon
+    for name in ("lambdas", "sigmas", "spins", "conditioning",
                  "spin_residuals", "involution_residuals",
                  "sigma_inv_lambdas", "dspins"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name

@@ -15,11 +15,12 @@ import pytest
 import spinlattice
 from spinlattice import (Transfer, generate, ihm_residual, k_residual,
                          lambda_closed_form, lambda_grid, lambda_n_at,
-                         lax_pair, positivity_interval,
-                         random_admissible_triple, spin_evolution,
-                         summability_diagnostic, weyl,
+                         lax_pair, pad_triple, positivity_interval,
+                         random_admissible_triple,
+                         random_general_sigma_triple, run_checks,
+                         spin_evolution, summability_diagnostic, weyl,
                          zero_curvature_residual)
-from spinlattice.errors import NumericError
+from spinlattice.errors import InputError, NumericError
 from spinlattice.worked_example import example_triple
 
 PACKAGE = pathlib.Path(spinlattice.__file__).parent
@@ -278,6 +279,10 @@ def test_the_public_surface_is_pinned():
     assert _doors() == SURFACE
 
 
+# the TypeError of operator.index on a float where a whole number is read
+_NOT_WHOLE = r"^'float' object cannot be interpreted as an integer$"
+
+
 def _refused(call, match, id, error=ValueError):
     """A case of the hostile-input parametrize below: ``call`` raises
     ``error`` with a message that matches ``match``."""
@@ -338,14 +343,73 @@ def _refused(call, match, id, error=ValueError):
     _refused(lambda t, s: lambda_grid(t.alpha, count=-1),
              r"^lambda_grid needs a count >= 0, got -1$",
              id="lambda_grid-negative-count"),
+    _refused(lambda t, s: zero_curvature_residual(t, 1, 0.1, 2.0, h_t=0.0),
+             r"^h_t must be finite and nonzero, got 0\.0$",
+             id="zero_curvature_residual-zero-step"),
+    _refused(lambda t, s: ihm_residual(t, 1, 0.1, h_t=0.0),
+             r"^h_t must be finite and nonzero, got 0\.0$",
+             id="ihm_residual-zero-step"),
+    _refused(lambda t, s: zero_curvature_residual(t, 1, 0.1, 2.0,
+                                                  h_t=np.nan),
+             r"^h_t must be finite and nonzero, got nan$",
+             id="zero_curvature_residual-nan-step"),
+    _refused(lambda t, s: ihm_residual(t, 1, 0.1, h_t=np.inf),
+             r"^h_t must be finite and nonzero, got inf$",
+             id="ihm_residual-infinite-step"),
+    _refused(lambda t, s: Transfer(s).w(1, np.nan),
+             r"^lambda must be finite, got \(nan\+0j\)$", id="w-nan-lambda",
+             error=InputError),
+    _refused(lambda t, s: Transfer(s).w(1, np.inf),
+             r"^lambda must be finite, got \(inf\+0j\)$", id="w-inf-lambda",
+             error=InputError),
+    _refused(lambda t, s: Transfer(s).fundamental(1, np.nan),
+             r"^lambda must be finite, got \(nan\+0j\)$",
+             id="fundamental-nan-lambda", error=InputError),
+    _refused(lambda t, s: Transfer(s).identity_residual(1, np.nan),
+             r"^lambda must be finite, got \(nan\+0j\)$",
+             id="identity_residual-nan-lambda", error=InputError),
+    _refused(lambda t, s: weyl(t)(np.nan),
+             r"^lambda must be finite, got \(nan\+0j\)$",
+             id="weyl-nan-lambda", error=InputError),
+    _refused(lambda t, s: weyl(t)(np.inf),
+             r"^lambda must be finite, got \(inf\+0j\)$",
+             id="weyl-inf-lambda", error=InputError),
+    _refused(lambda t, s: summability_diagnostic(t, complex(0, -np.inf)),
+             r"^lambda must be finite, got -infj$",
+             id="summability-infinite-lambda", error=InputError),
+    _refused(lambda t, s: lax_pair(t, 1, 0.1, np.nan),
+             r"^lambda must be finite, got \(nan\+0j\)$",
+             id="lax_pair-nan-lambda", error=InputError),
+    _refused(lambda t, s: zero_curvature_residual(t, 1, 0.1, np.nan),
+             r"^lambda must be finite, got \(nan\+0j\)$",
+             id="zero_curvature_residual-nan-lambda", error=InputError),
+    _refused(lambda t, s: generate(t, 2.5), _NOT_WHOLE,
+             id="generate-fractional-horizon", error=TypeError),
+    _refused(lambda t, s: run_checks(t, 2.5), _NOT_WHOLE,
+             id="run_checks-fractional-horizon", error=TypeError),
+    _refused(lambda t, s: lambda_closed_form(t, 2.5), _NOT_WHOLE,
+             id="lambda_closed_form-fractional-site", error=TypeError),
+    _refused(lambda t, s: random_admissible_triple(
+        np.random.default_rng(0), 0, 1), r"^order must be >= 1, got 0$",
+             id="random_admissible_triple-order-zero"),
+    _refused(lambda t, s: random_admissible_triple(
+        np.random.default_rng(0), 2, 0), r"^m must be >= 1, got 0$",
+             id="random_admissible_triple-m-zero"),
+    _refused(lambda t, s: random_general_sigma_triple(
+        np.random.default_rng(0), 2, 0), r"^m must be >= 1, got 0$",
+             id="random_general_sigma_triple-m-zero"),
+    _refused(lambda t, s: pad_triple(t, np.random.default_rng(0), -1),
+             r"^pad must be >= 0, got -1$", id="pad_triple-negative-pad"),
 ])
 def test_site_term_and_step_arguments_are_checked_where_they_enter(
         call, error, match):
     """A ValueError naming the argument and its range, not an IndexError,
     ZeroDivisionError or OverflowError further in, nor a value read from
-    the wrong site or an empty march; and a NumericError naming the site
-    where Lambda_n leaves the floating point range, not NaN.  No numpy
-    warning is emitted."""
+    the wrong site or an empty march; a NumericError naming the site
+    where Lambda_n leaves the floating point range, not NaN; an InputError
+    naming a NaN or infinite lambda, not a KeyError or NaN; and the
+    TypeError of ``operator.index`` on a fractional horizon, before any
+    work.  No numpy warning is emitted."""
     triple = random_admissible_triple(np.random.default_rng(1), 2, 1)
     state = generate(triple, 3)
     with warnings.catch_warnings():

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from spinlattice import (evolution, ihm_residual, lax_pair, lattice, linalg,
                          random_admissible_triple,
-                         random_general_sigma_triple, summability_diagnostic,
-                         triples, weyl, zero_curvature_residual)
+                         random_general_sigma_triple, serialize,
+                         summability_diagnostic, triples, weyl,
+                         zero_curvature_residual)
 from spinlattice.errors import PoleError, SpinLatticeError
 from spinlattice.verify import run_checks
 
@@ -88,18 +91,18 @@ def test_verify_builds_each_shared_quantity_once(calls, stage_calls, n_max,
                                                  states):
     """States: the one to n_max, one per time of the grid at t = 0 and 0.2,
     and the horizon-30 one unless n_max >= 30, counted as the entries of
-    every stacked run of the recursion and of the closed-form stack of the
-    grid.  The time-t triples at t = 0.1 and 0.35 and the grid at t = 0
-    and 0.2 come from one eigendecomposition of alpha, with no matrix
+    every stacked run of the recursion and of every closed-form stack.
+    The time-t triples at t = 0.1 and 0.35 and the grid at t = 0 and 0.2
+    come from one eigendecomposition of alpha, with no matrix
     exponential and no Sylvester solve; exponentiated matrices: 3 per
     Gramian flow at t = 0.1 and 0.35, counted as the matrices of every
     stacked expm call."""
     entries = calls(lattice, "generate_stack",
-                    lambda alpha, lambda0, sigma0, horizons, *args,
-                    **kwargs: len(horizons))
+                    lambda alpha, lambda0, sigma0, n_max, *args,
+                    **kwargs: len(lambda0))
     closed = calls(lattice, "_closed_form_stack",
-                   lambda basis, start, lam, resolvents, kept, horizons,
-                   *args, **kwargs: len(horizons))
+                   lambda basis, start, lam, resolvents, kept, n_max,
+                   *args, **kwargs: len(lam))
     triple = random_admissible_triple(np.random.default_rng(5), 3, 1)
     results = run_checks(triple, n_max=n_max)
     assert all(np.isfinite(r.residual) for r in results)     # none raised
@@ -132,16 +135,45 @@ def test_run_checks_rejects_a_horizon_below_one(small_triple, n_max):
         run_checks(small_triple, n_max=n_max)
 
 
+VERIFY_DATA = pathlib.Path(__file__).parent / "data" / "verify"
+
+
+@pytest.mark.parametrize("name", ("fg4", "general", "cond30"))
+def test_verify_reads_its_summability_lattice_from_generate(name):
+    """Below n_max = 30, the summability-dichotomy detail is that of
+    ``summability_diagnostic`` at 30 terms, which builds its lattice with
+    ``generate``: the column identity residual on fg4 and general, and the
+    guard that refuses cond30 at n = 29."""
+    triple = serialize.triple_from_obj(serialize.load_json(
+        VERIFY_DATA / f"{name}.json"))
+    lam = -2j   # the summability point of run_checks when 2i is no pole
+    try:
+        report = summability_diagnostic(triple, lam, n_terms=30)
+        perturbed = summability_diagnostic(
+            triple, lam, n_terms=30,
+            phi=weyl(triple)(lam) + 0.1 * np.eye(triple.m))
+        want = (f"cauchy={report.is_cauchy}, "
+                f"perturbed_cauchy={perturbed.is_cauchy}, "
+                f"column_identity_residual="
+                f"{report.column_identity_residual:.3e}")
+    except SpinLatticeError as exc:
+        want = f"{type(exc).__name__}: {exc}"
+    results = {r.name: r for r in run_checks(triple, n_max=15)}
+    assert results["summability-dichotomy"].detail == want
+
+
 @pytest.mark.parametrize("n_max, state_horizons", ((15, [15, 30]),
                                                    (30, [30])))
 def test_verify_batches_its_shared_work(calls, n_max, state_horizons):
     """One verify of an m = 1 triple with its spectrum in the open upper
     half plane: one validate; one batch of time-t triples, for t = 0.1,
-    0.35; one Gramian flow over t = 0.1, 0.35; one recursion for the state
-    to n_max and the horizon-30 state; one closed-form stack for the
-    horizon-3 time grid at t = 0, 0.2, with dS_n/dt.  A general sigma0
-    adds nothing: the closed form reads the state's Lambda_n, and the
-    normalized Weyl realization is built without a second validate."""
+    0.35; one recursion of one entry for the state to n_max; one
+    closed-form stack of two entries for the horizon-3 time grid at t = 0,
+    0.2, with dS_n/dt; and below n_max = 30, one closed-form stack of one
+    entry for the horizon-30 state of ``generate``.  Stacks are recorded as
+    (entries, horizon).  A general sigma0 adds nothing: the closed form
+    reads the state's Lambda_n, and the normalized Weyl realization is
+    built without a second validate."""
 
     def size(triple, times, *args, **kwargs):
         return times.size
@@ -151,12 +183,12 @@ def test_verify_batches_its_shared_work(calls, n_max, state_horizons):
         "_sigma_flow": calls(evolution, "_sigma_flow", size),
         "generate_stack": calls(
             lattice, "generate_stack",
-            lambda alpha, lambda0, sigma0, horizons, *args, **kwargs: [
-                int(h) for h in horizons]),
+            lambda alpha, lambda0, sigma0, n_max, *args, **kwargs: (
+                len(lambda0), n_max)),
         "_closed_form_stack": calls(
             lattice, "_closed_form_stack",
-            lambda basis, start, lam, resolvents, kept, horizons, *args,
-            **kwargs: [int(h) for h in horizons]),
+            lambda basis, start, lam, resolvents, kept, n_max, *args,
+            **kwargs: (len(lam), n_max)),
         "validate": calls(triples, "validate",
                           lambda triple, *args, **kwargs: triple.order)}
     for triple in (random_admissible_triple(np.random.default_rng(5), 3, 1),
@@ -167,8 +199,9 @@ def test_verify_batches_its_shared_work(calls, n_max, state_horizons):
         results = run_checks(triple, n_max=n_max)
         assert all(np.isfinite(r.residual) for r in results)  # none raised
         assert batches == {"_triples_at": [2], "_sigma_flow": [2],
-                           "generate_stack": [state_horizons],
-                           "_closed_form_stack": [[3, 3]],
+                           "generate_stack": [(1, state_horizons[0])],
+                           "_closed_form_stack": [(2, 3)] + [
+                               (1, h) for h in state_horizons[1:]],
                            "validate": [3]}
 
 
